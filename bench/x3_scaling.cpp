@@ -58,7 +58,7 @@ DIRANT_REPORT(x3) {
   }
   section("X3 — EMST+orient wall time per engine (BENCH_scaling.json)");
   // Preserve the sections that bench_x6_certify may have spliced into an
-  // existing file (certify/scc/audit/classifier sweeps): this bench owns
+  // existing file (certify/scc/audit sweeps): this bench owns
   // emst_orient+emst_parallel+batch only.
   std::vector<std::string> preserved_sections;
   {
@@ -69,7 +69,7 @@ DIRANT_REPORT(x3) {
       const std::string existing = ss.str();
       for (const char* key : {"\"certify\"", "\"certify_parallel\"",
                               "\"scc\"", "\"scc_parallel\"",
-                              "\"audit_parallel\"", "\"classifier\""}) {
+                              "\"audit_parallel\""}) {
         const size_t pos = existing.find(key);
         if (pos == std::string::npos) continue;
         const size_t close = existing.find(']', pos);

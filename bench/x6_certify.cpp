@@ -16,16 +16,12 @@
 //     The FW–BW timings include its internal transpose build — the honest
 //     cost when no cached transpose is available (core::certify's shape);
 //     AuditSession amortizes that across a whole metric sweep.
-// Two more sweeps ride along:
-//   * audit_parallel — AuditSession's probe-parallel
-//     strong_connectivity_level and trial-parallel failure_resilience at
-//     several thread counts vs the serial session (bit-identical metrics,
-//     verified in-run);
-//   * classifier — the phase-2 SoA batch classifier vs the fused scalar
-//     oracle on the serial digraph build (bit-identical CSR, verified
-//     in-run).
+// One more sweep rides along: audit_parallel — AuditSession's
+// probe-parallel strong_connectivity_level and trial-parallel
+// failure_resilience at several thread counts vs the serial session
+// (bit-identical metrics, verified in-run).
 // Appends "certify" / "certify_parallel" / "scc" / "scc_parallel" /
-// "audit_parallel" / "classifier" sections to BENCH_scaling.json so the
+// "audit_parallel" sections to BENCH_scaling.json so the
 // speedups are part of the recorded perf trajectory.  Every parallel row
 // carries the box's hw_threads so a ~1x speedup on a 1-core machine is
 // never mistaken for a regression.
@@ -358,13 +354,6 @@ struct AuditRow {
   double failure_speedup = 0.0;  ///< serial failure_ms / this failure_ms
 };
 
-struct ClassifierRow {
-  int n = 0;
-  double batch_ms = 0.0;   ///< SoA batch classifier (the default)
-  double scalar_ms = 0.0;  ///< fused scalar oracle
-  double speedup = 0.0;    ///< scalar / batch
-};
-
 /// Removes a previously spliced `"name": [...]` section (with its leading
 /// comma, if any) so reruns replace rather than accumulate.
 void drop_section(std::string& existing, const std::string& name) {
@@ -380,15 +369,14 @@ void drop_section(std::string& existing, const std::string& name) {
   }
 }
 
-/// Splices the "certify", "certify_parallel", "scc", "scc_parallel",
-/// "audit_parallel" and "classifier" sections into BENCH_scaling.json next
+/// Splices the "certify", "certify_parallel", "scc", "scc_parallel" and
+/// "audit_parallel" sections into BENCH_scaling.json next
 /// to the sections x3_scaling wrote (creates the file if x3 has not run).
 void append_certify_json(const std::vector<CertifyRow>& rows,
                          const std::vector<ParallelRow>& par_rows,
                          const std::vector<SccRow>& scc_rows,
                          const std::vector<SccParallelRow>& scc_par_rows,
                          const std::vector<AuditRow>& audit_rows,
-                         const std::vector<ClassifierRow>& cls_rows,
                          unsigned hw_threads) {
   std::string existing;
   {
@@ -406,7 +394,6 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
   drop_section(existing, "scc_parallel");
   drop_section(existing, "scc");
   drop_section(existing, "audit_parallel");
-  drop_section(existing, "classifier");
   std::ostringstream section;
   section << "  \"certify\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -463,15 +450,6 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
             << ", \"hw_threads\": " << hw_threads << "}"
             << (i + 1 < audit_rows.size() ? ",\n" : "\n");
   }
-  section << "  ],\n";
-  section << "  \"classifier\": [\n";
-  for (size_t i = 0; i < cls_rows.size(); ++i) {
-    const auto& r = cls_rows[i];
-    section << "    {\"n\": " << r.n << ", \"batch_ms\": " << r.batch_ms
-            << ", \"scalar_ms\": " << r.scalar_ms
-            << ", \"speedup\": " << r.speedup << "}"
-            << (i + 1 < cls_rows.size() ? ",\n" : "\n");
-  }
   section << "  ]\n";
 
   const size_t close = existing.rfind('}');
@@ -491,7 +469,7 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
   }
   std::printf(
       "appended certify + certify_parallel + scc + scc_parallel + "
-      "audit_parallel + classifier sections to BENCH_scaling.json\n");
+      "audit_parallel sections to BENCH_scaling.json\n");
 }
 
 DIRANT_REPORT(x6) {
@@ -823,80 +801,12 @@ DIRANT_REPORT(x6) {
     }
   }
 
-  // ---- Phase-2 classifier: SoA batch loop vs fused scalar oracle -------
-  // Serial digraph build, identical CSR (checked below); the rows price
-  // the autovectorized batch loop against the branchy scalar path.
-  section("X6 — phase-2 classifier: SoA batch vs fused scalar "
-          "(classifier)");
-  std::vector<ClassifierRow> cls_rows;
-  {
-    const std::vector<int> cls_sizes =
-        smoke ? std::vector<int>{500}
-              : std::vector<int>{10000, 50000, 200000};
-    antenna::TransmissionScratch batch_tx, scalar_tx;
-    batch_tx.classifier = antenna::TransmissionScratch::Classifier::kBatch;
-    scalar_tx.classifier = antenna::TransmissionScratch::Classifier::kScalar;
-    std::printf("n        batch-ms   scalar-ms  speedup\n");
-    std::printf("---------------------------------------\n");
-    for (int cn : cls_sizes) {
-      geom::Rng rng(71000 + cn);
-      const auto pts =
-          geom::make_instance(geom::Distribution::kUniformSquare, cn, rng);
-      const auto res = core::orient(pts, {2, kPi});
-      const auto& o = res.orientation;
-      // Bit-identity check before timing: same offsets, same targets.
-      {
-        const graph::Digraph gb = antenna::induced_digraph_fast(
-            pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, batch_tx);
-        const graph::Digraph gs = antenna::induced_digraph_fast(
-            pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scalar_tx);
-        bool same = gb.edge_count() == gs.edge_count() &&
-                    gb.size() == gs.size();
-        for (int u = 0; same && u < gb.size(); ++u) {
-          const auto bu = gb.out(u), su = gs.out(u);
-          same = bu.size() == su.size() &&
-                 std::equal(bu.begin(), bu.end(), su.begin());
-        }
-        if (!same) {
-          std::printf("WARNING: classifier CSR mismatch at n=%d\n", cn);
-        }
-      }
-      ClassifierRow row;
-      row.n = cn;
-      row.batch_ms = std::numeric_limits<double>::infinity();
-      row.scalar_ms = std::numeric_limits<double>::infinity();
-      const int reps = smoke ? 3 : (cn <= 50000 ? 5 : 3);
-      for (int rep = 0; rep < reps; ++rep) {
-        row.batch_ms = std::min(row.batch_ms, time_ms([&] {
-                         graph::Digraph g = antenna::induced_digraph_fast(
-                             pts, o, dirant::kAngleTol,
-                             dirant::kRadiusAbsTol, batch_tx);
-                         benchmark::DoNotOptimize(g.edge_count());
-                         std::move(g).release(batch_tx.offsets,
-                                              batch_tx.targets);
-                       }));
-        row.scalar_ms = std::min(row.scalar_ms, time_ms([&] {
-                          graph::Digraph g = antenna::induced_digraph_fast(
-                              pts, o, dirant::kAngleTol,
-                              dirant::kRadiusAbsTol, scalar_tx);
-                          benchmark::DoNotOptimize(g.edge_count());
-                          std::move(g).release(scalar_tx.offsets,
-                                               scalar_tx.targets);
-                        }));
-      }
-      row.speedup = row.scalar_ms / std::max(row.batch_ms, 1e-9);
-      std::printf("%-8d %8.2f   %8.2f   %5.2fx\n", cn, row.batch_ms,
-                  row.scalar_ms, row.speedup);
-      cls_rows.push_back(row);
-    }
-  }
-
   if (smoke) {
     // Throwaway tiny-n numbers must never land in the recorded trajectory.
     std::printf("smoke mode: BENCH_scaling.json left untouched\n");
   } else {
     append_certify_json(rows, par_rows, scc_rows, scc_par_rows, audit_rows,
-                        cls_rows, hw_threads);
+                        hw_threads);
   }
 }
 

@@ -37,7 +37,8 @@ CTEST_EXTRA=("$@")
 # DIRANT_TEST_THREADS=4: the sharded digraph-build and parallel-SCC tests
 # then spin real 4-worker pools, so memory errors in the concurrent paths
 # surface under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN)
-# re-runs exactly the concurrency-heavy suites — parallel SCC, the sharded
+# re-runs exactly the concurrency-heavy suites — the thread pool's own
+# slot stress test, parallel SCC, the sharded
 # certify build, the batch fan-out, the pool-parallel Borůvka EMST, the
 # probe/trial-parallel audits, and the churn engine's pooled
 # recertification (both churn suites, including the sub-linear warm-path
@@ -51,7 +52,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_parallel_scc|test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
+    "test_thread_pool|test_parallel_scc|test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 

@@ -21,188 +21,6 @@ constexpr unsigned kWide = 4u;  ///< width > pi: test the complement wedge
 
 using FlatSector = TransmissionScratch::FlatSector;
 
-// The batch classifier's flag loops live in standalone functions so GCC can
-// emit runtime-dispatched clones for the wider x86-64 ISA levels: the
-// baseline build keeps working everywhere, while AVX2 machines get 4
-// double lanes per op instead of SSE2's 2.  The clone list deliberately
-// stops at x86-64-v3: a v4 clone measured SLOWER end to end here (512-bit
-// ops trigger frequency downclocking on common server parts, and these
-// loops are too short to earn it back).  The clones stay bit-exact with
-// the default (and with the scalar oracle) because this translation unit
-// is compiled with -ffp-contract=off (see CMakeLists.txt) — without it
-// the v3 clone would contract mul+sub into FMA and could flip verdicts on
-// the tolerance-band boundary.
-// ThreadSanitizer builds must not multiversion: the ifunc resolvers run
-// during relocation, before the tsan runtime is initialized, and the
-// instrumented resolver segfaults on startup.  The plain (still
-// vectorized-at-baseline) loops are what tsan checks — the clones differ
-// only in ISA level, not in logic or memory access pattern.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
-#define DIRANT_VEC_CLONES                                           \
-  __attribute__((target_clones("default", "arch=x86-64-v2",        \
-                               "arch=x86-64-v3")))
-#else
-#define DIRANT_VEC_CLONES
-#endif
-
-// Each lane function classifies every candidate run of one sector's cell
-// window (`runs` holds nrows [begin, end) index pairs into the grid's
-// cell-ordered SoA coordinates — one contiguous run per window row) and
-// compacts the survivors' grid indices into `out`, returning the count.
-// Runs are processed in fixed-size chunks through a stack verdict buffer:
-// the first pass fuses the squared-distance filter, the coincident-point
-// skip, and the sector accept test into straight-line arithmetic — the
-// exact operations the scalar oracle performs, with && / || replaced by
-// non-short-circuiting & / | so every lane is branch-free — and the
-// second pass is the sparse scalar compress.  Verdicts are 0.0/1.0
-// doubles at the same lane width as the compares (what the vectorizer
-// needs even at the baseline -march), but they never leave the stack, so
-// the only streams a sector pays are the coordinate reads and the (small)
-// survivor list.  One call covers the whole sector: dispatch and loop
-// prologue cost per sector, not per row.
-
-constexpr int kLaneChunk = 64;
-
-/// kBeam: within the tolerance band of the ray and ahead of it.
-DIRANT_VEC_CLONES
-int classify_beam_runs(const double* __restrict xs,
-                       const double* __restrict ys,
-                       const int* __restrict runs, int nrows,
-                       int* __restrict out, double ax, double ay,
-                       double limit2, double sx, double sy,
-                       double band_scale) {
-  int cnt = 0;
-  double ok[kLaneChunk];
-  for (int r = 0; r < nrows; ++r) {
-    int k = runs[2 * r];
-    const int k_end = runs[2 * r + 1];
-    while (k < k_end) {
-      const int chunk = k_end - k < kLaneChunk ? k_end - k : kLaneChunk;
-      for (int t = 0; t < chunk; ++t) {
-        const double dx = xs[k + t] - ax;
-        const double dy = ys[k + t] - ay;
-        const double d2 = dx * dx + dy * dy;
-        const double cs = sx * dy - sy * dx;
-        ok[t] = ((d2 <= limit2) & (d2 != 0.0) &
-                 (cs * cs <= d2 * band_scale) & (sx * dx + sy * dy > 0.0))
-                    ? 1.0
-                    : 0.0;
-      }
-      for (int t = 0; t < chunk; ++t) {
-        if (ok[t] != 0.0) out[cnt++] = k + t;
-      }
-      k += chunk;
-    }
-  }
-  return cnt;
-}
-
-/// kFull: every in-range candidate transmits.
-DIRANT_VEC_CLONES
-int classify_full_runs(const double* __restrict xs,
-                       const double* __restrict ys,
-                       const int* __restrict runs, int nrows,
-                       int* __restrict out, double ax, double ay,
-                       double limit2) {
-  int cnt = 0;
-  double ok[kLaneChunk];
-  for (int r = 0; r < nrows; ++r) {
-    int k = runs[2 * r];
-    const int k_end = runs[2 * r + 1];
-    while (k < k_end) {
-      const int chunk = k_end - k < kLaneChunk ? k_end - k : kLaneChunk;
-      for (int t = 0; t < chunk; ++t) {
-        const double dx = xs[k + t] - ax;
-        const double dy = ys[k + t] - ay;
-        const double d2 = dx * dx + dy * dy;
-        ok[t] = ((d2 <= limit2) & (d2 != 0.0)) ? 1.0 : 0.0;
-      }
-      for (int t = 0; t < chunk; ++t) {
-        if (ok[t] != 0.0) out[cnt++] = k + t;
-      }
-      k += chunk;
-    }
-  }
-  return cnt;
-}
-
-/// kWide: in-band of either boundary ray, or NOT in the complement wedge.
-DIRANT_VEC_CLONES
-int classify_wide_runs(const double* __restrict xs,
-                       const double* __restrict ys,
-                       const int* __restrict runs, int nrows,
-                       int* __restrict out, double ax, double ay,
-                       double limit2, double sx, double sy, double ex,
-                       double ey, double band_scale) {
-  int cnt = 0;
-  double ok[kLaneChunk];
-  for (int r = 0; r < nrows; ++r) {
-    int k = runs[2 * r];
-    const int k_end = runs[2 * r + 1];
-    while (k < k_end) {
-      const int chunk = k_end - k < kLaneChunk ? k_end - k : kLaneChunk;
-      for (int t = 0; t < chunk; ++t) {
-        const double dx = xs[k + t] - ax;
-        const double dy = ys[k + t] - ay;
-        const double d2 = dx * dx + dy * dy;
-        const double cs = sx * dy - sy * dx;
-        const double ce = ex * dy - ey * dx;
-        const double band = d2 * band_scale;
-        const bool in_band =
-            ((cs * cs <= band) & (sx * dx + sy * dy > 0.0)) |
-            ((ce * ce <= band) & (ex * dx + ey * dy > 0.0));
-        const bool wedge = !((cs < 0.0) & (ce > 0.0));
-        ok[t] =
-            ((d2 <= limit2) & (d2 != 0.0) & (in_band | wedge)) ? 1.0 : 0.0;
-      }
-      for (int t = 0; t < chunk; ++t) {
-        if (ok[t] != 0.0) out[cnt++] = k + t;
-      }
-      k += chunk;
-    }
-  }
-  return cnt;
-}
-
-/// Narrow sector: in-band of either boundary ray, or inside the wedge.
-DIRANT_VEC_CLONES
-int classify_narrow_runs(const double* __restrict xs,
-                         const double* __restrict ys,
-                         const int* __restrict runs, int nrows,
-                         int* __restrict out, double ax, double ay,
-                         double limit2, double sx, double sy, double ex,
-                         double ey, double band_scale) {
-  int cnt = 0;
-  double ok[kLaneChunk];
-  for (int r = 0; r < nrows; ++r) {
-    int k = runs[2 * r];
-    const int k_end = runs[2 * r + 1];
-    while (k < k_end) {
-      const int chunk = k_end - k < kLaneChunk ? k_end - k : kLaneChunk;
-      for (int t = 0; t < chunk; ++t) {
-        const double dx = xs[k + t] - ax;
-        const double dy = ys[k + t] - ay;
-        const double d2 = dx * dx + dy * dy;
-        const double cs = sx * dy - sy * dx;
-        const double ce = ex * dy - ey * dx;
-        const double band = d2 * band_scale;
-        const bool in_band =
-            ((cs * cs <= band) & (sx * dx + sy * dy > 0.0)) |
-            ((ce * ce <= band) & (ex * dx + ey * dy > 0.0));
-        const bool wedge = (cs > 0.0) & (ce < 0.0);
-        ok[t] =
-            ((d2 <= limit2) & (d2 != 0.0) & (in_band | wedge)) ? 1.0 : 0.0;
-      }
-      for (int t = 0; t < chunk; ++t) {
-        if (ok[t] != 0.0) out[cnt++] = k + t;
-      }
-      k += chunk;
-    }
-  }
-  return cnt;
-}
-
 /// Immutable per-build inputs shared (read-only) by every shard.
 struct BuildCtx {
   std::span<const Point> pts;
@@ -211,7 +29,6 @@ struct BuildCtx {
   const int* sector_start;  ///< per-node prefix into flat (n+1 entries)
   double exact_band;        ///< sin(angle_tol)^2, the tolerance accept band
   int n;
-  bool batch_classifier;    ///< SoA batch loop vs the fused scalar oracle
 };
 
 /// Phase 1 for nodes [u_lo, u_hi): flatten every sector into its FlatSector
@@ -306,20 +123,9 @@ void flatten_range(const Orientation& o, const spatial::GridIndex& grid,
 /// BuildCtx and the node index, never on which chunk it runs in — the
 /// property the sharded build's bit-identity rests on.
 ///
-/// Two classifier bodies share the surrounding scan (BuildCtx selects):
-///   * kBatch (default): one lane-function call per sector classifies the
-///     window's row runs in place over the grid's cell-ordered SoA
-///     coordinates — branch-light per-flags loops the compiler
-///     autovectorizes under -O3 (runtime-dispatched to wider ISA levels
-///     via target_clones) — and hands back compact survivor indices for
-///     the scalar dedup pass.  Windows of at most kBatchMinWindow
-///     candidates take the fused per-candidate path instead: a lane call
-///     cannot amortize its dispatch over a handful of lanes.
-///   * kScalar: the original fused per-candidate path (classification
-///     inlined in the window callback), kept as the equivalence oracle.
-/// Both run THE SAME accept arithmetic on the same candidates in the same
-/// order, so the emitted CSR is bit-identical (enforced by
-/// tests/test_csr_equivalence.cpp).
+/// The accept arithmetic is the same as `sector_accepts` (same translation
+/// unit, contraction off), so per-edge retests agree with whole-row builds
+/// bit for bit.
 ///
 /// Dedup strategy: geometry tests run first (they reject almost every
 /// candidate); only ACCEPTED candidates pay dedup.  Rows are short, so a
@@ -329,11 +135,8 @@ void flatten_range(const Orientation& o, const spatial::GridIndex& grid,
 /// afterwards so the array stays all-zero between rows and calls.
 int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
                    std::vector<char>& seen, std::vector<int>& targets,
-                   TransmissionScratch::SectorBatch& batch, int* row_end) {
+                   int* row_end) {
   constexpr int kLinearDedup = 48;
-  // Windows at or below this many candidates skip the lane call; matches
-  // the short-run threshold in GridIndex::scan_window_r2.
-  constexpr int kBatchMinWindow = 16;
   if (targets.capacity() < 1024) targets.reserve(1024);
   targets.resize(targets.capacity());  // emitted via indexed writes below
   int tgt_count = 0;
@@ -378,98 +181,42 @@ int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
         targets[tgt_count++] = v;
       };
 
-      // When the batch classifier is on, collect the window's row runs
-      // up front (three CSR lookups per row — cheap) so tiny windows can
-      // fall back to the fused per-candidate path below: a lane call
-      // cannot amortize its dispatch and prologue over a handful of
-      // candidates, the same reason scan_window_r2 special-cases short
-      // runs.  Both classifiers are bit-identical, so the cutover is
-      // invisible in the output.
-      int m = 0;
-      if (ctx.batch_classifier) {
-        batch.runs.clear();
-        for (int y = f.y_lo; y <= f.y_hi; ++y) {
-          const auto [k0, k1] = ctx.grid->row_run(y, f.x_lo, f.x_hi);
-          if (k1 <= k0) continue;
-          batch.runs.push_back(k0);
-          batch.runs.push_back(k1);
-          m += k1 - k0;
-        }
-        if (m == 0) continue;
-      }
-
-      if (!ctx.batch_classifier || m <= kBatchMinWindow) {
-        // ---- kScalar: fused per-candidate classification (the oracle).
-        // The window scan filters by limit2 directly (no separate query
-        // radius), and self-exclusion rides on the d2 == 0 coincidence
-        // check, so no per-hit exclude compare is needed.
-        ctx.grid->for_each_in_cell_window(
-            ctx.pts[u], f.limit2, f.x_lo, f.x_hi, f.y_lo, f.y_hi,
-            /*exclude=*/-1, [&](int v, double dx, double dy, double d2) {
-              if (d2 == 0.0) return;  // coincident point: no direction
-              bool ok;
-              const double cs = f.sx * dy - f.sy * dx;
-              if (f.flags & kBeam) {
-                // |cross| = |v| sin(angle to ray): within tolerance iff
-                // the cross is tiny and the dot positive.
-                ok = cs * cs <= d2 * ctx.exact_band &&
-                     f.sx * dx + f.sy * dy > 0.0;
-              } else if (f.flags & kFull) {
+      // Fused per-candidate classification.  The window scan filters by
+      // limit2 directly (no separate query radius), and self-exclusion
+      // rides on the d2 == 0 coincidence check, so no per-hit exclude
+      // compare is needed.
+      ctx.grid->for_each_in_cell_window(
+          ctx.pts[u], f.limit2, f.x_lo, f.x_hi, f.y_lo, f.y_hi,
+          /*exclude=*/-1, [&](int v, double dx, double dy, double d2) {
+            if (d2 == 0.0) return;  // coincident point: no direction
+            bool ok;
+            const double cs = f.sx * dy - f.sy * dx;
+            if (f.flags & kBeam) {
+              // |cross| = |v| sin(angle to ray): within tolerance iff
+              // the cross is tiny and the dot positive.
+              ok = cs * cs <= d2 * ctx.exact_band &&
+                   f.sx * dx + f.sy * dy > 0.0;
+            } else if (f.flags & kFull) {
+              ok = true;
+            } else {
+              const double ce = f.ex * dy - f.ey * dx;
+              const double band = d2 * ctx.exact_band;
+              // The tolerance-accept region is the wedge PLUS the
+              // tol-band around each boundary ray, so a candidate inside
+              // either band is accepted outright (MST orientations aim
+              // sector boundaries exactly at neighbours, making this the
+              // common accept path); outside the bands the strict cross
+              // tests decide exactly.
+              if ((cs * cs <= band && f.sx * dx + f.sy * dy > 0.0) ||
+                  (ce * ce <= band && f.ex * dx + f.ey * dy > 0.0)) {
                 ok = true;
               } else {
-                const double ce = f.ex * dy - f.ey * dx;
-                const double band = d2 * ctx.exact_band;
-                // The tolerance-accept region is the wedge PLUS the
-                // tol-band around each boundary ray, so a candidate inside
-                // either band is accepted outright (MST orientations aim
-                // sector boundaries exactly at neighbours, making this the
-                // common accept path); outside the bands the strict cross
-                // tests decide exactly.
-                if ((cs * cs <= band && f.sx * dx + f.sy * dy > 0.0) ||
-                    (ce * ce <= band && f.ex * dx + f.ey * dy > 0.0)) {
-                  ok = true;
-                } else {
-                  ok = (f.flags & kWide) ? !(cs < 0.0 && ce > 0.0)
-                                         : (cs > 0.0 && ce < 0.0);
-                }
+                ok = (f.flags & kWide) ? !(cs < 0.0 && ce > 0.0)
+                                       : (cs > 0.0 && ce < 0.0);
               }
-              if (ok) emit(v);
-            });
-        continue;
-      }
-
-      // ---- kBatch: classify the window in place over the grid's -------
-      // cell-ordered SoA coordinates.  No gather: each grid row of the
-      // sector's cell window is one contiguous run of xs/ys; the run list
-      // is collected once, then a single lane-function call classifies
-      // every run and hands back the compact survivor indices.  Rows and
-      // in-row indices advance in the same order the scalar oracle scans,
-      // so the emit order — and with it the CSR — is bit-identical.
-      const double ax = ctx.pts[u].x, ay = ctx.pts[u].y;
-      const double sx = f.sx, sy = f.sy, ex = f.ex, ey = f.ey;
-      const double band_scale = ctx.exact_band;
-      const double* gx = ctx.grid->xs();
-      const double* gy = ctx.grid->ys();
-      const int* gid = ctx.grid->ids();
-      if (static_cast<int>(batch.hits.size()) < m) batch.hits.resize(m);
-      const int* runs = batch.runs.data();
-      const int nrows = static_cast<int>(batch.runs.size()) / 2;
-      int* hits = batch.hits.data();
-      int cnt;
-      if (f.flags & kBeam) {
-        cnt = classify_beam_runs(gx, gy, runs, nrows, hits, ax, ay,
-                                 f.limit2, sx, sy, band_scale);
-      } else if (f.flags & kFull) {
-        cnt = classify_full_runs(gx, gy, runs, nrows, hits, ax, ay,
-                                 f.limit2);
-      } else if (f.flags & kWide) {
-        cnt = classify_wide_runs(gx, gy, runs, nrows, hits, ax, ay,
-                                 f.limit2, sx, sy, ex, ey, band_scale);
-      } else {
-        cnt = classify_narrow_runs(gx, gy, runs, nrows, hits, ax, ay,
-                                   f.limit2, sx, sy, ex, ey, band_scale);
-      }
-      for (int i = 0; i < cnt; ++i) emit(gid[hits[i]]);
+            }
+            if (ok) emit(v);
+          });
     }
     if (row_marked) {  // wipe the marks so seen[] stays all-zero
       for (int k = row_begin; k < tgt_count; ++k) seen[targets[k]] = 0;
@@ -478,17 +225,6 @@ int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
   }
   targets.resize(tgt_count);
   return tgt_count;
-}
-
-/// Run `body(s)` for s in [0, count): one run_job index per shard on `pool`
-/// when it can actually run them concurrently, inline otherwise.  Inline
-/// execution takes the exact same sharded code path — only the interleaving
-/// differs, and no shard reads another shard's writes, so the choice is
-/// invisible in the output.  run_job's fixed-slot fan-out allocates nothing,
-/// so a warm pooled build is as allocation-free as the serial one.
-template <typename F>
-void for_each_shard(par::ThreadPool* pool, int count, F&& body) {
-  par::run_indexed(pool, count, body);
 }
 
 }  // namespace
@@ -610,11 +346,8 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     flat.resize(total_sectors);
   }
 
-  const BuildCtx ctx{
-      pts,          &grid,
-      flat.data(),  sector_start.data(),
-      sin_tol * sin_tol, n,
-      scratch.classifier == TransmissionScratch::Classifier::kBatch};
+  const BuildCtx ctx{pts, &grid, flat.data(), sector_start.data(),
+                     sin_tol * sin_tol, n};
 
   const int shard_count = std::clamp(threads, 1, std::max(1, n));
   if (shard_count <= 1) {
@@ -623,8 +356,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     offsets[0] = 0;
     flatten_range(o, grid, pts, angle_tol, radius_tol, sector_start.data(),
                   flat.data(), 0, n);
-    classify_range(ctx, 0, n, seen, targets, scratch.batch,
-                   offsets.data() + 1);
+    classify_range(ctx, 0, n, seen, targets, offsets.data() + 1);
     return graph::Digraph(std::move(offsets), std::move(targets));
   }
 
@@ -655,14 +387,18 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     prev = hi;
   }
 
-  for_each_shard(pool, shard_count, [&](int s) {
+  // One run_indexed index per shard: pooled when `pool` can run shards
+  // concurrently, inline otherwise — the same sharded code path either way,
+  // and no shard reads another's writes, so the choice is invisible in the
+  // output.  The fixed-slot fan-out allocates nothing.
+  par::run_indexed(pool, shard_count, [&](int s) {
     auto& shard = shards[s];
     const int lo = shard.node_lo, hi = shard.node_hi;
     shard.row_end.resize(static_cast<size_t>(hi - lo));
     flatten_range(o, grid, pts, angle_tol, radius_tol, sector_start.data(),
                   flat.data(), lo, hi);
     shard.edge_count =
-        classify_range(ctx, lo, hi, shard.seen, shard.targets, shard.batch,
+        classify_range(ctx, lo, hi, shard.seen, shard.targets,
                        shard.row_end.data());
   });
 
@@ -678,7 +414,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     total_edges += shards[s].edge_count;
   }
   targets.resize(static_cast<size_t>(total_edges));
-  for_each_shard(pool, shard_count, [&](int s) {
+  par::run_indexed(pool, shard_count, [&](int s) {
     const auto& shard = shards[s];
     const int base = shard.base;
     for (int u = shard.node_lo; u < shard.node_hi; ++u) {

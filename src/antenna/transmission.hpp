@@ -37,30 +37,6 @@ struct TransmissionScratch {
     unsigned flags;              ///< kBeam / kFull / kWide bits
   };
 
-  /// Phase-2 classifier selection.  kBatch (the default) classifies each
-  /// sector's cell window directly over the grid's cell-ordered SoA
-  /// coordinates — one lane-function call per sector covering the
-  /// window's row runs — with a branch-light per-flags lane loop that
-  /// fuses the distance filter and the accept test (autovectorized under
-  /// the stock -O3, runtime-dispatched to wider x86-64 ISA levels via
-  /// target_clones where supported); kScalar
-  /// is the original fused per-candidate path, kept in-library as the
-  /// equivalence oracle (tests) and the baseline of the x6 classifier
-  /// bench.  The two produce BIT-IDENTICAL digraphs: same candidate
-  /// enumeration order, same accept arithmetic, same dedup.
-  enum class Classifier { kBatch, kScalar };
-
-  /// Scratch for the batch classifier.  No gather arrays and no verdict
-  /// stream: the lane loops read the grid's SoA coordinates in place,
-  /// verdicts live in a fixed stack chunk inside the lane functions
-  /// (0.0/1.0 doubles at compare width — what GCC's vectorizer needs at
-  /// the baseline -march), and only the window's run list plus the
-  /// compact survivor indices ever touch this scratch.
-  struct SectorBatch {
-    std::vector<int> runs;  ///< [begin, end) index pairs, one per window row
-    std::vector<int> hits;  ///< surviving grid indices, emit order
-  };
-
   /// Per-worker buffers of the sharded build: each shard classifies a
   /// contiguous node range into its own row chunk, then the stitch pass
   /// prefix-sums the chunk sizes into the final CSR.  Nothing is shared
@@ -70,7 +46,6 @@ struct TransmissionScratch {
     std::vector<char> seen;     ///< per-shard dedup marks (n entries)
     std::vector<int> row_end;   ///< per-node edge count, cumulative in-shard
     std::vector<int> targets;   ///< this shard's edge heads
-    SectorBatch batch;          ///< per-shard SoA classifier buffers
     int node_lo = 0, node_hi = 0;  ///< node range [lo, hi)
     int edge_count = 0;            ///< targets emitted by the last build
     int base = 0;  ///< this chunk's offset in the stitched targets array
@@ -84,8 +59,6 @@ struct TransmissionScratch {
   std::vector<int> targets;    ///< CSR edge heads under construction
   spatial::GridIndex grid;     ///< recycled spatial index (rebuild per call)
   std::vector<Shard> shards;   ///< per-worker chunks of the sharded build
-  SectorBatch batch;           ///< serial-path SoA classifier buffers
-  Classifier classifier = Classifier::kBatch;  ///< phase-2 classifier knob
 };
 
 /// Build the induced digraph by brute force (O(n^2 * antennas)); reference

@@ -46,19 +46,17 @@ std::vector<BatchItem> orient_batch(
     return items;
   }
 
-  par::parallel_for(
-      0, static_cast<std::int64_t>(instances.size()),
-      [&](std::int64_t i) {
-        // One session per worker: instances in the same chunk stream
-        // through that worker's warm pipeline (EMST scratch, orienter
-        // arena, certification buffers), so nothing crosses threads and
-        // nothing allocates after each worker's first instance — only the
-        // per-item result copy-out touches the heap.
-        thread_local PlanSession session;
-        run_one(instances[static_cast<size_t>(i)], spec, options, session,
-                items[static_cast<size_t>(i)]);
-      },
-      std::max<std::int64_t>(1, options.min_chunk));
+  par::run_indexed(&par::global_pool(), static_cast<int>(instances.size()),
+                   [&](int i) {
+    // One session per thread: every instance a thread claims streams
+    // through that thread's warm pipeline (EMST scratch, orienter arena,
+    // certification buffers), so nothing crosses threads and nothing
+    // allocates after each thread's first instance — only the per-item
+    // result copy-out touches the heap.
+    thread_local PlanSession session;
+    run_one(instances[static_cast<size_t>(i)], spec, options, session,
+            items[static_cast<size_t>(i)]);
+  });
   return items;
 }
 

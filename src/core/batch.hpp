@@ -2,11 +2,11 @@
 /// \file batch.hpp
 /// Batched orientation — the front door for Monte-Carlo and fleet
 /// workloads (many independent instances through the same (k, phi) spec).
-/// A thin fan-out over parallel::thread_pool: each worker streams its
-/// chunk through one warm core::PlanSession (core/session.hpp), which owns
-/// every piece of pipeline scratch — nothing crosses threads, and after a
-/// worker's first instance the only heap traffic is the per-item result
-/// copy-out.
+/// A thin fan-out over par::run_indexed on the global pool: each thread
+/// streams the instances it claims through one warm core::PlanSession
+/// (core/session.hpp), which owns every piece of pipeline scratch — nothing
+/// crosses threads, and after a thread's first instance the only heap
+/// traffic is the per-item result copy-out.
 
 #include <span>
 #include <vector>
@@ -20,9 +20,6 @@ namespace dirant::core {
 struct BatchOptions {
   bool parallel = true;  ///< fan out over the global thread pool
   bool certify = false;  ///< also run the independent certifier per instance
-  /// Instances per task lower bound; raise it when instances are tiny so
-  /// pool overhead does not dominate.
-  int min_chunk = 1;
   /// Per-instance certification parallelism (PlanSession::set_threads on
   /// each worker session).  1 = serial, allocation-free certify (default);
   /// > 1 shards the certification digraph build and runs SCC on the

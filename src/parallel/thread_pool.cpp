@@ -25,26 +25,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    DIRANT_ASSERT_MSG(!stopping_, "submit on stopping pool");
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::run_job(void (*fn)(void*, int), void* ctx, int count) {
   if (count <= 0) return;
   {
@@ -63,9 +43,9 @@ void ThreadPool::run_job(void (*fn)(void*, int), void* ctx, int count) {
   // switch when the job is smaller than the worker count.
   const int mine = drain_job(fn, ctx, count);
   std::unique_lock lock(mu_);
-  if ((job_remaining_ -= mine) > 0) {
-    cv_idle_.wait(lock, [this] { return job_remaining_ == 0; });
-  }
+  job_remaining_ -= mine;
+  cv_idle_.wait(lock,
+                [this] { return job_remaining_ == 0 && job_active_ == 0; });
   job_fn_ = nullptr;
   job_ctx_ = nullptr;
   job_count_ = 0;
@@ -92,44 +72,26 @@ int ThreadPool::drain_job(void (*fn)(void*, int), void* ctx, int count) {
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_task_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() ||
-               (job_fn_ != nullptr &&
-                job_next_.load(std::memory_order_relaxed) < job_count_);
-      });
-      if (job_fn_ != nullptr &&
-          job_next_.load(std::memory_order_relaxed) < job_count_) {
-        // Snapshot the job under the lock (the slot is stable until
-        // job_remaining_ hits zero, which needs this worker's report).
-        auto* fn = job_fn_;
-        void* ctx = job_ctx_;
-        const int count = job_count_;
-        lock.unlock();
-        const int done = drain_job(fn, ctx, count);
-        lock.lock();
-        if (done > 0 && (job_remaining_ -= done) == 0) {
-          cv_idle_.notify_all();
-        }
-        continue;
-      }
-      if (queue_.empty()) return;  // stopping
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mu_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-    }
+    cv_task_.wait(lock, [this] {
+      return stopping_ ||
+             (job_fn_ != nullptr &&
+              job_next_.load(std::memory_order_relaxed) < job_count_);
+    });
+    if (stopping_) return;
+    // Join the job in the same critical section that snapshots it: the
+    // caller cannot clear the slot (or install the next job) until this
+    // worker has left again.
+    auto* fn = job_fn_;
+    void* ctx = job_ctx_;
+    const int count = job_count_;
+    ++job_active_;
+    lock.unlock();
+    const int done = drain_job(fn, ctx, count);
+    lock.lock();
+    job_remaining_ -= done;
+    if (--job_active_ == 0 && job_remaining_ == 0) cv_idle_.notify_all();
   }
 }
 
@@ -146,25 +108,6 @@ int ensure_pool(std::unique_ptr<ThreadPool>& pool, int threads) {
     pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
   }
   return threads;
-}
-
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
-                  std::int64_t min_chunk) {
-  if (begin >= end) return;
-  auto& pool = global_pool();
-  const std::int64_t n = end - begin;
-  const std::int64_t chunks =
-      std::min<std::int64_t>(4 * pool.thread_count(),
-                             std::max<std::int64_t>(1, n / std::max<std::int64_t>(1, min_chunk)));
-  const std::int64_t step = (n + chunks - 1) / chunks;
-  for (std::int64_t lo = begin; lo < end; lo += step) {
-    const std::int64_t hi = std::min(end, lo + step);
-    pool.submit([lo, hi, &fn] {
-      for (std::int64_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool.wait_idle();
 }
 
 }  // namespace dirant::par

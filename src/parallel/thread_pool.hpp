@@ -1,21 +1,21 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Minimal fixed-size thread pool plus `parallel_for`, used by the
-/// experiment harness to run Monte-Carlo instance sweeps concurrently and by
-/// the O(n^2) EMST builder to parallelize its distance scans.
+/// Fixed-size thread pool with one allocation-free fan-out mechanism:
+/// `run_job` installs a (function pointer, context, count) job in a single
+/// slot and the workers plus the calling thread claim indices off a shared
+/// atomic counter.  `run_indexed` is the typed front end every pooled path
+/// uses (sharded certify build, parallel SCC, Borůvka rounds, audits,
+/// core::orient_batch).
 ///
 /// Design notes (HPC-parallel house style): explicit parallelism with plain
 /// std::thread, no detached threads, join-on-destruction (RAII), exceptions
-/// from tasks are captured and rethrown on the calling thread.
+/// from job bodies are captured and rethrown on the calling thread.
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -33,22 +33,13 @@ class ThreadPool {
 
   unsigned thread_count() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Enqueue a task.  Tasks must not enqueue into the same pool and wait.
-  void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have finished.  Rethrows the first
-  /// captured task exception, if any.
-  void wait_idle();
-
-  /// Allocation-free pooled fan-out: runs `fn(ctx, i)` for every i in
-  /// [0, count), with workers AND the calling thread claiming indices off a
-  /// shared atomic counter.  Unlike `submit`, no per-task closure is heap-
-  /// allocated — the job is one function pointer + context installed in a
-  /// fixed slot — so the zero-allocation steady-state paths (pooled audits,
-  /// the sharded certify build, parallel Borůvka rounds) can fan out
-  /// without touching the allocator.  Blocks until every index has run;
-  /// rethrows the first captured exception.  One job at a time per pool:
-  /// job bodies must not call run_job/submit/wait_idle on the same pool.
+  /// Runs `fn(ctx, i)` for every i in [0, count), with workers AND the
+  /// calling thread claiming indices off a shared atomic counter.  No
+  /// per-task closure is heap-allocated — the job is one function pointer +
+  /// context installed in a fixed slot — so the zero-allocation steady-state
+  /// paths can fan out without touching the allocator.  Blocks until every
+  /// index has run; rethrows the first captured exception.  One job at a
+  /// time per pool: job bodies must not call run_job on the same pool.
   void run_job(void (*fn)(void*, int), void* ctx, int count);
 
  private:
@@ -58,21 +49,25 @@ class ThreadPool {
   int drain_job(void (*fn)(void*, int), void* ctx, int count);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
-  std::uint64_t in_flight_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
 
   // Fixed run_job slot.  fn/ctx/count are written under mu_ before workers
-  // are woken and cleared only after job_remaining_ hits zero, so a worker
-  // that snapshots them under mu_ always sees a live job description.
+  // are woken.  A worker joins a job by bumping job_active_ under mu_ (in
+  // the same critical section that snapshots the slot) and leaves it by
+  // decrementing under mu_ after draining; the caller clears the slot only
+  // once job_remaining_ == 0 AND job_active_ == 0.  So no worker can still
+  // be inside drain_job when the next run_job resets job_next_ — a stale
+  // worker can never claim a later job's indices with an earlier job's
+  // fn/ctx/count.
   void (*job_fn_)(void*, int) = nullptr;
   void* job_ctx_ = nullptr;
   int job_count_ = 0;
   int job_remaining_ = 0;          ///< indices not yet completed (under mu_)
+  int job_active_ = 0;             ///< workers inside drain_job (under mu_)
   std::atomic<int> job_next_{0};   ///< next unclaimed index
 };
 
@@ -85,19 +80,12 @@ ThreadPool& global_pool();
 /// workers otherwise.  Returns the clamped count.
 int ensure_pool(std::unique_ptr<ThreadPool>& pool, int threads);
 
-/// Runs fn(i) for i in [begin, end) across the pool in contiguous chunks.
-/// Blocks until complete; rethrows the first task exception.
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
-                  std::int64_t min_chunk = 1);
-
 /// Runs `body(i)` for i in [0, count): through `pool->run_job` when the pool
 /// can actually run them concurrently, inline otherwise.  The callable is
 /// passed by address into a capture-free trampoline, so the pooled fan-out
-/// performs zero heap allocations (submit()'s std::function closures do
-/// not fit the small-buffer optimisation for multi-capture lambdas).  Both
-/// execution modes run the identical body in index order or interleaved —
-/// callers own determinism by making each index's work independent.
+/// performs zero heap allocations.  Both execution modes run the identical
+/// body in index order or interleaved — callers own determinism by making
+/// each index's work independent.
 template <typename F>
 void run_indexed(ThreadPool* pool, int count, F&& body) {
   if (pool == nullptr || pool->thread_count() <= 1 || count <= 1) {

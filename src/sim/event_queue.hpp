@@ -2,8 +2,7 @@
 /// \file event_queue.hpp
 /// EventQueue — the discrete-event core of sim::TrafficEngine: a
 /// hierarchical timing wheel with the classic binary heap retained behind
-/// the same interface as the correctness oracle (`QueueKind::kBinaryHeap`,
-/// the same pattern as the classifier's `kScalar`).
+/// the same interface as the correctness oracle (`QueueKind::kBinaryHeap`).
 ///
 /// The queue delivers events in strictly increasing `(tick, push-order)`
 /// order — the FIFO tie-break that makes the TrafficEngine's run a pure

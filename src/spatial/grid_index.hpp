@@ -96,20 +96,6 @@ class GridIndex {
     scan_window_r2(q, radius2, x_lo, x_hi, y_lo, y_hi, exclude, f);
   }
 
-  /// Cell-ordered SoA access for pipelines that classify whole window rows
-  /// in place (the batch sector classifier): `row_run` returns the
-  /// contiguous index range covering cells [x_lo, x_hi] of grid row y —
-  /// the same run `for_each_in_cell_window` scans — valid into `xs`/`ys`/
-  /// `ids` until the next `rebuild`.  The window must already be clamped
-  /// (`cell_x`/`cell_y`).
-  std::pair<int, int> row_run(int y, int x_lo, int x_hi) const {
-    const size_t row = static_cast<size_t>(y) * static_cast<size_t>(nx_);
-    return {cell_start_[row + x_lo], cell_start_[row + x_hi + 1]};
-  }
-  const double* xs() const { return item_x_.data(); }
-  const double* ys() const { return item_y_.data(); }
-  const int* ids() const { return item_id_.data(); }
-
   /// Reusable scratch for `cone_nearest`; per-point query loops keep one
   /// instance alive so the k-sized working vectors allocate only once.
   struct ConeScratch {

@@ -1,9 +1,7 @@
 // Antenna substrate: orientation accounting, induced digraphs, interference
-// metrics, and the parallel harness helpers.
+// metrics.
 
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "antenna/metrics.hpp"
 #include "antenna/orientation.hpp"
@@ -11,7 +9,6 @@
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "geometry/generators.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace geom = dirant::geom;
 namespace antenna = dirant::antenna;
@@ -82,35 +79,6 @@ TEST(Metrics, CapacityGainModelMatchesYiPeiKalyanaraman) {
   const auto st = antenna::interference_stats(pts, o);
   EXPECT_NEAR(st.capacity_gain_model, std::sqrt(dirant::kTwoPi / (kPi / 4)),
               1e-12);
-}
-
-TEST(Parallel, ParallelForCoversRangeOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  dirant::par::parallel_for(0, 1000, [&](std::int64_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, ExceptionsPropagate) {
-  EXPECT_THROW(
-      dirant::par::parallel_for(0, 100,
-                                [&](std::int64_t i) {
-                                  if (i == 57) throw std::runtime_error("x");
-                                }),
-      std::runtime_error);
-  // The pool must remain usable afterwards.
-  std::atomic<int> count{0};
-  dirant::par::parallel_for(0, 10, [&](std::int64_t) { ++count; });
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(Parallel, NestedSubmitViaPoolObject) {
-  dirant::par::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { ++done; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 50);
 }
 
 }  // namespace

@@ -75,11 +75,9 @@ TEST(OrientBatch, EmptyBatch) {
   EXPECT_TRUE(core::orient_batch(batch, {2, kPi}).empty());
 }
 
-TEST(OrientBatch, SingleInstanceAndMinChunk) {
+TEST(OrientBatch, SingleInstanceMatchesPooled) {
   const auto batch = make_batch(5, 30);
-  core::BatchOptions opts;
-  opts.min_chunk = 3;
-  const auto items = core::orient_batch(batch, {2, kPi}, opts);
+  const auto items = core::orient_batch(batch, {2, kPi});
   ASSERT_EQ(items.size(), 5u);
   const auto one = core::orient_batch({batch.data(), 1}, {2, kPi});
   EXPECT_DOUBLE_EQ(one[0].result.measured_radius,

@@ -190,35 +190,40 @@ void expect_bit_identical(const graph::Digraph& a, const graph::Digraph& b) {
   }
 }
 
-// --- phase-2 classifier: SoA batch loop vs the fused scalar oracle --------
+/// Sharded builds at every thread count — on real pool workers and inline
+/// with no pool — must reproduce the serial CSR bit for bit.
+void expect_sharded_matches_serial(const std::vector<geom::Point>& pts,
+                                   const antenna::Orientation& o) {
+  antenna::TransmissionScratch serial_scratch;
+  const auto serial = antenna::induced_digraph_fast(
+      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, serial_scratch);
+  for (int t : thread_counts()) {
+    // Real workers: shard tasks actually run concurrently (the sanitizer
+    // suite leans on this to shake out races), and also inline with no
+    // pool — both must match the serial CSR exactly.
+    dirant::par::ThreadPool pool(static_cast<unsigned>(t));
+    antenna::TransmissionScratch pooled_scratch;
+    const auto pooled = antenna::induced_digraph_fast(
+        pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, pooled_scratch, t,
+        &pool);
+    expect_bit_identical(pooled, serial);
 
-/// Builds the digraph with the scalar oracle, the default batch classifier,
-/// and the sharded batch build, and demands bit-identical CSR from all
-/// three.  The batch lane loops replace && / || with & / | over the grid's
-/// cell-ordered SoA runs — boolean-equivalent arithmetic on the same
-/// candidates in the same window-scan order, so nothing weaker than
-/// bit-identity is acceptable.
-void expect_classifier_parity(const std::vector<geom::Point>& pts,
-                              const antenna::Orientation& o) {
-  antenna::TransmissionScratch scalar_scratch;
-  scalar_scratch.classifier =
-      antenna::TransmissionScratch::Classifier::kScalar;
-  const auto scalar = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scalar_scratch);
-
-  antenna::TransmissionScratch batch_scratch;  // kBatch is the default
-  const auto batch = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, batch_scratch);
-  expect_bit_identical(batch, scalar);
-
-  antenna::TransmissionScratch sharded_scratch;
-  const auto sharded = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, sharded_scratch, 4,
-      nullptr);
-  expect_bit_identical(sharded, scalar);
+    antenna::TransmissionScratch inline_scratch;
+    const auto inlined = antenna::induced_digraph_fast(
+        pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, inline_scratch, t,
+        nullptr);
+    expect_bit_identical(inlined, serial);
+  }
 }
 
-TEST(ClassifierBatch, BitIdenticalToScalarOnOrientOutput) {
+/// Both contracts at once: fast == brute force, sharded == serial.
+void expect_exact_and_shard_invariant(const std::vector<geom::Point>& pts,
+                                      const antenna::Orientation& o) {
+  expect_equivalent(pts, o);
+  expect_sharded_matches_serial(pts, o);
+}
+
+TEST(ShardedBuild, OrientOutputAcrossThreadCounts) {
   // orient() output: beams + narrow wedges whose boundary rays aim exactly
   // at neighbours — the tolerance-band accept path dominates.
   for (int trial = 0; trial < 3; ++trial) {
@@ -226,14 +231,13 @@ TEST(ClassifierBatch, BitIdenticalToScalarOnOrientOutput) {
     const auto pts =
         geom::make_instance(geom::Distribution::kUniformSquare, 200, rng);
     const auto res = core::orient(pts, {2, kPi});
-    expect_classifier_parity(pts, res.orientation);
+    expect_exact_and_shard_invariant(pts, res.orientation);
   }
 }
 
-TEST(ClassifierBatch, WideFullAndBeamSectorsMatchScalar) {
-  // The remaining per-flags loops: wide sectors (complement wedge),
-  // full circles (memset path), and beams, mixed so multi-sector rows
-  // exercise the dedup pass behind the batch emit.
+TEST(ShardedBuild, WideFullAndBeamSectorsAcrossThreadCounts) {
+  // Every sector flavour in one row: wide sectors (complement wedge), full
+  // circles, and beams, mixed so multi-sector rows exercise the dedup pass.
   geom::Rng rng(8900);
   const auto pts = geom::uniform_square(150, 3.0, rng);
   const int n = static_cast<int>(pts.size());
@@ -246,19 +250,19 @@ TEST(ClassifierBatch, WideFullAndBeamSectorsMatchScalar) {
     o.add(u, geom::make_arc(pts[u], 0.0, 2 * kPi, 0.6));
     o.add(u, geom::beam_to(pts[u], pts[(u + 11) % n]));
   }
-  expect_classifier_parity(pts, o);
+  expect_exact_and_shard_invariant(pts, o);
 }
 
-TEST(ClassifierBatch, DuplicatePointsMatchScalar) {
-  // Coincident points are skipped inside the lane loops (d2 == 0 has no
-  // direction); the skip must line up exactly with the scalar path's.
+TEST(ShardedBuild, DuplicatePointsAcrossThreadCounts) {
+  // Coincident points have no direction (d2 == 0 is skipped); the skip must
+  // agree with brute force and with every shard split.
   std::vector<geom::Point> pts = {{0, 0}, {0, 0}, {1, 0},
                                   {1, 0}, {0.5, 0.5}, {0.5, 0.5}};
   antenna::Orientation o(static_cast<int>(pts.size()));
   for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
     o.add(u, geom::make_arc(pts[u], 0.3 * u, kPi, 1.5));
   }
-  expect_classifier_parity(pts, o);
+  expect_exact_and_shard_invariant(pts, o);
 }
 
 TEST(ShardedBuild, BitIdenticalToSerialAcrossThreadCounts) {
@@ -268,29 +272,7 @@ TEST(ShardedBuild, BitIdenticalToSerialAcrossThreadCounts) {
     geom::Rng rng(9100 + n);
     const auto pts = geom::make_instance(dist, n, rng);
     const auto res = core::orient(pts, {2, kPi});
-
-    antenna::TransmissionScratch serial_scratch;
-    const auto serial = antenna::induced_digraph_fast(
-        pts, res.orientation, dirant::kAngleTol, dirant::kRadiusAbsTol,
-        serial_scratch);
-
-    for (int t : thread_counts()) {
-      // Real workers: shard tasks actually run concurrently (the sanitizer
-      // suite leans on this to shake out races), and also inline with no
-      // pool — both must match the serial CSR exactly.
-      dirant::par::ThreadPool pool(static_cast<unsigned>(t));
-      antenna::TransmissionScratch pooled_scratch;
-      const auto pooled = antenna::induced_digraph_fast(
-          pts, res.orientation, dirant::kAngleTol, dirant::kRadiusAbsTol,
-          pooled_scratch, t, &pool);
-      expect_bit_identical(pooled, serial);
-
-      antenna::TransmissionScratch inline_scratch;
-      const auto inlined = antenna::induced_digraph_fast(
-          pts, res.orientation, dirant::kAngleTol, dirant::kRadiusAbsTol,
-          inline_scratch, t, nullptr);
-      expect_bit_identical(inlined, serial);
-    }
+    expect_sharded_matches_serial(pts, res.orientation);
   }
 }
 

@@ -1,4 +1,4 @@
-// Exact predicates, sectors, hulls, closest pair, generators.
+// Exact predicates, sectors, generators.
 
 #include <gtest/gtest.h>
 
@@ -6,10 +6,8 @@
 #include <cmath>
 
 #include "common/constants.hpp"
-#include "geometry/closest_pair.hpp"
 #include "geometry/exact.hpp"
 #include "geometry/generators.hpp"
-#include "geometry/hull.hpp"
 #include "geometry/sector.hpp"
 
 namespace geom = dirant::geom;
@@ -100,55 +98,6 @@ TEST(Sector, WrappingInterval) {
   EXPECT_FALSE(s.contains(geom::from_polar(1.0, 1.0)));
 }
 
-TEST(Hull, SquareWithInteriorPoints) {
-  std::vector<geom::Point> pts = {{0, 0}, {4, 0}, {4, 4}, {0, 4},
-                                  {2, 2}, {1, 3}, {3, 1}};
-  const auto h = geom::convex_hull(pts);
-  EXPECT_EQ(h.size(), 4u);
-  // ccw orientation.
-  for (size_t i = 0; i < h.size(); ++i) {
-    EXPECT_GT(geom::orient2d_sign(pts[h[i]], pts[h[(i + 1) % h.size()]],
-                                  pts[h[(i + 2) % h.size()]]),
-              0);
-  }
-}
-
-TEST(Hull, CollinearInput) {
-  std::vector<geom::Point> pts = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  const auto h = geom::convex_hull(pts);
-  EXPECT_EQ(h.size(), 2u);
-}
-
-TEST(Hull, DiameterMatchesBruteForce) {
-  geom::Rng rng(8);
-  for (int t = 0; t < 20; ++t) {
-    const auto pts = geom::uniform_disk(60, 5.0, rng);
-    double brute = 0.0;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      for (size_t j = i + 1; j < pts.size(); ++j) {
-        brute = std::max(brute, geom::dist(pts[i], pts[j]));
-      }
-    }
-    EXPECT_NEAR(geom::diameter(pts), brute, 1e-9);
-  }
-}
-
-TEST(ClosestPair, MatchesBruteForce) {
-  geom::Rng rng(9);
-  for (int t = 0; t < 20; ++t) {
-    const auto pts = geom::uniform_square(120, 6.0, rng);
-    double brute = 1e300;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      for (size_t j = i + 1; j < pts.size(); ++j) {
-        brute = std::min(brute, geom::dist(pts[i], pts[j]));
-      }
-    }
-    const auto cp = geom::closest_pair(pts);
-    EXPECT_NEAR(cp.distance, brute, 1e-12);
-    EXPECT_NEAR(geom::dist(pts[cp.a], pts[cp.b]), brute, 1e-12);
-  }
-}
-
 TEST(Generators, SizesAndDeterminism) {
   for (auto dist : geom::kAllDistributions) {
     geom::Rng rng1(77), rng2(77);
@@ -164,8 +113,13 @@ TEST(Generators, TriangularLatticeHasSixtyDegreeStructure) {
   const auto pts = geom::triangular_lattice(4, 4, 2.0);
   EXPECT_EQ(pts.size(), 16u);
   // Nearest neighbours at exactly the spacing.
-  const auto cp = geom::closest_pair(pts);
-  EXPECT_NEAR(cp.distance, 2.0, 1e-12);
+  double closest = 1e300;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    for (size_t j = i + 1; j < pts.size(); ++j) {
+      closest = std::min(closest, geom::dist(pts[i], pts[j]));
+    }
+  }
+  EXPECT_NEAR(closest, 2.0, 1e-12);
 }
 
 TEST(Generators, StarWithCenterGeometry) {

@@ -1,123 +1,35 @@
-// Spatial indexes: kd-tree and grid, validated against brute force oracles.
+// Spatial index: the grid, validated against brute force oracles.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "common/constants.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/generators.hpp"
 #include "spatial/grid_index.hpp"
-#include "spatial/kdtree.hpp"
 
 namespace geom = dirant::geom;
 namespace spatial = dirant::spatial;
 
 namespace {
 
-int brute_nearest(const std::vector<geom::Point>& pts, const geom::Point& q,
-                  int exclude) {
-  int best = -1;
-  double bd = 1e300;
-  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-    if (i == exclude) continue;
-    const double d = geom::dist2(q, pts[i]);
-    if (d < bd) {
-      bd = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
-TEST(KdTree, NearestMatchesBruteForce) {
-  geom::Rng rng(1);
-  const auto pts = geom::uniform_square(300, 10.0, rng);
-  spatial::KdTree tree(pts);
-  std::uniform_real_distribution<double> u(-1.0, 11.0);
-  for (int q = 0; q < 200; ++q) {
-    const geom::Point query{u(rng), u(rng)};
-    const int got = tree.nearest(query);
-    const int want = brute_nearest(pts, query, -1);
-    EXPECT_NEAR(geom::dist(query, pts[got]), geom::dist(query, pts[want]),
-                1e-12);
-  }
-}
-
-TEST(KdTree, NearestWithExclusion) {
-  geom::Rng rng(2);
-  const auto pts = geom::uniform_square(100, 5.0, rng);
-  spatial::KdTree tree(pts);
-  for (int i = 0; i < 100; i += 7) {
-    const int got = tree.nearest(pts[i], i);
-    const int want = brute_nearest(pts, pts[i], i);
-    ASSERT_NE(got, i);
-    EXPECT_NEAR(geom::dist(pts[i], pts[got]), geom::dist(pts[i], pts[want]),
-                1e-12);
-  }
-}
-
-TEST(KdTree, KNearestSortedAndComplete) {
-  geom::Rng rng(3);
-  const auto pts = geom::uniform_disk(150, 8.0, rng);
-  spatial::KdTree tree(pts);
-  const geom::Point q{0.3, -0.2};
-  for (int k : {1, 5, 17, 150, 200}) {
-    const auto got = tree.k_nearest(q, k);
-    EXPECT_EQ(static_cast<int>(got.size()), std::min<int>(k, 150));
-    for (size_t i = 1; i < got.size(); ++i) {
-      EXPECT_LE(geom::dist(q, pts[got[i - 1]]), geom::dist(q, pts[got[i]]) + 1e-12);
-    }
-    // Against brute force: the k-th distance must match.
-    std::vector<double> ds;
-    for (const auto& p : pts) ds.push_back(geom::dist(q, p));
-    std::sort(ds.begin(), ds.end());
-    if (!got.empty()) {
-      EXPECT_NEAR(geom::dist(q, pts[got.back()]), ds[got.size() - 1], 1e-12);
-    }
-  }
-}
-
-TEST(KdTree, WithinRadiusMatchesBrute) {
-  geom::Rng rng(4);
-  const auto pts = geom::uniform_square(200, 9.0, rng);
-  spatial::KdTree tree(pts);
-  for (double r : {0.1, 0.7, 2.5, 20.0}) {
-    const geom::Point q{4.5, 4.5};
-    auto got = tree.within(q, r);
-    std::set<int> want;
-    for (int i = 0; i < 200; ++i) {
-      if (geom::dist(q, pts[i]) <= r) want.insert(i);
-    }
-    EXPECT_EQ(std::set<int>(got.begin(), got.end()), want) << r;
-  }
-}
-
-TEST(KdTree, EmptyAndSingle) {
-  spatial::KdTree empty(std::vector<geom::Point>{});
-  EXPECT_EQ(empty.nearest({0, 0}), -1);
-  EXPECT_TRUE(empty.within({0, 0}, 10).empty());
-  spatial::KdTree one(std::vector<geom::Point>{{1, 2}});
-  EXPECT_EQ(one.nearest({0, 0}), 0);
-  EXPECT_EQ(one.nearest({1, 2}, 0), -1);
-}
-
-TEST(GridIndex, WithinMatchesKdTree) {
+TEST(GridIndex, WithinMatchesBruteForce) {
   geom::Rng rng(5);
   const auto pts = geom::make_instance(geom::Distribution::kClusters, 250, rng);
-  spatial::KdTree tree(pts);
   spatial::GridIndex grid(pts, 1.0);
   std::uniform_real_distribution<double> u(-5.0, 25.0);
   for (int q = 0; q < 100; ++q) {
     const geom::Point query{u(rng), u(rng)};
     for (double r : {0.5, 1.7, 4.0}) {
-      auto a = tree.within(query, r);
-      auto b = grid.within(query, r);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      EXPECT_EQ(a, b);
+      std::vector<int> want;
+      for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+        if (geom::dist2(query, pts[i]) <= r * r) want.push_back(i);
+      }
+      auto got = grid.within(query, r);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
     }
   }
 }
