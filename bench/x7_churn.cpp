@@ -234,10 +234,12 @@ DIRANT_REPORT(x7) {
     std::vector<sim::ChurnEvent> events;
     for (int b = 1; b <= batches; ++b) {
       events.clear();
-      // Fails only: a recover inserts ~alive candidate edges into the
-      // pool, so recover/move-heavy batches escalate to the full re-plan
-      // by design (and would make this row measure escalation overhead,
-      // not incremental throughput; the hit-rate columns keep it honest).
+      // Fails only: a recover adds a star of ~alive candidate edges to the
+      // pool (O(1) to insert, written out when a rung reads the pool), so
+      // recover/move-heavy batches trip the size guard and escalate to the
+      // full re-plan by design (and would make this row measure escalation
+      // overhead, not incremental throughput; the hit-rate columns keep it
+      // honest).
       inc.poisson_schedule(4242, b, fail_rate, 0.0, 0.0, 0.0, events);
       const double step_ms = time_ms([&] {
         const auto& rep = inc.step(events);

@@ -24,27 +24,37 @@ inline bool edge_key_less(double d2a, int a1, int a2, double d2b, int b1,
 
 }  // namespace
 
-void DelaunayEdgePool::reset() {
-  pool_.clear();
-  valid_ = false;
-}
-
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
-                            const int* orig_of) {
+                            std::span<const int> orig_of) {
   pool_.clear();
   pool_.reserve(edges.size());
   for (const auto& [a, b] : edges) {
-    const int u = orig_of == nullptr ? a : orig_of[a];
-    const int v = orig_of == nullptr ? b : orig_of[b];
+    const int u = orig_of[a], v = orig_of[b];
     pool_.emplace_back(std::min(u, v), std::max(u, v));
   }
   std::sort(pool_.begin(), pool_.end());
   pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
+  int max_id = -1;
+  for (int u : orig_of) max_id = std::max(max_id, u);
+  if (static_cast<int>(state_.size()) < max_id + 1) state_.resize(max_id + 1);
+  std::fill(state_.begin(), state_.end(), kAbsent);
+  for (int u : orig_of) state_[u] = kMember;
+  members_ = static_cast<int>(orig_of.size());
+  stars_.clear();
   valid_ = true;
 }
 
 void DelaunayEdgePool::erase_node(int w) {
-  if (!valid_) return;
+  if (!valid_ || !is_member(w)) return;
+  if (state_[w] == kStar) {
+    // A star neighbours every other member; below the cap the closure is
+    // the complete graph on them, so write the stars out and erase plainly.
+    if (members_ - 1 > cfg_.degree_cap) {
+      valid_ = false;
+      return;
+    }
+    materialize();
+  }
   nbrs_.clear();
   size_t keep = 0;
   for (const auto& e : pool_) {
@@ -57,7 +67,10 @@ void DelaunayEdgePool::erase_node(int w) {
     }
   }
   pool_.resize(keep);
-  if (static_cast<int>(nbrs_.size()) > cfg_.degree_cap) {
+  state_[w] = kAbsent;
+  --members_;
+  // Every star is a neighbour too; pairs that touch a star stay implicit.
+  if (nbrs_.size() + stars_.size() > static_cast<size_t>(cfg_.degree_cap)) {
     // O(deg²) closure would blow up; hand the problem to the full re-plan.
     valid_ = false;
     return;
@@ -80,6 +93,29 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
     erase_node(ws.front());
     return;
   }
+  int erased = 0;
+  bool star_erased = false;
+  for (int w : ws) {
+    if (!is_member(w)) continue;
+    ++erased;
+    star_erased |= state_[w] == kStar;
+  }
+  if (erased == 0) return;
+  const int cap = cfg_.degree_cap;
+  if (star_erased) {
+    // An erased star joins every erased member into one component whose
+    // boundary is every surviving member.
+    if (members_ - erased > cap) {
+      valid_ = false;
+      return;
+    }
+    materialize();
+  } else if (static_cast<int>(stars_.size()) > cap) {
+    // Every component's boundary holds all the stars.
+    valid_ = false;
+    return;
+  }
+  const int nstars = static_cast<int>(stars_.size());
   int max_id = 0;
   for (int w : ws) max_id = std::max(max_id, w);
   if (static_cast<int>(mark_.size()) < max_id + 1) mark_.resize(max_id + 1, 0);
@@ -108,6 +144,13 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
     }
   }
   pool_.resize(keep);
+  for (int w : ws) {
+    mark_[w] = 0;
+    if (is_member(w)) {
+      state_[w] = kAbsent;
+      --members_;
+    }
+  }
   for (auto& [local, survivor] : boundary_) local = find(local);
   std::sort(boundary_.begin(), boundary_.end());
   boundary_.erase(std::unique(boundary_.begin(), boundary_.end()),
@@ -117,8 +160,7 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
     while (j < boundary_.size() && boundary_[j].first == boundary_[i].first) {
       ++j;
     }
-    if (static_cast<int>(j - i) > cfg_.degree_cap) {
-      for (int w : ws) mark_[w] = 0;
+    if (static_cast<int>(j - i) + nstars > cap) {
       valid_ = false;
       return;
     }
@@ -130,19 +172,33 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
       }
     }
   }
-  for (int w : ws) mark_[w] = 0;
   merge_additions();
 }
 
 void DelaunayEdgePool::insert_node(int v, std::span<const char> alive) {
   if (!valid_) return;
   DIRANT_ASSERT(v >= 0 && v < static_cast<int>(alive.size()) && alive[v]);
+  if (state_.size() < alive.size()) state_.resize(alive.size(), kAbsent);
+  DIRANT_ASSERT_MSG(state_[v] == kAbsent, "insert_node of a pool member");
+  state_[v] = kStar;
+  ++members_;
+  stars_.push_back(v);
+}
+
+void DelaunayEdgePool::materialize() {
+  if (stars_.empty()) return;
   additions_.clear();
-  const int n = static_cast<int>(alive.size());
+  const int n = static_cast<int>(state_.size());
   for (int u = 0; u < n; ++u) {
-    if (u == v || !alive[u]) continue;
-    additions_.emplace_back(std::min(u, v), std::max(u, v));
+    if (state_[u] == kAbsent) continue;
+    for (int s : stars_) {
+      // A star-star pair is written once, from the larger star's row.
+      if (u == s || (state_[u] == kStar && u < s)) continue;
+      additions_.emplace_back(std::min(u, s), std::max(u, s));
+    }
   }
+  for (int s : stars_) state_[s] = kMember;
+  stars_.clear();
   merge_additions();
 }
 

@@ -3,9 +3,9 @@
 /// Localized EMST repair between full plans: a conservative Delaunay
 /// candidate pool over the alive point set.
 ///
-/// The pool is a sorted, duplicate-free list of undirected edges (original
-/// ids, u < v, both endpoints alive) maintained under node deletion,
-/// insertion, and movement so that the invariant
+/// The pool is a duplicate-free set of undirected edges (original ids,
+/// both endpoints alive) maintained under node deletion, insertion, and
+/// movement so that the invariant
 ///
 ///     pool  ⊇  Delaunay(alive)  ⊇  EMST(alive)
 ///
@@ -25,14 +25,24 @@
 ///   * insert v:  Del(S∪{v}) ⊆ Del(S) ∪ {v-incident edges} — so add v×alive.
 ///   * move = delete(old id) + insert(new position), ids unchanged.
 ///
-/// Superset-ness is free but not unbounded: inserts add O(alive) edges and
-/// deletes add O(deg²), so the pool degrades toward the complete graph under
-/// sustained churn.  Guards invalidate the pool (forcing the caller to
-/// escalate to a full re-plan, which reseeds it from a fresh triangulation)
-/// when an erased node's pool degree exceeds `degree_cap` or the pool size
-/// crosses `size_factor * alive + size_slack`.  All guards are functions of
-/// the event sequence alone — deterministic and thread-count independent.
+/// Representation: the pool tracks its member set (the alive nodes) and
+/// keeps an inserted node as a *star* — the implicit edge set v × members —
+/// next to a sorted explicit edge list that never touches a star.  An
+/// insert is O(1); the stars materialise into the explicit list only when
+/// `edges()` is read, so a batch that escalates never pays for them.  Every
+/// `valid()` / `size()` / `oversized()` / `edges()` answer is exactly that
+/// of the materialised pool (tests/reference_edge_pool.hpp is the oracle).
+///
+/// Superset-ness is free but not unbounded: each insert adds ~alive logical
+/// edges and deletes add O(deg²), so the pool degrades toward the complete
+/// graph under sustained churn.  Guards invalidate the pool (forcing the
+/// caller to escalate to a full re-plan, which reseeds it from a fresh
+/// triangulation) when an erased node's pool degree exceeds `degree_cap`
+/// (a star's degree is members − 1) or the pool size crosses
+/// `size_factor * alive + size_slack`.  All guards are functions of the
+/// event sequence alone — deterministic and thread-count independent.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -61,13 +71,11 @@ class DelaunayEdgePool {
  public:
   explicit DelaunayEdgePool(EdgePoolConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Drop all edges and mark the pool invalid (caller must reseed).
-  void reset();
-
   /// Seed from a triangulation's edge list given in a compact index space;
-  /// `orig_of` maps compact ids to original ids (nullptr = identity).  The
-  /// pool becomes valid.
-  void seed(std::span<const std::pair<int, int>> edges, const int* orig_of);
+  /// `orig_of` maps compact ids to original ids and its entries are the
+  /// member (alive) set.  Clears every star.  The pool becomes valid.
+  void seed(std::span<const std::pair<int, int>> edges,
+            std::span<const int> orig_of);
 
   /// True while the maintained superset invariant holds.  Operations on an
   /// invalid pool are no-ops; `seed` restores validity.
@@ -78,38 +86,62 @@ class DelaunayEdgePool {
   /// pairs).  Invalidates the pool instead when w's degree exceeds the cap.
   void erase_node(int w);
 
-  /// Batched erase: one pool scan for the whole set instead of one per
-  /// node.  The closure is computed per *connected component* of the
-  /// erased set (through pool edges): all pairs of each component's
+  /// Batched erase of distinct ids: one pool scan for the whole set instead
+  /// of one per node.  The closure is computed per *connected component* of
+  /// the erased set (through pool edges): all pairs of each component's
   /// surviving boundary — exactly the edge set sequential `erase_node`
   /// calls would leave behind, since intermediate pairs between erased
   /// nodes are themselves erased later in the sequence.  Invalidates the
   /// pool when a component's boundary exceeds the degree cap.
   void erase_nodes(std::span<const int> ws);
 
-  /// Add v × {u : alive[u], u != v}.  Call with alive[v] already set; the
-  /// pool's endpoints-alive invariant is the caller's event loop contract.
+  /// Add v × {u : alive[u], u != v} as a star, in O(1).  Call with alive[v]
+  /// already set, v not a member (erase it first), and every other alive
+  /// node a member — the event loop contract sim::ChurnEngine keeps by
+  /// flushing erases before inserts.
   void insert_node(int v, std::span<const char> alive);
+
+  /// Logical edge count, stars included (exact, no materialisation).
+  std::size_t size() const {
+    const std::size_t s = stars_.size();
+    const std::size_t m = static_cast<std::size_t>(members_);
+    return pool_.size() + s * (m - s) + s * (s - 1) / 2;
+  }
 
   /// Size guard against the alive count (see EdgePoolConfig).
   bool oversized(int alive_count) const {
-    return static_cast<double>(pool_.size()) >
+    return static_cast<double>(size()) >
            cfg_.size_factor * alive_count + cfg_.size_slack;
   }
 
-  /// The candidate edges, sorted by (u, v) with u < v, unique.
-  std::span<const std::pair<int, int>> edges() const { return pool_; }
+  /// The candidate edges, sorted by (u, v) with u < v, unique.  Materialises
+  /// pending stars first; the span is valid until the next mutation.
+  std::span<const std::pair<int, int>> edges() {
+    materialize();
+    return pool_;
+  }
 
   const EdgePoolConfig& config() const { return cfg_; }
 
  private:
+  enum State : std::uint8_t { kAbsent = 0, kMember = 1, kStar = 2 };
+
+  bool is_member(int u) const {
+    return u >= 0 && u < static_cast<int>(state_.size()) &&
+           state_[u] != kAbsent;
+  }
+  /// Write every star's edges into the explicit list and clear the stars.
+  void materialize();
   /// Sort+dedup `additions_` and merge it into the sorted pool (one pass
   /// into the double buffer, adjacent-duplicate skip).
   void merge_additions();
 
-  std::vector<std::pair<int, int>> pool_;       ///< sorted, unique, u < v
+  std::vector<std::pair<int, int>> pool_;  ///< explicit, sorted, no star end
   std::vector<std::pair<int, int>> additions_;  ///< staged new edges
   std::vector<std::pair<int, int>> merged_;     ///< merge double buffer
+  std::vector<int> stars_;           ///< inserted nodes, edges implicit
+  std::vector<std::uint8_t> state_;  ///< orig id -> State
+  int members_ = 0;                  ///< nodes with state_ != kAbsent
   std::vector<int> nbrs_;                       ///< erase-scan neighbour list
   std::vector<int> mark_;      ///< orig id -> local erased index + 1 (0 = no)
   std::vector<int> uf_;        ///< union-find over the erased set

@@ -466,7 +466,7 @@ void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
   if (es.last_kind == mst::EngineKind::kDelaunayKruskal ||
       es.last_kind == mst::EngineKind::kBoruvka) {
-    pool_edges_.seed(es.candidates.edges, orig_of_.data());
+    pool_edges_.seed(es.candidates.edges, orig_of_);
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent
     // or stale, so the pool stays invalid and the next step escalates too.

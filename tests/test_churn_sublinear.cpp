@@ -4,7 +4,9 @@
 //   * DelaunayEdgePool guards, tested directly: the degree-cap
 //     invalidation on erase, the oversized guard + reseed semantics, and
 //     the disconnected-pool contract violation that sim::ChurnEngine maps
-//     to the "pool-disconnected" escalation.
+//     to the "pool-disconnected" escalation; and the star representation
+//     of inserted nodes (exact size(), star erase vs the cap, stars counted
+//     toward a plain erase's cap, seed clearing them).
 //   * A 100%-move parity sweep: every event in every batch is a kMove,
 //     and after each batch the engine must match a from-scratch
 //     orient()+certify() bit for bit at every thread count — mobility is
@@ -14,6 +16,9 @@
 //     localized repair + warm frontier orienter must carry >= 90% of the
 //     steps (the rest being the first recording batch and deterministic
 //     escalations), with affected regions far below n.
+//   * Light recover/move batches at n=2000 whose stars are read by a
+//     non-escalating step (localized repair or pool Kruskal), with parity
+//     at every thread count.
 //
 // Everything here is deterministic: schedules are fixed functions of
 // (seed, batch), and every escalation decision is a pure function of the
@@ -23,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -62,20 +68,27 @@ std::vector<std::pair<int, int>> star_edges(int leaves) {
   return edges;
 }
 
+// Members 0..n-1, compact id == original id.
+std::vector<int> identity(int n) {
+  std::vector<int> ids(n);
+  for (int i = 0; i < n; ++i) ids[i] = i;
+  return ids;
+}
+
 TEST(EdgePool, EraseAboveDegreeCapInvalidates) {
   // Erasing a node whose pool degree exceeds the cap must invalidate the
   // pool (the O(deg^2) neighbour closure is the thing being refused), not
   // throw and not silently drop candidates.
   mst::DelaunayEdgePool pool;  // default degree_cap = 64
   const auto edges = star_edges(70);
-  pool.seed(edges, nullptr);
+  pool.seed(edges, identity(71));
   ASSERT_TRUE(pool.valid());
   pool.erase_node(0);
   EXPECT_FALSE(pool.valid()) << "degree 70 > cap 64 must invalidate";
   // Operations on an invalid pool are no-ops until reseeded.
   pool.erase_node(1);
   EXPECT_FALSE(pool.valid());
-  pool.seed(edges, nullptr);
+  pool.seed(edges, identity(71));
   EXPECT_TRUE(pool.valid()) << "seed must restore validity";
 }
 
@@ -84,7 +97,7 @@ TEST(EdgePool, EraseBelowDegreeCapClosesNeighbours) {
   // pairs of the erased node's former neighbours.
   mst::DelaunayEdgePool pool;
   const int leaves = 10;
-  pool.seed(star_edges(leaves), nullptr);
+  pool.seed(star_edges(leaves), identity(leaves + 1));
   pool.erase_node(0);
   ASSERT_TRUE(pool.valid());
   // 0's edges are gone; the closure is the complete graph on 1..leaves.
@@ -102,11 +115,11 @@ TEST(EdgePool, OversizedGuardAgainstAliveCount) {
   // guard is the caller's reseed trigger: sim::ChurnEngine escalates with
   // "pool-oversized" and reseeds from a fresh triangulation.
   mst::DelaunayEdgePool pool;
-  pool.seed(star_edges(70), nullptr);  // 70 edges
+  pool.seed(star_edges(70), identity(71));  // 70 edges
   EXPECT_TRUE(pool.oversized(2)) << "70 > 6*2 + 32";
   EXPECT_FALSE(pool.oversized(10)) << "70 <= 6*10 + 32";
   // Reseeding replaces the bloated candidate set wholesale.
-  pool.seed(star_edges(5), nullptr);
+  pool.seed(star_edges(5), identity(6));
   EXPECT_EQ(pool.edges().size(), 5u);
   EXPECT_FALSE(pool.oversized(2));
 }
@@ -121,6 +134,138 @@ TEST(EdgePool, DisconnectedCandidateSetThrowsForKruskal) {
   EXPECT_THROW(mst::kruskal_emst(pts, split), contract_violation);
   const std::vector<std::pair<int, int>> connected{{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(mst::kruskal_emst(pts, connected).edges.size(), 3u);
+}
+
+// Star representation: an inserted node keeps its v × members edges
+// implicit until edges() is read.  Members 0..9 over a 10-cycle; node 9 is
+// failed and recovered / node 3 moved to create stars.
+std::vector<std::pair<int, int>> cycle_edges(int n) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
+  return edges;
+}
+
+TEST(EdgePool, SizeCountsStarsExactly) {
+  mst::DelaunayEdgePool pool;
+  std::vector<char> alive(10, 1);
+  pool.seed(cycle_edges(10), identity(10));
+  ASSERT_EQ(pool.size(), 10u);
+  // Fail 9 (closure adds 0-8), recover it as a star, move 3 (erase adds
+  // 2-4, re-insert as a second star).
+  alive[9] = 0;
+  pool.erase_node(9);
+  alive[9] = 1;
+  pool.insert_node(9, alive);
+  pool.erase_node(3);
+  pool.insert_node(3, alive);
+  const std::size_t logical = pool.size();
+  EXPECT_EQ(logical, pool.edges().size());
+  // Explicit edges among the 8 non-star members: 0-1,1-2,2-4,4-5,5-6,6-7,
+  // 7-8,0-8 = 8; stars 3 and 9 each reach the 8 others, plus the 3-9 pair.
+  EXPECT_EQ(logical, 8u + 2u * 8u + 1u);
+  EXPECT_EQ(pool.size(), logical) << "materialising must not change size()";
+  for (int u = 0; u < 10; ++u) {
+    if (u == 3) continue;
+    const std::pair<int, int> e{std::min(u, 3), std::max(u, 3)};
+    EXPECT_TRUE(std::binary_search(pool.edges().begin(), pool.edges().end(),
+                                   e))
+        << "star edge 3-" << u << " missing";
+  }
+}
+
+TEST(EdgePool, EraseStarAboveCapInvalidates) {
+  // A star's degree is members - 1: above the cap its erase invalidates,
+  // at or below it the pool materialises and closes all pairs.
+  std::vector<char> alive(10, 1);
+  mst::DelaunayEdgePool tight(mst::EdgePoolConfig{8, 6.0, 32});
+  tight.seed(cycle_edges(10), identity(10));
+  tight.erase_node(4);
+  tight.insert_node(4, alive);  // star of degree 9 > 8
+  tight.erase_node(4);
+  EXPECT_FALSE(tight.valid());
+
+  mst::DelaunayEdgePool loose(mst::EdgePoolConfig{9, 6.0, 32});
+  loose.seed(cycle_edges(10), identity(10));
+  loose.erase_node(4);
+  loose.insert_node(4, alive);  // degree 9 <= 9
+  loose.erase_node(4);
+  ASSERT_TRUE(loose.valid());
+  EXPECT_EQ(loose.size(), 9u * 8u / 2u) << "closure is K9 on the survivors";
+  EXPECT_EQ(loose.edges().size(), 9u * 8u / 2u);
+}
+
+TEST(EdgePool, NonStarEraseCountsStarsTowardCap) {
+  // Node 5 has explicit degree 2 (cycle); every star is one more
+  // neighbour.  Two stars: 4 <= cap 4 keeps the pool valid and adds only
+  // the explicit pair 4-6; three stars: 5 > 4 invalidates.
+  std::vector<char> alive(10, 1);
+  for (const int stars : {2, 3}) {
+    mst::DelaunayEdgePool pool(mst::EdgePoolConfig{4, 6.0, 32});
+    pool.seed(cycle_edges(10), identity(10));
+    for (int i = 0; i < stars; ++i) {
+      // Moving 8, 7, 6 in turn: when 6 becomes a star its closure hands 5
+      // the explicit edge 5-9, so 5's explicit degree stays 2.
+      const int v = 8 - i;
+      pool.erase_node(v);
+      pool.insert_node(v, alive);
+    }
+    ASSERT_TRUE(pool.valid());
+    const std::size_t before = pool.size();
+    pool.erase_node(5);
+    EXPECT_EQ(pool.valid(), stars == 2) << stars << " stars";
+    if (stars == 2) {
+      // -2 explicit, -2 star edges, +1 closure pair 4-6.
+      EXPECT_EQ(pool.size(), before - 2 - 2 + 1);
+      EXPECT_EQ(pool.size(), pool.edges().size());
+    }
+  }
+}
+
+TEST(EdgePool, BatchEraseCountsStarsTowardCap) {
+  // Members 0..6; 0 and 1 neighbour only each other explicitly, so the
+  // erased component {0, 1} has no explicit survivor: its whole boundary
+  // is the stars (recovered nodes 7, 8, 9).  Two stars fit cap 2; three
+  // invalidate.
+  std::vector<std::pair<int, int>> edges{{0, 1}};
+  for (int i = 2; i < 6; ++i) edges.emplace_back(i, i + 1);
+  for (const int stars : {2, 3}) {
+    mst::DelaunayEdgePool pool(mst::EdgePoolConfig{2, 6.0, 32});
+    pool.seed(edges, identity(7));
+    std::vector<char> alive(10, 0);
+    std::fill(alive.begin(), alive.begin() + 7, 1);
+    for (int v = 7; v < 7 + stars; ++v) {
+      alive[v] = 1;
+      pool.insert_node(v, alive);
+    }
+    ASSERT_TRUE(pool.valid());
+    const std::size_t before = pool.size();
+    alive[0] = alive[1] = 0;
+    const std::vector<int> ws{0, 1};
+    pool.erase_nodes(ws);
+    EXPECT_EQ(pool.valid(), stars == 2) << stars << " stars";
+    if (stars == 2) {
+      // -1 explicit edge, -2 star edges per erased node, nothing added.
+      EXPECT_EQ(pool.size(), before - 1 - 2 * 2);
+      EXPECT_EQ(pool.size(), pool.edges().size());
+    }
+  }
+}
+
+TEST(EdgePool, SeedClearsStars) {
+  std::vector<char> alive(10, 1);
+  mst::DelaunayEdgePool pool;
+  pool.seed(cycle_edges(10), identity(10));
+  pool.erase_node(2);
+  pool.insert_node(2, alive);
+  ASSERT_GT(pool.size(), 10u);
+  pool.seed(cycle_edges(10), identity(10));
+  EXPECT_EQ(pool.size(), 10u);
+  const std::vector<std::pair<int, int>> cycle{
+      {0, 1}, {0, 9}, {1, 2}, {2, 3}, {3, 4},
+      {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}};
+  const auto edges = pool.edges();
+  EXPECT_TRUE(std::equal(edges.begin(), edges.end(), cycle.begin(),
+                         cycle.end()));
 }
 
 // ---------------------------------------------------------------------
@@ -157,9 +302,9 @@ void expect_matches_from_scratch(sim::ChurnEngine& eng,
 TEST(ChurnSublinear, AllMoveBatchesMatchFromScratchAtEveryThreadCount) {
   // 100% mobility: one node relocates per batch (delete+insert in the
   // pool, a detach/re-hang + position-dirty closure for the warm
-  // orienter).  Pool inserts cost O(alive) edges, so sustained movement
-  // periodically trips the oversized guard — escalation and reseed are
-  // part of the sweep, and parity must hold straight through them.
+  // orienter).  Each pool insert adds ~alive candidate edges, so sustained
+  // movement periodically trips the oversized guard — escalation and
+  // reseed are part of the sweep, and parity must hold straight through.
   const core::ProblemSpec spec{2, kPi};
   const auto pts = make_points(500, 9100);
   const int batches = 10;
@@ -300,6 +445,69 @@ TEST(ChurnSublinear, OversizedPoolReseedsAndRecovers) {
   EXPECT_EQ(eng.last_report().escalation, nullptr)
       << "engine did not return to the incremental path after the reseed";
   EXPECT_TRUE(eng.last_report().incremental_plan);
+}
+
+TEST(ChurnSublinear, LightInsertBatchesConsumeStarsAtEveryThreadCount) {
+  // Inserted nodes live in the pool as implicit stars and are written out
+  // only when rung 1 or rung 2 reads the candidate edges.  Light batches of
+  // 1-3 recovers/moves at n=2000 keep the pool valid and (on a fresh pool)
+  // under its size guard, so the stars are actually consumed by a
+  // non-escalating step — each checked against a from-scratch plan.
+  const core::ProblemSpec spec{2, kPi};
+  const int n = 2000;
+  const auto pts = make_points(n, 4711);
+  const int batches = 12;
+  for_each_thread_count([&](int t) {
+    sim::ChurnEngine eng;
+    eng.set_threads(t);
+    eng.init(pts, spec);
+    // Batch 1: fail 40 fixed nodes so the recovers below have targets.
+    std::vector<sim::ChurnEvent> events;
+    for (int i = 0; i < 40; ++i) {
+      events.push_back({sim::ChurnEventKind::kFail, 50 * i + 7, {}});
+    }
+    eng.step(events);
+    expect_matches_from_scratch(eng, spec, t, 1);
+    int star_steps = 0, rung1_steps = 0;
+    bool fresh_pool = eng.last_report().escalation != nullptr;
+    for (int b = 2; b <= batches; ++b) {
+      events.clear();
+      const int count = 1 + b % 3;
+      for (int i = 0; i < count; ++i) {
+        if ((b + i) % 2 == 0) {
+          events.push_back({sim::ChurnEventKind::kRecover,
+                            50 * (3 * b + i) % 2000 + 7, {}});
+        } else {
+          const int node = (131 * b + 17 * i) % n;
+          geom::Point to = eng.positions()[node];
+          to.x += 0.004;
+          to.y -= 0.003;
+          events.push_back({sim::ChurnEventKind::kMove, node, to});
+        }
+      }
+      const auto& rep = eng.step(events);
+      int inserts = 0;
+      for (const auto& ev : rep.events) inserts += ev.applied ? 1 : 0;
+      ASSERT_GT(inserts, 0) << "batch " << b;
+      if (rep.escalation != nullptr) {
+        // The only permitted reason: stars left by earlier batches grew
+        // the pool past its guard.
+        EXPECT_STREQ(rep.escalation, "pool-oversized") << "batch " << b;
+        EXPECT_FALSE(fresh_pool)
+            << "a freshly seeded pool escalated on <= 3 inserts, batch " << b;
+      } else {
+        EXPECT_TRUE(rep.incremental_plan);
+        ++star_steps;
+        rung1_steps += rep.localized_mst ? 1 : 0;
+      }
+      fresh_pool = rep.escalation != nullptr;
+      expect_matches_from_scratch(eng, spec, t, b);
+    }
+    EXPECT_GE(star_steps, batches / 3)
+        << "too few non-escalating steps consumed stars (threads " << t << ")";
+    EXPECT_GT(rung1_steps, 0) << "localized repair never read the stars";
+    EXPECT_LT(rung1_steps, star_steps) << "pool Kruskal never read the stars";
+  });
 }
 
 }  // namespace

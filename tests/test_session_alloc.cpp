@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -26,6 +27,7 @@
 #include "core/session.hpp"
 #include "core/two_antennae.hpp"
 #include "geometry/generators.hpp"
+#include "mst/repair.hpp"
 #include "sim/audit.hpp"
 #include "sim/churn.hpp"
 
@@ -328,6 +330,36 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
     EXPECT_EQ(eng.alive_count(), 300);
     EXPECT_TRUE(eng.last_report().certificate.ok());
   }
+}
+
+TEST(EdgePool, WarmInsertAllocatesNothing) {
+  // The churn candidate pool keeps an inserted node as an implicit star:
+  // once its buffers have grown, a reseed, star inserts (moves and a
+  // recover) and the one materialisation edges() triggers stay off the
+  // heap — seed builds no temporary vectors.
+  const int n = 64;
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
+  std::vector<int> orig_of;
+  for (int u = 0; u < n; ++u) orig_of.push_back(u);
+  std::vector<char> alive(n, 1);
+  dirant::mst::DelaunayEdgePool pool;
+  const auto cycle = [&] {
+    pool.seed(edges, orig_of);
+    for (int v : {5, 17, 42}) {
+      pool.erase_node(v);
+      pool.insert_node(v, alive);
+    }
+    alive[9] = 0;
+    pool.erase_node(9);
+    alive[9] = 1;
+    pool.insert_node(9, alive);
+    ASSERT_TRUE(pool.valid());
+    ASSERT_EQ(pool.edges().size(), pool.size());
+  };
+  cycle();
+  cycle();
+  EXPECT_EQ(count_allocations(cycle), 0) << "warm pool cycle allocated";
 }
 
 TEST(SessionAllocation, BatchChunkPerWorkerIsAllocationFree) {
