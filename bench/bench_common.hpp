@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "geometry/generators.hpp"
 
 namespace dirant::bench {
@@ -40,6 +41,27 @@ void section(const std::string& title);
 
 /// Wall-clock milliseconds of one invocation of `body` (steady clock).
 double time_ms(const std::function<void()>& body);
+
+/// What every report block reads first.  `smoke` is DIRANT_BENCH_SMOKE's
+/// presence (set by the bench_smoke ctest entries: tiny sizes, no
+/// BENCH_scaling.json write); `hw_threads` is the box's hardware
+/// concurrency, recorded next to every parallel row.  The first call
+/// prints a loud banner when there is only one hardware thread.
+struct BenchEnv {
+  bool smoke = false;
+  unsigned hw_threads = 1;
+};
+const BenchEnv& environment();
+
+/// Adds the thread count in env var `knob` to `set` when it is > 1 and
+/// not already there (the DIRANT_X*_THREADS sweep knobs).
+void add_env_threads(const char* knob, std::vector<int>& set);
+
+/// Replaces this bench's `sections` of BENCH_scaling.json in the working
+/// directory (see bench_json.hpp), leaving every other section as it was.
+/// In smoke mode the file is left untouched: throwaway tiny-n numbers
+/// never land in the recorded trajectory.  Exits 1 if the file is corrupt.
+void record_sections(const std::vector<JsonSection>& sections);
 
 }  // namespace dirant::bench
 

@@ -1,6 +1,7 @@
 // X3 — engineering scaling study: EMST engines (Prim O(n^2) vs
 // Delaunay+Kruskal), orientation algorithms, and transmission-graph
-// construction across n.  Emits BENCH_scaling.json (n, engine, wall-ms,
+// construction across n.  Writes its emst_orient / emst_parallel /
+// session_reuse / batch sections of BENCH_scaling.json (n, engine, wall-ms,
 // speedup) so later PRs have a perf trajectory to regress against, and
 // uses core::orient_batch for the Monte-Carlo throughput measurement.
 
@@ -8,12 +9,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -35,52 +33,18 @@ using dirant::kPi;
 
 namespace {
 
+using dirant::bench::format;
 using dirant::bench::time_ms;
 
 DIRANT_REPORT(x3) {
   using dirant::bench::section;
-  // Smoke mode (DIRANT_BENCH_SMOKE=1, set by the bench_smoke ctest entry):
-  // tiny sizes, just enough to prove the bench still builds and runs —
-  // and no JSON write, so throwaway numbers never clobber the recorded
-  // perf trajectory.
-  const bool smoke = std::getenv("DIRANT_BENCH_SMOKE") != nullptr;
-  // Every parallel row below records the box's hardware concurrency next to
-  // its pool size: a ~1x pooled speedup with hw_threads == 1 is the box,
-  // not a regression.  Say so loudly up front too.
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  if (hw_threads == 1) {
-    std::printf(
-        "*** WARNING: hardware_concurrency() == 1 — every pooled sweep in "
-        "this bench oversubscribes a single core.  Parallel speedups will "
-        "be ~1x BY CONSTRUCTION and say nothing about multi-core scaling; "
-        "read the hw_threads field before quoting any row. ***\n");
-  }
+  // Smoke mode: tiny sizes, just enough to prove the bench still builds
+  // and runs.  Every parallel row records hw_threads next to its pool
+  // size: a ~1x pooled speedup with hw_threads == 1 is the box, not a
+  // regression.
+  const auto& [smoke, hw_threads] = dirant::bench::environment();
   section("X3 — EMST+orient wall time per engine (BENCH_scaling.json)");
-  // Preserve the sections that bench_x6_certify may have spliced into an
-  // existing file (certify/scc/audit sweeps): this bench owns
-  // emst_orient+emst_parallel+batch only.
-  std::vector<std::string> preserved_sections;
-  {
-    std::ifstream in("BENCH_scaling.json");
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      const std::string existing = ss.str();
-      for (const char* key : {"\"certify\"", "\"certify_parallel\"",
-                              "\"scc\"", "\"scc_parallel\"",
-                              "\"audit_parallel\""}) {
-        const size_t pos = existing.find(key);
-        if (pos == std::string::npos) continue;
-        const size_t close = existing.find(']', pos);
-        if (close != std::string::npos) {
-          preserved_sections.push_back(existing.substr(pos, close + 1 - pos));
-        }
-      }
-    }
-  }
-  std::FILE* json = smoke ? nullptr : std::fopen("BENCH_scaling.json", "w");
-  if (json) std::fprintf(json, "{\n  \"emst_orient\": [\n");
+  std::vector<std::string> orient_json, parallel_json;
 
   std::printf("n       engine             wall-ms    speedup\n");
   std::printf("---------------------------------------------\n");
@@ -90,7 +54,6 @@ DIRANT_REPORT(x3) {
   const std::vector<int> sizes = smoke ? std::vector<int>{200, 400}
                                        : std::vector<int>{500, 1000, 2000,
                                                           5000};
-  bool first_row = true;
   for (int n : sizes) {
     geom::Rng rng(31000 + n);
     const auto pts =
@@ -113,16 +76,11 @@ DIRANT_REPORT(x3) {
     for (int e = 0; e < 2; ++e) {
       const double speedup = ms[0] / std::max(ms[e], 1e-9);
       std::printf("%-7d %-18s %8.2f   %7.2fx\n", n, names[e], ms[e], speedup);
-      if (json) {
-        std::fprintf(json,
-                     "%s    {\"n\": %d, \"engine\": \"%s\", \"wall_ms\": "
-                     "%.3f, \"speedup\": %.3f}",
-                     first_row ? "" : ",\n", n, names[e], ms[e], speedup);
-        first_row = false;
-      }
+      orient_json.push_back(format("{\"n\": %d, \"engine\": \"%s\", "
+                                   "\"wall_ms\": %.3f, \"speedup\": %.3f}",
+                                   n, names[e], ms[e], speedup));
     }
   }
-  if (json) std::fprintf(json, "\n  ],\n");
 
   section("X3 — pool-parallel Boruvka EMST vs serial Kruskal "
           "(emst_parallel)");
@@ -136,18 +94,10 @@ DIRANT_REPORT(x3) {
   {
     std::vector<int> emst_threads = smoke ? std::vector<int>{2}
                                           : std::vector<int>{2, 4};
-    if (const char* env = std::getenv("DIRANT_X3_EMST_THREADS")) {
-      const int t = std::atoi(env);
-      if (t > 1 && std::find(emst_threads.begin(), emst_threads.end(), t) ==
-                       emst_threads.end()) {
-        emst_threads.push_back(t);
-      }
-    }
+    dirant::bench::add_env_threads("DIRANT_X3_EMST_THREADS", emst_threads);
     const std::vector<int> emst_sizes =
         smoke ? std::vector<int>{400}
               : std::vector<int>{2000, 10000, 50000};
-    if (json) std::fprintf(json, "  \"emst_parallel\": [\n");
-    bool first = true;
     std::printf("n       threads  wall-ms    vs-serial  (hw=%u)\n",
                 hw_threads);
     std::printf("---------------------------------------------\n");
@@ -194,34 +144,26 @@ DIRANT_REPORT(x3) {
                     par_tree.total_weight());
       }
       std::printf("%-7d %-8d %8.2f   %8s\n", en, 1, serial_ms, "-");
-      if (json) {
-        std::fprintf(json,
-                     "%s    {\"n\": %d, \"threads\": 1, \"wall_ms\": %.3f, "
-                     "\"speedup_vs_serial\": 1.0, \"hw_threads\": %u}",
-                     first ? "" : ",\n", en, serial_ms, hw_threads);
-        first = false;
-      }
+      parallel_json.push_back(
+          format("{\"n\": %d, \"threads\": 1, \"wall_ms\": %.3f, "
+                 "\"speedup_vs_serial\": 1.0, \"hw_threads\": %u}",
+                 en, serial_ms, hw_threads));
       for (size_t ti = 0; ti < emst_threads.size(); ++ti) {
         const double speedup = serial_ms / std::max(par_ms[ti], 1e-9);
         std::printf("%-7d %-8d %8.2f   %7.2fx\n", en, emst_threads[ti],
                     par_ms[ti], speedup);
-        if (json) {
-          std::fprintf(json,
-                       "%s    {\"n\": %d, \"threads\": %d, \"wall_ms\": "
-                       "%.3f, \"speedup_vs_serial\": %.3f, \"hw_threads\": "
-                       "%u}",
-                       first ? "" : ",\n", en, emst_threads[ti], par_ms[ti],
-                       speedup, hw_threads);
-          first = false;
-        }
+        parallel_json.push_back(
+            format("{\"n\": %d, \"threads\": %d, \"wall_ms\": %.3f, "
+                   "\"speedup_vs_serial\": %.3f, \"hw_threads\": %u}",
+                   en, emst_threads[ti], par_ms[ti], speedup, hw_threads));
       }
     }
-    if (json) std::fprintf(json, "\n  ],\n");
   }
 
   section("X3 — session reuse (fresh orient() vs warm PlanSession)");
   // Per-call overhead of rebuilding every pipeline stage from scratch vs
   // streaming through one warm session (steady-state zero allocation).
+  std::string session_json;
   {
     const int sn = smoke ? 200 : 5000;
     geom::Rng rng(47000 + sn);
@@ -256,13 +198,10 @@ DIRANT_REPORT(x3) {
         "session reuse (n=%d, k=%d): fresh %.3fms/call, warm %.3fms/call "
         "(%.2fx)\n",
         sn, spec.k, fresh_ms, warm_ms, reuse_speedup);
-    if (json) {
-      std::fprintf(json,
-                   "  \"session_reuse\": {\"n\": %d, \"k\": %d, "
-                   "\"fresh_ms\": %.3f, \"warm_ms\": %.3f, \"speedup\": "
-                   "%.3f},\n",
-                   sn, spec.k, fresh_ms, warm_ms, reuse_speedup);
-    }
+    session_json = format(
+        "{\"n\": %d, \"k\": %d, \"fresh_ms\": %.3f, \"warm_ms\": %.3f, "
+        "\"speedup\": %.3f}",
+        sn, spec.k, fresh_ms, warm_ms, reuse_speedup);
   }
 
   section("X3 — Monte-Carlo batch throughput (core::orient_batch)");
@@ -291,21 +230,15 @@ DIRANT_REPORT(x3) {
       "(%.2fx, %u pool threads, %u hw threads)\n",
       n, instances, serial_ms, pooled_ms, batch_speedup, threads,
       hw_threads);
-  if (json) {
-    std::fprintf(json,
-                 "  \"batch\": {\"instances\": %d, \"n\": %d, \"serial_ms\": "
-                 "%.3f, \"pooled_ms\": %.3f, \"threads\": %u, "
-                 "\"hw_threads\": %u, \"speedup\": %.3f}%s\n",
-                 instances, n, serial_ms, pooled_ms, threads, hw_threads,
-                 batch_speedup, preserved_sections.empty() ? "" : ",");
-    for (size_t i = 0; i < preserved_sections.size(); ++i) {
-      std::fprintf(json, "  %s%s\n", preserved_sections[i].c_str(),
-                   i + 1 < preserved_sections.size() ? "," : "");
-    }
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_scaling.json\n");
-  }
+  dirant::bench::record_sections(
+      {{"emst_orient", dirant::bench::json_array(orient_json)},
+       {"emst_parallel", dirant::bench::json_array(parallel_json)},
+       {"session_reuse", session_json},
+       {"batch", format("{\"instances\": %d, \"n\": %d, \"serial_ms\": %.3f, "
+                        "\"pooled_ms\": %.3f, \"threads\": %u, "
+                        "\"hw_threads\": %u, \"speedup\": %.3f}",
+                        instances, n, serial_ms, pooled_ms, threads,
+                        hw_threads, batch_speedup)}});
 }
 
 void BM_emst_prim(benchmark::State& state) {

@@ -20,8 +20,8 @@
 // probe-parallel strong_connectivity_level and trial-parallel
 // failure_resilience at several thread counts vs the serial session
 // (bit-identical metrics, verified in-run).
-// Appends "certify" / "certify_parallel" / "scc" / "scc_parallel" /
-// "audit_parallel" sections to BENCH_scaling.json so the
+// Writes "certify" / "certify_parallel" / "scc" / "scc_parallel" /
+// "audit_parallel" sections of BENCH_scaling.json so the
 // speedups are part of the recorded perf trajectory.  Every parallel row
 // carries the box's hw_threads so a ~1x speedup on a 1-core machine is
 // never mistaken for a regression.
@@ -34,23 +34,15 @@
 // bench_smoke_x6_audit ctest entries exercise the pooled paths with them).
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
-#include <fstream>
-#include <functional>
 #include <limits>
+#include <memory>
 #include <span>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <memory>
-
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "antenna/transmission.hpp"
 #include "common/constants.hpp"
@@ -67,90 +59,11 @@ namespace graph = dirant::graph;
 using dirant::kPi;
 using geom::Point;
 
-// ---------------------------------------------------------------------
-// Global operator-new counter (this binary only; same hook pattern as
-// tests/test_session_alloc.cpp).  The fresh-vs-warm certify rows record
-// how many heap allocations each variant performed alongside the wall
-// time: the warm row's count is the zero-allocation steady-state claim
-// made observable in the recorded perf trajectory, the fresh row's count
-// is what cold scratch construction actually costs.  Counting is armed
-// only around the dedicated counting passes, so the timed reps pay
-// nothing but a relaxed load.
-// ---------------------------------------------------------------------
-
 namespace {
 
-std::atomic<long long> g_allocations{0};
-std::atomic<bool> g_armed{false};
-
-void note_allocation() {
-  if (g_armed.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-// Every form funnels through malloc so mismatched pairs stay well-defined —
-// which is exactly what -Wmismatched-new-delete flags when GCC inlines a
-// header's new-expression against these replacements; the pairing is
-// intentional, silence it for this TU.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_allocation();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  note_allocation();
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
-
+using dirant::bench::format;
 using dirant::bench::time_ms;
-
-/// Runs `body` with the allocation counter armed and returns the count.
-template <typename F>
-long long count_allocations(F&& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-  body();
-  g_armed.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using dirant::test::count_allocations;
 
 // ---------------------------------------------------------------------
 // Pre-refactor baseline, reproduced verbatim in spirit: adjacency lists as
@@ -323,26 +236,12 @@ struct CertifyRow {
   long long fresh_allocs = 0;  ///< operator-new calls, cold-scratch pass
 };
 
-struct ParallelRow {
-  int n = 0;
-  int threads = 0;
-  double ms = 0.0;
-  double speedup_vs_serial = 0.0;
-};
-
 struct SccRow {
   int n = 0;
   double tarjan_ms = 0.0;
   double fb_serial_ms = 0.0;  ///< FW–BW inline, incl. its transpose build
   int scc_count = 0;
   double fb_vs_tarjan = 0.0;  ///< tarjan / fb_serial
-};
-
-struct SccParallelRow {
-  int n = 0;
-  int threads = 0;
-  double ms = 0.0;
-  double speedup_vs_tarjan = 0.0;
 };
 
 struct AuditRow {
@@ -354,136 +253,10 @@ struct AuditRow {
   double failure_speedup = 0.0;  ///< serial failure_ms / this failure_ms
 };
 
-/// Removes a previously spliced `"name": [...]` section (with its leading
-/// comma, if any) so reruns replace rather than accumulate.
-void drop_section(std::string& existing, const std::string& name) {
-  const std::string key = "\"" + name + "\"";
-  size_t pos;
-  while ((pos = existing.find(key)) != std::string::npos) {
-    size_t start = existing.rfind(',', pos);
-    if (start == std::string::npos) start = pos;
-    const size_t close = existing.find(']', pos);
-    const size_t end = close == std::string::npos ? pos + key.size()
-                                                  : close + 1;
-    existing.erase(start, end - start);
-  }
-}
-
-/// Splices the "certify", "certify_parallel", "scc", "scc_parallel" and
-/// "audit_parallel" sections into BENCH_scaling.json next
-/// to the sections x3_scaling wrote (creates the file if x3 has not run).
-void append_certify_json(const std::vector<CertifyRow>& rows,
-                         const std::vector<ParallelRow>& par_rows,
-                         const std::vector<SccRow>& scc_rows,
-                         const std::vector<SccParallelRow>& scc_par_rows,
-                         const std::vector<AuditRow>& audit_rows,
-                         unsigned hw_threads) {
-  std::string existing;
-  {
-    std::ifstream in("BENCH_scaling.json");
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  // Quoted keys, so no name is a prefix of another ("scc" never matches the
-  // "scc_count" fields inside certify rows); drop order is cosmetic.
-  drop_section(existing, "certify_parallel");
-  drop_section(existing, "certify");
-  drop_section(existing, "scc_parallel");
-  drop_section(existing, "scc");
-  drop_section(existing, "audit_parallel");
-  std::ostringstream section;
-  section << "  \"certify\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    section << "    {\"n\": " << r.n << ", \"csr_ms\": " << r.csr_ms
-            << ", \"fresh_scratch_ms\": " << r.fresh_ms
-            << ", \"legacy_adjlist_ms\": " << r.legacy_ms
-            << ", \"scc_count\": " << r.scc_count
-            << ", \"speedup\": " << r.speedup
-            << ", \"rebuild_speedup\": " << r.rebuild_speedup
-            << ", \"warm_allocs\": " << r.warm_allocs
-            << ", \"fresh_allocs\": " << r.fresh_allocs << "}"
-            << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"certify_parallel\": [\n";
-  for (size_t i = 0; i < par_rows.size(); ++i) {
-    const auto& r = par_rows[i];
-    section << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-            << ", \"ms\": " << r.ms
-            << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < par_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"scc\": [\n";
-  for (size_t i = 0; i < scc_rows.size(); ++i) {
-    const auto& r = scc_rows[i];
-    section << "    {\"n\": " << r.n << ", \"tarjan_ms\": " << r.tarjan_ms
-            << ", \"fb_serial_ms\": " << r.fb_serial_ms
-            << ", \"scc_count\": " << r.scc_count
-            << ", \"fb_vs_tarjan\": " << r.fb_vs_tarjan << "}"
-            << (i + 1 < scc_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"scc_parallel\": [\n";
-  for (size_t i = 0; i < scc_par_rows.size(); ++i) {
-    const auto& r = scc_par_rows[i];
-    section << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-            << ", \"ms\": " << r.ms
-            << ", \"speedup_vs_tarjan\": " << r.speedup_vs_tarjan
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < scc_par_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"audit_parallel\": [\n";
-  for (size_t i = 0; i < audit_rows.size(); ++i) {
-    const auto& r = audit_rows[i];
-    section << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-            << ", \"level_ms\": " << r.level_ms
-            << ", \"failure_ms\": " << r.failure_ms
-            << ", \"level_speedup\": " << r.level_speedup
-            << ", \"failure_speedup\": " << r.failure_speedup
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < audit_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ]\n";
-
-  const size_t close = existing.rfind('}');
-  std::ofstream outf("BENCH_scaling.json", std::ios::trunc);
-  if (close != std::string::npos) {
-    // Drop the final '}' and everything after, splice our section in.  No
-    // leading comma when ours would be the object's only member.
-    std::string head = existing.substr(0, close);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ' ||
-                             head.back() == ',')) {
-      head.pop_back();
-    }
-    const bool only_member = !head.empty() && head.back() == '{';
-    outf << head << (only_member ? "\n" : ",\n") << section.str() << "}\n";
-  } else {
-    outf << "{\n" << section.str() << "}\n";
-  }
-  std::printf(
-      "appended certify + certify_parallel + scc + scc_parallel + "
-      "audit_parallel sections to BENCH_scaling.json\n");
-}
-
 DIRANT_REPORT(x6) {
+  using dirant::bench::add_env_threads;
   using dirant::bench::section;
-  const bool smoke = std::getenv("DIRANT_BENCH_SMOKE") != nullptr;
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  if (hw_threads == 1) {
-    std::printf(
-        "*** WARNING: hardware_concurrency() == 1 — every pooled sweep in "
-        "this bench oversubscribes a single core.  Parallel speedups will "
-        "be ~1x BY CONSTRUCTION and say nothing about multi-core scaling; "
-        "read the hw_threads field before quoting any row. ***\n");
-  }
+  const auto& [smoke, hw_threads] = dirant::bench::environment();
   section(
       "X6 — certification scaling: digraph build + SCC (k=2, phi=pi), "
       "warm vs fresh scratch, serial vs sharded");
@@ -497,14 +270,6 @@ DIRANT_REPORT(x6) {
   // entry exercises a pooled FW–BW path without re-running the sharded
   // certify sweep at that count, and vice versa).
   std::vector<int> scc_thread_set = thread_set;
-  const auto add_env_threads = [](const char* knob, std::vector<int>& set) {
-    if (const char* env = std::getenv(knob)) {
-      const int t = std::atoi(env);
-      if (t > 1 && std::find(set.begin(), set.end(), t) == set.end()) {
-        set.push_back(t);
-      }
-    }
-  };
   add_env_threads("DIRANT_X6_THREADS", thread_set);
   add_env_threads("DIRANT_X6_SCC_THREADS", scc_thread_set);
   // Pools are shared between the sweeps: one per distinct thread count.
@@ -532,15 +297,14 @@ DIRANT_REPORT(x6) {
   antenna::TransmissionScratch tx;
   graph::SccScratch scc_scratch;
   std::vector<antenna::TransmissionScratch> par_tx(thread_set.size());
-  std::vector<CertifyRow> rows;
-  std::vector<ParallelRow> par_rows;
+  // Rendered BENCH_scaling.json rows, one vector per section.
+  std::vector<std::string> certify_json, certify_par_json, scc_json,
+      scc_par_json, audit_json;
   // SCC-only scratches: one FW–BW scratch per variant so every row measures
   // its warm steady state.
   graph::ParSccScratch fb_serial;
   std::vector<graph::ParSccScratch> fb_par(scc_thread_set.size());
   antenna::TransmissionScratch scc_tx;  ///< prebuilt-digraph buffers
-  std::vector<SccRow> scc_rows;
-  std::vector<SccParallelRow> scc_par_rows;
   for (int n : sizes) {
     geom::Rng rng(61000 + n);
     const auto pts =
@@ -562,27 +326,29 @@ DIRANT_REPORT(x6) {
       pools.push_back(std::make_unique<dirant::par::ThreadPool>(
           static_cast<unsigned>(t)));
     }
+    // The warm recycled pass and the cold-scratch pass: each is timed in
+    // the reps below, then counted once in an untimed pass.
+    const auto warm_pass = [&] {
+      graph::Digraph g = antenna::induced_digraph_fast(
+          pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, tx);
+      const int count = graph::scc_count(g, scc_scratch);
+      benchmark::DoNotOptimize(count);
+      row.scc_count = count;
+      std::move(g).release(tx.offsets, tx.targets);
+    };
+    const auto fresh_pass = [&] {
+      antenna::TransmissionScratch cold_tx;
+      graph::SccScratch cold_scc;
+      graph::Digraph g = antenna::induced_digraph_fast(
+          pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, cold_tx);
+      const int count = graph::scc_count(g, cold_scc);
+      benchmark::DoNotOptimize(count);
+    };
     // Interleave every path rep by rep: on a shared box, frequency drift
     // mid-row would otherwise bias whichever side ran last.
     for (int rep = 0; rep < reps; ++rep) {
-      row.csr_ms = std::min(row.csr_ms, time_ms([&] {
-                     graph::Digraph g = antenna::induced_digraph_fast(
-                         pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol,
-                         tx);
-                     const int count = graph::scc_count(g, scc_scratch);
-                     benchmark::DoNotOptimize(count);
-                     row.scc_count = count;
-                     std::move(g).release(tx.offsets, tx.targets);
-                   }));
-      row.fresh_ms = std::min(row.fresh_ms, time_ms([&] {
-                       antenna::TransmissionScratch cold_tx;
-                       graph::SccScratch cold_scc;
-                       graph::Digraph g = antenna::induced_digraph_fast(
-                           pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol,
-                           cold_tx);
-                       const int count = graph::scc_count(g, cold_scc);
-                       benchmark::DoNotOptimize(count);
-                     }));
+      row.csr_ms = std::min(row.csr_ms, time_ms(warm_pass));
+      row.fresh_ms = std::min(row.fresh_ms, time_ms(fresh_pass));
       for (size_t ti = 0; ti < thread_set.size(); ++ti) {
         par_ms[ti] = std::min(par_ms[ti], time_ms([&] {
                        graph::Digraph g = antenna::induced_digraph_fast(
@@ -608,21 +374,8 @@ DIRANT_REPORT(x6) {
     // The warm count is the recycling story (0 in steady state — the
     // buffers above are already at their high-water mark); the fresh
     // count prices cold scratch construction per call.
-    row.warm_allocs = count_allocations([&] {
-      graph::Digraph g = antenna::induced_digraph_fast(
-          pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, tx);
-      const int count = graph::scc_count(g, scc_scratch);
-      benchmark::DoNotOptimize(count);
-      std::move(g).release(tx.offsets, tx.targets);
-    });
-    row.fresh_allocs = count_allocations([&] {
-      antenna::TransmissionScratch cold_tx;
-      graph::SccScratch cold_scc;
-      graph::Digraph g = antenna::induced_digraph_fast(
-          pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, cold_tx);
-      const int count = graph::scc_count(g, cold_scc);
-      benchmark::DoNotOptimize(count);
-    });
+    row.warm_allocs = count_allocations(warm_pass);
+    row.fresh_allocs = count_allocations(fresh_pass);
     row.speedup = row.legacy_ms / std::max(row.csr_ms, 1e-9);
     row.rebuild_speedup = row.fresh_ms / std::max(row.csr_ms, 1e-9);
     std::printf(
@@ -632,18 +385,22 @@ DIRANT_REPORT(x6) {
         row.rebuild_speedup, row.scc_count, row.warm_allocs,
         row.fresh_allocs);
     for (size_t ti = 0; ti < thread_set.size(); ++ti) {
-      ParallelRow pr;
-      pr.n = n;
-      pr.threads = thread_set[ti];
-      pr.ms = par_ms[ti];
-      pr.speedup_vs_serial = row.csr_ms / std::max(par_ms[ti], 1e-9);
+      const double speedup = row.csr_ms / std::max(par_ms[ti], 1e-9);
       std::printf("%-8d %-8d %8.2f   %8s   %9s   %7s  %5.2fx*  (*vs serial "
                   "csr)\n",
-                  n, pr.threads, pr.ms, "-", "-", "-",
-                  pr.speedup_vs_serial);
-      par_rows.push_back(pr);
+                  n, thread_set[ti], par_ms[ti], "-", "-", "-", speedup);
+      certify_par_json.push_back(
+          format("{\"n\": %d, \"threads\": %d, \"ms\": %g, "
+                 "\"speedup_vs_serial\": %g, \"hw_threads\": %u}",
+                 n, thread_set[ti], par_ms[ti], speedup, hw_threads));
     }
-    rows.push_back(row);
+    certify_json.push_back(format(
+        "{\"n\": %d, \"csr_ms\": %g, \"fresh_scratch_ms\": %g, "
+        "\"legacy_adjlist_ms\": %g, \"scc_count\": %d, \"speedup\": %g, "
+        "\"rebuild_speedup\": %g, \"warm_allocs\": %lld, "
+        "\"fresh_allocs\": %lld}",
+        row.n, row.csr_ms, row.fresh_ms, row.legacy_ms, row.scc_count,
+        row.speedup, row.rebuild_speedup, row.warm_allocs, row.fresh_allocs));
 
     // ---- SCC-only rows: Tarjan vs FW–BW on the prebuilt digraph --------
     // (isolates the decomposition from the digraph build the rows above
@@ -695,16 +452,19 @@ DIRANT_REPORT(x6) {
         "scc:     %-8d tarjan %8.2f   fb-serial %8.2f   (%5.2fx)   scc=%d\n",
         n, srow.tarjan_ms, srow.fb_serial_ms, srow.fb_vs_tarjan,
         srow.scc_count);
-    scc_rows.push_back(srow);
+    scc_json.push_back(
+        format("{\"n\": %d, \"tarjan_ms\": %g, \"fb_serial_ms\": %g, "
+               "\"scc_count\": %d, \"fb_vs_tarjan\": %g}",
+               srow.n, srow.tarjan_ms, srow.fb_serial_ms, srow.scc_count,
+               srow.fb_vs_tarjan));
     for (size_t ti = 0; ti < scc_thread_set.size(); ++ti) {
-      SccParallelRow spr;
-      spr.n = n;
-      spr.threads = scc_thread_set[ti];
-      spr.ms = fb_ms[ti];
-      spr.speedup_vs_tarjan = srow.tarjan_ms / std::max(fb_ms[ti], 1e-9);
+      const double speedup = srow.tarjan_ms / std::max(fb_ms[ti], 1e-9);
       std::printf("scc:     %-8d fb(t=%d) %7.2f   %5.2fx vs tarjan\n", n,
-                  spr.threads, spr.ms, spr.speedup_vs_tarjan);
-      scc_par_rows.push_back(spr);
+                  scc_thread_set[ti], fb_ms[ti], speedup);
+      scc_par_json.push_back(
+          format("{\"n\": %d, \"threads\": %d, \"ms\": %g, "
+                 "\"speedup_vs_tarjan\": %g, \"hw_threads\": %u}",
+                 n, scc_thread_set[ti], fb_ms[ti], speedup, hw_threads));
     }
   }
   // ---- Probe-parallel audits: AuditSession at several thread counts ----
@@ -714,7 +474,14 @@ DIRANT_REPORT(x6) {
   // order-independent reductions) — verified in-run, not assumed.
   section("X6 — probe-parallel audits: connectivity level + failure "
           "resilience (audit_parallel)");
-  std::vector<AuditRow> audit_rows;
+  const auto audit_row_json = [&](const AuditRow& r) {
+    return format(
+        "{\"n\": %d, \"threads\": %d, \"level_ms\": %g, \"failure_ms\": %g, "
+        "\"level_speedup\": %g, \"failure_speedup\": %g, "
+        "\"hw_threads\": %u}",
+        r.n, r.threads, r.level_ms, r.failure_ms, r.level_speedup,
+        r.failure_speedup, hw_threads);
+  };
   {
     std::vector<int> audit_threads = smoke ? std::vector<int>{2}
                                            : std::vector<int>{2, 4};
@@ -760,7 +527,7 @@ DIRANT_REPORT(x6) {
       serial_row.failure_speedup = 1.0;
       std::printf("%-7d %-8d %8.2f   %9.2f\n", an, 1, serial_row.level_ms,
                   serial_row.failure_ms);
-      audit_rows.push_back(serial_row);
+      audit_json.push_back(audit_row_json(serial_row));
       for (int t : audit_threads) {
         session.set_threads(t);
         AuditRow row;
@@ -795,19 +562,19 @@ DIRANT_REPORT(x6) {
         std::printf("%-7d %-8d %8.2f   %9.2f   (%4.2fx / %4.2fx)\n", an, t,
                     row.level_ms, row.failure_ms, row.level_speedup,
                     row.failure_speedup);
-        audit_rows.push_back(row);
+        audit_json.push_back(audit_row_json(row));
       }
       session.set_threads(1);
     }
   }
 
-  if (smoke) {
-    // Throwaway tiny-n numbers must never land in the recorded trajectory.
-    std::printf("smoke mode: BENCH_scaling.json left untouched\n");
-  } else {
-    append_certify_json(rows, par_rows, scc_rows, scc_par_rows, audit_rows,
-                        hw_threads);
-  }
+  using dirant::bench::json_array;
+  dirant::bench::record_sections(
+      {{"certify", json_array(certify_json)},
+       {"certify_parallel", json_array(certify_par_json)},
+       {"scc", json_array(scc_json)},
+       {"scc_parallel", json_array(scc_par_json)},
+       {"audit_parallel", json_array(audit_json)}});
 }
 
 void BM_certify_csr(benchmark::State& state) {

@@ -7,7 +7,7 @@
 // in-run, not assumed (the incremental path is an exact acceleration; see
 // tests/test_churn.cpp for the from-scratch parity proof).
 //
-// Appends a "churn" section to BENCH_scaling.json: two rows per n
+// Writes the "churn" section of BENCH_scaling.json: two rows per n
 // (sustained ~1% attrition, and a small-batch workload with a handful of
 // failures regardless of n — the sub-linear regime) with the sustained
 // updates/sec of both paths, their ratio, the incremental hit rate
@@ -31,11 +31,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -81,70 +78,6 @@ double percentile(std::vector<double> samples, double q) {
   return samples[std::min(idx, samples.size() - 1)];
 }
 
-/// Removes a previously spliced `"name": [...]` section (with its leading
-/// comma, if any) so reruns replace rather than accumulate.
-void drop_section(std::string& existing, const std::string& name) {
-  const std::string key = "\"" + name + "\"";
-  size_t pos;
-  while ((pos = existing.find(key)) != std::string::npos) {
-    size_t start = existing.rfind(',', pos);
-    if (start == std::string::npos) start = pos;
-    const size_t close = existing.find(']', pos);
-    const size_t end = close == std::string::npos ? pos + key.size()
-                                                  : close + 1;
-    existing.erase(start, end - start);
-  }
-}
-
-/// Splices the "churn" section into BENCH_scaling.json next to whatever
-/// x3/x6 wrote (creates the file if neither has run).
-void append_churn_json(const std::vector<ChurnRow>& rows,
-                       unsigned hw_threads) {
-  std::string existing;
-  {
-    std::ifstream in("BENCH_scaling.json");
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  drop_section(existing, "churn");
-  std::ostringstream section;
-  section << "  \"churn\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    section << "    {\"workload\": \"" << r.workload << "\", \"n\": " << r.n
-            << ", \"events_per_batch\": " << r.events_per_batch
-            << ", \"updates_per_sec\": " << r.updates_per_sec
-            << ", \"full_updates_per_sec\": " << r.full_updates_per_sec
-            << ", \"speedup\": " << r.speedup
-            << ", \"incremental_hit_rate\": " << r.incremental_hit_rate
-            << ", \"localized_hit_rate\": " << r.localized_hit_rate
-            << ", \"p50_batch_ms\": " << r.p50_batch_ms
-            << ", \"p99_batch_ms\": " << r.p99_batch_ms
-            << ", \"mean_mst_region\": " << r.mean_mst_region
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  section << "  ]\n";
-
-  const size_t close = existing.rfind('}');
-  std::ofstream outf("BENCH_scaling.json", std::ios::trunc);
-  if (close != std::string::npos) {
-    std::string head = existing.substr(0, close);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ' ||
-                             head.back() == ',')) {
-      head.pop_back();
-    }
-    const bool only_member = !head.empty() && head.back() == '{';
-    outf << head << (only_member ? "\n" : ",\n") << section.str() << "}\n";
-  } else {
-    outf << "{\n" << section.str() << "}\n";
-  }
-  std::printf("appended churn section to BENCH_scaling.json\n");
-}
-
 /// Lock-step parity: the incremental engine and the force_full engine ran
 /// the same batch and must agree exactly.  Prints a WARNING (never
 /// aborts) so a broken run is loud in the log and in the recorded table.
@@ -175,16 +108,7 @@ void check_parity(const sim::ChurnEngine& inc, const sim::ChurnEngine& full,
 
 DIRANT_REPORT(x7) {
   using dirant::bench::section;
-  const bool smoke = std::getenv("DIRANT_BENCH_SMOKE") != nullptr;
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  if (hw_threads == 1) {
-    std::printf(
-        "*** WARNING: hardware_concurrency() == 1 — churn throughput on "
-        "this box reflects a single core; pooled rebuilds oversubscribe "
-        "it and updates/sec will be pessimistic.  Read the hw_threads "
-        "field before quoting any row. ***\n");
-  }
+  const auto& [smoke, hw_threads] = dirant::bench::environment();
   section(
       "X7 — churn engine: sustained certified updates/sec, incremental "
       "recertification vs full re-plan (k=2, phi=pi)");
@@ -304,13 +228,25 @@ DIRANT_REPORT(x7) {
     run_row("small_batch", n, pts, smoke ? 1.5 / n : 6.0 / n);
   }
 
+  std::vector<std::string> json;
+  for (const auto& r : rows) {
+    json.push_back(dirant::bench::format(
+        "{\"workload\": \"%s\", \"n\": %d, \"events_per_batch\": %g, "
+        "\"updates_per_sec\": %g, \"full_updates_per_sec\": %g, "
+        "\"speedup\": %g, \"incremental_hit_rate\": %g, "
+        "\"localized_hit_rate\": %g, \"p50_batch_ms\": %g, "
+        "\"p99_batch_ms\": %g, \"mean_mst_region\": %g, \"hw_threads\": %u}",
+        r.workload, r.n, r.events_per_batch, r.updates_per_sec,
+        r.full_updates_per_sec, r.speedup, r.incremental_hit_rate,
+        r.localized_hit_rate, r.p50_batch_ms, r.p99_batch_ms,
+        r.mean_mst_region, hw_threads));
+  }
+  dirant::bench::record_sections({{"churn", dirant::bench::json_array(json)}});
   if (smoke) {
-    // Throwaway tiny-n numbers must never land in the recorded
-    // trajectory — but the smoke run still has to prove the sub-linear
-    // path is alive: the small-batch sweep must have kept some batches on
-    // localized repair + the warm frontier orienter (report counters, not
-    // timings, so this is deterministic).
-    std::printf("smoke mode: BENCH_scaling.json left untouched\n");
+    // Smoke numbers are throwaway, but the run still has to prove the
+    // sub-linear path is alive: the small-batch sweep must have kept some
+    // batches on localized repair + the warm frontier orienter (report
+    // counters, not timings, so this is deterministic).
     const auto& sb = rows.back();
     if (!(sb.localized_hit_rate > 0.0 && sb.mean_mst_region > 0.0)) {
       std::printf(
@@ -319,8 +255,6 @@ DIRANT_REPORT(x7) {
           sb.localized_hit_rate);
       std::exit(1);
     }
-  } else {
-    append_churn_json(rows, hw_threads);
   }
 }
 

@@ -14,8 +14,8 @@
 // The wheel and heap reports are compared field by field on every row
 // (bit-identity is the wheel's contract; any mismatch exits nonzero), and
 // warm_allocs records the operator-new count of an untimed warm wheel run
-// (same hook as x6) — 0 on static rows is the zero-alloc contract made
-// part of the recorded trajectory.
+// (the shared hook, tests/alloc_counter.cpp) — 0 on static rows is the
+// zero-alloc contract made part of the recorded trajectory.
 //
 // Static rows time a WARM run (the second run on the session); churn rows
 // time the run that actually steps the ChurnEngine, since recertification
@@ -23,27 +23,22 @@
 // a run advances churn state.  Every row carries hw_threads so numbers
 // from a throttled box are never mistaken for the real trajectory.
 //
-// Appends a "traffic" section to BENCH_scaling.json (drop + splice, like
-// x3/x6/x7).  Smoke mode (DIRANT_BENCH_SMOKE=1): tiny n, and instead of
-// recording numbers it asserts the engine's headline behaviours —
+// Writes the "traffic" section of BENCH_scaling.json.  Smoke mode
+// (DIRANT_BENCH_SMOKE=1): tiny n, and instead of recording numbers it
+// asserts the engine's headline behaviours —
 // zero-loss delivery >= 0.9, ARQ engagement (retransmissions > 0 with
 // delivery above the no-retry baseline) under 20% per-link loss, and
 // wheel/heap report parity on every row including loss+churn — exiting
 // nonzero when any silently regresses.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <limits>
-#include <new>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "common/constants.hpp"
 #include "core/session.hpp"
@@ -56,83 +51,10 @@ namespace core = dirant::core;
 namespace sim = dirant::sim;
 using dirant::kPi;
 
-// ---------------------------------------------------------------------
-// Global operator-new counter (this binary only; same hook pattern as
-// x6_certify).  warm_allocs is counted in a dedicated untimed pass, so
-// the timed reps pay nothing but a relaxed load.
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::atomic<long long> g_allocations{0};
-std::atomic<bool> g_armed{false};
-
-void note_allocation() {
-  if (g_armed.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-// Every form funnels through malloc so mismatched pairs stay well-defined —
-// which is exactly what -Wmismatched-new-delete flags when GCC inlines a
-// header's new-expression against these replacements; the pairing is
-// intentional, silence it for this TU.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_allocation();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  note_allocation();
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace {
 
 using dirant::bench::time_ms;
-
-long long count_allocations(const std::function<void()>& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-  body();
-  g_armed.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using dirant::test::count_allocations;
 
 struct TrafficRow {
   int n = 0;
@@ -147,108 +69,19 @@ struct TrafficRow {
   long long offered = 0;
   long long retransmissions = 0;
   long long reroutes = 0;
-  long long drop_queue = 0;
-  long long drop_ttl = 0;
   double run_ms = 0.0;       ///< wheel, best of the interleaved reps
   double heap_run_ms = 0.0;  ///< heap, best of the interleaved reps
 };
 
-/// Field-by-field bit-identity — the wheel's contract against the oracle.
-bool reports_identical(const sim::TrafficReport& a,
-                       const sim::TrafficReport& b) {
-  return a.offered == b.offered && a.delivered == b.delivered &&
-         a.delivery_ratio == b.delivery_ratio &&
-         a.p50_latency == b.p50_latency && a.p99_latency == b.p99_latency &&
-         a.transmissions == b.transmissions &&
-         a.retransmissions == b.retransmissions &&
-         a.frames_lost == b.frames_lost && a.acks_lost == b.acks_lost &&
-         a.duplicates == b.duplicates && a.reroutes == b.reroutes &&
-         a.drop_queue == b.drop_queue && a.drop_ttl == b.drop_ttl &&
-         a.drop_retry == b.drop_retry && a.drop_no_route == b.drop_no_route &&
-         a.drop_churn == b.drop_churn && a.drop_battery == b.drop_battery &&
-         a.drop_stranded == b.drop_stranded && a.events == b.events &&
-         a.energy_drained == b.energy_drained &&
-         a.battery_dead == b.battery_dead &&
-         a.churn_killed == b.churn_killed && a.alive_end == b.alive_end &&
-         a.stranded == b.stranded;
-}
-
 void require_parity(const sim::TrafficReport& wheel,
                     const sim::TrafficReport& heap, const TrafficRow& row) {
-  if (reports_identical(wheel, heap)) return;
+  if (wheel == heap) return;
   std::printf(
       "ERROR: wheel/heap TrafficReport mismatch on n=%d loss=%.2f churn=%s "
       "(events %lld vs %lld, delivered %lld vs %lld)\n",
       row.n, row.loss, row.churn, wheel.events, heap.events, wheel.delivered,
       heap.delivered);
   std::exit(1);
-}
-
-/// Removes a previously spliced `"name": [...]` section (with its leading
-/// comma, if any) so reruns replace rather than accumulate.
-void drop_section(std::string& existing, const std::string& name) {
-  const std::string key = "\"" + name + "\"";
-  size_t pos;
-  while ((pos = existing.find(key)) != std::string::npos) {
-    size_t start = existing.rfind(',', pos);
-    if (start == std::string::npos) start = pos;
-    const size_t close = existing.find(']', pos);
-    const size_t end = close == std::string::npos ? pos + key.size()
-                                                  : close + 1;
-    existing.erase(start, end - start);
-  }
-}
-
-/// Splices the "traffic" section into BENCH_scaling.json next to whatever
-/// x3/x6/x7 wrote (creates the file if none has run).
-void append_traffic_json(const std::vector<TrafficRow>& rows,
-                         unsigned hw_threads) {
-  std::string existing;
-  {
-    std::ifstream in("BENCH_scaling.json");
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  drop_section(existing, "traffic");
-  std::ostringstream section;
-  section << "  \"traffic\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    section << "    {\"n\": " << r.n << ", \"loss\": " << r.loss
-            << ", \"churn\": \"" << r.churn << "\""
-            << ", \"events_per_sec\": " << r.events_per_sec
-            << ", \"heap_events_per_sec\": " << r.heap_events_per_sec
-            << ", \"queue_speedup\": " << r.queue_speedup
-            << ", \"warm_allocs\": " << r.warm_allocs
-            << ", \"packets_per_sec\": " << r.packets_per_sec
-            << ", \"delivery_ratio\": " << r.delivery_ratio
-            << ", \"offered\": " << r.offered
-            << ", \"retransmissions\": " << r.retransmissions
-            << ", \"reroutes\": " << r.reroutes
-            << ", \"run_ms\": " << r.run_ms
-            << ", \"heap_run_ms\": " << r.heap_run_ms
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  section << "  ]\n";
-
-  const size_t close = existing.rfind('}');
-  std::ofstream outf("BENCH_scaling.json", std::ios::trunc);
-  if (close != std::string::npos) {
-    std::string head = existing.substr(0, close);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ' ||
-                             head.back() == ',')) {
-      head.pop_back();
-    }
-    const bool only_member = !head.empty() && head.back() == '{';
-    outf << head << (only_member ? "\n" : ",\n") << section.str() << "}\n";
-  } else {
-    outf << "{\n" << section.str() << "}\n";
-  }
-  std::printf("appended traffic section to BENCH_scaling.json\n");
 }
 
 /// Many-to-few collection workload: `flows` flows spread over the node
@@ -288,9 +121,7 @@ void add_poisson_churn(const sim::ChurnEngine& eng,
 
 DIRANT_REPORT(x8) {
   using dirant::bench::section;
-  const bool smoke = std::getenv("DIRANT_BENCH_SMOKE") != nullptr;
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
+  const auto& [smoke, hw_threads] = dirant::bench::environment();
   section(
       "X8 — traffic engine: events/sec and delivery, loss x churn "
       "(ARQ+reroute policy, k=2, phi=pi; wheel vs heap oracle)");
@@ -342,8 +173,6 @@ DIRANT_REPORT(x8) {
     row.offered = rep.offered;
     row.retransmissions = rep.retransmissions;
     row.reroutes = rep.reroutes;
-    row.drop_queue = rep.drop_queue;
-    row.drop_ttl = rep.drop_ttl;
   };
 
   for (int n : sizes) {
@@ -475,8 +304,23 @@ DIRANT_REPORT(x8) {
     }
   }
 
+  std::vector<std::string> json;
+  for (const auto& r : rows) {
+    json.push_back(dirant::bench::format(
+        "{\"n\": %d, \"loss\": %g, \"churn\": \"%s\", \"events_per_sec\": %g, "
+        "\"heap_events_per_sec\": %g, \"queue_speedup\": %g, "
+        "\"warm_allocs\": %lld, \"packets_per_sec\": %g, "
+        "\"delivery_ratio\": %g, \"offered\": %lld, "
+        "\"retransmissions\": %lld, \"reroutes\": %lld, \"run_ms\": %g, "
+        "\"heap_run_ms\": %g, \"hw_threads\": %u}",
+        r.n, r.loss, r.churn, r.events_per_sec, r.heap_events_per_sec,
+        r.queue_speedup, r.warm_allocs, r.packets_per_sec, r.delivery_ratio,
+        r.offered, r.retransmissions, r.reroutes, r.run_ms, r.heap_run_ms,
+        hw_threads));
+  }
+  dirant::bench::record_sections(
+      {{"traffic", dirant::bench::json_array(json)}});
   if (smoke) {
-    std::printf("smoke mode: BENCH_scaling.json left untouched\n");
     if (smoke_zero_loss_delivery < 0.9) {
       std::printf("ERROR: zero-loss delivery %.3f < 0.9\n",
                   smoke_zero_loss_delivery);
@@ -490,8 +334,6 @@ DIRANT_REPORT(x8) {
           smoke_lossy_retx, smoke_lossy_delivery, smoke_baseline_delivery);
       std::exit(1);
     }
-  } else {
-    append_traffic_json(rows, hw_threads);
   }
 }
 

@@ -30,10 +30,12 @@ run_variant() {
 CTEST_EXTRA=("$@")
 
 # The Release variant builds the bench binaries, so its ctest run includes
-# the bench_smoke entries (x3_scaling + x6_certify + x7_churn at tiny n
-# with DIRANT_BENCH_SMOKE=1, plus the pooled sharded-certify and
-# parallel-SCC x6 paths) — benches can't silently bit-rot.  The sanitized Debug variant
-# skips benches for build time and runs its suite with
+# the bench_smoke entries (x3_scaling + x6_certify + x7_churn + x8_traffic
+# at tiny n with DIRANT_BENCH_SMOKE=1, plus the pooled EMST, sharded-
+# certify, parallel-SCC and audit paths) — benches can't silently
+# bit-rot.  test_bench_json (the BENCH_scaling.json writer's test) needs
+# no google-benchmark, so the asan variant runs it too.  The sanitized
+# Debug variant skips benches for build time and runs its suite with
 # DIRANT_TEST_THREADS=4: the sharded digraph-build and parallel-SCC tests
 # then spin real 4-worker pools, so memory errors in the concurrent paths
 # surface under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN)

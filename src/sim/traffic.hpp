@@ -232,6 +232,10 @@ struct TrafficReport {
   /// unreachable when traffic wanted them — the graceful-degradation
   /// ledger the churn integration reports instead of throwing.
   std::vector<int> stranded;
+
+  /// Field-by-field bit-identity (doubles compared exactly): the contract
+  /// between queue kinds, thread counts and repeated runs.
+  bool operator==(const TrafficReport&) const = default;
 };
 
 class TrafficEngine {

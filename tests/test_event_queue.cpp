@@ -12,81 +12,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
-std::atomic<long long> g_allocations{0};
-std::atomic<bool> g_armed{false};
-
-void note_allocation() {
-  if (g_armed.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-// Global operator new/delete replacements (test binary only); every form
-// funnels through malloc so mismatched pairs stay well-defined.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_allocation();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  note_allocation();
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
-
 namespace sim = dirant::sim;
-
-long long count_allocations(const std::function<void()>& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-  body();
-  g_armed.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using dirant::test::count_allocations;
 
 std::uint64_t splitmix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;

@@ -12,19 +12,17 @@
 //     logical accounting invariant (offered == delivered + sum of drops)
 //     holds on every run.
 //   * Zero-alloc: the second identical run() on a warm static engine
-//     performs zero heap allocations (operator-new counting hook, the
-//     test_session_alloc pattern).
+//     performs zero heap allocations (the shared operator-new counting
+//     hook, tests/alloc_counter.cpp).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/constants.hpp"
 #include "core/session.hpp"
 #include "geometry/generators.hpp"
@@ -36,75 +34,13 @@
 
 namespace {
 
-std::atomic<long long> g_allocations{0};
-std::atomic<bool> g_armed{false};
-
-void note_allocation() {
-  if (g_armed.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-// Global operator new/delete replacements (test binary only); every form
-// funnels through malloc so mismatched pairs stay well-defined.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_allocation();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  note_allocation();
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
-
 namespace core = dirant::core;
 namespace geom = dirant::geom;
 namespace graph = dirant::graph;
 namespace sim = dirant::sim;
 using dirant::kPi;
+using dirant::test::count_allocations;
 using dirant::test::for_each_thread_count;
-
-long long count_allocations(const std::function<void()>& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-  body();
-  g_armed.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 std::vector<geom::Point> make_points(int n, int seed) {
   geom::Rng rng(seed);
@@ -146,6 +82,9 @@ void expect_reports_equal(const sim::TrafficReport& a,
   EXPECT_EQ(a.churn_killed, b.churn_killed) << what;
   EXPECT_EQ(a.alive_end, b.alive_end) << what;
   EXPECT_EQ(a.stranded, b.stranded) << what;
+  // The defaulted operator== covers every field, including any added after
+  // the per-field list above was written.
+  EXPECT_TRUE(a == b) << what;
 }
 
 // A directed path 0 -> 1 -> ... -> n-1 with positions on the x axis, so
