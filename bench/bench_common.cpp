@@ -1,11 +1,14 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <thread>
+#include <vector>
 
 namespace dirant::bench {
 
@@ -17,11 +20,58 @@ double time_ms(const std::function<void()>& body) {
       .count();
 }
 
+namespace {
+
+/// Runs `threads` xorshift spinners concurrently for ~`ms` each (one shared
+/// start and deadline) and returns the total spin iterations completed.
+double spin_iterations(unsigned threads, double ms) {
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> go{false};
+  std::vector<std::uint64_t> iters(threads, 0);
+  Clock::time_point deadline;
+  std::vector<std::thread> spinners;
+  for (unsigned t = 0; t < threads; ++t) {
+    spinners.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      std::uint64_t x = 0x9e3779b97f4a7c15ull + t, done = 0;
+      while (Clock::now() < deadline) {
+        for (int i = 0; i < 4096; ++i) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        done += 4096;
+      }
+      benchmark::DoNotOptimize(x);
+      iters[t] = done;
+    });
+  }
+  deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                std::chrono::duration<double, std::milli>(ms));
+  go.store(true, std::memory_order_release);
+  for (auto& s : spinners) s.join();
+  double total = 0.0;
+  for (const auto i : iters) total += static_cast<double>(i);
+  return total;
+}
+
+}  // namespace
+
 const BenchEnv& environment() {
   static const BenchEnv env = [] {
     BenchEnv e;
     e.smoke = std::getenv("DIRANT_BENCH_SMOKE") != nullptr;
     e.hw_threads = std::max(1u, std::thread::hardware_concurrency());
+    constexpr double kSpinMs = 50.0;
+    if (e.hw_threads > 1) {
+      const double one = spin_iterations(1, kSpinMs);
+      e.real_cores =
+          spin_iterations(e.hw_threads, kSpinMs) / std::max(one, 1.0);
+    }
+    std::printf("box: %u hw threads, %.2f real cores (1 vs %u concurrent "
+                "%.0f ms spinners)\n",
+                e.hw_threads, e.real_cores, e.hw_threads, kSpinMs);
     if (e.hw_threads == 1) {
       std::printf(
           "*** WARNING: hardware_concurrency() == 1 — every pooled sweep in "

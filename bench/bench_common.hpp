@@ -45,11 +45,17 @@ double time_ms(const std::function<void()>& body);
 /// What every report block reads first.  `smoke` is DIRANT_BENCH_SMOKE's
 /// presence (set by the bench_smoke ctest entries: tiny sizes, no
 /// BENCH_scaling.json write); `hw_threads` is the box's hardware
-/// concurrency, recorded next to every parallel row.  The first call
-/// prints a loud banner when there is only one hardware thread.
+/// concurrency.  `real_cores` is measured once per process: the spin
+/// iterations `hw_threads` concurrent ~50 ms spinners complete, divided by
+/// what one spinner completes alone — the cores the box actually delivers
+/// right now (neighbour load and SMT siblings pull it below hw_threads).
+/// Both are recorded next to every parallel row.  The first call prints
+/// them in a banner, and a loud warning when there is only one hardware
+/// thread.
 struct BenchEnv {
   bool smoke = false;
   unsigned hw_threads = 1;
+  double real_cores = 1.0;
 };
 const BenchEnv& environment();
 

@@ -10,27 +10,21 @@
 //     untimed passes), so the warm path's zero-allocation steady state is
 //     part of the recorded trajectory, not just a test assertion;
 //   * the sharded build at several thread counts (real ThreadPool workers)
-//     vs the serial build — bit-identical output, parallel wall clock;
-//   * SCC-only rows on a prebuilt digraph: serial Tarjan vs the FW–BW
-//     engine (graph/scc_parallel.hpp) inline and at each thread count.
-//     The FW–BW timings include its internal transpose build — the honest
-//     cost when no cached transpose is available (core::certify's shape);
-//     AuditSession amortizes that across a whole metric sweep.
+//     vs the serial build — bit-identical output, parallel wall clock.
 // One more sweep rides along: audit_parallel — AuditSession's
 // probe-parallel strong_connectivity_level and trial-parallel
 // failure_resilience at several thread counts vs the serial session
 // (bit-identical metrics, verified in-run).
-// Writes "certify" / "certify_parallel" / "scc" / "scc_parallel" /
-// "audit_parallel" sections of BENCH_scaling.json so the
-// speedups are part of the recorded perf trajectory.  Every parallel row
-// carries the box's hw_threads so a ~1x speedup on a 1-core machine is
-// never mistaken for a regression.
+// Writes "certify" / "certify_parallel" / "audit_parallel" sections of
+// BENCH_scaling.json so the speedups are part of the recorded perf
+// trajectory.  Every parallel row carries the box's hw_threads and
+// measured real_cores, so a ~1x speedup on a 1-core or contended machine
+// is never mistaken for a regression.
 //
 // Smoke mode (DIRANT_BENCH_SMOKE=1): tiny sizes so ctest can keep this
 // binary from bit-rotting without paying the full sweep.
-// DIRANT_X6_THREADS=t / DIRANT_X6_SCC_THREADS=t / DIRANT_X6_AUDIT_THREADS=t
-// add a shard count to the parallel sweeps (the
-// bench_smoke_x6_certify_parallel, bench_smoke_x6_scc and
+// DIRANT_X6_THREADS=t / DIRANT_X6_AUDIT_THREADS=t add a shard count to the
+// parallel sweeps (the bench_smoke_x6_certify_parallel and
 // bench_smoke_x6_audit ctest entries exercise the pooled paths with them).
 
 #include <algorithm>
@@ -48,7 +42,6 @@
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "graph/scc.hpp"
-#include "graph/scc_parallel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/audit.hpp"
 
@@ -236,14 +229,6 @@ struct CertifyRow {
   long long fresh_allocs = 0;  ///< operator-new calls, cold-scratch pass
 };
 
-struct SccRow {
-  int n = 0;
-  double tarjan_ms = 0.0;
-  double fb_serial_ms = 0.0;  ///< FW–BW inline, incl. its transpose build
-  int scc_count = 0;
-  double fb_vs_tarjan = 0.0;  ///< tarjan / fb_serial
-};
-
 struct AuditRow {
   int n = 0;
   int threads = 0;          ///< 1 = the serial session baseline
@@ -256,7 +241,7 @@ struct AuditRow {
 DIRANT_REPORT(x6) {
   using dirant::bench::add_env_threads;
   using dirant::bench::section;
-  const auto& [smoke, hw_threads] = dirant::bench::environment();
+  const auto& [smoke, hw_threads, real_cores] = dirant::bench::environment();
   section(
       "X6 — certification scaling: digraph build + SCC (k=2, phi=pi), "
       "warm vs fresh scratch, serial vs sharded");
@@ -266,24 +251,7 @@ DIRANT_REPORT(x6) {
   // Shard counts for the parallel rows; threads=1 is the serial bar above.
   std::vector<int> thread_set = smoke ? std::vector<int>{2}
                                       : std::vector<int>{2, 4};
-  // The knobs extend their own sweep only (the bench_smoke_x6_scc ctest
-  // entry exercises a pooled FW–BW path without re-running the sharded
-  // certify sweep at that count, and vice versa).
-  std::vector<int> scc_thread_set = thread_set;
   add_env_threads("DIRANT_X6_THREADS", thread_set);
-  add_env_threads("DIRANT_X6_SCC_THREADS", scc_thread_set);
-  // Pools are shared between the sweeps: one per distinct thread count.
-  std::vector<int> pool_threads = thread_set;
-  std::vector<size_t> scc_pool_idx;
-  for (const int t : scc_thread_set) {
-    auto it = std::find(pool_threads.begin(), pool_threads.end(), t);
-    if (it == pool_threads.end()) {
-      pool_threads.push_back(t);
-      it = pool_threads.end() - 1;
-    }
-    scc_pool_idx.push_back(
-        static_cast<size_t>(it - pool_threads.begin()));
-  }
   std::printf(
       "n        threads  csr-ms     fresh-ms   legacy-ms   vs-legacy  "
       "vs-fresh  scc\n");
@@ -298,13 +266,7 @@ DIRANT_REPORT(x6) {
   graph::SccScratch scc_scratch;
   std::vector<antenna::TransmissionScratch> par_tx(thread_set.size());
   // Rendered BENCH_scaling.json rows, one vector per section.
-  std::vector<std::string> certify_json, certify_par_json, scc_json,
-      scc_par_json, audit_json;
-  // SCC-only scratches: one FW–BW scratch per variant so every row measures
-  // its warm steady state.
-  graph::ParSccScratch fb_serial;
-  std::vector<graph::ParSccScratch> fb_par(scc_thread_set.size());
-  antenna::TransmissionScratch scc_tx;  ///< prebuilt-digraph buffers
+  std::vector<std::string> certify_json, certify_par_json, audit_json;
   for (int n : sizes) {
     geom::Rng rng(61000 + n);
     const auto pts =
@@ -322,7 +284,7 @@ DIRANT_REPORT(x6) {
                                std::numeric_limits<double>::infinity());
     int legacy_count = -1;
     std::vector<std::unique_ptr<dirant::par::ThreadPool>> pools;
-    for (int t : pool_threads) {
+    for (int t : thread_set) {
       pools.push_back(std::make_unique<dirant::par::ThreadPool>(
           static_cast<unsigned>(t)));
     }
@@ -391,8 +353,10 @@ DIRANT_REPORT(x6) {
                   n, thread_set[ti], par_ms[ti], "-", "-", "-", speedup);
       certify_par_json.push_back(
           format("{\"n\": %d, \"threads\": %d, \"ms\": %g, "
-                 "\"speedup_vs_serial\": %g, \"hw_threads\": %u}",
-                 n, thread_set[ti], par_ms[ti], speedup, hw_threads));
+                 "\"speedup_vs_serial\": %g, \"hw_threads\": %u, "
+                 "\"real_cores\": %.2f}",
+                 n, thread_set[ti], par_ms[ti], speedup, hw_threads,
+                 real_cores));
     }
     certify_json.push_back(format(
         "{\"n\": %d, \"csr_ms\": %g, \"fresh_scratch_ms\": %g, "
@@ -401,71 +365,6 @@ DIRANT_REPORT(x6) {
         "\"fresh_allocs\": %lld}",
         row.n, row.csr_ms, row.fresh_ms, row.legacy_ms, row.scc_count,
         row.speedup, row.rebuild_speedup, row.warm_allocs, row.fresh_allocs));
-
-    // ---- SCC-only rows: Tarjan vs FW–BW on the prebuilt digraph --------
-    // (isolates the decomposition from the digraph build the rows above
-    // already price).  The FW–BW timings include its internal transpose
-    // build — the cost the certify path pays when no cached transpose
-    // exists; AuditSession amortizes it across a whole metric sweep.
-    SccRow srow;
-    srow.n = n;
-    srow.tarjan_ms = std::numeric_limits<double>::infinity();
-    srow.fb_serial_ms = std::numeric_limits<double>::infinity();
-    std::vector<double> fb_ms(scc_thread_set.size(),
-                              std::numeric_limits<double>::infinity());
-    int fb_count = -1, fb_par_count = -1;
-    graph::Digraph g = antenna::induced_digraph_fast(
-        pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scc_tx);
-    for (int rep = 0; rep < reps; ++rep) {
-      srow.tarjan_ms = std::min(srow.tarjan_ms, time_ms([&] {
-                         const int c = graph::scc_count(g, scc_scratch);
-                         benchmark::DoNotOptimize(c);
-                         srow.scc_count = c;
-                       }));
-      srow.fb_serial_ms =
-          std::min(srow.fb_serial_ms, time_ms([&] {
-                     fb_count =
-                         graph::parallel_scc_count(g, fb_serial, 1, nullptr);
-                     benchmark::DoNotOptimize(fb_count);
-                   }));
-      for (size_t ti = 0; ti < scc_thread_set.size(); ++ti) {
-        fb_ms[ti] = std::min(fb_ms[ti], time_ms([&] {
-                      fb_par_count = graph::parallel_scc_count(
-                          g, fb_par[ti], scc_thread_set[ti],
-                          pools[scc_pool_idx[ti]].get());
-                      benchmark::DoNotOptimize(fb_par_count);
-                    }));
-        if (fb_par_count != srow.scc_count) {
-          std::printf("WARNING: scc mismatch at n=%d (tarjan %d vs fb t=%d "
-                      "%d)\n",
-                      n, srow.scc_count, scc_thread_set[ti], fb_par_count);
-        }
-      }
-    }
-    if (fb_count != srow.scc_count) {
-      std::printf("WARNING: scc mismatch at n=%d (tarjan %d vs fb-serial %d)\n",
-                  n, srow.scc_count, fb_count);
-    }
-    std::move(g).release(scc_tx.offsets, scc_tx.targets);
-    srow.fb_vs_tarjan = srow.tarjan_ms / std::max(srow.fb_serial_ms, 1e-9);
-    std::printf(
-        "scc:     %-8d tarjan %8.2f   fb-serial %8.2f   (%5.2fx)   scc=%d\n",
-        n, srow.tarjan_ms, srow.fb_serial_ms, srow.fb_vs_tarjan,
-        srow.scc_count);
-    scc_json.push_back(
-        format("{\"n\": %d, \"tarjan_ms\": %g, \"fb_serial_ms\": %g, "
-               "\"scc_count\": %d, \"fb_vs_tarjan\": %g}",
-               srow.n, srow.tarjan_ms, srow.fb_serial_ms, srow.scc_count,
-               srow.fb_vs_tarjan));
-    for (size_t ti = 0; ti < scc_thread_set.size(); ++ti) {
-      const double speedup = srow.tarjan_ms / std::max(fb_ms[ti], 1e-9);
-      std::printf("scc:     %-8d fb(t=%d) %7.2f   %5.2fx vs tarjan\n", n,
-                  scc_thread_set[ti], fb_ms[ti], speedup);
-      scc_par_json.push_back(
-          format("{\"n\": %d, \"threads\": %d, \"ms\": %g, "
-                 "\"speedup_vs_tarjan\": %g, \"hw_threads\": %u}",
-                 n, scc_thread_set[ti], fb_ms[ti], speedup, hw_threads));
-    }
   }
   // ---- Probe-parallel audits: AuditSession at several thread counts ----
   // The serial session (threads=1) is the baseline; pooled sessions fan the
@@ -478,9 +377,9 @@ DIRANT_REPORT(x6) {
     return format(
         "{\"n\": %d, \"threads\": %d, \"level_ms\": %g, \"failure_ms\": %g, "
         "\"level_speedup\": %g, \"failure_speedup\": %g, "
-        "\"hw_threads\": %u}",
+        "\"hw_threads\": %u, \"real_cores\": %.2f}",
         r.n, r.threads, r.level_ms, r.failure_ms, r.level_speedup,
-        r.failure_speedup, hw_threads);
+        r.failure_speedup, hw_threads, real_cores);
   };
   {
     std::vector<int> audit_threads = smoke ? std::vector<int>{2}
@@ -491,8 +390,8 @@ DIRANT_REPORT(x6) {
     const int trials = smoke ? 8 : 40;
     const double fraction = 0.1;
     const std::uint64_t audit_seed = 7;
-    std::printf("n       threads  level-ms   failure-ms  (hw=%u)\n",
-                hw_threads);
+    std::printf("n       threads  level-ms   failure-ms  (hw=%u, real=%.2f)\n",
+                hw_threads, real_cores);
     std::printf("-----------------------------------------------\n");
     for (int an : audit_sizes) {
       geom::Rng rng(67000 + an);
@@ -572,8 +471,6 @@ DIRANT_REPORT(x6) {
   dirant::bench::record_sections(
       {{"certify", json_array(certify_json)},
        {"certify_parallel", json_array(certify_par_json)},
-       {"scc", json_array(scc_json)},
-       {"scc_parallel", json_array(scc_par_json)},
        {"audit_parallel", json_array(audit_json)}});
 }
 
@@ -610,24 +507,6 @@ void BM_scc_only_csr(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_scc_only_csr)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536)
-    ->Complexity();
-
-void BM_scc_fb_csr(benchmark::State& state) {
-  geom::Rng rng(63);  // same instances as BM_scc_only_csr for comparison
-  const auto pts = geom::make_instance(geom::Distribution::kUniformSquare,
-                                       static_cast<int>(state.range(0)), rng);
-  const auto res = core::orient(pts, {2, kPi});
-  const auto g = antenna::induced_digraph_fast(pts, res.orientation);
-  graph::ParSccScratch scratch;
-  for (auto _ : state) {
-    const int count = graph::parallel_scc_count(g, scratch, 1, nullptr);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_scc_fb_csr)
     ->RangeMultiplier(4)
     ->Range(1024, 65536)
     ->Complexity();

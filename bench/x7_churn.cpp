@@ -108,7 +108,7 @@ void check_parity(const sim::ChurnEngine& inc, const sim::ChurnEngine& full,
 
 DIRANT_REPORT(x7) {
   using dirant::bench::section;
-  const auto& [smoke, hw_threads] = dirant::bench::environment();
+  const auto& [smoke, hw_threads, real_cores] = dirant::bench::environment();
   section(
       "X7 — churn engine: sustained certified updates/sec, incremental "
       "recertification vs full re-plan (k=2, phi=pi)");

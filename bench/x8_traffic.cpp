@@ -121,7 +121,7 @@ void add_poisson_churn(const sim::ChurnEngine& eng,
 
 DIRANT_REPORT(x8) {
   using dirant::bench::section;
-  const auto& [smoke, hw_threads] = dirant::bench::environment();
+  const auto& [smoke, hw_threads, real_cores] = dirant::bench::environment();
   section(
       "X8 — traffic engine: events/sec and delivery, loss x churn "
       "(ARQ+reroute policy, k=2, phi=pi; wheel vs heap oracle)");

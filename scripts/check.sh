@@ -31,22 +31,21 @@ CTEST_EXTRA=("$@")
 
 # The Release variant builds the bench binaries, so its ctest run includes
 # the bench_smoke entries (x3_scaling + x6_certify + x7_churn + x8_traffic
-# at tiny n with DIRANT_BENCH_SMOKE=1, plus the pooled EMST, sharded-
-# certify, parallel-SCC and audit paths) — benches can't silently
-# bit-rot.  test_bench_json (the BENCH_scaling.json writer's test) needs
-# no google-benchmark, so the asan variant runs it too.  The sanitized
-# Debug variant skips benches for build time and runs its suite with
-# DIRANT_TEST_THREADS=4: the sharded digraph-build and parallel-SCC tests
-# then spin real 4-worker pools, so memory errors in the concurrent paths
-# surface under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN)
-# re-runs exactly the concurrency-heavy suites — the thread pool's own
-# slot stress test, parallel SCC, the sharded
-# certify build, the batch fan-out, the pool-parallel Borůvka EMST, the
-# probe/trial-parallel audits, and the churn engine's pooled
-# recertification (both churn suites, including the sub-linear warm-path
-# acceptance tests) — with the same 4-worker pools, so data races (not
-# just memory errors) surface too.  All variants promote
-# the library's -Wall -Wextra diagnostics to errors (DIRANT_WERROR).
+# at tiny n with DIRANT_BENCH_SMOKE=1, plus the sharded-certify and audit
+# paths with real 4-worker pools) — benches can't silently bit-rot.
+# test_bench_json (the BENCH_scaling.json writer's test) needs no
+# google-benchmark, so the asan variant runs it too.  The sanitized Debug
+# variant skips benches for build time and runs its suite with
+# DIRANT_TEST_THREADS=4: the sharded digraph-build tests then spin real
+# 4-worker pools, so memory errors in the concurrent paths surface under
+# asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN) re-runs exactly
+# the suites that drive a pool — the thread pool's own slot stress test,
+# the sharded digraph build, the orient_batch fan-out, the probe- and
+# trial-parallel audits, the churn engine's sharded recertification (both
+# churn suites, including the sub-linear warm-path acceptance tests) and
+# the traffic engine on top of it — with the same 4-worker pools, so data
+# races (not just memory errors) surface too.  All variants promote the
+# library's -Wall -Wextra diagnostics to errors (DIRANT_WERROR).
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
 DIRANT_TEST_THREADS=4 \
 run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
@@ -54,7 +53,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_thread_pool|test_parallel_scc|test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
+    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 

@@ -22,9 +22,8 @@ struct BatchOptions {
   bool certify = false;  ///< also run the independent certifier per instance
   /// Per-instance certification parallelism (PlanSession::set_threads on
   /// each worker session).  1 = serial, allocation-free certify (default);
-  /// > 1 shards the certification digraph build and runs SCC on the
-  /// parallel FW–BW engine — identical results, intended for
-  /// certify-dominated batches of LARGE instances.  Combined
+  /// > 1 shards the certification digraph build — identical results,
+  /// intended for certify-dominated batches of LARGE instances.  Combined
   /// with `parallel` this oversubscribes (workers × certify_threads
   /// threads); prefer instance-level fan-out unless individual instances
   /// are big enough to need intra-instance parallelism.

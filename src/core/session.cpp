@@ -39,7 +39,7 @@ PlanSession::~PlanSession() = default;
 const Result& PlanSession::orient(std::span<const geom::Point> pts,
                                   const ProblemSpec& spec) {
   DIRANT_ASSERT_MSG(!pts.empty(), "empty sensor set");
-  engine_.degree5(pts, tree_, emst_scratch_, threads_, pool_.get());
+  engine_.degree5(pts, tree_, emst_scratch_);
   return run(planned_algorithm(spec), pts, tree_, spec);
 }
 

@@ -141,9 +141,9 @@ class PlanSession {
   /// the transmission digraph; see core/validate.hpp).  Allocation-free in
   /// steady state via the session-owned CertifyScratch (grid index and CSR
   /// buffers recycled) when `threads() <= 1`; with `set_threads(t > 1)` the
-  /// digraph build shards over the session-owned pool AND the SCC pass runs
-  /// on the parallel FW–BW engine — identical certificate, parallel wall
-  /// clock.
+  /// digraph build shards over the session-owned pool — identical
+  /// certificate, parallel wall clock.  The SCC pass is serial Tarjan
+  /// either way.
   const Certificate& certify(std::span<const geom::Point> pts,
                              const ProblemSpec& spec);
 
@@ -159,14 +159,11 @@ class PlanSession {
 
   /// Session parallelism knob.  `threads <= 1` (the default) keeps the
   /// serial, zero-allocation paths; `threads > 1` spawns (or resizes) a
-  /// session-owned thread pool of that many workers, shards the
-  /// certification digraph build across it, runs the SCC pass on the
-  /// parallel FW–BW engine, and routes `orient`'s EMST stage to the
-  /// pool-parallel Borůvka engine.  The knob never changes results — the
-  /// sharded CSR is bit-identical to the serial one, the SCC partition is
-  /// a graph property, and Borůvka accepts edges under the exact total
-  /// order Kruskal sorts by, so the EMST is the unique minimum tree under
-  /// that order at every thread count (mst/boruvka.hpp).
+  /// session-owned thread pool of that many workers and shards the
+  /// certification digraph build across it.  Nothing else changes: `orient`
+  /// runs the serial EMST engine and `certify` the serial Tarjan pass at
+  /// every thread count.  The knob never changes results — the sharded CSR
+  /// is bit-identical to the serial one.
   void set_threads(int threads);
   int threads() const { return threads_; }
 
@@ -217,7 +214,7 @@ class PlanSession {
   std::vector<NodeBudget> budgets_;
   std::vector<NodeBudget> uniform_budgets_;
   HeterogeneousReport hetero_report_;
-  int threads_ = 1;  ///< certify parallelism (1 = serial, allocation-free)
+  int threads_ = 1;  ///< digraph-build shards (1 = serial, allocation-free)
   std::unique_ptr<par::ThreadPool> pool_;  ///< owned workers when threads_>1
 };
 

@@ -44,12 +44,7 @@ Certificate certify(std::span<const geom::Point> pts, const Result& res,
           ? antenna::induced_digraph_fast(pts, o, kAngleTol, kRadiusAbsTol,
                                           scratch.transmission, threads, pool)
           : antenna::induced_digraph(pts, o);
-  // threads > 1 routes the SCC pass through the parallel FW–BW engine
-  // (identical count by its determinism contract); the serial default stays
-  // Tarjan, which needs no transpose and holds the zero-allocation bar.
-  const int sccs = threads > 1 ? graph::parallel_scc_count(g, scratch.par_scc,
-                                                           threads, pool)
-                               : graph::scc_count(g, scratch.scc);
+  const int sccs = graph::scc_count(g, scratch.scc);
   if (use_fast_graph) {
     // Hand the CSR buffers back so the next certification reuses them.
     std::move(g).release(scratch.transmission.offsets,

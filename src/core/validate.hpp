@@ -12,7 +12,6 @@
 #include "core/types.hpp"
 #include "geometry/point.hpp"
 #include "graph/scc.hpp"
-#include "graph/scc_parallel.hpp"
 
 namespace dirant::par {
 class ThreadPool;
@@ -36,15 +35,12 @@ struct Certificate {
   }
 };
 
-/// Working memory for a certification: the digraph CSR buffers and the SCC
-/// decomposition — serial Tarjan scratch plus the parallel FW–BW engine's
-/// (transpose, marks, frontiers), which the `threads > 1` path uses.  Batch
-/// pipelines keep one per worker so certifying a stream of instances does
-/// zero steady-state allocation.
+/// Working memory for a certification: the digraph CSR buffers and the
+/// Tarjan scratch.  Batch pipelines keep one per worker so certifying a
+/// stream of instances does zero steady-state allocation.
 struct CertifyScratch {
   antenna::TransmissionScratch transmission;
   graph::SccScratch scc;
-  graph::ParSccScratch par_scc;
 };
 
 /// Assemble a Certificate from a result and a precomputed SCC count — the
@@ -75,10 +71,10 @@ Certificate certify(std::span<const geom::Point> pts, const Result& res,
 
 /// Scratch-reusing variant for certification loops (core::orient_batch,
 /// Monte-Carlo sweeps).  `threads > 1` selects the sharded digraph build
-/// (bit-identical to serial; see antenna/transmission.hpp) AND the parallel
-/// FW–BW SCC engine (identical count; see graph/scc_parallel.hpp), with
-/// tasks fanned out over `pool` when one is supplied.  The serial default
-/// performs zero heap allocations once `scratch` is warm.
+/// (bit-identical to serial; see antenna/transmission.hpp), with shards
+/// fanned out over `pool` when one is supplied; the SCC pass is serial
+/// Tarjan at every thread count.  The serial default performs zero heap
+/// allocations once `scratch` is warm.
 Certificate certify(std::span<const geom::Point> pts, const Result& res,
                     const ProblemSpec& spec, bool use_fast_graph,
                     CertifyScratch& scratch, int threads = 1,

@@ -30,13 +30,13 @@
 ///
 /// When every orphan re-attaches, the two trees are a constructive witness
 /// that the digraph is strongly connected — the SCC count is 1 without
-/// running Tarjan/FW–BW, and the resulting core::Certificate is
-/// bit-identical to the one the full pass would produce.  Any failure
-/// (budget, hub death, frontier too large, an orphan with no anchored
-/// parent) invalidates the cache and the caller falls back to the full SCC
-/// engine, rebuilding the trees from its answer.  Every decision is a
-/// serial function of the suspect set and the CSR rows — deterministic and
-/// thread-count independent.  All buffers recycle; a warm repair or rebuild
+/// running Tarjan, and the resulting core::Certificate is bit-identical to
+/// the one the full pass would produce.  Any failure (budget, hub death,
+/// frontier too large, an orphan with no anchored parent) invalidates the
+/// cache and the caller falls back to the full SCC pass, rebuilding the
+/// trees from its answer.  Every decision is a serial function of the
+/// suspect set and the CSR rows — deterministic and thread-count
+/// independent.  All buffers recycle; a warm repair or rebuild
 /// allocates nothing once the kid lists reach steady state.
 
 #include <span>

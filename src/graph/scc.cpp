@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/scc_internal.hpp"
+#include "common/assert.hpp"
 
 namespace dirant::graph {
 
@@ -67,18 +67,93 @@ bool is_strongly_connected(const Digraph& g, const Digraph& transpose,
 
 namespace {
 
+/// High bit marking "on the Tarjan stack" inside the packed state word.
+constexpr int kOnStack = 1 << 30;
+
+/// Iterative Tarjan over the DFS roots `roots[0, n_roots)` (a null `roots`
+/// means the identity list 0..n_roots-1), following only edges whose head
+/// `accept` admits.  Expects `scratch.state == -1` for every participating
+/// vertex (callers either assign the full array, or share one across calls
+/// on disjoint vertex sets) and `scratch.low` sized to the graph.
+/// Component ids count up from `first_id`; with kRecord each vertex's id
+/// is written to `component[v]`.  Returns the number of components found.
+/// tarjan_impl is the only caller (identity roots, every edge admitted);
+/// the constant arguments fold away at compile time.
+template <bool kRecord, typename Accept>
+int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
+                const int* roots, int n_roots, int first_id,
+                Accept&& accept) {
+  DIRANT_ASSERT(g.size() < kOnStack);  // index and on-stack bit share an int
+  auto& state = scratch.state;
+  auto& low = scratch.low;
+  auto& stack = scratch.stack;
+  auto& frames = scratch.frames;
+  stack.clear();
+  frames.clear();
+  int count = first_id;
+  int next_index = 0;
+
+  const auto push_vertex = [&](int v) {
+    state[v] = next_index | kOnStack;
+    low[v] = next_index;
+    ++next_index;
+    stack.push_back(v);
+    const auto outs = g.out(v);
+    frames.push_back({v, outs.data(), outs.data() + outs.size()});
+  };
+
+  for (int ri = 0; ri < n_roots; ++ri) {
+    const int root = roots != nullptr ? roots[ri] : ri;
+    if (state[root] != -1) continue;
+    push_vertex(root);
+    while (!frames.empty()) {
+      SccScratch::Frame& f = frames.back();
+      const int v = f.v;
+      bool descended = false;
+      const int* p = f.next;
+      const int* const e = f.end;
+      while (p != e) {
+        const int w = *p++;
+        if (!accept(w)) continue;
+        const int st = state[w];
+        if (st == -1) {
+          f.next = p;  // before push_vertex: it may reallocate frames
+          push_vertex(w);
+          descended = true;
+          break;
+        }
+        if (st & kOnStack) low[v] = std::min(low[v], st & ~kOnStack);
+      }
+      if (descended) continue;
+      if (low[v] == (state[v] & ~kOnStack)) {
+        while (true) {
+          const int w = stack.back();
+          stack.pop_back();
+          state[w] &= ~kOnStack;
+          if constexpr (kRecord) component[w] = count;
+          if (w == v) break;
+        }
+        ++count;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        const int parent = frames.back().v;
+        low[parent] = std::min(low[parent], low[v]);
+      }
+    }
+  }
+  return count - first_id;
+}
+
 /// Tarjan over the whole graph; `component` is null for count-only runs
-/// (the certification hot path skips the per-vertex label writes).  The
-/// algorithm itself lives in detail::tarjan_core (graph/scc_internal.hpp),
-/// shared with the parallel engine's masked fallback.
+/// (the certification hot path skips the per-vertex label writes).
 template <bool kRecord>
 int tarjan_impl(const Digraph& g, SccScratch& scratch, int* component) {
   const int n = g.size();
   scratch.state.assign(n, -1);
   scratch.low.resize(n);
-  return detail::tarjan_core<kRecord>(g, scratch, component,
-                                      /*roots=*/nullptr, n, /*first_id=*/0,
-                                      [](int) { return true; });
+  return tarjan_core<kRecord>(g, scratch, component, /*roots=*/nullptr, n,
+                              /*first_id=*/0, [](int) { return true; });
 }
 
 }  // namespace

@@ -75,15 +75,15 @@ void kruskal_emst(std::span<const Point> pts,
   // top 44 bits of dist2 plus a 20-bit index sort in one pass with no
   // comparator indirection.  A refinement pass then re-sorts every run of
   // entries sharing the truncated-dist2 prefix by the engine-wide exact
-  // total order (squared length, min endpoint, max endpoint — the order
-  // Borůvka reduces with, mst/boruvka.hpp), so acceptance follows that
-  // strict order exactly and the Kruskal tree is THE unique MST under it:
-  // bit-identical to the parallel Borůvka engine's, and independent of the
-  // candidate array's order.  Runs are almost always length 1; tie-heavy
-  // lattices pay a handful of tiny sorts.  Candidate sets too large for a
-  // 20-bit index (n beyond ~350k on the Delaunay path) sort (dist2, index)
-  // pairs instead and refine the equal-dist2 runs the same way — slower
-  // constants, same order, no size cliff.
+  // total order (squared length, min endpoint, max endpoint), so acceptance
+  // follows that strict order exactly and the Kruskal tree is THE unique
+  // MST under it, independent of the candidate array's order (the churn
+  // engine's pool Kruskal and local repairs rely on that; mst/repair.hpp).
+  // Runs are almost always length 1; tie-heavy lattices pay a handful of
+  // tiny sorts.  Candidate sets too large for a 20-bit index (n beyond
+  // ~350k on the Delaunay path) sort (dist2, index) pairs instead and
+  // refine the equal-dist2 runs the same way — slower constants, same
+  // order, no size cliff.
   constexpr size_t kPackedIndexBits = 20;
   scratch.uf.reset(n);
   auto& uf = scratch.uf;

@@ -15,16 +15,14 @@ const char* to_string(EngineKind k) {
       return "prim";
     case EngineKind::kDelaunayKruskal:
       return "delaunay-kruskal";
-    case EngineKind::kBoruvka:
-      return "boruvka";
   }
   return "?";
 }
 
-EngineKind EmstEngine::selected(int n, int threads) const {
+EngineKind EmstEngine::selected(int n) const {
   if (cfg_.kind != EngineKind::kAuto) return cfg_.kind;
-  if (n < cfg_.prim_cutoff) return EngineKind::kPrim;
-  return threads > 1 ? EngineKind::kBoruvka : EngineKind::kDelaunayKruskal;
+  return n < cfg_.prim_cutoff ? EngineKind::kPrim
+                              : EngineKind::kDelaunayKruskal;
 }
 
 Tree EmstEngine::emst(std::span<const geom::Point> pts) const {
@@ -35,12 +33,10 @@ Tree EmstEngine::emst(std::span<const geom::Point> pts) const {
 }
 
 void EmstEngine::emst(std::span<const geom::Point> pts, Tree& out,
-                      EmstScratch& scratch, int threads,
-                      par::ThreadPool* pool) const {
+                      EmstScratch& scratch) const {
   const int n = static_cast<int>(pts.size());
   DIRANT_ASSERT(n >= 1);
-  const EngineKind kind = selected(n, threads);
-  if (kind == EngineKind::kPrim) {
+  if (selected(n) == EngineKind::kPrim) {
     scratch.last_kind = EngineKind::kPrim;
     prim_emst(pts, out, scratch.prim);
     return;
@@ -53,17 +49,10 @@ void EmstEngine::emst(std::span<const geom::Point> pts, Tree& out,
     return;
   }
   // Duplicate-heavy or adversarial inputs can leave the candidate graph
-  // disconnected; both engines detect that and we fall back to Prim.
-  // Kruskal and Borůvka accept edges under the same strict total order, so
-  // which one runs is invisible in the output (see mst/boruvka.hpp).
+  // disconnected; Kruskal detects that and we fall back to Prim.
   try {
-    if (kind == EngineKind::kBoruvka) {
-      boruvka_emst(pts, dt_edges, out, scratch.boruvka, threads, pool);
-      scratch.last_kind = EngineKind::kBoruvka;
-    } else {
-      kruskal_emst(pts, dt_edges, out, scratch.kruskal);
-      scratch.last_kind = EngineKind::kDelaunayKruskal;
-    }
+    kruskal_emst(pts, dt_edges, out, scratch.kruskal);
+    scratch.last_kind = EngineKind::kDelaunayKruskal;
   } catch (const contract_violation&) {
     scratch.last_kind = EngineKind::kPrim;
     prim_emst(pts, out, scratch.prim);
@@ -78,9 +67,8 @@ Tree EmstEngine::degree5(std::span<const geom::Point> pts) const {
 }
 
 void EmstEngine::degree5(std::span<const geom::Point> pts, Tree& out,
-                         EmstScratch& scratch, int threads,
-                         par::ThreadPool* pool) const {
-  emst(pts, out, scratch, threads, pool);
+                         EmstScratch& scratch) const {
+  emst(pts, out, scratch);
   enforce_max_degree(pts, out, 5, scratch.repair);
 }
 

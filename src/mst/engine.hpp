@@ -21,14 +21,9 @@
 
 #include "delaunay/delaunay.hpp"
 #include "geometry/point.hpp"
-#include "mst/boruvka.hpp"
 #include "mst/degree5.hpp"
 #include "mst/emst.hpp"
 #include "mst/tree.hpp"
-
-namespace dirant::par {
-class ThreadPool;
-}
 
 namespace dirant::mst {
 
@@ -37,7 +32,6 @@ enum class EngineKind {
   kAuto,             ///< size-based selection (the default policy)
   kPrim,             ///< force O(n^2) Prim (reference engine)
   kDelaunayKruskal,  ///< force Delaunay candidates + Kruskal
-  kBoruvka,          ///< force Delaunay candidates + (parallel) Borůvka
 };
 
 const char* to_string(EngineKind k);
@@ -56,12 +50,11 @@ struct EngineConfig {
 struct EmstScratch {
   PrimScratch prim;
   KruskalScratch kruskal;
-  BoruvkaScratch boruvka;
   DegreeRepairScratch repair;
   delaunay::Triangulator triangulator;
   delaunay::Triangulation candidates;
   /// Which builder the last `EmstEngine::emst` call actually ran (kAuto
-  /// until the first call).  kDelaunayKruskal / kBoruvka certify that
+  /// until the first call).  kDelaunayKruskal certifies that
   /// `candidates.edges` holds the full Delaunay edge set of the last input —
   /// the precondition for seeding an incremental candidate pool
   /// (sim::ChurnEngine).  kPrim means the candidates are absent or stale
@@ -85,25 +78,17 @@ class EmstEngine {
   Tree degree5(std::span<const geom::Point> pts) const;
 
   /// Scratch-reusing variants: recycle `out` and every internal buffer.
-  /// Identical outputs to the plain overloads.  `threads > 1` (with a pool)
-  /// routes kAuto's large-n path to the pool-parallel Borůvka engine; the
-  /// tree is STILL bit-identical — Kruskal and Borůvka accept edges under
-  /// the same strict total order (d2, min endpoint, max endpoint), which
-  /// makes the MST unique — so the knob changes wall clock only
-  /// (PlanSession::set_threads's contract).
-  void emst(std::span<const geom::Point> pts, Tree& out, EmstScratch& scratch,
-            int threads = 1, par::ThreadPool* pool = nullptr) const;
+  /// Identical outputs to the plain overloads.
+  void emst(std::span<const geom::Point> pts, Tree& out,
+            EmstScratch& scratch) const;
   void degree5(std::span<const geom::Point> pts, Tree& out,
-               EmstScratch& scratch, int threads = 1,
-               par::ThreadPool* pool = nullptr) const;
+               EmstScratch& scratch) const;
 
   /// Longest MST edge — the universal range lower bound.  0 for n < 2.
   double lmax(std::span<const geom::Point> pts) const;
 
-  /// The engine kAuto would run for an instance of `n` points at the given
-  /// parallelism (threads > 1 swaps Kruskal for the pool-parallel Borůvka
-  /// above the Prim cutoff; identical tree by the shared total order).
-  EngineKind selected(int n, int threads = 1) const;
+  /// The engine kAuto would run for an instance of `n` points.
+  EngineKind selected(int n) const;
 
   const EngineConfig& config() const { return cfg_; }
 

@@ -4,8 +4,8 @@
 /// `run_job` installs a (function pointer, context, count) job in a single
 /// slot and the workers plus the calling thread claim indices off a shared
 /// atomic counter.  `run_indexed` is the typed front end every pooled path
-/// uses (sharded certify build, parallel SCC, Borůvka rounds, audits,
-/// core::orient_batch).
+/// uses (the sharded digraph build, the audit probe and failure-trial
+/// fan-outs, core::orient_batch).
 ///
 /// Design notes (HPC-parallel house style): explicit parallelism with plain
 /// std::thread, no detached threads, join-on-destruction (RAII), exceptions

@@ -84,14 +84,7 @@ bool AuditSession::strongly_connected() {
   return graph::is_strongly_connected(g, transpose(), reach_);
 }
 
-int AuditSession::scc_count() {
-  const auto& g = digraph();
-  if (threads_ > 1) {
-    return graph::parallel_scc_count(g, par_scc_, threads_, pool_.get(),
-                                     &transpose());
-  }
-  return graph::scc_count(g, scc_);
-}
+int AuditSession::scc_count() { return graph::scc_count(digraph(), scc_); }
 
 BroadcastResult AuditSession::flood(int source) {
   return sim::flood(digraph(), source, dist_, bfs_);

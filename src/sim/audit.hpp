@@ -2,14 +2,13 @@
 /// \file audit.hpp
 /// AuditSession — the reusable network-analysis core.  One session owns the
 /// transmission digraph, its cached transpose, and every piece of metric
-/// working memory (BFS distance buffers, SCC scratch — serial Tarjan and
-/// the parallel FW–BW engine —, deletion-probe masks, the per-trial
-/// survivor-subgraph CSR arrays), so a warm session streams the whole
-/// metric set — flooding, hop stretch, k-level strong connectivity,
-/// failure resilience, routing stats, energy — off ONE digraph build and
-/// ONE transpose with zero steady-state heap allocations (enforced by
-/// tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).  This
-/// extends to the analysis stack the discipline core::PlanSession
+/// working memory (BFS distance buffers, Tarjan scratch, deletion-probe
+/// masks, the per-trial survivor-subgraph CSR arrays), so a warm session
+/// streams the whole metric set — flooding, hop stretch, k-level strong
+/// connectivity, failure resilience, routing stats, energy — off ONE
+/// digraph build and ONE transpose with zero steady-state heap allocations
+/// (enforced by tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).
+/// This extends to the analysis stack the discipline core::PlanSession
 /// established for planning: the Monte-Carlo connectivity audits the
 /// related work treats as the primary experiment (Damian–Flatland 2010,
 /// Georgiou–Nguyen 2015) rebuild nothing per trial.
@@ -40,7 +39,6 @@
 #include "antenna/transmission.hpp"
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
-#include "graph/scc_parallel.hpp"
 #include "graph/traversal.hpp"
 #include "sim/broadcast.hpp"
 #include "sim/energy.hpp"
@@ -129,8 +127,7 @@ class AuditSession {
   /// transpose (allocation-free warm).
   bool strongly_connected();
 
-  /// SCC count: serial Tarjan, or the parallel FW–BW engine over the
-  /// session pool when `set_threads(t > 1)` — identical counts either way.
+  /// SCC count: serial Tarjan at every thread count.
   int scc_count();
 
   BroadcastResult flood(int source);
@@ -171,8 +168,8 @@ class AuditSession {
   /// Audit parallelism knob (same contract as PlanSession::set_threads):
   /// `threads <= 1` keeps every path serial and allocation-free;
   /// `threads > 1` spawns a session-owned pool, shards `load`'s digraph
-  /// build, and routes SCC passes through the parallel engine.  Results
-  /// never change — only wall clock.
+  /// build, and fans out the deletion probes and failure trials over it.
+  /// Results never change — only wall clock.
   void set_threads(int threads);
   int threads() const { return threads_; }
 
@@ -191,7 +188,6 @@ class AuditSession {
   std::vector<char> removed_;          ///< deletion mask
   graph::SccScratch scc_;              ///< serial Tarjan scratch
   graph::SccResult scc_result_;
-  graph::ParSccScratch par_scc_;       ///< parallel FW–BW scratch
   // Failure-resilience per-trial buffers (survivor subgraph CSR recycled
   // through Digraph::release) — the serial (threads <= 1) path.
   std::vector<int> remap_, sub_offsets_, sub_targets_, sizes_;

@@ -6,7 +6,6 @@
 #include "antenna/transmission.hpp"
 #include "common/assert.hpp"
 #include "common/constants.hpp"
-#include "graph/scc_parallel.hpp"
 #include "mst/emst.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -92,8 +91,7 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   dg_ = std::move(fresh);
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
-  // coverage report (parallel_scc_count would return the identical count —
-  // the partition is a graph property).
+  // coverage report.
   const int best = graph::largest_scc(dg_, cx_.scc, scc_result_, scc_sizes_);
   report_.batch = 0;
   report_.alive = alive_count_;
@@ -450,10 +448,7 @@ int ChurnEngine::certify_sccs() {
       return 1;
     }
   }
-  const int sccs =
-      threads_ > 1
-          ? graph::parallel_scc_count(dg_, cx_.par_scc, threads_, pool_.get())
-          : graph::scc_count(dg_, cx_.scc);
+  const int sccs = graph::scc_count(dg_, cx_.scc);
   if (sccs == 1) {
     recert_.rebuild(dg_, transpose_, orig_of_, comp_of_, n_orig_);
   } else {
@@ -464,8 +459,7 @@ int ChurnEngine::certify_sccs() {
 
 void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
-  if (es.last_kind == mst::EngineKind::kDelaunayKruskal ||
-      es.last_kind == mst::EngineKind::kBoruvka) {
+  if (es.last_kind == mst::EngineKind::kDelaunayKruskal) {
     pool_edges_.seed(es.candidates.edges, orig_of_);
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent

@@ -27,8 +27,7 @@
 ///     the SCC count (a graph property) and hence the certificate match
 ///     exactly.  Escalates to the sharded full rebuild when the dirty
 ///     fraction crosses `ChurnOptions::dirty_threshold`.
-///   * Certificate: the SCC count (serial Tarjan, or the parallel FW–BW
-///     engine when `set_threads(t > 1)`) plugs into
+///   * Certificate: the Tarjan SCC count plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
 ///
 /// Graceful degradation: before re-planning, each step audits the **frozen
@@ -43,8 +42,8 @@
 ///
 /// Determinism: event application, pool maintenance, escalation decisions,
 /// the dirty diff, and the frozen audit are all serial functions of the
-/// (seeded) event sequence; the thread-sensitive stages (sharded CSR build,
-/// parallel SCC) carry their own bit-identity contracts — so the whole
+/// (seeded) event sequence; the one thread-sensitive stage (the sharded CSR
+/// build) carries its own bit-identity contract — so the whole
 /// StepReport is bit-identical at every thread count, under asan and tsan.
 ///
 /// Reuse contract: construct once, `init` once, then `step` forever.  From

@@ -58,8 +58,8 @@
 ///
 /// Determinism is the contract, same as everywhere else: the event loop is
 /// serial, its heap order is a strict total order, and every thread-
-/// sensitive stage underneath (sharded digraph build, churn
-/// recertification, parallel SCC) carries its own bit-identity contract —
+/// sensitive stage underneath (the sharded digraph build, churn
+/// recertification) carries its own bit-identity contract —
 /// so the whole TrafficReport is bit-identical across repeats and at every
 /// thread count (tests/test_traffic.cpp).  Reuse contract: bind once, then
 /// `run()` forever; the second and subsequent identical runs on a warm

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -189,6 +190,7 @@ TEST(AuditParallel, FullReportParityAcrossThreadCounts) {
   for (int t : thread_counts()) {
     sim::AuditSession session;
     session.set_threads(t);
+    EXPECT_EQ(session.threads(), std::max(1, t));
     const auto rep = session.full_report(pts, res.orientation, opts);
     EXPECT_EQ(rep.strongly_connected, ref.strongly_connected);
     EXPECT_EQ(rep.scc_count, ref.scc_count);
@@ -196,7 +198,10 @@ TEST(AuditParallel, FullReportParityAcrossThreadCounts) {
     EXPECT_EQ(rep.failure.mean_largest_scc, ref.failure.mean_largest_scc);
     EXPECT_EQ(rep.failure.worst_largest_scc, ref.failure.worst_largest_scc);
     EXPECT_EQ(rep.flood.mean_rounds, ref.flood.mean_rounds);
+    EXPECT_EQ(rep.flood.min_delivery, ref.flood.min_delivery);
+    EXPECT_EQ(rep.stretch.mean_stretch, ref.stretch.mean_stretch);
     EXPECT_EQ(rep.routing.delivery_rate, ref.routing.delivery_rate);
+    EXPECT_EQ(rep.routing.mean_stretch, ref.routing.mean_stretch);
     EXPECT_EQ(rep.energy.total, ref.energy.total);
   }
 }

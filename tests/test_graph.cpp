@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 namespace graph = dirant::graph;
 
@@ -87,6 +89,155 @@ TEST(Scc, ScratchReuseAcrossSizes) {
   EXPECT_EQ(res.component.size(), 5u);
   graph::strongly_connected_components(graph::Digraph(0), scratch, res);
   EXPECT_EQ(res.count, 0);
+}
+
+/// Brute-force SCC oracle: BFS from every vertex gives the reachability
+/// matrix, and two vertices share a component iff each reaches the other.
+/// Checks Tarjan's count and labels against it — same partition, ids in
+/// [0, count), and reverse topological ids (a vertex reaching another
+/// component carries a larger id) — plus the count-only pass.  One scratch
+/// streams through every call, so stale state would leak between inputs.
+void expect_matches_reachability(const graph::Digraph& g, const char* label) {
+  static graph::SccScratch scratch;
+  const int n = g.size();
+  std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
+  for (int s = 0; s < n; ++s) {
+    std::vector<int> stack = {s};
+    reach[s][s] = 1;
+    while (!stack.empty()) {
+      const int u = stack.back();
+      stack.pop_back();
+      for (int v : g.out(u)) {
+        if (!reach[s][v]) {
+          reach[s][v] = 1;
+          stack.push_back(v);
+        }
+      }
+    }
+  }
+  int classes = 0;
+  for (int u = 0; u < n; ++u) {
+    bool first = true;  // u is the smallest vertex of its class
+    for (int v = 0; v < u && first; ++v) first = !(reach[u][v] && reach[v][u]);
+    classes += first;
+  }
+  graph::SccResult res;
+  graph::strongly_connected_components(g, scratch, res);
+  ASSERT_EQ(res.count, classes) << label;
+  ASSERT_EQ(static_cast<int>(res.component.size()), n) << label;
+  EXPECT_EQ(graph::scc_count(g, scratch), classes) << label;
+  for (int u = 0; u < n; ++u) {
+    ASSERT_GE(res.component[u], 0) << label;
+    ASSERT_LT(res.component[u], res.count) << label;
+    for (int v = 0; v < n; ++v) {
+      const bool same = reach[u][v] && reach[v][u];
+      ASSERT_EQ(res.component[u] == res.component[v], same)
+          << label << " u=" << u << " v=" << v;
+      if (reach[u][v] && !same) {
+        ASSERT_GT(res.component[u], res.component[v])
+            << label << " u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+graph::Digraph random_digraph(int n, double edge_prob, unsigned seed,
+                              bool self_loops = false) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  graph::DigraphBuilder b(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u == v && !self_loops) continue;
+      if (coin(rng) < edge_prob) b.add_edge(u, v);
+    }
+  }
+  return b.build();
+}
+
+TEST(Scc, RandomDigraphsMatchReachability) {
+  // Density sweep: sub-critical (many small SCCs), near-critical, and
+  // dense (one giant SCC).
+  for (const auto& [n, prob] : {std::pair{120, 0.005}, std::pair{120, 0.02},
+                                std::pair{90, 0.10}}) {
+    expect_matches_reachability(
+        random_digraph(n, prob, 7000 + n + static_cast<int>(prob * 1000)),
+        "random");
+  }
+}
+
+TEST(Scc, ClusteredDigraphMatchesReachability) {
+  // Four dense clusters joined by one-way bridges: medium SCCs with a
+  // non-trivial condensation.
+  const int k = 4, per = 30, n = k * per;
+  std::mt19937 rng(4100);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  graph::DigraphBuilder b(n);
+  for (int c = 0; c < k; ++c) {
+    for (int i = 0; i < per; ++i) {
+      for (int j = 0; j < per; ++j) {
+        if (i != j && coin(rng) < 0.25) b.add_edge(c * per + i, c * per + j);
+      }
+    }
+  }
+  for (int c = 0; c + 1 < k; ++c) {
+    for (int e = 0; e < 3; ++e) b.add_edge(c * per + e, (c + 1) * per + e);
+  }
+  expect_matches_reachability(b.build(), "clustered");
+}
+
+TEST(Scc, LongCycleAndChordsMatchReachability) {
+  // One 400-cycle (a single SCC, DFS depth n), then with chords that keep
+  // it one SCC.
+  const int n = 400;
+  expect_matches_reachability(cycle_digraph(n), "cycle");
+  graph::DigraphBuilder chord(n);
+  for (int i = 0; i < n; ++i) {
+    chord.add_edge(i, (i + 1) % n);
+    if (i % 7 == 0) chord.add_edge(i, (i + n / 3) % n);
+  }
+  expect_matches_reachability(chord.build(), "cycle+chords");
+}
+
+TEST(Scc, DagChainMatchesReachability) {
+  // Chain plus forward jumps: every SCC is a singleton.
+  const int n = 300;
+  graph::DigraphBuilder b(n);
+  for (int i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1);
+  for (int i = 0; i + 10 < n; i += 3) b.add_edge(i, i + 10);
+  const auto g = b.build();
+  expect_matches_reachability(g, "dag-chain");
+  EXPECT_EQ(graph::strongly_connected_components(g).count, n);
+}
+
+TEST(Scc, DisconnectedAndIsolatedMatchReachability) {
+  // Three disjoint cycles of different sizes plus 38 isolated vertices.
+  const int n = 100;
+  graph::DigraphBuilder b(n);
+  int base = 0;
+  for (const int len : {5, 17, 40}) {
+    for (int i = 0; i < len; ++i) b.add_edge(base + i, base + (i + 1) % len);
+    base += len;
+  }
+  const auto g = b.build();
+  expect_matches_reachability(g, "disconnected");
+  EXPECT_EQ(graph::strongly_connected_components(g).count, 3 + (n - base));
+}
+
+TEST(Scc, SelfLoopsMatchReachability) {
+  // Self-loops never merge components; mix them into a sparse random graph.
+  expect_matches_reachability(random_digraph(80, 0.01, 991,
+                                             /*self_loops=*/true),
+                              "self-loops");
+}
+
+TEST(Scc, DegenerateSizesMatchReachability) {
+  expect_matches_reachability(graph::Digraph(0), "empty");
+  expect_matches_reachability(graph::Digraph(1), "single");
+  graph::DigraphBuilder two(2);
+  two.add_edge(0, 1);
+  two.add_edge(1, 0);
+  expect_matches_reachability(two.build(), "two-cycle");
 }
 
 TEST(Traversal, BfsDistances) {

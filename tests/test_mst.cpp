@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "geometry/generators.hpp"
@@ -71,8 +74,10 @@ INSTANTIATE_TEST_SUITE_P(
 // --- EmstEngine property tests ---------------------------------------------
 // The facade must agree with the Prim reference on total weight and lmax
 // over every instance family it can meet in production: random, clustered,
-// collinear, and duplicate-heavy inputs (the last two exercise the
-// degenerate-input fallbacks).
+// collinear, duplicate-heavy and fully doubled inputs (the collinear and
+// duplicate families exercise the degenerate-input fallbacks), and the
+// tie-heavy triangular and square lattices, where every edge length repeats
+// many times.
 
 class EngineEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -87,6 +92,22 @@ std::vector<geom::Point> equivalence_instance(int family, int n,
       return geom::gaussian_clusters(n, 5, 12.0, 0.4, rng);
     case 2:
       return geom::collinear_points(n, 0.5, 0.0, rng);
+    case 4:
+    case 5: {
+      // Tie-heavy lattices, truncated to n points.
+      const int side = static_cast<int>(std::ceil(std::sqrt(n)));
+      auto pts = family == 4 ? geom::triangular_lattice(side, side, 1.0)
+                             : geom::grid_points(side, side, 1.0, 0.0, rng);
+      pts.resize(n);
+      return pts;
+    }
+    case 6: {
+      // Every point exactly twice: a zero-length tie per point.
+      auto pts = geom::uniform_square((n + 1) / 2, 8.0, rng);
+      pts.insert(pts.end(), pts.begin(), pts.end());
+      pts.resize(n);
+      return pts;
+    }
     default: {
       // Duplicate-heavy: half the points are exact copies of earlier ones.
       auto pts = geom::uniform_square((n + 1) / 2, 8.0, rng);
@@ -97,6 +118,16 @@ std::vector<geom::Point> equivalence_instance(int family, int n,
       return pts;
     }
   }
+}
+
+/// Canonical edge set: exact identity, not just matching weights.
+std::vector<std::pair<int, int>> edge_key(const mst::Tree& t) {
+  std::vector<std::pair<int, int>> k;
+  for (const auto& e : t.edges) {
+    k.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
+  }
+  std::sort(k.begin(), k.end());
+  return k;
 }
 
 void expect_tree_equivalent(const std::vector<geom::Point>& pts,
@@ -119,7 +150,19 @@ TEST_P(EngineEquivalence, MatchesPrimOnAllFamilies) {
     const auto reference = mst::prim_emst(pts);
     // Forced Delaunay+Kruskal (with its internal degenerate fallbacks).
     const mst::EmstEngine dk({mst::EngineKind::kDelaunayKruskal});
-    expect_tree_equivalent(pts, reference, dk.emst(pts), "delaunay-kruskal");
+    mst::Tree dk_tree;
+    mst::EmstScratch dk_scratch;
+    dk.emst(pts, dk_tree, dk_scratch);
+    expect_tree_equivalent(pts, reference, dk_tree, "delaunay-kruskal");
+    if (dk_scratch.last_kind == mst::EngineKind::kDelaunayKruskal) {
+      // Kruskal accepts edges under the strict (d2, min, max) order, so its
+      // tree is THE unique MST under that order: over the Delaunay
+      // candidates it must be the same edge set as over the complete graph,
+      // ties and zero-length duplicates included.
+      EXPECT_EQ(edge_key(dk_tree),
+                edge_key(mst::kruskal_emst(pts, complete_graph_edges(n))))
+          << "n=" << n;
+    }
     // The auto policy, whatever it selects at this size.
     expect_tree_equivalent(pts, reference, mst::EmstEngine::shared().emst(pts),
                            "auto");
@@ -129,14 +172,15 @@ TEST_P(EngineEquivalence, MatchesPrimOnAllFamilies) {
 
 namespace {
 std::string equivalence_family_name(const ::testing::TestParamInfo<int>& info) {
-  static constexpr const char* kNames[4] = {"random", "clustered", "collinear",
-                                            "duplicates"};
+  static constexpr const char* kNames[7] = {
+      "random",  "clustered", "collinear", "duplicates",
+      "lattice", "grid",      "doubled"};
   return kNames[info.param];
 }
 }  // namespace
 
 INSTANTIATE_TEST_SUITE_P(Families, EngineEquivalence,
-                         ::testing::Values(0, 1, 2, 3),
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6),
                          equivalence_family_name);
 
 TEST(EmstEngine, SelectionPolicy) {

@@ -1,6 +1,6 @@
 #pragma once
 // Shared thread-count sweep for the concurrency suites (sharded digraph
-// build, parallel SCC).  The fixed 1/2/4/8 ladder plus whatever
+// build, audits, batch, churn).  The fixed 1/2/4/8 ladder plus whatever
 // DIRANT_TEST_THREADS adds — scripts/check.sh sets 4 so the sanitizer
 // variants (asan/tsan) shake the pooled paths with real workers.  One
 // definition so the sweep protocol cannot drift between suites.
