@@ -47,6 +47,10 @@ CTEST_EXTRA=("$@")
 # races (not just memory errors) surface too.  All variants promote the
 # library's -Wall -Wextra diagnostics to errors (DIRANT_WERROR).
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
+# The benchmark's own gate: every perfbench workload at tiny n (op gates,
+# digest repeat, traced layer coverage).  It builds into .bench_build/.
+echo "==== perfbench smoke ===="
+python3 perfbench/smoke_test.py
 DIRANT_TEST_THREADS=4 \
 run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_WERROR=ON \

@@ -68,6 +68,19 @@ class Orientation {
     ++total_antennas_;
   }
 
+  /// Prefetch hints for a caller that adds to sensors in a scattered but
+  /// known order: `prefetch_bucket(u)` pulls sensor u's bucket headers and,
+  /// once those have arrived, `prefetch_storage(u)` pulls the sector storage
+  /// they point to.  Hints only; contents are unaffected.
+  void prefetch_bucket(int u) const {
+    __builtin_prefetch(&at_[u]);
+    __builtin_prefetch(&dirs_[u]);
+  }
+  void prefetch_storage(int u) const {
+    __builtin_prefetch(at_[u].data(), 1);
+    __builtin_prefetch(dirs_[u].data(), 1);
+  }
+
   const std::vector<geom::Sector>& antennas(int u) const { return at_[u]; }
 
   /// Boundary directions parallel to `antennas(u)` (same indexing).

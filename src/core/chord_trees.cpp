@@ -59,12 +59,19 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
   scratch.rooted.rebuild(tree, root);
   const auto& rt = scratch.rooted;
 
-  auto& kids = scratch.kids;
-  for (int u : rt.preorder) {
-    // Children in ccw order by absolute angle (cyclic; reference irrelevant).
-    mst::children_ccw_from(pts, rt, u, 0.0, kids);
-    const int m = static_cast<int>(kids.size());
+  for (int u : rt.order) {  // top-down: a parent before its children
+    // Children in ccw order by absolute angle (cyclic; reference irrelevant);
+    // their angles serve u's beams below.
+    const auto children = rt.children(u);
+    const int m = static_cast<int>(children.size());
     if (m == 0) continue;
+    SmallVec<int, 5> kids;
+    SmallVec<double, 5> angle, off;
+    kids.resize(m);
+    angle.resize(m);
+    off.resize(m);
+    mst::sort_ccw(pts, u, 0.0, children, kids.data(), angle.data(),
+                  off.data());
     res.cases.bump("deg" + std::to_string(m + (rt.parent[u] >= 0 ? 1 : 0)) +
                    (rt.parent[u] >= 0 ? "" : "-root"));
 
@@ -107,7 +114,8 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
       const int pred = (i + m - 1) % m;
       const bool receives_chord = chord_source[pred] == 1 && m >= 2;
       if (!receives_chord) {
-        res.orientation.add(u, geom::beam_to(pts[u], pts[kids[i]]));
+        res.orientation.add(
+            u, {pts[u], angle[i], 0.0, geom::dist(pts[u], pts[kids[i]])});
         ++beams;
       }
     }

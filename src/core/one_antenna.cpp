@@ -49,36 +49,38 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
   const auto& rt = scratch.rooted;
 
   const int root = rt.root;
-  const int first = rt.children[root][0];
+  const int first = rt.children(root)[0];
   res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
   res.cases.bump("root");
 
   auto& work = scratch.work;
   work.clear();
   work.emplace_back(first, pts[root]);
-  auto& kids = scratch.kids;
   while (!work.empty()) {
     const auto [u, target] = work.back();
     work.pop_back();
+    // One atan2 per ray: `ref` (which rejects a target coincident with u)
+    // and the sort's child angles are reused by every sector below.
     const double ref = geom::angle_to(pts[u], target);
-    mst::children_ccw_from(pts, rt, u, ref, kids);
-    const int m = static_cast<int>(kids.size());
+    const auto children = rt.children(u);
+    const int m = static_cast<int>(children.size());
 
     if (m == 0) {
-      res.orientation.add(u, geom::beam_to(pts[u], target));
+      res.orientation.add(u, {pts[u], ref, 0.0, geom::dist(pts[u], target)});
       res.cases.bump("leaf");
       continue;
     }
 
-    // Ray offsets from the target ray (target at 0, children in (0, 2pi]).
-    // Degree-bounded: every per-node buffer below is stack-inline.
+    // Children ccw from the target ray, with their absolute angles and
+    // offsets (target at 0, children in (0, 2pi]).  Degree-bounded: every
+    // per-node buffer below is stack-inline.
+    SmallVec<int, 5> kids;
     SmallVec<double, 5> off, abs_angle;
-    for (int i = 0; i < m; ++i) {
-      abs_angle.push_back(geom::angle_to(pts[u], pts[kids[i]]));
-      double d = geom::ccw_delta(ref, abs_angle[i]);
-      if (d == 0.0) d = kTwoPi;
-      off.push_back(d);
-    }
+    kids.resize(m);
+    abs_angle.resize(m);
+    off.resize(m);
+    mst::sort_ccw(pts, u, ref, children, kids.data(), abs_angle.data(),
+                  off.data());
 
     // Try the full cover first: one sector spanning all rays (complement of
     // the largest gap).

@@ -25,6 +25,10 @@
 ///     kBidirCycle — NP-hard machinery with its own DP tables), the Yao
 ///     grid baseline and degenerate-input fallbacks may still allocate.
 ///
+/// Degenerate input: the Theorem 3 regimes (k = 2) need distinct positions.
+/// Exact duplicates make `orient` throw dirant::contract_violation (a beam
+/// or ccw sort at a coincident point); the session stays usable afterwards.
+///
 /// The free functions core::orient / core::orient_on_tree (planner.hpp)
 /// remain the one-shot front door; they run over a thread-local session and
 /// copy the result out.
@@ -59,12 +63,13 @@ struct OrientWarmDelta;
 /// every orienter's `*_into` variant takes one of these and must not
 /// allocate once the buffers are warm.
 struct OrienterScratch {
-  mst::RootedTree rooted;                         ///< rooted traversal view
-  std::vector<int> kids;                          ///< ccw child buffer
+  mst::RootedTree rooted;                         ///< flat BFS rooted view
   std::vector<std::pair<int, geom::Point>> work;  ///< (vertex, target) stack
   std::vector<std::vector<int>> adjacency;        ///< tree neighbour lists
   std::vector<int> degrees;                       ///< per-vertex degrees
   std::vector<geom::Point> targets;               ///< per-node cover targets
+  std::vector<geom::Point> order_pts;  ///< points gathered into BFS order
+  std::vector<int> order_parent;       ///< parent position per BFS position
   std::vector<geom::Sector> cover;                ///< lemma1_cover output
   std::vector<int> parent_hint;  ///< warm orienter's per-vertex parent view
   Lemma1Scratch lemma1;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <string>
 
 #include "common/assert.hpp"
 #include "common/constants.hpp"
@@ -34,21 +33,19 @@ class NodePlanner {
   NodePlanner(std::span<const Point> pts, double phi, double R)
       : pts_(pts), phi_(phi), R_(R) {}
 
-  void init(int u, const Point& target, std::span<const int> kids_ccw) {
+  /// Plan vertex `u` towards `target`; `kids` are its children in tree
+  /// edge order.  The ccw sort caches each ray's angle and offset, so every
+  /// later use of a ray reads its single atan2.
+  void init(int u, const Point& target, std::span<const int> kids) {
     u_ = u;
     target_ = target;
-    kids_.clear();
-    for (int v : kids_ccw) kids_.push_back(v);
-    const int m = kids_.size();
     ref_ = geom::angle_to(pts_[u_], target_);
-    order_off_.resize(m);
+    const int m = static_cast<int>(kids.size());
+    kids_.resize(m);
     abs_angle_.resize(m);
-    for (int i = 0; i < m; ++i) {
-      abs_angle_[i] = geom::angle_to(pts_[u_], pts_[kids_[i]]);
-      double d = geom::ccw_delta(ref_, abs_angle_[i]);
-      if (d == 0.0) d = kTwoPi;  // collinear with the target ray sorts last
-      order_off_[i] = d;
-    }
+    order_off_.resize(m);
+    mst::sort_ccw(pts_, u_, ref_, kids, kids_.data(), abs_angle_.data(),
+                  order_off_.data());
   }
 
   int child_count() const { return kids_.size(); }
@@ -91,7 +88,7 @@ class NodePlanner {
   }
 
   /// Verify the staged plan; on success fill antennas/child_targets/label.
-  bool commit(std::string label) {
+  bool commit(const char* label) {
     const int m = child_count();
     if (arcs_.size() + beams_.size() > 2) return false;
 
@@ -149,14 +146,15 @@ class NodePlanner {
       antennas.push_back(geom::make_arc(pts_[u_], start, width, radius));
     }
     for (int b : beams_) {
-      antennas.push_back(geom::beam_to(pts_[u_], point_of(b)));
+      DIRANT_ASSERT_MSG(!(pts_[u_] == point_of(b)), "beam at coincident point");
+      antennas.push_back({pts_[u_], abs_angle(b), 0.0, dist_to(b)});
     }
     child_targets.clear();
     for (int i = 0; i < m; ++i) child_targets.push_back(pts_[u_]);
     for (const auto& [coverer, covee] : delegations_) {
       child_targets[coverer] = point_of(covee);
     }
-    this->label = std::move(label);
+    this->label = label;
     return true;
   }
 
@@ -179,7 +177,7 @@ class NodePlanner {
   // included (the adaptive probe loop fires it on every failed probe).
   SmallVec<Sector, 4> antennas;
   SmallVec<Point, 5> child_targets;
-  std::string label;  // labels are <= 15 chars (SSO)
+  const char* label = nullptr;  // a string literal
 
  private:
   std::span<const Point> pts_;
@@ -334,10 +332,10 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
   const int m = pl.child_count();
   const double phi = ctx.phi;
 
-  auto try_plan = [&](auto&& stage, std::string label) {
+  auto try_plan = [&](auto&& stage, const char* label) {
     pl.reset();
     stage();
-    return pl.commit(std::move(label));
+    return pl.commit(label);
   };
 
   if (m == 0) {
@@ -444,9 +442,8 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
     // falls inside the sector [c4 -> c1] that contains the target ray.
     const int parent = ctx.parent_of[u];
     DIRANT_ASSERT_MSG(parent >= 0, "degree-5 vertex cannot be the leaf root");
-    const double th_par =
-        geom::ccw_delta(geom::angle_to(ctx.pts[u], pl.point_of(-1)),
-                        geom::angle_to(ctx.pts[u], ctx.pts[parent]));
+    const double th_par = geom::ccw_delta(
+        pl.abs_angle(-1), geom::angle_to(ctx.pts[u], ctx.pts[parent]));
     const bool in_a =
         th_par >= pl.off(3) - kTol || th_par <= pl.off(0) + kTol;
 
@@ -562,7 +559,6 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
             pl.arc(3, -1);
           }
         };
-        const char* suffix = mirrored ? "~" : "";
         if (fb4 >= phi / 2.0 - kTol) {  // case 2(a)
           if (try_plan(
                   [&] {
@@ -571,7 +567,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                     pl.delegate(real(0), real(1));
                     pl.delegate(real(3), real(2));
                   },
-                  std::string("deg5-A2a") + suffix)) {
+                  mirrored ? "deg5-A2a~" : "deg5-A2a")) {
             return true;
           }
         }
@@ -589,7 +585,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                     }
                     pl.delegate(real(1), real(0));
                   },
-                  std::string("deg5-A2bi") + suffix)) {
+                  mirrored ? "deg5-A2bi~" : "deg5-A2bi")) {
             return true;
           }
         }
@@ -601,7 +597,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                   pl.delegate(real(0), real(1));
                   pl.delegate(real(3), real(2));
                 },
-                std::string("deg5-A2bii") + suffix)) {
+                mirrored ? "deg5-A2bii~" : "deg5-A2bii")) {
           return true;
         }
       }
@@ -645,31 +641,50 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
                 kRadiusAbsTol;
   scratch.rooted.rebuild_at_leaf(tree);
   const auto& rt = scratch.rooted;
-  Ctx ctx{pts,        rt.parent, phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
+
+  // The sweep runs in BFS positions: position i is vertex rt.order[i], its
+  // children are one contiguous block of positions, and its parent's plan
+  // has already written its target.  Points and parent positions are
+  // gathered into that order once, so the sweep streams.
+  auto& at = scratch.order_pts;
+  auto& parent_pos = scratch.order_parent;
+  auto& targets = scratch.targets;
+  at.resize(n);
+  parent_pos.resize(n);
+  targets.resize(n);
+  for (int i = 0; i < n; ++i) at[i] = pts[rt.order[i]];
+  parent_pos[0] = -1;
+  for (int i = 0; i < n; ++i) {
+    for (int c = rt.first_child[i]; c < rt.first_child[i + 1]; ++c) {
+      parent_pos[c] = i;
+    }
+  }
+  Ctx ctx{at, parent_pos, phi, R, phi >= kPi, &res.orientation, &res.cases};
 
   // Root (a leaf): one beam to its only child; the child covers the root.
-  const int root = rt.root;
-  DIRANT_ASSERT(rt.children[root].size() == 1);
-  const int first = rt.children[root][0];
-  res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
+  DIRANT_ASSERT(rt.first_child[1] == 2);
+  res.orientation.add(rt.root, geom::beam_to(at[0], at[1]));
   res.cases.bump("root");
+  targets[1] = at[0];
 
-  auto& work = scratch.work;
-  work.clear();
-  work.emplace_back(first, pts[root]);
-  NodePlanner pl(pts, phi, R);
-  auto& kids = scratch.kids;  // ccw child buffer, reused across vertices
-  while (!work.empty()) {
-    const auto [u, target] = work.back();
-    work.pop_back();
-    mst::children_ccw_from(pts, rt, u, geom::angle_to(pts[u], target), kids);
-    pl.init(u, target, {kids.data(), kids.size()});
-    if (!plan_vertex(ctx, pl, u)) return false;
+  // Sectors land at scattered sensor ids, so each one's output bucket is
+  // prefetched a few positions ahead: headers first, then their storage.
+  constexpr int kAhead = 16;
+  auto& out = res.orientation;
+  NodePlanner pl(at, phi, R);
+  int kids[5];
+  for (int i = 1; i < n; ++i) {
+    if (i + 2 * kAhead < n) out.prefetch_bucket(rt.order[i + 2 * kAhead]);
+    if (i + kAhead < n) out.prefetch_storage(rt.order[i + kAhead]);
+    const int first = rt.first_child[i];
+    const int m = rt.first_child[i + 1] - first;
+    for (int j = 0; j < m; ++j) kids[j] = first + j;
+    pl.init(i, targets[i], {kids, static_cast<size_t>(m)});
+    if (!plan_vertex(ctx, pl, i)) return false;
     res.cases.bump(pl.label);
-    for (const auto& s : pl.antennas) res.orientation.add(u, s);
-    for (int slot = 0; slot < pl.child_count(); ++slot) {
-      work.emplace_back(pl.kid(slot), pl.child_targets[slot]);
+    for (const auto& s : pl.antennas) out.add(rt.order[i], s);
+    for (int slot = 0; slot < m; ++slot) {
+      targets[pl.kid(slot)] = pl.child_targets[slot];
     }
   }
   res.measured_radius = res.orientation.max_radius();
@@ -732,14 +747,14 @@ void orient_two_antennae_incremental(
           &res.cases};
 
   const int root = rt.root;
-  DIRANT_ASSERT(rt.children[root].size() == 1);
+  DIRANT_ASSERT(rt.children(root).size() == 1);
   const int root_orig = orig_of[root];
   // Every plan depends on (phi, R) and the traversal depends on the rooting,
   // so a change in any global gate dirties every record at once.
   const bool all_dirty = !mem.valid || mem.phi != phi || mem.radius != R ||
                          mem.root_orig != root_orig;
 
-  const int first = rt.children[root][0];
+  const int first = rt.children(root)[0];
   res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
   res.cases.bump("root");
   mem.planned.push_back(root);  // re-emitted every run, so always checkable
@@ -758,7 +773,6 @@ void orient_two_antennae_incremental(
   work.clear();
   work.emplace_back(first, pts[root]);
   NodePlanner pl(pts, phi, R);
-  auto& kids = scratch.kids;
   while (!work.empty()) {
     const auto [u, target] = work.back();
     work.pop_back();
@@ -772,9 +786,9 @@ void orient_two_antennae_incremental(
                  orig_of[rt.parent[u]] == nm.parent &&
                  !changed_pos[nm.parent] && nm.target.x == target.x &&
                  nm.target.y == target.y &&
-                 static_cast<int>(rt.children[u].size()) == nm.nkids;
+                 static_cast<int>(rt.children(u).size()) == nm.nkids;
     if (clean) {
-      for (int c : rt.children[u]) {
+      for (int c : rt.children(u)) {
         const int co = orig_of[c];
         bool known = !changed_pos[co];
         if (known) {
@@ -803,8 +817,7 @@ void orient_two_antennae_incremental(
       }
       continue;
     }
-    mst::children_ccw_from(pts, rt, u, geom::angle_to(pts[u], target), kids);
-    pl.init(u, target, {kids.data(), kids.size()});
+    pl.init(u, target, rt.children(u));
     const bool ok = plan_vertex(ctx, pl, u);
     DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
     res.cases.bump(pl.label);
@@ -1087,11 +1100,10 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     work.pop_back();
     Node& nm = nodes[u];
     const int m = nm.nkids;
-    // Reproduce the fresh ccw child order: adjacency lists list incident
-    // edges in the tree's canonical (d2, min, max) edge order (compact ids
-    // are a monotone relabeling of original ids, so the key compares
-    // identically in either space), and children_ccw_from then sorts them
-    // stably by ccw offset with collinear-with-target last.
+    // Reproduce the fresh child order: adjacency lists list incident edges
+    // in the tree's canonical (d2, min, max) edge order (compact ids are a
+    // monotone relabeling of original ids, so the key compares identically
+    // in either space), and the planner's stable ccw sort does the rest.
     for (int i = 0; i < m; ++i) {
       const int k = nm.kids[i];
       const double dk = geom::dist2(pos[u], pos[k]);
@@ -1109,23 +1121,6 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
         --j;
       }
       kid_buf[j] = k;
-    }
-    {
-      const double ref = geom::angle_to(pos[u], target);
-      double offs[5];
-      for (int i = 0; i < m; ++i) {
-        const int k = kid_buf[i];
-        double d = geom::ccw_delta(ref, geom::angle_to(pos[u], pos[k]));
-        if (d == 0.0) d = kTwoPi;  // on the target ray: sorts last
-        int j = i;
-        while (j > 0 && offs[j - 1] > d) {
-          kid_buf[j] = kid_buf[j - 1];
-          offs[j] = offs[j - 1];
-          --j;
-        }
-        kid_buf[j] = k;
-        offs[j] = d;
-      }
     }
     ph[u] = nm.parent;
     pl.init(u, target, {kid_buf, static_cast<size_t>(m)});

@@ -1,111 +1,91 @@
 #include "mst/rooted.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
+#include "common/constants.hpp"
 #include "geometry/angle.hpp"
 
 namespace dirant::mst {
 
-void RootedTree::rebuild(const Tree& t, int root) {
-  DIRANT_ASSERT(root >= 0 && root < t.n);
-  this->root = root;
-  parent.assign(t.n, -2);
-  children.resize(t.n);
-  for (auto& list : children) {
-    list.clear();
-    if (list.capacity() < 6) list.reserve(6);
+void RootedTree::build_adjacency(const Tree& t) {
+  // Counting sort by endpoint: each vertex's neighbours in edge order.
+  const int n = t.n;
+  adj_off_.assign(n + 1, 0);
+  for (const auto& e : t.edges) {
+    ++adj_off_[e.u + 1];
+    ++adj_off_[e.v + 1];
   }
-  preorder.clear();
-  preorder.reserve(t.n);
+  for (int v = 0; v < n; ++v) adj_off_[v + 1] += adj_off_[v];
+  adj_.resize(adj_off_[n]);
+  auto& cursor = pos_of;  // refilled by bfs()
+  cursor.assign(adj_off_.begin(), adj_off_.end() - 1);
+  for (const auto& e : t.edges) {
+    adj_[cursor[e.u]++] = e.v;
+    adj_[cursor[e.v]++] = e.u;
+  }
+}
 
-  t.adjacency_into(adj_scratch_);
-  auto& stack = stack_scratch_;
-  stack.clear();
-  stack.push_back(root);
+void RootedTree::bfs(int n, int root) {
+  DIRANT_ASSERT(root >= 0 && root < n);
+  this->root = root;
+  parent.assign(n, -2);
+  order.resize(n);
+  first_child.resize(n + 1);
+  order[0] = root;
   parent[root] = -1;
-  while (!stack.empty()) {
-    const int u = stack.back();
-    stack.pop_back();
-    preorder.push_back(u);
-    for (int v : adj_scratch_[u]) {
+  int tail = 1;
+  for (int i = 0; i < tail; ++i) {
+    const int u = order[i];
+    first_child[i] = tail;
+    for (int k = adj_off_[u]; k < adj_off_[u + 1]; ++k) {
+      const int v = adj_[k];
       if (parent[v] == -2) {
         parent[v] = u;
-        children[u].push_back(v);
-        stack.push_back(v);
+        order[tail++] = v;
       }
     }
   }
-  DIRANT_ASSERT_MSG(static_cast<int>(preorder.size()) == t.n,
-                    "tree is not connected");
+  DIRANT_ASSERT_MSG(tail == n, "tree is not connected");
+  first_child[n] = n;
+  pos_of.resize(n);
+  for (int i = 0; i < n; ++i) pos_of[order[i]] = i;
+}
+
+void RootedTree::rebuild(const Tree& t, int root) {
+  build_adjacency(t);
+  bfs(t.n, root);
 }
 
 void RootedTree::rebuild_at_leaf(const Tree& t) {
   DIRANT_ASSERT(t.n >= 1);
-  if (t.n == 1) {
-    rebuild(t, 0);
-    return;
-  }
-  // Allocation-free leaf pick: degree counts go through the stack scratch.
-  auto& deg = stack_scratch_;
-  deg.assign(t.n, 0);
-  for (const auto& e : t.edges) {
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  int leaf = -1;
+  build_adjacency(t);
+  int leaf = t.n == 1 ? 0 : -1;
   for (int v = 0; v < t.n && leaf < 0; ++v) {
-    if (deg[v] == 1) leaf = v;
+    if (adj_off_[v + 1] - adj_off_[v] == 1) leaf = v;
   }
   DIRANT_ASSERT_MSG(leaf >= 0, "tree without a leaf");
-  rebuild(t, leaf);
+  bfs(t.n, leaf);
 }
 
-RootedTree RootedTree::rooted_at(const Tree& t, int root) {
-  RootedTree rt;
-  rt.rebuild(t, root);
-  return rt;
-}
-
-RootedTree RootedTree::rooted_at_leaf(const Tree& t) {
-  return rooted_at(t, pick_leaf(t));
-}
-
-void children_ccw_from(std::span<const geom::Point> pts, const RootedTree& rt,
-                       int u, double ref_theta, std::vector<int>& out) {
-  out.clear();
-  // Stable insertion sort by ccw offset: child lists of degree-bounded
-  // trees are tiny and this allocates nothing (beyond `out`'s capacity).
-  constexpr size_t kSmall = 8;
-  double small_offs[kSmall];
-  std::vector<double> big_offs;
-  double* offs = small_offs;
-  if (rt.children[u].size() > kSmall) {  // unbounded-degree caller
-    big_offs.resize(rt.children[u].size());
-    offs = big_offs.data();
-  }
-  for (int v : rt.children[u]) {
+void sort_ccw(std::span<const geom::Point> pts, int u, double ref_theta,
+              std::span<const int> kids, int* out, double* angle,
+              double* off) {
+  // Stable insertion sort: child lists of degree-bounded trees are tiny.
+  for (int i = 0; i < static_cast<int>(kids.size()); ++i) {
+    const int v = kids[i];
     const double th = geom::angle_to(pts[u], pts[v]);
     double d = geom::ccw_delta(ref_theta, th);
-    if (d == 0.0) d = dirant::kTwoPi;  // a child exactly on the ray goes last
-    int i = static_cast<int>(out.size());
-    out.push_back(v);
-    while (i > 0 && offs[i - 1] > d) {
-      out[i] = out[i - 1];
-      offs[i] = offs[i - 1];
-      --i;
+    if (d == 0.0) d = kTwoPi;  // a child exactly on the ray goes last
+    int j = i;
+    while (j > 0 && off[j - 1] > d) {
+      out[j] = out[j - 1];
+      angle[j] = angle[j - 1];
+      off[j] = off[j - 1];
+      --j;
     }
-    out[i] = v;
-    offs[i] = d;
+    out[j] = v;
+    angle[j] = th;
+    off[j] = d;
   }
-}
-
-std::vector<int> children_ccw_from(std::span<const geom::Point> pts,
-                                   const RootedTree& rt, int u,
-                                   double ref_theta) {
-  std::vector<int> out;
-  children_ccw_from(pts, rt, u, ref_theta, out);
-  return out;
 }
 
 }  // namespace dirant::mst

@@ -86,15 +86,4 @@ void Tree::validate(std::span<const geom::Point> pts) const {
   DIRANT_ASSERT_MSG(n == 0 || uf.components() == 1, "tree not connected");
 }
 
-int pick_leaf(const Tree& t) {
-  DIRANT_ASSERT(t.n >= 1);
-  if (t.n == 1) return 0;
-  const auto deg = t.degrees();
-  for (int v = 0; v < t.n; ++v) {
-    if (deg[v] == 1) return v;
-  }
-  DIRANT_ASSERT_MSG(false, "tree without a leaf");
-  return -1;
-}
-
 }  // namespace dirant::mst

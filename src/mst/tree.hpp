@@ -51,9 +51,4 @@ struct Tree {
   void validate(std::span<const geom::Point> pts) const;
 };
 
-/// First vertex of degree 1 (every tree with n >= 2 has one).  The paper
-/// roots its induction at a leaf ("A degree-one vertex is arbitrarily chosen
-/// to be the root", §1.2).
-int pick_leaf(const Tree& t);
-
 }  // namespace dirant::mst

@@ -271,20 +271,57 @@ TEST(RootedTree, ParentChildConsistency) {
   geom::Rng rng(1);
   const auto pts = geom::uniform_square(50, 7.0, rng);
   const auto t = mst::prim_emst(pts);
-  const auto rt = mst::RootedTree::rooted_at_leaf(t);
+  mst::RootedTree rt;
+  rt.rebuild_at_leaf(t);
   EXPECT_EQ(rt.parent[rt.root], -1);
-  EXPECT_EQ(static_cast<int>(rt.preorder.size()), t.n);
-  EXPECT_EQ(rt.preorder.front(), rt.root);
+  ASSERT_EQ(static_cast<int>(rt.order.size()), t.n);
+  EXPECT_EQ(rt.order.front(), rt.root);
   int child_count = 0;
   for (int u = 0; u < t.n; ++u) {
-    for (int c : rt.children[u]) {
+    for (int c : rt.children(u)) {
       EXPECT_EQ(rt.parent[c], u);
       ++child_count;
     }
   }
   EXPECT_EQ(child_count, t.n - 1);
-  // Root is a leaf.
-  EXPECT_EQ(t.degrees()[rt.root], 1);
+  // Root is the first leaf.
+  const auto deg = t.degrees();
+  EXPECT_EQ(deg[rt.root], 1);
+  for (int v = 0; v < rt.root; ++v) EXPECT_NE(deg[v], 1);
+}
+
+TEST(RootedTree, BfsBlocksFollowEdgeOrder) {
+  // Over every family: `order` is a BFS numbering whose child blocks are
+  // contiguous, `pos_of` inverts it, parents agree with the blocks, and
+  // each block lists the vertex's neighbours in edge order minus its parent.
+  for (const auto dist : geom::kAllDistributions) {
+    geom::Rng rng(7);
+    const auto pts = geom::make_instance(dist, 300, rng);
+    const auto t = mst::degree5_emst(pts);
+    mst::RootedTree rt;
+    rt.rebuild(t, t.n / 2);
+    const auto adj = t.adjacency();
+    ASSERT_EQ(static_cast<int>(rt.first_child.size()), t.n + 1);
+    EXPECT_EQ(rt.order[0], rt.root);
+    EXPECT_EQ(rt.first_child[0], 1);
+    EXPECT_EQ(rt.first_child[t.n], t.n);
+    for (int i = 0; i < t.n; ++i) {
+      const int u = rt.order[i];
+      EXPECT_EQ(rt.pos_of[u], i) << to_string(dist);
+      EXPECT_LE(rt.first_child[i], rt.first_child[i + 1]);
+      std::vector<int> expect;
+      for (int v : adj[u]) {
+        if (v != rt.parent[u]) expect.push_back(v);
+      }
+      const auto kids = rt.children(u);
+      EXPECT_EQ(std::vector<int>(kids.begin(), kids.end()), expect)
+          << to_string(dist) << " vertex " << u;
+      for (int c = rt.first_child[i]; c < rt.first_child[i + 1]; ++c) {
+        EXPECT_GT(c, i);  // children sit after their parent
+        EXPECT_EQ(rt.parent[rt.order[c]], u);
+      }
+    }
+  }
 }
 
 TEST(RootedTree, ChildrenCcwOrderFromReference) {
@@ -293,18 +330,41 @@ TEST(RootedTree, ChildrenCcwOrderFromReference) {
       {0, 0}, {1, 1}, {-1, 1}, {-1, -1}, {1, -1}, {10, 0}};
   mst::Tree t;
   t.n = 6;
-  for (int v = 1; v <= 4; ++v) {
+  for (int v : {3, 1, 4, 2}) {
     t.edges.push_back({0, v, geom::dist(pts[0], pts[v])});
   }
   t.edges.push_back({0, 5, 10.0});
-  const auto rt = mst::RootedTree::rooted_at(t, 5);
+  mst::RootedTree rt;
+  rt.rebuild(t, 5);
   // Children of 0 ordered ccw starting from the ray towards vertex 5 (+x).
-  const auto kids = mst::children_ccw_from(pts, rt, 0, 0.0);
-  ASSERT_EQ(kids.size(), 4u);
+  const auto children = rt.children(0);
+  ASSERT_EQ(children.size(), 4u);
+  int kids[4];
+  double angle[4], off[4];
+  mst::sort_ccw(pts, 0, 0.0, children, kids, angle, off);
   EXPECT_EQ(kids[0], 1);  // 45 deg
   EXPECT_EQ(kids[1], 2);  // 135 deg
   EXPECT_EQ(kids[2], 3);  // 225 deg
   EXPECT_EQ(kids[3], 4);  // 315 deg
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(angle[i], (2 * i + 1) * kPi / 4.0);
+    EXPECT_EQ(off[i], angle[i]);
+  }
+}
+
+TEST(RootedTree, CcwSortIsStableAndPutsTheReferenceRayLast) {
+  // Two children on one ray keep their input order; a child exactly on the
+  // reference ray sorts last with offset 2*pi.
+  const std::vector<geom::Point> pts = {{0, 0}, {2, 0}, {0, 1}, {0, 2}};
+  const int in[3] = {1, 3, 2};
+  int kids[3];
+  double angle[3], off[3];
+  mst::sort_ccw(pts, 0, 0.0, in, kids, angle, off);
+  EXPECT_EQ(kids[0], 3);
+  EXPECT_EQ(kids[1], 2);
+  EXPECT_EQ(kids[2], 1);
+  EXPECT_EQ(off[2], dirant::kTwoPi);
+  EXPECT_EQ(angle[2], 0.0);
 }
 
 // --- Fact 1 / Fact 2 (Figure 2) -------------------------------------------

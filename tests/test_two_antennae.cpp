@@ -9,6 +9,7 @@
 
 #include "antenna/transmission.hpp"
 #include "common/constants.hpp"
+#include "core/session.hpp"
 #include "core/two_antennae.hpp"
 #include "core/validate.hpp"
 #include "geometry/generators.hpp"
@@ -188,6 +189,30 @@ TEST(Theorem3, TransmissionGraphFastEqualsBrute) {
 TEST(Theorem3, RequiresPhiAtLeastTwoThirdsPi) {
   EXPECT_THROW(core::theorem3_bound_factor(0.5 * kPi),
                dirant::contract_violation);
+}
+
+// The Theorem 3 regimes need distinct positions: a beam or a ccw sort at a
+// point coincident with its target has no direction.  Exact duplicates are
+// a structured contract violation (never an abort or a hang), at both parts
+// of the theorem and on a session that has planned before.
+TEST(Theorem3, DuplicatePositionsAreAContractViolation) {
+  const std::vector<geom::Point> pair = {{0.0, 0.0}, {0.0, 0.0}};
+  const std::vector<geom::Point> two_pairs = {{0.0, 0.0}, {0.0, 0.0},
+                                              {1.0, 0.0}, {2.0, 1.0},
+                                              {2.0, 1.0}, {0.0, 3.0}};
+  geom::Rng rng(3);
+  const auto clean = geom::uniform_square(200, 10.0, rng);
+  for (const double phi : {kPi, 5.0 * kPi / 6.0}) {
+    core::PlanSession session;
+    session.orient(clean, {2, phi});
+    EXPECT_TRUE(session.certify(clean, {2, phi}).ok());
+    EXPECT_THROW(session.orient(pair, {2, phi}), dirant::contract_violation);
+    EXPECT_THROW(session.orient(two_pairs, {2, phi}),
+                 dirant::contract_violation);
+    // The session stays usable after the throw.
+    session.orient(clean, {2, phi});
+    EXPECT_TRUE(session.certify(clean, {2, phi}).ok());
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // sector [c4 -> c1] around the target ray — only reachable when the target
 // is a *delegated sibling*), and part 2's case 2(b)(i) (two-arc split).
 // Each fixture builds the exact tree from the proof's figures and asserts
-// the intended case label fires and the result certifies.
+// the intended case label fires, the result certifies, and the sweep is
+// bit-identical to the DFS oracle (orient_oracle.hpp).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,13 @@
 #include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "mst/tree.hpp"
+#include "orient_oracle.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
 using dirant::kPi;
 using dirant::kTwoPi;
+using dirant::testing::expect_matches_dfs_oracle;
 
 namespace {
 
@@ -92,6 +95,7 @@ TEST(Theorem3Cases, Degree5CaseBDelegateFires) {
   EXPECT_EQ(res.cases.fallback_plans, 0);
   EXPECT_GE(count_with_prefix(res.cases, "deg5-B"), 1)
       << "case B never fired";
+  expect_matches_dfs_oracle(pts, tree, phi, "case B");
   const auto cert = core::certify(pts, res, {2, phi});
   EXPECT_TRUE(cert.strongly_connected);
   EXPECT_TRUE(cert.spread_within_budget);
@@ -142,6 +146,7 @@ TEST(Theorem3Cases, Degree5CaseA2biFires) {
                 res.cases.counts.count("deg5-A2bi~"),
             1u)
       << "case 2(b)(i) never fired";
+  expect_matches_dfs_oracle(pts, tree, phi, "case 2(b)(i)");
   const auto cert = core::certify(pts, res, {2, phi});
   EXPECT_TRUE(cert.strongly_connected);
   EXPECT_TRUE(cert.spread_within_budget);
@@ -178,6 +183,8 @@ TEST(Theorem3Cases, Degree5CaseA2BothFramesCertify) {
     EXPECT_EQ(res.cases.fallback_plans, 0) << "mirror=" << mirror;
     EXPECT_GE(count_with_prefix(res.cases, "deg5-A2"), 1)
         << "mirror=" << mirror << ": case 2 never fired";
+    expect_matches_dfs_oracle(pts, tree, phi,
+                              mirror ? "case 2 mirrored" : "case 2");
     const auto cert = core::certify(pts, res, {2, phi});
     EXPECT_TRUE(cert.ok()) << "mirror=" << mirror;
   }
