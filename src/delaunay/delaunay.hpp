@@ -8,8 +8,11 @@
 /// Robustness: in-circle and orientation tests go through geometry/exact.hpp
 /// (double filter, then float128).  A large finite super-triangle hosts the
 /// construction; ties (cocircular points) resolve arbitrarily but
-/// deterministically.  For adversarially degenerate inputs the EMST driver
-/// cross-checks connectivity and falls back to Prim.
+/// deterministically, by insertion order — the choice among cocircular
+/// diagonals is not part of the contract, while the EMST drawn from the
+/// edges is (every MST edge under the strict (d2, min, max) order is in
+/// every Delaunay triangulation).  For adversarially degenerate inputs the
+/// EMST driver cross-checks connectivity and falls back to Prim.
 
 #include <array>
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/radix_sort.hpp"
 #include "geometry/point.hpp"
 
 namespace dirant::delaunay {
@@ -28,12 +32,28 @@ struct Triangulation {
   std::vector<std::pair<int, int>> edges;  ///< u < v, unique, unordered list
 };
 
-/// Reusable Bowyer–Watson builder.  All working memory (point copy, triangle
-/// soup, cavity marks/stacks, insertion order) lives on the object and keeps
-/// its capacity across calls, so a warm Triangulator triangulating inputs of
-/// stable size allocates nothing — the property core::PlanSession builds on.
-/// The duplicate-merge fallback (exact duplicate points in the input) is the
-/// one path that still allocates; it only runs on degenerate inputs.
+/// Reusable Bowyer–Watson builder.
+///
+/// Insertion order is a biased randomized insertion order (BRIO): a fixed
+/// hash of each input index assigns it a round (about half the points land
+/// in the last round, a quarter in the one before, ...), and each round is
+/// swept along a Hilbert curve, so the walking point location starts next
+/// to its target while the rounds keep the growing triangulation well
+/// shaped.  The points are copied once, in that order, so every later access
+/// is local; the output maps back to input ids.
+///
+/// The triangle soup holds no dead triangles: an insertion's fan (always two
+/// triangles more than the cavity it replaces) overwrites the cavity's slots
+/// and appends two, so n points make 2n + 1 slots, super-triangle ones
+/// included.
+///
+/// All working memory (the renumbered points, the soup, cavity marks and
+/// stacks, the per-vertex fan-linkage slots, the sort buffers) lives on the
+/// object and keeps its capacity across calls, so a warm Triangulator
+/// triangulating inputs of stable size allocates nothing — the property
+/// core::PlanSession builds on.  The duplicate-merge fallback (exact
+/// duplicate points in the input) is the one path that still allocates; it
+/// only runs on degenerate inputs.
 class Triangulator {
  public:
   /// Triangulate `pts` into `out`, recycling `out`'s vectors.  Semantics are
@@ -44,28 +64,34 @@ class Triangulator {
   struct Tri {
     std::array<int, 3> v;   // ccw vertices
     std::array<int, 3> nb;  // nb[i]: triangle across the edge opposite v[i]
-    bool alive = true;
   };
   struct BEdge {
     int a, b, outside;
   };
 
-  bool run();  // build over pts_; false on unhandled degeneracy
+  // Build over the input points named by orig_ and reorder orig_ (and
+  // pts_) into insertion order; false on unhandled degeneracy.
+  bool run(std::span<const geom::Point> pts);
   void emit(Triangulation& out) const;  // append real triangles + edges
-  int num_real() const { return static_cast<int>(pts_.size()) - 3; }
-  void make_super_triangle();
+  int num_real() const { return static_cast<int>(orig_.size()); }
   bool in_circumcircle(int ti, const geom::Point& q) const;
   int locate(const geom::Point& p) const;
   bool insert(int pi);
 
-  std::vector<geom::Point> pts_;
+  std::vector<geom::Point> pts_;  // insertion order, then the 3 super corners
+  std::vector<int> orig_;         // pts_[i] is input point orig_[i]
   std::vector<Tri> tris_;
   std::vector<std::uint64_t> order_;
+  RadixScratch radix_;
   std::vector<std::uint32_t> cavity_mark_;
   std::uint32_t epoch_ = 0;
-  std::vector<int> cavity_, stack_, created_;
+  std::vector<int> cavity_, stack_;
+  // Fan linkage: the new triangle whose boundary edge starts / ends at a
+  // vertex.  Every slot a fan reads was written by that same fan, so they
+  // are never cleared.
+  std::vector<int> start_at_, end_at_;
   std::vector<BEdge> boundary_;
-  int last_ = -1;
+  int last_ = 0;
 };
 
 /// Delaunay triangulation of `pts`.  Exact duplicates are merged; every

@@ -8,6 +8,13 @@
 namespace dirant::geom {
 
 double norm_angle(double a) {
+  // |a| < 2*pi: fmod is the identity there, so skip it; the results below
+  // are bit-identical to the general path (including -0.0 -> -0.0).
+  if (a >= 0.0 && a < kTwoPi) return a;
+  if (a < 0.0 && a > -kTwoPi) {
+    a += kTwoPi;
+    return a >= kTwoPi ? 0.0 : a;
+  }
   a = std::fmod(a, kTwoPi);
   if (a < 0.0) a += kTwoPi;
   if (a >= kTwoPi) a = 0.0;  // fmod rounding can land exactly on 2*pi

@@ -45,9 +45,9 @@ int expansion_sign(const std::vector<double>& e) {
   return 0;
 }
 
-// Error-bound constant for the orient2d filter (Shewchuk).
-const double kCcwErrBound = (3.0 + 16.0 * 2.220446049250313e-16) *
-                            2.220446049250313e-16;
+}  // namespace
+
+namespace detail {
 
 int orient2d_exact(const Point& a, const Point& b, const Point& c) {
   // det = ax*by - ax*cy - ay*bx + ay*cx + bx*cy - by*cx, computed exactly.
@@ -64,57 +64,8 @@ int orient2d_exact(const Point& a, const Point& b, const Point& c) {
   return expansion_sign(e);
 }
 
-}  // namespace
-
-double orient2d_value(const Point& a, const Point& b, const Point& c) {
-  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-}
-
-int orient2d_sign(const Point& a, const Point& b, const Point& c) {
-  const double detleft = (a.x - c.x) * (b.y - c.y);
-  const double detright = (a.y - c.y) * (b.x - c.x);
-  const double det = detleft - detright;
-
-  double detsum;
-  if (detleft > 0.0) {
-    if (detright <= 0.0) return det > 0.0 ? +1 : (det < 0.0 ? -1 : 0);
-    detsum = detleft + detright;
-  } else if (detleft < 0.0) {
-    if (detright >= 0.0) return det > 0.0 ? +1 : (det < 0.0 ? -1 : 0);
-    detsum = -detleft - detright;
-  } else {
-    return det > 0.0 ? +1 : (det < 0.0 ? -1 : 0);
-  }
-  if (std::abs(det) >= kCcwErrBound * detsum) {
-    return det > 0.0 ? +1 : -1;
-  }
-  return orient2d_exact(a, b, c);
-}
-
-int incircle_sign(const Point& pa, const Point& pb, const Point& pc,
-                  const Point& pd) {
-  const double adx = pa.x - pd.x, ady = pa.y - pd.y;
-  const double bdx = pb.x - pd.x, bdy = pb.y - pd.y;
-  const double cdx = pc.x - pd.x, cdy = pc.y - pd.y;
-
-  const double bdxcdy = bdx * cdy, cdxbdy = cdx * bdy;
-  const double alift = adx * adx + ady * ady;
-  const double cdxady = cdx * ady, adxcdy = adx * cdy;
-  const double blift = bdx * bdx + bdy * bdy;
-  const double adxbdy = adx * bdy, bdxady = bdx * ady;
-  const double clift = cdx * cdx + cdy * cdy;
-
-  const double det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) +
-                     clift * (adxbdy - bdxady);
-
-  const double permanent = (std::abs(bdxcdy) + std::abs(cdxbdy)) * alift +
-                           (std::abs(cdxady) + std::abs(adxcdy)) * blift +
-                           (std::abs(adxbdy) + std::abs(bdxady)) * clift;
-  const double errbound =
-      (10.0 + 96.0 * 2.220446049250313e-16) * 2.220446049250313e-16 *
-      permanent;
-  if (std::abs(det) > errbound) return det > 0.0 ? +1 : -1;
-
+int incircle_exact(const Point& pa, const Point& pb, const Point& pc,
+                   const Point& pd) {
   // float128 stage on raw coordinates: subtraction of doubles and the
   // subsequent degree-4 products are exact at 113-bit precision for the
   // coordinate ranges this library generates.
@@ -140,6 +91,12 @@ int incircle_sign(const Point& pa, const Point& pb, const Point& pc,
   const f128 Err = Perm * (f128)1.9259299443872359e-34 * 16;
   if (AbsDet > Err) return Det > 0 ? +1 : -1;
   return 0;  // cocircular at 113-bit precision: treat as degenerate.
+}
+
+}  // namespace detail
+
+double orient2d_value(const Point& a, const Point& b, const Point& c) {
+  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
 }
 
 bool point_in_triangle(const Point& p, const Point& a, const Point& b,

@@ -1,12 +1,14 @@
 #include "mst/emst.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/radix_sort.hpp"
 #include "mst/engine.hpp"
 
 namespace dirant::mst {
@@ -72,98 +74,63 @@ void kruskal_emst(std::span<const Point> pts,
 
   // Sort candidate indices by squared length packed into flat uint64s:
   // non-negative doubles order identically to their bit patterns, so the
-  // top 44 bits of dist2 plus a 20-bit index sort in one pass with no
-  // comparator indirection.  A refinement pass then re-sorts every run of
-  // entries sharing the truncated-dist2 prefix by the engine-wide exact
-  // total order (squared length, min endpoint, max endpoint), so acceptance
-  // follows that strict order exactly and the Kruskal tree is THE unique
-  // MST under it, independent of the candidate array's order (the churn
-  // engine's pool Kruskal and local repairs rely on that; mst/repair.hpp).
-  // Runs are almost always length 1; tie-heavy lattices pay a handful of
-  // tiny sorts.  Candidate sets too large for a 20-bit index (n beyond
-  // ~350k on the Delaunay path) sort (dist2, index) pairs instead and
-  // refine the equal-dist2 runs the same way — slower constants, same
-  // order, no size cliff.
-  constexpr size_t kPackedIndexBits = 20;
+  // top bits of dist2 above an index field sort in a few radix passes with
+  // no comparator indirection.  The index field is just wide enough for the
+  // candidate count (at least 20 bits, leaving a 44-bit dist2 prefix).  A
+  // refinement pass then re-sorts every run of entries sharing the
+  // truncated-dist2 prefix by the engine-wide exact total order (squared
+  // length, min endpoint, max endpoint), so acceptance follows that strict
+  // order exactly and the Kruskal tree is THE unique MST under it,
+  // independent of the candidate array's order and of the index width (the
+  // churn engine's pool Kruskal and local repairs rely on that;
+  // mst/repair.hpp).  Runs are almost always length 1; tie-heavy lattices
+  // pay a handful of tiny sorts.
+  const size_t m = candidates.size();
+  const int index_bits =
+      std::max(20, m < 2 ? 0 : static_cast<int>(std::bit_width(m - 1)));
+  const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
   scratch.uf.reset(n);
   auto& uf = scratch.uf;
-  const auto accept = [&](int u, int v) {
+  // Exact (d2, min, max) comparison of two candidate indices.
+  const auto exact_less = [&](std::uint64_t a, std::uint64_t b) {
+    const auto& [a1, a2] = candidates[a];
+    const auto& [b1, b2] = candidates[b];
+    const double da = geom::dist2(pts[a1], pts[a2]);
+    const double db = geom::dist2(pts[b1], pts[b2]);
+    if (da != db) return da < db;
+    const int ua = std::min(a1, a2), ub = std::min(b1, b2);
+    if (ua != ub) return ua < ub;
+    return std::max(a1, a2) < std::max(b1, b2);
+  };
+  auto& order = scratch.order;
+  order.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    const double d2 =
+        geom::dist2(pts[candidates[i].first], pts[candidates[i].second]);
+    std::uint64_t bits;
+    std::memcpy(&bits, &d2, sizeof bits);
+    order[i] = (bits & ~index_mask) | i;
+  }
+  radix_sort(order, index_bits, scratch.radix);
+  for (size_t lo = 0; lo < m;) {
+    size_t hi = lo + 1;
+    while (hi < m && (order[hi] & ~index_mask) == (order[lo] & ~index_mask)) {
+      ++hi;
+    }
+    if (hi - lo > 1) {
+      std::sort(order.begin() + static_cast<long>(lo),
+                order.begin() + static_cast<long>(hi),
+                [&](std::uint64_t a, std::uint64_t b) {
+                  return exact_less(a & index_mask, b & index_mask);
+                });
+    }
+    lo = hi;
+  }
+  for (const std::uint64_t packed : order) {
+    const auto& [u, v] = candidates[packed & index_mask];
     if (uf.unite(u, v)) {
       out.edges.push_back({u, v, geom::dist(pts[u], pts[v])});
-      return static_cast<int>(out.edges.size()) == n - 1;
-    }
-    return false;
-  };
-  // Exact (d2, min, max) comparison of two candidate indices.
-  const auto exact_less = [&](std::uint32_t a, std::uint32_t b) {
-    const double da = geom::dist2(pts[candidates[a].first],
-                                  pts[candidates[a].second]);
-    const double db = geom::dist2(pts[candidates[b].first],
-                                  pts[candidates[b].second]);
-    if (da != db) return da < db;
-    const int ua = std::min(candidates[a].first, candidates[a].second);
-    const int ub = std::min(candidates[b].first, candidates[b].second);
-    if (ua != ub) return ua < ub;
-    return std::max(candidates[a].first, candidates[a].second) <
-           std::max(candidates[b].first, candidates[b].second);
-  };
-  if (candidates.size() < (1ull << kPackedIndexBits)) {
-    auto& order = scratch.order;
-    order.resize(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const double d2 =
-          geom::dist2(pts[candidates[i].first], pts[candidates[i].second]);
-      std::uint64_t bits;
-      std::memcpy(&bits, &d2, sizeof bits);
-      order[i] = (bits & ~((1ull << kPackedIndexBits) - 1)) | i;
-    }
-    std::sort(order.begin(), order.end());
-    constexpr std::uint64_t kIdxMask = (1ull << kPackedIndexBits) - 1;
-    for (size_t lo = 0; lo < order.size();) {
-      size_t hi = lo + 1;
-      while (hi < order.size() && (order[hi] & ~kIdxMask) ==
-                                      (order[lo] & ~kIdxMask)) {
-        ++hi;
-      }
-      if (hi - lo > 1) {
-        std::sort(order.begin() + static_cast<long>(lo),
-                  order.begin() + static_cast<long>(hi),
-                  [&](std::uint64_t a, std::uint64_t b) {
-                    return exact_less(
-                        static_cast<std::uint32_t>(a & kIdxMask),
-                        static_cast<std::uint32_t>(b & kIdxMask));
-                  });
-      }
-      lo = hi;
-    }
-    for (const std::uint64_t packed : order) {
-      const auto& [u, v] = candidates[packed & kIdxMask];
-      if (accept(u, v)) break;
-    }
-  } else {
-    auto& order = scratch.order_big;
-    order.resize(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      order[i] = {geom::dist2(pts[candidates[i].first],
-                              pts[candidates[i].second]),
-                  static_cast<std::uint32_t>(i)};
-    }
-    std::sort(order.begin(), order.end());
-    for (size_t lo = 0; lo < order.size();) {
-      size_t hi = lo + 1;
-      while (hi < order.size() && order[hi].first == order[lo].first) ++hi;
-      if (hi - lo > 1) {
-        std::sort(order.begin() + static_cast<long>(lo),
-                  order.begin() + static_cast<long>(hi),
-                  [&](const auto& a, const auto& b) {
-                    return exact_less(a.second, b.second);
-                  });
-      }
-      lo = hi;
-    }
-    for (const auto& [d2, i] : order) {
-      const auto& [u, v] = candidates[i];
-      if (accept(u, v)) break;
+      if (static_cast<int>(out.edges.size()) == n - 1) break;
     }
   }
   DIRANT_ASSERT_MSG(static_cast<int>(out.edges.size()) == n - 1,

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/radix_sort.hpp"
 #include "geometry/point.hpp"
 #include "graph/union_find.hpp"
 #include "mst/tree.hpp"
@@ -30,10 +31,11 @@ struct PrimScratch {
   std::vector<char> in_tree;
 };
 
-/// Working memory for `kruskal_emst` (sort keys + the union-find forest).
+/// Working memory for `kruskal_emst` (sort keys, the radix sort's buffers
+/// and the union-find forest).
 struct KruskalScratch {
   std::vector<std::uint64_t> order;
-  std::vector<std::pair<double, std::uint32_t>> order_big;
+  RadixScratch radix;
   graph::UnionFind uf;
 };
 

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "geometry/angle.hpp"
@@ -27,6 +31,31 @@ TEST(Angle, NormalizeRange) {
     const double n = geom::norm_angle(a);
     EXPECT_GE(n, 0.0);
     EXPECT_LT(n, kTwoPi);
+  }
+}
+
+TEST(Angle, NormalizeIsBitIdenticalToTheFmodPath) {
+  // The fast path for |a| < 2*pi must return exactly what the general fmod
+  // path returns, bit for bit (signed zeros included).
+  const auto reference = [](double a) {
+    a = std::fmod(a, kTwoPi);
+    if (a < 0.0) a += kTwoPi;
+    if (a >= kTwoPi) a = 0.0;
+    return a;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<double> inputs = {0.0, -0.0, -1e-300, 1e-300};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double edge : {0.0, kTwoPi, -kTwoPi}) {
+    inputs.push_back(edge);
+    inputs.push_back(std::nextafter(edge, kInf));
+    inputs.push_back(std::nextafter(edge, -kInf));
+  }
+  std::mt19937_64 rng(2718);
+  std::uniform_real_distribution<double> angle(-4.0 * kTwoPi, 4.0 * kTwoPi);
+  for (int i = 0; i < 1000000; ++i) inputs.push_back(angle(rng));
+  for (const double a : inputs) {
+    ASSERT_EQ(bits(geom::norm_angle(a)), bits(reference(a))) << a;
   }
 }
 

@@ -5,11 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/constants.hpp"
+#include "delaunay/delaunay.hpp"
+#include "geometry/point.hpp"
+#include "graph/union_find.hpp"
 #include "geometry/generators.hpp"
 #include "mst/degree5.hpp"
 #include "mst/emst.hpp"
@@ -203,6 +208,51 @@ TEST(EmstEngine, Degree5MatchesSharedPath) {
   EXPECT_LE(viaEngine.max_degree(), 5);
   EXPECT_NEAR(viaEngine.total_weight(), viaHelper.total_weight(), 1e-12);
   EXPECT_NEAR(viaEngine.lmax(), viaHelper.lmax(), 1e-12);
+}
+
+TEST(Kruskal, WideIndexMatchesAReferenceSort) {
+  // ~1.2M Delaunay candidates: more than a 20-bit index holds, so the
+  // packed keys widen the index field and shorten the dist2 prefix.  The
+  // refinement of equal-prefix runs must still yield exactly the edges, in
+  // exactly the order, of a plain Kruskal over a comparison sort by
+  // (d2, min, max) — with the candidates in triangulation order and
+  // shuffled.
+  const int n = 400000;
+  geom::Rng rng(400);
+  const auto pts = geom::uniform_square(n, std::sqrt(n), rng);
+  auto candidates = dirant::delaunay::triangulate(pts).edges;
+  ASSERT_GT(candidates.size(), size_t{1} << 20);
+  mst::KruskalScratch scratch;
+  mst::Tree tree;
+  for (const bool shuffled : {false, true}) {
+    if (shuffled) std::shuffle(candidates.begin(), candidates.end(), rng);
+    std::vector<int> order(candidates.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<double> d2(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      d2[i] = geom::dist2(pts[candidates[i].first], pts[candidates[i].second]);
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      if (d2[a] != d2[b]) return d2[a] < d2[b];
+      const auto [a1, a2] = candidates[a];
+      const auto [b1, b2] = candidates[b];
+      if (std::min(a1, a2) != std::min(b1, b2)) {
+        return std::min(a1, a2) < std::min(b1, b2);
+      }
+      return std::max(a1, a2) < std::max(b1, b2);
+    });
+    dirant::graph::UnionFind uf(n);
+    std::vector<std::pair<int, int>> expected;
+    for (const int i : order) {
+      if (uf.unite(candidates[i].first, candidates[i].second)) {
+        expected.push_back(candidates[i]);
+      }
+    }
+    mst::kruskal_emst(pts, candidates, tree, scratch);
+    std::vector<std::pair<int, int>> got;
+    for (const auto& e : tree.edges) got.emplace_back(e.u, e.v);
+    EXPECT_EQ(got, expected) << (shuffled ? "shuffled" : "triangulation order");
+  }
 }
 
 TEST(Emst, SinglePointAndPair) {

@@ -23,7 +23,9 @@
 #include "core/registry.hpp"
 #include "core/session.hpp"
 #include "core/two_antennae.hpp"
+#include "delaunay/delaunay.hpp"
 #include "geometry/generators.hpp"
+#include "mst/emst.hpp"
 #include "mst/repair.hpp"
 #include "sim/audit.hpp"
 #include "sim/churn.hpp"
@@ -211,6 +213,35 @@ TEST(SessionAllocation, WarmPooledAuditSweepIsAllocationFree) {
   EXPECT_EQ(level, warm_level);
   EXPECT_EQ(fail.mean_largest_scc, warm_fail.mean_largest_scc);
   EXPECT_EQ(fail.worst_largest_scc, warm_fail.worst_largest_scc);
+}
+
+TEST(SessionAllocation, WarmEmstFrontEndIsAllocationFree) {
+  // The EMST front end on its own: a warm Triangulator (renumbered points,
+  // triangle soup, linkage slots, radix buffers) and a warm KruskalScratch
+  // rebuild the same n = 5k instance with zero heap work.
+  geom::Rng rng(5000);
+  const auto pts =
+      geom::make_instance(geom::Distribution::kUniformSquare, 5000, rng);
+  dirant::delaunay::Triangulator triangulator;
+  dirant::delaunay::Triangulation dt;
+  dirant::mst::KruskalScratch scratch;
+  dirant::mst::Tree tree;
+  triangulator.triangulate(pts, dt);
+  dirant::mst::kruskal_emst(pts, dt.edges, tree, scratch);
+  const auto warm_edges = dt.edges;
+  const auto warm_tree = tree.edges;
+
+  const long long allocs = count_allocations([&] {
+    triangulator.triangulate(pts, dt);
+    dirant::mst::kruskal_emst(pts, dt.edges, tree, scratch);
+  });
+  EXPECT_EQ(allocs, 0) << "warm triangulate + kruskal allocated";
+  EXPECT_EQ(dt.edges, warm_edges);
+  ASSERT_EQ(tree.edges.size(), warm_tree.size());
+  for (size_t i = 0; i < warm_tree.size(); ++i) {
+    EXPECT_EQ(tree.edges[i].u, warm_tree[i].u);
+    EXPECT_EQ(tree.edges[i].v, warm_tree[i].v);
+  }
 }
 
 TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
