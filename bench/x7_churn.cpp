@@ -9,16 +9,18 @@
 //
 // Writes the "churn" section of BENCH_scaling.json: two rows per n
 // (sustained ~1% attrition, and a small-batch workload with a handful of
-// failures regardless of n — the sub-linear regime) with the sustained
-// updates/sec of both paths, their ratio, the incremental hit rate
-// (fraction of batches that stayed on both incremental paths — the pool
-// degrades under churn and escalation is part of the design, so the hit
-// rate is the honest context for the speedup), the localized hit rate
-// (batches that stayed on the whole sub-linear ladder: localized MST
-// repair + warm frontier orienter), p50/p99 per-batch latency, and the
-// mean affected-region size of the localized repairs.  Every row carries
-// hw_threads so numbers from a throttled 1-core box are never mistaken
-// for the real trajectory.
+// failures regardless of n — the sub-linear regime), plus one mixed row
+// at n=10k with the traffic benchmark's fail/recover/move batches (the
+// escalating regime).  Each row has the sustained updates/sec of both
+// paths, their ratio, the incremental hit rate (fraction of batches that
+// stayed on both incremental paths — the pool degrades under churn and
+// escalation is part of the design, so the hit rate is the honest context
+// for the speedup), the localized hit rate (batches that stayed on the
+// whole sub-linear ladder: localized MST repair + warm frontier orienter),
+// p50/p99 per-batch latency, the mean affected-region size of the
+// localized repairs, the row-patch rate, and the escalation rate with its
+// most frequent reason.  Every row carries hw_threads so numbers from a
+// throttled 1-core box are never mistaken for the real trajectory.
 //
 // Smoke mode (DIRANT_BENCH_SMOKE=1): tiny n / few batches so the
 // bench_smoke_x7_churn ctest entry keeps this binary from bit-rotting;
@@ -31,6 +33,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -51,7 +54,8 @@ namespace {
 using dirant::bench::time_ms;
 
 struct ChurnRow {
-  const char* workload = "attrition";  ///< "attrition" | "small_batch"
+  /// "attrition" | "small_batch" | "traffic_mix"
+  const char* workload = "attrition";
   int n = 0;
   double events_per_batch = 0.0;      ///< mean applied events per batch
   double updates_per_sec = 0.0;       ///< incremental engine
@@ -67,6 +71,18 @@ struct ChurnRow {
   /// Mean affected-region size over the localized batches (nodes the
   /// repair touched) — the "region" the sub-linear cost model bills to.
   double mean_mst_region = 0.0;
+  /// Fraction of batches whose digraph was row-patched (vs rebuilt).
+  double incremental_digraph_rate = 0.0;
+  double escalation_rate = 0.0;  ///< batches that re-planned in full
+  const char* escalation = "none";  ///< the most frequent escalation reason
+};
+
+/// One batch's event mix, drawn by ChurnEngine::poisson_schedule.
+struct Mix {
+  double fail_rate = 0.0;
+  double recover_rate = 0.0;
+  double move_rate = 0.0;
+  double move_radius = 0.0;
 };
 
 /// Nearest-rank percentile over a scratch copy (q in [0, 1]).
@@ -122,11 +138,13 @@ DIRANT_REPORT(x7) {
   const core::ProblemSpec spec{2, kPi};
   std::printf(
       "workload    n        ev/batch   inc-upd/s   full-upd/s  speedup  "
-      "inc    local  p50-ms   p99-ms   region  (threads=%d, hw=%u)\n",
+      "inc    local  p50-ms   p99-ms   region  patch  esc   reason  "
+      "(threads=%d, hw=%u)\n",
       threads, hw_threads);
   std::printf(
       "--------------------------------------------------------------------"
-      "--------------------------------------------------------\n");
+      "--------------------------------------------------------------------"
+      "--------\n");
 
   std::vector<ChurnRow> rows;
   // Two workloads per n:
@@ -139,7 +157,7 @@ DIRANT_REPORT(x7) {
   //     locality contract promises stays flat-ish as n grows).
   const auto run_row = [&](const char* workload, int n,
                            const std::vector<geom::Point>& pts,
-                           double fail_rate) {
+                           const Mix& mix) {
     sim::ChurnEngine inc;
     sim::ChurnEngine full;
     sim::ChurnOptions full_opts;
@@ -151,20 +169,16 @@ DIRANT_REPORT(x7) {
 
     double inc_ms = 0.0, full_ms = 0.0;
     long long applied = 0;
-    int incremental_batches = 0, localized_batches = 0;
+    int incremental_batches = 0, localized_batches = 0, patched = 0;
     long long region_sum = 0;
+    std::vector<std::pair<const char*, int>> reasons;  ///< static strings
     std::vector<double> batch_ms;
     batch_ms.reserve(batches);
     std::vector<sim::ChurnEvent> events;
     for (int b = 1; b <= batches; ++b) {
       events.clear();
-      // Fails only: a recover adds a star of ~alive candidate edges to the
-      // pool (O(1) to insert, written out when a rung reads the pool), so
-      // recover/move-heavy batches trip the size guard and escalate to the
-      // full re-plan by design (and would make this row measure escalation
-      // overhead, not incremental throughput; the hit-rate columns keep it
-      // honest).
-      inc.poisson_schedule(4242, b, fail_rate, 0.0, 0.0, 0.0, events);
+      inc.poisson_schedule(4242, b, mix.fail_rate, mix.recover_rate,
+                           mix.move_rate, mix.move_radius, events);
       const double step_ms = time_ms([&] {
         const auto& rep = inc.step(events);
         benchmark::DoNotOptimize(rep.certificate.scc_count);
@@ -187,6 +201,19 @@ DIRANT_REPORT(x7) {
         ++localized_batches;
         region_sum += rep.mst_region;
       }
+      patched += rep.incremental_digraph;
+      if (rep.escalation != nullptr) {
+        auto it = std::find_if(reasons.begin(), reasons.end(),
+                               [&](const auto& r) {
+                                 return std::strcmp(r.first,
+                                                    rep.escalation) == 0;
+                               });
+        if (it == reasons.end()) {
+          reasons.emplace_back(rep.escalation, 1);
+        } else {
+          ++it->second;
+        }
+      }
     }
     ChurnRow row;
     row.workload = workload;
@@ -208,13 +235,24 @@ DIRANT_REPORT(x7) {
         localized_batches > 0
             ? static_cast<double>(region_sum) / localized_batches
             : 0.0;
+    row.incremental_digraph_rate = static_cast<double>(patched) / batches;
+    int escalated = 0, top = 0;
+    for (const auto& [reason, count] : reasons) {
+      escalated += count;
+      if (count > top) {
+        top = count;
+        row.escalation = reason;
+      }
+    }
+    row.escalation_rate = static_cast<double>(escalated) / batches;
     std::printf(
         "%-11s %-8d %7.1f  %10.1f  %10.1f  %6.2fx  %5.2f  %5.2f  %7.2f  "
-        "%7.2f  %7.1f\n",
+        "%7.2f  %7.1f  %5.2f  %5.2f %s\n",
         workload, n, row.events_per_batch, row.updates_per_sec,
         row.full_updates_per_sec, row.speedup, row.incremental_hit_rate,
         row.localized_hit_rate, row.p50_batch_ms, row.p99_batch_ms,
-        row.mean_mst_region);
+        row.mean_mst_region, row.incremental_digraph_rate,
+        row.escalation_rate, row.escalation);
     rows.push_back(row);
   };
 
@@ -222,10 +260,25 @@ DIRANT_REPORT(x7) {
     geom::Rng rng(73000 + n);
     const auto pts =
         geom::make_instance(geom::Distribution::kUniformSquare, n, rng);
-    run_row("attrition", n, pts, 0.01);
+    // Fails only: a recover or move adds a star of ~alive candidate edges
+    // to the pool, so those batches escalate to the full re-plan by design
+    // (the traffic_mix row below measures exactly that).
+    run_row("attrition", n, pts, {0.01, 0.0, 0.0, 0.0});
     // ~1.5 events/batch in smoke (tiny n: the repair walk budget is tight
     // and a bigger draw would measure the fallback), ~6 at full scale.
-    run_row("small_batch", n, pts, smoke ? 1.5 / n : 6.0 / n);
+    run_row("small_batch", n, pts,
+            {smoke ? 1.5 / n : 6.0 / n, 0.0, 0.0, 0.0});
+  }
+  // The churn batches of perfbench's traffic_churn_10k (fail 1%, recover
+  // 30%, move 1% by up to 0.02 of the unit spacing): every batch with a
+  // move escalates (pool-invalid), so the step cost is a full re-plan plus
+  // whatever the pool upkeep and the row patch add to it.
+  {
+    const int n = smoke ? 300 : 10000;
+    geom::Rng rng(75000 + n);
+    const auto pts =
+        geom::make_instance(geom::Distribution::kUniformSquare, n, rng);
+    run_row("traffic_mix", n, pts, {0.01, 0.3, 0.01, 0.02});
   }
 
   std::vector<std::string> json;
@@ -235,11 +288,14 @@ DIRANT_REPORT(x7) {
         "\"updates_per_sec\": %g, \"full_updates_per_sec\": %g, "
         "\"speedup\": %g, \"incremental_hit_rate\": %g, "
         "\"localized_hit_rate\": %g, \"p50_batch_ms\": %g, "
-        "\"p99_batch_ms\": %g, \"mean_mst_region\": %g, \"hw_threads\": %u}",
+        "\"p99_batch_ms\": %g, \"mean_mst_region\": %g, "
+        "\"incremental_digraph_rate\": %g, \"escalation_rate\": %g, "
+        "\"escalation\": \"%s\", \"hw_threads\": %u}",
         r.workload, r.n, r.events_per_batch, r.updates_per_sec,
         r.full_updates_per_sec, r.speedup, r.incremental_hit_rate,
         r.localized_hit_rate, r.p50_batch_ms, r.p99_batch_ms,
-        r.mean_mst_region, hw_threads));
+        r.mean_mst_region, r.incremental_digraph_rate, r.escalation_rate,
+        r.escalation, hw_threads));
   }
   dirant::bench::record_sections({{"churn", dirant::bench::json_array(json)}});
   if (smoke) {
@@ -247,7 +303,9 @@ DIRANT_REPORT(x7) {
     // sub-linear path is alive: the small-batch sweep must have kept some
     // batches on localized repair + the warm frontier orienter (report
     // counters, not timings, so this is deterministic).
-    const auto& sb = rows.back();
+    const auto& sb = *std::find_if(rows.begin(), rows.end(), [](const auto& r) {
+      return std::strcmp(r.workload, "small_batch") == 0;
+    });
     if (!(sb.localized_hit_rate > 0.0 && sb.mean_mst_region > 0.0)) {
       std::printf(
           "ERROR: small-batch smoke never reached the localized repair + "

@@ -5,7 +5,9 @@
 /// This module knows nothing about how an orientation was constructed — it
 /// is the independent certifier the validation layer builds on.
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "antenna/orientation.hpp"
@@ -104,6 +106,32 @@ graph::Digraph induced_digraph_fast(std::span<const geom::Point> pts,
 bool sector_accepts(std::span<const geom::Point> pts, const Orientation& o,
                     int u, int v, double angle_tol = dirant::kAngleTol,
                     double radius_tol = dirant::kRadiusAbsTol);
+
+/// Retests for moved or recovered points in a row patch: for every `v` in
+/// `events` (ascending ids) and every other point `c` within
+/// `query_radius` of `v` with `open_row(c)`, collects (c, v) when
+/// `sector_accepts(pts, o, c, v)`, sorted — so each row's run lists the
+/// events it accepts in `events` order.  That equals testing every open row against every event as long
+/// as `query_radius` exceeds each sector's accept limit,
+/// radius · (1 + kRadiusRelTol) + kRadiusAbsTol: the superset a rebuilt
+/// row's own grid query rests on.  `grid` indexes `pts`; `hits` is
+/// scratch.  O(events × local density) instead of O(rows × events).
+template <typename OpenRow>
+void accepting_rows(std::span<const geom::Point> pts, const Orientation& o,
+                    const spatial::GridIndex& grid, double query_radius,
+                    std::span<const int> events, OpenRow&& open_row,
+                    std::vector<int>& hits,
+                    std::vector<std::pair<int, int>>& out) {
+  out.clear();
+  for (int v : events) {
+    hits.clear();
+    grid.within(pts[v], query_radius, v, hits);
+    for (int c : hits) {
+      if (open_row(c) && sector_accepts(pts, o, c, v)) out.emplace_back(c, v);
+    }
+  }
+  std::sort(out.begin(), out.end());
+}
 
 /// Omnidirectional reference: edge (u, v) iff dist(u, v) <= radius.
 /// Symmetric by construction; used by the simulator as a baseline.

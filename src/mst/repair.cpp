@@ -26,6 +26,7 @@ inline bool edge_key_less(double d2a, int a1, int a2, double d2b, int b1,
 
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
                             std::span<const int> orig_of) {
+  drop_pending();
   pool_.clear();
   pool_.reserve(edges.size());
   for (const auto& [a, b] : edges) {
@@ -34,9 +35,10 @@ void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
   }
   std::sort(pool_.begin(), pool_.end());
   pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
+  explicit_size_ = pool_.size();
   int max_id = -1;
   for (int u : orig_of) max_id = std::max(max_id, u);
-  if (static_cast<int>(state_.size()) < max_id + 1) state_.resize(max_id + 1);
+  grow(max_id + 1);
   std::fill(state_.begin(), state_.end(), kAbsent);
   for (int u : orig_of) state_[u] = kMember;
   members_ = static_cast<int>(orig_of.size());
@@ -44,55 +46,141 @@ void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
   valid_ = true;
 }
 
-void DelaunayEdgePool::erase_node(int w) {
-  if (!valid_ || !is_member(w)) return;
-  if (state_[w] == kStar) {
-    // A star neighbours every other member; below the cap the closure is
-    // the complete graph on them, so write the stars out and erase plainly.
-    if (members_ - 1 > cfg_.degree_cap) {
-      valid_ = false;
-      return;
-    }
-    materialize();
+void DelaunayEdgePool::grow(int n) {
+  if (static_cast<int>(state_.size()) >= n) return;
+  state_.resize(n, kAbsent);
+  tomb_.resize(n, 0);
+  staged_head_.resize(n, -1);
+}
+
+void DelaunayEdgePool::drop_pending() {
+  for (int w : tombs_) tomb_[w] = 0;
+  tombs_.clear();
+  for (const auto& [a, b] : staged_) staged_head_[a] = staged_head_[b] = -1;
+  staged_.clear();
+  staged_next_.clear();
+  index_built_ = false;
+  scanned_ = false;
+}
+
+void DelaunayEdgePool::invalidate() {
+  valid_ = false;
+  drop_pending();
+}
+
+void DelaunayEdgePool::build_index() {
+  // Counting sort of the base positions by endpoint; the offsets end up
+  // shifted one slot and are moved back after the fill.
+  const int n = static_cast<int>(state_.size());
+  index_off_.assign(static_cast<size_t>(n) + 1, 0);
+  for (const auto& [a, b] : pool_) {
+    ++index_off_[a];
+    ++index_off_[b];
   }
-  nbrs_.clear();
-  size_t keep = 0;
-  for (const auto& e : pool_) {
-    if (e.first == w) {
-      nbrs_.push_back(e.second);
-    } else if (e.second == w) {
-      nbrs_.push_back(e.first);
+  int run = 0;
+  for (int u = 0; u <= n; ++u) {
+    const int c = index_off_[u];
+    index_off_[u] = run;
+    run += c;
+  }
+  index_.resize(static_cast<size_t>(run));
+  for (int p = 0; p < static_cast<int>(pool_.size()); ++p) {
+    index_[index_off_[pool_[p].first]++] = p;
+    index_[index_off_[pool_[p].second]++] = p;
+  }
+  for (int u = n; u > 0; --u) index_off_[u] = index_off_[u - 1];
+  index_off_[0] = 0;
+  index_built_ = true;
+}
+
+std::size_t DelaunayEdgePool::collect_neighbours(std::span<const int> ws) {
+  const auto find = [this](int x) {
+    while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];
+    return x;
+  };
+  const auto visit = [&](int lw, int x) {
+    const int mx = x < static_cast<int>(mark_.size()) ? mark_[x] : 0;
+    if (mx == 0) {
+      boundary_.emplace_back(lw, x);
     } else {
-      pool_[keep++] = e;
+      const int ra = find(lw), rb = find(mx - 1);
+      if (ra != rb) uf_[ra] = rb;
     }
-  }
-  pool_.resize(keep);
-  state_[w] = kAbsent;
-  --members_;
-  // Every star is a neighbour too; pairs that touch a star stay implicit.
-  if (nbrs_.size() + stars_.size() > static_cast<size_t>(cfg_.degree_cap)) {
-    // O(deg²) closure would blow up; hand the problem to the full re-plan.
-    valid_ = false;
-    return;
-  }
-  // Deleting w retriangulates its star with edges among its (Delaunay ⊆
-  // pool) neighbours; adding every pair keeps the superset invariant.
-  additions_.clear();
-  for (size_t i = 0; i < nbrs_.size(); ++i) {
-    for (size_t j = i + 1; j < nbrs_.size(); ++j) {
-      additions_.emplace_back(std::min(nbrs_[i], nbrs_[j]),
-                              std::max(nbrs_[i], nbrs_[j]));
+  };
+  std::size_t seen = 0;
+  if (!scanned_) {
+    // First erase since the last compaction: no tombstones and no staged
+    // edges exist yet, and one pass over the base serves the whole set.
+    scanned_ = true;
+    const int max_id = static_cast<int>(mark_.size()) - 1;
+    for (const auto& [a, b] : pool_) {
+      const int ma = a <= max_id ? mark_[a] : 0;
+      const int mb = b <= max_id ? mark_[b] : 0;
+      if (ma != 0) {
+        visit(ma - 1, b);
+      } else if (mb != 0) {
+        visit(mb - 1, a);
+      } else {
+        continue;
+      }
+      ++seen;
     }
+    for (int w : ws) {
+      if (is_member(w)) {
+        tomb_[w] = 1;
+        tombs_.push_back(w);
+      }
+    }
+    return seen;
   }
-  merge_additions();
+  if (!index_built_) build_index();
+  const int indexed = static_cast<int>(index_off_.size()) - 1;
+  for (int i = 0; i < static_cast<int>(ws.size()); ++i) {
+    const int w = ws[i];
+    if (!is_member(w)) continue;
+    // Tombstoning w before the next erased node is visited makes every
+    // edge between two erased nodes count once.
+    if (w < indexed) {
+      for (int k = index_off_[w]; k < index_off_[w + 1]; ++k) {
+        const auto& [a, b] = pool_[index_[k]];
+        const int x = a == w ? b : a;
+        if (tomb_[x]) continue;
+        visit(i, x);
+        ++seen;
+      }
+    }
+    for (int h = staged_head_[w]; h >= 0; h = staged_next_[h]) {
+      const auto& [a, b] = staged_[h >> 1];
+      const int x = (h & 1) != 0 ? a : b;
+      if (tomb_[x]) continue;
+      visit(i, x);
+      ++seen;
+    }
+    tomb_[w] = 1;
+    tombs_.push_back(w);
+  }
+  return seen;
+}
+
+void DelaunayEdgePool::stage(int a, int b) {
+  // Both ends are survivors with explicit edges, hence not tombstoned: a
+  // base entry or staged edge between them is live.
+  if (std::binary_search(pool_.begin(), pool_.end(), std::pair{a, b})) return;
+  for (int h = staged_head_[a]; h >= 0; h = staged_next_[h]) {
+    const auto& e = staged_[h >> 1];
+    if (e.first == a && e.second == b) return;
+  }
+  const int i = static_cast<int>(staged_.size());
+  staged_.emplace_back(a, b);
+  staged_next_.push_back(staged_head_[a]);
+  staged_next_.push_back(staged_head_[b]);
+  staged_head_[a] = 2 * i;
+  staged_head_[b] = 2 * i + 1;
+  ++explicit_size_;
 }
 
 void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
   if (!valid_ || ws.empty()) return;
-  if (ws.size() == 1) {
-    erase_node(ws.front());
-    return;
-  }
   int erased = 0;
   bool star_erased = false;
   for (int w : ws) {
@@ -104,15 +192,16 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
   const int cap = cfg_.degree_cap;
   if (star_erased) {
     // An erased star joins every erased member into one component whose
-    // boundary is every surviving member.
+    // boundary is every surviving member.  Below the cap the member set is
+    // tiny, so writing the stars out is cheap.
     if (members_ - erased > cap) {
-      valid_ = false;
+      invalidate();
       return;
     }
-    materialize();
+    compact();
   } else if (static_cast<int>(stars_.size()) > cap) {
     // Every component's boundary holds all the stars.
-    valid_ = false;
+    invalidate();
     return;
   }
   const int nstars = static_cast<int>(stars_.size());
@@ -123,27 +212,8 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
   for (int i = 0; i < m; ++i) mark_[ws[i]] = i + 1;
   uf_.resize(m);
   for (int i = 0; i < m; ++i) uf_[i] = i;
-  auto find = [this](int x) {
-    while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];
-    return x;
-  };
   boundary_.clear();
-  size_t keep = 0;
-  for (const auto& e : pool_) {
-    const int mu = e.first <= max_id ? mark_[e.first] : 0;
-    const int mv = e.second <= max_id ? mark_[e.second] : 0;
-    if (mu == 0 && mv == 0) {
-      pool_[keep++] = e;
-    } else if (mu != 0 && mv != 0) {
-      const int ra = find(mu - 1), rb = find(mv - 1);
-      if (ra != rb) uf_[ra] = rb;
-    } else if (mu != 0) {
-      boundary_.emplace_back(mu - 1, e.second);
-    } else {
-      boundary_.emplace_back(mv - 1, e.first);
-    }
-  }
-  pool_.resize(keep);
+  explicit_size_ -= collect_neighbours(ws);
   for (int w : ws) {
     mark_[w] = 0;
     if (is_member(w)) {
@@ -151,45 +221,56 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
       --members_;
     }
   }
-  for (auto& [local, survivor] : boundary_) local = find(local);
+  for (auto& [local, survivor] : boundary_) {
+    while (uf_[local] != local) local = uf_[local];
+  }
   std::sort(boundary_.begin(), boundary_.end());
   boundary_.erase(std::unique(boundary_.begin(), boundary_.end()),
                   boundary_.end());
-  additions_.clear();
   for (size_t i = 0, j = 0; i < boundary_.size(); i = j) {
     while (j < boundary_.size() && boundary_[j].first == boundary_[i].first) {
       ++j;
     }
     if (static_cast<int>(j - i) + nstars > cap) {
-      valid_ = false;
+      invalidate();
       return;
+    }
+  }
+  // Deleting a component retriangulates its hole with edges among its
+  // (Delaunay ⊆ pool) boundary; adding every pair keeps the superset
+  // invariant.  Pairs that touch a star stay implicit.
+  for (size_t i = 0, j = 0; i < boundary_.size(); i = j) {
+    while (j < boundary_.size() && boundary_[j].first == boundary_[i].first) {
+      ++j;
     }
     for (size_t a = i; a < j; ++a) {
       for (size_t b = a + 1; b < j; ++b) {
-        additions_.emplace_back(
-            std::min(boundary_[a].second, boundary_[b].second),
-            std::max(boundary_[a].second, boundary_[b].second));
+        const int x = boundary_[a].second, y = boundary_[b].second;
+        stage(std::min(x, y), std::max(x, y));
       }
     }
   }
-  merge_additions();
 }
 
 void DelaunayEdgePool::insert_node(int v, std::span<const char> alive) {
   if (!valid_) return;
   DIRANT_ASSERT(v >= 0 && v < static_cast<int>(alive.size()) && alive[v]);
-  if (state_.size() < alive.size()) state_.resize(alive.size(), kAbsent);
+  grow(static_cast<int>(alive.size()));
   DIRANT_ASSERT_MSG(state_[v] == kAbsent, "insert_node of a pool member");
   state_[v] = kStar;
   ++members_;
   stars_.push_back(v);
 }
 
-void DelaunayEdgePool::materialize() {
-  if (stars_.empty()) return;
+void DelaunayEdgePool::compact() {
+  if (tombs_.empty() && staged_.empty() && stars_.empty()) return;
+  const std::size_t logical = size();
   additions_.clear();
+  for (const auto& [a, b] : staged_) {
+    if (!tomb_[a] && !tomb_[b]) additions_.push_back({a, b});
+  }
   const int n = static_cast<int>(state_.size());
-  for (int u = 0; u < n; ++u) {
+  for (int u = 0; u < n && !stars_.empty(); ++u) {
     if (state_[u] == kAbsent) continue;
     for (int s : stars_) {
       // A star-star pair is written once, from the larger star's row.
@@ -199,29 +280,25 @@ void DelaunayEdgePool::materialize() {
   }
   for (int s : stars_) state_[s] = kMember;
   stars_.clear();
-  merge_additions();
-}
-
-void DelaunayEdgePool::merge_additions() {
-  if (additions_.empty()) return;
   std::sort(additions_.begin(), additions_.end());
-  additions_.erase(std::unique(additions_.begin(), additions_.end()),
-                   additions_.end());
+  // The staged and star edges never repeat a live base edge (stage checks
+  // first; base entries never touch a star), so the merge is a plain
+  // interleave with dead base entries dropped.
   merged_.clear();
-  merged_.reserve(pool_.size() + additions_.size());
-  size_t i = 0, j = 0;
-  while (i < pool_.size() || j < additions_.size()) {
-    if (j == additions_.size() ||
-        (i < pool_.size() && pool_[i] < additions_[j])) {
-      merged_.push_back(pool_[i++]);
-    } else if (i == pool_.size() || additions_[j] < pool_[i]) {
+  merged_.reserve(logical);
+  size_t j = 0;
+  for (const auto& e : pool_) {
+    if (tomb_[e.first] || tomb_[e.second]) continue;
+    while (j < additions_.size() && additions_[j] < e) {
       merged_.push_back(additions_[j++]);
-    } else {  // equal: keep one
-      merged_.push_back(pool_[i++]);
-      ++j;
     }
+    merged_.push_back(e);
   }
+  merged_.insert(merged_.end(), additions_.begin() + j, additions_.end());
   pool_.swap(merged_);
+  drop_pending();
+  explicit_size_ = pool_.size();
+  DIRANT_ASSERT(explicit_size_ == logical);
 }
 
 // ---------------------------------------------------------------------------

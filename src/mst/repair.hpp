@@ -27,11 +27,27 @@
 ///
 /// Representation: the pool tracks its member set (the alive nodes) and
 /// keeps an inserted node as a *star* — the implicit edge set v × members —
-/// next to a sorted explicit edge list that never touches a star.  An
-/// insert is O(1); the stars materialise into the explicit list only when
-/// `edges()` is read, so a batch that escalates never pays for them.  Every
-/// `valid()` / `size()` / `oversized()` / `edges()` answer is exactly that
-/// of the materialised pool (tests/reference_edge_pool.hpp is the oracle).
+/// next to an explicit edge set that never touches a star.  The explicit set
+/// is a sorted *base* list plus the work staged since the last compaction:
+///   * erased ids are tombstoned, and a base entry touching a tombstone is
+///     dead (a tombstoned id never gains explicit edges again before the
+///     next compaction: it is absent, or re-inserted as a star);
+///   * closure edges are staged in an unsorted list with per-node chains,
+///     each checked against the live base (binary search) and the staged
+///     chains first, so the staged list never duplicates a live edge;
+///   * an erase finds its neighbours through the staged chains plus a
+///     per-node index of the base list, built lazily at most once between
+///     compactions.  The first erase after a compaction skips the index and
+///     scans the base once instead (staged work and tombstones are empty
+///     then), so a fail-only batch pays one read pass, as before.
+/// The explicit size is kept exact by counting.  `edges()` compacts: one
+/// pass drops dead base entries and merges in the staged edges plus every
+/// star's edges, so a batch that escalates (the pool goes invalid, which
+/// drops the staged work) never pays for a rewrite.  An insert is O(1) and
+/// an erase costs O(degree · log m + degree²) once the index exists.
+/// Every `valid()` / `size()` / `oversized()` / `edges()` answer is exactly
+/// that of the materialised pool (tests/reference_edge_pool.hpp is the
+/// oracle).
 ///
 /// Superset-ness is free but not unbounded: each insert adds ~alive logical
 /// edges and deletes add O(deg²), so the pool degrades toward the complete
@@ -65,34 +81,36 @@ struct EdgePoolConfig {
 };
 
 /// See file comment.  All buffers are recycled; a warm pool performs zero
-/// heap allocations once its edge and scratch vectors have grown to the
-/// churn steady state.
+/// heap allocations once its edge, index and scratch vectors have grown to
+/// the churn steady state.
 class DelaunayEdgePool {
  public:
   explicit DelaunayEdgePool(EdgePoolConfig cfg = {}) : cfg_(cfg) {}
 
   /// Seed from a triangulation's edge list given in a compact index space;
   /// `orig_of` maps compact ids to original ids and its entries are the
-  /// member (alive) set.  Clears every star.  The pool becomes valid.
+  /// member (alive) set.  Clears every star and all staged work.  The pool
+  /// becomes valid.
   void seed(std::span<const std::pair<int, int>> edges,
             std::span<const int> orig_of);
 
   /// True while the maintained superset invariant holds.  Operations on an
   /// invalid pool are no-ops; `seed` restores validity.
   bool valid() const { return valid_; }
-  void invalidate() { valid_ = false; }
+  /// Drop the staged work and stop maintaining the pool until `seed`.
+  void invalidate();
 
   /// Remove every edge incident to `w` and close its neighbour set (all
   /// pairs).  Invalidates the pool instead when w's degree exceeds the cap.
-  void erase_node(int w);
+  void erase_node(int w) { erase_nodes(std::span<const int>(&w, 1)); }
 
-  /// Batched erase of distinct ids: one pool scan for the whole set instead
-  /// of one per node.  The closure is computed per *connected component* of
-  /// the erased set (through pool edges): all pairs of each component's
-  /// surviving boundary — exactly the edge set sequential `erase_node`
-  /// calls would leave behind, since intermediate pairs between erased
-  /// nodes are themselves erased later in the sequence.  Invalidates the
-  /// pool when a component's boundary exceeds the degree cap.
+  /// Batched erase of distinct ids.  The closure is computed per
+  /// *connected component* of the erased set (through pool edges): all
+  /// pairs of each component's surviving boundary — exactly the edge set
+  /// sequential `erase_node` calls would leave behind, since intermediate
+  /// pairs between erased nodes are themselves erased later in the
+  /// sequence.  Invalidates the pool when a component's boundary exceeds
+  /// the degree cap.
   void erase_nodes(std::span<const int> ws);
 
   /// Add v × {u : alive[u], u != v} as a star, in O(1).  Call with alive[v]
@@ -105,7 +123,7 @@ class DelaunayEdgePool {
   std::size_t size() const {
     const std::size_t s = stars_.size();
     const std::size_t m = static_cast<std::size_t>(members_);
-    return pool_.size() + s * (m - s) + s * (s - 1) / 2;
+    return explicit_size_ + s * (m - s) + s * (s - 1) / 2;
   }
 
   /// Size guard against the alive count (see EdgePoolConfig).
@@ -114,10 +132,11 @@ class DelaunayEdgePool {
            cfg_.size_factor * alive_count + cfg_.size_slack;
   }
 
-  /// The candidate edges, sorted by (u, v) with u < v, unique.  Materialises
-  /// pending stars first; the span is valid until the next mutation.
+  /// The candidate edges, sorted by (u, v) with u < v, unique.  Compacts
+  /// first (see the file comment); the span is valid until the next
+  /// mutation.
   std::span<const std::pair<int, int>> edges() {
-    materialize();
+    compact();
     return pool_;
   }
 
@@ -130,19 +149,36 @@ class DelaunayEdgePool {
     return u >= 0 && u < static_cast<int>(state_.size()) &&
            state_[u] != kAbsent;
   }
-  /// Write every star's edges into the explicit list and clear the stars.
-  void materialize();
-  /// Sort+dedup `additions_` and merge it into the sorted pool (one pass
-  /// into the double buffer, adjacent-duplicate skip).
-  void merge_additions();
+  /// Size the per-node arrays for ids below `n`.
+  void grow(int n);
+  /// Rewrite the base list as the whole explicit pool: drop dead entries,
+  /// merge in the staged edges and every star's edges, clear the stars.
+  void compact();
+  /// Clear tombstones, staged edges and the base index (O(staged work)).
+  void drop_pending();
+  /// Build the per-node index of `pool_` (positions, CSR by node).
+  void build_index();
+  /// Append (w, x) to `boundary_`/`uf_` for every live explicit edge of
+  /// the marked erased set; returns how many edges it visited.
+  std::size_t collect_neighbours(std::span<const int> ws);
+  /// Stage the closure edge (a, b), a < b, unless it is already live.
+  void stage(int a, int b);
 
-  std::vector<std::pair<int, int>> pool_;  ///< explicit, sorted, no star end
-  std::vector<std::pair<int, int>> additions_;  ///< staged new edges
+  std::vector<std::pair<int, int>> pool_;  ///< base list: sorted, no star end
+  std::size_t explicit_size_ = 0;          ///< live base + staged edges
+  std::vector<std::pair<int, int>> staged_;  ///< closure edges, unsorted
+  std::vector<int> staged_next_;  ///< [2i + side] -> next chain entry (-1)
+  std::vector<int> staged_head_;  ///< orig id -> first chain entry (-1)
+  std::vector<char> tomb_;        ///< orig id -> erased since compaction
+  std::vector<int> tombs_;        ///< the tombstoned ids
+  std::vector<int> index_off_, index_;  ///< node -> positions in pool_
+  bool index_built_ = false;
+  bool scanned_ = false;  ///< an erase has run since the last compaction
+  std::vector<std::pair<int, int>> additions_;  ///< compaction: new edges
   std::vector<std::pair<int, int>> merged_;     ///< merge double buffer
   std::vector<int> stars_;           ///< inserted nodes, edges implicit
   std::vector<std::uint8_t> state_;  ///< orig id -> State
   int members_ = 0;                  ///< nodes with state_ != kAbsent
-  std::vector<int> nbrs_;                       ///< erase-scan neighbour list
   std::vector<int> mark_;      ///< orig id -> local erased index + 1 (0 = no)
   std::vector<int> uf_;        ///< union-find over the erased set
   std::vector<std::pair<int, int>> boundary_;   ///< (component root, survivor)

@@ -147,7 +147,7 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   // ---- 1. Apply the batch sequentially.  Every rejection is a pure
   // function of the state built by the preceding events, so logs replay
   // identically from the same seed + schedule.  Consecutive fails buffer
-  // their pool erases and flush in one batched scan (the closure is
+  // their pool erases and flush in one batched erase (the closure is
   // identical to per-node erases; see DelaunayEdgePool::erase_nodes) —
   // the flush happens before any pool *insert* so the interleaving the
   // event order prescribes is preserved.
@@ -531,12 +531,23 @@ void ChurnEngine::build_digraph() {
   patch_qr_ = qr;  // certify_sccs re-queries the same grid at this radius
   auto& grid = cx_.transmission.grid;
   grid.rebuild(compact_pts_, std::max(qr / 2.0, 1e-12));
+  auto& hits = cx_.transmission.candidates;
+  // Event-node retests: one grid query per event node finds the clean
+  // rows that can accept it (antenna::accepting_rows).  Each clean row
+  // appends its accepted events in event_nodes_ order — comp_of_ is
+  // monotone — and that order is observable: collection-tree next hops
+  // take a row's first match.
+  event_comp_.clear();
+  for (int vo : event_nodes_) event_comp_.push_back(comp_of_[vo]);
+  antenna::accepting_rows(
+      compact_pts_, o, grid, qr, event_comp_,
+      [this](int c) { return !dirty_[orig_of_[c]]; }, hits, event_hits_);
   auto& offs = patch_offsets_;
   auto& tgts = patch_targets_;
   offs.clear();
   offs.push_back(0);
   tgts.clear();
-  auto& hits = cx_.transmission.candidates;
+  size_t next_hit = 0;
   for (int c = 0; c < alive_count_; ++c) {
     const int u = orig_of_[c];
     if (dirty_[u]) {
@@ -553,10 +564,9 @@ void ChurnEngine::build_digraph() {
         if (!alive_[v] || moved_[v] || recovered_[v]) continue;
         tgts.push_back(comp_of_[v]);
       }
-      for (int vo : event_nodes_) {
-        if (antenna::sector_accepts(compact_pts_, o, c, comp_of_[vo])) {
-          tgts.push_back(comp_of_[vo]);
-        }
+      for (; next_hit < event_hits_.size() && event_hits_[next_hit].first == c;
+           ++next_hit) {
+        tgts.push_back(event_hits_[next_hit].second);
       }
     }
     offs.push_back(static_cast<int>(tgts.size()));

@@ -21,12 +21,13 @@
 ///   * Digraph: per-row patching of the previous certified CSR.  A node
 ///     whose sectors are unchanged (antenna::Orientation::node_equals
 ///     against the engine's snapshot) and which did not move keeps its row
-///     — dead targets dropped, moved/recovered targets retested with
-///     antenna::sector_accepts — while dirty rows rebuild from a grid
-///     query.  Row edge *sets* equal the fresh builder's by induction, so
-///     the SCC count (a graph property) and hence the certificate match
-///     exactly.  Escalates to the sharded full rebuild when the dirty
-///     fraction crosses `ChurnOptions::dirty_threshold`.
+///     — dead targets dropped, moved/recovered targets retested through
+///     one grid query per event node (antenna::accepting_rows) — while
+///     dirty rows rebuild from a grid query.  Row edge *sets* equal the
+///     fresh builder's by induction, so the SCC count (a graph property)
+///     and hence the certificate match exactly.  Escalates to the sharded
+///     full rebuild when the dirty fraction crosses
+///     `ChurnOptions::dirty_threshold`.
 ///   * Certificate: the Tarjan SCC count plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
 ///
@@ -260,7 +261,7 @@ class ChurnEngine {
   std::vector<char> changed_pos_;  ///< moved_ | recovered_ (orienter input)
   std::vector<int> event_nodes_; ///< alive & (moved|recovered), ascending
   std::vector<int> batch_dead_;  ///< fails applied this batch, ascending
-  std::vector<int> pending_fails_;  ///< buffered pool erases (batched scan)
+  std::vector<int> pending_fails_;  ///< buffered pool erases (one batch)
   std::vector<char> dirty_;      ///< sectors changed in the last re-plan
 
   // Compact maps (current and previous batch).
@@ -293,6 +294,8 @@ class ChurnEngine {
   graph::Digraph dg_;
   core::CertifyScratch cx_;
   std::vector<int> patch_offsets_, patch_targets_;
+  std::vector<int> event_comp_;  ///< event_nodes_ in compact ids
+  std::vector<std::pair<int, int>> event_hits_;  ///< (clean row, event node)
 
   // Frozen-survivor audit scratch.
   std::vector<int> frozen_offsets_, frozen_targets_;

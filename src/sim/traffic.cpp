@@ -321,7 +321,11 @@ void TrafficEngine::rebuild_routes() {
   const int nd = static_cast<int>(dsts_.size());
   const size_t cells = static_cast<size_t>(nd) * n_;
   tree_memo_.assign(cells, Hop{-1, kUnknownHop});
-  greedy_memo_.assign(cells, Hop{kUnknownHop, -1});
+  // Only the greedy policies read the greedy memo.
+  if (opts_.policy == RoutingPolicy::kGreedy ||
+      opts_.policy == RoutingPolicy::kGreedyTreeFallback) {
+    greedy_memo_.assign(cells, Hop{kUnknownHop, -1});
+  }
   for (int s = 0; s < nd; ++s) {
     const int dst = dsts_[s];
     Hop* next = tree_memo_.data() + static_cast<size_t>(s) * n_;

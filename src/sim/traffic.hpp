@@ -413,7 +413,8 @@ class TrafficEngine {
 
   // Collection trees + route memos: per distinct destination, one
   // dsts_.size() x n_ array per routing rule, lazily filled on first
-  // visit and reset whenever routes rebuild.
+  // visit and reset whenever routes rebuild (the greedy one only under the
+  // greedy policies, the only readers).
   std::vector<int> dsts_;          ///< distinct destinations, stable order
   std::vector<int> dst_slot_of_;   ///< orig id -> slot in dsts_ (-1)
   std::vector<Hop> tree_memo_, greedy_memo_;

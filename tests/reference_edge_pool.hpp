@@ -3,8 +3,9 @@
 // pool.  Every insert writes its v × alive edges out and every operation
 // re-merges one sorted, duplicate-free edge vector, so each answer is read
 // straight off the explicit edge list.  The library pool represents
-// inserted nodes implicitly (stars) and must agree with this one on every
-// valid(), size(), oversized() and edges() answer.  Same maintenance rules
+// inserted nodes implicitly (stars), stages its erases (tombstones, staged
+// closure edges, one compaction in edges()) and must agree with this one
+// on every valid(), size(), oversized() and edges() answer.  Same maintenance rules
 // as the library (see mst/repair.hpp), none of its cleverness.
 
 #include <algorithm>

@@ -35,6 +35,7 @@ struct Counters {
   int invalidations = 0;
   int oversized = 0;
   int clean_batches = 0;  ///< batch ends with a valid, in-bounds pool
+  int over_cap_batches = 0;  ///< batches inserting more stars than the cap
 };
 
 class Driver {
@@ -75,6 +76,47 @@ class Driver {
       }
     }
     flush(c);
+    finish_batch(c);
+  }
+
+  /// A traffic-like batch, in sim::ChurnEngine::poisson_schedule's shape:
+  /// nodes in id order, each alive one failing with `fail` or else moving
+  /// with `move`, each dead one recovering with `recover`.  Fails buffer
+  /// between the inserts, so multi-fail erases interleave with the single
+  /// erases of moves, and with high insert rates a batch holds more stars
+  /// than the degree cap.
+  void run_traffic_batch(double fail, double move, double recover,
+                         Counters& c) {
+    std::fill(inserted_.begin(), inserted_.end(), 0);
+    int stars = 0;
+    for (int u = 0; u < n_; ++u) {
+      if (!alive_[u]) {
+        if (!coin(recover)) continue;
+        alive_[u] = 1;
+        flush(c);
+        insert(u);
+        ++stars;
+      } else if (coin(fail)) {
+        if (alive_count() <= 2) continue;
+        alive_[u] = 0;
+        pending_.push_back(u);
+      } else if (coin(move)) {
+        flush(c);
+        pool_.erase_node(u);
+        ref_.erase_node(u);
+        expect_same("erase_node");
+        insert(u);
+        ++stars;
+      }
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    flush(c);
+    if (stars > pool_.config().degree_cap) ++c.over_cap_batches;
+    finish_batch(c);
+  }
+
+ private:
+  void finish_batch(Counters& c) {
     if (!ref_.valid()) {
       ++c.invalidations;
     } else {
@@ -95,7 +137,6 @@ class Driver {
     reseed();
   }
 
- private:
   int pick(int k) { return std::uniform_int_distribution<int>(0, k - 1)(rng_); }
   bool coin(double p) { return std::bernoulli_distribution(p)(rng_); }
   int alive_count() const {
@@ -126,6 +167,8 @@ class Driver {
     if (ref_.valid()) ++c.star_erases_kept;
   }
 
+  // Checked after every pool call, so the call that invalidates the pool
+  // is the oracle's too.
   void expect_same(const char* op) {
     ASSERT_EQ(pool_.valid(), ref_.valid()) << "after " << op;
     if (ref_.valid()) {
@@ -192,6 +235,44 @@ TEST(EdgePoolDifferential, StarPoolMatchesMaterialisingOracle) {
   EXPECT_GT(total.invalidations, 50);
   EXPECT_GT(total.oversized, 50);
   EXPECT_GT(total.clean_batches, 200);
+}
+
+}  // namespace
+
+namespace {
+
+TEST(EdgePoolDifferential, TrafficLikeBatchesMatchMaterialisingOracle) {
+  // Low rates and a loose size guard keep many batches valid, so the
+  // staged closure edges, the tombstones and the lazily built index are
+  // checked through many erases and a compaction per batch; high rates
+  // push a batch past the degree cap in stars, which must invalidate the
+  // pool at the oracle's call.
+  Counters total;
+  std::uint64_t seed = 1000;
+  for (const int cap : {6, 16, 64}) {
+    for (const double factor : {6.0, 1000.0}) {
+      for (const int n : {60, 150, 240}) {
+        for (const double move : {0.01, 0.05, 0.2}) {
+          Driver d(n, {cap, factor, 32}, seed++);
+          for (int b = 0; b < 6; ++b) {
+            d.run_traffic_batch(0.02, move, 0.3, total);
+            if (testing::Test::HasFatalFailure()) {
+              FAIL() << "cap=" << cap << " factor=" << factor << " n=" << n
+                     << " move=" << move << " seed=" << seed - 1
+                     << " batch=" << b;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("star erases %d (kept %d), invalidations %d, oversized %d, "
+              "clean batches %d, over-cap batches %d\n",
+              total.star_erases, total.star_erases_kept, total.invalidations,
+              total.oversized, total.clean_batches, total.over_cap_batches);
+  EXPECT_GT(total.invalidations, 20);
+  EXPECT_GT(total.over_cap_batches, 10);
+  EXPECT_GT(total.clean_batches, 40);
 }
 
 }  // namespace

@@ -325,6 +325,43 @@ TEST(EdgePool, WarmInsertAllocatesNothing) {
   EXPECT_EQ(count_allocations(cycle), 0) << "warm pool cycle allocated";
 }
 
+TEST(EdgePool, WarmIndexedErasesAllocateNothing) {
+  // A fail-and-move batch on a warm pool: the first erase scans the base
+  // list, later ones find neighbours through the per-node index (built
+  // once), their closures stage edges and tombstone the erased ids, a
+  // moved node comes back as a star, and edges() compacts — all inside
+  // buffers the first cycles grew.
+  const int side = 16, n = side * side;
+  std::vector<std::pair<int, int>> edges;
+  for (int y = 0; y < side; ++y) {
+    for (int x = 0; x < side; ++x) {
+      const int u = y * side + x;
+      if (x + 1 < side) edges.emplace_back(u, u + 1);
+      if (y + 1 < side) edges.emplace_back(u, u + side);
+      if (x + 1 < side && y + 1 < side) edges.emplace_back(u, u + side + 1);
+    }
+  }
+  std::vector<int> orig_of;
+  for (int u = 0; u < n; ++u) orig_of.push_back(u);
+  std::vector<char> alive(n, 1);
+  dirant::mst::DelaunayEdgePool pool;
+  const int fails[] = {20, 21, 37};
+  const int more_fails[] = {150, 170};
+  const auto cycle = [&] {
+    pool.seed(edges, orig_of);
+    pool.erase_nodes(fails);  // first erase: one scan
+    pool.erase_node(100);     // builds the index
+    pool.erase_nodes(more_fails);
+    pool.erase_node(101);  // a neighbour of 100: staged edges in its chain
+    pool.insert_node(100, alive);
+    ASSERT_TRUE(pool.valid());
+    ASSERT_EQ(pool.edges().size(), pool.size());
+  };
+  cycle();
+  cycle();
+  EXPECT_EQ(count_allocations(cycle), 0) << "warm indexed erases allocated";
+}
+
 TEST(SessionAllocation, BatchChunkPerWorkerIsAllocationFree) {
   // A batch worker's inner loop: one warm session streaming a chunk of
   // same-size instances (core::orient_batch keeps exactly this shape per
