@@ -89,6 +89,7 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
       kRadiusAbsTol, cx_.transmission, threads_, pool_.get());
   std::move(dg_).release(cx_.transmission.offsets, cx_.transmission.targets);
   dg_ = std::move(fresh);
+  note_full_build_grid();
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
   // coverage report.
@@ -143,6 +144,7 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   std::fill(recovered_.begin(), recovered_.end(), 0);
   std::fill(changed_pos_.begin(), changed_pos_.end(), 0);
   batch_dead_.clear();
+  placed_.clear();
 
   // ---- 1. Apply the batch sequentially.  Every rejection is a pure
   // function of the state built by the preceding events, so logs replay
@@ -170,7 +172,8 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
           }
           break;
         case ChurnEventKind::kRecover:
-          ok = alive_[e.node] == 0;
+          ok = alive_[e.node] == 0 &&
+               !position_taken(e.node, positions_[e.node]);
           if (ok) {
             alive_[e.node] = 1;
             ++alive_count_;
@@ -178,10 +181,11 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
             pool_edges_.insert_node(e.node, alive_);
             recovered_[e.node] = 1;
             changed_pos_[e.node] = 1;
+            placed_.push_back(e.node);
           }
           break;
         case ChurnEventKind::kMove:
-          ok = alive_[e.node] != 0;
+          ok = alive_[e.node] != 0 && !position_taken(e.node, e.to);
           if (ok) {
             flush_fails();
             pool_edges_.erase_node(e.node);
@@ -189,6 +193,7 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
             pool_edges_.insert_node(e.node, alive_);
             moved_[e.node] = 1;
             changed_pos_[e.node] = 1;
+            placed_.push_back(e.node);
           }
           break;
       }
@@ -220,6 +225,45 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   snapshot_orientation();
   refresh_tree_degrees();
   return report_;
+}
+
+// True iff an alive node other than `v` sits exactly at `p`.  Called while
+// a batch applies, before rebuild_compact: `orig_of_` is still the last
+// batch's compact map.  A node at `p` now either kept its last-batch
+// position — a radius-0 query of the last build's grid over that batch's
+// survivors finds it — or was moved or recovered earlier in this batch
+// and is in `placed_`.  Candidates are re-checked against the current
+// positions and alive mask, so stale grid entries (nodes failed or moved
+// since) never count.
+bool ChurnEngine::position_taken(int v, const geom::Point& p) const {
+  const auto occupied = [&](int w) {
+    return w != v && alive_[w] && positions_[w].x == p.x &&
+           positions_[w].y == p.y;
+  };
+  for (int w : placed_) {
+    if (occupied(w)) return true;
+  }
+  if (!grid_indexes_survivors_) {
+    // The last build indexed nothing (a lone survivor has no positive
+    // sector radius): scan the last batch's survivors directly.
+    return std::any_of(orig_of_.begin(), orig_of_.end(), occupied);
+  }
+  const auto& grid = cx_.transmission.grid;
+  DIRANT_ASSERT(grid.size() == static_cast<int>(orig_of_.size()));
+  bool hit = false;
+  grid.for_each_within(p, 0.0, -1, [&](int c, double, double, double) {
+    hit = hit || occupied(orig_of_[c]);
+  });
+  return hit;
+}
+
+// After a full induced_digraph_fast build: it rebuilds the scratch grid
+// over every point unless the largest sector radius is zero, in which case
+// the grid still holds an older batch's points.
+void ChurnEngine::note_full_build_grid() {
+  grid_indexes_survivors_ =
+      alive_count_ > 0 &&
+      session_.last_result().orientation.max_radius() > 0.0;
 }
 
 void ChurnEngine::rebuild_compact() {
@@ -516,6 +560,7 @@ void ChurnEngine::build_digraph() {
         pool_.get());
     std::move(dg_).release(cx_.transmission.offsets, cx_.transmission.targets);
     dg_ = std::move(fresh);
+    note_full_build_grid();
     return;
   }
 
@@ -531,6 +576,7 @@ void ChurnEngine::build_digraph() {
   patch_qr_ = qr;  // certify_sccs re-queries the same grid at this radius
   auto& grid = cx_.transmission.grid;
   grid.rebuild(compact_pts_, std::max(qr / 2.0, 1e-12));
+  grid_indexes_survivors_ = true;  // position_taken reads it next batch
   auto& hits = cx_.transmission.candidates;
   // Event-node retests: one grid query per event node finds the clean
   // rows that can accept it (antenna::accepting_rows).  Each clean row

@@ -93,10 +93,15 @@ struct ChurnEvent {
   geom::Point to{};  ///< kMove destination (ignored otherwise)
 };
 
-/// Event log entry: `applied == false` means the event was rejected
-/// (failing a dead node, recovering an alive one, moving a dead one, or a
-/// fail that would drop the alive count below ChurnOptions::min_alive) and
-/// the state is unchanged.  Rejections are deterministic, so logs replay.
+/// Event log entry: `applied == false` means the event was rejected and
+/// the state is unchanged.  Rejected are: failing a dead node, recovering
+/// an alive one, moving a dead one, a fail that would drop the alive count
+/// below ChurnOptions::min_alive, a move onto the exact position of
+/// another alive node, and a recover at a position another alive node now
+/// occupies exactly (the orientation layer cannot aim at a coincident
+/// point).  Events apply in order, so the occupancy a move or recover
+/// sees includes the earlier events of its own batch.  Rejections are
+/// deterministic, so logs replay.
 struct AppliedEvent {
   ChurnEvent event{};
   bool applied = false;
@@ -234,6 +239,8 @@ class ChurnEngine {
   void adversarial_schedule(int count, std::vector<ChurnEvent>& out) const;
 
  private:
+  bool position_taken(int v, const geom::Point& p) const;
+  void note_full_build_grid();
   void rebuild_compact();
   void audit_frozen();
   void replan();
@@ -260,6 +267,10 @@ class ChurnEngine {
   std::vector<char> recovered_;  ///< this batch
   std::vector<char> changed_pos_;  ///< moved_ | recovered_ (orienter input)
   std::vector<int> event_nodes_; ///< alive & (moved|recovered), ascending
+  std::vector<int> placed_;      ///< moves/recovers applied so far this batch
+  /// cx_.transmission.grid indexes the last batch's survivors
+  /// (compact_pts_ before rebuild_compact); position_taken relies on it.
+  bool grid_indexes_survivors_ = false;
   std::vector<int> batch_dead_;  ///< fails applied this batch, ascending
   std::vector<int> pending_fails_;  ///< buffered pool erases (one batch)
   std::vector<char> dirty_;      ///< sectors changed in the last re-plan

@@ -8,8 +8,8 @@ namespace dirant::sim {
 
 namespace {
 
-/// Min-heap order on (tick, seq) — the same strict total order the wheel
-/// realises structurally.
+/// Min-heap order on (tick, seq) for the overflow park — the same strict
+/// total order the wheel realises structurally.
 constexpr auto heap_later = [](const auto& a, const auto& b) {
   return a.tick != b.tick ? a.tick > b.tick : a.seq > b.seq;
 };
@@ -30,17 +30,7 @@ int find_ge(const std::uint64_t (&w)[Words], int from) {
 
 }  // namespace
 
-const char* to_string(QueueKind k) {
-  switch (k) {
-    case QueueKind::kTimingWheel:
-      return "wheel";
-    case QueueKind::kBinaryHeap:
-      return "heap";
-  }
-  return "?";
-}
-
-void EventQueue::reset(QueueKind kind) {
+void EventQueue::reset() {
   for (std::vector<Packed>& b : buckets_) b.clear();
   std::memset(occ_, 0, sizeof occ_);
   heap_.clear();
@@ -50,7 +40,6 @@ void EventQueue::reset(QueueKind kind) {
   seq_ = 0;
   cascaded_ = 0;
   parked_ = 0;
-  kind_ = kind;
 }
 
 void EventQueue::park(std::uint64_t tick, std::uint32_t data,
@@ -90,9 +79,14 @@ void EventQueue::cascade(int level) {
 }
 
 // Moves the cursor to the next occupied tick.  Precondition: size_ > 0 and
-// the cursor's bucket is empty.  Empty level-0 windows are skipped via the
-// occupancy bitmaps; when the wheels are drained entirely the cursor jumps
-// straight to the overflow's top-level window, so far-future timers cost
+// the cursor's bucket is empty.  The occupancy bitmaps skip empty slots on
+// every level: an occupied level-j slot always lies strictly after the
+// cursor's own level-j slot (placement puts an event on the lowest level
+// whose aligned window holds the cursor, and the cursor's own upper slots
+// were cascaded when it entered them), so the cursor jumps straight to the
+// next occupied level-0 slot, else to the next occupied level-1 or level-2
+// slot, cascading it down.  When the wheels are drained entirely it jumps
+// to the overflow's top-level window, so far-future timers cost
 // O(overflow), not O(tick gap).
 void EventQueue::advance() {
   // The cursor's own slot was just drained; slot 0 of a freshly entered
@@ -112,32 +106,27 @@ void EventQueue::advance() {
       cur_ = (cur_ & ~kMask) | static_cast<std::uint64_t>(s);
       return;
     }
-    // Level-0 window exhausted: cross the boundary and cascade downward,
-    // highest wrapped level first.
-    cur_ = (cur_ | kMask) + 1;
-    if (((cur_ >> kBits) & kMask) == 0) {
-      if (((cur_ >> (2 * kBits)) & kMask) == 0) drain_overflow();
+    // Level-0 window exhausted: enter the next occupied level-1 slot of
+    // this level-2 window, else the next occupied level-2 slot, and
+    // cascade it downward.  (A cascaded level-2 slot fills no level-1
+    // slot 0: those events share the cursor's level-0 window.)
+    const int l1 = static_cast<int>((cur_ >> kBits) & kMask);
+    if (const int s = find_ge(occ_[1], l1 + 1); s >= 0) {
+      cur_ = (cur_ & ~((1ull << (2 * kBits)) - 1)) |
+             (static_cast<std::uint64_t>(s) << kBits);
+      cascade(1);
+    } else {
+      // The wheels still hold an event (size_ > heap_.size()), and it is
+      // on neither lower level.
+      const int l2 = static_cast<int>((cur_ >> (2 * kBits)) & kMask);
+      const int s2 = find_ge(occ_[2], l2 + 1);
+      DIRANT_ASSERT(s2 >= 0);
+      cur_ = (cur_ & ~((1ull << kSpanBits) - 1)) |
+             (static_cast<std::uint64_t>(s2) << (2 * kBits));
       cascade(2);
     }
-    cascade(1);
     from = 0;
   }
-}
-
-void EventQueue::push_heap_mode(std::uint64_t tick, std::uint32_t data,
-                                std::uint32_t aux) {
-  DIRANT_ASSERT(tick >= cur_);
-  heap_.push_back(HeapEntry{tick, seq_++, data, aux});
-  std::push_heap(heap_.begin(), heap_.end(), heap_later);
-}
-
-EventQueue::Item EventQueue::pop_heap_mode() {
-  std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-  const HeapEntry e = heap_.back();
-  heap_.pop_back();
-  --size_;
-  cur_ = e.tick;
-  return Item{e.tick, e.data, e.aux};
 }
 
 }  // namespace dirant::sim

@@ -1,13 +1,12 @@
 #pragma once
 /// \file event_queue.hpp
 /// EventQueue — the discrete-event core of sim::TrafficEngine: a
-/// hierarchical timing wheel with the classic binary heap retained behind
-/// the same interface as the correctness oracle (`QueueKind::kBinaryHeap`).
+/// hierarchical timing wheel.
 ///
 /// The queue delivers events in strictly increasing `(tick, push-order)`
 /// order — the FIFO tie-break that makes the TrafficEngine's run a pure
-/// function of (topology, schedule, seed).  The binary heap realises that
-/// order with an explicit per-event sequence number and O(log m)
+/// function of (topology, schedule, seed).  A binary heap would realise
+/// that order with an explicit per-event sequence number and O(log m)
 /// comparisons per push/pop; the timing wheel realises it *structurally*
 /// in O(1) amortized per event, with no comparator on the hot path at all:
 ///
@@ -35,17 +34,20 @@
 ///     so a warm run performs zero heap allocations once every bucket has
 ///     seen its peak occupancy (the `WarmRunIsAllocationFree` contract).
 ///
-/// Occupancy bitmaps (one word per 64 slots) let the cursor skip empty
-/// slots with `countr_zero` instead of stepping tick by tick; when the
-/// wheels are empty the cursor jumps straight to the overflow's window, so
-/// arbitrarily distant timers cost O(overflow) — not O(horizon).
+/// Occupancy bitmaps (one word per 64 slots, on every level) let the
+/// cursor skip empty slots with `countr_zero` instead of stepping tick by
+/// tick or window by window: it jumps to the next occupied level-0 slot,
+/// else the next occupied level-1 or level-2 slot.  When the wheels are
+/// empty it jumps straight to the overflow's window, so arbitrarily
+/// distant timers cost O(overflow) — not O(horizon).
 ///
 /// The payload is two opaque 32-bit words (`data`, `aux`); the engine
 /// packs its event kind + index into `data` and the packet generation into
-/// `aux`.  In-wheel records are 16 bytes — half the footprint of the old
-/// heap's 32-byte events — so a bucket scan is cache-dense.
-/// `tests/test_event_queue.cpp` drives both kinds through adversarial
-/// interleavings and asserts exact pop-order equality.
+/// `aux`.  In-wheel records are 16 bytes — half the footprint of a
+/// sequence-keyed heap entry — so a bucket scan is cache-dense.
+/// `tests/test_event_queue.cpp` drives the wheel and a plain binary heap
+/// (tests/reference_event_queue.hpp) through seeded adversarial traces and
+/// asserts exact pop-order equality.
 ///
 /// Not thread-safe; one queue per engine, same as the engine itself.
 
@@ -57,13 +59,6 @@
 
 namespace dirant::sim {
 
-enum class QueueKind : std::uint8_t {
-  kTimingWheel,  ///< hierarchical wheel, O(1) amortized, comparator-free
-  kBinaryHeap,   ///< std::push_heap/pop_heap oracle, O(log m)
-};
-
-const char* to_string(QueueKind k);
-
 class EventQueue {
  public:
   /// One dequeued event.  `data`/`aux` are returned exactly as pushed.
@@ -73,22 +68,16 @@ class EventQueue {
     std::uint32_t aux = 0;
   };
 
-  EventQueue() { reset(QueueKind::kTimingWheel); }
-
   /// Empties the queue and rewinds the cursor to tick 0, keeping every
-  /// bucket's capacity (the warm zero-alloc contract).  The overload picks
-  /// the implementation for the next run; a mid-run kind switch is not a
-  /// meaningful operation, so reconfiguring always resets.
-  void reset() { reset(kind_); }
-  void reset(QueueKind kind);
+  /// bucket's capacity (the warm zero-alloc contract).
+  void reset();
 
-  QueueKind kind() const { return kind_; }
   bool empty() const { return size_ == 0; }
   std::uint64_t size() const { return size_; }
 
-  /// Lower bound of poppable ticks: the wheel cursor, or the last popped
-  /// tick in heap mode.  Pushing below it is a contract violation — a
-  /// discrete-event loop never schedules into the past.
+  /// Lower bound of poppable ticks: the wheel cursor.  Pushing below it
+  /// is a contract violation — a discrete-event loop never schedules into
+  /// the past.
   std::uint64_t now() const { return cur_; }
 
   // Observability for tests and benches (cumulative since reset):
@@ -99,10 +88,6 @@ class EventQueue {
 
   void push(std::uint64_t tick, std::uint32_t data, std::uint32_t aux) {
     ++size_;
-    if (kind_ == QueueKind::kBinaryHeap) {
-      push_heap_mode(tick, data, aux);
-      return;
-    }
     DIRANT_ASSERT(tick >= cur_);
     if ((tick >> kSpanBits) != (cur_ >> kSpanBits)) {
       park(tick, data, aux);
@@ -115,7 +100,6 @@ class EventQueue {
   /// `!empty()`.
   Item pop() {
     DIRANT_ASSERT(size_ != 0);
-    if (kind_ == QueueKind::kBinaryHeap) return pop_heap_mode();
     for (;;) {
       // The cursor's level-0 bucket holds events of exactly one tick in
       // push order; handlers may append same-tick events while it drains,
@@ -149,8 +133,8 @@ class EventQueue {
     std::uint32_t aux;
   };
 
-  /// Heap / overflow record: the explicit `(tick, seq)` key the wheel
-  /// does not need.
+  /// Overflow record: parked events keep an explicit `(tick, seq)` key,
+  /// which the in-wheel buckets do not need.
   struct HeapEntry {
     std::uint64_t tick;
     std::uint64_t seq;
@@ -177,15 +161,10 @@ class EventQueue {
   void cascade(int level);
   void advance();
 
-  void push_heap_mode(std::uint64_t tick, std::uint32_t data,
-                      std::uint32_t aux);
-  Item pop_heap_mode();
-
   // Level-0 slots first so the pop hot path indexes with no offset.
   std::array<std::vector<Packed>, kLevels * kSlots> buckets_;
   std::uint64_t occ_[kLevels][kWords] = {};
-  /// Overflow park (wheel mode) / the entire queue (heap mode): one
-  /// recycled buffer, `(tick, seq)` min-heap order in both roles.
+  /// Overflow park: a recycled `(tick, seq)` min-heap.
   std::vector<HeapEntry> heap_;
   std::uint64_t cur_ = 0;
   std::size_t head_ = 0;  ///< consumed prefix of the cursor's bucket
@@ -193,7 +172,6 @@ class EventQueue {
   std::uint64_t seq_ = 0;
   std::uint64_t cascaded_ = 0;
   std::uint64_t parked_ = 0;
-  QueueKind kind_ = QueueKind::kTimingWheel;
 };
 
 }  // namespace dirant::sim

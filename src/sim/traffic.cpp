@@ -85,10 +85,6 @@ const char* to_string(RoutingPolicy p) {
   switch (p) {
     case RoutingPolicy::kFlood:
       return "flood";
-    case RoutingPolicy::kGreedy:
-      return "greedy";
-    case RoutingPolicy::kGreedyTreeFallback:
-      return "greedy+tree";
     case RoutingPolicy::kCollectionTree:
       return "tree";
   }
@@ -104,7 +100,6 @@ void TrafficEngine::bind(std::span<const geom::Point> pts,
   DIRANT_ASSERT(static_cast<int>(pts.size()) == o.size());
   DIRANT_ASSERT(tree == nullptr || tree->n == static_cast<int>(pts.size()));
   churn_ = nullptr;
-  pts_ = pts;
   orient_ = &o;
   tree_ = tree;
   n_ = static_cast<int>(pts.size());
@@ -112,13 +107,10 @@ void TrafficEngine::bind(std::span<const geom::Point> pts,
   if (tree_) tree_->adjacency_into(tree_adj_);
 }
 
-void TrafficEngine::bind_graph(const graph::Digraph& g,
-                               std::span<const geom::Point> pts) {
-  DIRANT_ASSERT(g.size() == static_cast<int>(pts.size()));
+void TrafficEngine::bind_graph(const graph::Digraph& g) {
   churn_ = nullptr;
   orient_ = nullptr;
   tree_ = nullptr;
-  pts_ = pts;
   n_ = g.size();
   audit_.bind(g);
   graph_ = &g;
@@ -129,7 +121,6 @@ void TrafficEngine::attach_churn(ChurnEngine& eng) {
   churn_ = &eng;
   orient_ = nullptr;
   tree_ = nullptr;
-  pts_ = {};
   n_ = eng.size();
   graph_ = &eng.certified_digraph();
   audit_.bind(*graph_);
@@ -141,10 +132,6 @@ double TrafficEngine::battery_charge(int u) const {
 }
 
 void TrafficEngine::set_threads(int threads) { audit_.set_threads(threads); }
-
-const geom::Point& TrafficEngine::position(int u) const {
-  return churn_ ? churn_->positions()[u] : pts_[u];
-}
 
 // --- randomness ---------------------------------------------------------
 
@@ -206,7 +193,7 @@ int TrafficEngine::acquire_flood_row() {
 }
 
 int TrafficEngine::try_enqueue(std::uint64_t now, int logical, int node,
-                               int dst, int hops, std::uint8_t mode) {
+                               int dst, int hops) {
   NodeState& ns = node_[node];
   if (ns.qlen >= opts_.queue_capacity) return -1;
   const int s = acquire_slot();
@@ -216,7 +203,6 @@ int TrafficEngine::try_enqueue(std::uint64_t now, int logical, int node,
   p.dst = dst;
   p.attempts = 0;
   p.hops = hops;
-  p.mode = mode;
   ++ns.qlen;
   ++log_copies_[logical];
   // The radio serialises departures: a burst pays contention delay.
@@ -278,40 +264,9 @@ int TrafficEngine::edge_position(int u, int v) const {
   return -1;
 }
 
-void TrafficEngine::pick_greedy(int u, int dst, int& v, int& edge_pos) const {
-  v = -1;
-  edge_pos = -1;
-  const geom::Point pu = position(u);
-  const geom::Point pd = position(dst);
-  double best = geom::dist2(pu, pd);
-  const int cu = comp_of_[u];
-  const auto row = graph_->out(cu);
-  const int base = graph_->out_offset(cu);
-  for (size_t i = 0; i < row.size(); ++i) {
-    const int w = orig_of_[row[i]];
-    // Strictly-decreasing rule (sim/routing.hpp): ties keep the first
-    // best in row order — deterministic.  The sender does not know which
-    // neighbours are alive; frames to dead nodes are simply lost and the
-    // ARQ layer pays for the discovery.
-    const double d = geom::dist2(position(w), pd);
-    if (d < best) {
-      best = d;
-      v = w;
-      edge_pos = base + static_cast<int>(i);
-    }
-  }
-}
-
-int TrafficEngine::greedy_hop(int s, int u, int& edge_pos) {
-  Hop& h = greedy_memo_[static_cast<size_t>(s) * n_ + u];
-  if (h.v == kUnknownHop) pick_greedy(u, dsts_[s], h.v, h.epos);
-  edge_pos = h.epos;
-  return h.v;
-}
-
 int TrafficEngine::tree_hop(int s, int u, int& edge_pos) {
   Hop& h = tree_memo_[static_cast<size_t>(s) * n_ + u];
-  if (h.epos == kUnknownHop) h.epos = h.v >= 0 ? edge_position(u, h.v) : -1;
+  if (h.epos == kUnknownEdge) h.epos = h.v >= 0 ? edge_position(u, h.v) : -1;
   edge_pos = h.epos;
   // A tree hop without a live CSR edge is a routing void, same as no hop.
   return h.epos >= 0 ? h.v : -1;
@@ -320,12 +275,7 @@ int TrafficEngine::tree_hop(int s, int u, int& edge_pos) {
 void TrafficEngine::rebuild_routes() {
   const int nd = static_cast<int>(dsts_.size());
   const size_t cells = static_cast<size_t>(nd) * n_;
-  tree_memo_.assign(cells, Hop{-1, kUnknownHop});
-  // Only the greedy policies read the greedy memo.
-  if (opts_.policy == RoutingPolicy::kGreedy ||
-      opts_.policy == RoutingPolicy::kGreedyTreeFallback) {
-    greedy_memo_.assign(cells, Hop{kUnknownHop, -1});
-  }
+  tree_memo_.assign(cells, Hop{-1, kUnknownEdge});
   for (int s = 0; s < nd; ++s) {
     const int dst = dsts_[s];
     Hop* next = tree_memo_.data() + static_cast<size_t>(s) * n_;
@@ -456,9 +406,7 @@ void TrafficEngine::handle_inject(std::uint64_t now, int flow) {
     return;
   }
 
-  const std::uint8_t mode =
-      opts_.policy == RoutingPolicy::kCollectionTree ? 1 : 0;
-  if (try_enqueue(now, logical, fl.src, fl.dst, 0, mode) < 0) {
+  if (try_enqueue(now, logical, fl.src, fl.dst, 0) < 0) {
     resolve_logical(logical, &report_.drop_queue);
     return;
   }
@@ -501,20 +449,6 @@ void TrafficEngine::arq_failure(std::uint64_t now, int slot) {
                EventKind::kTransmit, slot, static_cast<int>(p.gen));
     return;
   }
-  // Retries exhausted.  A greedy packet under the fallback policy reroutes
-  // onto the collection tree and starts a fresh retry budget; anything
-  // else is done.
-  if (p.mode == 0 && opts_.policy == RoutingPolicy::kGreedyTreeFallback) {
-    int te = -1;
-    if (tree_hop(dst_slot_of_[p.dst], p.node, te) >= 0) {
-      p.mode = 1;
-      p.attempts = 0;
-      ++report_.reroutes;
-      push_event(now + arq.ack_timeout, EventKind::kTransmit, slot,
-                 static_cast<int>(p.gen));
-      return;
-    }
-  }
   const int logical = p.logical;
   finish_copy(slot);
   resolve_logical(logical, &report_.drop_retry);
@@ -530,38 +464,18 @@ void TrafficEngine::handle_unicast(std::uint64_t now, int slot, Packet& p) {
     return;
   }
 
-  const int ds = dst_slot_of_[dst];
-  int v = -1;
   int epos = -1;
-  const bool greedy_mode =
-      p.mode == 0 && (opts_.policy == RoutingPolicy::kGreedy ||
-                      opts_.policy == RoutingPolicy::kGreedyTreeFallback);
-  v = greedy_mode ? greedy_hop(ds, u, epos) : tree_hop(ds, u, epos);
+  const int v = tree_hop(dst_slot_of_[dst], u, epos);
   if (v < 0) {
-    // Routing void.  The fallback policy reroutes onto the tree.
-    if (greedy_mode && opts_.policy == RoutingPolicy::kGreedyTreeFallback) {
-      int te = -1;
-      const int tv = tree_hop(ds, u, te);
-      if (tv >= 0) {
-        p.mode = 1;
-        p.attempts = 0;
-        ++report_.reroutes;
-        v = tv;
-        epos = te;
-      }
-    }
-    if (v < 0) {
-      finish_copy(slot);
-      resolve_logical(logical, &report_.drop_no_route);
-      return;
-    }
+    finish_copy(slot);
+    resolve_logical(logical, &report_.drop_no_route);
+    return;
   }
 
   // Data frame.
   ++report_.transmissions;
   if (p.attempts > 0) ++report_.retransmissions;
   drain_transmit_energy(u);
-  const std::uint8_t mode = p.mode;
   const int hops = p.hops + 1;
 
   const bool frame_ok = node_alive(v) && !frame_lost(epos);
@@ -578,7 +492,7 @@ void TrafficEngine::handle_unicast(std::uint64_t now, int slot, Packet& p) {
       deliver(now, logical);  // ... and is consumed at the destination
       return;
     }
-    if (try_enqueue(now, logical, v, dst, hops, mode) < 0) {
+    if (try_enqueue(now, logical, v, dst, hops) < 0) {
       resolve_logical(logical, &report_.drop_queue);
     }
     return;
@@ -605,7 +519,7 @@ void TrafficEngine::handle_unicast(std::uint64_t now, int slot, Packet& p) {
     deliver(now, logical);
     return;
   }
-  if (try_enqueue(now, logical, v, dst, hops, mode) < 0) {
+  if (try_enqueue(now, logical, v, dst, hops) < 0) {
     resolve_logical(logical, &report_.drop_queue);
   }
 }
@@ -638,7 +552,7 @@ void TrafficEngine::handle_flood(std::uint64_t now, int slot, Packet& p) {
       if (hops <= opts_.ttl) {
         // No ARQ on a flood; a full queue evaporates the copy — the
         // flood's redundancy is its retry mechanism.
-        (void)try_enqueue(now, logical, v, dst, hops, 0);
+        (void)try_enqueue(now, logical, v, dst, hops);
       }
     }
   }
@@ -718,8 +632,8 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
   }
   rebuild_routes();
 
-  // Seed the event queue (wheel or oracle heap, per opts.queue).
-  queue_.reset(opts.queue);
+  // Seed the event queue.
+  queue_.reset();
   pool_.clear();
   slot_live_.clear();
   free_slots_.clear();
@@ -732,9 +646,9 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
     }
   }
 
-  // The loop.  Serial by design: the queue pops a strict (tick, seq)
-  // total order — structurally in the wheel, by comparator in the heap —
-  // so the run is a pure function of (topology, schedule, seed).
+  // The loop.  Serial by design: the wheel pops a strict (tick, seq)
+  // total order, so the run is a pure function of (topology, schedule,
+  // seed).
   while (!queue_.empty()) {
     const EventQueue::Item e = queue_.pop();
     ++report_.events;

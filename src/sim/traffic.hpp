@@ -7,14 +7,13 @@
 /// *protocol* question the multihop literature says dominates real
 /// deployments (Georgiou–Nguyen 2015): what fraction of offered traffic
 /// survives lossy links, queue contention, battery exhaustion and node
-/// churn — and how much of it the ARQ layer (retry / timeout / backoff /
-/// reroute) claws back.
+/// churn — and how much of it the ARQ layer (retry / timeout / backoff)
+/// claws back.
 ///
 /// The engine is a timestamped event loop (hierarchical timing wheel over
 /// integer ticks — see sim/event_queue.hpp — whose FIFO buckets realise
-/// the (tick, sequence) total order structurally; the classic binary heap
-/// is retained behind `TrafficOptions::queue` as the bit-identical oracle)
-/// above a bound transmission digraph:
+/// the (tick, sequence) total order structurally) above a bound
+/// transmission digraph:
 ///
 ///   * **Forwarding queues.**  Every node is a single radio with a finite
 ///     FIFO queue (`TrafficOptions::queue_capacity`).  A packet copy
@@ -34,14 +33,15 @@
 ///     receiver forwards its copy while the sender retries — duplicates
 ///     are suppressed at the destination by per-flow sequence numbers and
 ///     reported, never double-delivered.  A per-packet TTL bounds hops.
-///   * **Routing policies.**  kFlood (broadcast, no ARQ — the parity
-///     anchor against AuditSession::flood), kGreedy (strictly-decreasing
-///     geographic forwarding, the sim/routing.hpp rule), kCollectionTree
-///     (CTP-style: every hop follows a per-destination collection tree —
-///     the recorded orientation tree when one is bound, else the BFS
-///     in-tree of the certified digraph), and kGreedyTreeFallback
-///     (greedy until a routing void or retry exhaustion, then reroute
-///     onto the collection tree — the recovery policy).
+///   * **Routing policies.**  kCollectionTree (CTP-style unicast: every
+///     hop follows a per-destination collection tree — the recorded
+///     orientation tree when one is bound, else the BFS in-tree of the
+///     certified digraph) and kFlood (broadcast, no ARQ — the parity
+///     anchor against AuditSession::flood).  Greedy geographic forwarding
+///     is not a traffic policy: on Theorem 3 digraphs each sensor's two
+///     narrow sectors aim along MST edges, and the strictly-decreasing
+///     rule (sim/routing.hpp, still used by AuditSession) hits a routing
+///     void almost at once.
 ///   * **Energy.**  Every transmission drains the sender's battery by its
 ///     per-packet sector energy (sim/energy.hpp, clamped at zero — a
 ///     charge never goes negative).  A node whose battery empties leaves
@@ -57,7 +57,7 @@
 ///     degraded delivery is data, never a throw.
 ///
 /// Determinism is the contract, same as everywhere else: the event loop is
-/// serial, its heap order is a strict total order, and every thread-
+/// serial, its pop order is a strict total order, and every thread-
 /// sensitive stage underneath (the sharded digraph build, churn
 /// recertification) carries its own bit-identity contract —
 /// so the whole TrafficReport is bit-identical across repeats and at every
@@ -106,11 +106,8 @@ class TrafficOptionsError : public std::runtime_error {
 };
 
 enum class RoutingPolicy {
-  kFlood,              ///< broadcast to every out-neighbour (no ARQ)
-  kGreedy,             ///< strictly-decreasing geographic forwarding
-  kGreedyTreeFallback, ///< greedy; reroute onto the collection tree on a
-                       ///< void or on retry exhaustion
-  kCollectionTree,     ///< every hop follows the per-destination tree
+  kFlood,           ///< broadcast to every out-neighbour (no ARQ)
+  kCollectionTree,  ///< every hop follows the per-destination tree
 };
 
 const char* to_string(RoutingPolicy p);
@@ -154,7 +151,7 @@ struct BatteryOptions {
 };
 
 struct TrafficOptions {
-  RoutingPolicy policy = RoutingPolicy::kGreedyTreeFallback;
+  RoutingPolicy policy = RoutingPolicy::kCollectionTree;
   LossModel loss{};
   ArqOptions arq{};
   BatteryOptions battery{};
@@ -163,11 +160,6 @@ struct TrafficOptions {
   std::uint64_t service_ticks = 8;  ///< radio airtime per transmission
   int ttl = 64;                  ///< max hops per packet copy
   std::uint64_t seed = 1;
-  /// Event-queue implementation.  The wheel and the heap pop the same
-  /// strict (tick, seq) order, so every TrafficReport field is
-  /// bit-identical between the two — the heap exists as the oracle the
-  /// parity tests and benches compare against.
-  QueueKind queue = QueueKind::kTimingWheel;
 };
 
 /// One unicast flow: `packets` packets from `src` to `dst` (original ids),
@@ -212,13 +204,15 @@ struct TrafficReport {
   long long frames_lost = 0;      ///< data frames lost (incl. dead receiver)
   long long acks_lost = 0;        ///< acks lost (each creates a duplicate)
   long long duplicates = 0;       ///< copies suppressed at the destination
-  long long reroutes = 0;         ///< greedy -> tree mode switches
+  /// Always 0: no policy reroutes any more.  Kept so existing readers of
+  /// the report (perfbench's traffic digest) stay unchanged.
+  long long reroutes = 0;
 
   // Per-cause loss breakdown (logical packets; see above).
   long long drop_queue = 0;     ///< tail drop at a full forwarding queue
   long long drop_ttl = 0;       ///< hop budget exhausted
-  long long drop_retry = 0;     ///< ARQ retries exhausted (after fallback)
-  long long drop_no_route = 0;  ///< routing void / no tree route, no fallback
+  long long drop_retry = 0;     ///< ARQ retries exhausted
+  long long drop_no_route = 0;  ///< no tree route / flood petered out
   long long drop_churn = 0;     ///< in-flight at a churn-failed node
   long long drop_battery = 0;   ///< in-flight at a battery-dead node
   long long drop_stranded = 0;  ///< endpoint dead/stranded at injection
@@ -234,7 +228,7 @@ struct TrafficReport {
   std::vector<int> stranded;
 
   /// Field-by-field bit-identity (doubles compared exactly): the contract
-  /// between queue kinds, thread counts and repeated runs.
+  /// between thread counts and repeated runs.
   bool operator==(const TrafficReport&) const = default;
 };
 
@@ -256,7 +250,7 @@ class TrafficEngine {
 
   /// Static topology over a caller-owned digraph (tests, synthetic
   /// workloads).  No orientation: per-packet energy cost is 1.0 per node.
-  void bind_graph(const graph::Digraph& g, std::span<const geom::Point> pts);
+  void bind_graph(const graph::Digraph& g);
 
   /// Churn-aware topology: simulate over `eng`'s certified digraph and
   /// alive set; `TrafficSchedule::churn` batches step the engine
@@ -271,14 +265,14 @@ class TrafficEngine {
   /// that the run never throws on degraded delivery: stranded
   /// destinations, drops and partial delivery are report fields.  Pure
   /// function of (topology, schedule, opts) — bit-identical across
-  /// repeats, thread counts and `TrafficOptions::queue` kinds.
+  /// repeats and thread counts.
   const TrafficReport& run(const TrafficSchedule& schedule,
                            const TrafficOptions& opts);
 
   const TrafficReport& last_report() const { return report_; }
 
-  /// The event core of the last/current run (queue-kind, cascade and
-  /// overflow counters) — observability for tests and benches.
+  /// The event core of the last/current run (cascade and overflow
+  /// counters) — observability for tests and benches.
   const EventQueue& event_queue() const { return queue_; }
 
   /// Remaining battery charge of original node `u` after the last run
@@ -298,11 +292,10 @@ class TrafficEngine {
     int dst = -1;       ///< destination, original id
     int attempts = 0;   ///< tries at the current hop
     int hops = 0;
-    std::uint8_t mode = 0;  ///< 0 = greedy, 1 = tree
     std::uint32_t gen = 0;  ///< stale-event guard
   };
 
-  static constexpr int kUnknownHop = -2;  ///< route-memo "not yet computed"
+  static constexpr int kUnknownEdge = -2;  ///< route-memo "not yet computed"
 
   // Event payload packing: the queue carries (tick, data, aux) with
   // data = kind << 30 | a and aux = packet generation.  `a` is a flow
@@ -329,7 +322,7 @@ class TrafficEngine {
   /// Queue a copy of `logical` at `node`; returns the slot, or -1 on a
   /// tail drop (no copy created, no accounting — the caller decides).
   int try_enqueue(std::uint64_t now, int logical, int node, int dst,
-                  int hops, std::uint8_t mode);
+                  int hops);
   /// Free a copy's slot (queue length, pool, flood row); no logical
   /// accounting — pair with resolve_logical.
   void finish_copy(int slot);
@@ -343,15 +336,13 @@ class TrafficEngine {
   void refresh_topology();
   void rebuild_routes();
   int edge_position(int u, int v) const;
-  void pick_greedy(int u, int dst, int& v, int& edge_pos) const;
-  /// Memoized next hop + CSR edge position for destination slot `s`.
-  /// Both routing rules are pure functions of (topology, positions) —
-  /// deliberately blind to liveness, see pick_greedy — so the first visit
-  /// per (s, u) computes and every later hop is O(1).  Route rebuilds
-  /// reset the memo.
-  int greedy_hop(int s, int u, int& edge_pos);
+  /// Memoized next hop + CSR edge position for destination slot `s`.  The
+  /// route is a pure function of the topology — deliberately blind to
+  /// liveness: the sender does not know which neighbours are alive, frames
+  /// to dead nodes are lost and the ARQ layer pays for the discovery — so
+  /// the first visit per (s, u) resolves the edge and every later hop is
+  /// O(1).  Route rebuilds reset the memo.
   int tree_hop(int s, int u, int& edge_pos);
-  const geom::Point& position(int u) const;
   bool node_alive(int u) const { return node_[u].alive != 0; }
   void drain_transmit_energy(int u);
 
@@ -363,7 +354,6 @@ class TrafficEngine {
   // Topology sources (exactly one bound).
   AuditSession audit_;                     ///< digraph build + transpose
   const graph::Digraph* graph_ = nullptr;  ///< current graph (compact space)
-  std::span<const geom::Point> pts_;       ///< static-mode positions
   const antenna::Orientation* orient_ = nullptr;
   const mst::Tree* tree_ = nullptr;
   ChurnEngine* churn_ = nullptr;
@@ -403,21 +393,20 @@ class TrafficEngine {
   int flood_row_width_ = 0;
 
   /// One memoized route step — next hop + CSR edge position fused into
-  /// 8 bytes, so a lookup is one cache-line touch.  `v == kUnknownHop`
-  /// marks an uncomputed greedy cell; `epos == kUnknownHop` an
-  /// uncomputed tree cell (the tree's `v` is filled by rebuild_routes).
+  /// 8 bytes, so a lookup is one cache-line touch.  rebuild_routes fills
+  /// `v`; `epos == kUnknownEdge` marks a cell whose edge is not resolved
+  /// yet.
   struct Hop {
     int v;
     int epos;
   };
 
-  // Collection trees + route memos: per distinct destination, one
-  // dsts_.size() x n_ array per routing rule, lazily filled on first
-  // visit and reset whenever routes rebuild (the greedy one only under the
-  // greedy policies, the only readers).
+  // Collection trees: one dsts_.size() x n_ route memo, `v` filled per
+  // distinct destination whenever routes rebuild, `epos` lazily on first
+  // visit.
   std::vector<int> dsts_;          ///< distinct destinations, stable order
   std::vector<int> dst_slot_of_;   ///< orig id -> slot in dsts_ (-1)
-  std::vector<Hop> tree_memo_, greedy_memo_;
+  std::vector<Hop> tree_memo_;
   std::vector<int> dist_;          ///< BFS scratch
   graph::BfsScratch bfs_;
   std::vector<std::vector<int>> tree_adj_;  ///< bound recorded tree

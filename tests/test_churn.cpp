@@ -307,6 +307,99 @@ TEST(Churn, RejectsInvalidEventsDeterministically) {
   EXPECT_TRUE(rep.certificate.ok());
 }
 
+// Two alive sensors at one exact position leave the orientation layer
+// nothing to aim at (a zero vector), so a move onto an occupied position
+// and a recover at one are rejected before any state changes — across
+// batches (the occupant kept its position) and within one batch (the
+// occupant moved there earlier in it).  The engine keeps stepping, and
+// every step after a rejection still equals a from-scratch plan.
+TEST(Churn, CoincidentMoveAndRecoverAreRejected) {
+  using K = sim::ChurnEventKind;
+  const auto pts = make_points(300, 42);
+  for (const core::ProblemSpec spec :
+       {core::ProblemSpec{1, 2.0 * kPi}, core::ProblemSpec{2, kPi},
+        core::ProblemSpec{3, 0.0}, core::ProblemSpec{4, 0.0},
+        core::ProblemSpec{5, 0.0}}) {
+    SCOPED_TRACE(testing::Message() << "k=" << spec.k << " phi=" << spec.phi);
+    sim::ChurnEngine eng;
+    eng.init(pts, spec);
+    const geom::Point p7 = pts[7], p100 = pts[100], p5 = pts[5];
+
+    // Moves: onto a node that kept its position, then onto one that moved
+    // earlier in the same batch.  The other events of the batch apply.
+    const std::vector<sim::ChurnEvent> moves{
+        {K::kMove, 7, p100},               // occupied by 100
+        {K::kMove, 8, geom::Point{2, 2}},  // free
+        {K::kMove, 9, geom::Point{2, 2}},  // occupied by 8 (this batch)
+        {K::kFail, 11, {}},
+    };
+    const auto& r1 = eng.step(moves);
+    ASSERT_EQ(r1.events.size(), 4u);
+    EXPECT_FALSE(r1.events[0].applied);
+    EXPECT_TRUE(r1.events[1].applied);
+    EXPECT_FALSE(r1.events[2].applied);
+    EXPECT_TRUE(r1.events[3].applied);
+    EXPECT_EQ(eng.positions()[7].x, p7.x);
+    EXPECT_EQ(eng.positions()[7].y, p7.y);
+    EXPECT_EQ(eng.positions()[9].x, pts[9].x);
+    expect_matches_from_scratch(eng, spec, 1, 1);
+
+    // Recovers: 5 fails, 12 moves onto its last position, and 5's recover
+    // is rejected in the next batch (12 kept the position) and in the same
+    // batch as the move.
+    eng.step(std::vector<sim::ChurnEvent>{{K::kFail, 5, {}}});
+    expect_matches_from_scratch(eng, spec, 1, 2);
+    const auto& r3 = eng.step(std::vector<sim::ChurnEvent>{
+        {K::kMove, 12, p5}, {K::kRecover, 5, {}}});
+    EXPECT_TRUE(r3.events[0].applied);
+    EXPECT_FALSE(r3.events[1].applied);
+    EXPECT_EQ(eng.alive()[5], 0);
+    expect_matches_from_scratch(eng, spec, 1, 3);
+    const auto& r4 =
+        eng.step(std::vector<sim::ChurnEvent>{{K::kRecover, 5, {}}});
+    EXPECT_FALSE(r4.events[0].applied);
+    expect_matches_from_scratch(eng, spec, 1, 4);
+
+    // Once the occupant leaves, the position is free again.
+    const auto& r5 = eng.step(std::vector<sim::ChurnEvent>{
+        {K::kMove, 12, pts[12]}, {K::kRecover, 5, {}}});
+    EXPECT_TRUE(r5.events[0].applied);
+    EXPECT_TRUE(r5.events[1].applied);
+    expect_matches_from_scratch(eng, spec, 1, 5);
+  }
+}
+
+// A lone survivor has no positive sector radius, so the last digraph
+// build indexed no grid over it; the occupancy check must still see it,
+// on the full-build path and on the row-patch path.
+TEST(Churn, CoincidentRecoverRejectedWithLoneSurvivor) {
+  using K = sim::ChurnEventKind;
+  const core::ProblemSpec spec{2, kPi};
+  const auto pts = make_points(4, 3);
+  for (const bool force_full : {true, false}) {
+    SCOPED_TRACE(force_full ? "full builds" : "row patches allowed");
+    sim::ChurnEngine eng;
+    sim::ChurnOptions opts;
+    opts.min_alive = 1;
+    opts.force_full = force_full;
+    opts.dirty_threshold = 1.0;
+    eng.init(pts, spec, opts);
+    eng.step(std::vector<sim::ChurnEvent>{
+        {K::kFail, 1, {}}, {K::kFail, 2, {}}, {K::kFail, 3, {}}});
+    ASSERT_EQ(eng.alive_count(), 1);
+    // 0 moves onto dead 1's position; 1's recover then finds it taken.
+    EXPECT_TRUE(eng.step(std::vector<sim::ChurnEvent>{{K::kMove, 0, pts[1]}})
+                    .events[0]
+                    .applied);
+    const auto& rep = eng.step(std::vector<sim::ChurnEvent>{
+        {K::kRecover, 1, {}}, {K::kRecover, 2, {}}});
+    EXPECT_FALSE(rep.events[0].applied);
+    EXPECT_TRUE(rep.events[1].applied);
+    EXPECT_EQ(eng.alive_count(), 2);
+    EXPECT_TRUE(rep.certificate.ok());
+  }
+}
+
 TEST(Churn, MinAliveGuardRejectsFatalFails) {
   const core::ProblemSpec spec{2, kPi};
   const auto pts = make_points(5, 17);

@@ -1,14 +1,18 @@
-// sim::EventQueue — the timing-wheel vs binary-heap parity suite.  The
-// wheel's whole claim is that it realises the same strict (tick, seq) pop
-// order as the heap *structurally*, so every test here drives both kinds
-// through the same push/pop trace and asserts exact equality of the
-// (tick, data, aux) pop sequence — not statistical similarity.  Covered
-// adversaries: random tick spreads at every wheel level, same-tick floods,
-// interleaved push-while-draining, far-horizon events that park in the
-// overflow heap and cascade back in, and sparse far-apart timers that
-// exercise the empty-wheel cursor jump.  A final test pins the recycled-
-// slab contract: replaying an identical trace on a warm queue performs
-// zero heap allocations.
+// sim::EventQueue — the timing wheel against the binary-heap oracle.  The
+// wheel's whole claim is that it realises the heap's strict (tick, seq)
+// pop order *structurally*, so the suite drives the wheel and
+// tests/reference_event_queue.hpp through the same seeded push/pop traces
+// and asserts exact equality of every popped (tick, data, aux) — not
+// statistical similarity.  The randomized traces cover random tick spreads
+// at every wheel level, same-tick floods, pushes at now() while the
+// cursor's bucket drains, far-horizon events that park in the overflow
+// heap and cascade back in, and reset() reuse of one queue across traces;
+// two long fixed far traces keep hundreds of events parked at once, so the
+// overflow heap's (tick, seq) order and the cursor's jumps across empty
+// upper windows are checked under load.  Fixed tests pin the mechanisms by
+// name (the park/cascade counters) and the recycled-slab contract:
+// replaying an identical trace on a warm queue performs zero heap
+// allocations.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +20,14 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
 namespace sim = dirant::sim;
 using dirant::test::count_allocations;
+using dirant::test::ReferenceEventQueue;
 
 std::uint64_t splitmix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
@@ -30,82 +36,124 @@ std::uint64_t splitmix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-struct Popped {
-  std::uint64_t tick;
-  std::uint32_t data;
-  std::uint32_t aux;
+// Spreads chosen to pin each mechanism: 0 (pure FIFO), 3 (single level-0
+// window), 500 (level-1 cascades), 100000 (level-2 cascades), and the far
+// spread 2^26 (timers beyond the 2^24-tick wheel span: overflow park,
+// empty-wheel cursor jump, empty upper windows skipped per pop).
+constexpr std::uint64_t kNearSpreads[] = {0, 3, 500, 100000};
+constexpr std::uint64_t kFarSpread = 1ull << 26;
 
-  bool operator==(const Popped&) const = default;
-};
+// One trace, driven through any queue with the EventQueue interface:
+// interleave seeded pushes with drain bursts, then drain the remainder.
+// `data` carries the push index, so an out-of-order pop — or any FIFO
+// violation among equal ticks — shows up as a payload mismatch, not just a
+// tick mismatch.  `on_pop` sees every popped item.
+//
+// Adversarial mix (default): a quarter of the pushes land at now() (a push
+// while the cursor's bucket drains), a quarter repeat the previous push's
+// tick when it is still pending (same-tick groups, parked ones included),
+// and the rest draw a delta from [0, spread] relative to now().  Uniform
+// mix: every push draws its delta from [0, spread], so at a far spread
+// most pending events sit in the overflow park at once.
+enum class Mix { kAdversarial, kUniform };
 
-// One adversarial trace: interleave seeded pushes (delta drawn from
-// [0, spread], relative to the queue's current now()) with drain bursts,
-// then drain the remainder.  `data` carries the push index, so an
-// out-of-order pop — or any FIFO violation among equal ticks — shows up
-// as a payload mismatch, not just a tick mismatch.
-void run_trace(sim::EventQueue& q, sim::QueueKind kind, std::uint64_t seed,
-               int pushes, std::uint64_t spread, int burst,
-               std::vector<Popped>& out) {
-  q.reset(kind);
-  out.clear();
+template <typename Queue, typename OnPop>
+void run_trace(Queue& q, std::uint64_t seed, int pushes, std::uint64_t spread,
+               int burst, OnPop&& on_pop, Mix mix = Mix::kAdversarial) {
+  q.reset();
   std::uint64_t ctr = seed;
+  std::uint64_t last = 0;
   int pushed = 0;
   while (pushed < pushes || !q.empty()) {
     for (int i = 0; i < burst && pushed < pushes; ++i, ++pushed) {
-      const std::uint64_t delta = splitmix64(++ctr) % (spread + 1);
-      q.push(q.now() + delta, static_cast<std::uint32_t>(pushed),
+      const std::uint64_t r = splitmix64(++ctr);
+      std::uint64_t tick = q.now();
+      if (mix == Mix::kUniform) {
+        tick += r % (spread + 1);
+      } else if ((r & 3) == 1 && last >= q.now()) {
+        tick = last;
+      } else if ((r & 3) >= 2) {
+        tick += (r >> 2) % (spread + 1);
+      }
+      last = tick;
+      q.push(tick, static_cast<std::uint32_t>(pushed),
              static_cast<std::uint32_t>(pushed ^ 0x55555555u));
     }
     const int pops = 1 + static_cast<int>(splitmix64(++ctr) % burst);
-    for (int i = 0; i < pops && !q.empty(); ++i) {
-      const sim::EventQueue::Item e = q.pop();
-      out.push_back(Popped{e.tick, e.data, e.aux});
+    for (int i = 0; i < pops && !q.empty(); ++i) on_pop(q.pop());
+  }
+}
+
+bool same_item(const sim::EventQueue::Item& a,
+               const sim::EventQueue::Item& b) {
+  return a.tick == b.tick && a.data == b.data && a.aux == b.aux;
+}
+
+// Runs one trace through `wheel` and a fresh reference heap and asserts the
+// two pop sequences agree item for item, and that the wheel's pops are
+// tick-sorted.
+void expect_matches_reference(sim::EventQueue& wheel, std::uint64_t seed,
+                              int pushes, std::uint64_t spread, int burst,
+                              Mix mix = Mix::kAdversarial) {
+  ReferenceEventQueue heap;
+  std::vector<sim::EventQueue::Item> w, h;
+  run_trace(
+      wheel, seed, pushes, spread, burst,
+      [&](const sim::EventQueue::Item& e) { w.push_back(e); }, mix);
+  run_trace(
+      heap, seed, pushes, spread, burst,
+      [&](const sim::EventQueue::Item& e) { h.push_back(e); }, mix);
+  ASSERT_EQ(w.size(), static_cast<std::size_t>(pushes)) << "seed " << seed;
+  ASSERT_EQ(h.size(), w.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    ASSERT_TRUE(same_item(w[i], h[i]))
+        << "seed " << seed << ": first divergence at pop " << i << " (tick "
+        << w[i].tick << " vs " << h[i].tick << ")";
+    if (i > 0) {
+      ASSERT_LE(w[i - 1].tick, w[i].tick) << "seed " << seed;
     }
   }
 }
 
-void expect_same_trace(std::uint64_t seed, int pushes, std::uint64_t spread,
-                       int burst) {
+// 240 seeded traces, one wheel reused (reset) across all of them.
+TEST(EventQueue, RandomizedTracesMatchReferenceHeap) {
   sim::EventQueue wheel;
-  sim::EventQueue heap;
-  std::vector<Popped> w, h;
-  run_trace(wheel, sim::QueueKind::kTimingWheel, seed, pushes, spread, burst,
-            w);
-  run_trace(heap, sim::QueueKind::kBinaryHeap, seed, pushes, spread, burst,
-            h);
-  ASSERT_EQ(w.size(), h.size());
-  ASSERT_EQ(w.size(), static_cast<std::size_t>(pushes));
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    ASSERT_EQ(w[i], h[i]) << "first divergence at pop " << i;
+  std::uint64_t parked = 0, cascaded = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    const bool far = seed % 10 == 0;
+    const std::uint64_t spread = far ? kFarSpread : kNearSpreads[seed % 4];
+    const std::uint64_t r = splitmix64(seed * 0x51ed27ull);
+    const int pushes = 80 + static_cast<int>(r % 200);
+    const int burst = 1 + static_cast<int>((r >> 20) % 9);
+    expect_matches_reference(wheel, seed, pushes, spread, burst);
+    if (HasFatalFailure()) return;
+    parked += wheel.parked();
+    cascaded += wheel.cascaded();
   }
-  // Both queues saw the same interleaving, so the pop order must also be
-  // sorted by tick (the FIFO part is already pinned by the payloads).
-  for (std::size_t i = 1; i < w.size(); ++i) {
-    ASSERT_LE(w[i - 1].tick, w[i].tick);
-  }
+  // The traces must actually reach the overflow park and the upper wheels,
+  // or the parity above says nothing about them.
+  EXPECT_GT(parked, 0u);
+  EXPECT_GT(cascaded, 0u);
 }
 
-TEST(EventQueue, ToStringNamesKinds) {
-  EXPECT_STREQ("wheel", sim::to_string(sim::QueueKind::kTimingWheel));
-  EXPECT_STREQ("heap", sim::to_string(sim::QueueKind::kBinaryHeap));
-}
-
-// Spreads chosen to pin each mechanism: 0 (pure FIFO), 3 (single level-0
-// window), 500 (level-1 cascades), 100000 (level-2 cascades), 2^26
-// (overflow park + empty-wheel jump).
-TEST(EventQueue, ParityAcrossTickSpreads) {
-  expect_same_trace(/*seed=*/1, /*pushes=*/4000, /*spread=*/0, /*burst=*/7);
-  expect_same_trace(2, 4000, 3, 5);
-  expect_same_trace(3, 4000, 500, 9);
-  expect_same_trace(4, 4000, 100000, 6);
-  expect_same_trace(5, 2000, 1ull << 26, 4);
+// Long uniform far traces: most pending events wait in the overflow park
+// at once, drain back in (tick, seq) order, and every pop crosses several
+// empty upper windows.  Spread 2^26 spans a few top-level windows, 2^28
+// a few dozen.
+TEST(EventQueue, LongFarTracesMatchReferenceHeap) {
+  sim::EventQueue wheel;
+  expect_matches_reference(wheel, /*seed=*/5, /*pushes=*/2000,
+                           /*spread=*/1ull << 26, /*burst=*/4, Mix::kUniform);
+  EXPECT_GT(wheel.parked(), 1000u);
+  expect_matches_reference(wheel, /*seed=*/11, /*pushes=*/600,
+                           /*spread=*/1ull << 28, /*burst=*/3, Mix::kUniform);
+  EXPECT_GT(wheel.parked(), 300u);
 }
 
 TEST(EventQueue, SameTickFloodIsFifo) {
   sim::EventQueue q;
   for (int trial = 0; trial < 2; ++trial) {
-    q.reset(trial == 0 ? sim::QueueKind::kTimingWheel
-                       : sim::QueueKind::kBinaryHeap);
+    q.reset();
     q.push(41, 0xffffffffu, 0);
     for (std::uint32_t i = 0; i < 1000; ++i) q.push(42, i, ~i);
     ASSERT_EQ(q.pop().tick, 41u);
@@ -123,20 +171,16 @@ TEST(EventQueue, SameTickFloodIsFifo) {
 // pop in push order after the already-queued events — the handler-
 // schedules-at-now pattern the engine leans on.
 TEST(EventQueue, PushAtNowWhileDraining) {
-  for (const auto kind :
-       {sim::QueueKind::kTimingWheel, sim::QueueKind::kBinaryHeap}) {
-    sim::EventQueue q;
-    q.reset(kind);
-    q.push(7, 0, 0);
-    q.push(7, 1, 0);
-    ASSERT_EQ(q.pop().data, 0u);
-    q.push(7, 2, 0);  // lands behind data=1 at the same tick
-    q.push(8, 3, 0);
-    ASSERT_EQ(q.pop().data, 1u);
-    ASSERT_EQ(q.pop().data, 2u);
-    ASSERT_EQ(q.pop().data, 3u);
-    EXPECT_TRUE(q.empty());
-  }
+  sim::EventQueue q;
+  q.push(7, 0, 0);
+  q.push(7, 1, 0);
+  ASSERT_EQ(q.pop().data, 0u);
+  q.push(7, 2, 0);  // lands behind data=1 at the same tick
+  q.push(8, 3, 0);
+  ASSERT_EQ(q.pop().data, 1u);
+  ASSERT_EQ(q.pop().data, 2u);
+  ASSERT_EQ(q.pop().data, 3u);
+  EXPECT_TRUE(q.empty());
 }
 
 // Far-horizon events must actually exercise the park/cascade machinery —
@@ -144,7 +188,6 @@ TEST(EventQueue, PushAtNowWhileDraining) {
 // wheels, not some degenerate shortcut.
 TEST(EventQueue, FarHorizonParksAndCascades) {
   sim::EventQueue q;
-  q.reset(sim::QueueKind::kTimingWheel);
   // Beyond the 2^24-tick wheel span: parks in the overflow heap.
   q.push(1ull << 30, 100, 0);
   q.push((1ull << 30) + (1ull << 20), 101, 0);
@@ -164,41 +207,34 @@ TEST(EventQueue, FarHorizonParksAndCascades) {
   EXPECT_TRUE(q.empty());
 }
 
-// Sparse far-apart timers: every pop crosses several empty windows, and
-// parked events keep their FIFO rank among equal ticks.
-TEST(EventQueue, SparseTimersParity) {
-  expect_same_trace(/*seed=*/11, /*pushes=*/600, /*spread=*/1ull << 28,
-                    /*burst=*/3);
-}
-
-TEST(EventQueue, ResetRewindsAndKeepsKind) {
+TEST(EventQueue, ResetRewindsCursorAndCounters) {
   sim::EventQueue q;
-  q.reset(sim::QueueKind::kBinaryHeap);
   q.push(5, 1, 0);
+  q.push(1ull << 30, 2, 0);
   (void)q.pop();
   EXPECT_EQ(q.now(), 5u);
   q.reset();
-  EXPECT_EQ(q.kind(), sim::QueueKind::kBinaryHeap);
   EXPECT_EQ(q.now(), 0u);
   EXPECT_TRUE(q.empty());
-  q.reset(sim::QueueKind::kTimingWheel);
-  EXPECT_EQ(q.kind(), sim::QueueKind::kTimingWheel);
+  EXPECT_EQ(q.parked(), 0u);
+  EXPECT_EQ(q.cascaded(), 0u);
+  q.push(3, 7, 0);
+  EXPECT_EQ(q.pop().tick, 3u);
 }
 
 // The recycled-slab contract behind WarmRunIsAllocationFree: replaying an
-// identical trace on a warm queue touches no allocator, for both kinds.
+// identical trace on a warm queue touches no allocator.
 TEST(EventQueue, WarmReplayIsAllocationFree) {
-  for (const auto kind :
-       {sim::QueueKind::kTimingWheel, sim::QueueKind::kBinaryHeap}) {
-    sim::EventQueue q;
-    std::vector<Popped> out;
-    const auto replay = [&] {
-      run_trace(q, kind, /*seed=*/17, /*pushes=*/3000, /*spread=*/40000,
-                /*burst=*/8, out);
-    };
-    replay();  // cold: grows buckets and `out` to their peak occupancy
-    EXPECT_EQ(count_allocations(replay), 0) << sim::to_string(kind);
-  }
+  sim::EventQueue q;
+  std::vector<sim::EventQueue::Item> out;
+  const auto replay = [&] {
+    out.clear();
+    run_trace(q, /*seed=*/17, /*pushes=*/3000, /*spread=*/40000,
+              /*burst=*/8,
+              [&](const sim::EventQueue::Item& e) { out.push_back(e); });
+  };
+  replay();  // cold: grows buckets and `out` to their peak occupancy
+  EXPECT_EQ(count_allocations(replay), 0);
 }
 
 }  // namespace
