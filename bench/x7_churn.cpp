@@ -9,14 +9,16 @@
 //
 // Writes the "churn" section of BENCH_scaling.json: two rows per n
 // (sustained ~1% attrition, and a small-batch workload with a handful of
-// failures regardless of n — the sub-linear regime), plus one mixed row
-// at n=10k with the traffic benchmark's fail/recover/move batches (the
-// escalating regime).  Each row has the sustained updates/sec of both
-// paths, their ratio, the incremental hit rate (fraction of batches that
-// stayed on both incremental paths — the pool degrades under churn and
-// escalation is part of the design, so the hit rate is the honest context
-// for the speedup), the localized hit rate (batches that stayed on the
-// whole sub-linear ladder: localized MST repair + warm frontier orienter),
+// failures regardless of n — the sub-linear regime), one more small-batch
+// row at n=200k to show how its step cost grows with n (printed as the
+// p50 ratio between sizes), plus one mixed row at n=10k with the traffic
+// benchmark's fail/recover/move batches (the escalating regime).  Each
+// row has the sustained updates/sec of both paths, their ratio, the
+// incremental hit rate (fraction of batches that stayed on both
+// incremental paths — the pool degrades under churn and escalation is
+// part of the design, so the hit rate is the honest context for the
+// speedup), the localized hit rate (batches that stayed on the whole
+// sub-linear ladder: localized MST repair + warm frontier orienter),
 // p50/p99 per-batch latency, the mean affected-region size of the
 // localized repairs, the row-patch rate, and the escalation rate with its
 // most frequent reason.  Every row carries hw_threads so numbers from a
@@ -109,10 +111,11 @@ void check_parity(const sim::ChurnEngine& inc, const sim::ChurnEngine& full,
               ca.max_radius == cb.max_radius &&
               ca.max_spread_sum == cb.max_spread_sum &&
               ca.max_antennas == cb.max_antennas;
+  // Both plans are in original index space (dead rows empty).
   const auto& oa = inc.last_result().orientation;
   const auto& ob = full.last_result().orientation;
-  for (int c = 0; same && c < inc.alive_count(); ++c) {
-    same = oa.node_equals(c, ob, c);
+  for (int u = 0; same && u < inc.size(); ++u) {
+    same = oa.node_equals(u, ob, u);
   }
   if (!same) {
     std::printf(
@@ -269,6 +272,15 @@ DIRANT_REPORT(x7) {
     run_row("small_batch", n, pts,
             {smoke ? 1.5 / n : 6.0 / n, 0.0, 0.0, 0.0});
   }
+  if (!smoke) {
+    // The small-batch trend: a warm step should pay for its region, not for
+    // n.  Attrition is left out here — its batches grow with n.
+    const int n = 200000;
+    geom::Rng rng(73000 + n);
+    const auto pts =
+        geom::make_instance(geom::Distribution::kUniformSquare, n, rng);
+    run_row("small_batch", n, pts, {6.0 / n, 0.0, 0.0, 0.0});
+  }
   // The churn batches of perfbench's traffic_churn_10k (fail 1%, recover
   // 30%, move 1% by up to 0.02 of the unit spacing): every batch with a
   // move escalates (pool-invalid), so the step cost is a full re-plan plus
@@ -279,6 +291,19 @@ DIRANT_REPORT(x7) {
     const auto pts =
         geom::make_instance(geom::Distribution::kUniformSquare, n, rng);
     run_row("traffic_mix", n, pts, {0.01, 0.3, 0.01, 0.02});
+  }
+
+  // Step-cost growth of the small-batch rows: p50 at each n over p50 at
+  // the previous n.
+  const ChurnRow* prev_sb = nullptr;
+  for (const auto& r : rows) {
+    if (std::strcmp(r.workload, "small_batch") != 0) continue;
+    if (prev_sb != nullptr) {
+      std::printf("small_batch p50(%d)/p50(%d) = %.2f  (n ratio %.1f)\n", r.n,
+                  prev_sb->n, r.p50_batch_ms / prev_sb->p50_batch_ms,
+                  static_cast<double>(r.n) / prev_sb->n);
+    }
+    prev_sb = &r;
   }
 
   std::vector<std::string> json;

@@ -143,6 +143,36 @@ class Orientation {
     }
   }
 
+  /// Patch node `dst_u` to equal `src`'s node `src_u`: a no-op returning
+  /// false when the rows are already bit-identical (`node_equals`), else a
+  /// `copy_node` returning true.  In-place plan maintenance (the churn
+  /// engine's original-space orientation) learns which rows changed from
+  /// the same compare that skips the copy.
+  bool sync_node(int dst_u, const Orientation& src, int src_u) {
+    if (node_equals(dst_u, src, src_u)) return false;
+    copy_node(dst_u, src, src_u);
+    return true;
+  }
+
+  /// Same, from a freshly planned sector list: the row is rewritten (and
+  /// its boundary directions recomputed) only when some sector differs.
+  template <typename Sectors>
+  bool sync_node(int u, const Sectors& sectors) {
+    const auto& cur = at_[u];
+    const int m = static_cast<int>(sectors.size());
+    bool same = static_cast<int>(cur.size()) == m;
+    for (int j = 0; same && j < m; ++j) {
+      const geom::Sector& x = cur[j];
+      const geom::Sector& y = sectors[j];
+      same = x.apex.x == y.apex.x && x.apex.y == y.apex.y &&
+             x.start == y.start && x.width == y.width && x.radius == y.radius;
+    }
+    if (same) return false;
+    clear_node(u);
+    for (const geom::Sector& s : sectors) add(u, s);
+    return true;
+  }
+
   /// Clear node `u`'s antenna list (capacity kept).  Snapshot maintenance
   /// for nodes that leave the alive set.
   void clear_node(int u) {

@@ -66,8 +66,7 @@ bool PlanSession::orient_on_emst_incremental(
     std::span<const geom::Point> pts, const mst::Tree& emst,
     const ProblemSpec& spec, TwoAntennaeMemory& mem,
     std::span<const int> orig_of, std::span<const int> comp_of,
-    std::span<const char> changed_pos, const antenna::Orientation& prev,
-    const OrientWarmDelta* delta) {
+    std::span<const char> changed_pos, const antenna::Orientation& prev) {
   check_tree_spans(pts, emst);
   const Algorithm algo = planned_algorithm(spec);
   bool fast = (algo == Algorithm::kTwoPart1 || algo == Algorithm::kTwoPart2) &&
@@ -88,20 +87,23 @@ bool PlanSession::orient_on_emst_incremental(
   tree_.edges.assign(emst.edges.begin(), emst.edges.end());
   if (!fast) {
     mem.valid = false;
-    mem.last_warm = false;
     enforce_max_degree(pts, tree_, 5, emst_scratch_.repair);
     run(algo, pts, tree_, spec);
     return false;
-  }
-  if (delta != nullptr &&
-      orient_two_antennae_warm(pts, tree_, spec.phi, scratch_, mem, orig_of,
-                               comp_of, *delta, prev, result_)) {
-    return true;
   }
   orient_two_antennae_incremental(pts, tree_, spec.phi, scratch_, mem,
                                   orig_of, comp_of, changed_pos, prev,
                                   result_);
   return mem.valid;
+}
+
+bool PlanSession::orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
+                              const OrientWarmDelta& delta, Result& plan) {
+  const Algorithm algo = planned_algorithm(spec);
+  if (algo != Algorithm::kTwoPart1 && algo != Algorithm::kTwoPart2) {
+    return false;
+  }
+  return orient_two_antennae_warm(spec.phi, scratch_, mem, delta, plan);
 }
 
 const Result& PlanSession::orient_with(Algorithm algo,

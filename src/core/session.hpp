@@ -118,20 +118,14 @@ class PlanSession {
   /// already degree-≤5 (so degree repair is an exact no-op), one DFS
   /// re-plans only the vertices whose recorded inputs changed and copies
   /// every other sector row from `prev` — the caller's original-space
-  /// snapshot of the previous plan (see core/two_antennae.hpp).  Returns
+  /// copy of the previous plan (see core/two_antennae.hpp).  Returns
   /// true when that path ran; `mem.planned` then lists the compact ids that
-  /// were re-planned (the only rows that can differ from the snapshot).
-  /// Returns false after falling back to the full `orient_on_emst` pipeline
-  /// (other regime, tiny instance, or a degree-6 EMST node), invalidating
-  /// `mem`.  Either way the Result is bit-identical to `orient(pts, spec)`
-  /// whenever `emst` is the tree the engine would build — CaseStats aside,
-  /// which reports copied vertices under "reused".
-  ///
-  /// When `delta` is non-null it carries the batch's net MST edge delta and
-  /// the sub-linear warm orienter (orient_two_antennae_warm) is tried first:
-  /// it re-hangs the recorded tree from the delta and re-plans only the
-  /// affected frontier, falling back to the full dirty-subtree traversal —
-  /// same Result either way — whenever a gate fails.
+  /// were re-planned (the only rows that can differ from `prev`).
+  /// Returns false after falling back to the full `orient_on_emst`
+  /// pipeline (other regime, tiny instance, or a degree-6 EMST node),
+  /// invalidating `mem`.  Either way the Result is bit-identical to
+  /// `orient(pts, spec)` whenever `emst` is the tree the engine would build
+  /// — CaseStats aside, which reports copied vertices under "reused".
   bool orient_on_emst_incremental(std::span<const geom::Point> pts,
                                   const mst::Tree& emst,
                                   const ProblemSpec& spec,
@@ -139,8 +133,17 @@ class PlanSession {
                                   std::span<const int> orig_of,
                                   std::span<const int> comp_of,
                                   std::span<const char> changed_pos,
-                                  const antenna::Orientation& prev,
-                                  const OrientWarmDelta* delta = nullptr);
+                                  const antenna::Orientation& prev);
+
+  /// The sub-linear warm orienter (orient_two_antennae_warm) for churn
+  /// consumers that keep their plan in original index space: re-hangs the
+  /// recorded tree from `delta` and patches only the affected rows of
+  /// `plan` in place, with no tree and no compact copy.  Returns false,
+  /// leaving `plan` untouched, when the regime is not a Theorem 3
+  /// two-antennae planner or a warm gate fails; the caller then falls back
+  /// to `orient_on_emst_incremental`.
+  bool orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
+                   const OrientWarmDelta& delta, Result& plan);
 
   /// Certify the last result against `spec` (independent reconstruction of
   /// the transmission digraph; see core/validate.hpp).  Allocation-free in

@@ -733,7 +733,6 @@ void orient_two_antennae_incremental(
                phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2,
                bound_factor_impl(phi), tree.lmax());
   mem.planned.clear();
-  mem.last_warm = false;
   mem.nodes.resize(changed_pos.size());
   if (n <= 1) {
     mem.valid = false;
@@ -842,35 +841,43 @@ void orient_two_antennae_incremental(
   mem.root_orig = root_orig;
 }
 
-bool orient_two_antennae_warm(std::span<const Point> pts,
-                              const mst::Tree& tree, double phi,
-                              OrienterScratch& scratch, TwoAntennaeMemory& mem,
-                              std::span<const int> orig_of,
-                              std::span<const int> comp_of,
-                              const OrientWarmDelta& delta,
-                              const antenna::Orientation& prev, Result& res) {
-  const int n = static_cast<int>(pts.size());
+bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
+                              TwoAntennaeMemory& mem,
+                              const OrientWarmDelta& delta, Result& res) {
+  const int n = delta.alive_count;
   const int n_orig = static_cast<int>(delta.positions.size());
+  const std::span<const char> alive = delta.alive;
   if (n <= 1 || !mem.valid ||
       static_cast<int>(mem.nodes.size()) != n_orig ||
-      static_cast<int>(mem.member.size()) != n_orig) {
+      static_cast<int>(mem.member.size()) != n_orig ||
+      res.orientation.size() != n_orig) {
     return false;
   }
   // Global gates, identical to the incremental orienter's all_dirty test:
   // phi, the resolved radius cap R (folds in lmax), and the root identity
-  // (rebuild_at_leaf picks the first degree-1 vertex).  All read-only — a
-  // failure here leaves the records intact for the fallback traversal.
+  // (rebuild_at_leaf picks the first degree-1 vertex — in original ids,
+  // the smallest alive leaf).  The recorded tree had every degree ≤ 5 and
+  // root_orig as its smallest leaf, and only endpoints of the net delta
+  // changed degree, so checking those endpoints checks the whole tree.
+  // All read-only — a failure here leaves the records intact for the
+  // fallback traversal.
   const double bf = bound_factor_impl(phi);
-  const double R = bf * tree.lmax() * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
+  const double R = bf * delta.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
   if (mem.phi != phi || mem.radius != R) return false;
-  tree.degrees_into(scratch.degrees);
-  int root = -1;
-  for (int c = 0; c < n; ++c) {
-    if (scratch.degrees[c] > 5) return false;
-    if (root < 0 && scratch.degrees[c] == 1) root = c;
-  }
-  if (root < 0 || orig_of[root] != mem.root_orig) return false;
   const int root_o = mem.root_orig;
+  if (root_o < 0 || root_o >= n_orig || !alive[root_o] ||
+      delta.degree[root_o] != 1) {
+    return false;
+  }
+  for (const auto list : {delta.removed, delta.added}) {
+    for (const auto& [a, b] : list) {
+      for (const int x : {a, b}) {
+        if (x < 0 || x >= n_orig || !alive[x]) continue;
+        const int d = delta.degree[x];
+        if (d > 5 || (d == 1 && x < root_o)) return false;
+      }
+    }
+  }
 
   auto& nodes = mem.nodes;
   auto& member = mem.member;
@@ -943,8 +950,8 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     mark(child);
   }
   for (const auto& [a, b] : delta.removed) {
-    if (comp_of[a] < 0) member[a] = 0;
-    if (comp_of[b] < 0) member[b] = 0;
+    if (!alive[a]) member[a] = 0;
+    if (!alive[b]) member[b] = 0;
   }
 
   // ---- Phase B: re-hang added edges.  Recovered nodes enter as isolated
@@ -954,7 +961,7 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
   // a round without progress, or two anchored endpoints, means the delta
   // contradicts the records.
   const auto ensure_member = [&](int u) {
-    if (u < 0 || u >= n_orig || comp_of[u] < 0) return false;
+    if (u < 0 || u >= n_orig || !alive[u]) return false;
     if (!member[u]) {
       nodes[u].parent = -1;
       nodes[u].nkids = 0;
@@ -1047,18 +1054,26 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
   // restricted to the marked closure: a visited vertex either re-plans
   // (marked, or its freshly handed obligation differs bitwise from its
   // record) or merely descends towards marked descendants.  Subtrees
-  // outside the closure are never visited; their rows copy flat below.
-  reset_result(res, n, /*reserve_per_node=*/2,
-               phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2, bf,
-               tree.lmax());
-  mem.planned.clear();
+  // outside the closure are never visited and their rows are never
+  // touched: `res` already holds them.
   Node& rn = nodes[root_o];
   if (rn.parent != -1 || rn.nkids != 1) return tear();
-  res.orientation.add(root, geom::beam_to(pos[root_o], pos[rn.kids[0]]));
+  res.algorithm = phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2;
+  res.bound_factor = bf;
+  res.lmax = delta.lmax;
+  res.cases.reset();
+  mem.planned.clear();
+  mem.changed.clear();
+  {
+    const geom::Sector beam = geom::beam_to(pos[root_o], pos[rn.kids[0]]);
+    if (res.orientation.sync_node(root_o, std::span(&beam, 1))) {
+      mem.changed.push_back(root_o);
+    }
+  }
   res.cases.bump("root");
   rn.target = pos[root_o];
   rn.kid_targets[0] = pos[root_o];
-  mem.planned.push_back(root);
+  mem.planned.push_back(root_o);
 
   auto& work = scratch.work;          // (orig id, obligation) re-plan stack
   auto& down = mem.descend_stack;     // clean chain vertices to walk through
@@ -1127,9 +1142,8 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     const bool ok = plan_vertex(ctx, pl, u);
     DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
     res.cases.bump(pl.label);
-    const int uc = comp_of[u];
-    for (const auto& s : pl.antennas) res.orientation.add(uc, s);
-    mem.planned.push_back(uc);
+    if (res.orientation.sync_node(u, pl.antennas)) mem.changed.push_back(u);
+    mem.planned.push_back(u);
     nm.target = target;
     for (int slot = 0; slot < m; ++slot) {
       const int k = pl.kid(slot);
@@ -1145,23 +1159,12 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     }
   }
 
-  // ---- Flat reuse: every alive row not re-planned copies verbatim from
-  // the snapshot (identical planner inputs re-derive the identical plan).
   std::sort(mem.planned.begin(), mem.planned.end());
-  size_t pi = 0;
-  for (int c = 0; c < n; ++c) {
-    if (pi < mem.planned.size() && mem.planned[pi] == c) {
-      ++pi;
-      continue;
-    }
-    res.orientation.copy_node(c, prev, orig_of[c]);
-  }
+  std::sort(mem.changed.begin(), mem.changed.end());
   if (const int reused = n - static_cast<int>(mem.planned.size());
       reused > 0) {
     res.cases.counts["reused"] += reused;
   }
-  res.measured_radius = res.orientation.max_radius();
-  mem.last_warm = true;
   return true;
 }
 

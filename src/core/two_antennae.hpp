@@ -13,7 +13,9 @@
 /// proof-ordered cases all fail — which theory rules out — an exhaustive
 /// local search runs and the event is counted in CaseStats::fallback_plans.
 
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -60,7 +62,13 @@ struct TwoAntennaeMemory {
   double phi = 0.0;
   double radius = 0.0;  ///< resolved cap R (folds in lmax and tolerances)
   int root_orig = -1;   ///< traversal root; a change dirties the whole tree
-  std::vector<int> planned;  ///< compact ids re-planned by the last run
+  /// Vertices re-planned by the last run: compact ids after
+  /// orient_two_antennae_incremental, original ids after
+  /// orient_two_antennae_warm; ascending either way.
+  std::vector<int> planned;
+  /// Warm path only: the planned original ids whose row actually changed
+  /// (ascending) — every other row of the output is as it was.
+  std::vector<int> changed;
   std::vector<Node> nodes;   ///< original index space
 
   // Warm-path state (orient_two_antennae_warm): the records above double as
@@ -77,20 +85,22 @@ struct TwoAntennaeMemory {
   std::vector<int> walk_buf;     ///< parent-chain walk scratch
   std::vector<int> descend_stack;  ///< clean ancestors still to traverse
   int warm_epoch = 0;
-  /// The last successful incremental plan came from the warm frontier path
-  /// (orient_two_antennae_warm), not the full dirty-subtree traversal.
-  /// Observability only — never read by the planners themselves.
-  bool last_warm = false;
 };
 
-/// Inputs for the warm frontier orienter: the net MST edge delta of the
-/// batch (original ids, u < v) plus the alive nodes whose positions changed.
-/// `positions` is the caller's full original-index-space position array.
+/// Inputs for the warm frontier orienter, all in original (churn-stable)
+/// index space: the batch's net MST edge delta (u < v), the alive nodes
+/// whose positions changed, and the maintained tree's degrees and longest
+/// edge — the repair layer's own state (mst::LocalMstRepair), so no tree
+/// is exported.
 struct OrientWarmDelta {
   std::span<const geom::Point> positions;
+  std::span<const char> alive;
+  int alive_count = 0;
   std::span<const std::pair<int, int>> removed;
   std::span<const std::pair<int, int>> added;
   std::span<const int> moved;  ///< alive, position changed; ascending
+  std::span<const std::uint8_t> degree;  ///< current tree degree per id
+  double lmax = 0.0;                     ///< current tree's longest edge
 };
 
 /// Frontier-driven warm re-orientation: instead of walking the whole tree
@@ -99,20 +109,21 @@ struct OrientWarmDelta {
 /// records encode — detach removed edges, re-hang added ones by re-rooting
 /// the detached fragment at its joining endpoint — then re-plan only the
 /// closure of structurally- or positionally-dirty vertices under bitwise
-/// target propagation.  Every untouched row is copied flat from `prev`.
-/// Output is bit-identical to the incremental orienter (hence to the fresh
-/// plan) whenever it runs; cost is O(affected region + its root chain), not
-/// O(n).  Returns false — without touching `res` — when a global gate fails
-/// (stale memory, phi/R/root change), and false with `mem.valid` cleared
-/// when the delta contradicts the records mid-surgery; either way the
-/// caller falls back to the full incremental traversal.
-bool orient_two_antennae_warm(std::span<const geom::Point> pts,
-                              const mst::Tree& tree, double phi,
-                              OrienterScratch& scratch, TwoAntennaeMemory& mem,
-                              std::span<const int> orig_of,
-                              std::span<const int> comp_of,
-                              const OrientWarmDelta& delta,
-                              const antenna::Orientation& prev, Result& res);
+/// target propagation.  `res` is the caller's plan in original index space
+/// (one row per original id, dead rows empty): re-planned rows are patched
+/// in place (`mem.planned`, and `mem.changed` for those whose sectors
+/// differ) and every other row is left alone, so the cost is O(affected
+/// region + its root chain), not O(n).  Rows equal the fresh plan's
+/// whenever it runs.  `res.algorithm`, `bound_factor`, `lmax` and `cases`
+/// are refreshed; `measured_radius` is the caller's (it tracks the exact
+/// maximum over rows).  Returns false — without touching `res` — when a
+/// global gate fails (stale memory, phi/R/root change, a degree-6 node),
+/// and false with `mem.valid` cleared when the delta contradicts the
+/// records mid-surgery; either way the caller falls back to the full
+/// incremental traversal.
+bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
+                              TwoAntennaeMemory& mem,
+                              const OrientWarmDelta& delta, Result& res);
 
 /// Dirty-subtree re-orientation: one DFS over the degree-<=5 tree where
 /// clean vertices (see TwoAntennaeMemory) copy their sector rows from

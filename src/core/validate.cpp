@@ -8,14 +8,23 @@ namespace dirant::core {
 
 Certificate make_certificate(const Result& res, const ProblemSpec& spec,
                              int scc_count) {
-  Certificate c;
   const auto& o = res.orientation;
+  return make_certificate(
+      OrientationMaxima{o.max_radius(), o.max_spread_sum(),
+                        o.max_antennas_per_node()},
+      res, spec, scc_count);
+}
+
+Certificate make_certificate(const OrientationMaxima& maxima,
+                             const Result& res, const ProblemSpec& spec,
+                             int scc_count) {
+  Certificate c;
   c.scc_count = scc_count;
   c.strongly_connected = scc_count <= 1;
 
-  c.max_radius = o.max_radius();
-  c.max_spread_sum = o.max_spread_sum();
-  c.max_antennas = o.max_antennas_per_node();
+  c.max_radius = maxima.max_radius;
+  c.max_spread_sum = maxima.max_spread_sum;
+  c.max_antennas = maxima.max_antennas;
 
   c.spread_within_budget = c.max_spread_sum <= spec.phi + 1e-9;
   c.antennas_within_k = c.max_antennas <= spec.k;

@@ -51,6 +51,22 @@ struct CertifyScratch {
 Certificate make_certificate(const Result& res, const ProblemSpec& spec,
                              int scc_count);
 
+/// The three per-sensor maxima a certificate reads off an orientation.
+struct OrientationMaxima {
+  double max_radius = 0.0;
+  double max_spread_sum = 0.0;
+  int max_antennas = 0;
+};
+
+/// Same arithmetic from maxima the caller maintains itself (sim::ChurnEngine
+/// patches its orientation in place and keeps them exact per row);
+/// `res` supplies only the bound metadata (bound_factor, lmax).  The
+/// overload above computes the maxima from `res.orientation` and forwards
+/// here.
+Certificate make_certificate(const OrientationMaxima& maxima,
+                             const Result& res, const ProblemSpec& spec,
+                             int scc_count);
+
 /// Policy gate for skipping the SCC pass in favour of a cached
 /// strong-connectivity certificate (graph::IncrementalSccCert).  Reuse is
 /// sound only when all three hold: the caller has not forced full

@@ -65,6 +65,12 @@ class Digraph {
     return offsets_[u];
   }
 
+  /// The whole CSR: n+1 prefix offsets and the flat target array.  In-place
+  /// patchers (sim::ChurnEngine's row patch) copy unchanged spans of rows
+  /// wholesale through these.
+  std::span<const int> offsets() const { return offsets_; }
+  std::span<const int> targets() const { return targets_; }
+
   /// The transpose graph (all edges reversed): O(n + m) counting pass
   /// straight into CSR.
   Digraph reversed() const {

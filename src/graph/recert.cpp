@@ -6,24 +6,19 @@
 
 namespace dirant::graph {
 
-bool IncrementalSccCert::row_has(const Digraph& dg,
-                                 std::span<const int> comp_of, int from,
-                                 int to) {
-  const int fc = comp_of[from], tc = comp_of[to];
-  if (fc < 0 || tc < 0) return false;
-  for (int t : dg.out(fc)) {
-    if (t == tc) return true;
+bool IncrementalSccCert::row_has(const Digraph& dg, int from, int to) {
+  for (int t : dg.out(from)) {
+    if (t == to) return true;
   }
   return false;
 }
 
 void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
-                                 std::span<const int> orig_of,
-                                 std::span<const int> comp_of, int n_orig) {
-  (void)comp_of;
-  n_ = n_orig;
-  const int m = dg.size();
-  DIRANT_ASSERT(m == static_cast<int>(orig_of.size()));
+                                 std::span<const char> alive,
+                                 int alive_count) {
+  n_ = dg.size();
+  DIRANT_ASSERT(static_cast<int>(alive.size()) == n_);
+  const int m = alive_count;
   if (m == 0) {
     valid_ = false;
     return;
@@ -41,11 +36,11 @@ void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
     gvis_.resize(n_, 0);
     gpred_.resize(n_, -1);
   }
-  std::fill(member_.begin(), member_.end(), 0);
-  hub_ = orig_of[0];
-  for (int c = 0; c < m; ++c) {
-    const int u = orig_of[c];
-    member_[u] = 1;
+  hub_ = -1;
+  for (int u = 0; u < n_; ++u) {
+    member_[u] = alive[u];
+    if (!alive[u]) continue;
+    if (hub_ < 0) hub_ = u;  // the smallest alive id
     out_kids_.head[u] = -1;
     in_kids_.head[u] = -1;
   }
@@ -53,39 +48,35 @@ void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
   // the row contents, which are bit-identical at every thread count.
   ++epoch_;
   bfs_.clear();
-  bfs_.push_back(0);
+  bfs_.push_back(hub_);
   mark_out_[hub_] = epoch_;
   out_parent_[hub_] = -1;
   for (size_t i = 0; i < bfs_.size(); ++i) {
-    const int c = bfs_[i];
-    const int uo = orig_of[c];
-    for (int t : dg.out(c)) {
-      const int vo = orig_of[t];
-      if (mark_out_[vo] == epoch_) continue;
-      mark_out_[vo] = epoch_;
-      out_parent_[vo] = uo;
-      out_kids_.link(uo, vo);
-      bfs_.push_back(t);
+    const int u = bfs_[i];
+    for (int v : dg.out(u)) {
+      if (mark_out_[v] == epoch_) continue;
+      mark_out_[v] = epoch_;
+      out_parent_[v] = u;
+      out_kids_.link(u, v);
+      bfs_.push_back(v);
     }
   }
   bool ok = static_cast<int>(bfs_.size()) == m;
-  // In-tree: BFS from the hub over the transpose (a transpose edge c→t
-  // means t→c in dg, so t reaches the hub through c).
+  // In-tree: BFS from the hub over the transpose (a transpose edge u→v
+  // means v→u in dg, so v reaches the hub through u).
   dg.reversed_into(transpose_scratch);
   bfs_.clear();
-  bfs_.push_back(0);
+  bfs_.push_back(hub_);
   mark_in_[hub_] = epoch_;
   in_next_[hub_] = -1;
   for (size_t i = 0; i < bfs_.size(); ++i) {
-    const int c = bfs_[i];
-    const int uo = orig_of[c];
-    for (int t : transpose_scratch.out(c)) {
-      const int vo = orig_of[t];
-      if (mark_in_[vo] == epoch_) continue;
-      mark_in_[vo] = epoch_;
-      in_next_[vo] = uo;
-      in_kids_.link(uo, vo);
-      bfs_.push_back(t);
+    const int u = bfs_[i];
+    for (int v : transpose_scratch.out(u)) {
+      if (mark_in_[v] == epoch_) continue;
+      mark_in_[v] = epoch_;
+      in_next_[v] = u;
+      in_kids_.link(u, v);
+      bfs_.push_back(v);
     }
   }
   ok = ok && static_cast<int>(bfs_.size()) == m;
@@ -114,18 +105,17 @@ bool IncrementalSccCert::anchored(int w, const std::vector<int>& parent,
 }
 
 bool IncrementalSccCert::repair(const Digraph& dg,
-                                std::span<const int> orig_of,
-                                std::span<const int> comp_of,
-                                std::span<const geom::Point> compact_pts,
+                                std::span<const char> is_alive, int alive,
+                                std::span<const geom::Point> positions,
                                 const spatial::GridIndex& grid,
                                 double query_radius,
                                 std::span<const int> suspects,
                                 std::span<const char> changed_pos,
                                 std::vector<int>& hits) {
   if (!valid_) return false;
-  const int alive = static_cast<int>(orig_of.size());
   const int budget = cfg_.budget_slack + alive / cfg_.budget_divisor;
-  if (alive == 0 || comp_of[hub_] < 0 ||
+  const auto dead = [&](int u) { return !is_alive[u]; };
+  if (alive == 0 || dead(hub_) ||
       static_cast<int>(suspects.size()) > budget) {
     valid_ = false;
     return false;
@@ -164,7 +154,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
   // and orphan the affected roots.  Subtrees below a broken link ride along
   // with their root — none of their own edges changed.
   for (int s : suspects) {
-    if (comp_of[s] < 0) {
+    if (dead(s)) {
       // Died this batch: detach, orphan both kid lists.
       if (!member_[s]) continue;
       member_[s] = 0;
@@ -202,23 +192,23 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       // Alive member: its row was rebuilt (dirty) and/or its position
       // changed — re-verify every certificate edge that reads either.
       if (s != hub_) {
-        if (out_parent_[s] < 0 || !row_has(dg, comp_of, out_parent_[s], s)) {
+        if (out_parent_[s] < 0 || !row_has(dg, out_parent_[s], s)) {
           orphan_out(s);
         }
-        if (in_next_[s] < 0 || !row_has(dg, comp_of, s, in_next_[s])) {
+        if (in_next_[s] < 0 || !row_has(dg, s, in_next_[s])) {
           orphan_in(s);
         }
       }
       collect_kids(out_kids_, s);
       for (int c : tmp_) {
-        if (!row_has(dg, comp_of, s, c)) orphan_out(c);
+        if (!row_has(dg, s, c)) orphan_out(c);
       }
       if (changed_pos[s]) {
         // Clean rows drop and retest exactly the moved/recovered targets,
         // so edges into s from *clean* sources must re-verify too.
         collect_kids(in_kids_, s);
         for (int u : tmp_) {
-          if (!row_has(dg, comp_of, u, s)) orphan_in(u);
+          if (!row_has(dg, u, s)) orphan_in(u);
         }
       }
     }
@@ -234,19 +224,18 @@ bool IncrementalSccCert::repair(const Digraph& dg,
   // candidates run through another orphan's subtree and phase 3 takes over.
   int walk_budget = cfg_.walk_slack + cfg_.walk_factor * alive;
   int remaining = 0;
-  for (int u : roots_out_) remaining += comp_of[u] >= 0;
-  for (int u : roots_in_) remaining += comp_of[u] >= 0;
+  for (int u : roots_out_) remaining += !dead(u);
+  for (int u : roots_in_) remaining += !dead(u);
   bool progress = true;
   while (remaining > 0 && progress) {
     progress = false;
     for (int u : roots_out_) {
-      if (comp_of[u] < 0 || out_parent_[u] >= 0) continue;
+      if (dead(u) || out_parent_[u] >= 0) continue;
       hits.clear();
-      grid.within(compact_pts[comp_of[u]], query_radius, comp_of[u], hits);
-      for (int wc : hits) {
-        const int w = orig_of[wc];
+      grid.within(positions[u], query_radius, u, hits);
+      for (int w : hits) {
         if (!anchored(w, out_parent_, anchor_out_, &walk_budget)) continue;
-        if (!row_has(dg, comp_of, w, u)) continue;
+        if (!row_has(dg, w, u)) continue;
         out_parent_[u] = w;
         out_kids_.link(w, u);
         anchor_out_[u] = epoch_;
@@ -260,9 +249,8 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       }
     }
     for (int u : roots_in_) {
-      if (comp_of[u] < 0 || in_next_[u] >= 0) continue;
-      for (int tc : dg.out(comp_of[u])) {  // candidate edge u→w by definition
-        const int w = orig_of[tc];
+      if (dead(u) || in_next_[u] >= 0) continue;
+      for (int w : dg.out(u)) {  // candidate edge u→w by definition
         if (!anchored(w, in_next_, anchor_in_, &walk_budget)) continue;
         in_next_[u] = w;
         in_kids_.link(w, u);
@@ -306,7 +294,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       }
     };
     for (int u : roots_out_) {
-      if (comp_of[u] < 0 || out_parent_[u] >= 0) continue;
+      if (dead(u) || out_parent_[u] >= 0) continue;
       ++gepoch_;
       bfs_.clear();
       bfs_.push_back(u);
@@ -315,11 +303,10 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       for (size_t i = 0; i < bfs_.size() && !got; ++i) {
         const int x = bfs_[i];
         hits.clear();
-        grid.within(compact_pts[comp_of[x]], query_radius, comp_of[x], hits);
-        for (int wc : hits) {
-          const int w = orig_of[wc];
+        grid.within(positions[x], query_radius, x, hits);
+        for (int w : hits) {
           if (gvis_[w] == gepoch_) continue;
-          if (!row_has(dg, comp_of, w, x)) continue;  // need edge w→x
+          if (!row_has(dg, w, x)) continue;  // need edge w→x
           --walk_budget;
           if (anchored(w, out_parent_, anchor_out_, &walk_budget)) {
             graft_path(out_parent_, out_kids_, anchor_out_, u, x, w);
@@ -341,7 +328,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       }
     }
     for (int u : roots_in_) {
-      if (comp_of[u] < 0 || in_next_[u] >= 0) continue;
+      if (dead(u) || in_next_[u] >= 0) continue;
       ++gepoch_;
       bfs_.clear();
       bfs_.push_back(u);
@@ -349,8 +336,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       bool got = false;
       for (size_t i = 0; i < bfs_.size() && !got; ++i) {
         const int x = bfs_[i];
-        for (int tc : dg.out(comp_of[x])) {  // edge x→w by definition
-          const int w = orig_of[tc];
+        for (int w : dg.out(x)) {  // edge x→w by definition
           if (gvis_[w] == gepoch_) continue;
           --walk_budget;
           if (anchored(w, in_next_, anchor_in_, &walk_budget)) {
@@ -375,13 +361,148 @@ bool IncrementalSccCert::repair(const Digraph& dg,
     // A graft can attach a later root as a chain interior; recount instead
     // of tracking decrements through the relinks.
     remaining = 0;
-    for (int u : roots_out_) remaining += comp_of[u] >= 0 && out_parent_[u] < 0;
-    for (int u : roots_in_) remaining += comp_of[u] >= 0 && in_next_[u] < 0;
+    for (int u : roots_out_) remaining += !dead(u) && out_parent_[u] < 0;
+    for (int u : roots_in_) remaining += !dead(u) && in_next_[u] < 0;
   }
   if (remaining > 0) {
     valid_ = false;
     return false;
   }
+  return true;
+}
+
+bool IncrementalSccCert::audit_removal(const Digraph& dg,
+                                       std::span<const int> removed,
+                                       int alive_count,
+                                       std::span<const geom::Point> positions,
+                                       const spatial::GridIndex& grid,
+                                       double query_radius,
+                                       std::vector<int>& outside,
+                                       std::vector<int>& hits) {
+  outside.clear();
+  if (!valid_) return false;
+  // Stamps: gvis_ == gepoch_ marks the removed set; under epoch_,
+  // mark_out_/mark_in_ mark the two cut subtrees and anchor_out_/anchor_in_
+  // the nodes of those subtrees found reached from / reaching the hub.
+  ++gepoch_;
+  for (int x : removed) gvis_[x] = gepoch_;
+  if (gvis_[hub_] == gepoch_) return false;
+  ++epoch_;
+  const auto cut = [&](int u) { return gvis_[u] == gepoch_; };
+  const size_t cap = static_cast<size_t>(cfg_.budget_slack) +
+                     static_cast<size_t>(alive_count / 4);
+  // Every survivor outside the removed nodes' subtrees keeps its whole
+  // tree path to (out-tree: from) the hub, so only the subtrees are in
+  // question.  A subtree below another removed node is collected from
+  // that node, not from here.
+  const auto collect = [&](const KidList& kids, std::vector<int>& mark,
+                           std::vector<int>& list) {
+    list.clear();
+    for (int x : removed) {
+      if (!member_[x]) continue;  // not in the trees (recovered this batch)
+      for (int c = kids.head[x]; c >= 0; c = kids.next[c]) {
+        if (cut(c)) continue;
+        mark[c] = epoch_;
+        list.push_back(c);
+      }
+    }
+    for (size_t i = 0; i < list.size() && list.size() <= cap; ++i) {
+      for (int c = kids.head[list[i]]; c >= 0; c = kids.next[c]) {
+        if (cut(c)) continue;
+        mark[c] = epoch_;
+        list.push_back(c);
+      }
+    }
+    return list.size() <= cap;
+  };
+  auto& under_out = roots_out_;
+  auto& under_in = roots_in_;
+  if (!collect(out_kids_, mark_out_, under_out) ||
+      !collect(in_kids_, mark_in_, under_in)) {
+    return false;
+  }
+
+  // ---- Out-tree: a cut node is reached iff some edge enters its subtree
+  // closure from an anchored survivor.  The subtree roots come first, so
+  // a root that re-attaches carries its whole subtree along through the
+  // forward walk (tree edges are graph edges) and nobody below it pays a
+  // query.  In-edges come from the grid: every edge w→u of `dg` has
+  // dist(w, u) ≤ query_radius, and survivors sit where `dg` saw them.
+  const auto reach_from = [&](int r) {
+    anchor_out_[r] = epoch_;
+    bfs_.clear();
+    bfs_.push_back(r);
+    for (size_t i = 0; i < bfs_.size(); ++i) {
+      for (int t : dg.out(bfs_[i])) {
+        if (mark_out_[t] != epoch_ || anchor_out_[t] == epoch_) continue;
+        anchor_out_[t] = epoch_;
+        bfs_.push_back(t);
+      }
+    }
+  };
+  for (int u : under_out) {
+    if (anchor_out_[u] == epoch_) continue;
+    hits.clear();
+    grid.within(positions[u], query_radius, u, hits);
+    for (int w : hits) {
+      if (!member_[w] || cut(w) || mark_out_[w] == epoch_) continue;
+      if (!row_has(dg, w, u)) continue;
+      reach_from(u);
+      break;
+    }
+  }
+
+  // ---- In-tree: a cut node reaches the hub iff some path leaves its
+  // subtree closure into an anchored survivor.  Its own row lists the
+  // candidates; edges inside the closure are reversed into a local CSR and
+  // walked back from the nodes with a direct exit.
+  auto& local = gpred_;  // in-closure node -> index into under_in
+  for (size_t i = 0; i < under_in.size(); ++i) {
+    local[under_in[i]] = static_cast<int>(i);
+  }
+  const int k = static_cast<int>(under_in.size());
+  rev_off_.assign(static_cast<size_t>(k) + 1, 0);
+  rev_pairs_.clear();
+  bfs_.clear();
+  for (int u : under_in) {
+    bool exits = false;
+    for (int t : dg.out(u)) {
+      if (cut(t)) continue;
+      if (mark_in_[t] != epoch_) {
+        exits = true;
+        break;
+      }
+      rev_pairs_.emplace_back(local[t], u);
+    }
+    if (exits) {
+      anchor_in_[u] = epoch_;
+      bfs_.push_back(u);
+    }
+  }
+  for (const auto& pr : rev_pairs_) ++rev_off_[pr.first + 1];
+  for (int i = 0; i < k; ++i) rev_off_[i + 1] += rev_off_[i];
+  rev_tgt_.resize(rev_pairs_.size());
+  for (const auto& [t, u] : rev_pairs_) rev_tgt_[rev_off_[t]++] = u;
+  for (int i = k; i > 0; --i) rev_off_[i] = rev_off_[i - 1];
+  rev_off_[0] = 0;
+  for (size_t i = 0; i < bfs_.size(); ++i) {
+    const int t = local[bfs_[i]];
+    for (int j = rev_off_[t]; j < rev_off_[t + 1]; ++j) {
+      const int u = rev_tgt_[j];
+      if (anchor_in_[u] == epoch_) continue;
+      anchor_in_[u] = epoch_;
+      bfs_.push_back(u);
+    }
+  }
+
+  for (int u : under_out) {
+    if (anchor_out_[u] != epoch_) outside.push_back(u);
+  }
+  for (int u : under_in) {
+    if (anchor_in_[u] != epoch_) outside.push_back(u);
+  }
+  std::sort(outside.begin(), outside.end());
+  outside.erase(std::unique(outside.begin(), outside.end()), outside.end());
   return true;
 }
 

@@ -5,9 +5,10 @@
 /// A digraph is strongly connected iff some hub vertex reaches every vertex
 /// (an *out-tree*) and every vertex reaches the hub (an *in-tree*).
 /// IncrementalSccCert caches those two spanning trees in *original*
-/// (churn-stable) index space between batches of sim::ChurnEngine and, on a
-/// warm step, revalidates them against the newly patched CSR rows starting
-/// from the dirty frontier alone:
+/// (churn-stable) index space — the digraph's own: sim::ChurnEngine keeps
+/// its certified CSR there, dead ids as empty rows — between batches and,
+/// on a warm step, revalidates them against the newly patched CSR rows
+/// starting from the dirty frontier alone:
 ///
 ///   * Every certificate edge that *could* have vanished is re-verified by a
 ///     row scan: edges incident to dirty rows (rebuilt wholesale), edges
@@ -40,6 +41,7 @@
 /// allocates nothing once the kid lists reach steady state.
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -67,25 +69,44 @@ class IncrementalSccCert {
   bool valid() const { return valid_; }
   const RecertConfig& config() const { return cfg_; }
 
-  /// Rebuild both trees from a digraph known to be strongly connected
-  /// (BFS from compact vertex 0 over `dg`, then over its transpose —
-  /// computed into `transpose_scratch`, reusing its storage).
+  /// Rebuild both trees from a digraph whose alive vertices are known to
+  /// be strongly connected (dead ids are empty rows nobody points at):
+  /// BFS from the smallest alive id over `dg`, then over its transpose —
+  /// computed into `transpose_scratch`, reusing its storage.
   void rebuild(const Digraph& dg, Digraph& transpose_scratch,
-               std::span<const int> orig_of, std::span<const int> comp_of,
-               int n_orig);
+               std::span<const char> alive, int alive_count);
 
-  /// Frontier-bounded patch against the new rows.  `suspects` = original
-  /// ids, ascending: the dirty re-plan set plus this batch's dead nodes;
-  /// `changed_pos[u]` flags moved/recovered originals; `grid` must be the
-  /// index the row patch just built over `compact_pts` and `query_radius`
-  /// its query radius.  Returns true when both trees re-certified (the
-  /// digraph is strongly connected); false invalidates the cache.
-  bool repair(const Digraph& dg, std::span<const int> orig_of,
-              std::span<const int> comp_of,
-              std::span<const geom::Point> compact_pts,
+  /// Frontier-bounded patch against the new rows.  `suspects` = ids,
+  /// ascending: the dirty re-plan set plus this batch's dead nodes;
+  /// `changed_pos[u]` flags moved/recovered nodes; `grid` must index the
+  /// alive `positions` and `query_radius` bound every row's accept limit.
+  /// Returns true when both trees re-certified (the digraph is strongly
+  /// connected); false invalidates the cache.
+  bool repair(const Digraph& dg, std::span<const char> alive,
+              int alive_count, std::span<const geom::Point> positions,
               const spatial::GridIndex& grid, double query_radius,
               std::span<const int> suspects, std::span<const char> changed_pos,
               std::vector<int>& hits);
+
+  /// Read-only removal audit on the graph the trees certify: which
+  /// survivors of `dg` minus `removed` (ascending ids; members, or ids
+  /// that joined since) are still in the hub's strongly connected
+  /// component?  Survivors outside every removed node's subtree in both
+  /// trees keep their tree paths, so only those subtrees are examined:
+  /// an out-subtree node is reached iff an edge enters its subtree's
+  /// closure from an anchored survivor (in-edges found through `grid`, as
+  /// in `repair`), an in-subtree node reaches the hub iff a path leaves
+  /// it.  `outside` receives the survivors not in the hub's component,
+  /// ascending; its size is exact, so the component is the survivors
+  /// minus `outside`.  Returns false — the caller runs an SCC pass — when
+  /// the cache is invalid, the hub is removed, or a cut subtree exceeds
+  /// budget_slack + alive_count / 4 nodes (past that, the grid queries
+  /// that prove nodes stranded cost more than the pass).  The trees are never
+  /// touched, so `repair` runs on them afterwards exactly as it would have.
+  bool audit_removal(const Digraph& dg, std::span<const int> removed,
+                     int alive_count, std::span<const geom::Point> positions,
+                     const spatial::GridIndex& grid, double query_radius,
+                     std::vector<int>& outside, std::vector<int>& hits);
 
  private:
   /// Intrusive sibling lists (head per parent, next/prev per child): kid
@@ -114,8 +135,7 @@ class IncrementalSccCert {
     }
   };
 
-  static bool row_has(const Digraph& dg, std::span<const int> comp_of,
-                      int from, int to);
+  static bool row_has(const Digraph& dg, int from, int to);
   bool anchored(int w, const std::vector<int>& parent, std::vector<int>& memo,
                 int* walk_budget);
 
@@ -136,6 +156,8 @@ class IncrementalSccCert {
   std::vector<int> bfs_;   ///< rebuild / graft BFS queue
   int gepoch_ = 0;                ///< graft-BFS visit era
   std::vector<int> gvis_, gpred_;  ///< graft-BFS visit stamp + predecessor
+  std::vector<int> rev_off_, rev_tgt_;  ///< audit: in-closure reverse CSR
+  std::vector<std::pair<int, int>> rev_pairs_;
 };
 
 }  // namespace dirant::graph

@@ -310,25 +310,42 @@ void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
                           std::span<const char> alive) {
   n_orig_ = static_cast<int>(positions.size());
   const int n = n_orig_;
-  ledges_.clear();
-  ledges_.reserve(emst.edges.size());
-  for (const auto& e : emst.edges) {
-    const int u = orig_of[e.u], v = orig_of[e.v];
-    ledges_.push_back({geom::dist2(positions[u], positions[v]),
-                       std::min(u, v), std::max(u, v)});
-  }
-  // A kruskal_emst emission is already in canonical (d2, min, max) order and
-  // the compact→orig remap is monotone, so no sort is needed — but the whole
-  // exactness contract rides on it, so check.
-  DIRANT_ASSERT(std::is_sorted(ledges_.begin(), ledges_.end()));
   tadj_.assign(static_cast<size_t>(n) * kAdjCap, 0);
   tdeg_.assign(n, 0);
   in_tree_.assign(n, 0);
-  for (const auto& e : ledges_) adj_add(e.u, e.v);
+  // A kruskal_emst emission is in canonical (d2, min, max) order and the
+  // compact→orig remap is monotone; export_tree re-sorts by that key, so
+  // the exactness contract rides on it — check while reading the edges.
+  LEdge prev{-1.0, -1, -1};
+  for (const auto& e : emst.edges) {
+    const int u = orig_of[e.u], v = orig_of[e.v];
+    const LEdge cur{geom::dist2(positions[u], positions[v]), std::min(u, v),
+                    std::max(u, v)};
+    DIRANT_ASSERT(prev < cur);
+    prev = cur;
+    adj_add(u, v);
+  }
+  edge_count_ = static_cast<int>(emst.edges.size());
   for (int c = 0; c < static_cast<int>(orig_of.size()); ++c) {
     in_tree_[orig_of[c]] = 1;
   }
-  lmax2_ub_ = ledges_.empty() ? 0.0 : ledges_.back().d2;
+  tree_nodes_ = static_cast<int>(orig_of.size());
+  d2_max_.assign(n, 0.0);
+  len_max_.assign(n, 0.0);
+  for (int u = 0; u < n; ++u) {
+    double d2m = 0.0, lm = 0.0;
+    const size_t bu = static_cast<size_t>(u) * kAdjCap;
+    for (int i = 0; i < tdeg_[u]; ++i) {
+      const int v = tadj_[bu + i];
+      d2m = std::max(d2m, geom::dist2(positions[u], positions[v]));
+      lm = std::max(lm, geom::dist(positions[u], positions[v]));
+    }
+    d2_max_.put(u, d2m);
+    len_max_.put(u, lm);
+  }
+  d2_max_.rebuild();
+  len_max_.rebuild();
+  lmax2_ub_ = d2_max_.max();
   grid_build(positions, alive);
   epoch_ = 0;
   path_epoch_ = 0;
@@ -438,7 +455,7 @@ void LocalMstRepair::adj_remove(int u, int v) {
 const char* LocalMstRepair::apply_batch(
     std::span<const geom::Point> positions, std::span<const char> alive,
     int alive_count, std::span<const int> removed,
-    std::span<const int> inserted, std::span<const std::pair<int, int>> pool) {
+    std::span<const int> inserted, DelaunayEdgePool& pool) {
   DIRANT_ASSERT(valid_);
   const char* fail = nullptr;
   // A batch touching a quarter of the alive set is not "local" — the pool
@@ -450,8 +467,7 @@ const char* LocalMstRepair::apply_batch(
   ++epoch_;
   for (int w : removed) rm_stamp_[w] = epoch_;
   for (int v : inserted) pend_stamp_[v] = epoch_;
-  adds_.clear();
-  tombs_.clear();
+  ops_.clear();
   net_removed_.clear();
   net_added_.clear();
   last_region_ = static_cast<int>(removed.size() + inserted.size());
@@ -461,7 +477,7 @@ const char* LocalMstRepair::apply_batch(
   if (fail == nullptr && !inserted.empty()) {
     fail = insert_phase(positions, alive, alive_count, inserted);
   }
-  if (fail == nullptr) merge_batch(positions, alive_count, &fail);
+  if (fail == nullptr) finish_batch(positions, alive_count, &fail);
   if (fail != nullptr) {
     // Adjacency / grid state is mid-surgery — unusable until reseeded.
     valid_ = false;
@@ -472,7 +488,7 @@ const char* LocalMstRepair::apply_batch(
 
 const char* LocalMstRepair::delete_phase(
     std::span<const geom::Point> positions, std::span<const int> removed,
-    std::span<const std::pair<int, int>> pool, int alive_count) {
+    DelaunayEdgePool& pool, int alive_count) {
   // Strip the removed nodes out of the tree and the grid, collecting the
   // surviving endpoints of cut edges — the fragment seeds.
   seeds_.clear();
@@ -491,11 +507,12 @@ const char* LocalMstRepair::delete_phase(
           break;
         }
       }
-      tombs_.push_back({0.0, std::min(w, x), std::max(w, x)});
+      log_op(w, x, false);
       if (rm_stamp_[x] != epoch_) seeds_.push_back(x);
     }
     tdeg_[w] = 0;
     in_tree_[w] = 0;
+    --tree_nodes_;
     grid_erase(w);
   }
   std::sort(seeds_.begin(), seeds_.end());
@@ -611,19 +628,29 @@ const char* LocalMstRepair::delete_phase(
     return main_root >= 0 ? find(main_root) : -2;
   };
 
-  // One pool scan for crossing candidates.  Dead, removed, and
-  // pending-insert endpoints are excluded: the reconnection must be the MST
-  // of the survivor set A0 = alive ∖ (moved ∪ recovered); pending nodes
-  // enter later through the exact insertion move.
+  // Crossing candidates.  Dead, removed, and pending-insert endpoints are
+  // excluded: the reconnection must be the MST of the survivor set
+  // A0 = alive ∖ (moved ∪ recovered); pending nodes enter later through
+  // the exact insertion move.  A crossing edge has an endpoint outside the
+  // main class, and every such node was visited (unvisited nodes are
+  // main), so the pool edges incident to the visited non-main nodes hold
+  // them all — O(region) instead of a pass over the pool.  An edge between
+  // two such nodes is listed twice, which no class minimum notices.
   cand_.clear();
-  for (const auto& [a, b] : pool) {
-    if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
-        pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
-      continue;
+  const int main_cls = main_root >= 0 ? find(main_root) : -2;
+  for (int f = 0; f < K; ++f) {
+    for (const int x : queues_[f]) {
+      if (comp(x) == main_cls) continue;
+      pool.for_each_incident(x, [&](int a, int b) {
+        if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
+            pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
+          return;
+        }
+        const int ca = comp(a), cb = comp(b);
+        if (ca == cb || ca == -2 || cb == -2) return;
+        cand_.emplace_back(a, b);
+      });
     }
-    const int ca = comp(a), cb = comp(b);
-    if (ca == cb || ca == -2 || cb == -2) continue;
-    cand_.emplace_back(a, b);
   }
 
   // Borůvka rounds: each class adopts its minimum crossing edge under the
@@ -656,7 +683,7 @@ const char* LocalMstRepair::delete_phase(
       merge_classes(ru, rv);
       --num_classes;
       adj_add(e.u, e.v);
-      adds_.push_back({e.d2, std::min(e.u, e.v), std::max(e.u, e.v)});
+      log_op(e.u, e.v, true);
       lmax2_ub_ = std::max(lmax2_ub_, e.d2);
       last_region_ += 2;
       progressed = true;
@@ -667,40 +694,38 @@ const char* LocalMstRepair::delete_phase(
     // A frozen label may have hidden a genuine fragment split (no crossing
     // candidates were collected for it).  The insert phase requires a
     // connected tree — its parent walks would chase stale pointers across a
-    // gap — so verify by degree count before handing the tree over.
-    long deg_sum = 0;
-    long nodes = 0;
-    for (int u = 0; u < n_orig_; ++u) {
-      if (in_tree_[u]) {
-        ++nodes;
-        deg_sum += tdeg_[u];
-      }
-    }
-    if (deg_sum != 2 * (nodes - 1)) return reconnect_exact(positions, pool);
+    // gap — so verify by edge count (a forest on these nodes is a tree iff
+    // it has one edge fewer) before handing the tree over.
+    int edges = edge_count_;
+    for (const Op& op : ops_) edges += op.add ? 1 : -1;
+    if (edges != tree_nodes_ - 1) return reconnect_exact(positions, pool);
   }
   return nullptr;
 }
 
 const char* LocalMstRepair::reconnect_exact(
-    std::span<const geom::Point> positions,
-    std::span<const std::pair<int, int>> pool) {
+    std::span<const geom::Point> positions, DelaunayEdgePool& pool) {
   // Rare slow lane of the localized delete phase: the freeze heuristic
   // mislabelled a genuine fragment as main-side, so the tree is still split.
   // Every edge already added is an exact MST edge (cut property holds for
   // whatever true cut the adopting class induced), so finish the job with
   // exact component labels: one O(alive) BFS over the sub-forest plus one
-  // more Borůvka sweep over the pool.  Linear, but ~100× cheaper than the
-  // full-plan fallback it replaces, and still a pure function of the event
-  // sequence — deterministic at every thread count.
+  // more Borůvka sweep over the pool edges incident to the components
+  // other than the largest (every crossing edge touches one).  Linear, but
+  // ~100× cheaper than the full-plan fallback it replaces, and still a
+  // pure function of the event sequence — deterministic at every thread
+  // count.
   ++path_epoch_;
   int ncomp = 0;
+  bfs_.clear();  // every component's nodes, one run each
+  comp_start_.clear();
   for (int s = 0; s < n_orig_; ++s) {
     if (!in_tree_[s] || path_stamp_[s] == path_epoch_) continue;
-    bfs_.clear();
+    comp_start_.push_back(static_cast<int>(bfs_.size()));
     bfs_.push_back(s);
     path_stamp_[s] = path_epoch_;
     label_[s] = ncomp;
-    for (size_t i = 0; i < bfs_.size(); ++i) {
+    for (size_t i = comp_start_.back(); i < bfs_.size(); ++i) {
       const int x = bfs_[i];
       const size_t bx = static_cast<size_t>(x) * kAdjCap;
       for (int k = 0; k < tdeg_[x]; ++k) {
@@ -721,13 +746,26 @@ const char* LocalMstRepair::reconnect_exact(
     while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];
     return x;
   };
-  cand_.clear();
-  for (const auto& [a, b] : pool) {
-    if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
-        pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
-      continue;
+  comp_start_.push_back(static_cast<int>(bfs_.size()));
+  int largest = 0;
+  for (int c = 1; c < ncomp; ++c) {
+    if (comp_start_[c + 1] - comp_start_[c] >
+        comp_start_[largest + 1] - comp_start_[largest]) {
+      largest = c;
     }
-    if (label_[a] != label_[b]) cand_.emplace_back(a, b);
+  }
+  cand_.clear();
+  for (int c = 0; c < ncomp; ++c) {
+    if (c == largest) continue;
+    for (int i = comp_start_[c]; i < comp_start_[c + 1]; ++i) {
+      pool.for_each_incident(bfs_[i], [&](int a, int b) {
+        if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
+            pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
+          return;
+        }
+        if (label_[a] != label_[b]) cand_.emplace_back(a, b);
+      });
+    }
   }
   if (static_cast<int>(best_.size()) < ncomp) best_.resize(ncomp);
   int num_classes = ncomp;
@@ -755,7 +793,7 @@ const char* LocalMstRepair::reconnect_exact(
       uf_[std::max(ru, rv)] = std::min(ru, rv);
       --num_classes;
       adj_add(e.u, e.v);
-      adds_.push_back({e.d2, std::min(e.u, e.v), std::max(e.u, e.v)});
+      log_op(e.u, e.v, true);
       lmax2_ub_ = std::max(lmax2_ub_, e.d2);
       last_region_ += 2;
       progressed = true;
@@ -883,9 +921,10 @@ const char* LocalMstRepair::insert_vertex(
   ped2_[v] = disk_[0].first;
   path_stamp_[v] = 0;  // not part of any previous walk epoch
   adj_add(v, w0);
-  adds_.push_back({disk_[0].first, std::min(v, w0), std::max(v, w0)});
+  log_op(v, w0, true);
   lmax2_ub_ = std::max(lmax2_ub_, disk_[0].first);
   in_tree_[v] = 1;
+  ++tree_nodes_;
   grid_insert(v, p);
   last_region_ += static_cast<int>(disk_.size());
 
@@ -977,10 +1016,9 @@ const char* LocalMstRepair::insert_vertex(
     // Swap iff the candidate beats the cycle max under the strict order.
     if (!edge_key_less(d2c, v, w, mx_d2, mx_child, mx_parent)) continue;
     adj_remove(mx_child, mx_parent);
-    tombs_.push_back(
-        {0.0, std::min(mx_child, mx_parent), std::max(mx_child, mx_parent)});
+    log_op(mx_child, mx_parent, false);
     adj_add(v, w);
-    adds_.push_back({d2c, std::min(v, w), std::max(v, w)});
+    log_op(v, w, true);
     lmax2_ub_ = std::max(lmax2_ub_, d2c);
     // Re-root the detached piece: reverse the parent chain from the chain
     // head down to the removed edge's child, hanging the head off the other
@@ -1001,17 +1039,31 @@ const char* LocalMstRepair::insert_vertex(
   return nullptr;
 }
 
-void LocalMstRepair::merge_batch(std::span<const geom::Point> positions,
-                                 int alive_count, const char** fail) {
+void LocalMstRepair::refresh_maxima(std::span<const geom::Point> positions,
+                                    int u) {
+  double d2m = 0.0, lm = 0.0;
+  if (in_tree_[u]) {
+    const size_t bu = static_cast<size_t>(u) * kAdjCap;
+    for (int i = 0; i < tdeg_[u]; ++i) {
+      const int v = tadj_[bu + i];
+      d2m = std::max(d2m, geom::dist2(positions[u], positions[v]));
+      lm = std::max(lm, geom::dist(positions[u], positions[v]));
+    }
+  }
+  d2_max_.set(u, d2m);
+  len_max_.set(u, lm);
+}
+
+void LocalMstRepair::finish_batch(std::span<const geom::Point> positions,
+                                  int alive_count, const char** fail) {
   // Pairs can toggle several times inside one batch (removed in the delete
-  // phase, re-added by an insertion swap, removed again…), so the adjacency
-  // is the ground truth: ops = every touched pair, final membership decides.
-  cand_.clear();
-  for (const auto& e : adds_) cand_.emplace_back(e.u, e.v);
-  for (const auto& e : tombs_) cand_.emplace_back(e.u, e.v);
-  std::sort(cand_.begin(), cand_.end());
-  cand_.erase(std::unique(cand_.begin(), cand_.end()), cand_.end());
-  was_old_.assign(cand_.size(), 0);
+  // phase, re-added by an insertion swap, removed again…), and every
+  // toggle alternates, so a pair's first logged op tells whether it was in
+  // the previous tree and the final adjacency whether it is in the new
+  // one.  Pairs that end where they started cancel out; the rest are the
+  // *net* tree-edge delta (original ids) the warm orienter re-hangs from
+  // via last_removed()/last_added().  Every endpoint re-reads its incident
+  // maxima, which keeps lmax and lmax² exact after a shrink.
   auto adj_has = [this](int u, int v) {
     const size_t bu = static_cast<size_t>(u) * kAdjCap;
     for (int i = 0; i < tdeg_[u]; ++i) {
@@ -1019,64 +1071,59 @@ void LocalMstRepair::merge_batch(std::span<const geom::Point> positions,
     }
     return false;
   };
-  // Final-present touched pairs, with d2 at current positions (any pair in
-  // the final tree has both endpoints at their current coordinates).
-  adds_.clear();
-  for (const auto& [u, v] : cand_) {
-    if (adj_has(u, v)) {
-      adds_.push_back({geom::dist2(positions[u], positions[v]), u, v});
-    }
-  }
-  std::sort(adds_.begin(), adds_.end());
-  // ledges_ minus every touched pair, merged with the final-present ops.
-  // Along the way, record the *net* tree-edge delta of the batch (original
-  // ids): an old edge that was touched and is absent from the final
-  // adjacency is net-removed; a final-present touched pair that was not in
-  // the old tree is net-added.  Pairs that toggled back to their original
-  // membership cancel out.  Consumers (the warm orienter's re-hang) read
-  // these via last_removed()/last_added().
+  std::sort(ops_.begin(), ops_.end());
   net_removed_.clear();
   net_added_.clear();
-  lmerge_.clear();
-  size_t j = 0;
-  for (const auto& e : ledges_) {
-    const auto it = std::lower_bound(cand_.begin(), cand_.end(),
-                                     std::make_pair(e.u, e.v));
-    if (it != cand_.end() && *it == std::make_pair(e.u, e.v)) {
-      was_old_[static_cast<size_t>(it - cand_.begin())] = 1;
-      if (!adj_has(e.u, e.v)) net_removed_.emplace_back(e.u, e.v);
-      continue;
+  touched_.clear();
+  for (size_t i = 0, j = 0; i < ops_.size(); i = j) {
+    const Op& first = ops_[i];
+    while (j < ops_.size() && ops_[j].u == first.u && ops_[j].v == first.v) {
+      edge_count_ += ops_[j].add ? 1 : -1;
+      ++j;
     }
-    while (j < adds_.size() && adds_[j] < e) lmerge_.push_back(adds_[j++]);
-    lmerge_.push_back(e);
+    const bool present = adj_has(first.u, first.v);
+    if (!first.add && !present) net_removed_.emplace_back(first.u, first.v);
+    if (first.add && present) net_added_.emplace_back(first.u, first.v);
+    touched_.push_back(first.u);
+    touched_.push_back(first.v);
   }
-  while (j < adds_.size()) lmerge_.push_back(adds_[j++]);
-  for (size_t i = 0; i < cand_.size(); ++i) {
-    if (!was_old_[i] && adj_has(cand_[i].first, cand_[i].second)) {
-      net_added_.push_back(cand_[i]);
-    }
-  }
-  ledges_.swap(lmerge_);
-  if (static_cast<int>(ledges_.size()) != alive_count - 1) {
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (int u : touched_) refresh_maxima(positions, u);
+  if (edge_count_ != alive_count - 1) {
     *fail = "mst-count";
     return;
   }
-  // Swaps can shrink the true lmax; restore the exact value from the sorted
-  // tail so the next batch's insertion disks don't stay inflated forever.
-  lmax2_ub_ = ledges_.empty() ? 0.0 : ledges_.back().d2;
+  // Swaps can shrink the true lmax; restore the exact value so the next
+  // batch's insertion disks don't stay inflated forever.
+  lmax2_ub_ = d2_max_.max();
 }
 
 void LocalMstRepair::export_tree(std::span<const int> comp_of,
                                  std::span<const geom::Point> compact_pts,
-                                 Tree& out) const {
+                                 Tree& out) {
   DIRANT_ASSERT(valid_);
+  export_.clear();
+  for (int u = 0; u < n_orig_; ++u) {
+    const size_t bu = static_cast<size_t>(u) * kAdjCap;
+    for (int i = 0; i < tdeg_[u]; ++i) {
+      const int v = tadj_[bu + i];
+      if (u < v) {
+        const int cu = comp_of[u], cv = comp_of[v];
+        export_.push_back({geom::dist2(compact_pts[cu], compact_pts[cv]), u,
+                           v});
+      }
+    }
+  }
+  // Canonical (d2, min, max) order; comp_of is monotone on the alive set,
+  // so it maps to the canonical compact order — the emission is
+  // byte-identical to kruskal_emst over any candidate superset.
+  std::sort(export_.begin(), export_.end());
   out.n = static_cast<int>(compact_pts.size());
   out.edges.clear();
-  out.edges.reserve(ledges_.size());
-  // comp_of is monotone on the alive set, so the canonical (d2, min, max)
-  // order of ledges_ maps to the canonical compact order — the emission is
-  // byte-identical to kruskal_emst over any candidate superset.
-  for (const auto& e : ledges_) {
+  out.edges.reserve(export_.size());
+  for (const auto& e : export_) {
     const int cu = comp_of[e.u], cv = comp_of[e.v];
     out.edges.push_back({cu, cv, geom::dist(compact_pts[cu], compact_pts[cv])});
   }

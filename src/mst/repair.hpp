@@ -64,6 +64,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/max_tree.hpp"
 #include "geometry/point.hpp"
 #include "mst/tree.hpp"
 
@@ -140,6 +141,27 @@ class DelaunayEdgePool {
     return pool_;
   }
 
+  /// Visit every candidate edge incident to member `u` as f(a, b), a < b,
+  /// without compacting: through the per-node base index (built at most
+  /// once between compactions) and u's staged chain, O(pool degree of u).
+  /// Stars are the exception — their edges are implicit, so a pool holding
+  /// any is compacted first (see `settle`).
+  template <typename F>
+  void for_each_incident(int u, F&& f) {
+    settle();
+    if (!index_built_) build_index();
+    if (u + 1 < static_cast<int>(index_off_.size())) {
+      for (int k = index_off_[u]; k < index_off_[u + 1]; ++k) {
+        const auto& [a, b] = pool_[index_[k]];
+        if (!tomb_[a] && !tomb_[b]) f(a, b);
+      }
+    }
+    for (int h = staged_head_[u]; h >= 0; h = staged_next_[h]) {
+      const auto& [a, b] = staged_[h >> 1];
+      if (!tomb_[a] && !tomb_[b]) f(a, b);
+    }
+  }
+
   const EdgePoolConfig& config() const { return cfg_; }
 
  private:
@@ -154,6 +176,16 @@ class DelaunayEdgePool {
   /// Rewrite the base list as the whole explicit pool: drop dead entries,
   /// merge in the staged edges and every star's edges, clear the stars.
   void compact();
+  /// Before a read without `edges()`: write out any stars (their edges are
+  /// implicit), and fold in staged work once it outgrows an eighth of the
+  /// base, so reads stay O(what they visit) and each compaction is paid
+  /// for by the batches that staged it.
+  void settle() {
+    if (!stars_.empty() ||
+        staged_.size() + tombs_.size() > pool_.size() / 8 + 64) {
+      compact();
+    }
+  }
   /// Clear tombstones, staged edges and the base index (O(staged work)).
   void drop_pending();
   /// Build the per-node index of `pool_` (positions, CSR by node).
@@ -209,8 +241,11 @@ struct LocalRepairConfig {
 /// edge set IS the unique EMST of the alive point set under the library's
 /// strict (d2, min endpoint, max endpoint) total order, and `export_tree`
 /// reproduces `kruskal_emst`'s emission byte for byte (same edge pairs,
-/// same order — the candidate list is kept sorted by that key, and the
-/// compact remap is monotone).  The two repair moves:
+/// same order — it sorts by that key, and the compact remap is monotone).
+/// The tree lives only as the flat adjacency plus per-node maxima of the
+/// incident edge lengths (MaxTree), so a batch costs its region: the net
+/// edge delta, the longest edge `lmax()` and the degrees are read without
+/// any pass over the whole tree.  The two repair moves:
 ///
 ///   * **Deletions** (fails + moved-away nodes): dropping a tree node cuts
 ///     the tree into fragments.  Fragments are discovered by a round-robin
@@ -254,7 +289,8 @@ class LocalMstRepair {
   /// Apply one batch: `removed` = original ids leaving the tree (fails and
   /// moved nodes, any order), `inserted` = original ids (re)entering at
   /// their current position (moves and recoveries, ascending), `pool` the
-  /// maintained Delaunay-superset candidate edges.  Returns nullptr on
+  /// maintained Delaunay-superset candidate edges (read per node through
+  /// `for_each_incident`, never compacted wholesale).  Returns nullptr on
   /// success or a static reason string ("mst-region", "mst-walk-budget",
   /// "mst-candidates", "mst-disconnected", "mst-count") — the state is
   /// invalidated on failure and the caller must escalate and reseed.
@@ -262,12 +298,20 @@ class LocalMstRepair {
                           std::span<const char> alive, int alive_count,
                           std::span<const int> removed,
                           std::span<const int> inserted,
-                          std::span<const std::pair<int, int>> pool);
+                          DelaunayEdgePool& pool);
 
   /// Emit the maintained tree in compact space, byte-identical to
   /// `kruskal_emst` over any candidate superset (edge pairs and order).
+  /// O(n log n): gathers the adjacency and sorts it — the fallback paths
+  /// that need a whole tree pay it, a warm batch never does.
   void export_tree(std::span<const int> comp_of,
-                   std::span<const geom::Point> compact_pts, Tree& out) const;
+                   std::span<const geom::Point> compact_pts, Tree& out);
+
+  /// Longest edge of the maintained tree (geom::dist, exactly the value
+  /// `Tree::lmax()` reads off an exported tree) — O(1).
+  double lmax() const { return len_max_.max(); }
+  /// Tree degree per original id (0 off the tree).
+  std::span<const std::uint8_t> degrees() const { return tdeg_; }
 
   /// Nodes touched by the last successful `apply_batch` (BFS visits +
   /// removed + inserted + swap endpoints) — the affected-region telemetry.
@@ -283,18 +327,6 @@ class LocalMstRepair {
   }
   std::span<const std::pair<int, int>> last_added() const {
     return net_added_;
-  }
-
-  /// True when no maintained-tree node exceeds degree `cap`.  A raw EMST at
-  /// degree ≤ 5 passes `enforce_max_degree` untouched, so consumers may
-  /// skip degree repair (and re-orient incrementally) exactly when this
-  /// holds; a degree-6 node means the repaired tree differs from the raw
-  /// one and the full orient path must run.  O(n) scan — deterministic.
-  bool max_degree_at_most(int cap) const {
-    for (int u = 0; u < n_orig_; ++u) {
-      if (in_tree_[u] && tdeg_[u] > cap) return false;
-    }
-    return true;
   }
 
   const LocalRepairConfig& config() const { return cfg_; }
@@ -323,25 +355,47 @@ class LocalMstRepair {
   void adj_add(int u, int v);
   const char* delete_phase(std::span<const geom::Point> positions,
                            std::span<const int> removed,
-                           std::span<const std::pair<int, int>> pool,
-                           int alive_count);
+                           DelaunayEdgePool& pool, int alive_count);
   const char* reconnect_exact(std::span<const geom::Point> positions,
-                              std::span<const std::pair<int, int>> pool);
+                              DelaunayEdgePool& pool);
   const char* insert_phase(std::span<const geom::Point> positions,
                            std::span<const char> alive, int alive_count,
                            std::span<const int> inserted);
   const char* insert_vertex(std::span<const geom::Point> positions, int v,
                             int* walk_budget);
-  void merge_batch(std::span<const geom::Point> positions, int alive_count,
-                   const char** fail);
+  /// Record an adjacency change of this batch (chronological).
+  void log_op(int u, int v, bool add) {
+    ops_.push_back({std::min(u, v), std::max(u, v),
+                    static_cast<int>(ops_.size()), add});
+  }
+  /// Re-read u's incident edge maxima into the two MaxTrees.
+  void refresh_maxima(std::span<const geom::Point> positions, int u);
+  void finish_batch(std::span<const geom::Point> positions, int alive_count,
+                    const char** fail);
 
   LocalRepairConfig cfg_;
   bool valid_ = false;
   int n_orig_ = 0;
   double lmax2_ub_ = 0.0;  ///< ≥ true lmax² of the current tree
+  int edge_count_ = 0;     ///< edges of the maintained tree
+  int tree_nodes_ = 0;     ///< nodes with in_tree_ set
 
-  std::vector<LEdge> ledges_;  ///< sorted by (d2, u, v) — Kruskal order
-  std::vector<LEdge> lmerge_;  ///< merge double buffer
+  /// Per-node maxima over incident tree edges: squared length (the exact
+  /// lmax² that bounds the insertion disks) and geom::dist (lmax itself).
+  MaxTree d2_max_, len_max_;
+  struct Op {
+    int u, v;  ///< u < v
+    int seq;   ///< chronological index within the batch
+    bool add;
+    bool operator<(const Op& o) const {
+      if (u != o.u) return u < o.u;
+      if (v != o.v) return v < o.v;
+      return seq < o.seq;
+    }
+  };
+  std::vector<Op> ops_;  ///< this batch's adjacency changes
+  std::vector<int> touched_;  ///< endpoints of ops_, sorted unique
+  std::vector<LEdge> export_;  ///< export_tree sort buffer
   static constexpr int kAdjCap = 8;  ///< EMST degree ≤ 6
   std::vector<int> tadj_;     ///< flat [n_orig * kAdjCap] neighbour lists
   std::vector<std::uint8_t> tdeg_;
@@ -365,14 +419,12 @@ class LocalMstRepair {
   std::vector<std::vector<int>> queues_;  ///< per-front BFS queues
   std::vector<int> qhead_;
   std::vector<std::pair<int, int>> cand_;  ///< crossing pool edges
-  std::vector<char> was_old_;              ///< cand_ pair was in old ledges_
   std::vector<std::pair<int, int>> net_removed_, net_added_;  ///< batch delta
   struct Best {
     double d2;
     int u, v;
   };
   std::vector<Best> best_;
-  std::vector<LEdge> adds_, tombs_;
   std::vector<std::pair<double, int>> disk_;  ///< (d2, id) insert candidates
   std::vector<int> vchain_, wchain_;          ///< path walk records
   std::vector<int> path_pos_;   ///< chain index at mark time (stamped)
@@ -380,6 +432,7 @@ class LocalMstRepair {
   std::vector<int> parent_;
   std::vector<double> ped2_;  ///< d2 of (u, parent_[u])
   std::vector<int> bfs_;
+  std::vector<int> comp_start_;  ///< reconnect_exact: component runs in bfs_
   int last_region_ = 0;
 };
 

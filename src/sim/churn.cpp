@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 #include "antenna/transmission.hpp"
 #include "common/assert.hpp"
@@ -58,38 +59,46 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   opts_ = opts;
   n_orig_ = static_cast<int>(pts.size());
   DIRANT_ASSERT_MSG(opts_.min_alive >= 1, "min_alive must be positive");
+  const size_t n = static_cast<size_t>(n_orig_);
   positions_.assign(pts.begin(), pts.end());
-  alive_.assign(static_cast<size_t>(n_orig_), 1);
+  alive_.assign(n, 1);
   alive_count_ = n_orig_;
-  moved_.assign(static_cast<size_t>(n_orig_), 0);
-  recovered_.assign(static_cast<size_t>(n_orig_), 0);
-  changed_pos_.assign(static_cast<size_t>(n_orig_), 0);
-  dirty_.assign(static_cast<size_t>(n_orig_), 1);  // everything is new
+  moved_.assign(n, 0);
+  recovered_.assign(n, 0);
+  changed_pos_.assign(n, 0);
+  touch_stamp_.assign(n, -1);
+  start_alive_.assign(n, 0);
+  start_pos_.assign(n, geom::Point{});
+  dirty_stamp_.assign(n, -1);
+  rewrite_stamp_.assign(n, -1);
+  touched_.clear();
   event_nodes_.clear();
   batch_dead_.clear();
-  tree_degree_.assign(static_cast<size_t>(n_orig_), 0);
   repair_.invalidate();       // raw EMST unavailable after a full orient
   orient_mem_.valid = false;  // no incremental plan to diff against yet
-  prev_o_.reset(n_orig_, std::max(1, spec.k));
   batch_ = 0;
+  compact_valid_ = false;
 
-  // Batch 0 has no previous batch: the prev maps alias the identity.
-  comp_of_.resize(static_cast<size_t>(n_orig_));
-  orig_of_.resize(static_cast<size_t>(n_orig_));
-  for (int u = 0; u < n_orig_; ++u) comp_of_[u] = orig_of_[u] = u;
-  prev_comp_of_ = comp_of_;
-  prev_orig_of_ = orig_of_;
-  compact_pts_.assign(pts.begin(), pts.end());
-
-  session_.orient(compact_pts_, spec_);
+  session_.orient(pts, spec_);
+  session_current_ = true;
+  tree_in_repair_ = false;
+  build_compact();  // identity: every node is alive
   reseed_pool();
-
-  graph::Digraph fresh = antenna::induced_digraph_fast(
-      compact_pts_, session_.last_result().orientation, kAngleTol,
-      kRadiusAbsTol, cx_.transmission, threads_, pool_.get());
-  std::move(dg_).release(cx_.transmission.offsets, cx_.transmission.targets);
-  dg_ = std::move(fresh);
-  note_full_build_grid();
+  const auto& res = session_.last_result();
+  plan_.orientation.reset(n_orig_, std::max(1, spec.k));
+  radius_max_.assign(n_orig_, 0.0);
+  spread_max_.assign(n_orig_, 0.0);
+  count_max_.assign(n_orig_, 0.0);
+  for (int u = 0; u < n_orig_; ++u) {
+    plan_.orientation.copy_node(u, res.orientation, u);
+    refresh_row(u);
+  }
+  plan_.algorithm = res.algorithm;
+  plan_.bound_factor = res.bound_factor;
+  plan_.lmax = res.lmax;
+  plan_.measured_radius = radius_max_.max();
+  plan_.cases = res.cases;
+  full_build();
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
   // coverage report.
@@ -109,10 +118,12 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   report_.warm_orient = false;
   report_.cert_reused = false;
   report_.escalation = nullptr;
-  report_.certificate = core::make_certificate(session_.last_result(), spec_,
-                                               scc_result_.count);
+  report_.certificate = core::make_certificate(
+      core::OrientationMaxima{radius_max_.max(), spread_max_.max(),
+                              static_cast<int>(count_max_.max())},
+      plan_, spec_, scc_result_.count);
   if (scc_result_.count == 1) {
-    recert_.rebuild(dg_, transpose_, orig_of_, comp_of_, n_orig_);
+    recert_.rebuild(dg_, transpose_, alive_, alive_count_);
   } else {
     recert_.invalidate();
   }
@@ -125,26 +136,29 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
           : 0.0;
   deg.degraded = deg.largest_scc < alive_count_;
   deg.k_level = -1;
-  for (int c = 0; c < alive_count_; ++c) {
-    if (scc_result_.component[c] != best) deg.stranded.push_back(orig_of_[c]);
+  for (int u = 0; u < n_orig_; ++u) {
+    if (scc_result_.component[u] != best) deg.stranded.push_back(u);
   }
-
-  snapshot_orientation();
-  refresh_tree_degrees();
   inited_ = true;
   return report_;
 }
 
+void ChurnEngine::touch(int u) {
+  if (touch_stamp_[u] == batch_) return;
+  touch_stamp_[u] = batch_;
+  touched_.push_back(u);
+  start_alive_[u] = alive_[u];
+  start_pos_[u] = positions_[u];
+}
+
 const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   DIRANT_ASSERT_MSG(inited_, "ChurnEngine::init must run before step");
+  for (int u : touched_) moved_[u] = recovered_[u] = changed_pos_[u] = 0;
+  touched_.clear();
   ++batch_;
   report_.batch = batch_;
   report_.events.clear();
-  std::fill(moved_.begin(), moved_.end(), 0);
-  std::fill(recovered_.begin(), recovered_.end(), 0);
-  std::fill(changed_pos_.begin(), changed_pos_.end(), 0);
   batch_dead_.clear();
-  placed_.clear();
 
   // ---- 1. Apply the batch sequentially.  Every rejection is a pure
   // function of the state built by the preceding events, so logs replay
@@ -152,7 +166,8 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   // their pool erases and flush in one batched erase (the closure is
   // identical to per-node erases; see DelaunayEdgePool::erase_nodes) —
   // the flush happens before any pool *insert* so the interleaving the
-  // event order prescribes is preserved.
+  // event order prescribes is preserved.  The grid follows every event,
+  // so position_taken always sees the live occupancy.
   pending_fails_.clear();
   const auto flush_fails = [this] {
     pool_edges_.erase_nodes(pending_fails_);
@@ -161,39 +176,44 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   for (const ChurnEvent& e : events) {
     bool ok = e.node >= 0 && e.node < n_orig_;
     if (ok) {
+      const int u = e.node;
       switch (e.kind) {
         case ChurnEventKind::kFail:
-          ok = alive_[e.node] != 0 && alive_count_ > opts_.min_alive;
+          ok = alive_[u] != 0 && alive_count_ > opts_.min_alive;
           if (ok) {
-            alive_[e.node] = 0;
+            touch(u);
+            alive_[u] = 0;
             --alive_count_;
-            pending_fails_.push_back(e.node);
-            batch_dead_.push_back(e.node);
+            grid_.erase(u, positions_[u]);
+            pending_fails_.push_back(u);
+            batch_dead_.push_back(u);
           }
           break;
         case ChurnEventKind::kRecover:
-          ok = alive_[e.node] == 0 &&
-               !position_taken(e.node, positions_[e.node]);
+          ok = alive_[u] == 0 && !position_taken(u, positions_[u]);
           if (ok) {
-            alive_[e.node] = 1;
+            touch(u);
+            alive_[u] = 1;
             ++alive_count_;
+            grid_.insert(u, positions_[u]);
             flush_fails();
-            pool_edges_.insert_node(e.node, alive_);
-            recovered_[e.node] = 1;
-            changed_pos_[e.node] = 1;
-            placed_.push_back(e.node);
+            pool_edges_.insert_node(u, alive_);
+            recovered_[u] = 1;
+            changed_pos_[u] = 1;
           }
           break;
         case ChurnEventKind::kMove:
-          ok = alive_[e.node] != 0 && !position_taken(e.node, e.to);
+          ok = alive_[u] != 0 && !position_taken(u, e.to);
           if (ok) {
+            touch(u);
             flush_fails();
-            pool_edges_.erase_node(e.node);
-            positions_[e.node] = e.to;
-            pool_edges_.insert_node(e.node, alive_);
-            moved_[e.node] = 1;
-            changed_pos_[e.node] = 1;
-            placed_.push_back(e.node);
+            pool_edges_.erase_node(u);
+            grid_.erase(u, positions_[u]);
+            positions_[u] = e.to;
+            grid_.insert(u, e.to);
+            pool_edges_.insert_node(u, alive_);
+            moved_[u] = 1;
+            changed_pos_[u] = 1;
           }
           break;
       }
@@ -201,10 +221,12 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
     report_.events.push_back({e, ok});
   }
   flush_fails();
+  if (!touched_.empty()) compact_valid_ = false;
   event_nodes_.clear();
-  for (int u = 0; u < n_orig_; ++u) {
-    if (alive_[u] && (moved_[u] || recovered_[u])) event_nodes_.push_back(u);
+  for (int u : touched_) {
+    if (alive_[u] && changed_pos_[u]) event_nodes_.push_back(u);
   }
+  std::sort(event_nodes_.begin(), event_nodes_.end());
   // Event order may revisit a node (fail, recover, fail): the dead list is
   // consumed as a sorted set by the MST-event derivation and the suspect
   // merge below.
@@ -212,63 +234,36 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
   batch_dead_.erase(std::unique(batch_dead_.begin(), batch_dead_.end()),
                     batch_dead_.end());
 
-  rebuild_compact();
   audit_frozen();  // pre-repair: what does the field look like right now?
   replan();
-  compute_dirty();
   build_digraph();
 
-  report_.certificate =
-      core::make_certificate(session_.last_result(), spec_, certify_sccs());
+  report_.certificate = core::make_certificate(
+      core::OrientationMaxima{radius_max_.max(), spread_max_.max(),
+                              static_cast<int>(count_max_.max())},
+      plan_, spec_, certify_sccs());
   report_.alive = alive_count_;
-
-  snapshot_orientation();
-  refresh_tree_degrees();
   return report_;
 }
 
-// True iff an alive node other than `v` sits exactly at `p`.  Called while
-// a batch applies, before rebuild_compact: `orig_of_` is still the last
-// batch's compact map.  A node at `p` now either kept its last-batch
-// position — a radius-0 query of the last build's grid over that batch's
-// survivors finds it — or was moved or recovered earlier in this batch
-// and is in `placed_`.  Candidates are re-checked against the current
-// positions and alive mask, so stale grid entries (nodes failed or moved
-// since) never count.
+// True iff an alive node other than `v` sits exactly at `p`: one radius-0
+// query of the live grid, which indexes every alive node at its current
+// position (every applied event updates it).
 bool ChurnEngine::position_taken(int v, const geom::Point& p) const {
-  const auto occupied = [&](int w) {
-    return w != v && alive_[w] && positions_[w].x == p.x &&
-           positions_[w].y == p.y;
-  };
-  for (int w : placed_) {
-    if (occupied(w)) return true;
-  }
-  if (!grid_indexes_survivors_) {
-    // The last build indexed nothing (a lone survivor has no positive
-    // sector radius): scan the last batch's survivors directly.
-    return std::any_of(orig_of_.begin(), orig_of_.end(), occupied);
-  }
-  const auto& grid = cx_.transmission.grid;
-  DIRANT_ASSERT(grid.size() == static_cast<int>(orig_of_.size()));
   bool hit = false;
-  grid.for_each_within(p, 0.0, -1, [&](int c, double, double, double) {
-    hit = hit || occupied(orig_of_[c]);
+  grid_.for_each_within(p, 0.0, v, [&](int w, double, double, double) {
+    hit = hit || (positions_[w].x == p.x && positions_[w].y == p.y);
   });
   return hit;
 }
 
-// After a full induced_digraph_fast build: it rebuilds the scratch grid
-// over every point unless the largest sector radius is zero, in which case
-// the grid still holds an older batch's points.
-void ChurnEngine::note_full_build_grid() {
-  grid_indexes_survivors_ =
-      alive_count_ > 0 &&
-      session_.last_result().orientation.max_radius() > 0.0;
+const std::vector<int>& ChurnEngine::compact_to_orig() const {
+  build_compact();
+  return orig_of_;
 }
 
-void ChurnEngine::rebuild_compact() {
-  prev_comp_of_.swap(comp_of_);
-  prev_orig_of_.swap(orig_of_);
+void ChurnEngine::build_compact() const {
+  if (compact_valid_) return;
   comp_of_.assign(static_cast<size_t>(n_orig_), -1);
   orig_of_.clear();
   compact_pts_.clear();
@@ -278,15 +273,83 @@ void ChurnEngine::rebuild_compact() {
     orig_of_.push_back(u);
     compact_pts_.push_back(positions_[u]);
   }
+  compact_valid_ = true;
 }
 
 void ChurnEngine::audit_frozen() {
   // Frozen survivor graph: the previous certified digraph restricted to
-  // stable nodes (alive in both batches, not moved), remapped into the new
-  // compact space.  Moved/recovered nodes are isolated — their old sectors
-  // aimed at old neighbourhoods, so their coverage is unknown until the
-  // re-plan re-aims them (conservatively stranded).
+  // stable nodes (alive in both batches, not moved).  Moved/recovered
+  // nodes are isolated — their old sectors aimed at old neighbourhoods, so
+  // their coverage is unknown until the re-plan re-aims them
+  // (conservatively stranded).  The certificate's witness trees answer it
+  // when they can; the fallback is a Tarjan pass over a frozen copy.
   const int m = alive_count_;
+  auto& deg = report_.degraded;
+  deg.stranded.clear();
+  deg.largest_scc = 0;
+  bool answered = false;
+  audit_removed_.clear();
+  std::merge(batch_dead_.begin(), batch_dead_.end(), event_nodes_.begin(),
+             event_nodes_.end(), std::back_inserter(audit_removed_));
+  audit_removed_.erase(
+      std::unique(audit_removed_.begin(), audit_removed_.end()),
+      audit_removed_.end());
+  if (recert_.audit_removal(dg_, audit_removed_, m, positions_, grid_,
+                            patch_qr_, audit_outside_,
+                            cx_.transmission.candidates)) {
+    const int stable = m - static_cast<int>(event_nodes_.size());
+    const int hub_scc = stable - static_cast<int>(audit_outside_.size());
+    // A strict majority is the unique largest component; otherwise the
+    // tie-break needs the full decomposition.
+    if (2 * hub_scc > m) {
+      answered = true;
+      deg.largest_scc = hub_scc;
+      std::merge(audit_outside_.begin(), audit_outside_.end(),
+                 event_nodes_.begin(), event_nodes_.end(),
+                 std::back_inserter(deg.stranded));
+    }
+  }
+  bool frozen_built = false;
+  if (!answered) {
+    build_frozen_compact();
+    frozen_built = true;
+    const int best =
+        graph::largest_scc(frozen_, cx_.scc, scc_result_, scc_sizes_);
+    deg.largest_scc = best < 0 ? 0 : scc_sizes_[best];
+    for (int c = 0; c < m; ++c) {
+      if (scc_result_.component[c] != best) {
+        deg.stranded.push_back(orig_of_[c]);
+      }
+    }
+  }
+  deg.coverage_fraction =
+      m > 0 ? static_cast<double>(deg.largest_scc) / m : 0.0;
+  deg.degraded = deg.largest_scc < m;
+  deg.k_level = -1;
+  if (opts_.probe_k_level) {
+    if (deg.largest_scc < m) {
+      deg.k_level = 0;
+    } else {
+      deg.k_level = 1;
+      if (!frozen_built) build_frozen_compact();
+      frozen_.reversed_into(transpose_);
+      probe_removed_.assign(static_cast<size_t>(m), 0);
+      bool robust = true;
+      for (int c = 0; c < m && robust; ++c) {
+        probe_removed_[c] = 1;
+        robust = graph::is_strongly_connected(frozen_, transpose_, reach_,
+                                              probe_removed_.data());
+        probe_removed_[c] = 0;
+      }
+      if (robust) deg.k_level = 2;
+    }
+  }
+}
+
+void ChurnEngine::build_frozen_compact() {
+  build_compact();
+  const int m = alive_count_;
+  std::move(frozen_).release(frozen_offsets_, frozen_targets_);
   auto& offs = frozen_offsets_;
   auto& tgts = frozen_targets_;
   offs.clear();
@@ -294,47 +357,15 @@ void ChurnEngine::audit_frozen() {
   tgts.clear();
   for (int c = 0; c < m; ++c) {
     const int u = orig_of_[c];
-    if (prev_comp_of_[u] >= 0 && !moved_[u] && !recovered_[u]) {
-      for (int t : dg_.out(prev_comp_of_[u])) {
-        const int v = prev_orig_of_[t];
-        if (!alive_[v] || moved_[v] || recovered_[v]) continue;
-        tgts.push_back(comp_of_[v]);
+    // Alive and not moved or recovered means alive last batch too.
+    if (!changed_pos_[u]) {
+      for (int v : dg_.out(u)) {
+        if (alive_[v] && !changed_pos_[v]) tgts.push_back(comp_of_[v]);
       }
     }
     offs.push_back(static_cast<int>(tgts.size()));
   }
-  graph::Digraph frozen(std::move(offs), std::move(tgts));
-
-  const int best = graph::largest_scc(frozen, cx_.scc, scc_result_,
-                                      scc_sizes_);
-  auto& deg = report_.degraded;
-  deg.stranded.clear();
-  deg.largest_scc = best < 0 ? 0 : scc_sizes_[best];
-  deg.coverage_fraction =
-      m > 0 ? static_cast<double>(deg.largest_scc) / m : 0.0;
-  deg.degraded = deg.largest_scc < m;
-  for (int c = 0; c < m; ++c) {
-    if (scc_result_.component[c] != best) deg.stranded.push_back(orig_of_[c]);
-  }
-  deg.k_level = -1;
-  if (opts_.probe_k_level) {
-    if (deg.largest_scc < m) {
-      deg.k_level = 0;
-    } else {
-      deg.k_level = 1;
-      frozen.reversed_into(transpose_);
-      probe_removed_.assign(static_cast<size_t>(m), 0);
-      bool robust = true;
-      for (int c = 0; c < m && robust; ++c) {
-        probe_removed_[c] = 1;
-        robust = graph::is_strongly_connected(frozen, transpose_, reach_,
-                                              probe_removed_.data());
-        probe_removed_[c] = 0;
-      }
-      if (robust) deg.k_level = 2;
-    }
-  }
-  std::move(frozen).release(frozen_offsets_, frozen_targets_);
+  frozen_ = graph::Digraph(std::move(offs), std::move(tgts));
 }
 
 void ChurnEngine::replan() {
@@ -344,6 +375,7 @@ void ChurnEngine::replan() {
   report_.incremental_orient = false;
   report_.orient_planned = 0;
   report_.warm_orient = false;
+  session_current_ = false;
   const char* esc = nullptr;
   if (opts_.force_full) {
     esc = "forced";
@@ -359,10 +391,10 @@ void ChurnEngine::replan() {
   bool localized = false;
   if (esc == nullptr) {
     // ---- Rung 1: localized repair of the maintained EMST.  Success skips
-    // the pool Kruskal entirely; the exported tree is byte-identical to it
-    // (mst/repair.hpp), so everything downstream cannot tell the paths
-    // apart.  Every fallback reason is a pure function of the event
-    // sequence — deterministic across thread counts.
+    // the pool Kruskal entirely; the maintained tree is exactly the one it
+    // would build (mst/repair.hpp), so everything downstream cannot tell
+    // the paths apart.  Every fallback reason is a pure function of the
+    // event sequence — deterministic across thread counts.
     if (!repair_.valid()) {
       report_.mst_fallback = "mst-unseeded";
     } else {
@@ -370,7 +402,7 @@ void ChurnEngine::replan() {
       try {
         report_.mst_fallback =
             repair_.apply_batch(positions_, alive_, alive_count_, mst_removed_,
-                                mst_inserted_, pool_edges_.edges());
+                                mst_inserted_, pool_edges_);
       } catch (const contract_violation&) {
         // A reconnect pushed a maintained-tree node past the adjacency cap
         // mid-repair; the state is torn, so invalidate and reseed below.
@@ -378,15 +410,29 @@ void ChurnEngine::replan() {
         repair_.invalidate();
       }
       if (report_.mst_fallback == nullptr) {
-        repair_.export_tree(comp_of_, compact_pts_, inc_tree_);
         localized = true;
         report_.mst_region = repair_.last_region();
       }
     }
-    // ---- Rung 2: Kruskal over the maintained candidate pool.
-    if (!localized) {
+    if (localized) {
+      // The warm orienter reads the repair layer's own state — net edge
+      // delta, degrees, lmax — and patches the original-space plan in
+      // place.  When one of its gates fails, the dirty-subtree traversal
+      // runs over the exported tree instead (same rows either way).
+      const core::OrientWarmDelta delta{
+          positions_,          alive_,           alive_count_,
+          repair_.last_removed(), repair_.last_added(), event_nodes_,
+          repair_.degrees(),   repair_.lmax()};
+      if (session_.orient_warm(spec_, orient_mem_, delta, plan_)) {
+        adopt_warm_plan();
+      } else {
+        build_compact();
+        repair_.export_tree(comp_of_, compact_pts_, inc_tree_);
+      }
+    } else {
+      // ---- Rung 2: Kruskal over the maintained candidate pool.
+      build_compact();
       cand_compact_.clear();
-      cand_compact_.reserve(pool_edges_.edges().size());
       for (const auto& [a, b] : pool_edges_.edges()) {
         // Pool endpoints are always alive; compaction preserves order.
         cand_compact_.emplace_back(comp_of_[a], comp_of_[b]);
@@ -406,35 +452,105 @@ void ChurnEngine::replan() {
         repair_.seed(inc_tree_, orig_of_, positions_, alive_);
       }
     }
-    if (esc == nullptr) {
-      // Localized batches carry the repair layer's net tree-edge delta so
-      // the warm orienter can re-hang its recorded tree directly; rung-2
-      // batches re-derive everything but still run through the recording
-      // incremental path, keeping the plan memory warm across pool-Kruskal
-      // reseeds instead of forcing an all-dirty rebuild next batch.
-      const core::OrientWarmDelta delta{positions_, repair_.last_removed(),
-                                        repair_.last_added(), event_nodes_};
+    if (esc == nullptr && !report_.warm_orient) {
+      // Rung-2 batches (and rung-1 batches the warm gates turned away)
+      // still run through the recording incremental path, keeping the plan
+      // memory warm instead of forcing an all-dirty rebuild next batch.
       report_.incremental_orient = session_.orient_on_emst_incremental(
           compact_pts_, inc_tree_, spec_, orient_mem_, orig_of_, comp_of_,
-          changed_pos_, prev_o_, localized ? &delta : nullptr);
+          changed_pos_, plan_.orientation);
       report_.orient_planned =
           report_.incremental_orient
               ? static_cast<int>(orient_mem_.planned.size())
               : 0;
-      report_.warm_orient =
-          report_.incremental_orient && orient_mem_.last_warm;
+      adopt_compact_plan(report_.incremental_orient);
     }
   }
   if (esc != nullptr) {
+    build_compact();
     session_.orient(compact_pts_, spec_);
     reseed_pool();
     repair_.invalidate();  // raw EMST not recoverable from the full pipeline
     orient_mem_.valid = false;
+    adopt_compact_plan(false);
   }
   report_.escalation = esc;
   report_.incremental_plan = esc == nullptr;
   report_.localized_mst = localized && esc == nullptr;
   if (!report_.localized_mst) report_.mst_region = 0;
+}
+
+void ChurnEngine::refresh_row(int u) {
+  const auto& ants = plan_.orientation.antennas(u);
+  double r = 0.0;
+  for (const auto& s : ants) r = std::max(r, s.radius);
+  radius_max_.set(u, r);
+  spread_max_.set(u, plan_.orientation.spread_sum(u));
+  count_max_.set(u, static_cast<double>(ants.size()));
+}
+
+// Shared tail of every re-plan: rows of nodes that died this batch empty
+// out, the certificate maxima follow, and the dirty set is the changed
+// rows plus the event nodes, ascending.
+void ChurnEngine::adopt_warm_plan() {
+  report_.incremental_orient = true;
+  report_.warm_orient = true;
+  report_.orient_planned = static_cast<int>(orient_mem_.planned.size());
+  tree_in_repair_ = true;
+  auto& sr = report_.suggested_repair;
+  sr.clear();
+  std::set_union(orient_mem_.changed.begin(), orient_mem_.changed.end(),
+                 event_nodes_.begin(), event_nodes_.end(),
+                 std::back_inserter(sr));
+  for (int u : orient_mem_.changed) refresh_row(u);
+  for (int u : batch_dead_) {
+    if (!alive_[u]) {
+      plan_.orientation.clear_node(u);
+      refresh_row(u);
+    }
+  }
+  for (int u : sr) dirty_stamp_[u] = batch_;
+  plan_.measured_radius = radius_max_.max();
+  report_.dirty_fraction =
+      alive_count_ > 0 ? static_cast<double>(sr.size()) / alive_count_ : 0.0;
+}
+
+void ChurnEngine::adopt_compact_plan(bool incremental) {
+  const auto& res = session_.last_result();
+  session_current_ = true;
+  tree_in_repair_ = false;
+  auto& sr = report_.suggested_repair;
+  sr.clear();
+  const auto sync = [&](int c) {
+    const int u = orig_of_[c];
+    const bool changed = plan_.orientation.sync_node(u, res.orientation, c);
+    if (changed) refresh_row(u);
+    if (changed || changed_pos_[u]) {
+      sr.push_back(u);
+      dirty_stamp_[u] = batch_;
+    }
+  };
+  if (incremental) {
+    // Only re-planned rows can differ from the previous plan: the others
+    // were copied from it.  mem.planned is ascending in compact space,
+    // hence in original space.
+    for (int c : orient_mem_.planned) sync(c);
+  } else {
+    for (int c = 0; c < alive_count_; ++c) sync(c);
+  }
+  for (int u : batch_dead_) {
+    if (!alive_[u]) {
+      plan_.orientation.clear_node(u);
+      refresh_row(u);
+    }
+  }
+  plan_.algorithm = res.algorithm;
+  plan_.bound_factor = res.bound_factor;
+  plan_.lmax = res.lmax;
+  plan_.cases = res.cases;
+  plan_.measured_radius = radius_max_.max();
+  report_.dirty_fraction =
+      alive_count_ > 0 ? static_cast<double>(sr.size()) / alive_count_ : 0.0;
 }
 
 void ChurnEngine::derive_mst_events() {
@@ -445,7 +561,6 @@ void ChurnEngine::derive_mst_events() {
   // out ascending, as LocalMstRepair::apply_batch expects.
   mst_removed_.clear();
   size_t i = 0, j = 0;
-  const auto was_in_tree = [this](int u) { return prev_comp_of_[u] >= 0; };
   while (i < batch_dead_.size() || j < event_nodes_.size()) {
     int u;
     if (j == event_nodes_.size() ||
@@ -456,7 +571,7 @@ void ChurnEngine::derive_mst_events() {
     } else {
       u = event_nodes_[j++];
     }
-    if (was_in_tree(u)) mst_removed_.push_back(u);
+    if (start_alive_[u]) mst_removed_.push_back(u);
   }
   mst_inserted_.assign(event_nodes_.begin(), event_nodes_.end());
 }
@@ -468,33 +583,23 @@ int ChurnEngine::certify_sccs() {
                                       recert_.valid())) {
     // Suspects = this batch's dirty re-plan set ∪ its dead nodes — exactly
     // the rows the patch rebuilt or dropped, which is every place a cached
-    // certificate edge can have broken (graph/recert.hpp).  Both inputs are
-    // ascending; merge without duplicates.
+    // certificate edge can have broken (graph/recert.hpp).
     suspects_.clear();
     const auto& sr = report_.suggested_repair;
-    size_t i = 0, j = 0;
-    while (i < sr.size() || j < batch_dead_.size()) {
-      int u;
-      if (j == batch_dead_.size() ||
-          (i < sr.size() && sr[i] <= batch_dead_[j])) {
-        u = sr[i];
-        if (j < batch_dead_.size() && batch_dead_[j] == u) ++j;
-        ++i;
-      } else {
-        u = batch_dead_[j++];
-      }
-      suspects_.push_back(u);
-    }
-    if (recert_.repair(dg_, orig_of_, comp_of_, compact_pts_,
-                       cx_.transmission.grid, patch_qr_, suspects_,
-                       changed_pos_, cx_.transmission.candidates)) {
+    std::set_union(sr.begin(), sr.end(), batch_dead_.begin(),
+                   batch_dead_.end(), std::back_inserter(suspects_));
+    if (recert_.repair(dg_, alive_, alive_count_, positions_, grid_,
+                       patch_qr_, suspects_, changed_pos_,
+                       cx_.transmission.candidates)) {
       report_.cert_reused = true;
       return 1;
     }
   }
-  const int sccs = graph::scc_count(dg_, cx_.scc);
+  // Dead ids are isolated empty rows: one singleton component each.
+  const int sccs =
+      graph::scc_count(dg_, cx_.scc) - (n_orig_ - alive_count_);
   if (sccs == 1) {
-    recert_.rebuild(dg_, transpose_, orig_of_, comp_of_, n_orig_);
+    recert_.rebuild(dg_, transpose_, alive_, alive_count_);
   } else {
     recert_.invalidate();
   }
@@ -512,135 +617,163 @@ void ChurnEngine::reseed_pool() {
   }
 }
 
-void ChurnEngine::compute_dirty() {
-  const auto& o = session_.last_result().orientation;
-  report_.suggested_repair.clear();
-  int dirty_count = 0;
-  if (report_.incremental_orient) {
-    // Only re-planned rows can differ from the snapshot — every other row
-    // was *copied* from it, so node_equals holds by construction, and
-    // dirty_ is all-zero for alive nodes between batches (established by
-    // snapshot_orientation).  mem.planned is ascending in compact space,
-    // hence ascending in original space: suggested_repair comes out in the
-    // same order the full scan would emit.
-    for (int c : orient_mem_.planned) {
-      const int u = orig_of_[c];
-      const bool d =
-          moved_[u] || recovered_[u] || !o.node_equals(c, prev_o_, u);
-      dirty_[u] = d;
-      if (d) {
-        ++dirty_count;
-        report_.suggested_repair.push_back(u);
-      }
-    }
-  } else {
+// Adopt a CSR built into (offsets, targets) as dg_; dg_'s previous buffers
+// come back through the same pair for the next build.
+void ChurnEngine::install(std::vector<int>& offsets,
+                          std::vector<int>& targets) {
+  graph::Digraph next(std::move(offsets), std::move(targets));
+  std::move(dg_).release(offsets, targets);
+  dg_ = std::move(next);
+}
+
+void ChurnEngine::full_build() {
+  build_compact();
+  const antenna::Orientation* co = &session_.last_result().orientation;
+  if (!session_current_) {
+    // A warm plan exists only in original space: gather a compact copy.
+    gather_o_.reset(alive_count_, std::max(1, spec_.k));
     for (int c = 0; c < alive_count_; ++c) {
-      const int u = orig_of_[c];
-      const bool d =
-          moved_[u] || recovered_[u] || !o.node_equals(c, prev_o_, u);
-      dirty_[u] = d;
-      if (d) {
-        ++dirty_count;
-        report_.suggested_repair.push_back(u);
-      }
+      gather_o_.copy_node(c, plan_.orientation, orig_of_[c]);
     }
+    co = &gather_o_;
   }
-  report_.dirty_fraction =
-      alive_count_ > 0 ? static_cast<double>(dirty_count) / alive_count_ : 0.0;
+  graph::Digraph fresh = antenna::induced_digraph_fast(
+      compact_pts_, *co, kAngleTol, kRadiusAbsTol, cx_.transmission, threads_,
+      pool_.get());
+  // Scatter into original space: row order and content carry over, dead
+  // ids get empty rows.
+  auto& offs = patch_offsets_;
+  auto& tgts = patch_targets_;
+  offs.resize(static_cast<size_t>(n_orig_) + 1);
+  tgts.clear();
+  offs[0] = 0;
+  for (int u = 0; u < n_orig_; ++u) {
+    if (alive_[u]) {
+      for (int t : fresh.out(comp_of_[u])) tgts.push_back(orig_of_[t]);
+    }
+    offs[u + 1] = static_cast<int>(tgts.size());
+  }
+  std::move(fresh).release(cx_.transmission.offsets, cx_.transmission.targets);
+  install(patch_offsets_, patch_targets_);
+  patch_qr_ = radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
+  grid_.rebuild(positions_, std::max(patch_qr_ / 2.0, 1e-12), alive_);
 }
 
 void ChurnEngine::build_digraph() {
-  const auto& o = session_.last_result().orientation;
   const bool patch = !opts_.force_full &&
                      report_.dirty_fraction <= opts_.dirty_threshold;
   report_.incremental_digraph = patch;
   if (!patch) {
-    graph::Digraph fresh = antenna::induced_digraph_fast(
-        compact_pts_, o, kAngleTol, kRadiusAbsTol, cx_.transmission, threads_,
-        pool_.get());
-    std::move(dg_).release(cx_.transmission.offsets, cx_.transmission.targets);
-    dg_ = std::move(fresh);
-    note_full_build_grid();
+    full_build();
     return;
   }
 
-  // ---- Row patch.  Clean rows (sectors unchanged, node not moved) keep
-  // their previous edge set: dead targets drop, moved/recovered targets
-  // drop and are retested along with every other event node — their
-  // positions are the only inputs to those memberships that changed.
-  // Dirty rows rebuild from a grid query.  Row *order* differs from the
-  // full builder's, but the per-row edge sets are identical by induction,
-  // and everything downstream (SCC count, certificate) is order-blind.
+  // ---- Row patch, in place in original space.  Clean rows (sectors
+  // unchanged, node not moved) keep their previous edge set: dead targets
+  // drop, moved/recovered targets drop and are retested along with every
+  // other event node — their positions are the only inputs to those
+  // memberships that changed.  Dirty rows rebuild from a grid query.  Row
+  // *order* differs from the full builder's, but the per-row edge sets
+  // are identical by induction, and the SCC count and certificate are
+  // order-blind.  Only the rows that can change are computed: dirty rows,
+  // dead rows, clean rows that held a departed or moved node, and clean
+  // rows that accept an event node; the rest is one copy of each CSR span
+  // between them.
+  const auto& o = plan_.orientation;
+  const double prev_qr = patch_qr_;
   const double qr =
-      o.max_radius() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
+      radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
   patch_qr_ = qr;  // certify_sccs re-queries the same grid at this radius
-  auto& grid = cx_.transmission.grid;
-  grid.rebuild(compact_pts_, std::max(qr / 2.0, 1e-12));
-  grid_indexes_survivors_ = true;  // position_taken reads it next batch
-  auto& hits = cx_.transmission.candidates;
+  const double cell = std::max(qr / 2.0, 1e-12);
+  // Dirty rows enumerate grid hits in cell order, so the grid must be the
+  // one a fresh build over the survivors would make.
+  if (!grid_.fresh_geometry() || grid_.cell() != cell) {
+    grid_.rebuild(positions_, cell, alive_);
+  }
+  const auto dirty = [this](int u) { return dirty_stamp_[u] == batch_; };
+  const auto mark = [this](int u) {
+    if (rewrite_stamp_[u] == batch_) return;
+    rewrite_stamp_[u] = batch_;
+    rewrite_.push_back(u);
+  };
+  rewrite_.clear();
+  for (int u : report_.suggested_repair) mark(u);
+  for (int u : batch_dead_) {
+    if (!alive_[u]) mark(u);
+  }
+  // A clean row that held a node which left or moved: its in-neighbours sat
+  // within the previous query radius of its batch-start position, and a
+  // clean row's node did not move, so the live grid finds them.
+  for (int x : touched_) {
+    if (!start_alive_[x] || (alive_[x] && !changed_pos_[x])) continue;
+    grid_.for_each_within(start_pos_[x], prev_qr, x,
+                          [&](int w, double, double, double) {
+                            if (dirty(w)) return;
+                            for (int t : dg_.out(w)) {
+                              if (t == x) {
+                                mark(w);
+                                break;
+                              }
+                            }
+                          });
+  }
   // Event-node retests: one grid query per event node finds the clean
   // rows that can accept it (antenna::accepting_rows).  Each clean row
-  // appends its accepted events in event_nodes_ order — comp_of_ is
-  // monotone — and that order is observable: collection-tree next hops
-  // take a row's first match.
-  event_comp_.clear();
-  for (int vo : event_nodes_) event_comp_.push_back(comp_of_[vo]);
+  // appends its accepted events in event_nodes_ order, and that order is
+  // observable: collection-tree next hops take a row's first match.
+  auto& hits = cx_.transmission.candidates;
   antenna::accepting_rows(
-      compact_pts_, o, grid, qr, event_comp_,
-      [this](int c) { return !dirty_[orig_of_[c]]; }, hits, event_hits_);
+      positions_, o, grid_, qr, event_nodes_,
+      [&](int c) { return !dirty(c); }, hits, event_hits_);
+  for (const auto& [row, v] : event_hits_) mark(row);
+  std::sort(rewrite_.begin(), rewrite_.end());
+
   auto& offs = patch_offsets_;
   auto& tgts = patch_targets_;
-  offs.clear();
-  offs.push_back(0);
+  offs.resize(static_cast<size_t>(n_orig_) + 1);
   tgts.clear();
+  offs[0] = 0;
   size_t next_hit = 0;
-  for (int c = 0; c < alive_count_; ++c) {
-    const int u = orig_of_[c];
-    if (dirty_[u]) {
+  int from = 0;  // first row not yet emitted
+  const auto old_offs = dg_.offsets();
+  const auto old_tgts = dg_.targets();
+  const auto copy_span = [&](int to) {
+    // Rows [from, to) are unchanged: one block copy plus an offset shift.
+    if (from >= to) return;
+    const int first = old_offs[from];
+    const int shift = static_cast<int>(tgts.size()) - first;
+    for (int u = from; u < to; ++u) offs[u + 1] = old_offs[u + 1] + shift;
+    tgts.insert(tgts.end(), old_tgts.begin() + first,
+                old_tgts.begin() + old_offs[to]);
+  };
+  for (int u : rewrite_) {
+    copy_span(u);
+    if (!alive_[u]) {
+      // Dead row: empty.
+    } else if (dirty(u)) {
       hits.clear();
-      grid.within(compact_pts_[c], qr, c, hits);
+      grid_.within(positions_[u], qr, u, hits);
       for (int v : hits) {
-        if (antenna::sector_accepts(compact_pts_, o, c, v)) {
-          tgts.push_back(v);
-        }
+        if (antenna::sector_accepts(positions_, o, u, v)) tgts.push_back(v);
       }
     } else {
-      for (int t : dg_.out(prev_comp_of_[u])) {
-        const int v = prev_orig_of_[t];
-        if (!alive_[v] || moved_[v] || recovered_[v]) continue;
-        tgts.push_back(comp_of_[v]);
+      for (int t : dg_.out(u)) {
+        if (!alive_[t] || changed_pos_[t]) continue;
+        tgts.push_back(t);
       }
-      for (; next_hit < event_hits_.size() && event_hits_[next_hit].first == c;
+      while (next_hit < event_hits_.size() && event_hits_[next_hit].first < u) {
+        ++next_hit;
+      }
+      for (; next_hit < event_hits_.size() && event_hits_[next_hit].first == u;
            ++next_hit) {
         tgts.push_back(event_hits_[next_hit].second);
       }
     }
-    offs.push_back(static_cast<int>(tgts.size()));
+    offs[u + 1] = static_cast<int>(tgts.size());
+    from = u + 1;
   }
-  graph::Digraph fresh(std::move(offs), std::move(tgts));
-  std::move(dg_).release(patch_offsets_, patch_targets_);
-  dg_ = std::move(fresh);
-}
-
-void ChurnEngine::snapshot_orientation() {
-  const auto& o = session_.last_result().orientation;
-  for (int c = 0; c < alive_count_; ++c) {
-    const int u = orig_of_[c];
-    if (dirty_[u]) {
-      prev_o_.copy_node(u, o, c);
-      // Leave dirty_ all-zero over the alive set: compute_dirty's
-      // planned-only path relies on unplanned rows still reading 0.
-      dirty_[u] = 0;
-    }
-  }
-}
-
-void ChurnEngine::refresh_tree_degrees() {
-  std::fill(tree_degree_.begin(), tree_degree_.end(), 0);
-  for (const auto& e : session_.last_tree().edges) {
-    ++tree_degree_[orig_of_[e.u]];
-    ++tree_degree_[orig_of_[e.v]];
-  }
+  copy_span(n_orig_);
+  install(patch_offsets_, patch_targets_);
 }
 
 void ChurnEngine::poisson_schedule(std::uint64_t seed, int batch_tag,
@@ -676,10 +809,22 @@ void ChurnEngine::adversarial_schedule(int count,
   // Highest spanning-tree degree first: a tree's internal nodes are its
   // articulation points, so this is the "kill the articulation set"
   // schedule.  (-degree, id) sort makes ties deterministic.
+  std::vector<int> degree(static_cast<size_t>(n_orig_), 0);
+  if (tree_in_repair_) {
+    const auto d = repair_.degrees();
+    for (int u = 0; u < n_orig_; ++u) degree[u] = d[u];
+  } else {
+    // The compact ids of the step that planned this tree (the compact
+    // paths build the map, and nothing rebuilds it before the next step).
+    for (const auto& e : session_.last_tree().edges) {
+      ++degree[orig_of_[e.u]];
+      ++degree[orig_of_[e.v]];
+    }
+  }
   std::vector<std::pair<int, int>> order;
   order.reserve(static_cast<size_t>(alive_count_));
   for (int u = 0; u < n_orig_; ++u) {
-    if (alive_[u]) order.emplace_back(-tree_degree_[u], u);
+    if (alive_[u]) order.emplace_back(-degree[u], u);
   }
   std::sort(order.begin(), order.end());
   const int k = std::min(count, static_cast<int>(order.size()));

@@ -19,27 +19,39 @@
 ///     (and reseeds it from the fresh triangulation's candidate edges,
 ///     gated on mst::EmstScratch::last_kind).
 ///   * Digraph: per-row patching of the previous certified CSR.  A node
-///     whose sectors are unchanged (antenna::Orientation::node_equals
-///     against the engine's snapshot) and which did not move keeps its row
-///     — dead targets dropped, moved/recovered targets retested through
-///     one grid query per event node (antenna::accepting_rows) — while
-///     dirty rows rebuild from a grid query.  Row edge *sets* equal the
-///     fresh builder's by induction, so the SCC count (a graph property)
-///     and hence the certificate match exactly.  Escalates to the sharded
-///     full rebuild when the dirty fraction crosses
-///     `ChurnOptions::dirty_threshold`.
+///     whose sectors are unchanged (the re-plan reports exactly which rows
+///     it rewrote) and which did not move keeps its row — dead targets
+///     dropped, moved/recovered targets retested through one grid query
+///     per event node (antenna::accepting_rows) — while dirty rows rebuild
+///     from a grid query.  Row edge *sets* equal the fresh builder's by
+///     induction, so the SCC count (a graph property) and hence the
+///     certificate match exactly.  Escalates to the sharded full rebuild
+///     when the dirty fraction crosses `ChurnOptions::dirty_threshold`.
 ///   * Certificate: the Tarjan SCC count plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
+///
+/// Index space: the engine's plan, certified CSR, spatial grid and witness
+/// trees all live in *original* id space (dead ids are empty rows) and are
+/// patched in place, so a warm step touches only its region.  Compact
+/// (surviving-only) ids exist only where a from-scratch stage runs — the
+/// escalated plan, the pool Kruskal, the sharded full digraph build — and
+/// those scatter their output back once.
 ///
 /// Graceful degradation: before re-planning, each step audits the **frozen
 /// survivor graph** — the previous certified digraph restricted to stable
 /// nodes (alive in both batches, not moved) — answering "what does the
 /// field look like right now, before new orientations are pushed?".
 /// Moved/recovered nodes are conservatively stranded until the re-plan
-/// re-aims them.  Certification failure mid-churn never throws: the
-/// DegradedReport carries the largest-SCC coverage fraction, the stranded
-/// list, the k-level achieved (optional deletion probes), and the dirty
-/// node set doubles as the suggested repair re-orientation.
+/// re-aims them.  The audit is answered from the cached hub out-tree and
+/// in-tree of the last certificate (graph::IncrementalSccCert::
+/// audit_removal): only the subtrees hanging below this batch's removed
+/// nodes are examined, and a Tarjan pass over a frozen copy runs only when
+/// that witness cannot answer (no valid trees, hub removed, subtrees too
+/// large, or a hub component not holding a strict majority).
+/// Certification failure mid-churn never throws: the DegradedReport
+/// carries the largest-SCC coverage fraction, the stranded list, the
+/// k-level achieved (optional deletion probes), and the dirty node set
+/// doubles as the suggested repair re-orientation.
 ///
 /// Determinism: event application, pool maintenance, escalation decisions,
 /// the dirty diff, and the frozen audit are all serial functions of the
@@ -61,6 +73,7 @@
 #include <vector>
 
 #include "antenna/orientation.hpp"
+#include "common/max_tree.hpp"
 #include "core/session.hpp"
 #include "core/two_antennae.hpp"
 #include "core/validate.hpp"
@@ -70,6 +83,7 @@
 #include "graph/scc.hpp"
 #include "mst/repair.hpp"
 #include "mst/tree.hpp"
+#include "spatial/grid_index.hpp"
 
 namespace dirant::par {
 class ThreadPool;
@@ -160,8 +174,9 @@ struct StepReport {
   /// Affected-region size of the localized repair (nodes the repair
   /// touched); 0 when `localized_mst` is false.
   int mst_region = 0;
-  /// The dirty-subtree orienter ran: only `orient_planned` vertices
-  /// re-planned, every other sector row was copied from the snapshot.
+  /// An incremental orienter ran: only `orient_planned` vertices
+  /// re-planned and every other sector row is the previous plan's (left in
+  /// place by the warm orienter, copied by the dirty-subtree fallback).
   bool incremental_orient = false;
   int orient_planned = 0;
   /// The plan came from the warm frontier orienter — the recorded tree was
@@ -211,14 +226,18 @@ class ChurnEngine {
   /// Current positions in original index space (dead nodes keep their last
   /// position and rejoin there on kRecover unless moved first).
   const std::vector<geom::Point>& positions() const { return positions_; }
-  /// Compact (surviving) index -> original id, ascending.
-  const std::vector<int>& compact_to_orig() const { return orig_of_; }
-  /// The last re-plan's Result (compact space) — lives in the inner
-  /// PlanSession arena.
-  const core::Result& last_result() const { return session_.last_result(); }
-  /// The certified transmission digraph of the last step (compact space).
-  /// Bind an AuditSession to it (`AuditSession::bind`) to run the full
-  /// metric sweep without a rebuild.
+  /// Compact (surviving) index -> original id, ascending.  Built on
+  /// demand: O(n) on the first call after a batch that changed the alive
+  /// set or a position.
+  const std::vector<int>& compact_to_orig() const;
+  /// The current plan, in **original** index space: row u holds alive node
+  /// u's sectors, dead rows are empty.  `lmax`, `bound_factor`,
+  /// `measured_radius` and `algorithm` are those of the survivors' plan.
+  const core::Result& last_result() const { return plan_; }
+  /// The certified transmission digraph of the last step, in **original**
+  /// index space: one row per original id, dead ids are empty rows that no
+  /// row points at.  Bind an AuditSession to it (`AuditSession::bind`) to
+  /// run the full metric sweep without a rebuild.
   const graph::Digraph& certified_digraph() const { return dg_; }
   const StepReport& last_report() const { return report_; }
   core::PlanSession& plan_session() { return session_; }
@@ -236,21 +255,25 @@ class ChurnEngine {
   /// Adversarial "kill the articulation set": fail the `count` alive nodes
   /// of highest degree in the last plan's spanning tree (ties by smaller
   /// id) — the tree's internal nodes are exactly its articulation points.
+  /// O(n log n): the degrees are counted here, not kept per step.
   void adversarial_schedule(int count, std::vector<ChurnEvent>& out) const;
 
  private:
   bool position_taken(int v, const geom::Point& p) const;
-  void note_full_build_grid();
-  void rebuild_compact();
+  void touch(int u);
+  void build_compact() const;
   void audit_frozen();
+  void build_frozen_compact();
   void replan();
   void derive_mst_events();
+  void adopt_compact_plan(bool incremental);
+  void adopt_warm_plan();
+  void refresh_row(int u);
   int certify_sccs();
-  void compute_dirty();
   void build_digraph();
+  void full_build();
+  void install(std::vector<int>& offsets, std::vector<int>& targets);
   void reseed_pool();
-  void refresh_tree_degrees();
-  void snapshot_orientation();
 
   core::PlanSession session_;  ///< always serial inside (determinism anchor)
   core::ProblemSpec spec_{};
@@ -263,53 +286,69 @@ class ChurnEngine {
   std::vector<geom::Point> positions_;
   std::vector<char> alive_;
   int alive_count_ = 0;
-  std::vector<char> moved_;      ///< this batch
-  std::vector<char> recovered_;  ///< this batch
+  // Batch scratch: the flags of the nodes in touched_ are cleared at the
+  // start of the next batch, so no per-batch pass covers every node.
+  std::vector<char> moved_;        ///< this batch
+  std::vector<char> recovered_;    ///< this batch
   std::vector<char> changed_pos_;  ///< moved_ | recovered_ (orienter input)
+  std::vector<int> touched_;       ///< nodes with an applied event
+  std::vector<int> touch_stamp_;   ///< == batch_: in touched_
+  std::vector<char> start_alive_;  ///< alive when the batch began (touched)
+  std::vector<geom::Point> start_pos_;  ///< position then (touched)
   std::vector<int> event_nodes_; ///< alive & (moved|recovered), ascending
-  std::vector<int> placed_;      ///< moves/recovers applied so far this batch
-  /// cx_.transmission.grid indexes the last batch's survivors
-  /// (compact_pts_ before rebuild_compact); position_taken relies on it.
-  bool grid_indexes_survivors_ = false;
   std::vector<int> batch_dead_;  ///< fails applied this batch, ascending
   std::vector<int> pending_fails_;  ///< buffered pool erases (one batch)
-  std::vector<char> dirty_;      ///< sectors changed in the last re-plan
+  std::vector<int> dirty_stamp_;    ///< == batch_: row in suggested_repair
+  std::vector<int> rewrite_stamp_;  ///< == batch_: row patch rewrites row
 
-  // Compact maps (current and previous batch).
-  std::vector<int> comp_of_, orig_of_;
-  std::vector<int> prev_comp_of_, prev_orig_of_;
-  std::vector<geom::Point> compact_pts_;
+  // Compact maps, built on demand (escalation, pool Kruskal, full build,
+  // the Tarjan audit) for the current alive set and positions.
+  mutable std::vector<int> comp_of_, orig_of_;
+  mutable std::vector<geom::Point> compact_pts_;
+  mutable bool compact_valid_ = false;
 
   // Incremental plan.
   mst::DelaunayEdgePool pool_edges_;
   std::vector<std::pair<int, int>> cand_compact_;
   mst::Tree inc_tree_;
-  std::vector<int> tree_degree_;  ///< orig space, adversarial generator
+  /// The last plan's spanning tree is the repair layer's (warm orient), not
+  /// `session_.last_tree()` over the compact ids of that step.
+  bool tree_in_repair_ = false;
+  /// `session_.last_result()` is this step's plan in compact ids.
+  bool session_current_ = false;
 
-  // Sub-linear warm path: the maintained EMST (layer 1), the dirty-subtree
-  // orienter's plan memory (layer 2), and the frontier recertifier's
-  // spanning in/out trees (layer 3).
+  // Sub-linear warm path: the maintained EMST (layer 1), the orienters'
+  // plan memory (layer 2), and the frontier recertifier's spanning in/out
+  // trees (layer 3).
   mst::LocalMstRepair repair_;
   core::TwoAntennaeMemory orient_mem_;
   std::vector<int> mst_removed_, mst_inserted_;
   graph::IncrementalSccCert recert_;
-  std::vector<int> suspects_;  ///< dirty ∪ this-batch dead, orig ascending
-  double patch_qr_ = 0.0;      ///< grid query radius of the last row patch
+  std::vector<int> suspects_;  ///< dirty ∪ this-batch dead, ascending
+  /// Grid query radius that bounds every accept limit of dg_'s rows.
+  double patch_qr_ = 0.0;
 
-  antenna::Orientation prev_o_{0};  ///< orig-space sector snapshot
+  // The plan in original space, with exact per-row maxima for the
+  // certificate (rows shrink as well as grow).
+  core::Result plan_;
+  MaxTree radius_max_, spread_max_, count_max_;
+  antenna::Orientation gather_o_{0};  ///< compact copy for a full build
 
-  // Certified digraph + certification scratch.  The three CSR buffer pairs
-  // (dg_'s own, the transmission scratch's, the patch pair) circulate
-  // through Digraph adopt/release, so warm steady-state rebuilds of either
-  // flavour allocate nothing.
+  // Certified digraph (original space) + certification scratch.  The CSR
+  // buffer pairs (dg_'s own, the patch pair, the transmission scratch's)
+  // circulate through Digraph adopt/release, so warm steady-state steps of
+  // either flavour allocate nothing.
   graph::Digraph dg_;
   core::CertifyScratch cx_;
+  spatial::GridIndex grid_;  ///< alive positions, kept current per event
   std::vector<int> patch_offsets_, patch_targets_;
-  std::vector<int> event_comp_;  ///< event_nodes_ in compact ids
+  std::vector<int> rewrite_;  ///< rows the patch rewrites, ascending
   std::vector<std::pair<int, int>> event_hits_;  ///< (clean row, event node)
 
   // Frozen-survivor audit scratch.
+  std::vector<int> audit_removed_, audit_outside_;
   std::vector<int> frozen_offsets_, frozen_targets_;
+  graph::Digraph frozen_;
   graph::SccResult scc_result_;
   std::vector<int> scc_sizes_;
   graph::Digraph transpose_;

@@ -255,11 +255,9 @@ void TrafficEngine::drain_transmit_energy(int u) {
 // --- routing ------------------------------------------------------------
 
 int TrafficEngine::edge_position(int u, int v) const {
-  const int cu = comp_of_[u], cv = comp_of_[v];
-  if (cu < 0 || cv < 0) return -1;
-  const auto row = graph_->out(cu);
+  const auto row = graph_->out(u);
   for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i] == cv) return graph_->out_offset(cu) + static_cast<int>(i);
+    if (row[i] == v) return graph_->out_offset(u) + static_cast<int>(i);
   }
   return -1;
 }
@@ -305,14 +303,13 @@ void TrafficEngine::rebuild_routes() {
     } else {
       // BFS in-tree of the certified digraph: distances-to-dst via the
       // transpose; next hop = first out-neighbour one step closer.
-      graph::bfs_distances(audit_.transpose(), comp_of_[dst], dist_, bfs_);
-      const int nc = graph_->size();
-      for (int cu = 0; cu < nc; ++cu) {
-        const int du = dist_[cu];
+      graph::bfs_distances(audit_.transpose(), dst, dist_, bfs_);
+      for (int u = 0; u < n_; ++u) {
+        const int du = dist_[u];
         if (du <= 0) continue;  // dst itself, or cannot reach dst
-        for (int cv : graph_->out(cu)) {
-          if (dist_[cv] == du - 1) {
-            next[orig_of_[cu]].v = orig_of_[cv];
+        for (int v : graph_->out(u)) {
+          if (dist_[v] == du - 1) {
+            next[u].v = v;
             reachable = true;
             break;
           }
@@ -336,12 +333,6 @@ void TrafficEngine::refresh_topology() {
   if (churn_ != nullptr) {
     graph_ = &churn_->certified_digraph();
     audit_.bind(*graph_);
-    const auto& c2o = churn_->compact_to_orig();
-    orig_of_.assign(c2o.begin(), c2o.end());
-    comp_of_.assign(n_, -1);
-    for (int c = 0; c < static_cast<int>(orig_of_.size()); ++c) {
-      comp_of_[orig_of_[c]] = c;
-    }
     const auto& ca = churn_->alive();
     // Only the liveness fields refresh: qlen/busy_until carry the
     // in-flight forwarding state across a mid-run rebuild.
@@ -356,19 +347,13 @@ void TrafficEngine::refresh_topology() {
     }
     tx_cost_.assign(n_, opts_.battery.per_packet_scale);
     const auto& o = churn_->last_result().orientation;
-    for (int c = 0; c < o.size(); ++c) {
-      tx_cost_[orig_of_[c]] =
-          opts_.battery.per_packet_scale *
-          node_transmit_energy(o, c, opts_.energy);
+    for (int u = 0; u < n_; ++u) {
+      if (!ca[u]) continue;
+      tx_cost_[u] = opts_.battery.per_packet_scale *
+                    node_transmit_energy(o, u, opts_.energy);
     }
   } else {
     for (int u = 0; u < n_; ++u) node_[u].alive = 1;
-    comp_of_.resize(n_);
-    orig_of_.resize(n_);
-    for (int u = 0; u < n_; ++u) {
-      comp_of_[u] = u;
-      orig_of_[u] = u;
-    }
     tx_cost_.assign(n_, opts_.battery.per_packet_scale);
     if (orient_ != nullptr) {
       for (int u = 0; u < n_; ++u) {
@@ -529,18 +514,17 @@ void TrafficEngine::handle_flood(std::uint64_t now, int slot, Packet& p) {
   const int u = p.node;
   const int dst = p.dst;
   const int hops = p.hops + 1;
-  const int cu = comp_of_[u];
-  const auto row = graph_->out(cu);
+  const auto row = graph_->out(u);
   if (!row.empty()) {
     // One broadcast per reached node with out-degree > 0 — the exact
     // transmission count AuditSession::flood reports (parity test).
     ++report_.transmissions;
     drain_transmit_energy(u);
-    const int base = graph_->out_offset(cu);
+    const int base = graph_->out_offset(u);
     char* seen = flood_seen_.data() +
                  static_cast<size_t>(flood_row_of_[logical]) * n_;
     for (size_t i = 0; i < row.size(); ++i) {
-      const int v = orig_of_[row[i]];
+      const int v = row[i];
       if (!node_alive(v)) continue;
       if (frame_lost(base + static_cast<int>(i))) {
         ++report_.frames_lost;

@@ -353,14 +353,11 @@ class TrafficEngine {
 
   // Topology sources (exactly one bound).
   AuditSession audit_;                     ///< digraph build + transpose
-  const graph::Digraph* graph_ = nullptr;  ///< current graph (compact space)
+  const graph::Digraph* graph_ = nullptr;  ///< current graph (node ids)
   const antenna::Orientation* orient_ = nullptr;
   const mst::Tree* tree_ = nullptr;
   ChurnEngine* churn_ = nullptr;
   int n_ = 0;  ///< original-space node count
-
-  // Original <-> compact maps (identity in static mode).
-  std::vector<int> comp_of_, orig_of_;
 
   /// Hot per-node forwarding state fused into one 16-byte record, so a
   /// transmit touches one cache line per endpoint instead of three —

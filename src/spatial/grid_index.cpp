@@ -17,25 +17,45 @@ GridIndex::GridIndex(std::span<const Point> pts, double cell) {
 }
 
 void GridIndex::rebuild(std::span<const Point> pts, double cell) {
+  build(pts, cell, nullptr);
+}
+
+void GridIndex::rebuild(std::span<const Point> pts, double cell,
+                        std::span<const char> alive) {
+  DIRANT_ASSERT(alive.size() == pts.size());
+  build(pts, cell, alive.data());
+}
+
+void GridIndex::build(std::span<const Point> pts, double cell,
+                      const char* alive) {
   DIRANT_ASSERT(cell > 0.0);
   cell_ = cell;
   inv_cell_ = 1.0 / cell;
   min_x_ = min_y_ = max_x_ = max_y_ = 0.0;
   nx_ = ny_ = 1;
-  if (pts.empty()) {
+  fresh_ = true;
+  const auto in = [alive](size_t i) { return alive == nullptr || alive[i]; };
+  size_t count = 0;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (!in(i)) continue;
+    const Point& p = pts[i];
+    if (count++ == 0) {
+      min_x_ = max_x_ = p.x;
+      min_y_ = max_y_ = p.y;
+      continue;
+    }
+    min_x_ = std::min(min_x_, p.x);
+    min_y_ = std::min(min_y_, p.y);
+    max_x_ = std::max(max_x_, p.x);
+    max_y_ = std::max(max_y_, p.y);
+  }
+  live_ = static_cast<int>(count);
+  if (count == 0) {
     cell_start_.assign(2, 0);
     item_id_.clear();
     item_x_.clear();
     item_y_.clear();
     return;
-  }
-  min_x_ = max_x_ = pts[0].x;
-  min_y_ = max_y_ = pts[0].y;
-  for (const auto& p : pts) {
-    min_x_ = std::min(min_x_, p.x);
-    min_y_ = std::min(min_y_, p.y);
-    max_x_ = std::max(max_x_, p.x);
-    max_y_ = std::max(max_y_, p.y);
   }
   nx_ = std::max(1, static_cast<int>((max_x_ - min_x_) / cell_) + 1);
   ny_ = std::max(1, static_cast<int>((max_y_ - min_y_) / cell_) + 1);
@@ -51,16 +71,18 @@ void GridIndex::rebuild(std::span<const Point> pts, double cell) {
   auto& cell_id = build_cell_id_;
   cell_id.resize(pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
+    if (!in(i)) continue;
     const auto [cx, cy] = cell_of(pts[i]);
     const int c = cy * nx_ + cx;
     cell_id[i] = c;
     ++cell_start_[static_cast<size_t>(c) + 1];
   }
   for (size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  item_id_.resize(pts.size());
-  item_x_.resize(pts.size());
-  item_y_.resize(pts.size());
+  item_id_.resize(count);
+  item_x_.resize(count);
+  item_y_.resize(count);
   for (size_t i = 0; i < pts.size(); ++i) {
+    if (!in(i)) continue;
     const int slot = cell_start_[static_cast<size_t>(cell_id[i])]++;
     item_id_[slot] = static_cast<int>(i);
     item_x_[slot] = pts[i].x;
@@ -68,6 +90,79 @@ void GridIndex::rebuild(std::span<const Point> pts, double cell) {
   }
   for (size_t c = cells; c > 0; --c) cell_start_[c] = cell_start_[c - 1];
   cell_start_[0] = 0;
+}
+
+void GridIndex::erase(int id, const Point& p) {
+  if (p.x == min_x_ || p.x == max_x_ || p.y == min_y_ || p.y == max_y_) {
+    fresh_ = false;  // the bounding box may shrink
+  }
+  const auto [cx, cy] = cell_of(p);
+  const size_t c = static_cast<size_t>(cy) * nx_ + cx;
+  for (int k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
+    if (item_id_[k] != id) continue;
+    // A tombstone: id -1 and infinite coordinates, so every distance test
+    // against it fails and no query ever reports it.
+    item_id_[k] = -1;
+    item_x_[k] = item_y_[k] = std::numeric_limits<double>::infinity();
+    --live_;
+    return;
+  }
+  DIRANT_ASSERT_MSG(false, "GridIndex::erase: id not indexed at p");
+}
+
+void GridIndex::insert(int id, const Point& p) {
+  if (live_ == 0 || item_id_.empty() || p.x < min_x_ || p.x > max_x_ ||
+      p.y < min_y_ || p.y > max_y_) {
+    fresh_ = false;  // the bounding box would grow
+  }
+  if (item_id_.empty()) {
+    // Nothing was ever indexed: one cell at p.
+    min_x_ = max_x_ = p.x;
+    min_y_ = max_y_ = p.y;
+    nx_ = ny_ = 1;
+    cell_start_.assign(2, 0);
+  }
+  const auto [cx, cy] = cell_of(p);
+  const size_t c = static_cast<size_t>(cy) * nx_ + cx;
+  const int lo = cell_start_[c];
+  int hi = cell_start_[c + 1];
+  int k = lo;
+  while (k < hi && item_id_[k] >= 0) ++k;
+  if (k == hi) {
+    // No tombstone in the cell: open a slot at its end.
+    const size_t total = item_id_.size();
+    item_id_.resize(total + 1);
+    item_x_.resize(total + 1);
+    item_y_.resize(total + 1);
+    std::copy_backward(item_id_.begin() + hi, item_id_.begin() + total,
+                       item_id_.end());
+    std::copy_backward(item_x_.begin() + hi, item_x_.begin() + total,
+                       item_x_.end());
+    std::copy_backward(item_y_.begin() + hi, item_y_.begin() + total,
+                       item_y_.end());
+    for (size_t d = c + 1; d < cell_start_.size(); ++d) ++cell_start_[d];
+    ++hi;
+  }
+  item_id_[k] = id;
+  item_x_[k] = p.x;
+  item_y_[k] = p.y;
+  ++live_;
+  // Keep the cell's live ids ascending (tombstones may sit anywhere): move
+  // the new entry left past tombstones and larger ids, then right past
+  // tombstones and smaller ids.
+  const auto swap_slots = [this](int a, int b) {
+    std::swap(item_id_[a], item_id_[b]);
+    std::swap(item_x_[a], item_x_[b]);
+    std::swap(item_y_[a], item_y_[b]);
+  };
+  while (k > lo && (item_id_[k - 1] < 0 || item_id_[k - 1] > id)) {
+    swap_slots(k - 1, k);
+    --k;
+  }
+  while (k + 1 < hi && (item_id_[k + 1] < 0 || item_id_[k + 1] < id)) {
+    swap_slots(k, k + 1);
+    ++k;
+  }
 }
 
 std::pair<int, int> GridIndex::cell_of(const Point& p) const {
@@ -168,7 +263,7 @@ void GridIndex::cone_nearest(const Point& q, int k, double phase, int exclude,
     const size_t c0 = static_cast<size_t>(y) * nx_ + x;
     for (int j = cell_start_[c0]; j < cell_start_[c0 + 1]; ++j) {
       const int i = item_id_[j];
-      if (i == exclude) continue;
+      if (i < 0 || i == exclude) continue;  // tombstone or excluded
       const Point p{item_x_[j], item_y_[j]};
       if (p.x == q.x && p.y == q.y) continue;  // apex: no direction
       const double theta = geom::ccw_delta(phase, geom::angle_to(q, p));

@@ -30,6 +30,31 @@ class GridIndex {
   /// certify steady state — touches only warm memory).
   void rebuild(std::span<const geom::Point> pts, double cell);
 
+  /// Same, over the ids `i` with `alive[i] != 0` only: ids stay positions
+  /// in `pts`, and the bounding box is the alive points'.  The cells, and
+  /// the ascending-id order inside each, are those of `rebuild` over the
+  /// alive points compacted in id order — so every query enumerates the
+  /// same points in the same order, up to that monotone relabelling.
+  void rebuild(std::span<const geom::Point> pts, double cell,
+               std::span<const char> alive);
+
+  /// In-place maintenance for a long-lived index over stable ids
+  /// (sim::ChurnEngine keeps one current across churn batches).  `erase`
+  /// tombstones the entry of `id`, which must have been indexed at `p`;
+  /// `insert` indexes `id` at `p`, reusing a tombstone of the target cell
+  /// when it has one (else it opens a slot: an O(size) shift), and keeps
+  /// each cell's live ids ascending.  A tombstone is never reported by a
+  /// query.  Neither moves the cell geometry, so after either the index
+  /// may no longer be what a rebuild over its members would build:
+  /// `fresh_geometry()` turns false once an erased point lay on the
+  /// bounding box or an inserted one outside it, and stays false until the
+  /// next rebuild.  Queries stay exact either way; only the enumeration
+  /// order can differ from a fresh build's.
+  void erase(int id, const geom::Point& p);
+  void insert(int id, const geom::Point& p);
+  bool fresh_geometry() const { return fresh_; }
+  double cell() const { return cell_; }
+
   /// Indices of all points within `radius` of `q` (inclusive), excluding
   /// `exclude`.  Intended for radius <= a few cells.
   std::vector<int> within(const geom::Point& q, double radius,
@@ -117,10 +142,13 @@ class GridIndex {
   void cone_nearest(const geom::Point& q, int k, double phase, int exclude,
                     std::vector<int>& nearest) const;
 
+  /// Indexed slots, tombstones included (0 iff nothing was ever indexed).
   int size() const { return static_cast<int>(item_id_.size()); }
 
  private:
   std::pair<int, int> cell_of(const geom::Point& p) const;
+  void build(std::span<const geom::Point> pts, double cell,
+             const char* alive);
   /// Farthest any point of the data bounding box intersected with the ccw
   /// cone [a0, a0+width] at apex q can lie from q (0 if the cone misses
   /// the box).  Used to prove empty cones empty without scanning.
@@ -189,11 +217,15 @@ class GridIndex {
   // index within a cell) — the original point id and a cell-ordered SoA
   // copy of its coordinates, so range scans stream memory instead of
   // gathering through ids.  A handful of allocations regardless of n, vs
-  // one small vector per cell.
+  // one small vector per cell.  After `erase`, a slot may hold a
+  // tombstone (id -1, infinite coordinates) anywhere in its cell; the live
+  // ids stay ascending.
   std::vector<int> cell_start_;
   std::vector<int> item_id_;
   std::vector<double> item_x_, item_y_;
   std::vector<int> build_cell_id_;  ///< counting-sort scratch, recycled
+  int live_ = 0;         ///< indexed ids that are not tombstones
+  bool fresh_ = true;    ///< geometry equals a rebuild over the members
 };
 
 }  // namespace dirant::spatial

@@ -43,10 +43,10 @@ using Rows = std::vector<std::vector<int>>;
 
 namespace {
 
-/// The certified digraph a step patches, copied out before the step.
+/// The certified digraph a step patches, copied out before the step: one
+/// row per original id, original-id targets (the engine's index space).
 struct Certified {
   Rows rows;
-  std::vector<int> orig_of;
 };
 
 Certified certified(const sim::ChurnEngine& eng) {
@@ -55,7 +55,6 @@ Certified certified(const sim::ChurnEngine& eng) {
   for (int u = 0; u < g.size(); ++u) {
     c.rows.emplace_back(g.out(u).begin(), g.out(u).end());
   }
-  c.orig_of = eng.compact_to_orig();
   return c;
 }
 
@@ -68,10 +67,33 @@ struct PatchCheck {
   int clean_event_edges = 0;  ///< event nodes appended to clean rows
 };
 
-/// The old row patch, rebuilt from the engine's public state: dirty rows
-/// (the report's suggested repair) from the same grid query as the engine,
-/// clean rows from their previous targets plus every event node tested in
-/// ascending order.
+/// The survivors in compact (ascending original id) order, with the
+/// engine's plan copied into that order.
+struct Survivors {
+  std::vector<int> orig_of, comp_of;
+  std::vector<geom::Point> pts;
+  antenna::Orientation o{0};
+};
+
+Survivors survivors(const sim::ChurnEngine& eng) {
+  Survivors sv;
+  sv.orig_of = eng.compact_to_orig();
+  sv.comp_of.assign(eng.size(), -1);
+  const int m = static_cast<int>(sv.orig_of.size());
+  sv.o.reset(m);
+  for (int c = 0; c < m; ++c) {
+    sv.comp_of[sv.orig_of[c]] = c;
+    sv.pts.push_back(eng.positions()[sv.orig_of[c]]);
+    sv.o.copy_node(c, eng.last_result().orientation, sv.orig_of[c]);
+  }
+  return sv;
+}
+
+/// The old row patch, rebuilt from the engine's public state over a fresh
+/// grid of the survivors: dirty rows (the report's suggested repair) from
+/// the same grid query as the engine, clean rows from their previous
+/// targets plus every event node tested in ascending order.  Row c is
+/// survivor c's row, in original ids.
 Rows oracle_rows(const sim::ChurnEngine& eng, const Certified& prev,
                  int* clean_event_edges) {
   const int n = eng.size();
@@ -86,42 +108,34 @@ Rows oracle_rows(const sim::ChurnEngine& eng, const Certified& prev,
     }
   }
   for (int u : rep.suggested_repair) dirty[u] = 1;
-  const auto& orig_of = eng.compact_to_orig();
-  std::vector<int> comp_of(n, -1), prev_comp_of(n, -1);
-  std::vector<geom::Point> pts;
-  for (int c = 0; c < static_cast<int>(orig_of.size()); ++c) {
-    comp_of[orig_of[c]] = c;
-    pts.push_back(eng.positions()[orig_of[c]]);
-  }
-  for (int c = 0; c < static_cast<int>(prev.orig_of.size()); ++c) {
-    prev_comp_of[prev.orig_of[c]] = c;
-  }
+  const Survivors sv = survivors(eng);
+  const auto& pts = sv.pts;
   std::vector<int> events;
   for (int u = 0; u < n; ++u) {
     if (alive[u] && (moved[u] || recovered[u])) events.push_back(u);
   }
-  const auto& o = eng.last_result().orientation;
-  const double qr = patch_radius(o);
+  const double qr = patch_radius(sv.o);
   dirant::spatial::GridIndex grid;
   grid.rebuild(pts, std::max(qr / 2.0, 1e-12));
   Rows rows(pts.size());
   for (int c = 0; c < static_cast<int>(pts.size()); ++c) {
-    const int u = orig_of[c];
+    const int u = sv.orig_of[c];
     auto& row = rows[c];
     if (dirty[u]) {
       for (int v : grid.within(pts[c], qr, c)) {
-        if (antenna::sector_accepts(pts, o, c, v)) row.push_back(v);
+        if (antenna::sector_accepts(pts, sv.o, c, v)) {
+          row.push_back(sv.orig_of[v]);
+        }
       }
       continue;
     }
-    for (int t : prev.rows[prev_comp_of[u]]) {
-      const int v = prev.orig_of[t];
+    for (int v : prev.rows[u]) {
       if (!alive[v] || moved[v] || recovered[v]) continue;
-      row.push_back(comp_of[v]);
+      row.push_back(v);
     }
     for (int vo : events) {
-      if (antenna::sector_accepts(pts, o, c, comp_of[vo])) {
-        row.push_back(comp_of[vo]);
+      if (antenna::sector_accepts(pts, sv.o, c, sv.comp_of[vo])) {
+        row.push_back(vo);
         ++*clean_event_edges;
       }
     }
@@ -140,18 +154,24 @@ void step_and_check(sim::ChurnEngine& eng,
   ++check.patched_steps;
   const Rows want = oracle_rows(eng, prev, &check.clean_event_edges);
   const auto& g = eng.certified_digraph();
-  ASSERT_EQ(g.size(), static_cast<int>(want.size()));
-  std::vector<geom::Point> pts;
-  for (int u : eng.compact_to_orig()) pts.push_back(eng.positions()[u]);
-  const auto full =
-      antenna::induced_digraph_fast(pts, eng.last_result().orientation);
-  for (int c = 0; c < g.size(); ++c) {
-    const std::vector<int> got(g.out(c).begin(), g.out(c).end());
-    ASSERT_EQ(got, want[c]) << "batch " << rep.batch << " row " << c;
-    std::vector<int> a = got, b(full.out(c).begin(), full.out(c).end());
+  ASSERT_EQ(g.size(), eng.size());
+  const Survivors sv = survivors(eng);
+  const auto full = antenna::induced_digraph_fast(sv.pts, sv.o);
+  for (int u = 0; u < g.size(); ++u) {
+    if (!eng.alive()[u]) {
+      ASSERT_EQ(g.out(u).size(), 0u) << "batch " << rep.batch << " dead row "
+                                     << u;
+    }
+  }
+  for (int c = 0; c < static_cast<int>(sv.orig_of.size()); ++c) {
+    const int u = sv.orig_of[c];
+    const std::vector<int> got(g.out(u).begin(), g.out(u).end());
+    ASSERT_EQ(got, want[c]) << "batch " << rep.batch << " row " << u;
+    std::vector<int> a = got, b;
+    for (int t : full.out(c)) b.push_back(sv.orig_of[t]);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
-    ASSERT_EQ(a, b) << "batch " << rep.batch << " row " << c
+    ASSERT_EQ(a, b) << "batch " << rep.batch << " row " << u
                     << " differs from a full rebuild";
   }
 }
