@@ -24,11 +24,12 @@
 // most frequent reason.  Every row carries hw_threads so numbers from a
 // throttled 1-core box are never mistaken for the real trajectory.
 //
-// Smoke mode (DIRANT_BENCH_SMOKE=1): tiny n / few batches so the
+// Smoke mode (DIRANT_BENCH_SMOKE=1): small n / few batches so the
 // bench_smoke_x7_churn ctest entry keeps this binary from bit-rotting;
 // the smoke run additionally asserts (via the report counters) that the
-// small-batch sweep reached the localized + warm-orient path, exiting
-// nonzero when the sub-linear ladder silently stopped engaging.
+// small-batch sweep reached the localized + warm-orient path and that the
+// attrition sweep re-planned a pool-Kruskal batch warm, exiting nonzero
+// when the sub-linear ladder silently stopped engaging.
 // DIRANT_X7_THREADS=t runs both engines with a t-worker pool (sharded
 // full rebuilds + parallel SCC; results unchanged by contract).
 
@@ -66,8 +67,11 @@ struct ChurnRow {
   double incremental_hit_rate = 0.0;  ///< batches on both incremental paths
   /// Fraction of batches that stayed on the whole sub-linear ladder:
   /// localized MST repair (rung 1, no pool Kruskal) AND the warm frontier
-  /// orienter (no O(n) traversal).
+  /// orienter (no O(n) sweep).
   double localized_hit_rate = 0.0;
+  /// Pool-Kruskal (rung 2) batches the warm orienter re-planned (smoke
+  /// check only, not recorded).
+  int pool_warm_batches = 0;
   double p50_batch_ms = 0.0;  ///< per-batch latency, incremental engine
   double p99_batch_ms = 0.0;
   /// Mean affected-region size over the localized batches (nodes the
@@ -131,7 +135,10 @@ DIRANT_REPORT(x7) {
   section(
       "X7 — churn engine: sustained certified updates/sec, incremental "
       "recertification vs full re-plan (k=2, phi=pi)");
-  const std::vector<int> sizes = smoke ? std::vector<int>{300}
+  // Smoke runs the smallest full-scale size: at n = 300, 1% attrition is
+  // ~3 fails a batch, which rung 1 absorbs, and the pool-Kruskal path the
+  // attrition row measures would go unexercised.
+  const std::vector<int> sizes = smoke ? std::vector<int>{2000}
                                        : std::vector<int>{2000, 10000, 50000};
   const int batches = smoke ? 6 : 40;
   int threads = 1;
@@ -173,6 +180,7 @@ DIRANT_REPORT(x7) {
     double inc_ms = 0.0, full_ms = 0.0;
     long long applied = 0;
     int incremental_batches = 0, localized_batches = 0, patched = 0;
+    int pool_warm_batches = 0;
     long long region_sum = 0;
     std::vector<std::pair<const char*, int>> reasons;  ///< static strings
     std::vector<double> batch_ms;
@@ -204,6 +212,8 @@ DIRANT_REPORT(x7) {
         ++localized_batches;
         region_sum += rep.mst_region;
       }
+      // Escalated batches never orient warm, so this is rung 2.
+      if (!rep.localized_mst && rep.warm_orient) ++pool_warm_batches;
       patched += rep.incremental_digraph;
       if (rep.escalation != nullptr) {
         auto it = std::find_if(reasons.begin(), reasons.end(),
@@ -232,6 +242,7 @@ DIRANT_REPORT(x7) {
         static_cast<double>(incremental_batches) / batches;
     row.localized_hit_rate =
         static_cast<double>(localized_batches) / batches;
+    row.pool_warm_batches = pool_warm_batches;
     row.p50_batch_ms = percentile(batch_ms, 0.5);
     row.p99_batch_ms = percentile(batch_ms, 0.99);
     row.mean_mst_region =
@@ -267,10 +278,7 @@ DIRANT_REPORT(x7) {
     // to the pool, so those batches escalate to the full re-plan by design
     // (the traffic_mix row below measures exactly that).
     run_row("attrition", n, pts, {0.01, 0.0, 0.0, 0.0});
-    // ~1.5 events/batch in smoke (tiny n: the repair walk budget is tight
-    // and a bigger draw would measure the fallback), ~6 at full scale.
-    run_row("small_batch", n, pts,
-            {smoke ? 1.5 / n : 6.0 / n, 0.0, 0.0, 0.0});
+    run_row("small_batch", n, pts, {6.0 / n, 0.0, 0.0, 0.0});
   }
   if (!smoke) {
     // The small-batch trend: a warm step should pay for its region, not for
@@ -326,16 +334,26 @@ DIRANT_REPORT(x7) {
   if (smoke) {
     // Smoke numbers are throwaway, but the run still has to prove the
     // sub-linear path is alive: the small-batch sweep must have kept some
-    // batches on localized repair + the warm frontier orienter (report
-    // counters, not timings, so this is deterministic).
-    const auto& sb = *std::find_if(rows.begin(), rows.end(), [](const auto& r) {
-      return std::strcmp(r.workload, "small_batch") == 0;
-    });
+    // batches on localized repair + the warm frontier orienter, and the
+    // attrition sweep must have re-planned a pool-Kruskal batch warm
+    // (report counters, not timings, so this is deterministic).
+    const auto row_of = [&](const char* workload) -> const ChurnRow& {
+      return *std::find_if(rows.begin(), rows.end(), [&](const auto& r) {
+        return std::strcmp(r.workload, workload) == 0;
+      });
+    };
+    const auto& sb = row_of("small_batch");
     if (!(sb.localized_hit_rate > 0.0 && sb.mean_mst_region > 0.0)) {
       std::printf(
           "ERROR: small-batch smoke never reached the localized repair + "
           "warm orienter path (localized_hit_rate=%.2f)\n",
           sb.localized_hit_rate);
+      std::exit(1);
+    }
+    if (row_of("attrition").pool_warm_batches == 0) {
+      std::printf(
+          "ERROR: attrition smoke never re-planned a pool-Kruskal batch "
+          "with the warm orienter\n");
       std::exit(1);
     }
   }

@@ -62,41 +62,6 @@ const Result& PlanSession::orient_on_emst(std::span<const geom::Point> pts,
   return run(planned_algorithm(spec), pts, tree_, spec);
 }
 
-bool PlanSession::orient_on_emst_incremental(
-    std::span<const geom::Point> pts, const mst::Tree& emst,
-    const ProblemSpec& spec, TwoAntennaeMemory& mem,
-    std::span<const int> orig_of, std::span<const int> comp_of,
-    std::span<const char> changed_pos, const antenna::Orientation& prev) {
-  check_tree_spans(pts, emst);
-  const Algorithm algo = planned_algorithm(spec);
-  bool fast = (algo == Algorithm::kTwoPart1 || algo == Algorithm::kTwoPart2) &&
-              pts.size() > 1;
-  if (fast) {
-    emst.degrees_into(scratch_.degrees);
-    for (int d : scratch_.degrees) {
-      if (d > 5) {
-        // Degree repair would rewire the raw EMST — the incremental
-        // traversal below assumes the tree passes through untouched.
-        fast = false;
-        break;
-      }
-    }
-  }
-  // Copy into the session tree either way so last_tree() keeps its contract.
-  tree_.n = emst.n;
-  tree_.edges.assign(emst.edges.begin(), emst.edges.end());
-  if (!fast) {
-    mem.valid = false;
-    enforce_max_degree(pts, tree_, 5, emst_scratch_.repair);
-    run(algo, pts, tree_, spec);
-    return false;
-  }
-  orient_two_antennae_incremental(pts, tree_, spec.phi, scratch_, mem,
-                                  orig_of, comp_of, changed_pos, prev,
-                                  result_);
-  return mem.valid;
-}
-
 bool PlanSession::orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
                               const OrientWarmDelta& delta, Result& plan) {
   const Algorithm algo = planned_algorithm(spec);

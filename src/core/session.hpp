@@ -50,10 +50,6 @@ namespace dirant::par {
 class ThreadPool;
 }
 
-namespace dirant::antenna {
-class Orientation;
-}
-
 namespace dirant::core {
 
 struct TwoAntennaeMemory;
@@ -113,35 +109,14 @@ class PlanSession {
   const Result& orient_on_emst(std::span<const geom::Point> pts,
                                const mst::Tree& emst, const ProblemSpec& spec);
 
-  /// Dirty-subtree variant of `orient_on_emst` for churn consumers: when the
-  /// planned regime is a Theorem 3 two-antennae planner and the raw EMST is
-  /// already degree-≤5 (so degree repair is an exact no-op), one DFS
-  /// re-plans only the vertices whose recorded inputs changed and copies
-  /// every other sector row from `prev` — the caller's original-space
-  /// copy of the previous plan (see core/two_antennae.hpp).  Returns
-  /// true when that path ran; `mem.planned` then lists the compact ids that
-  /// were re-planned (the only rows that can differ from `prev`).
-  /// Returns false after falling back to the full `orient_on_emst`
-  /// pipeline (other regime, tiny instance, or a degree-6 EMST node),
-  /// invalidating `mem`.  Either way the Result is bit-identical to
-  /// `orient(pts, spec)` whenever `emst` is the tree the engine would build
-  /// — CaseStats aside, which reports copied vertices under "reused".
-  bool orient_on_emst_incremental(std::span<const geom::Point> pts,
-                                  const mst::Tree& emst,
-                                  const ProblemSpec& spec,
-                                  TwoAntennaeMemory& mem,
-                                  std::span<const int> orig_of,
-                                  std::span<const int> comp_of,
-                                  std::span<const char> changed_pos,
-                                  const antenna::Orientation& prev);
-
   /// The sub-linear warm orienter (orient_two_antennae_warm) for churn
   /// consumers that keep their plan in original index space: re-hangs the
   /// recorded tree from `delta` and patches only the affected rows of
   /// `plan` in place, with no tree and no compact copy.  Returns false,
   /// leaving `plan` untouched, when the regime is not a Theorem 3
-  /// two-antennae planner or a warm gate fails; the caller then falls back
-  /// to `orient_on_emst_incremental`.
+  /// two-antennae planner or a warm gate fails; the caller then re-plans
+  /// with `orient_on_emst` and records `mem` from that sweep
+  /// (core::record_two_antennae_memory over `scratch()`).
   bool orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
                    const OrientWarmDelta& delta, Result& plan);
 

@@ -718,127 +718,47 @@ Result orient_two_antennae(std::span<const Point> pts, const mst::Tree& tree,
   return res;
 }
 
-void orient_two_antennae_incremental(
-    std::span<const Point> pts, const mst::Tree& tree, double phi,
-    OrienterScratch& scratch, TwoAntennaeMemory& mem,
-    std::span<const int> orig_of, std::span<const int> comp_of,
-    std::span<const char> changed_pos, const antenna::Orientation& prev,
-    Result& res) {
-  tree.degrees_into(scratch.degrees);
-  int max_deg = 0;
-  for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
-  DIRANT_ASSERT_MSG(max_deg <= 5, "theorem 3 needs a degree-5 MST");
-  const int n = static_cast<int>(pts.size());
-  reset_result(res, n, /*reserve_per_node=*/2,
-               phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2,
-               bound_factor_impl(phi), tree.lmax());
+void record_two_antennae_memory(double phi, const OrienterScratch& scratch,
+                                const Result& res,
+                                std::span<const int> orig_of, int n_orig,
+                                TwoAntennaeMemory& mem) {
+  const int n = static_cast<int>(orig_of.size());
+  mem.valid = false;
   mem.planned.clear();
-  mem.nodes.resize(changed_pos.size());
-  if (n <= 1) {
-    mem.valid = false;
+  mem.changed.clear();
+  if (n <= 1 || (res.algorithm != Algorithm::kTwoPart1 &&
+                 res.algorithm != Algorithm::kTwoPart2)) {
     return;
   }
-  const double R =
-      res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
   const auto& rt = scratch.rooted;
-  Ctx ctx{pts,        rt.parent, phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
-
-  const int root = rt.root;
-  DIRANT_ASSERT(rt.children(root).size() == 1);
-  const int root_orig = orig_of[root];
-  // Every plan depends on (phi, R) and the traversal depends on the rooting,
-  // so a change in any global gate dirties every record at once.
-  const bool all_dirty = !mem.valid || mem.phi != phi || mem.radius != R ||
-                         mem.root_orig != root_orig;
-
-  const int first = rt.children(root)[0];
-  res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
-  res.cases.bump("root");
-  mem.planned.push_back(root);  // re-emitted every run, so always checkable
-  // The warm orienter re-hangs the recorded tree directly, so the root's
-  // record must exist too (the traversal below never visits the root).
-  {
-    TwoAntennaeMemory::Node& rn = mem.nodes[root_orig];
-    rn.parent = -1;
-    rn.target = pts[root];
-    rn.nkids = 1;
-    rn.kids[0] = orig_of[first];
-    rn.kid_targets[0] = pts[root];
-  }
-
-  auto& work = scratch.work;
-  work.clear();
-  work.emplace_back(first, pts[root]);
-  NodePlanner pl(pts, phi, R);
-  while (!work.empty()) {
-    const auto [u, target] = work.back();
-    work.pop_back();
-    const int uo = orig_of[u];
-    TwoAntennaeMemory::Node& nm = mem.nodes[uo];
-    // Clean iff every input plan_vertex reads is unchanged: same parent
-    // (identity AND position — the degree-5 split reads it), same incoming
-    // target bitwise, same child set with unmoved positions, own position
-    // unmoved.  Equal ccw inputs reproduce the recorded ccw child order.
-    bool clean = !all_dirty && !changed_pos[uo] && nm.parent >= 0 &&
-                 orig_of[rt.parent[u]] == nm.parent &&
-                 !changed_pos[nm.parent] && nm.target.x == target.x &&
-                 nm.target.y == target.y &&
-                 static_cast<int>(rt.children(u).size()) == nm.nkids;
-    if (clean) {
-      for (int c : rt.children(u)) {
-        const int co = orig_of[c];
-        bool known = !changed_pos[co];
-        if (known) {
-          known = false;
-          for (int i = 0; i < nm.nkids; ++i) {
-            if (nm.kids[i] == co) {
-              known = true;
-              break;
-            }
-          }
-        }
-        if (!known) {
-          clean = false;
-          break;
-        }
-      }
-    }
-    if (clean) {
-      // Identical inputs: the deterministic planner would re-derive the
-      // identical plan — copy the snapshot row and hand the recorded
-      // obligations to the children in their recorded ccw order.
-      res.orientation.copy_node(u, prev, uo);
-      res.cases.bump("reused");
-      for (int i = 0; i < nm.nkids; ++i) {
-        work.emplace_back(comp_of[nm.kids[i]], nm.kid_targets[i]);
-      }
+  const auto& targets = scratch.targets;
+  DIRANT_ASSERT(static_cast<int>(rt.order.size()) == n);
+  mem.nodes.resize(static_cast<size_t>(n_orig));
+  mem.member.assign(static_cast<size_t>(n_orig), 0);
+  // BFS order visits a parent before its children, so each child appends
+  // itself, with the obligation it was handed, to a record already reset.
+  // The root covers its own position and hands it to its only child.
+  for (int i = 0; i < n; ++i) {
+    const int v = rt.order[i];
+    TwoAntennaeMemory::Node& nd = mem.nodes[orig_of[v]];
+    mem.member[orig_of[v]] = 1;
+    nd.nkids = 0;
+    nd.target = targets[i == 0 ? 1 : i];
+    if (i == 0) {
+      nd.parent = -1;
       continue;
     }
-    pl.init(u, target, rt.children(u));
-    const bool ok = plan_vertex(ctx, pl, u);
-    DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
-    res.cases.bump(pl.label);
-    for (const auto& s : pl.antennas) res.orientation.add(u, s);
-    nm.parent = orig_of[rt.parent[u]];
-    nm.target = target;
-    nm.nkids = pl.child_count();
-    for (int slot = 0; slot < pl.child_count(); ++slot) {
-      nm.kids[slot] = orig_of[pl.kid(slot)];
-      nm.kid_targets[slot] = pl.child_targets[slot];
-      work.emplace_back(pl.kid(slot), pl.child_targets[slot]);
-    }
-    mem.planned.push_back(u);
+    nd.parent = orig_of[rt.parent[v]];
+    TwoAntennaeMemory::Node& pn = mem.nodes[nd.parent];
+    pn.kids[pn.nkids] = orig_of[v];
+    pn.kid_targets[pn.nkids] = targets[i];
+    ++pn.nkids;
   }
-  res.measured_radius = res.orientation.max_radius();
-  std::sort(mem.planned.begin(), mem.planned.end());
-  mem.member.assign(changed_pos.size(), 0);
-  for (int c = 0; c < n; ++c) mem.member[orig_of[c]] = 1;
-  mem.valid = true;
   mem.phi = phi;
-  mem.radius = R;
-  mem.root_orig = root_orig;
+  mem.radius =
+      res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
+  mem.root_orig = orig_of[rt.root];
+  mem.valid = true;
 }
 
 bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
@@ -853,14 +773,13 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
       res.orientation.size() != n_orig) {
     return false;
   }
-  // Global gates, identical to the incremental orienter's all_dirty test:
-  // phi, the resolved radius cap R (folds in lmax), and the root identity
-  // (rebuild_at_leaf picks the first degree-1 vertex — in original ids,
-  // the smallest alive leaf).  The recorded tree had every degree ≤ 5 and
-  // root_orig as its smallest leaf, and only endpoints of the net delta
-  // changed degree, so checking those endpoints checks the whole tree.
-  // All read-only — a failure here leaves the records intact for the
-  // fallback traversal.
+  // Global gates — every plan depends on them: phi, the resolved radius
+  // cap R (folds in lmax), and the root identity (rebuild_at_leaf picks
+  // the first degree-1 vertex — in original ids, the smallest alive leaf).
+  // The recorded tree had every degree ≤ 5 and root_orig as its smallest
+  // leaf, and only endpoints of the net delta changed degree, so checking
+  // those endpoints checks the whole tree.  All read-only — a failure here
+  // leaves the records intact.
   const double bf = bound_factor_impl(phi);
   const double R = bf * delta.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
   if (mem.phi != phi || mem.radius != R) return false;
@@ -1050,12 +969,12 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
   }
   const auto in_chain = [&](int u) { return mem.up_stamp[u] == epoch; };
 
-  // ---- Phase D: frontier re-plan.  Exactly the incremental traversal,
-  // restricted to the marked closure: a visited vertex either re-plans
-  // (marked, or its freshly handed obligation differs bitwise from its
-  // record) or merely descends towards marked descendants.  Subtrees
-  // outside the closure are never visited and their rows are never
-  // touched: `res` already holds them.
+  // ---- Phase D: frontier re-plan, depth-first from the root over the
+  // marked closure: a visited vertex either re-plans (marked, or its
+  // freshly handed obligation differs bitwise from its record) or merely
+  // descends towards marked descendants.  Subtrees outside the closure are
+  // never visited and their rows are never touched: `res` already holds
+  // them.
   Node& rn = nodes[root_o];
   if (rn.parent != -1 || rn.nkids != 1) return tear();
   res.algorithm = phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2;

@@ -43,38 +43,39 @@ void orient_two_antennae(std::span<const geom::Point> pts,
                          const mst::Tree& tree, double phi,
                          OrienterScratch& scratch, Result& out);
 
-/// Per-node plan memory for the dirty-subtree incremental orienter, kept in
-/// *original* (churn-stable) index space by the caller.  A node whose
-/// recorded inputs — parent identity, incoming target point (bitwise),
-/// ccw-ordered child set — are unchanged, whose own / parent / child
-/// positions did not move, and whose global gates (phi, resolved radius cap,
-/// root identity) match, re-emits its previous sectors verbatim; everything
-/// else re-runs the per-degree case analysis and refreshes its record.
+/// Per-node plan memory for the warm frontier orienter, kept in *original*
+/// (churn-stable) index space by the caller: the rooted tree the last plan
+/// ran over, each vertex's incoming target point and the obligations it
+/// handed its children.  A fresh sweep leaves it behind through
+/// `record_two_antennae_memory`; the warm orienter then follows tree and
+/// position changes from it, re-planning only vertices whose inputs —
+/// parent identity and position, incoming target (bitwise), child set and
+/// positions, own position — changed, under unchanged global gates (phi,
+/// resolved radius cap, root identity).
 struct TwoAntennaeMemory {
   struct Node {
     int parent = -1;        ///< original id of the tree parent at plan time
     geom::Point target{};   ///< incoming cover obligation (bitwise compare)
     int nkids = 0;
-    int kids[5] = {-1, -1, -1, -1, -1};  ///< children, ccw from the target
-    geom::Point kid_targets[5]{};        ///< obligations handed down
+    /// Children in no particular order (a re-plan derives the ccw order);
+    /// kid_targets[i] is the obligation handed to kids[i].
+    int kids[5] = {-1, -1, -1, -1, -1};
+    geom::Point kid_targets[5]{};
   };
-  bool valid = false;  ///< records describe the previous incremental plan
+  bool valid = false;  ///< records describe the current plan
   double phi = 0.0;
   double radius = 0.0;  ///< resolved cap R (folds in lmax and tolerances)
   int root_orig = -1;   ///< traversal root; a change dirties the whole tree
-  /// Vertices re-planned by the last run: compact ids after
-  /// orient_two_antennae_incremental, original ids after
-  /// orient_two_antennae_warm; ascending either way.
+  /// Original ids the last warm run re-planned, ascending.
   std::vector<int> planned;
-  /// Warm path only: the planned original ids whose row actually changed
-  /// (ascending) — every other row of the output is as it was.
+  /// The planned original ids whose row actually changed (ascending) —
+  /// every other row of the output is as it was.
   std::vector<int> changed;
   std::vector<Node> nodes;   ///< original index space
 
-  // Warm-path state (orient_two_antennae_warm): the records above double as
-  // a persistent original-space rooted tree that the net MST edge delta is
-  // applied to directly, skipping the O(n) reroot + traversal.  `member[u]`
-  // flags original ids present in the recorded tree; the stamp vectors are
+  // The records above double as a persistent original-space rooted tree
+  // that the net MST edge delta is applied to directly.  `member[u]` flags
+  // original ids present in the recorded tree; the stamp vectors are
   // epoch-versioned so a warm batch touches only the affected region.
   std::vector<char> member;      ///< original id is in the recorded tree
   std::vector<int> mark_stamp;   ///< == warm_epoch: node must re-plan
@@ -103,45 +104,39 @@ struct OrientWarmDelta {
   double lmax = 0.0;                     ///< current tree's longest edge
 };
 
-/// Frontier-driven warm re-orientation: instead of walking the whole tree
-/// and testing each vertex against its record (orient_two_antennae_incremental),
-/// apply the batch's net MST edge delta to the persistent rooted tree the
-/// records encode — detach removed edges, re-hang added ones by re-rooting
-/// the detached fragment at its joining endpoint — then re-plan only the
-/// closure of structurally- or positionally-dirty vertices under bitwise
-/// target propagation.  `res` is the caller's plan in original index space
-/// (one row per original id, dead rows empty): re-planned rows are patched
-/// in place (`mem.planned`, and `mem.changed` for those whose sectors
-/// differ) and every other row is left alone, so the cost is O(affected
-/// region + its root chain), not O(n).  Rows equal the fresh plan's
-/// whenever it runs.  `res.algorithm`, `bound_factor`, `lmax` and `cases`
-/// are refreshed; `measured_radius` is the caller's (it tracks the exact
-/// maximum over rows).  Returns false — without touching `res` — when a
-/// global gate fails (stale memory, phi/R/root change, a degree-6 node),
+/// Record the plan memory of the Theorem 3 sweep that just wrote `res`
+/// through `scratch` (orient_two_antennae over a compact tree): one pass
+/// over the sweep's rooted tree and hand-down targets, nothing re-planned.
+/// `orig_of` maps the sweep's compact ids to original ids, and `n_orig`
+/// sizes the original space.  Leaves `mem` invalid when `res` is not a
+/// Theorem 3 plan or spans fewer than two vertices.  The recorded tree is
+/// the one the sweep ran over; a caller whose next delta is relative to a
+/// different tree (a raw EMST that degree repair rewired) must not keep it.
+void record_two_antennae_memory(double phi, const OrienterScratch& scratch,
+                                const Result& res,
+                                std::span<const int> orig_of, int n_orig,
+                                TwoAntennaeMemory& mem);
+
+/// Frontier-driven warm re-orientation: apply the batch's net MST edge
+/// delta to the persistent rooted tree the records encode — detach removed
+/// edges, re-hang added ones by re-rooting the detached fragment at its
+/// joining endpoint — then re-plan only the closure of structurally- or
+/// positionally-dirty vertices under bitwise target propagation.  `res` is
+/// the caller's plan in original index space (one row per original id,
+/// dead rows empty): re-planned rows are patched in place (`mem.planned`,
+/// and `mem.changed` for those whose sectors differ) and every other row is
+/// left alone, so the cost is O(affected region + its root chain), not
+/// O(n).  Rows equal the fresh plan's whenever it runs.  `res.algorithm`,
+/// `bound_factor`, `lmax` and `cases` are refreshed (vertices not re-planned
+/// count under "reused"); `measured_radius` is the caller's (it tracks the
+/// exact maximum over rows).  Returns false — without touching `res` — when
+/// a global gate fails (stale memory, phi/R/root change, a degree-6 node),
 /// and false with `mem.valid` cleared when the delta contradicts the
-/// records mid-surgery; either way the caller falls back to the full
-/// incremental traversal.
+/// records mid-surgery; either way the caller re-plans with the fresh
+/// sweep and records again.
 bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
                               TwoAntennaeMemory& mem,
                               const OrientWarmDelta& delta, Result& res);
-
-/// Dirty-subtree re-orientation: one DFS over the degree-<=5 tree where
-/// clean vertices (see TwoAntennaeMemory) copy their sector rows from
-/// `prev` — the caller's original-space snapshot of the last plan — instead
-/// of re-running the case analysis, and are counted under the "reused"
-/// case label.  The emitted Result is bit-identical to the full
-/// `orient_two_antennae` run on the same tree (sectors, radii, bound
-/// metadata) except for CaseStats, which reports "reused" for copied
-/// nodes.  `orig_of` / `comp_of` map between compact and original ids;
-/// `changed_pos[u]` flags original nodes whose position changed this batch.
-/// `mem.planned` receives the compact ids that were actually re-planned
-/// (ascending) — the only rows that can differ from the snapshot.
-void orient_two_antennae_incremental(
-    std::span<const geom::Point> pts, const mst::Tree& tree, double phi,
-    OrienterScratch& scratch, TwoAntennaeMemory& mem,
-    std::span<const int> orig_of, std::span<const int> comp_of,
-    std::span<const char> changed_pos, const antenna::Orientation& prev,
-    Result& out);
 
 /// Instance-adaptive extension (beyond the paper): binary-search the
 /// smallest radius cap R under which the Theorem 3 plan space (the proof's

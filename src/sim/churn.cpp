@@ -74,8 +74,8 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   touched_.clear();
   event_nodes_.clear();
   batch_dead_.clear();
-  repair_.invalidate();       // raw EMST unavailable after a full orient
-  orient_mem_.valid = false;  // no incremental plan to diff against yet
+  repair_.invalidate();  // raw EMST unavailable after a full orient
+  kept_stamp_.assign(n, -1);
   batch_ = 0;
   compact_valid_ = false;
 
@@ -84,6 +84,7 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   tree_in_repair_ = false;
   build_compact();  // identity: every node is alive
   reseed_pool();
+  record_plan();
   const auto& res = session_.last_result();
   plan_.orientation.reset(n_orig_, std::max(1, spec.k));
   radius_max_.assign(n_orig_, 0.0);
@@ -414,18 +415,13 @@ void ChurnEngine::replan() {
         report_.mst_region = repair_.last_region();
       }
     }
+    bool warm = false;
     if (localized) {
       // The warm orienter reads the repair layer's own state — net edge
       // delta, degrees, lmax — and patches the original-space plan in
-      // place.  When one of its gates fails, the dirty-subtree traversal
-      // runs over the exported tree instead (same rows either way).
-      const core::OrientWarmDelta delta{
-          positions_,          alive_,           alive_count_,
-          repair_.last_removed(), repair_.last_added(), event_nodes_,
-          repair_.degrees(),   repair_.lmax()};
-      if (session_.orient_warm(spec_, orient_mem_, delta, plan_)) {
-        adopt_warm_plan();
-      } else {
+      // place.
+      warm = orient_warm(repair_.last_removed(), repair_.last_added());
+      if (!warm) {
         build_compact();
         repair_.export_tree(comp_of_, compact_pts_, inc_tree_);
       }
@@ -448,36 +444,89 @@ void ChurnEngine::replan() {
       }
       if (esc == nullptr) {
         // Seed the localized layer from the exact tree just built so the
-        // next batch can take rung 1.
+        // next batch can take rung 1, and carry the recorded tree to it
+        // through their net edge diff.
         repair_.seed(inc_tree_, orig_of_, positions_, alive_);
+        if (orient_mem_.valid) {
+          diff_recorded_tree();
+          warm = orient_warm(tree_removed_, tree_added_);
+        }
       }
     }
-    if (esc == nullptr && !report_.warm_orient) {
-      // Rung-2 batches (and rung-1 batches the warm gates turned away)
-      // still run through the recording incremental path, keeping the plan
-      // memory warm instead of forcing an all-dirty rebuild next batch.
-      report_.incremental_orient = session_.orient_on_emst_incremental(
-          compact_pts_, inc_tree_, spec_, orient_mem_, orig_of_, comp_of_,
-          changed_pos_, plan_.orientation);
-      report_.orient_planned =
-          report_.incremental_orient
-              ? static_cast<int>(orient_mem_.planned.size())
-              : 0;
-      adopt_compact_plan(report_.incremental_orient);
+    if (esc == nullptr && !warm) {
+      // The warm orienter refused (a gate failed or the memory tore): plan
+      // fresh and record, so the next batch resumes warm.  Degree repair
+      // rewires a degree-6 EMST, and the swept tree then differs from the
+      // one the repair layer carries and reports deltas against, so that
+      // plan is not recorded.
+      session_.orient_on_emst(compact_pts_, inc_tree_, spec_);
+      const auto deg = repair_.degrees();
+      if (*std::max_element(deg.begin(), deg.end()) <= 5) {
+        record_plan();
+      } else {
+        orient_mem_.valid = false;
+      }
+      adopt_compact_plan();
     }
   }
   if (esc != nullptr) {
     build_compact();
     session_.orient(compact_pts_, spec_);
     reseed_pool();
-    repair_.invalidate();  // raw EMST not recoverable from the full pipeline
-    orient_mem_.valid = false;
-    adopt_compact_plan(false);
+    // The raw EMST is not recoverable from the full pipeline, so the next
+    // batch takes rung 2, which diffs against whatever tree is recorded.
+    repair_.invalidate();
+    record_plan();
+    adopt_compact_plan();
   }
   report_.escalation = esc;
   report_.incremental_plan = esc == nullptr;
   report_.localized_mst = localized && esc == nullptr;
   if (!report_.localized_mst) report_.mst_region = 0;
+}
+
+bool ChurnEngine::orient_warm(std::span<const std::pair<int, int>> removed,
+                              std::span<const std::pair<int, int>> added) {
+  const core::OrientWarmDelta delta{
+      positions_, alive_,  alive_count_,       removed,
+      added,      event_nodes_, repair_.degrees(), repair_.lmax()};
+  if (!session_.orient_warm(spec_, orient_mem_, delta, plan_)) return false;
+  adopt_warm_plan();
+  return true;
+}
+
+void ChurnEngine::record_plan() {
+  core::record_two_antennae_memory(spec_.phi, session_.scratch(),
+                                   session_.last_result(), orig_of_, n_orig_,
+                                   orient_mem_);
+}
+
+// Net edge diff between the tree the plan memory records and the Kruskal
+// tree just built (inc_tree_, compact ids), in original ids (u < v): an
+// edge of the new tree is kept when one endpoint's recorded parent is the
+// other; every recorded parent edge not kept — those of nodes that died
+// included — is removed.  One pass over each tree.
+void ChurnEngine::diff_recorded_tree() {
+  const auto& nodes = orient_mem_.nodes;
+  const auto& member = orient_mem_.member;
+  tree_removed_.clear();
+  tree_added_.clear();
+  for (const auto& e : inc_tree_.edges) {
+    const int a = orig_of_[e.u], b = orig_of_[e.v];
+    if (member[a] && nodes[a].parent == b) {
+      kept_stamp_[a] = batch_;
+    } else if (member[b] && nodes[b].parent == a) {
+      kept_stamp_[b] = batch_;
+    } else {
+      tree_added_.emplace_back(std::min(a, b), std::max(a, b));
+    }
+  }
+  for (int u = 0; u < n_orig_; ++u) {
+    const int p = nodes[u].parent;
+    if (member[u] && p >= 0 && kept_stamp_[u] != batch_) {
+      tree_removed_.emplace_back(std::min(u, p), std::max(u, p));
+    }
+  }
 }
 
 void ChurnEngine::refresh_row(int u) {
@@ -515,13 +564,13 @@ void ChurnEngine::adopt_warm_plan() {
       alive_count_ > 0 ? static_cast<double>(sr.size()) / alive_count_ : 0.0;
 }
 
-void ChurnEngine::adopt_compact_plan(bool incremental) {
+void ChurnEngine::adopt_compact_plan() {
   const auto& res = session_.last_result();
   session_current_ = true;
   tree_in_repair_ = false;
   auto& sr = report_.suggested_repair;
   sr.clear();
-  const auto sync = [&](int c) {
+  for (int c = 0; c < alive_count_; ++c) {
     const int u = orig_of_[c];
     const bool changed = plan_.orientation.sync_node(u, res.orientation, c);
     if (changed) refresh_row(u);
@@ -529,14 +578,6 @@ void ChurnEngine::adopt_compact_plan(bool incremental) {
       sr.push_back(u);
       dirty_stamp_[u] = batch_;
     }
-  };
-  if (incremental) {
-    // Only re-planned rows can differ from the previous plan: the others
-    // were copied from it.  mem.planned is ascending in compact space,
-    // hence in original space.
-    for (int c : orient_mem_.planned) sync(c);
-  } else {
-    for (int c = 0; c < alive_count_; ++c) sync(c);
   }
   for (int u : batch_dead_) {
     if (!alive_[u]) {

@@ -174,15 +174,15 @@ struct StepReport {
   /// Affected-region size of the localized repair (nodes the repair
   /// touched); 0 when `localized_mst` is false.
   int mst_region = 0;
-  /// An incremental orienter ran: only `orient_planned` vertices
-  /// re-planned and every other sector row is the previous plan's (left in
-  /// place by the warm orienter, copied by the dirty-subtree fallback).
+  /// The warm orienter ran: only `orient_planned` vertices re-planned and
+  /// every other sector row is the previous plan's, left in place.  Always
+  /// equal to `warm_orient`, the only incremental orienter.
   bool incremental_orient = false;
   int orient_planned = 0;
   /// The plan came from the warm frontier orienter — the recorded tree was
-  /// patched with the batch's net MST edge delta and only the affected
-  /// region re-planned (sub-linear), instead of the full O(n) dirty-subtree
-  /// traversal.  Implies `incremental_orient`.
+  /// patched with the batch's net MST edge delta (rung 1: the repair
+  /// layer's; rung 2: the diff against the pool-Kruskal tree) and only the
+  /// affected region re-planned, instead of a fresh O(n) sweep.
   bool warm_orient = false;
   /// The strong-connectivity certificate was revalidated from the dirty
   /// frontier against the cached spanning in/out trees — no SCC pass ran.
@@ -266,8 +266,12 @@ class ChurnEngine {
   void build_frozen_compact();
   void replan();
   void derive_mst_events();
-  void adopt_compact_plan(bool incremental);
+  void adopt_compact_plan();
+  bool orient_warm(std::span<const std::pair<int, int>> removed,
+                   std::span<const std::pair<int, int>> added);
   void adopt_warm_plan();
+  void record_plan();
+  void diff_recorded_tree();
   void refresh_row(int u);
   int certify_sccs();
   void build_digraph();
@@ -290,7 +294,7 @@ class ChurnEngine {
   // start of the next batch, so no per-batch pass covers every node.
   std::vector<char> moved_;        ///< this batch
   std::vector<char> recovered_;    ///< this batch
-  std::vector<char> changed_pos_;  ///< moved_ | recovered_ (orienter input)
+  std::vector<char> changed_pos_;  ///< moved_ | recovered_
   std::vector<int> touched_;       ///< nodes with an applied event
   std::vector<int> touch_stamp_;   ///< == batch_: in touched_
   std::vector<char> start_alive_;  ///< alive when the batch began (touched)
@@ -317,11 +321,14 @@ class ChurnEngine {
   /// `session_.last_result()` is this step's plan in compact ids.
   bool session_current_ = false;
 
-  // Sub-linear warm path: the maintained EMST (layer 1), the orienters'
-  // plan memory (layer 2), and the frontier recertifier's spanning in/out
-  // trees (layer 3).
+  // Sub-linear warm path: the maintained EMST (layer 1), the warm
+  // orienter's plan memory (layer 2), and the frontier recertifier's
+  // spanning in/out trees (layer 3).
   mst::LocalMstRepair repair_;
   core::TwoAntennaeMemory orient_mem_;
+  /// Rung 2's net diff from the recorded tree to the Kruskal tree.
+  std::vector<std::pair<int, int>> tree_removed_, tree_added_;
+  std::vector<int> kept_stamp_;  ///< == batch_: recorded parent edge kept
   std::vector<int> mst_removed_, mst_inserted_;
   graph::IncrementalSccCert recert_;
   std::vector<int> suspects_;  ///< dirty ∪ this-batch dead, ascending

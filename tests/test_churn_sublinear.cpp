@@ -1,5 +1,5 @@
-// Sub-linear churn acceptance suite (PR: localized MST repair +
-// dirty-subtree re-orientation + frontier-bounded recertification).
+// Sub-linear churn acceptance suite: localized MST repair, warm frontier
+// re-orientation and frontier-bounded recertification.
 //
 //   * DelaunayEdgePool guards, tested directly: the degree-cap
 //     invalidation on erase, the oversized guard + reseed semantics, and
@@ -19,6 +19,10 @@
 //   * Light recover/move batches at n=2000 whose stars are read by a
 //     non-escalating step (localized repair or pool Kruskal), with parity
 //     at every thread count.
+//   * Pool-Kruskal batches stay warm: attrition and move schedules at
+//     n=2000 that mostly miss rung 1, where every rung-2 batch whose
+//     global gates held re-planned only its region, with parity at every
+//     thread count.
 //
 // Everything here is deterministic: schedules are fixed functions of
 // (seed, batch), and every escalation decision is a pure function of the
@@ -342,10 +346,10 @@ TEST(ChurnSublinear, LocalizedPathCoversSmallFailBatches) {
   // The locality contract: under small-batch attrition (<= 8 events — the
   // workload the sub-linear path exists for), >= 90% of steps must stay on
   // BOTH warm layers — localized MST repair (no pool Kruskal) and the warm
-  // frontier orienter (no O(n) traversal) — with affected regions far
-  // below n.  The only permitted exceptions are the first batch (which
-  // records the plan memory) and deterministic mst-region fallbacks when
-  // the poisson draw overshoots the small-batch regime.
+  // frontier orienter (no O(n) sweep) — with affected regions far below
+  // n.  The only permitted exceptions are the first batch (rung 2: its
+  // pool Kruskal seeds the repair layer) and deterministic mst-region
+  // fallbacks when the poisson draw overshoots the small-batch regime.
   const core::ProblemSpec spec{2, kPi};
   const auto pts = make_points(10000, 777);
   sim::ChurnEngine eng;
@@ -382,11 +386,13 @@ TEST(ChurnSublinear, LocalizedPathCoversSmallFailBatches) {
 }
 
 TEST(ChurnSublinear, WarmStepCountersSmoke) {
-  // Counter-level smoke for the steady state: after the recording batch,
-  // small fail batches must report the whole sub-linear ladder — localized
-  // repair ran (localized_mst, mst_region > 0), the warm frontier orienter
-  // produced the plan (warm_orient, implies incremental_orient), and only
-  // a handful of vertices were re-planned.
+  // Counter-level smoke for the steady state: small fail batches must
+  // report the whole sub-linear ladder — localized repair ran
+  // (localized_mst, mst_region > 0), the warm frontier orienter produced
+  // the plan (warm_orient, equal to incremental_orient), and only a
+  // handful of vertices were re-planned.  Batch 1 takes rung 2 (the repair
+  // layer is seeded by its pool Kruskal), but the warm orienter already
+  // runs there, from the memory init recorded.
   const core::ProblemSpec spec{2, kPi};
   const auto pts = make_points(300, 2026);
   sim::ChurnEngine eng;
@@ -399,19 +405,15 @@ TEST(ChurnSublinear, WarmStepCountersSmoke) {
     ASSERT_TRUE(rep.events[0].applied) << "batch " << b;
     ASSERT_EQ(rep.escalation, nullptr) << "batch " << b;
     EXPECT_TRUE(rep.incremental_orient) << "batch " << b;
+    EXPECT_TRUE(rep.warm_orient) << "batch " << b;
+    EXPECT_GT(rep.orient_planned, 0) << "batch " << b;
+    EXPECT_LT(rep.orient_planned, 64) << "batch " << b;
     if (b == 1) {
-      // The repair layer is seeded by the first pool-Kruskal batch and the
-      // plan memory by its recording traversal — batch 1 is the ladder's
-      // warm-up, not a sub-linear step.
       EXPECT_FALSE(rep.localized_mst);
       EXPECT_STREQ(rep.mst_fallback, "mst-unseeded");
-      EXPECT_FALSE(rep.warm_orient);
     } else {
       EXPECT_TRUE(rep.localized_mst) << "batch " << b;
       EXPECT_GT(rep.mst_region, 0) << "batch " << b;
-      EXPECT_TRUE(rep.warm_orient) << "batch " << b;
-      EXPECT_GT(rep.orient_planned, 0) << "batch " << b;
-      EXPECT_LT(rep.orient_planned, 64) << "batch " << b;
     }
   }
 }
@@ -510,6 +512,81 @@ TEST(ChurnSublinear, LightInsertBatchesConsumeStarsAtEveryThreadCount) {
     EXPECT_GT(rung1_steps, 0) << "localized repair never read the stars";
     EXPECT_LT(rung1_steps, star_steps) << "pool Kruskal never read the stars";
   });
+}
+
+// The warm orienter's global gates for the engine's current plan: lmax
+// (it sets the radius cap) and the root, the smallest leaf of the tree
+// (the sweep roots there), in original ids.
+std::pair<double, int> plan_gates(sim::ChurnEngine& eng,
+                                  const core::ProblemSpec& spec) {
+  std::vector<geom::Point> survivors;
+  for (int u : eng.compact_to_orig()) survivors.push_back(eng.positions()[u]);
+  core::PlanSession fresh;
+  fresh.orient(survivors, spec);
+  std::vector<int> deg;
+  fresh.last_tree().degrees_into(deg);
+  const auto leaf = std::find(deg.begin(), deg.end(), 1) - deg.begin();
+  return {fresh.last_result().lmax, eng.compact_to_orig()[leaf]};
+}
+
+TEST(ChurnSublinear, PoolKruskalBatchesStayWarm) {
+  // Every fresh sweep records the plan memory, and rung 2 hands the warm
+  // orienter the net diff from the recorded tree to its Kruskal tree.  So
+  // a rung-2 batch — the first batch after an escalation among them —
+  // re-plans only its region, unless lmax or the root changed: those
+  // gates send it to the fresh sweep by design.  ~1% attrition at n=2000
+  // mostly overflows rung 1's region cap; moves grow the pool past its
+  // size guard every few batches, so escalations and their rung-2
+  // successors alternate.
+  struct Schedule {
+    const char* name;
+    double fail_rate, move_rate, move_radius;
+  };
+  const Schedule schedules[] = {{"attrition", 0.01, 0.0, 0.0},
+                                {"moves", 0.0, 0.002, 0.01}};
+  const core::ProblemSpec spec{2, kPi};
+  const int n = 2000, batches = 12;
+  const auto pts = make_points(n, 4711);
+  for (const auto& sched : schedules) {
+    for_each_thread_count([&](int t) {
+      sim::ChurnEngine eng;
+      eng.set_threads(t);
+      eng.init(pts, spec);
+      auto gates = plan_gates(eng, spec);
+      bool escalated = false;
+      int rung2 = 0, warm_rung2 = 0, warm_after_escalation = 0;
+      std::vector<sim::ChurnEvent> events;
+      for (int b = 1; b <= batches; ++b) {
+        events.clear();
+        eng.poisson_schedule(4711, b, sched.fail_rate, 0.0, sched.move_rate,
+                             sched.move_radius, events);
+        const auto& rep = eng.step(events);
+        expect_matches_from_scratch(eng, spec, t, b);
+        const auto now = plan_gates(eng, spec);
+        EXPECT_EQ(rep.incremental_orient, rep.warm_orient) << "batch " << b;
+        if (rep.escalation == nullptr && !rep.localized_mst) {
+          ++rung2;
+          if (now == gates) {
+            EXPECT_TRUE(rep.warm_orient)
+                << sched.name << " batch " << b << " threads " << t;
+            EXPECT_LT(rep.orient_planned, rep.alive)
+                << sched.name << " batch " << b << " threads " << t;
+          }
+          warm_rung2 += rep.warm_orient ? 1 : 0;
+          warm_after_escalation += escalated && rep.warm_orient ? 1 : 0;
+        }
+        escalated = rep.escalation != nullptr;
+        gates = now;
+      }
+      EXPECT_GE(2 * warm_rung2, rung2)
+          << sched.name << ": most rung-2 batches should keep their gates";
+      EXPECT_GT(warm_rung2, 0) << sched.name << " threads " << t;
+      if (sched.move_rate > 0.0) {
+        EXPECT_GT(warm_after_escalation, 0)
+            << "no batch after an escalation stayed warm, threads " << t;
+      }
+    });
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // is a *delegated sibling*), and part 2's case 2(b)(i) (two-arc split).
 // Each fixture builds the exact tree from the proof's figures and asserts
 // the intended case label fires, the result certifies, and the sweep is
-// bit-identical to the DFS oracle (orient_oracle.hpp).
+// bit-identical to the warm orienter re-planning every vertex
+// (orient_oracle.hpp).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,7 @@ namespace geom = dirant::geom;
 namespace core = dirant::core;
 using dirant::kPi;
 using dirant::kTwoPi;
-using dirant::testing::expect_matches_dfs_oracle;
+using dirant::testing::expect_matches_warm_oracle;
 
 namespace {
 
@@ -95,7 +96,7 @@ TEST(Theorem3Cases, Degree5CaseBDelegateFires) {
   EXPECT_EQ(res.cases.fallback_plans, 0);
   EXPECT_GE(count_with_prefix(res.cases, "deg5-B"), 1)
       << "case B never fired";
-  expect_matches_dfs_oracle(pts, tree, phi, "case B");
+  expect_matches_warm_oracle(pts, tree, phi, "case B");
   const auto cert = core::certify(pts, res, {2, phi});
   EXPECT_TRUE(cert.strongly_connected);
   EXPECT_TRUE(cert.spread_within_budget);
@@ -146,7 +147,7 @@ TEST(Theorem3Cases, Degree5CaseA2biFires) {
                 res.cases.counts.count("deg5-A2bi~"),
             1u)
       << "case 2(b)(i) never fired";
-  expect_matches_dfs_oracle(pts, tree, phi, "case 2(b)(i)");
+  expect_matches_warm_oracle(pts, tree, phi, "case 2(b)(i)");
   const auto cert = core::certify(pts, res, {2, phi});
   EXPECT_TRUE(cert.strongly_connected);
   EXPECT_TRUE(cert.spread_within_budget);
@@ -183,7 +184,7 @@ TEST(Theorem3Cases, Degree5CaseA2BothFramesCertify) {
     EXPECT_EQ(res.cases.fallback_plans, 0) << "mirror=" << mirror;
     EXPECT_GE(count_with_prefix(res.cases, "deg5-A2"), 1)
         << "mirror=" << mirror << ": case 2 never fired";
-    expect_matches_dfs_oracle(pts, tree, phi,
+    expect_matches_warm_oracle(pts, tree, phi,
                               mirror ? "case 2 mirrored" : "case 2");
     const auto cert = core::certify(pts, res, {2, phi});
     EXPECT_TRUE(cert.ok()) << "mirror=" << mirror;
