@@ -19,9 +19,11 @@
 // part of the design, so the hit rate is the honest context for the
 // speedup), the localized hit rate (batches that stayed on the whole
 // sub-linear ladder: localized MST repair + warm frontier orienter),
-// p50/p99 per-batch latency, the mean affected-region size of the
-// localized repairs, the row-patch rate, and the escalation rate with its
-// most frequent reason.  Every row carries hw_threads so numbers from a
+// p50/p99 and mean per-batch latency (a big-cut batch costs several times
+// a clean one, so the mean and the tail carry what p50 hides), the mean
+// affected-region size of the localized repairs, the certificate reuse
+// rate, the row-patch rate, and the escalation rate with its most
+// frequent reason.  Every row carries hw_threads so numbers from a
 // throttled 1-core box are never mistaken for the real trajectory.
 //
 // Smoke mode (DIRANT_BENCH_SMOKE=1): small n / few batches so the
@@ -74,9 +76,13 @@ struct ChurnRow {
   int pool_warm_batches = 0;
   double p50_batch_ms = 0.0;  ///< per-batch latency, incremental engine
   double p99_batch_ms = 0.0;
+  double mean_batch_ms = 0.0;
   /// Mean affected-region size over the localized batches (nodes the
   /// repair touched) — the "region" the sub-linear cost model bills to.
   double mean_mst_region = 0.0;
+  /// Fraction of batches whose certificate was re-validated from the
+  /// frontier (no SCC pass).
+  double cert_reuse_rate = 0.0;
   /// Fraction of batches whose digraph was row-patched (vs rebuilt).
   double incremental_digraph_rate = 0.0;
   double escalation_rate = 0.0;  ///< batches that re-planned in full
@@ -135,9 +141,9 @@ DIRANT_REPORT(x7) {
   section(
       "X7 — churn engine: sustained certified updates/sec, incremental "
       "recertification vs full re-plan (k=2, phi=pi)");
-  // Smoke runs the smallest full-scale size: at n = 300, 1% attrition is
-  // ~3 fails a batch, which rung 1 absorbs, and the pool-Kruskal path the
-  // attrition row measures would go unexercised.
+  // Smoke runs the smallest full-scale size, where every rung still runs:
+  // the cold batch's pool Kruskal (re-planned warm), rung 1 and the warm
+  // orienter.
   const std::vector<int> sizes = smoke ? std::vector<int>{2000}
                                        : std::vector<int>{2000, 10000, 50000};
   const int batches = smoke ? 6 : 40;
@@ -148,19 +154,19 @@ DIRANT_REPORT(x7) {
   const core::ProblemSpec spec{2, kPi};
   std::printf(
       "workload    n        ev/batch   inc-upd/s   full-upd/s  speedup  "
-      "inc    local  p50-ms   p99-ms   region  patch  esc   reason  "
-      "(threads=%d, hw=%u)\n",
+      "inc    local  p50-ms   p99-ms  mean-ms   region  reuse  patch  esc   "
+      "reason  (threads=%d, hw=%u)\n",
       threads, hw_threads);
   std::printf(
       "--------------------------------------------------------------------"
       "--------------------------------------------------------------------"
-      "--------\n");
+      "------------------------\n");
 
   std::vector<ChurnRow> rows;
   // Two workloads per n:
   //   * attrition — ~1% of the survivors drop per batch (the historical
-  //     x7 row; batches scale with n, so the sub-linear rungs fall back
-  //     and the row mostly measures the pool-Kruskal + patching path);
+  //     x7 row; batches scale with n, so every batch cuts the tree into
+  //     many fragments and the warm orienter's gates fail more often);
   //   * small_batch — a handful of failures per batch regardless of n
   //     (the sub-linear regime: localized repair + warm frontier orient;
   //     the p50/p99 latency and mean region columns are what the
@@ -180,6 +186,7 @@ DIRANT_REPORT(x7) {
     double inc_ms = 0.0, full_ms = 0.0;
     long long applied = 0;
     int incremental_batches = 0, localized_batches = 0, patched = 0;
+    int reused = 0;
     int pool_warm_batches = 0;
     long long region_sum = 0;
     std::vector<std::pair<const char*, int>> reasons;  ///< static strings
@@ -215,6 +222,7 @@ DIRANT_REPORT(x7) {
       // Escalated batches never orient warm, so this is rung 2.
       if (!rep.localized_mst && rep.warm_orient) ++pool_warm_batches;
       patched += rep.incremental_digraph;
+      reused += rep.cert_reused;
       if (rep.escalation != nullptr) {
         auto it = std::find_if(reasons.begin(), reasons.end(),
                                [&](const auto& r) {
@@ -245,10 +253,12 @@ DIRANT_REPORT(x7) {
     row.pool_warm_batches = pool_warm_batches;
     row.p50_batch_ms = percentile(batch_ms, 0.5);
     row.p99_batch_ms = percentile(batch_ms, 0.99);
+    row.mean_batch_ms = inc_ms / batches;
     row.mean_mst_region =
         localized_batches > 0
             ? static_cast<double>(region_sum) / localized_batches
             : 0.0;
+    row.cert_reuse_rate = static_cast<double>(reused) / batches;
     row.incremental_digraph_rate = static_cast<double>(patched) / batches;
     int escalated = 0, top = 0;
     for (const auto& [reason, count] : reasons) {
@@ -261,12 +271,12 @@ DIRANT_REPORT(x7) {
     row.escalation_rate = static_cast<double>(escalated) / batches;
     std::printf(
         "%-11s %-8d %7.1f  %10.1f  %10.1f  %6.2fx  %5.2f  %5.2f  %7.2f  "
-        "%7.2f  %7.1f  %5.2f  %5.2f %s\n",
+        "%7.2f  %7.2f  %7.1f  %5.2f  %5.2f  %5.2f %s\n",
         workload, n, row.events_per_batch, row.updates_per_sec,
         row.full_updates_per_sec, row.speedup, row.incremental_hit_rate,
         row.localized_hit_rate, row.p50_batch_ms, row.p99_batch_ms,
-        row.mean_mst_region, row.incremental_digraph_rate,
-        row.escalation_rate, row.escalation);
+        row.mean_batch_ms, row.mean_mst_region, row.cert_reuse_rate,
+        row.incremental_digraph_rate, row.escalation_rate, row.escalation);
     rows.push_back(row);
   };
 
@@ -321,14 +331,16 @@ DIRANT_REPORT(x7) {
         "\"updates_per_sec\": %g, \"full_updates_per_sec\": %g, "
         "\"speedup\": %g, \"incremental_hit_rate\": %g, "
         "\"localized_hit_rate\": %g, \"p50_batch_ms\": %g, "
-        "\"p99_batch_ms\": %g, \"mean_mst_region\": %g, "
+        "\"p99_batch_ms\": %g, \"mean_batch_ms\": %g, "
+        "\"mean_mst_region\": %g, \"cert_reuse_rate\": %g, "
         "\"incremental_digraph_rate\": %g, \"escalation_rate\": %g, "
         "\"escalation\": \"%s\", \"hw_threads\": %u}",
         r.workload, r.n, r.events_per_batch, r.updates_per_sec,
         r.full_updates_per_sec, r.speedup, r.incremental_hit_rate,
         r.localized_hit_rate, r.p50_batch_ms, r.p99_batch_ms,
-        r.mean_mst_region, r.incremental_digraph_rate, r.escalation_rate,
-        r.escalation, hw_threads));
+        r.mean_batch_ms, r.mean_mst_region, r.cert_reuse_rate,
+        r.incremental_digraph_rate, r.escalation_rate, r.escalation,
+        hw_threads));
   }
   dirant::bench::record_sections({{"churn", dirant::bench::json_array(json)}});
   if (smoke) {

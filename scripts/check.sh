@@ -43,10 +43,12 @@ CTEST_EXTRA=("$@")
 # the sharded digraph build, the orient_batch fan-out, the probe- and
 # trial-parallel audits, the churn engine's sharded recertification (the
 # three churn suites: parity, the sub-linear warm-path acceptance tests
-# and the witness audit against its Tarjan reference) and
-# the traffic engine on top of it — with the same 4-worker pools, so data
-# races (not just memory errors) surface too.  All variants promote the
-# library's -Wall -Wextra diagnostics to errors (DIRANT_WERROR).
+# and the witness audit against its Tarjan reference; the row patch and
+# its patched transpose at every thread count; the Euler-tour forest the
+# MST repair runs on) and the traffic engine on top of it — with the same
+# 4-worker pools, so data races (not just memory errors) surface too.
+# All variants promote the library's -Wall -Wextra diagnostics to errors
+# (DIRANT_WERROR).
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
 # The benchmark's own gate: every perfbench workload at tiny n (op gates,
 # digest repeat, traced layer coverage).  It builds into .bench_build/.
@@ -58,7 +60,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_traffic|test_event_queue" \
+    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_row_patch|test_euler_tour|test_traffic|test_event_queue" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 

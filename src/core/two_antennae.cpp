@@ -805,7 +805,9 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
     mem.mark_stamp.assign(static_cast<size_t>(n_orig), 0);
     mem.up_stamp.assign(static_cast<size_t>(n_orig), 0);
     mem.anchor_stamp.assign(static_cast<size_t>(n_orig), 0);
+    mem.unanchored_stamp.assign(static_cast<size_t>(n_orig), 0);
     mem.warm_epoch = 0;
+    mem.weld_epoch = 0;
   }
   const int epoch = ++mem.warm_epoch;
   mem.dirty_list.clear();
@@ -889,16 +891,26 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
     }
     return true;
   };
+  // Anchorage verdicts stamp the walked chain: a positive one for the
+  // whole batch (welds never detach), a negative one until the next weld
+  // (only a weld re-parents), so an unanchored fragment's chain is walked
+  // once per weld, not once per pending edge.
+  int weld = ++mem.weld_epoch;
   const auto anchored = [&](int s) -> int {  // 1 yes / 0 no / -1 budget
     auto& walk = mem.walk_buf;
     walk.clear();
     int x = s;
     while (x != root_o && mem.anchor_stamp[x] != epoch) {
+      if (mem.unanchored_stamp[x] == weld) break;
       walk.push_back(x);
       const int p = nodes[x].parent;
-      if (p < 0) return 0;
+      if (p < 0) break;
       if (--budget < 0) return -1;
       x = p;
+    }
+    if (x != root_o && mem.anchor_stamp[x] != epoch) {
+      for (int w : walk) mem.unanchored_stamp[w] = weld;
+      return 0;
     }
     for (int w : walk) mem.anchor_stamp[w] = epoch;
     return 1;
@@ -938,6 +950,7 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
         par_new = cur;
         cur = old_par;
       }
+      weld = ++mem.weld_epoch;
       progress = true;
     }
     pend.resize(kept);

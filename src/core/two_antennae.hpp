@@ -81,11 +81,14 @@ struct TwoAntennaeMemory {
   std::vector<int> mark_stamp;   ///< == warm_epoch: node must re-plan
   std::vector<int> up_stamp;     ///< == warm_epoch: marked node or ancestor
   std::vector<int> anchor_stamp; ///< == warm_epoch: known root-connected
+  /// == weld_epoch: known unanchored since the last Phase B weld.
+  std::vector<int> unanchored_stamp;
   std::vector<int> dirty_list;   ///< marked nodes, in mark order
   std::vector<int> pend_edges;   ///< added-edge worklist (re-hang rounds)
   std::vector<int> walk_buf;     ///< parent-chain walk scratch
   std::vector<int> descend_stack;  ///< clean ancestors still to traverse
   int warm_epoch = 0;
+  int weld_epoch = 0;
 };
 
 /// Inputs for the warm frontier orienter, all in original (churn-stable)

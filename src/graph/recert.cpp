@@ -13,7 +13,7 @@ bool IncrementalSccCert::row_has(const Digraph& dg, int from, int to) {
   return false;
 }
 
-void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
+void IncrementalSccCert::rebuild(const Digraph& dg, const Digraph& dgt,
                                  std::span<const char> alive,
                                  int alive_count) {
   n_ = dg.size();
@@ -33,6 +33,8 @@ void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
     mark_in_.resize(n_, 0);
     anchor_out_.resize(n_, 0);
     anchor_in_.resize(n_, 0);
+    unanch_out_.resize(n_, 0);
+    unanch_in_.resize(n_, 0);
     gvis_.resize(n_, 0);
     gpred_.resize(n_, -1);
   }
@@ -64,14 +66,14 @@ void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
   bool ok = static_cast<int>(bfs_.size()) == m;
   // In-tree: BFS from the hub over the transpose (a transpose edge u→v
   // means v→u in dg, so v reaches the hub through u).
-  dg.reversed_into(transpose_scratch);
+  DIRANT_ASSERT(dgt.size() == n_ && dgt.edge_count() == dg.edge_count());
   bfs_.clear();
   bfs_.push_back(hub_);
   mark_in_[hub_] = epoch_;
   in_next_[hub_] = -1;
   for (size_t i = 0; i < bfs_.size(); ++i) {
     const int u = bfs_[i];
-    for (int v : transpose_scratch.out(u)) {
+    for (int v : dgt.out(u)) {
       if (mark_in_[v] == epoch_) continue;
       mark_in_[v] = epoch_;
       in_next_[v] = u;
@@ -84,11 +86,14 @@ void IncrementalSccCert::rebuild(const Digraph& dg, Digraph& transpose_scratch,
 }
 
 bool IncrementalSccCert::anchored(int w, const std::vector<int>& parent,
-                                  std::vector<int>& memo, int* walk_budget) {
+                                  std::vector<int>& memo,
+                                  std::vector<int>& unanchored,
+                                  int* walk_budget) {
   // Walk the hub chain until the hub / a stamped ancestor (anchored) or a
-  // detached node (not anchored — some orphan root is still in the way).
-  // Anchorage is monotone within a repair, so positive verdicts stamp the
-  // whole walked path (path compression); negative ones never stamp.
+  // detached node / a node stamped unanchored (not anchored — some orphan
+  // root is still in the way).  Anchorage is monotone within a repair, so
+  // positive verdicts stamp the walked path for the whole call; negative
+  // ones hold until the next attachment bumps attach_epoch_.
   path_.clear();
   int x = w;
   for (;;) {
@@ -96,22 +101,21 @@ bool IncrementalSccCert::anchored(int w, const std::vector<int>& parent,
       for (int p : path_) memo[p] = epoch_;
       return true;
     }
-    const int up = parent[x];
-    if (up < 0) return false;
+    if (unanchored[x] == attach_epoch_) break;
     path_.push_back(x);
+    const int up = parent[x];
+    if (up < 0) break;
     x = up;
     if (--*walk_budget < 0) return false;
   }
+  for (int p : path_) unanchored[p] = attach_epoch_;
+  return false;
 }
 
-bool IncrementalSccCert::repair(const Digraph& dg,
+bool IncrementalSccCert::repair(const Digraph& dg, const Digraph& dgt,
                                 std::span<const char> is_alive, int alive,
-                                std::span<const geom::Point> positions,
-                                const spatial::GridIndex& grid,
-                                double query_radius,
                                 std::span<const int> suspects,
-                                std::span<const char> changed_pos,
-                                std::vector<int>& hits) {
+                                std::span<const char> changed_pos) {
   if (!valid_) return false;
   const int budget = cfg_.budget_slack + alive / cfg_.budget_divisor;
   const auto dead = [&](int u) { return !is_alive[u]; };
@@ -223,6 +227,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
   // possibly anchors more of the frontier) or every still-orphaned root's
   // candidates run through another orphan's subtree and phase 3 takes over.
   int walk_budget = cfg_.walk_slack + cfg_.walk_factor * alive;
+  ++attach_epoch_;  // phase 1 re-parented: no negative verdict carries over
   int remaining = 0;
   for (int u : roots_out_) remaining += !dead(u);
   for (int u : roots_in_) remaining += !dead(u);
@@ -231,14 +236,15 @@ bool IncrementalSccCert::repair(const Digraph& dg,
     progress = false;
     for (int u : roots_out_) {
       if (dead(u) || out_parent_[u] >= 0) continue;
-      hits.clear();
-      grid.within(positions[u], query_radius, u, hits);
-      for (int w : hits) {
-        if (!anchored(w, out_parent_, anchor_out_, &walk_budget)) continue;
-        if (!row_has(dg, w, u)) continue;
+      for (int w : dgt.out(u)) {  // candidate edge w→u by definition
+        if (!anchored(w, out_parent_, anchor_out_, unanch_out_,
+                      &walk_budget)) {
+          continue;
+        }
         out_parent_[u] = w;
         out_kids_.link(w, u);
         anchor_out_[u] = epoch_;
+        ++attach_epoch_;
         --remaining;
         progress = true;
         break;
@@ -251,10 +257,13 @@ bool IncrementalSccCert::repair(const Digraph& dg,
     for (int u : roots_in_) {
       if (dead(u) || in_next_[u] >= 0) continue;
       for (int w : dg.out(u)) {  // candidate edge u→w by definition
-        if (!anchored(w, in_next_, anchor_in_, &walk_budget)) continue;
+        if (!anchored(w, in_next_, anchor_in_, unanch_in_, &walk_budget)) {
+          continue;
+        }
         in_next_[u] = w;
         in_kids_.link(w, u);
         anchor_in_[u] = epoch_;
+        ++attach_epoch_;
         --remaining;
         progress = true;
         break;
@@ -292,6 +301,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
         relink(plink, kids, memo, c, node);
         node = c;
       }
+      ++attach_epoch_;
     };
     for (int u : roots_out_) {
       if (dead(u) || out_parent_[u] >= 0) continue;
@@ -302,13 +312,11 @@ bool IncrementalSccCert::repair(const Digraph& dg,
       bool got = false;
       for (size_t i = 0; i < bfs_.size() && !got; ++i) {
         const int x = bfs_[i];
-        hits.clear();
-        grid.within(positions[x], query_radius, x, hits);
-        for (int w : hits) {
+        for (int w : dgt.out(x)) {  // edge w→x by definition
           if (gvis_[w] == gepoch_) continue;
-          if (!row_has(dg, w, x)) continue;  // need edge w→x
           --walk_budget;
-          if (anchored(w, out_parent_, anchor_out_, &walk_budget)) {
+          if (anchored(w, out_parent_, anchor_out_, unanch_out_,
+                       &walk_budget)) {
             graft_path(out_parent_, out_kids_, anchor_out_, u, x, w);
             got = true;
             break;
@@ -339,7 +347,7 @@ bool IncrementalSccCert::repair(const Digraph& dg,
         for (int w : dg.out(x)) {  // edge x→w by definition
           if (gvis_[w] == gepoch_) continue;
           --walk_budget;
-          if (anchored(w, in_next_, anchor_in_, &walk_budget)) {
+          if (anchored(w, in_next_, anchor_in_, unanch_in_, &walk_budget)) {
             graft_path(in_next_, in_kids_, anchor_in_, u, x, w);
             got = true;
             break;
@@ -371,14 +379,10 @@ bool IncrementalSccCert::repair(const Digraph& dg,
   return true;
 }
 
-bool IncrementalSccCert::audit_removal(const Digraph& dg,
+bool IncrementalSccCert::audit_removal(const Digraph& dg, const Digraph& dgt,
                                        std::span<const int> removed,
                                        int alive_count,
-                                       std::span<const geom::Point> positions,
-                                       const spatial::GridIndex& grid,
-                                       double query_radius,
-                                       std::vector<int>& outside,
-                                       std::vector<int>& hits) {
+                                       std::vector<int>& outside) {
   outside.clear();
   if (!valid_) return false;
   // Stamps: gvis_ == gepoch_ marks the removed set; under epoch_,
@@ -425,9 +429,8 @@ bool IncrementalSccCert::audit_removal(const Digraph& dg,
   // ---- Out-tree: a cut node is reached iff some edge enters its subtree
   // closure from an anchored survivor.  The subtree roots come first, so
   // a root that re-attaches carries its whole subtree along through the
-  // forward walk (tree edges are graph edges) and nobody below it pays a
-  // query.  In-edges come from the grid: every edge w→u of `dg` has
-  // dist(w, u) ≤ query_radius, and survivors sit where `dg` saw them.
+  // forward walk (tree edges are graph edges) and nobody below it scans
+  // its in-list.
   const auto reach_from = [&](int r) {
     anchor_out_[r] = epoch_;
     bfs_.clear();
@@ -442,54 +445,28 @@ bool IncrementalSccCert::audit_removal(const Digraph& dg,
   };
   for (int u : under_out) {
     if (anchor_out_[u] == epoch_) continue;
-    hits.clear();
-    grid.within(positions[u], query_radius, u, hits);
-    for (int w : hits) {
+    for (int w : dgt.out(u)) {  // edge w→u
       if (!member_[w] || cut(w) || mark_out_[w] == epoch_) continue;
-      if (!row_has(dg, w, u)) continue;
       reach_from(u);
       break;
     }
   }
 
   // ---- In-tree: a cut node reaches the hub iff some path leaves its
-  // subtree closure into an anchored survivor.  Its own row lists the
-  // candidates; edges inside the closure are reversed into a local CSR and
-  // walked back from the nodes with a direct exit.
-  auto& local = gpred_;  // in-closure node -> index into under_in
-  for (size_t i = 0; i < under_in.size(); ++i) {
-    local[under_in[i]] = static_cast<int>(i);
-  }
-  const int k = static_cast<int>(under_in.size());
-  rev_off_.assign(static_cast<size_t>(k) + 1, 0);
-  rev_pairs_.clear();
+  // subtree closure into an anchored survivor.  Its own row shows a direct
+  // exit; the rest are walked back from those nodes through the in-lists.
   bfs_.clear();
   for (int u : under_in) {
-    bool exits = false;
     for (int t : dg.out(u)) {
-      if (cut(t)) continue;
-      if (mark_in_[t] != epoch_) {
-        exits = true;
-        break;
-      }
-      rev_pairs_.emplace_back(local[t], u);
-    }
-    if (exits) {
+      if (cut(t) || mark_in_[t] == epoch_) continue;
       anchor_in_[u] = epoch_;
       bfs_.push_back(u);
+      break;
     }
   }
-  for (const auto& pr : rev_pairs_) ++rev_off_[pr.first + 1];
-  for (int i = 0; i < k; ++i) rev_off_[i + 1] += rev_off_[i];
-  rev_tgt_.resize(rev_pairs_.size());
-  for (const auto& [t, u] : rev_pairs_) rev_tgt_[rev_off_[t]++] = u;
-  for (int i = k; i > 0; --i) rev_off_[i] = rev_off_[i - 1];
-  rev_off_[0] = 0;
   for (size_t i = 0; i < bfs_.size(); ++i) {
-    const int t = local[bfs_[i]];
-    for (int j = rev_off_[t]; j < rev_off_[t + 1]; ++j) {
-      const int u = rev_tgt_[j];
-      if (anchor_in_[u] == epoch_) continue;
+    for (int u : dgt.out(bfs_[i])) {  // edge u→t
+      if (mark_in_[u] != epoch_ || anchor_in_[u] == epoch_) continue;
       anchor_in_[u] = epoch_;
       bfs_.push_back(u);
     }

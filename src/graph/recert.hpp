@@ -25,9 +25,14 @@
 ///     every candidate parent lies inside its own subtree (attaching would
 ///     close a cycle) is instead re-rooted by a path graft: BFS through the
 ///     subtree until an anchored node appears, then relink the whole chain.
-///   * Out-tree parents are found through the transmission grid (any edge
-///     w→u has dist(w,u) ≤ the query radius, so the disk query is a
-///     superset); in-tree successors come from the node's own CSR row.
+///   * Out-tree parents come from the node's in-list in the transpose the
+///     caller keeps next to the digraph (sim::ChurnEngine patches both in
+///     step); in-tree successors come from the node's own CSR row.  Every
+///     candidate is a real edge — no geometry is consulted.
+///   * Anchorage walks memoize both verdicts: a positive one holds for the
+///     rest of the call, a negative one until the next attachment (only an
+///     attachment changes a parent link), so a long orphaned chain is walked
+///     once per attachment, not once per candidate.
 ///
 /// When every orphan re-attaches, the two trees are a constructive witness
 /// that the digraph is strongly connected — the SCC count is 1 without
@@ -41,12 +46,9 @@
 /// allocates nothing once the kid lists reach steady state.
 
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "geometry/point.hpp"
 #include "graph/digraph.hpp"
-#include "spatial/grid_index.hpp"
 
 namespace dirant::graph {
 
@@ -69,24 +71,25 @@ class IncrementalSccCert {
   bool valid() const { return valid_; }
   const RecertConfig& config() const { return cfg_; }
 
+  /// Every call takes the digraph `dg` together with its transpose `dgt`
+  /// (`dg.reversed_into(dgt)` or an exact patch of it): row u of `dgt`
+  /// lists the sources of u's in-edges.
+
   /// Rebuild both trees from a digraph whose alive vertices are known to
   /// be strongly connected (dead ids are empty rows nobody points at):
-  /// BFS from the smallest alive id over `dg`, then over its transpose —
-  /// computed into `transpose_scratch`, reusing its storage.
-  void rebuild(const Digraph& dg, Digraph& transpose_scratch,
+  /// BFS from the smallest alive id over `dg`, then over `dgt`.
+  void rebuild(const Digraph& dg, const Digraph& dgt,
                std::span<const char> alive, int alive_count);
 
   /// Frontier-bounded patch against the new rows.  `suspects` = ids,
   /// ascending: the dirty re-plan set plus this batch's dead nodes;
-  /// `changed_pos[u]` flags moved/recovered nodes; `grid` must index the
-  /// alive `positions` and `query_radius` bound every row's accept limit.
-  /// Returns true when both trees re-certified (the digraph is strongly
-  /// connected); false invalidates the cache.
-  bool repair(const Digraph& dg, std::span<const char> alive,
-              int alive_count, std::span<const geom::Point> positions,
-              const spatial::GridIndex& grid, double query_radius,
-              std::span<const int> suspects, std::span<const char> changed_pos,
-              std::vector<int>& hits);
+  /// `changed_pos[u]` flags moved/recovered nodes.  Returns true when both
+  /// trees re-certified (the digraph is strongly connected); false
+  /// invalidates the cache.
+  bool repair(const Digraph& dg, const Digraph& dgt,
+              std::span<const char> alive, int alive_count,
+              std::span<const int> suspects,
+              std::span<const char> changed_pos);
 
   /// Read-only removal audit on the graph the trees certify: which
   /// survivors of `dg` minus `removed` (ascending ids; members, or ids
@@ -94,19 +97,18 @@ class IncrementalSccCert {
   /// component?  Survivors outside every removed node's subtree in both
   /// trees keep their tree paths, so only those subtrees are examined:
   /// an out-subtree node is reached iff an edge enters its subtree's
-  /// closure from an anchored survivor (in-edges found through `grid`, as
-  /// in `repair`), an in-subtree node reaches the hub iff a path leaves
-  /// it.  `outside` receives the survivors not in the hub's component,
-  /// ascending; its size is exact, so the component is the survivors
-  /// minus `outside`.  Returns false — the caller runs an SCC pass — when
-  /// the cache is invalid, the hub is removed, or a cut subtree exceeds
-  /// budget_slack + alive_count / 4 nodes (past that, the grid queries
-  /// that prove nodes stranded cost more than the pass).  The trees are never
-  /// touched, so `repair` runs on them afterwards exactly as it would have.
-  bool audit_removal(const Digraph& dg, std::span<const int> removed,
-                     int alive_count, std::span<const geom::Point> positions,
-                     const spatial::GridIndex& grid, double query_radius,
-                     std::vector<int>& outside, std::vector<int>& hits);
+  /// closure from an anchored survivor, an in-subtree node reaches the hub
+  /// iff a path leaves it (both read off `dgt`'s in-lists).  `outside`
+  /// receives the survivors not in the hub's component, ascending; its
+  /// size is exact, so the component is the survivors minus `outside`.
+  /// Returns false — the caller runs an SCC pass — when the cache is
+  /// invalid, the hub is removed, or a cut subtree exceeds budget_slack +
+  /// alive_count / 4 nodes (past that, walking the subtrees costs more
+  /// than the pass).  The trees are never touched, so `repair` runs on
+  /// them afterwards exactly as it would have.
+  bool audit_removal(const Digraph& dg, const Digraph& dgt,
+                     std::span<const int> removed, int alive_count,
+                     std::vector<int>& outside);
 
  private:
   /// Intrusive sibling lists (head per parent, next/prev per child): kid
@@ -136,8 +138,11 @@ class IncrementalSccCert {
   };
 
   static bool row_has(const Digraph& dg, int from, int to);
+  /// Is w's hub chain intact?  `memo` stamps (epoch_) known-anchored
+  /// nodes, `unanchored` stamps (attach_epoch_) nodes known to hang below
+  /// an orphan root since the last attachment.
   bool anchored(int w, const std::vector<int>& parent, std::vector<int>& memo,
-                int* walk_budget);
+                std::vector<int>& unanchored, int* walk_budget);
 
   RecertConfig cfg_;
   bool valid_ = false;
@@ -150,14 +155,14 @@ class IncrementalSccCert {
   int epoch_ = 0;                      ///< stamp era (bumped per call)
   std::vector<int> mark_out_, mark_in_;      ///< orphan-root stamps
   std::vector<int> anchor_out_, anchor_in_;  ///< anchored-walk memo stamps
+  std::vector<int> unanch_out_, unanch_in_;  ///< negative verdict stamps
+  int attach_epoch_ = 0;  ///< bumped by every attachment in `repair`
   std::vector<int> roots_out_, roots_in_;    ///< orphaned roots, in order
   std::vector<int> tmp_;   ///< kid-list iteration copy
   std::vector<int> path_;  ///< ancestor walk recording
   std::vector<int> bfs_;   ///< rebuild / graft BFS queue
   int gepoch_ = 0;                ///< graft-BFS visit era
   std::vector<int> gvis_, gpred_;  ///< graft-BFS visit stamp + predecessor
-  std::vector<int> rev_off_, rev_tgt_;  ///< audit: in-closure reverse CSR
-  std::vector<std::pair<int, int>> rev_pairs_;
 };
 
 }  // namespace dirant::graph

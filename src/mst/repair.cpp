@@ -69,8 +69,9 @@ void DelaunayEdgePool::invalidate() {
 }
 
 void DelaunayEdgePool::build_index() {
-  // Counting sort of the base positions by endpoint; the offsets end up
-  // shifted one slot and are moved back after the fill.
+  // Counting sort of the base edges by endpoint, each entry holding the
+  // other endpoint; the offsets end up shifted one slot and are moved back
+  // after the fill.
   const int n = static_cast<int>(state_.size());
   index_off_.assign(static_cast<size_t>(n) + 1, 0);
   for (const auto& [a, b] : pool_) {
@@ -84,9 +85,9 @@ void DelaunayEdgePool::build_index() {
     run += c;
   }
   index_.resize(static_cast<size_t>(run));
-  for (int p = 0; p < static_cast<int>(pool_.size()); ++p) {
-    index_[index_off_[pool_[p].first]++] = p;
-    index_[index_off_[pool_[p].second]++] = p;
+  for (const auto& [a, b] : pool_) {
+    index_[index_off_[a]++] = b;
+    index_[index_off_[b]++] = a;
   }
   for (int u = n; u > 0; --u) index_off_[u] = index_off_[u - 1];
   index_off_[0] = 0;
@@ -142,8 +143,7 @@ std::size_t DelaunayEdgePool::collect_neighbours(std::span<const int> ws) {
     // edge between two erased nodes count once.
     if (w < indexed) {
       for (int k = index_off_[w]; k < index_off_[w + 1]; ++k) {
-        const auto& [a, b] = pool_[index_[k]];
-        const int x = a == w ? b : a;
+        const int x = index_[k];
         if (tomb_[x]) continue;
         visit(i, x);
         ++seen;
@@ -311,6 +311,7 @@ void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
   n_orig_ = static_cast<int>(positions.size());
   const int n = n_orig_;
   tadj_.assign(static_cast<size_t>(n) * kAdjCap, 0);
+  tarc_.assign(static_cast<size_t>(n) * kAdjCap, -1);
   tdeg_.assign(n, 0);
   in_tree_.assign(n, 0);
   // A kruskal_emst emission is in canonical (d2, min, max) order and the
@@ -323,9 +324,26 @@ void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
                     std::max(u, v)};
     DIRANT_ASSERT(prev < cur);
     prev = cur;
-    adj_add(u, v);
+    DIRANT_ASSERT(tdeg_[u] < kAdjCap && tdeg_[v] < kAdjCap);
+    tadj_[static_cast<size_t>(u) * kAdjCap + tdeg_[u]++] = v;
+    tadj_[static_cast<size_t>(v) * kAdjCap + tdeg_[v]++] = u;
   }
   edge_count_ = static_cast<int>(emst.edges.size());
+  // The Euler tours are built in one O(n) pass over the adjacency; each
+  // edge's handle goes to its slot at both ends.
+  const auto slot = [this](int u, int v) {
+    const size_t bu = static_cast<size_t>(u) * kAdjCap;
+    size_t i = bu;
+    while (tadj_[i] != v) ++i;
+    return i;
+  };
+  ett_.build(
+      n,
+      [this](int u) {
+        return std::span<const int>(
+            tadj_.data() + static_cast<size_t>(u) * kAdjCap, tdeg_[u]);
+      },
+      [&](int u, int v, int e) { tarc_[slot(u, v)] = tarc_[slot(v, u)] = e; });
   for (int c = 0; c < static_cast<int>(orig_of.size()); ++c) {
     in_tree_[orig_of[c]] = 1;
   }
@@ -429,27 +447,34 @@ void LocalMstRepair::grid_erase(int u) {
 
 void LocalMstRepair::adj_add(int u, int v) {
   DIRANT_ASSERT(tdeg_[u] < kAdjCap && tdeg_[v] < kAdjCap);
-  tadj_[static_cast<size_t>(u) * kAdjCap + tdeg_[u]++] = v;
-  tadj_[static_cast<size_t>(v) * kAdjCap + tdeg_[v]++] = u;
+  const int e = ett_.link(u, v);
+  const size_t su = static_cast<size_t>(u) * kAdjCap + tdeg_[u]++;
+  const size_t sv = static_cast<size_t>(v) * kAdjCap + tdeg_[v]++;
+  tadj_[su] = v;
+  tadj_[sv] = u;
+  tarc_[su] = tarc_[sv] = e;
 }
 
-void LocalMstRepair::adj_remove(int u, int v) {
+int LocalMstRepair::adj_strip(int u, int v) {
   const size_t bu = static_cast<size_t>(u) * kAdjCap;
   for (int i = 0; i < tdeg_[u]; ++i) {
     if (tadj_[bu + i] == v) {
-      tadj_[bu + i] = tadj_[bu + tdeg_[u] - 1];
+      const int e = tarc_[bu + i];
+      const size_t last = bu + tdeg_[u] - 1;
+      tadj_[bu + i] = tadj_[last];
+      tarc_[bu + i] = tarc_[last];
       --tdeg_[u];
-      break;
+      return e;
     }
   }
-  const size_t bv = static_cast<size_t>(v) * kAdjCap;
-  for (int i = 0; i < tdeg_[v]; ++i) {
-    if (tadj_[bv + i] == u) {
-      tadj_[bv + i] = tadj_[bv + tdeg_[v] - 1];
-      --tdeg_[v];
-      break;
-    }
-  }
+  return -1;
+}
+
+void LocalMstRepair::adj_remove(int u, int v) {
+  const int e = adj_strip(u, v);
+  adj_strip(v, u);
+  DIRANT_ASSERT(e >= 0);
+  ett_.cut(e);
 }
 
 const char* LocalMstRepair::apply_batch(
@@ -472,14 +497,15 @@ const char* LocalMstRepair::apply_batch(
   net_added_.clear();
   last_region_ = static_cast<int>(removed.size() + inserted.size());
   if (fail == nullptr && !removed.empty()) {
-    fail = delete_phase(positions, removed, pool, alive_count);
+    fail = delete_phase(positions, removed, pool);
   }
   if (fail == nullptr && !inserted.empty()) {
     fail = insert_phase(positions, alive, alive_count, inserted);
   }
   if (fail == nullptr) finish_batch(positions, alive_count, &fail);
   if (fail != nullptr) {
-    // Adjacency / grid state is mid-surgery — unusable until reseeded.
+    // Adjacency / tour / grid state is mid-surgery — unusable until
+    // reseeded.
     valid_ = false;
     return fail;
   }
@@ -488,9 +514,9 @@ const char* LocalMstRepair::apply_batch(
 
 const char* LocalMstRepair::delete_phase(
     std::span<const geom::Point> positions, std::span<const int> removed,
-    DelaunayEdgePool& pool, int alive_count) {
-  // Strip the removed nodes out of the tree and the grid, collecting the
-  // surviving endpoints of cut edges — the fragment seeds.
+    DelaunayEdgePool& pool) {
+  // Strip the removed nodes out of the tree, its Euler tours and the grid,
+  // collecting the surviving endpoints of cut edges — the fragment seeds.
   seeds_.clear();
   for (int w : removed) {
     if (!in_tree_[w]) continue;
@@ -499,14 +525,8 @@ const char* LocalMstRepair::delete_phase(
     for (int i = 0; i < deg; ++i) {
       const int x = tadj_[base + i];
       // One-sided strip of w from x's list; w's own list dies wholesale.
-      const size_t bx = static_cast<size_t>(x) * kAdjCap;
-      for (int j = 0; j < tdeg_[x]; ++j) {
-        if (tadj_[bx + j] == w) {
-          tadj_[bx + j] = tadj_[bx + tdeg_[x] - 1];
-          --tdeg_[x];
-          break;
-        }
-      }
+      adj_strip(x, w);
+      ett_.cut(tarc_[base + i]);
       log_op(w, x, false);
       if (rm_stamp_[x] != epoch_) seeds_.push_back(x);
     }
@@ -521,146 +541,88 @@ const char* LocalMstRepair::delete_phase(
   last_region_ += K;
   // Every fragment contains at least one seed (each fragment borders a
   // removed node through a tree edge whose surviving endpoint seeds it), so
-  // K <= 1 means the survivor tree is still connected — nothing to repair.
-  if (K <= 1) return nullptr;
+  // the seeds' distinct tours are exactly the fragments.
+  frags_.clear();
+  for (const int s : seeds_) frags_.emplace_back(ett_.tree_id(s), s);
+  std::sort(frags_.begin(), frags_.end());
+  frags_.erase(std::unique(frags_.begin(), frags_.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               frags_.end());
+  const int F = static_cast<int>(frags_.size());
+  if (F <= 1) return nullptr;  // the survivor tree is still connected
 
-  // Round-robin BFS, one pop per front per round.  Fronts that meet merge
-  // their classes (union-find over front ids); a front whose queue drains
-  // closes.  Stop as soon as at most one class still has an open front —
-  // that class is the main component and is never fully traversed.
-  //
-  // With several removed nodes the *main* component is seeded once per
-  // removed node, and those fronts only merge when their BFS regions touch
-  // — which can take a walk across half the tree.  So a front that visits
-  // `freeze_cap` nodes without draining is *frozen* (assumed main-side) and
-  // every frozen class is folded into the main label afterwards.  Freezing
-  // a genuine small fragment by mistake only *omits* reconnection edges —
-  // every edge Borůvka does add crosses a class cut and class connectivity
-  // never exceeds physical connectivity, so the result stays a sub-forest
-  // of the EMST — and the edge-count check below turns that omission into a
-  // deterministic "mst-disconnected" fallback, never a silent wrong tree.
-  if (static_cast<int>(queues_.size()) < K) queues_.resize(K);
-  qhead_.assign(K, 0);
-  if (static_cast<int>(uf_.size()) < K) uf_.resize(K);
-  if (static_cast<int>(cls_open_.size()) < K) cls_open_.resize(K);
-  if (static_cast<int>(cls_frozen_.size()) < K) cls_frozen_.resize(K);
-  for (int i = 0; i < K; ++i) {
-    queues_[i].clear();
-    queues_[i].push_back(seeds_[i]);
-    label_stamp_[seeds_[i]] = epoch_;
-    label_[seeds_[i]] = i;
-    uf_[i] = i;
-    cls_open_[i] = 1;
-    cls_frozen_[i] = 0;
+  // The largest fragment is the main class and is never walked: every
+  // crossing edge has an endpoint in one of the others, so their pool
+  // edges hold every candidate.  The walk is bounded by what the batch
+  // cut off — exact sizes, no budget.
+  int main_f = 0;
+  for (int f = 1; f < F; ++f) {
+    if (ett_.tree_size(frags_[f].second) >
+        ett_.tree_size(frags_[main_f].second)) {
+      main_f = f;
+    }
   }
+  bfs_.clear();
+  for (int f = 0; f < F; ++f) {
+    if (f == main_f) continue;
+    const int s = frags_[f].second;
+    size_t h = bfs_.size();
+    bfs_.push_back(s);
+    label_stamp_[s] = epoch_;
+    label_[s] = f;
+    for (; h < bfs_.size(); ++h) {
+      const int x = bfs_[h];
+      const size_t bx = static_cast<size_t>(x) * kAdjCap;
+      for (int i = 0; i < tdeg_[x]; ++i) {
+        const int y = tadj_[bx + i];
+        if (label_stamp_[y] == epoch_) continue;
+        label_stamp_[y] = epoch_;
+        label_[y] = f;
+        bfs_.push_back(y);
+      }
+    }
+  }
+  last_region_ += static_cast<int>(bfs_.size());
+  if (static_cast<int>(uf_.size()) < F) uf_.resize(F);
+  for (int f = 0; f < F; ++f) uf_[f] = f;
   auto find = [this](int x) {
     while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];
     return x;
   };
-  int open_classes = K;
-  auto merge_classes = [&](int ra, int rb) {
-    // ra != rb.  Smaller id stays root (deterministic).
-    if (rb < ra) std::swap(ra, rb);
-    uf_[rb] = ra;
-    if (cls_open_[ra] > 0 && cls_open_[rb] > 0) --open_classes;
-    cls_open_[ra] += cls_open_[rb];
-    cls_frozen_[ra] |= cls_frozen_[rb];
-  };
-  const int visit_budget = cfg_.region_slack + alive_count / cfg_.region_divisor;
-  // Per-front cap of budget/max(2,K) (not budget/2K): the total region is
-  // already bounded by `visit_budget`, and halving the cap again made genuine
-  // fragments of a few thousand nodes freeze at n=50k, folding them into the
-  // main label and forcing the "mst-disconnected" full fallback.
-  const int freeze_cap =
-      std::max(cfg_.region_slack, visit_budget / std::max(2, K));
-  bool any_frozen = false;
-  int visited = K;
-  while (open_classes > 1) {
-    for (int f = 0; f < K && open_classes > 1; ++f) {
-      if (qhead_[f] < 0) continue;  // already closed
-      if (qhead_[f] == static_cast<int>(queues_[f].size())) {
-        const int r = find(f);
-        if (--cls_open_[r] == 0) --open_classes;
-        qhead_[f] = -1;
-        continue;
-      }
-      if (static_cast<int>(queues_[f].size()) >= freeze_cap) {
-        const int r = find(f);
-        cls_frozen_[r] = 1;
-        any_frozen = true;
-        if (--cls_open_[r] == 0) --open_classes;
-        qhead_[f] = -1;
-        continue;
-      }
-      const int x = queues_[f][qhead_[f]++];
-      const size_t bx = static_cast<size_t>(x) * kAdjCap;
-      for (int i = 0; i < tdeg_[x]; ++i) {
-        const int y = tadj_[bx + i];
-        if (label_stamp_[y] != epoch_) {
-          label_stamp_[y] = epoch_;
-          label_[y] = f;
-          queues_[f].push_back(y);
-          if (++visited > visit_budget) return "mst-region";
-        } else {
-          const int ry = find(label_[y]), rf = find(f);
-          if (ry != rf) merge_classes(ry, rf);
-        }
-      }
-    }
-  }
-  last_region_ += visited - K;
-  // The still-open class plus every frozen class own the unvisited nodes:
-  // fold them into one main label (ascending roots, so the smallest id is
-  // the representative — deterministic).
-  int main_root = -2;
-  for (int f = 0; f < K; ++f) {
-    if (find(f) != f || (cls_open_[f] <= 0 && !cls_frozen_[f])) continue;
-    if (main_root < 0) {
-      main_root = f;
-    } else {
-      merge_classes(main_root, f);
-    }
-  }
+  // Unwalked survivors are the main fragment's.
   auto comp = [&](int u) {
-    if (label_stamp_[u] == epoch_) return find(label_[u]);
-    // Unvisited ⇒ main component; chase the union-find in case the main
-    // class merged under a smaller root during Borůvka adoption.
-    return main_root >= 0 ? find(main_root) : -2;
+    return find(label_stamp_[u] == epoch_ ? label_[u] : main_f);
   };
 
-  // Crossing candidates.  Dead, removed, and pending-insert endpoints are
-  // excluded: the reconnection must be the MST of the survivor set
+  // Crossing candidates: pool edges leaving a walked node's fragment.
+  // Removed and pending-insert endpoints are excluded (a walked node is
+  // neither): the reconnection must be the MST of the survivor set
   // A0 = alive ∖ (moved ∪ recovered); pending nodes enter later through
-  // the exact insertion move.  A crossing edge has an endpoint outside the
-  // main class, and every such node was visited (unvisited nodes are
-  // main), so the pool edges incident to the visited non-main nodes hold
-  // them all — O(region) instead of a pass over the pool.  An edge between
-  // two such nodes is listed twice, which no class minimum notices.
+  // the exact insertion move.  Every other unwalked survivor is the main
+  // fragment's, and an edge between two walked fragments is kept from
+  // its smaller endpoint's side only.
   cand_.clear();
-  const int main_cls = main_root >= 0 ? find(main_root) : -2;
-  for (int f = 0; f < K; ++f) {
-    for (const int x : queues_[f]) {
-      if (comp(x) == main_cls) continue;
-      pool.for_each_incident(x, [&](int a, int b) {
-        if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
-            pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
-          return;
-        }
-        const int ca = comp(a), cb = comp(b);
-        if (ca == cb || ca == -2 || cb == -2) return;
-        cand_.emplace_back(a, b);
-      });
-    }
+  for (const int x : bfs_) {
+    const int lx = label_[x];
+    pool.for_each_neighbour(x, [&](int y) {
+      if (label_stamp_[y] == epoch_) {
+        if (label_[y] == lx || y < x) return;
+      } else if (rm_stamp_[y] == epoch_ || pend_stamp_[y] == epoch_) {
+        return;
+      }
+      cand_.emplace_back(x, y);
+    });
   }
 
   // Borůvka rounds: each class adopts its minimum crossing edge under the
   // strict (d2, min, max) order — an MST edge by the cut property.  The
   // strict total order makes simultaneous adoptions cycle-free.
-  int num_classes = 0;
-  for (int f = 0; f < K; ++f) num_classes += find(f) == f ? 1 : 0;
-  if (static_cast<int>(best_.size()) < K) best_.resize(K);
+  int num_classes = F;
+  if (static_cast<int>(best_.size()) < F) best_.resize(F);
   while (num_classes > 1) {
-    for (int f = 0; f < K; ++f) {
+    for (int f = 0; f < F; ++f) {
       if (find(f) == f) best_[f] = {0.0, -1, -1};
     }
     for (const auto& [a, b] : cand_) {
@@ -675,122 +637,12 @@ const char* LocalMstRepair::delete_phase(
       }
     }
     bool progressed = false;
-    for (int f = 0; f < K; ++f) {
+    for (int f = 0; f < F; ++f) {
       if (find(f) != f || best_[f].u < 0) continue;
       const Best e = best_[f];
       const int ru = comp(e.u), rv = comp(e.v);
       if (ru == rv) continue;  // identical minima already merged this round
-      merge_classes(ru, rv);
-      --num_classes;
-      adj_add(e.u, e.v);
-      log_op(e.u, e.v, true);
-      lmax2_ub_ = std::max(lmax2_ub_, e.d2);
-      last_region_ += 2;
-      progressed = true;
-    }
-    if (!progressed) return "mst-disconnected";
-  }
-  if (any_frozen) {
-    // A frozen label may have hidden a genuine fragment split (no crossing
-    // candidates were collected for it).  The insert phase requires a
-    // connected tree — its parent walks would chase stale pointers across a
-    // gap — so verify by edge count (a forest on these nodes is a tree iff
-    // it has one edge fewer) before handing the tree over.
-    int edges = edge_count_;
-    for (const Op& op : ops_) edges += op.add ? 1 : -1;
-    if (edges != tree_nodes_ - 1) return reconnect_exact(positions, pool);
-  }
-  return nullptr;
-}
-
-const char* LocalMstRepair::reconnect_exact(
-    std::span<const geom::Point> positions, DelaunayEdgePool& pool) {
-  // Rare slow lane of the localized delete phase: the freeze heuristic
-  // mislabelled a genuine fragment as main-side, so the tree is still split.
-  // Every edge already added is an exact MST edge (cut property holds for
-  // whatever true cut the adopting class induced), so finish the job with
-  // exact component labels: one O(alive) BFS over the sub-forest plus one
-  // more Borůvka sweep over the pool edges incident to the components
-  // other than the largest (every crossing edge touches one).  Linear, but
-  // ~100× cheaper than the full-plan fallback it replaces, and still a
-  // pure function of the event sequence — deterministic at every thread
-  // count.
-  ++path_epoch_;
-  int ncomp = 0;
-  bfs_.clear();  // every component's nodes, one run each
-  comp_start_.clear();
-  for (int s = 0; s < n_orig_; ++s) {
-    if (!in_tree_[s] || path_stamp_[s] == path_epoch_) continue;
-    comp_start_.push_back(static_cast<int>(bfs_.size()));
-    bfs_.push_back(s);
-    path_stamp_[s] = path_epoch_;
-    label_[s] = ncomp;
-    for (size_t i = comp_start_.back(); i < bfs_.size(); ++i) {
-      const int x = bfs_[i];
-      const size_t bx = static_cast<size_t>(x) * kAdjCap;
-      for (int k = 0; k < tdeg_[x]; ++k) {
-        const int y = tadj_[bx + k];
-        if (path_stamp_[y] == path_epoch_) continue;
-        path_stamp_[y] = path_epoch_;
-        label_[y] = ncomp;
-        bfs_.push_back(y);
-      }
-    }
-    ++ncomp;
-  }
-  if (ncomp <= 1) return nullptr;  // degree miscount is impossible, but safe
-  last_region_ += ncomp;
-  if (static_cast<int>(uf_.size()) < ncomp) uf_.resize(ncomp);
-  for (int i = 0; i < ncomp; ++i) uf_[i] = i;
-  auto find = [this](int x) {
-    while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];
-    return x;
-  };
-  comp_start_.push_back(static_cast<int>(bfs_.size()));
-  int largest = 0;
-  for (int c = 1; c < ncomp; ++c) {
-    if (comp_start_[c + 1] - comp_start_[c] >
-        comp_start_[largest + 1] - comp_start_[largest]) {
-      largest = c;
-    }
-  }
-  cand_.clear();
-  for (int c = 0; c < ncomp; ++c) {
-    if (c == largest) continue;
-    for (int i = comp_start_[c]; i < comp_start_[c + 1]; ++i) {
-      pool.for_each_incident(bfs_[i], [&](int a, int b) {
-        if (rm_stamp_[a] == epoch_ || rm_stamp_[b] == epoch_ ||
-            pend_stamp_[a] == epoch_ || pend_stamp_[b] == epoch_) {
-          return;
-        }
-        if (label_[a] != label_[b]) cand_.emplace_back(a, b);
-      });
-    }
-  }
-  if (static_cast<int>(best_.size()) < ncomp) best_.resize(ncomp);
-  int num_classes = ncomp;
-  while (num_classes > 1) {
-    for (int c = 0; c < ncomp; ++c) {
-      if (find(c) == c) best_[c] = {0.0, -1, -1};
-    }
-    for (const auto& [a, b] : cand_) {
-      const int ra = find(label_[a]), rb = find(label_[b]);
-      if (ra == rb) continue;
-      const double d2 = geom::dist2(positions[a], positions[b]);
-      for (const int r : {ra, rb}) {
-        Best& cur = best_[r];
-        if (cur.u < 0 || edge_key_less(d2, a, b, cur.d2, cur.u, cur.v)) {
-          cur = {d2, a, b};
-        }
-      }
-    }
-    bool progressed = false;
-    for (int c = 0; c < ncomp; ++c) {
-      if (find(c) != c || best_[c].u < 0) continue;
-      const Best e = best_[c];
-      const int ru = find(label_[e.u]), rv = find(label_[e.v]);
-      if (ru == rv) continue;
-      uf_[std::max(ru, rv)] = std::min(ru, rv);
+      uf_[std::max(ru, rv)] = std::min(ru, rv);  // deterministic root
       --num_classes;
       adj_add(e.u, e.v);
       log_op(e.u, e.v, true);

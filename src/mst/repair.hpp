@@ -66,6 +66,7 @@
 
 #include "common/max_tree.hpp"
 #include "geometry/point.hpp"
+#include "mst/euler_tour.hpp"
 #include "mst/tree.hpp"
 
 namespace dirant::mst {
@@ -141,24 +142,24 @@ class DelaunayEdgePool {
     return pool_;
   }
 
-  /// Visit every candidate edge incident to member `u` as f(a, b), a < b,
+  /// Visit every candidate edge {u, v} of live member `u` as f(v),
   /// without compacting: through the per-node base index (built at most
   /// once between compactions) and u's staged chain, O(pool degree of u).
   /// Stars are the exception — their edges are implicit, so a pool holding
   /// any is compacted first (see `settle`).
   template <typename F>
-  void for_each_incident(int u, F&& f) {
+  void for_each_neighbour(int u, F&& f) {
     settle();
     if (!index_built_) build_index();
     if (u + 1 < static_cast<int>(index_off_.size())) {
       for (int k = index_off_[u]; k < index_off_[u + 1]; ++k) {
-        const auto& [a, b] = pool_[index_[k]];
-        if (!tomb_[a] && !tomb_[b]) f(a, b);
+        if (!tomb_[index_[k]]) f(index_[k]);
       }
     }
     for (int h = staged_head_[u]; h >= 0; h = staged_next_[h]) {
       const auto& [a, b] = staged_[h >> 1];
-      if (!tomb_[a] && !tomb_[b]) f(a, b);
+      const int v = (h & 1) != 0 ? a : b;
+      if (!tomb_[v]) f(v);
     }
   }
 
@@ -203,7 +204,7 @@ class DelaunayEdgePool {
   std::vector<int> staged_head_;  ///< orig id -> first chain entry (-1)
   std::vector<char> tomb_;        ///< orig id -> erased since compaction
   std::vector<int> tombs_;        ///< the tombstoned ids
-  std::vector<int> index_off_, index_;  ///< node -> positions in pool_
+  std::vector<int> index_off_, index_;  ///< node -> base neighbours (CSR)
   bool index_built_ = false;
   bool scanned_ = false;  ///< an erase has run since the last compaction
   std::vector<std::pair<int, int>> additions_;  ///< compaction: new edges
@@ -219,11 +220,6 @@ class DelaunayEdgePool {
 };
 
 struct LocalRepairConfig {
-  /// Deletion-side BFS labels split components until this many nodes have
-  /// been visited; beyond it the affected region is no longer "local" and
-  /// the repair escalates to the pool Kruskal.
-  int region_slack = 256;
-  int region_divisor = 4;  ///< cap = region_slack + alive / region_divisor
   /// Insertion-side exact candidate disk (closed, radius²
   /// max(d2(v, NN), lmax²)) may hold at most this many points.
   int candidate_cap = 256;
@@ -248,14 +244,17 @@ struct LocalRepairConfig {
 /// any pass over the whole tree.  The two repair moves:
 ///
 ///   * **Deletions** (fails + moved-away nodes): dropping a tree node cuts
-///     the tree into fragments.  Fragments are discovered by a round-robin
-///     BFS from the surviving endpoints of the cut edges (the last
-///     still-running front is the main component and is never fully
-///     traversed), then reconnected by Borůvka rounds over the candidate
-///     pool restricted to edges incident to the small fragments: each
-///     fragment's minimum crossing edge under the strict order is an MST
-///     edge by the cut property, and the pool ⊇ Delaunay(alive) superset
-///     invariant guarantees every needed replacement is present.
+///     the tree into fragments.  An Euler-tour forest (mst/euler_tour.hpp)
+///     mirrors the tree edge for edge, so the surviving endpoints of the
+///     cut edges group into fragments by tree identity and each fragment's
+///     exact size is read off its tour.  Only the fragments other than the
+///     largest are walked — every crossing edge touches one — and they are
+///     reconnected by Borůvka rounds over the candidate pool edges incident
+///     to their nodes: each fragment's minimum crossing edge under the
+///     strict order is an MST edge by the cut property, and the pool ⊇
+///     Delaunay(alive) superset invariant guarantees every needed
+///     replacement is present.  A deletion costs what it cuts off, never
+///     a pass over the whole tree.
 ///   * **Insertions** (recoveries + moved-to nodes, ascending id): vertex
 ///     v's incident MST edges all lie in the closed disk of squared radius
 ///     max(d2(v, NN), lmax²) — cycle property against the tree plus the
@@ -265,7 +264,7 @@ struct LocalRepairConfig {
 ///     NN edge, which always enters.  Sequential one-edge insertions keep
 ///     the intermediate trees exact, so the final tree is MST(alive).
 ///
-/// Every guard (region cap, candidate cap, walk budget, fragment
+/// Every guard (batch size, candidate cap, walk budget, fragment
 /// disconnection) is a pure function of the event sequence — deterministic
 /// and thread-count independent; on any guard the state invalidates and
 /// the caller escalates (pool Kruskal reseeds via `seed`).  All buffers
@@ -290,7 +289,7 @@ class LocalMstRepair {
   /// moved nodes, any order), `inserted` = original ids (re)entering at
   /// their current position (moves and recoveries, ascending), `pool` the
   /// maintained Delaunay-superset candidate edges (read per node through
-  /// `for_each_incident`, never compacted wholesale).  Returns nullptr on
+  /// `for_each_neighbour`, never compacted wholesale).  Returns nullptr on
   /// success or a static reason string ("mst-region", "mst-walk-budget",
   /// "mst-candidates", "mst-disconnected", "mst-count") — the state is
   /// invalidated on failure and the caller must escalate and reseed.
@@ -313,8 +312,10 @@ class LocalMstRepair {
   /// Tree degree per original id (0 off the tree).
   std::span<const std::uint8_t> degrees() const { return tdeg_; }
 
-  /// Nodes touched by the last successful `apply_batch` (BFS visits +
-  /// removed + inserted + swap endpoints) — the affected-region telemetry.
+  /// Nodes touched by the last successful `apply_batch` — removed +
+  /// inserted + fragment seeds + the nodes of every fragment but the
+  /// largest + two per reconnecting or swapped edge + insertion candidates:
+  /// the affected-region telemetry.
   int last_region() const { return last_region_; }
 
   /// Net tree-edge delta of the last successful `apply_batch` in original
@@ -351,13 +352,15 @@ class LocalMstRepair {
   void grid_erase(int u);
   int cell_index(const geom::Point& p) const;
 
+  /// Tree-edge changes keep the adjacency and the Euler-tour forest in
+  /// step (a cut always precedes the link that replaces it).
   void adj_remove(int u, int v);
   void adj_add(int u, int v);
+  /// Drop v from u's list only; returns the edge's Euler-tour handle.
+  int adj_strip(int u, int v);
   const char* delete_phase(std::span<const geom::Point> positions,
                            std::span<const int> removed,
-                           DelaunayEdgePool& pool, int alive_count);
-  const char* reconnect_exact(std::span<const geom::Point> positions,
-                              DelaunayEdgePool& pool);
+                           DelaunayEdgePool& pool);
   const char* insert_phase(std::span<const geom::Point> positions,
                            std::span<const char> alive, int alive_count,
                            std::span<const int> inserted);
@@ -398,8 +401,10 @@ class LocalMstRepair {
   std::vector<LEdge> export_;  ///< export_tree sort buffer
   static constexpr int kAdjCap = 8;  ///< EMST degree ≤ 6
   std::vector<int> tadj_;     ///< flat [n_orig * kAdjCap] neighbour lists
+  std::vector<int> tarc_;     ///< Euler-tour edge handle per tadj_ slot
   std::vector<std::uint8_t> tdeg_;
   std::vector<char> in_tree_;
+  EulerTourForest ett_;       ///< the maintained tree, as Euler tours
 
   // Grid.
   double cell_ = 1.0, min_x_ = 0.0, min_y_ = 0.0;
@@ -411,13 +416,10 @@ class LocalMstRepair {
   int epoch_ = 0;       ///< delete-phase stamps (rm / pend / label)
   int path_epoch_ = 0;  ///< parent-BFS and per-candidate walk stamps
   std::vector<int> rm_stamp_, label_stamp_, path_stamp_, pend_stamp_;
-  std::vector<int> label_;     ///< BFS fragment label = front id (stamped)
-  std::vector<int> uf_;        ///< union-find over front ids
-  std::vector<int> cls_open_;     ///< unfinished fronts per class root
-  std::vector<char> cls_frozen_;  ///< class hit the per-front freeze cap
+  std::vector<int> label_;     ///< fragment index of a walked node (stamped)
+  std::vector<int> uf_;        ///< union-find over fragment indices
   std::vector<int> seeds_;
-  std::vector<std::vector<int>> queues_;  ///< per-front BFS queues
-  std::vector<int> qhead_;
+  std::vector<std::pair<int, int>> frags_;  ///< (tree id, first seed)
   std::vector<std::pair<int, int>> cand_;  ///< crossing pool edges
   std::vector<std::pair<int, int>> net_removed_, net_added_;  ///< batch delta
   struct Best {
@@ -432,7 +434,6 @@ class LocalMstRepair {
   std::vector<int> parent_;
   std::vector<double> ped2_;  ///< d2 of (u, parent_[u])
   std::vector<int> bfs_;
-  std::vector<int> comp_start_;  ///< reconnect_exact: component runs in bfs_
   int last_region_ = 0;
 };
 

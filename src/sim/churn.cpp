@@ -68,7 +68,6 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   changed_pos_.assign(n, 0);
   touch_stamp_.assign(n, -1);
   start_alive_.assign(n, 0);
-  start_pos_.assign(n, geom::Point{});
   dirty_stamp_.assign(n, -1);
   rewrite_stamp_.assign(n, -1);
   touched_.clear();
@@ -124,7 +123,7 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
                               static_cast<int>(count_max_.max())},
       plan_, spec_, scc_result_.count);
   if (scc_result_.count == 1) {
-    recert_.rebuild(dg_, transpose_, alive_, alive_count_);
+    recert_.rebuild(dg_, dgt_, alive_, alive_count_);
   } else {
     recert_.invalidate();
   }
@@ -149,7 +148,6 @@ void ChurnEngine::touch(int u) {
   touch_stamp_[u] = batch_;
   touched_.push_back(u);
   start_alive_[u] = alive_[u];
-  start_pos_[u] = positions_[u];
 }
 
 const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
@@ -295,9 +293,7 @@ void ChurnEngine::audit_frozen() {
   audit_removed_.erase(
       std::unique(audit_removed_.begin(), audit_removed_.end()),
       audit_removed_.end());
-  if (recert_.audit_removal(dg_, audit_removed_, m, positions_, grid_,
-                            patch_qr_, audit_outside_,
-                            cx_.transmission.candidates)) {
+  if (recert_.audit_removal(dg_, dgt_, audit_removed_, m, audit_outside_)) {
     const int stable = m - static_cast<int>(event_nodes_.size());
     const int hub_scc = stable - static_cast<int>(audit_outside_.size());
     // A strict majority is the unique largest component; otherwise the
@@ -333,12 +329,12 @@ void ChurnEngine::audit_frozen() {
     } else {
       deg.k_level = 1;
       if (!frozen_built) build_frozen_compact();
-      frozen_.reversed_into(transpose_);
+      frozen_.reversed_into(frozen_t_);
       probe_removed_.assign(static_cast<size_t>(m), 0);
       bool robust = true;
       for (int c = 0; c < m && robust; ++c) {
         probe_removed_[c] = 1;
-        robust = graph::is_strongly_connected(frozen_, transpose_, reach_,
+        robust = graph::is_strongly_connected(frozen_, frozen_t_, reach_,
                                               probe_removed_.data());
         probe_removed_[c] = 0;
       }
@@ -629,9 +625,8 @@ int ChurnEngine::certify_sccs() {
     const auto& sr = report_.suggested_repair;
     std::set_union(sr.begin(), sr.end(), batch_dead_.begin(),
                    batch_dead_.end(), std::back_inserter(suspects_));
-    if (recert_.repair(dg_, alive_, alive_count_, positions_, grid_,
-                       patch_qr_, suspects_, changed_pos_,
-                       cx_.transmission.candidates)) {
+    if (recert_.repair(dg_, dgt_, alive_, alive_count_, suspects_,
+                       changed_pos_)) {
       report_.cert_reused = true;
       return 1;
     }
@@ -640,7 +635,7 @@ int ChurnEngine::certify_sccs() {
   const int sccs =
       graph::scc_count(dg_, cx_.scc) - (n_orig_ - alive_count_);
   if (sccs == 1) {
-    recert_.rebuild(dg_, transpose_, alive_, alive_count_);
+    recert_.rebuild(dg_, dgt_, alive_, alive_count_);
   } else {
     recert_.invalidate();
   }
@@ -658,13 +653,13 @@ void ChurnEngine::reseed_pool() {
   }
 }
 
-// Adopt a CSR built into (offsets, targets) as dg_; dg_'s previous buffers
+// Adopt a CSR built into (offsets, targets) as `g`; g's previous buffers
 // come back through the same pair for the next build.
-void ChurnEngine::install(std::vector<int>& offsets,
+void ChurnEngine::install(graph::Digraph& g, std::vector<int>& offsets,
                           std::vector<int>& targets) {
   graph::Digraph next(std::move(offsets), std::move(targets));
-  std::move(dg_).release(offsets, targets);
-  dg_ = std::move(next);
+  std::move(g).release(offsets, targets);
+  g = std::move(next);
 }
 
 void ChurnEngine::full_build() {
@@ -695,9 +690,11 @@ void ChurnEngine::full_build() {
     offs[u + 1] = static_cast<int>(tgts.size());
   }
   std::move(fresh).release(cx_.transmission.offsets, cx_.transmission.targets);
-  install(patch_offsets_, patch_targets_);
-  patch_qr_ = radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
-  grid_.rebuild(positions_, std::max(patch_qr_ / 2.0, 1e-12), alive_);
+  install(dg_, patch_offsets_, patch_targets_);
+  dg_.reversed_into(dgt_);
+  const double qr =
+      radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
+  grid_.rebuild(positions_, std::max(qr / 2.0, 1e-12), alive_);
 }
 
 void ChurnEngine::build_digraph() {
@@ -721,10 +718,8 @@ void ChurnEngine::build_digraph() {
   // rows that accept an event node; the rest is one copy of each CSR span
   // between them.
   const auto& o = plan_.orientation;
-  const double prev_qr = patch_qr_;
   const double qr =
       radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
-  patch_qr_ = qr;  // certify_sccs re-queries the same grid at this radius
   const double cell = std::max(qr / 2.0, 1e-12);
   // Dirty rows enumerate grid hits in cell order, so the grid must be the
   // one a fresh build over the survivors would make.
@@ -742,21 +737,13 @@ void ChurnEngine::build_digraph() {
   for (int u : batch_dead_) {
     if (!alive_[u]) mark(u);
   }
-  // A clean row that held a node which left or moved: its in-neighbours sat
-  // within the previous query radius of its batch-start position, and a
-  // clean row's node did not move, so the live grid finds them.
+  // A clean row that held a node which left or moved: the node's in-list
+  // in the transpose names them.
   for (int x : touched_) {
     if (!start_alive_[x] || (alive_[x] && !changed_pos_[x])) continue;
-    grid_.for_each_within(start_pos_[x], prev_qr, x,
-                          [&](int w, double, double, double) {
-                            if (dirty(w)) return;
-                            for (int t : dg_.out(w)) {
-                              if (t == x) {
-                                mark(w);
-                                break;
-                              }
-                            }
-                          });
+    for (int w : dgt_.out(x)) {
+      if (!dirty(w)) mark(w);
+    }
   }
   // Event-node retests: one grid query per event node finds the clean
   // rows that can accept it (antenna::accepting_rows).  Each clean row
@@ -814,7 +801,70 @@ void ChurnEngine::build_digraph() {
     from = u + 1;
   }
   copy_span(n_orig_);
-  install(patch_offsets_, patch_targets_);
+  patch_transpose();
+  install(dg_, patch_offsets_, patch_targets_);
+  install(dgt_, tpatch_offsets_, tpatch_targets_);
+}
+
+void ChurnEngine::patch_transpose() {
+  // The new rows differ from dg_'s only at rewrite_, so only their old and
+  // new targets change in-lists.  Each such in-list keeps its sources
+  // outside rewrite_ and gains the rewritten rows that point at it, merged
+  // in ascending source order — exactly `reversed_into` of the new CSR;
+  // every other in-list is block-copied.
+  const auto new_offs = std::span<const int>(patch_offsets_);
+  const auto new_tgts = std::span<const int>(patch_targets_);
+  const auto rewritten = [this](int u) { return rewrite_stamp_[u] == batch_; };
+  tgained_.clear();
+  tlists_.clear();
+  for (int u : rewrite_) {
+    for (int t : dg_.out(u)) tlists_.push_back(t);
+    for (int k = new_offs[u]; k < new_offs[u + 1]; ++k) {
+      tgained_.emplace_back(new_tgts[k], u);
+      tlists_.push_back(new_tgts[k]);
+    }
+  }
+  std::sort(tgained_.begin(), tgained_.end());
+  std::sort(tlists_.begin(), tlists_.end());
+  tlists_.erase(std::unique(tlists_.begin(), tlists_.end()), tlists_.end());
+
+  auto& offs = tpatch_offsets_;
+  auto& srcs = tpatch_targets_;
+  offs.resize(static_cast<size_t>(n_orig_) + 1);
+  srcs.clear();
+  offs[0] = 0;
+  const auto old_offs = dgt_.offsets();
+  const auto old_srcs = dgt_.targets();
+  int from = 0;
+  const auto copy_span = [&](int to) {
+    if (from >= to) return;
+    const int first = old_offs[from];
+    const int shift = static_cast<int>(srcs.size()) - first;
+    for (int t = from; t < to; ++t) offs[t + 1] = old_offs[t + 1] + shift;
+    srcs.insert(srcs.end(), old_srcs.begin() + first,
+                old_srcs.begin() + old_offs[to]);
+  };
+  size_t g = 0;
+  for (int t : tlists_) {
+    copy_span(t);
+    while (g < tgained_.size() && tgained_[g].first < t) ++g;
+    for (int k = old_offs[t]; k < old_offs[t + 1]; ++k) {
+      const int u = old_srcs[k];
+      if (rewritten(u)) continue;
+      for (; g < tgained_.size() && tgained_[g].first == t &&
+             tgained_[g].second < u;
+           ++g) {
+        srcs.push_back(tgained_[g].second);
+      }
+      srcs.push_back(u);
+    }
+    for (; g < tgained_.size() && tgained_[g].first == t; ++g) {
+      srcs.push_back(tgained_[g].second);
+    }
+    offs[t + 1] = static_cast<int>(srcs.size());
+    from = t + 1;
+  }
+  copy_span(n_orig_);
 }
 
 void ChurnEngine::poisson_schedule(std::uint64_t seed, int batch_tag,

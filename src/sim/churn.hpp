@@ -27,12 +27,15 @@
 ///     induction, so the SCC count (a graph property) and hence the
 ///     certificate match exactly.  Escalates to the sharded full rebuild
 ///     when the dirty fraction crosses `ChurnOptions::dirty_threshold`.
-///   * Certificate: the Tarjan SCC count plugs into
+///   * Certificate: the cached hub in/out trees re-certify from the dirty
+///     frontier (graph::IncrementalSccCert, in-edges read off the patched
+///     transpose); otherwise the Tarjan SCC count plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
 ///
-/// Index space: the engine's plan, certified CSR, spatial grid and witness
-/// trees all live in *original* id space (dead ids are empty rows) and are
-/// patched in place, so a warm step touches only its region.  Compact
+/// Index space: the engine's plan, certified CSR and its transpose, spatial
+/// grid and witness trees all live in *original* id space (dead ids are
+/// empty rows) and are patched in place, so a warm step touches only its
+/// region.  Compact
 /// (surviving-only) ids exist only where a from-scratch stage runs — the
 /// escalated plan, the pool Kruskal, the sharded full digraph build — and
 /// those scatter their output back once.
@@ -239,6 +242,9 @@ class ChurnEngine {
   /// row points at.  Bind an AuditSession to it (`AuditSession::bind`) to
   /// run the full metric sweep without a rebuild.
   const graph::Digraph& certified_digraph() const { return dg_; }
+  /// Its transpose (row u lists the sources of u's in-edges, ascending),
+  /// kept equal to `certified_digraph().reversed()` by patching.
+  const graph::Digraph& certified_transpose() const { return dgt_; }
   const StepReport& last_report() const { return report_; }
   core::PlanSession& plan_session() { return session_; }
 
@@ -276,7 +282,9 @@ class ChurnEngine {
   int certify_sccs();
   void build_digraph();
   void full_build();
-  void install(std::vector<int>& offsets, std::vector<int>& targets);
+  void patch_transpose();
+  void install(graph::Digraph& g, std::vector<int>& offsets,
+               std::vector<int>& targets);
   void reseed_pool();
 
   core::PlanSession session_;  ///< always serial inside (determinism anchor)
@@ -298,7 +306,6 @@ class ChurnEngine {
   std::vector<int> touched_;       ///< nodes with an applied event
   std::vector<int> touch_stamp_;   ///< == batch_: in touched_
   std::vector<char> start_alive_;  ///< alive when the batch began (touched)
-  std::vector<geom::Point> start_pos_;  ///< position then (touched)
   std::vector<int> event_nodes_; ///< alive & (moved|recovered), ascending
   std::vector<int> batch_dead_;  ///< fails applied this batch, ascending
   std::vector<int> pending_fails_;  ///< buffered pool erases (one batch)
@@ -332,8 +339,6 @@ class ChurnEngine {
   std::vector<int> mst_removed_, mst_inserted_;
   graph::IncrementalSccCert recert_;
   std::vector<int> suspects_;  ///< dirty ∪ this-batch dead, ascending
-  /// Grid query radius that bounds every accept limit of dg_'s rows.
-  double patch_qr_ = 0.0;
 
   // The plan in original space, with exact per-row maxima for the
   // certificate (rows shrink as well as grow).
@@ -346,10 +351,17 @@ class ChurnEngine {
   // circulate through Digraph adopt/release, so warm steady-state steps of
   // either flavour allocate nothing.
   graph::Digraph dg_;
+  /// dg_'s transpose, in-lists in ascending source order — always exactly
+  /// `dg_.reversed_into`: the full build transposes, the row patch patches
+  /// the in-lists its rewritten rows touch.
+  graph::Digraph dgt_;
   core::CertifyScratch cx_;
   spatial::GridIndex grid_;  ///< alive positions, kept current per event
   std::vector<int> patch_offsets_, patch_targets_;
+  std::vector<int> tpatch_offsets_, tpatch_targets_;
   std::vector<int> rewrite_;  ///< rows the patch rewrites, ascending
+  std::vector<std::pair<int, int>> tgained_;  ///< (target, rewritten source)
+  std::vector<int> tlists_;  ///< in-lists the row patch changes, ascending
   std::vector<std::pair<int, int>> event_hits_;  ///< (clean row, event node)
 
   // Frozen-survivor audit scratch.
@@ -358,7 +370,7 @@ class ChurnEngine {
   graph::Digraph frozen_;
   graph::SccResult scc_result_;
   std::vector<int> scc_sizes_;
-  graph::Digraph transpose_;
+  graph::Digraph frozen_t_;  ///< k-level probe transpose of frozen_
   graph::ReachScratch reach_;
   std::vector<char> probe_removed_;
 

@@ -15,14 +15,18 @@
 //   * The locality guarantee itself: under small fail batches the
 //     localized repair + warm frontier orienter must carry >= 90% of the
 //     steps (the rest being the first recording batch and deterministic
-//     escalations), with affected regions far below n.
+//     escalations), each region equal to a from-scratch fragment oracle.
+//   * Big cuts: schedules that strand thousands of nodes (highest tree
+//     degrees, rate-6/n attrition, the hub's out-neighbours at
+//     n = 5000-20000) equal a fresh plan and the Tarjan audit reference
+//     step by step; hub-neighbour fails keep the certificate; a long
+//     detached chain is welded by the warm orienter without tearing.
 //   * Light recover/move batches at n=2000 whose stars are read by a
 //     non-escalating step (localized repair or pool Kruskal), with parity
 //     at every thread count.
 //   * Pool-Kruskal batches stay warm: attrition and move schedules at
-//     n=2000 that mostly miss rung 1, where every rung-2 batch whose
-//     global gates held re-planned only its region, with parity at every
-//     thread count.
+//     n=2000, where every rung-2 batch whose global gates held
+//     re-planned only its region, with parity at every thread count.
 //
 // Everything here is deterministic: schedules are fixed functions of
 // (seed, batch), and every escalation decision is a pure function of the
@@ -32,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string_view>
 #include <utility>
@@ -44,6 +49,7 @@
 #include "mst/emst.hpp"
 #include "mst/repair.hpp"
 #include "sim/churn.hpp"
+#include "reference_frozen_audit.hpp"
 #include "thread_counts.hpp"
 
 namespace geom = dirant::geom;
@@ -342,35 +348,95 @@ TEST(ChurnSublinear, AllMoveBatchesMatchFromScratchAtEveryThreadCount) {
   });
 }
 
+// The exact affected region of a fail-only localized step, from scratch:
+// on the EMST of the alive set the step started from, the failed nodes cut
+// the tree into fragments; the repair touches the failed nodes, the
+// fragment seeds (their surviving tree neighbours), every node of every
+// fragment but the largest, and two endpoints per reconnecting edge.
+int fragment_region_oracle(const std::vector<geom::Point>& positions,
+                           const std::vector<char>& alive_before,
+                           const std::vector<int>& failed) {
+  const int n = static_cast<int>(positions.size());
+  std::vector<int> orig_of;
+  std::vector<geom::Point> compact;
+  for (int u = 0; u < n; ++u) {
+    if (!alive_before[u]) continue;
+    orig_of.push_back(u);
+    compact.push_back(positions[u]);
+  }
+  const mst::Tree tree = mst::emst(compact);
+  std::vector<std::vector<int>> adj(n);
+  for (const auto& e : tree.edges) {
+    adj[orig_of[e.u]].push_back(orig_of[e.v]);
+    adj[orig_of[e.v]].push_back(orig_of[e.u]);
+  }
+  std::vector<char> gone(n, 0);
+  for (int w : failed) gone[w] = 1;
+  std::vector<int> seeds;
+  for (int w : failed) {
+    for (int x : adj[w]) {
+      if (!gone[x]) seeds.push_back(x);
+    }
+  }
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  const int base = static_cast<int>(failed.size() + seeds.size());
+  std::vector<char> seen(n, 0);
+  int fragments = 0, total = 0, largest = 0;
+  for (int s : seeds) {
+    if (seen[s]) continue;
+    ++fragments;
+    std::vector<int> queue{s};
+    seen[s] = 1;
+    for (size_t i = 0; i < queue.size(); ++i) {
+      for (int y : adj[queue[i]]) {
+        if (gone[y] || seen[y]) continue;
+        seen[y] = 1;
+        queue.push_back(y);
+      }
+    }
+    const int size = static_cast<int>(queue.size());
+    total += size;
+    largest = std::max(largest, size);
+  }
+  if (fragments <= 1) return base;
+  return base + (total - largest) + 2 * (fragments - 1);
+}
+
 TEST(ChurnSublinear, LocalizedPathCoversSmallFailBatches) {
   // The locality contract: under small-batch attrition (<= 8 events — the
   // workload the sub-linear path exists for), >= 90% of steps must stay on
   // BOTH warm layers — localized MST repair (no pool Kruskal) and the warm
-  // frontier orienter (no O(n) sweep) — with affected regions far below
-  // n.  The only permitted exceptions are the first batch (rung 2: its
-  // pool Kruskal seeds the repair layer) and deterministic mst-region
-  // fallbacks when the poisson draw overshoots the small-batch regime.
+  // frontier orienter (no O(n) sweep).  The only permitted exception is
+  // the first batch (rung 2: its pool Kruskal seeds the repair layer).
+  // Every localized step's region is exactly what the failures cut off
+  // the tree apart from its largest fragment (the from-scratch fragment
+  // oracle above), never a walk over the whole tree.
   const core::ProblemSpec spec{2, kPi};
   const auto pts = make_points(10000, 777);
   sim::ChurnEngine eng;
   eng.init(pts, spec);
   const int batches = 30;
   int small_batches = 0, warm_localized = 0;
-  int max_region = 0;
   std::vector<sim::ChurnEvent> events;
+  std::vector<int> failed;
   for (int b = 1; b <= batches; ++b) {
     events.clear();
     eng.poisson_schedule(321, b, 0.0005, 0.0, 0.0, 0.0, events);
+    const std::vector<char> alive_before = eng.alive();
     const auto& rep = eng.step(events);
-    int applied = 0;
-    for (const auto& ev : rep.events) applied += ev.applied ? 1 : 0;
+    failed.clear();
+    for (const auto& ev : rep.events) {
+      if (ev.applied) failed.push_back(ev.event.node);
+    }
+    const int applied = static_cast<int>(failed.size());
     if (applied <= 8) ++small_batches;
     if (rep.localized_mst && rep.warm_orient) {
       if (applied <= 8) ++warm_localized;
-      max_region = std::max(max_region, rep.mst_region);
       EXPECT_GT(rep.mst_region, 0);
-      // The repair layer's own documented walk budget bounds the region.
-      EXPECT_LE(rep.mst_region, 256 + eng.alive_count() / 4);
+      EXPECT_EQ(rep.mst_region,
+                fragment_region_oracle(eng.positions(), alive_before, failed))
+          << "batch " << b;
       EXPECT_LE(rep.orient_planned, 64)
           << "warm re-plan left the affected frontier";
     }
@@ -380,9 +446,6 @@ TEST(ChurnSublinear, LocalizedPathCoversSmallFailBatches) {
       << "schedule drifted out of the small-batch regime";
   EXPECT_GE(10 * warm_localized, 9 * small_batches)
       << "sub-linear path covered fewer than 90% of small-batch steps";
-  EXPECT_GT(max_region, 0);
-  EXPECT_LE(max_region, static_cast<int>(pts.size()) / 3)
-      << "affected region is no longer local at n=10000";
 }
 
 TEST(ChurnSublinear, WarmStepCountersSmoke) {
@@ -535,9 +598,10 @@ TEST(ChurnSublinear, PoolKruskalBatchesStayWarm) {
   // a rung-2 batch — the first batch after an escalation among them —
   // re-plans only its region, unless lmax or the root changed: those
   // gates send it to the fresh sweep by design.  ~1% attrition at n=2000
-  // mostly overflows rung 1's region cap; moves grow the pool past its
-  // size guard every few batches, so escalations and their rung-2
-  // successors alternate.
+  // stays on rung 1 after its cold batch (the repair walks exact
+  // fragments, with no region cap), so that batch is its rung-2 case;
+  // moves grow the pool past its size guard every few batches, so
+  // escalations and their rung-2 successors alternate.
   struct Schedule {
     const char* name;
     double fail_rate, move_rate, move_radius;
@@ -587,6 +651,140 @@ TEST(ChurnSublinear, PoolKruskalBatchesStayWarm) {
       }
     });
   }
+}
+
+// ---------------------------------------------------------------------
+// Big cuts: failures that split the tree (and the certified digraph) into
+// large pieces.  Before the repair layer read exact fragment sizes off its
+// Euler tours, these steps fell into an O(n) relabel of the whole tree, and
+// before anchorage walks memoized negative verdicts, fails next to the hub
+// exhausted the certificate's graft budget.
+// ---------------------------------------------------------------------
+
+// Fail up to `count` out-neighbours of the certificate's hub (the smallest
+// alive id): each one roots a large out-subtree.
+void hub_neighbour_fails(const sim::ChurnEngine& eng, int count,
+                         std::vector<sim::ChurnEvent>& out) {
+  int hub = 0;
+  while (!eng.alive()[hub]) ++hub;
+  for (int t : eng.certified_digraph().out(hub)) {
+    if (count-- == 0) break;
+    out.push_back({sim::ChurnEventKind::kFail, t, {}});
+  }
+}
+
+TEST(ChurnSublinear, BigCutSchedulesMatchFromScratch) {
+  // Three schedules whose steps cut off thousands of nodes: the highest
+  // tree degrees (adversarial_schedule), poisson attrition at rate 6/n
+  // (the churn_small_50k workload's, at smaller n) and the hub's
+  // out-neighbours.  Each step's plan and certificate must equal a fresh
+  // plan's, its pre-repair audit the frozen-copy Tarjan reference's, and
+  // the step must stay on the localized repair.  The schedules include
+  // steps that used to relabel the whole tree (adversarial n=5000 steps 3,
+  // 5, 10; poisson n=5000 steps 4, 6, 9; adversarial n=20000 step 7).
+  struct Case {
+    int n, steps, mode;  // mode 0 poisson, 1 adversarial, 2 hub neighbours
+  };
+  const Case cases[] = {{5000, 10, 1}, {5000, 10, 0}, {20000, 7, 1},
+                        {5000, 8, 2}};
+  const core::ProblemSpec spec{2, kPi};
+  for (const Case& c : cases) {
+    const auto pts = make_points(c.n, 3);
+    sim::ChurnEngine eng;
+    eng.init(pts, spec);
+    std::vector<sim::ChurnEvent> events;
+    int big = 0;
+    for (int b = 1; b <= c.steps; ++b) {
+      events.clear();
+      if (c.mode == 0) {
+        eng.poisson_schedule(22, b, 6.0 / c.n, 0.0, 0.0, 0.0, events);
+      } else if (c.mode == 1) {
+        eng.adversarial_schedule(2, events);
+      } else {
+        hub_neighbour_fails(eng, 2, events);
+      }
+      const auto prev = dirant::test::certified_rows(eng);
+      const auto& rep = eng.step(events);
+      const auto want = dirant::test::reference_frozen_audit(prev, eng, false);
+      EXPECT_EQ(rep.degraded.largest_scc, want.largest_scc)
+          << "n " << c.n << " mode " << c.mode << " step " << b;
+      EXPECT_EQ(rep.degraded.stranded, want.stranded)
+          << "n " << c.n << " mode " << c.mode << " step " << b;
+      big += rep.degraded.stranded.size() >= 500 ? 1 : 0;
+      if (b > 1) {
+        EXPECT_TRUE(rep.localized_mst)
+            << "n " << c.n << " mode " << c.mode << " step " << b;
+      }
+      expect_matches_from_scratch(eng, spec, 1, b);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(big, 0) << "n " << c.n << " mode " << c.mode
+                      << ": no step cut off a large piece";
+  }
+}
+
+TEST(ChurnSublinear, HubNeighbourFailsKeepTheCertificate) {
+  // Failing the hub's out-neighbours orphans big out-subtrees whose
+  // re-anchoring runs through long unanchored chains.  Walking such a
+  // chain again for every candidate parent exhausted the graft's walk
+  // budget on steps 11-13 and 15 of this schedule, which then paid a full
+  // SCC pass and a tree rebuild; with negative verdicts memoized until the
+  // next attachment, every step re-certifies from the frontier.
+  const core::ProblemSpec spec{2, kPi};
+  const auto pts = make_points(5000, 3);
+  sim::ChurnEngine eng;
+  eng.init(pts, spec);
+  std::vector<sim::ChurnEvent> events;
+  for (int b = 1; b <= 15; ++b) {
+    events.clear();
+    hub_neighbour_fails(eng, 2, events);
+    const auto& rep = eng.step(events);
+    EXPECT_TRUE(rep.cert_reused) << "step " << b;
+    EXPECT_TRUE(rep.certificate.ok()) << "step " << b;
+  }
+}
+
+TEST(ChurnSublinear, WarmOrienterWeldsALongDetachedChain) {
+  // A spine c_0 … c_{L-1} (unit spacing, tiny jitter), a point Z three
+  // units above c_1 that fixes lmax, and P two-node teeth x_i → t_i
+  // hanging above the spine far right of c_k.  One batch fails c_k and
+  // every x_i: the spine right of c_k is a long detached chain, every t_i
+  // a singleton, and each added edge (c_j, t_i) waits in Phase B until
+  // the weld (c_{k-1}, c_{k+1}), listed last, anchors the chain.  Ids
+  // run from the chain's far end inwards, so the deepest c_j come first.
+  // Re-walking the chain for every pending edge costs ~P²·spacing/2 steps,
+  // over the orienter's 4n + 1024 budget (it tore and re-planned fresh);
+  // memoized negative verdicts walk it once per weld.
+  const int k = 10, P = 60, spacing = 30;
+  const int L = k + spacing * (P + 1);
+  const int n = L + 1 + 2 * P;
+  std::vector<geom::Point> pts(n);
+  const auto spine = [](int p) {
+    return geom::Point{static_cast<double>(p), 0.01 * std::sin(1.7 * p)};
+  };
+  pts[0] = spine(0);
+  for (int p = k + 1; p < L; ++p) pts[L - p] = spine(p);
+  for (int p = 1; p <= k; ++p) pts[L - k - 1 + p] = spine(p);
+  pts[L] = geom::Point{1.003, 3.0};
+  std::vector<sim::ChurnEvent> fails{
+      {sim::ChurnEventKind::kFail, L - 1, {}}};  // c_k
+  for (int i = 0; i < P; ++i) {
+    const double x = k + spacing * (i + 1) + 0.003;
+    pts[L + 1 + 2 * i] = geom::Point{x, 0.6};
+    pts[L + 2 + 2 * i] = geom::Point{x + 0.002, 1.2};
+    fails.push_back({sim::ChurnEventKind::kFail, L + 1 + 2 * i, {}});
+  }
+  const core::ProblemSpec spec{2, kPi};
+  sim::ChurnEngine eng;
+  eng.init(pts, spec);
+  const double lmax = eng.last_result().lmax;
+  eng.step({});  // rung 2 seeds the repair layer
+  const auto& rep = eng.step(fails);
+  ASSERT_EQ(rep.alive, n - 1 - P);
+  EXPECT_EQ(eng.last_result().lmax, lmax) << "Z no longer fixes lmax";
+  EXPECT_TRUE(rep.localized_mst);
+  EXPECT_TRUE(rep.warm_orient) << "the warm orienter tore on the long chain";
+  expect_matches_from_scratch(eng, spec, 1, 2);
 }
 
 }  // namespace

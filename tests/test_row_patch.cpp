@@ -360,3 +360,68 @@ TEST(RowPatch, AcceptingRowsEqualsEveryRowTimesEveryEvent) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------
+// The engine's transpose: the row patch patches it alongside the CSR and
+// the full build transposes afresh, and either way it must equal
+// `certified_digraph().reversed()` exactly — offsets and in-list order
+// (ascending source) — after every step.
+// ---------------------------------------------------------------------
+
+namespace {
+
+void expect_transpose_exact(const sim::ChurnEngine& eng, int threads,
+                            int step) {
+  const auto want = eng.certified_digraph().reversed();
+  const auto& got = eng.certified_transpose();
+  ASSERT_EQ(got.size(), want.size());
+  const auto go = got.offsets(), wo = want.offsets();
+  const auto gt = got.targets(), wt = want.targets();
+  ASSERT_TRUE(std::equal(go.begin(), go.end(), wo.begin(), wo.end()))
+      << "offsets, threads " << threads << " step " << step;
+  ASSERT_TRUE(std::equal(gt.begin(), gt.end(), wt.begin(), wt.end()))
+      << "in-lists, threads " << threads << " step " << step;
+}
+
+}  // namespace
+
+TEST(RowPatch, PatchedTransposeEqualsReversedAtEveryThreadCount) {
+  const core::ProblemSpec spec{2, kPi};
+  geom::Rng rng(4711);
+  const auto pts =
+      geom::make_instance(geom::Distribution::kUniformSquare, 1500, rng);
+  for_each_thread_count([&](int t) {
+    // The patch path (and, through its escalations, the full build) under
+    // fail-only, fail/recover/move and adversarial batches; then a run
+    // whose every step takes the full build.
+    for (const double threshold : {0.25, -1.0}) {
+      sim::ChurnOptions opts;
+      opts.dirty_threshold = threshold;
+      sim::ChurnEngine eng;
+      eng.set_threads(t);
+      eng.init(pts, spec, opts);
+      expect_transpose_exact(eng, t, 0);
+      bool patched = false, full = false;
+      std::vector<sim::ChurnEvent> events;
+      for (int b = 1; b <= 24; ++b) {
+        events.clear();
+        if (b % 6 == 0) {
+          eng.adversarial_schedule(3, events);
+        } else if (b % 2 == 0) {
+          eng.poisson_schedule(91, b, 0.004, 0.3, 0.004, 0.02, events);
+        } else {
+          eng.poisson_schedule(91, b, 0.004, 0.0, 0.0, 0.0, events);
+        }
+        const auto& rep = eng.step(events);
+        (rep.incremental_digraph ? patched : full) = true;
+        expect_transpose_exact(eng, t, b);
+        if (HasFatalFailure()) return;
+      }
+      if (threshold > 0.0) {
+        EXPECT_TRUE(patched) << "no step took the row patch";
+      } else {
+        EXPECT_TRUE(full) << "no step took the full build";
+      }
+    }
+  });
+}
