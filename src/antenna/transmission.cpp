@@ -19,102 +19,99 @@ constexpr unsigned kBeam = 1u;  ///< width == 0: pure tolerance-band test
 constexpr unsigned kFull = 2u;  ///< width >= 2*pi - tol: all directions
 constexpr unsigned kWide = 4u;  ///< width > pi: test the complement wedge
 
-using FlatSector = TransmissionScratch::FlatSector;
+/// One sector prepared for the window scan: boundary directions, squared
+/// radius limit and the clamped grid cell window of its bounding box.
+struct FlatSector {
+  double sx, sy, ex, ey;  ///< boundary-ray unit directions
+  double limit2;          ///< squared radius limit incl. tolerances
+  int x_lo, x_hi, y_lo, y_hi;  ///< clamped cell window
+  unsigned flags;              ///< kBeam / kFull / kWide bits
+};
 
 /// Immutable per-build inputs shared (read-only) by every shard.
 struct BuildCtx {
   std::span<const Point> pts;
+  const Orientation* o;
   const spatial::GridIndex* grid;
-  const FlatSector* flat;
-  const int* sector_start;  ///< per-node prefix into flat (n+1 entries)
-  double exact_band;        ///< sin(angle_tol)^2, the tolerance accept band
+  double angle_tol, radius_tol;
+  double pad_scale;   ///< 2 sin(angle_tol): sideways reach of the tol cone
+  double exact_band;  ///< sin(angle_tol)^2, the tolerance accept band
   int n;
 };
 
-/// Phase 1 for nodes [u_lo, u_hi): flatten every sector into its FlatSector
-/// record — apex boundary directions, squared radius limit, clamped grid
-/// cell window.  Writes flat[sector_start[u] + j]; disjoint node ranges
-/// touch disjoint slices, so shards run this concurrently with no
-/// synchronization.  Indexed writes into the pre-sized array: push_back's
-/// per-element size bookkeeping stalls this store-heavy loop measurably.
-void flatten_range(const Orientation& o, const spatial::GridIndex& grid,
-                   std::span<const Point> pts, double angle_tol,
-                   double radius_tol, const int* sector_start,
-                   FlatSector* flat, int u_lo, int u_hi) {
-  const double sin_tol = std::min(std::sin(angle_tol), 1.0);
+/// Prepare sector `s` (boundary directions `d`) at apex `a`: squared radius
+/// limit and the clamped grid cell window of the sector's bounding box.  A
+/// pure function of its arguments, so a row's classification never depends
+/// on where or when its sectors were prepared.
+FlatSector flatten(const BuildCtx& ctx, const Point& a, const geom::Sector& s,
+                   const BoundaryDirs& d) {
+  FlatSector f;
+  const double ax = a.x, ay = a.y;
+  f.sx = d.sx;
+  f.sy = d.sy;
+  f.ex = d.ex;
+  f.ey = d.ey;
+  const double limit = s.radius * (1.0 + kRadiusRelTol) + ctx.radius_tol;
+  f.limit2 = limit * limit;
+  const double qr = limit + 1e-12;
   // Boxes inflate by the tolerance cone's sideways reach (<= r*sin(tol)),
   // doubled for margin.
-  const double pad_scale = 2.0 * sin_tol;
-  for (int u = u_lo; u < u_hi; ++u) {
-    const auto& antennas = o.antennas(u);
-    const auto& dirs = o.boundary_dirs(u);
-    for (size_t j = 0; j < antennas.size(); ++j) {
-      const auto& s = antennas[j];
-      FlatSector f;
-      f.u = u;
-      const double ax = pts[u].x, ay = pts[u].y;
-      f.sx = dirs[j].sx;
-      f.sy = dirs[j].sy;
-      f.ex = dirs[j].ex;
-      f.ey = dirs[j].ey;
-      const double limit = s.radius * (1.0 + kRadiusRelTol) + radius_tol;
-      f.limit2 = limit * limit;
-      const double qr = limit + 1e-12;
-      const double pad = qr * pad_scale + 1e-12;
-      double lo_x, lo_y, hi_x, hi_y;
-      if (s.width == 0.0) {
-        f.flags = kBeam;
-        const double tx = ax + qr * f.sx, ty = ay + qr * f.sy;
-        lo_x = std::min(ax, tx) - pad;
-        hi_x = std::max(ax, tx) + pad;
-        lo_y = std::min(ay, ty) - pad;
-        hi_y = std::max(ay, ty) + pad;
-      } else if (s.width >= kTwoPi - angle_tol) {
-        f.flags = kFull;
-        lo_x = ax - qr;
-        hi_x = ax + qr;
-        lo_y = ay - qr;
-        hi_y = ay + qr;
-      } else {
-        f.flags = s.width > kPi ? kWide : 0u;
-        // Hull of the wedge: apex, both boundary-ray endpoints, and the
-        // arc extremes at whichever cardinal directions the wedge spans.
-        lo_x = hi_x = ax;
-        lo_y = hi_y = ay;
-        const auto add = [&](double x, double y) {
-          lo_x = std::min(lo_x, x);
-          hi_x = std::max(hi_x, x);
-          lo_y = std::min(lo_y, y);
-          hi_y = std::max(hi_y, y);
-        };
-        add(ax + qr * f.sx, ay + qr * f.sy);
-        add(ax + qr * f.ex, ay + qr * f.ey);
-        static constexpr double kCardinal[4][2] = {
-            {1, 0}, {0, 1}, {-1, 0}, {0, -1}};
-        for (const auto& d : kCardinal) {
-          const double cs = f.sx * d[1] - f.sy * d[0];
-          const double ce = f.ex * d[1] - f.ey * d[0];
-          // Closed (conservative) membership: ties only enlarge the box.
-          const bool inside = (f.flags & kWide) ? !(cs < 0.0 && ce > 0.0)
-                                                : (cs >= 0.0 && ce <= 0.0);
-          if (inside) add(ax + qr * d[0], ay + qr * d[1]);
-        }
-        lo_x -= pad;
-        hi_x += pad;
-        lo_y -= pad;
-        hi_y += pad;
-      }
-      f.x_lo = grid.cell_x(lo_x);
-      f.x_hi = grid.cell_x(hi_x);
-      f.y_lo = grid.cell_y(lo_y);
-      f.y_hi = grid.cell_y(hi_y);
-      flat[sector_start[u] + static_cast<int>(j)] = f;
+  const double pad = qr * ctx.pad_scale + 1e-12;
+  double lo_x, lo_y, hi_x, hi_y;
+  if (s.width == 0.0) {
+    f.flags = kBeam;
+    const double tx = ax + qr * f.sx, ty = ay + qr * f.sy;
+    lo_x = std::min(ax, tx) - pad;
+    hi_x = std::max(ax, tx) + pad;
+    lo_y = std::min(ay, ty) - pad;
+    hi_y = std::max(ay, ty) + pad;
+  } else if (s.width >= kTwoPi - ctx.angle_tol) {
+    f.flags = kFull;
+    lo_x = ax - qr;
+    hi_x = ax + qr;
+    lo_y = ay - qr;
+    hi_y = ay + qr;
+  } else {
+    f.flags = s.width > kPi ? kWide : 0u;
+    // Hull of the wedge: apex, both boundary-ray endpoints, and the arc
+    // extremes at whichever cardinal directions the wedge spans.
+    lo_x = hi_x = ax;
+    lo_y = hi_y = ay;
+    const auto add = [&](double x, double y) {
+      lo_x = std::min(lo_x, x);
+      hi_x = std::max(hi_x, x);
+      lo_y = std::min(lo_y, y);
+      hi_y = std::max(hi_y, y);
+    };
+    add(ax + qr * f.sx, ay + qr * f.sy);
+    add(ax + qr * f.ex, ay + qr * f.ey);
+    static constexpr double kCardinal[4][2] = {
+        {1, 0}, {0, 1}, {-1, 0}, {0, -1}};
+    for (const auto& c : kCardinal) {
+      const double cs = f.sx * c[1] - f.sy * c[0];
+      const double ce = f.ex * c[1] - f.ey * c[0];
+      // Closed (conservative) membership: ties only enlarge the box.
+      const bool inside = (f.flags & kWide) ? !(cs < 0.0 && ce > 0.0)
+                                            : (cs >= 0.0 && ce <= 0.0);
+      if (inside) add(ax + qr * c[0], ay + qr * c[1]);
     }
+    lo_x -= pad;
+    hi_x += pad;
+    lo_y -= pad;
+    hi_y += pad;
   }
+  const spatial::GridIndex& grid = *ctx.grid;
+  f.x_lo = grid.cell_x(lo_x);
+  f.x_hi = grid.cell_x(hi_x);
+  f.y_lo = grid.cell_y(lo_y);
+  f.y_hi = grid.cell_y(hi_y);
+  return f;
 }
 
-/// Phase 2 for nodes [u_lo, u_hi): scan each sector's cell window, classify
-/// candidates by cross products, emit deduped rows.  Targets append into
+/// Rows for nodes [u_lo, u_hi): prepare each of node u's sectors
+/// (`flatten`, which reads only u's own row of the orientation) right
+/// before scanning its cell window, classify candidates by cross products,
+/// emit deduped rows.  Targets append into
 /// `targets` (indexed writes with doubling growth — shrunk to the emitted
 /// count on return) and the cumulative in-chunk edge count after each
 /// node's row lands in row_end[u - u_lo].  Returns the chunk's edge count.
@@ -143,11 +140,11 @@ int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
   for (int u = u_lo; u < u_hi; ++u) {
     const int row_begin = tgt_count;
     bool row_marked = false;  // true once this row's entries are in seen[]
-    const int s_lo = ctx.sector_start[u];
-    const int s_hi = ctx.sector_start[u + 1];
-    for (int fi = s_lo; fi < s_hi; ++fi) {
-      const FlatSector& f = ctx.flat[fi];
-      const bool first_sector = fi == s_lo;
+    const auto antennas = ctx.o->antennas(u);
+    const auto dirs = ctx.o->boundary_dirs(u);
+    for (size_t j = 0; j < antennas.size(); ++j) {
+      const FlatSector f = flatten(ctx, ctx.pts[u], antennas[j], dirs[j]);
+      const bool first_sector = j == 0;
 
       // Dedup + append for one accepted candidate.  A sector never accepts
       // v twice (each window cell is scanned once), so dedup is only
@@ -260,20 +257,19 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   return induced_digraph_fast(pts, o, angle_tol, radius_tol, scratch);
 }
 
-/// Two-phase grid pipeline.  Phase 1 flattens every sector into a
-/// struct-of-array record: apex, cached boundary-ray directions (from
+/// One-pass grid pipeline, in node order.  Each sector of node u is
+/// prepared right before its scan: cached boundary-ray directions (from
 /// Orientation::add — no per-query trigonometry), squared radius limit, and
 /// the clamped grid-cell window of the sector's bounding box (a zero-width
 /// beam's window is just the cells along its ray, not the whole disk
-/// square).  Phase 2 scans those windows in node order and classifies
-/// candidates by cross products against the boundary directions — an atan2
-/// only for candidates inside the thin angular tolerance band of a proper
-/// sector's boundary (the equivalence with `Sector::contains` is exact
-/// outside that band; for beams the band test IS the containment test,
-/// identical up to ~1e-16 rounding at the 1e-9 tolerance boundary).
+/// square).  Candidates in the window are classified by cross products
+/// against the boundary directions (the equivalence with `Sector::contains`
+/// is exact outside the thin angular tolerance band of a proper sector's
+/// boundary; for beams the band test IS the containment test, identical up
+/// to ~1e-16 rounding at the 1e-9 tolerance boundary).
 ///
-/// `threads > 1` shards both phases over contiguous node ranges (balanced
-/// by sector count); each shard classifies into its own row chunk and a
+/// `threads > 1` shards the rows over contiguous node ranges (balanced by
+/// sector count); each shard classifies into its own row chunk and a
 /// deterministic prefix-sum stitch concatenates the chunks into the final
 /// CSR — bit-identical to the serial build for every shard count.
 graph::Digraph induced_digraph_fast(std::span<const Point> pts,
@@ -330,39 +326,23 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   }
 
   const double sin_tol = std::min(std::sin(angle_tol), 1.0);
-
-  // Per-node sector prefix (the flat array's row index): phase 1 writes and
-  // phase 2 reads through it, and the shard boundaries balance on it.
-  auto& sector_start = scratch.sector_start;
-  sector_start.resize(static_cast<size_t>(n) + 1);
-  sector_start[0] = 0;
-  for (int u = 0; u < n; ++u) {
-    sector_start[u + 1] =
-        sector_start[u] + static_cast<int>(o.antennas(u).size());
-  }
-  const int total_sectors = sector_start[n];
-  auto& flat = scratch.flat;
-  if (static_cast<int>(flat.size()) < total_sectors) {
-    flat.resize(total_sectors);
-  }
-
-  const BuildCtx ctx{pts, &grid, flat.data(), sector_start.data(),
-                     sin_tol * sin_tol, n};
+  const BuildCtx ctx{pts,        &o,        &grid,
+                     angle_tol,  radius_tol, 2.0 * sin_tol,
+                     sin_tol * sin_tol,      n};
 
   const int shard_count = std::clamp(threads, 1, std::max(1, n));
   if (shard_count <= 1) {
     // ---- Serial build: rows stream straight into the final CSR ---------
     offsets.resize(static_cast<size_t>(n) + 1);
     offsets[0] = 0;
-    flatten_range(o, grid, pts, angle_tol, radius_tol, sector_start.data(),
-                  flat.data(), 0, n);
     classify_range(ctx, 0, n, seen, targets, offsets.data() + 1);
     return graph::Digraph(std::move(offsets), std::move(targets));
   }
 
   // ---- Sharded build -------------------------------------------------
   // Contiguous node ranges, boundaries balanced by sector count (the unit
-  // of phase-2 work).  Boundaries depend only on (sector_start, threads),
+  // of scan work): shard s ends at the first node whose sector prefix
+  // reaches its share.  Boundaries depend only on (orientation, threads),
   // never on the pool, and the output does not depend on the boundaries at
   // all — every row is computed by classify_range the same way regardless
   // of which chunk holds it.
@@ -370,18 +350,20 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   if (static_cast<int>(shards.size()) < shard_count) {
     shards.resize(shard_count);
   }
+  const long long total_sectors = o.total_antennas();
   int prev = 0;
+  long long prefix = 0;  // sectors at nodes [0, prev)
   for (int s = 0; s < shard_count; ++s) {
-    const long long want =
-        static_cast<long long>(total_sectors) * (s + 1) / shard_count;
-    int hi = s + 1 == shard_count
-                 ? n
-                 : static_cast<int>(
-                       std::lower_bound(sector_start.data() + prev,
-                                        sector_start.data() + n,
-                                        static_cast<int>(want)) -
-                       sector_start.data());
-    hi = std::clamp(hi, prev, n);
+    const long long want = total_sectors * (s + 1) / shard_count;
+    int hi = prev;
+    if (s + 1 == shard_count) {
+      hi = n;
+    } else {
+      while (hi < n && prefix < want) {
+        prefix += static_cast<long long>(o.antennas(hi).size());
+        ++hi;
+      }
+    }
     shards[s].node_lo = prev;
     shards[s].node_hi = hi;
     prev = hi;
@@ -395,8 +377,6 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     auto& shard = shards[s];
     const int lo = shard.node_lo, hi = shard.node_hi;
     shard.row_end.resize(static_cast<size_t>(hi - lo));
-    flatten_range(o, grid, pts, angle_tol, radius_tol, sector_start.data(),
-                  flat.data(), lo, hi);
     shard.edge_count =
         classify_range(ctx, lo, hi, shard.seen, shard.targets,
                        shard.row_end.data());

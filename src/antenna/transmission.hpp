@@ -27,18 +27,6 @@ namespace dirant::antenna {
 /// recycled via `GridIndex::rebuild` — a warm same-size build touches no
 /// heap at all.
 struct TransmissionScratch {
-  /// One sector flattened for the scan pass: precomputed containment
-  /// parameters plus its grid cell window.  Internal to
-  /// `induced_digraph_fast`; lives here only so the buffer is reusable.
-  /// Exactly one cache line: the scan pass streams this array.
-  struct FlatSector {
-    double sx, sy, ex, ey;  ///< boundary-ray unit directions
-    double limit2;          ///< squared radius limit incl. tolerances
-    int x_lo, x_hi, y_lo, y_hi;  ///< clamped cell window
-    int u;                       ///< source vertex (apex = pts[u])
-    unsigned flags;              ///< kBeam / kFull / kWide bits
-  };
-
   /// Per-worker buffers of the sharded build: each shard classifies a
   /// contiguous node range into its own row chunk, then the stitch pass
   /// prefix-sums the chunk sizes into the final CSR.  Nothing is shared
@@ -55,8 +43,6 @@ struct TransmissionScratch {
 
   std::vector<char> seen;      ///< per-vertex dedup marks across sectors
   std::vector<int> candidates; ///< grid range-query hit buffer
-  std::vector<FlatSector> flat;  ///< prepass output, one entry per sector
-  std::vector<int> sector_start; ///< per-node prefix into `flat` (n+1)
   std::vector<int> offsets;    ///< CSR prefix table under construction
   std::vector<int> targets;    ///< CSR edge heads under construction
   spatial::GridIndex grid;     ///< recycled spatial index (rebuild per call)

@@ -667,15 +667,14 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
   res.cases.bump("root");
   targets[1] = at[0];
 
-  // Sectors land at scattered sensor ids, so each one's output bucket is
-  // prefetched a few positions ahead: headers first, then their storage.
+  // Sectors land at scattered sensor ids, so each one's output row is
+  // prefetched a few positions ahead.
   constexpr int kAhead = 16;
   auto& out = res.orientation;
   NodePlanner pl(at, phi, R);
   int kids[5];
   for (int i = 1; i < n; ++i) {
-    if (i + 2 * kAhead < n) out.prefetch_bucket(rt.order[i + 2 * kAhead]);
-    if (i + kAhead < n) out.prefetch_storage(rt.order[i + kAhead]);
+    if (i + kAhead < n) out.prefetch(rt.order[i + kAhead]);
     const int first = rt.first_child[i];
     const int m = rt.first_child[i + 1] - first;
     for (int j = 0; j < m; ++j) kids[j] = first + j;

@@ -146,12 +146,13 @@ bool Triangulator::run(std::span<const Point> pts) {
   return true;
 }
 
-void Triangulator::emit(Triangulation& out) const {
+void Triangulator::emit(std::vector<std::array<int, 3>>* triangles,
+                        std::vector<std::pair<int, int>>& edges) const {
   const int m = num_real();
   for (int id = 0; id < static_cast<int>(tris_.size()); ++id) {
     const Tri& t = tris_[id];
-    if (t.v[0] < m && t.v[1] < m && t.v[2] < m) {
-      out.triangles.push_back({orig_[t.v[0]], orig_[t.v[1]], orig_[t.v[2]]});
+    if (triangles && t.v[0] < m && t.v[1] < m && t.v[2] < m) {
+      triangles->push_back({orig_[t.v[0]], orig_[t.v[1]], orig_[t.v[2]]});
     }
     for (int i = 0; i < 3; ++i) {
       const int a = t.v[kNext[i]], b = t.v[kPrev[i]];
@@ -159,8 +160,8 @@ void Triangulator::emit(Triangulation& out) const {
       // A real-real edge is interior (super-triangle hosting), so its
       // neighbour exists; emitting from the lower triangle id only dedupes.
       if (t.nb[i] != -1 && t.nb[i] < id) continue;
-      out.edges.emplace_back(std::min(orig_[a], orig_[b]),
-                             std::max(orig_[a], orig_[b]));
+      edges.emplace_back(std::min(orig_[a], orig_[b]),
+                         std::max(orig_[a], orig_[b]));
     }
   }
 }
@@ -290,7 +291,18 @@ bool Triangulator::insert(int pi) {
 
 void Triangulator::triangulate(std::span<const Point> pts, Triangulation& out) {
   out.triangles.clear();
-  out.edges.clear();
+  build(pts, &out.triangles, out.edges);
+}
+
+void Triangulator::triangulate(std::span<const Point> pts,
+                               std::vector<std::pair<int, int>>& edges) {
+  build(pts, nullptr, edges);
+}
+
+void Triangulator::build(std::span<const Point> pts,
+                         std::vector<std::array<int, 3>>* triangles,
+                         std::vector<std::pair<int, int>>& edges) {
+  edges.clear();
   const int n = static_cast<int>(pts.size());
   if (n <= 1) return;
 
@@ -304,7 +316,7 @@ void Triangulator::triangulate(std::span<const Point> pts, Triangulation& out) {
   orig_.resize(n);
   std::iota(orig_.begin(), orig_.end(), 0);
   if (run(pts)) {
-    emit(out);
+    emit(triangles, edges);
     return;
   }
 
@@ -333,17 +345,16 @@ void Triangulator::triangulate(std::span<const Point> pts, Triangulation& out) {
     if (rep[i] == i) {
       orig_.push_back(i);
     } else {
-      out.edges.emplace_back(rep[i], i);  // rep[i] < i by construction
+      edges.emplace_back(rep[i], i);  // rep[i] < i by construction
     }
   }
 
   if (orig_.size() >= 2) {
     if (!run(pts)) {
-      out.edges.clear();  // signal failure: caller falls back
-      out.triangles.clear();
+      edges.clear();  // signal failure: caller falls back
       return;
     }
-    emit(out);
+    emit(triangles, edges);
   }
   // Already unique: duplicate-merge edges pair a representative with a
   // non-representative, triangulation edges pair two representatives, and

@@ -60,6 +60,11 @@ class Triangulator {
   /// identical to the free function `triangulate`.
   void triangulate(std::span<const geom::Point> pts, Triangulation& out);
 
+  /// The same edge list (same edges, same order) without the triangles:
+  /// the EMST candidate pass, which reads nothing else.
+  void triangulate(std::span<const geom::Point> pts,
+                   std::vector<std::pair<int, int>>& edges);
+
  private:
   struct Tri {
     std::array<int, 3> v;   // ccw vertices
@@ -72,7 +77,13 @@ class Triangulator {
   // Build over the input points named by orig_ and reorder orig_ (and
   // pts_) into insertion order; false on unhandled degeneracy.
   bool run(std::span<const geom::Point> pts);
-  void emit(Triangulation& out) const;  // append real triangles + edges
+  // Both public overloads: triangles are written only when non-null.
+  void build(std::span<const geom::Point> pts,
+             std::vector<std::array<int, 3>>* triangles,
+             std::vector<std::pair<int, int>>& edges);
+  // Append the real edges, and the real triangles when non-null.
+  void emit(std::vector<std::array<int, 3>>* triangles,
+            std::vector<std::pair<int, int>>& edges) const;
   int num_real() const { return static_cast<int>(orig_.size()); }
   bool in_circumcircle(int ti, const geom::Point& q) const;
   int locate(const geom::Point& p) const;

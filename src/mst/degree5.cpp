@@ -12,55 +12,64 @@ namespace dirant::mst {
 
 using geom::Point;
 
-namespace {
-
-// Drop the entry carrying `edge_idx` from one adjacency list (swap-erase;
-// lists are degree-sized, so this is O(max_degree)).
-void erase_edge_entry(std::vector<std::pair<int, int>>& list, int edge_idx) {
-  for (auto& entry : list) {
-    if (entry.second == edge_idx) {
-      entry = list.back();
-      list.pop_back();
-      return;
-    }
-  }
-  DIRANT_ASSERT_MSG(false, "adjacency desynchronised from edge list");
-}
-
-}  // namespace
-
 void enforce_max_degree(std::span<const Point> pts, Tree& t, int max_degree,
                         DegreeRepairScratch& scratch) {
   DIRANT_ASSERT(max_degree >= 2);
-  // Adjacency as (neighbour, edge-index) pairs and the degree vector are
-  // built once and maintained incrementally across swaps; over-degree
-  // vertices sit on a worklist instead of being rediscovered by a full
-  // O(n) rescan per repair.
-  auto& adj = scratch.adj;
-  adj.resize(t.n);
-  for (int v = 0; v < t.n; ++v) {
-    adj[v].clear();
-    // Keep per-vertex capacity at least one past the repair bound so
-    // same-size reruns through a warm scratch never regrow a list.
-    if (adj[v].capacity() < 8) adj[v].reserve(8);
-  }
-  for (int i = 0; i < static_cast<int>(t.edges.size()); ++i) {
-    adj[t.edges[i].u].push_back({t.edges[i].v, i});
-    adj[t.edges[i].v].push_back({t.edges[i].u, i});
-  }
+  // Degrees straight from the edge list.  An EMST of uniform points never
+  // exceeds the bound, so the common case ends here with the tree
+  // untouched.
   auto& deg = scratch.deg;
   auto& work = scratch.work;
-  auto& queued = scratch.queued;
   deg.assign(t.n, 0);
-  work.clear();
-  queued.assign(t.n, 0);
-  for (int v = 0; v < t.n; ++v) {
-    deg[v] = static_cast<int>(adj[v].size());
-    if (deg[v] > max_degree) {
-      work.push_back(v);
-      queued[v] = 1;
-    }
+  for (const auto& e : t.edges) {
+    ++deg[e.u];
+    ++deg[e.v];
   }
+  work.clear();
+  for (int v = 0; v < t.n; ++v) {
+    if (deg[v] > max_degree) work.push_back(v);
+  }
+  if (work.empty()) return;
+
+  // Repair path.  Adjacency as (neighbour, edge-index) pairs in one flat
+  // array, rows in edge-list order, maintained incrementally across swaps;
+  // over-degree vertices sit on a worklist instead of being rediscovered by
+  // a full O(n) rescan per repair.  A vertex gains an edge only while its
+  // degree is <= max_degree (see `kept_far_deg` below), so a row of
+  // max(initial degree, max_degree + 1) slots never overflows.
+  auto& row_start = scratch.row_start;
+  auto& adj = scratch.adj;
+  row_start.resize(static_cast<size_t>(t.n) + 1);
+  row_start[0] = 0;
+  for (int v = 0; v < t.n; ++v) {
+    row_start[v + 1] = row_start[v] + std::max(deg[v], max_degree + 1);
+  }
+  adj.resize(row_start[t.n]);
+  std::fill(deg.begin(), deg.end(), 0);
+  for (int i = 0; i < static_cast<int>(t.edges.size()); ++i) {
+    const int a = t.edges[i].u, b = t.edges[i].v;
+    adj[row_start[a] + deg[a]++] = {b, i};
+    adj[row_start[b] + deg[b]++] = {a, i};
+  }
+  const auto push = [&](int v, std::pair<int, int> entry) {
+    DIRANT_ASSERT(row_start[v] + deg[v] < row_start[v + 1]);
+    adj[row_start[v] + deg[v]++] = entry;
+  };
+  // Drop the entry carrying `edge_idx` from v's row (swap with the last).
+  const auto erase = [&](int v, int edge_idx) {
+    const int lo = row_start[v], hi = lo + deg[v];
+    for (int k = lo; k < hi; ++k) {
+      if (adj[k].second == edge_idx) {
+        adj[k] = adj[hi - 1];
+        --deg[v];
+        return;
+      }
+    }
+    DIRANT_ASSERT_MSG(false, "adjacency desynchronised from edge list");
+  };
+  auto& queued = scratch.queued;
+  queued.assign(t.n, 0);
+  for (const int v : work) queued[v] = 1;
 
   const int cap = 16 * std::max(1, t.n);
   int iter = 0;
@@ -73,7 +82,8 @@ void enforce_max_degree(std::span<const Point> pts, Tree& t, int max_degree,
 
     // Sort u's incident edges by angle; examine consecutive pairs.
     auto& inc = scratch.inc;
-    inc.assign(adj[u].begin(), adj[u].end());
+    inc.assign(adj.begin() + row_start[u],
+               adj.begin() + row_start[u] + deg[u]);
     std::sort(inc.begin(), inc.end(), [&](const auto& a, const auto& b) {
       return geom::angle_to(pts[u], pts[a.first]) <
              geom::angle_to(pts[u], pts[b.first]);
@@ -90,8 +100,8 @@ void enforce_max_degree(std::span<const Point> pts, Tree& t, int max_degree,
       const auto [w, ew] = inc[(i + 1) % m];
       const double chord = geom::dist(pts[v], pts[w]);
       const double lv = t.edges[ev].length, lw = t.edges[ew].length;
-      // Candidate 1: drop (u,v)  -> w gains nothing, v gains chord... both
-      // chord endpoints gain; the dropped edge's far endpoint loses one.
+      // Both chord endpoints gain the chord; the dropped edge's far
+      // endpoint loses one, so only the kept edge's far endpoint gains.
       for (int drop = 0; drop < 2; ++drop) {
         const int edge_idx = drop == 0 ? ev : ew;
         const int dropped_far = drop == 0 ? v : w;
@@ -117,12 +127,10 @@ void enforce_max_degree(std::span<const Point> pts, Tree& t, int max_degree,
                             geom::dist(pts[best_keep_v], pts[best_other_w])};
     // Incremental bookkeeping: u loses the dropped edge, best_other_w gains
     // the chord, best_keep_v trades one for the other (degree unchanged).
-    erase_edge_entry(adj[u], best_remove);
-    erase_edge_entry(adj[best_keep_v], best_remove);
-    adj[best_keep_v].push_back({best_other_w, best_remove});
-    adj[best_other_w].push_back({best_keep_v, best_remove});
-    --deg[u];
-    ++deg[best_other_w];
+    erase(u, best_remove);
+    erase(best_keep_v, best_remove);
+    push(best_keep_v, {best_other_w, best_remove});
+    push(best_other_w, {best_keep_v, best_remove});
     if (deg[u] > max_degree && !queued[u]) {
       work.push_back(u);
       queued[u] = 1;

@@ -17,16 +17,18 @@
 
 namespace dirant::mst {
 
-/// Working memory for the repair pass: incremental adjacency as
-/// (neighbour, edge-index) pairs, the degree vector and the over-degree
-/// worklist.  Buffers (including the per-vertex adjacency lists) keep their
-/// capacity across calls.
+/// Working memory for the repair pass: the degree vector and the
+/// over-degree worklist, plus — only when some vertex exceeds the bound —
+/// a flat adjacency of (neighbour, edge-index) pairs with per-vertex slack
+/// for the swaps.  Buffers keep their capacity across calls.
 struct DegreeRepairScratch {
-  std::vector<std::vector<std::pair<int, int>>> adj;
-  std::vector<int> deg;
-  std::vector<int> work;
+  std::vector<int> deg;  ///< per-vertex degree (the row length when repairing)
+  std::vector<int> work;  ///< over-degree vertices awaiting a swap
+  // The rest is touched only when some vertex exceeds the bound.
+  std::vector<int> row_start;  ///< flat adjacency row starts (n + 1)
+  std::vector<std::pair<int, int>> adj;  ///< (neighbour, edge index) slots
   std::vector<char> queued;
-  std::vector<std::pair<int, int>> inc;  ///< sorted copy of one vertex's list
+  std::vector<std::pair<int, int>> inc;  ///< sorted copy of one vertex's row
 };
 
 /// Returns a spanning tree with max degree <= max_degree (>= 2 required;

@@ -42,7 +42,7 @@ void EmstEngine::emst(std::span<const geom::Point> pts, Tree& out,
     return;
   }
   scratch.triangulator.triangulate(pts, scratch.candidates);
-  const auto& dt_edges = scratch.candidates.edges;
+  const auto& dt_edges = scratch.candidates;
   if (dt_edges.empty() && n > 1) {  // degenerate input
     scratch.last_kind = EngineKind::kPrim;
     prim_emst(pts, out, scratch.prim);

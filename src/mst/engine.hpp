@@ -18,6 +18,8 @@
 /// engine) so the selection policy stays in one place.
 
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "delaunay/delaunay.hpp"
 #include "geometry/point.hpp"
@@ -52,10 +54,12 @@ struct EmstScratch {
   KruskalScratch kruskal;
   DegreeRepairScratch repair;
   delaunay::Triangulator triangulator;
-  delaunay::Triangulation candidates;
+  /// Delaunay edges of the last input (the triangulator emits no
+  /// triangles on this path).
+  std::vector<std::pair<int, int>> candidates;
   /// Which builder the last `EmstEngine::emst` call actually ran (kAuto
   /// until the first call).  kDelaunayKruskal certifies that
-  /// `candidates.edges` holds the full Delaunay edge set of the last input —
+  /// `candidates` holds the full Delaunay edge set of the last input —
   /// the precondition for seeding an incremental candidate pool
   /// (sim::ChurnEngine).  kPrim means the candidates are absent or stale
   /// (small input, degenerate triangulation, or a disconnected-candidate

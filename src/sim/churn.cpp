@@ -645,7 +645,7 @@ int ChurnEngine::certify_sccs() {
 void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
   if (es.last_kind == mst::EngineKind::kDelaunayKruskal) {
-    pool_edges_.seed(es.candidates.edges, orig_of_);
+    pool_edges_.seed(es.candidates, orig_of_);
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent
     // or stale, so the pool stays invalid and the next step escalates too.

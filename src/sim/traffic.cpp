@@ -274,6 +274,33 @@ void TrafficEngine::rebuild_routes() {
   const int nd = static_cast<int>(dsts_.size());
   const size_t cells = static_cast<size_t>(nd) * n_;
   tree_memo_.assign(cells, Hop{-1, kUnknownEdge});
+  // Route targets per destination slot, bucketed by slot: every flow
+  // source bound for it (future injections start there) and the holder of
+  // every live copy bound for it.  Until the next rebuild a packet only
+  // moves to a hop one step closer to its destination (an ARQ retry stays
+  // put), so it never reaches a node farther than the farthest target.
+  auto& off = route_off_;
+  auto& targets = route_targets_;
+  off.assign(static_cast<size_t>(nd) + 1, 0);
+  for (const Flow& fl : schedule_->flows) ++off[dst_slot_of_[fl.dst] + 1];
+  for (int c = 0; c < static_cast<int>(pool_.size()); ++c) {
+    if (slot_live_[c]) ++off[dst_slot_of_[pool_[c].dst] + 1];
+  }
+  for (int s = 0; s < nd; ++s) off[s + 1] += off[s];
+  targets.resize(off[nd]);
+  for (const Flow& fl : schedule_->flows) {
+    targets[off[dst_slot_of_[fl.dst]]++] = fl.src;
+  }
+  for (int c = 0; c < static_cast<int>(pool_.size()); ++c) {
+    if (slot_live_[c]) {
+      targets[off[dst_slot_of_[pool_[c].dst]]++] = pool_[c].node;
+    }
+  }
+  for (int s = nd; s > 0; --s) off[s] = off[s - 1];
+  off[0] = 0;
+
+  dist_.assign(n_, -1);
+  route_mark_.assign(n_, 0);
   for (int s = 0; s < nd; ++s) {
     const int dst = dsts_[s];
     Hop* next = tree_memo_.data() + static_cast<size_t>(s) * n_;
@@ -281,32 +308,57 @@ void TrafficEngine::rebuild_routes() {
       stranded_mask_[dst] = 1;
       continue;
     }
-    bool reachable = false;
-    if (tree_ != nullptr) {
-      // Static mode with a recorded orientation tree: hop toward the BFS
-      // parent on the tree path to dst.
-      dist_.assign(n_, -1);
+    // Mark the distinct targets other than dst itself.
+    int pending = 0;
+    for (int k = off[s]; k < off[s + 1]; ++k) {
+      const int u = targets[k];
+      if (u != dst && !route_mark_[u]) {
+        route_mark_[u] = 1;
+        ++pending;
+      }
+    }
+    // BFS toward dst, stopping once every target is discovered and the
+    // last one's level L >= 1 is complete: only nodes with dist < L are
+    // expanded.  L >= 1 keeps `reachable` exact (level 1 is always
+    // discovered); an unreachable target runs the BFS to exhaustion.
+    int stop = pending == 0 ? 1 : -1;
+    const auto bfs = [&](auto&& in_neighbours, bool record_parent) {
       auto& q = bfs_.queue;
       q.clear();
       q.push_back(dst);
       dist_[dst] = 0;
       for (size_t h = 0; h < q.size(); ++h) {
         const int x = q[h];
-        for (int y : tree_adj_[x]) {
+        if (stop >= 0 && dist_[x] >= stop) break;
+        for (int y : in_neighbours(x)) {
           if (dist_[y] >= 0) continue;
           dist_[y] = dist_[x] + 1;
-          next[y].v = x;
+          if (record_parent) next[y].v = x;
           q.push_back(y);
-          reachable = true;
+          if (route_mark_[y] && --pending == 0) {
+            stop = std::max(dist_[y], 1);
+          }
         }
       }
+    };
+    bool reachable = false;
+    if (tree_ != nullptr) {
+      // Static mode with a recorded orientation tree: hop toward the BFS
+      // parent on the tree path to dst.
+      bfs([&](int x) -> const std::vector<int>& { return tree_adj_[x]; },
+          true);
+      reachable = bfs_.queue.size() > 1;
     } else {
       // BFS in-tree of the certified digraph: distances-to-dst via the
-      // transpose; next hop = first out-neighbour one step closer.
-      graph::bfs_distances(audit_.transpose(), dst, dist_, bfs_);
-      for (int u = 0; u < n_; ++u) {
+      // transpose; next hop = first out-neighbour one step closer.  Every
+      // discovered node's distance is final, and every node one step
+      // closer than a discovered one is discovered, so the scan over the
+      // discovered nodes picks the hops a full BFS would.
+      const graph::Digraph& gt = audit_.transpose();
+      bfs([&](int x) { return gt.out(x); }, false);
+      for (const int u : bfs_.queue) {
         const int du = dist_[u];
-        if (du <= 0) continue;  // dst itself, or cannot reach dst
+        if (du <= 0) continue;  // dst itself
         for (int v : graph_->out(u)) {
           if (dist_[v] == du - 1) {
             next[u].v = v;
@@ -316,6 +368,8 @@ void TrafficEngine::rebuild_routes() {
         }
       }
     }
+    for (const int u : bfs_.queue) dist_[u] = -1;
+    for (int k = off[s]; k < off[s + 1]; ++k) route_mark_[targets[k]] = 0;
     if (!reachable) {
       // Alive but unreachable from everyone: stranded, if anyone else is
       // around to want it.
@@ -614,13 +668,13 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
       dsts_.push_back(fl.dst);
     }
   }
+  pool_.clear();
+  slot_live_.clear();
+  free_slots_.clear();
   rebuild_routes();
 
   // Seed the event queue.
   queue_.reset();
-  pool_.clear();
-  slot_live_.clear();
-  free_slots_.clear();
   for (int b = 0; b < static_cast<int>(schedule.churn.size()); ++b) {
     push_event(schedule.churn[b].tick, EventKind::kChurn, b, 0);
   }

@@ -404,8 +404,11 @@ class TrafficEngine {
   std::vector<int> dsts_;          ///< distinct destinations, stable order
   std::vector<int> dst_slot_of_;   ///< orig id -> slot in dsts_ (-1)
   std::vector<Hop> tree_memo_;
-  std::vector<int> dist_;          ///< BFS scratch
+  std::vector<int> dist_;          ///< BFS scratch (all -1 between BFSs)
   graph::BfsScratch bfs_;
+  // Route targets of the last rebuild, bucketed by destination slot.
+  std::vector<int> route_off_, route_targets_;
+  std::vector<char> route_mark_;  ///< targets of the slot being routed
   std::vector<std::vector<int>> tree_adj_;  ///< bound recorded tree
 
   // Link loss state (Gilbert-Elliott, per CSR edge).

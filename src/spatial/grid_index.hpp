@@ -99,8 +99,8 @@ class GridIndex {
   }
 
   /// Clamped cell coordinate of a world coordinate — the same mapping the
-  /// build uses.  Two-phase pipelines (certification) precompute their cell
-  /// windows in a separate vectorizable pass and hand them back to
+  /// build uses.  Callers that shape their own query boxes (certification's
+  /// per-sector windows) map the box corners here and hand the window to
   /// `for_each_in_cell_window`.
   int cell_x(double x) const {
     return std::clamp(static_cast<int>((x - min_x_) * inv_cell_), 0, nx_ - 1);

@@ -21,6 +21,7 @@
 #include "mst/engine.hpp"
 #include "mst/facts.hpp"
 #include "mst/rooted.hpp"
+#include "reference_degree_repair.hpp"
 
 namespace geom = dirant::geom;
 namespace mst = dirant::mst;
@@ -299,6 +300,135 @@ TEST(Degree5, NoOpOnGenericInputs) {
     const auto raw = mst::prim_emst(pts);
     const auto fixed = mst::enforce_max_degree(pts, raw, 5);
     EXPECT_NEAR(raw.total_weight(), fixed.total_weight(), 1e-9);
+  }
+}
+
+/// Run the library repair and the always-build reference on `raw`; both
+/// must produce the same tree edge for edge, or both refuse.  Returns true
+/// when the raw tree exceeded `max_degree` (the repair path ran).
+bool expect_repair_matches_reference(const std::vector<geom::Point>& pts,
+                                     const mst::Tree& raw, int max_degree,
+                                     const std::string& where) {
+  mst::Tree got = raw, want;
+  bool got_threw = false, want_threw = false;
+  mst::DegreeRepairScratch scratch;
+  try {
+    mst::enforce_max_degree(pts, got, max_degree, scratch);
+  } catch (const dirant::contract_violation&) {
+    got_threw = true;
+  }
+  try {
+    want = dirant::test::reference_enforce_max_degree(pts, raw, max_degree);
+  } catch (const dirant::contract_violation&) {
+    want_threw = true;
+  }
+  EXPECT_EQ(got_threw, want_threw) << where;
+  if (!got_threw && !want_threw) {
+    EXPECT_EQ(got.n, want.n) << where;
+    EXPECT_EQ(got.edges.size(), want.edges.size()) << where;
+    for (size_t i = 0; i < std::min(got.edges.size(), want.edges.size());
+         ++i) {
+      EXPECT_TRUE(got.edges[i].u == want.edges[i].u &&
+                  got.edges[i].v == want.edges[i].v &&
+                  got.edges[i].length == want.edges[i].length)
+          << where << " edge " << i;
+    }
+  }
+  return raw.max_degree() > max_degree;
+}
+
+/// A minimum spanning tree of a tie-heavy instance with the highest degrees
+/// the ties allow: BFS from `root` over the pairs at (floating-point)
+/// minimum distance.  On a triangular lattice every such pair is a unit
+/// edge, so any spanning tree of them is an EMST up to rounding, and the
+/// BFS one gives the root and many interior vertices degree 6.
+mst::Tree bfs_tie_tree(const std::vector<geom::Point>& pts, int root,
+                       double unit) {
+  const int n = static_cast<int>(pts.size());
+  mst::Tree t;
+  t.n = n;
+  std::vector<char> seen(n, 0);
+  std::vector<int> queue{root};
+  seen[root] = 1;
+  for (size_t h = 0; h < queue.size(); ++h) {
+    const int u = queue[h];
+    for (int v = 0; v < n; ++v) {
+      if (seen[v] || geom::dist(pts[u], pts[v]) > unit * (1.0 + 1e-9)) {
+        continue;
+      }
+      seen[v] = 1;
+      t.edges.push_back({u, v, geom::dist(pts[u], pts[v])});
+      queue.push_back(v);
+    }
+  }
+  return t;
+}
+
+TEST(Degree5, RepairMatchesAlwaysBuildReference) {
+  // Families with degree-6 (or higher) minimum spanning tree vertices:
+  // triangular lattices, regular polygons around their centre, and
+  // duplicate-heavy clouds (a run of coincident copies is a zero-length
+  // star).  Most instances take the repair path (38 of the 52; a lattice
+  // BFS from a boundary root may stay within the bound), and every
+  // repaired tree must equal the reference's edge for edge.
+  int repaired = 0;
+  for (int side = 3; side <= 12; ++side) {
+    const auto pts = geom::triangular_lattice(side, side + 1, 1.0);
+    const int n = static_cast<int>(pts.size());
+    for (const int root : {n / 2, n / 3 + 1, side + 1}) {
+      repaired += expect_repair_matches_reference(
+          pts, bfs_tie_tree(pts, root, 1.0), 5,
+          "lattice " + std::to_string(side) + " root " +
+              std::to_string(root));
+    }
+  }
+  for (int d = 6; d <= 9; ++d) {
+    for (const double phase : {0.0, 0.1, 0.7}) {
+      // The centre comes last; the star of spokes (each a unit edge).
+      const auto pts = geom::star_with_center(d, 1.0, phase);
+      mst::Tree star;
+      star.n = static_cast<int>(pts.size());
+      const int centre = star.n - 1;
+      for (int i = 0; i < centre; ++i) {
+        star.edges.push_back({centre, i, geom::dist(pts[centre], pts[i])});
+      }
+      repaired += expect_repair_matches_reference(
+          pts, star, 5,
+          "star " + std::to_string(d) + " phase " + std::to_string(phase));
+    }
+  }
+  for (int seed = 0; seed < 12; ++seed) {
+    geom::Rng rng(seed);
+    auto pts = geom::uniform_square(20, 6.0, rng);
+    const size_t uniques = pts.size();
+    while (pts.size() < 80) pts.push_back(pts[rng() % uniques]);
+    repaired += expect_repair_matches_reference(
+        pts, mst::EmstEngine::shared().emst(pts), 5,
+        "duplicates seed " + std::to_string(seed));
+  }
+  EXPECT_GE(repaired, 38) << "too few instances exercised the repair path";
+}
+
+TEST(Degree5, EarlyReturnLeavesUniformTreesUntouched) {
+  // No vertex of a uniform instance's EMST exceeds degree 5, so the repair
+  // returns the tree bit for bit, without building any adjacency.
+  for (int seed = 0; seed < 10; ++seed) {
+    geom::Rng rng(seed);
+    const auto pts = geom::uniform_square(2000, 40.0, rng);
+    const auto raw = mst::EmstEngine::shared().emst(pts);
+    ASSERT_LE(raw.max_degree(), 5);
+    mst::Tree t = raw;
+    mst::DegreeRepairScratch scratch;
+    mst::enforce_max_degree(pts, t, 5, scratch);
+    ASSERT_EQ(t.edges.size(), raw.edges.size());
+    for (size_t i = 0; i < raw.edges.size(); ++i) {
+      EXPECT_TRUE(t.edges[i].u == raw.edges[i].u &&
+                  t.edges[i].v == raw.edges[i].v &&
+                  t.edges[i].length == raw.edges[i].length);
+    }
+    EXPECT_TRUE(scratch.adj.empty()) << "adjacency built on the no-op path";
+    expect_repair_matches_reference(pts, raw, 5,
+                                    "uniform seed " + std::to_string(seed));
   }
 }
 

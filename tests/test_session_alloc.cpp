@@ -14,8 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <utility>
 #include <vector>
+
+// The footprint guard reads glibc's heap counters; sanitizer runtimes
+// replace the allocator, so their numbers mean something else.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#define DIRANT_HEAP_COUNTERS 1
+#endif
 
 #include "alloc_counter.hpp"
 #include "common/constants.hpp"
@@ -36,6 +46,10 @@ namespace core = dirant::core;
 namespace geom = dirant::geom;
 using dirant::kPi;
 using dirant::test::count_allocations;
+
+/// Measured warm PlanSession heap at n = 20000 with the flat per-node
+/// tables (WarmPlanSessionFootprint).
+constexpr double kFlatFootprintMb = 9.9;
 
 // Every selectable tree regime of Table 1 (the btsp-cycle rows are the
 // documented exemption; phi values steer planned_algorithm to each regime).
@@ -215,6 +229,38 @@ TEST(SessionAllocation, WarmPooledAuditSweepIsAllocationFree) {
   EXPECT_EQ(fail.worst_largest_scc, warm_fail.worst_largest_scc);
 }
 
+TEST(SessionAllocation, WarmPlanSessionFootprint) {
+  // Heap held by a warm PlanSession at n = 20000 (k = 2, phi = pi): every
+  // layer's scratch plus the result, measured as the change in glibc's
+  // in-use bytes (small-block arena + mmapped blocks) across the session's
+  // construction and two orient+certify rounds.  The flat per-node tables
+  // (one fixed-stride antenna table, no per-sensor buckets in the degree
+  // repair, no sector copy in the digraph build, no triangle list on the
+  // EMST path) read 9.9 MB here; the bucketed layout they replaced read
+  // 16.4 MB.  The bound leaves 15% headroom over the flat layout.
+#ifndef DIRANT_HEAP_COUNTERS
+  GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
+#else
+  geom::Rng rng(20000);
+  const auto pts =
+      geom::make_instance(geom::Distribution::kUniformSquare, 20000, rng);
+  const core::ProblemSpec spec{2, kPi};
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap_bytes();
+  auto session = std::make_unique<core::PlanSession>();
+  for (int round = 0; round < 2; ++round) {
+    session->orient(pts, spec);
+    ASSERT_TRUE(session->certify(pts, spec).ok());
+  }
+  const double mb = (heap_bytes() - before) / (1024.0 * 1024.0);
+  std::printf("warm PlanSession footprint at n = 20000: %.2f MB\n", mb);
+  EXPECT_LE(mb, 1.15 * kFlatFootprintMb);
+#endif
+}
+
 TEST(SessionAllocation, WarmEmstFrontEndIsAllocationFree) {
   // The EMST front end on its own: a warm Triangulator (renumbered points,
   // triangle soup, linkage slots, radix buffers) and a warm KruskalScratch
@@ -242,6 +288,16 @@ TEST(SessionAllocation, WarmEmstFrontEndIsAllocationFree) {
     EXPECT_EQ(tree.edges[i].u, warm_tree[i].u);
     EXPECT_EQ(tree.edges[i].v, warm_tree[i].v);
   }
+
+  // The edges-only overload (the EMST engine's candidate pass) emits the
+  // same list in the same order, and is allocation-free warm too.
+  std::vector<std::pair<int, int>> edges;
+  triangulator.triangulate(pts, edges);
+  EXPECT_EQ(edges, warm_edges);
+  const long long edge_allocs =
+      count_allocations([&] { triangulator.triangulate(pts, edges); });
+  EXPECT_EQ(edge_allocs, 0) << "warm edges-only triangulate allocated";
+  EXPECT_EQ(edges, warm_edges);
 }
 
 TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {

@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -581,6 +583,149 @@ TEST(Traffic, OptionValidationRejectsDegenerateKnobs) {
   noretry.arq.max_retries = 0;
   noretry.arq.ack_timeout = 0;
   EXPECT_NO_THROW((void)eng.run(sched, noretry));
+}
+
+}  // namespace
+
+namespace {
+
+// ---- Golden reports for the route rebuild --------------------------------
+
+/// FNV-1a over every TrafficReport field (doubles by bit pattern).
+std::uint64_t report_digest(const sim::TrafficReport& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const long long x :
+       {r.offered, r.delivered, r.transmissions, r.retransmissions,
+        r.frames_lost, r.acks_lost, r.duplicates, r.reroutes, r.drop_queue,
+        r.drop_ttl, r.drop_retry, r.drop_no_route, r.drop_churn,
+        r.drop_battery, r.drop_stranded, r.events}) {
+    mix(static_cast<std::uint64_t>(x));
+  }
+  mix(std::bit_cast<std::uint64_t>(r.delivery_ratio));
+  mix(std::bit_cast<std::uint64_t>(r.energy_drained));
+  mix(r.p50_latency);
+  mix(r.p99_latency);
+  for (const int x : {r.battery_dead, r.churn_killed, r.alive_end}) {
+    mix(static_cast<std::uint64_t>(x));
+  }
+  for (const int u : r.stranded) mix(static_cast<std::uint64_t>(u));
+  return h;
+}
+
+/// `count` flows from random sources toward three shared destinations, so
+/// each destination's route targets mix several sources.
+std::vector<sim::Flow> golden_flows(int n, int count, geom::Rng& rng) {
+  const int dsts[3] = {static_cast<int>(rng() % n), static_cast<int>(rng() % n),
+                       static_cast<int>(rng() % n)};
+  std::vector<sim::Flow> flows;
+  for (int i = 0; i < count; ++i) {
+    sim::Flow f;
+    f.src = static_cast<int>(rng() % n);
+    f.dst = dsts[i % 3];
+    f.packets = 12;
+    f.start = 7 * static_cast<std::uint64_t>(i);
+    f.interval = 45;
+    flows.push_back(f);
+  }
+  return flows;
+}
+
+/// Scenario `id` of the golden set: ids 0–13 run under churn (fails,
+/// moves, recovers of earlier fails, escalated re-plans), 14–19 statically
+/// with small batteries (relays die mid-run), 20–23 statically over the
+/// recorded orientation tree.  Every run is lossy with ARQ retries, so
+/// copies are in flight whenever the routes rebuild.
+sim::TrafficReport golden_run(int id) {
+  geom::Rng rng(4000 + id);
+  const int n = 60 + 20 * (id % 4);
+  const auto pts = make_points(n, 300 + id);
+  const core::ProblemSpec spec = id % 2 == 0
+                                     ? core::ProblemSpec{1, 8.0 * kPi / 5.0}
+                                     : core::ProblemSpec{2, kPi};
+  sim::TrafficOptions opts;
+  opts.policy = sim::RoutingPolicy::kCollectionTree;
+  opts.loss = id % 3 == 0
+                  ? sim::LossModel{sim::LossKind::kGilbertElliott, 0.1, 0.5,
+                                   0.05, 0.25}
+                  : sim::LossModel{sim::LossKind::kBernoulli, 0.15, 0, 0, 0};
+  opts.arq.max_retries = 4;
+  opts.seed = 17 + id;
+  sim::TrafficSchedule sched;
+  sched.flows = golden_flows(n, 9, rng);
+  if (id < 14) {
+    sim::ChurnEngine churn;
+    churn.init(pts, spec);
+    std::vector<sim::ChurnEvent> events;
+    std::vector<int> failed;
+    const std::uint64_t ticks[3] = {120, 260, 430};
+    for (int b = 0; b < 3; ++b) {
+      sim::TimedChurnBatch batch;
+      batch.tick = ticks[b];
+      churn.poisson_schedule(/*seed=*/91 + id, /*batch_tag=*/b + 1,
+                             /*fail_rate=*/0.08, /*recover_rate=*/0.0,
+                             /*move_rate=*/0.06, /*move_radius=*/0.03,
+                             events);
+      batch.events = events;
+      for (const auto& e : events) {
+        if (e.kind == sim::ChurnEventKind::kFail) failed.push_back(e.node);
+      }
+      if (b > 0) {  // recover half of the nodes failed so far
+        for (size_t i = 0; i < failed.size(); i += 2) {
+          batch.events.push_back(
+              {sim::ChurnEventKind::kRecover, failed[i], geom::Point{}});
+        }
+      }
+      sched.churn.push_back(std::move(batch));
+    }
+    sim::TrafficEngine eng;
+    eng.attach_churn(churn);
+    return eng.run(sched, opts);
+  }
+  core::PlanSession plan;
+  const auto& res = plan.orient(pts, spec);
+  sim::TrafficEngine eng;
+  if (id < 20) {
+    opts.battery.capacity = 6.0 + 4.0 * (id - 14);
+    eng.bind(pts, res.orientation);
+  } else {
+    eng.bind(pts, res.orientation, &plan.last_tree());
+  }
+  return eng.run(sched, opts);
+}
+
+TEST(Traffic, RouteRebuildsMatchGoldenReports) {
+  // Reports recorded with routes rebuilt by full BFS passes over every
+  // node.  A rebuild that stops at each destination's farthest packet
+  // must reproduce them bit for bit.
+  static constexpr std::uint64_t kGolden[24] = {
+      0xd0b2ad7dc41c7c16ULL, 0x25d43c751b2590fbULL, 0x4b2ccec3933cd3d8ULL,
+      0xce0146f08e4cbcddULL, 0x3c624fd75cb91c6cULL, 0x08c70e1643cc1b91ULL,
+      0x3a998aa41825d30dULL, 0x570a2a7ecfb2fbe7ULL, 0x5992d0b47622f5e7ULL,
+      0xdefa40bb3b841a77ULL, 0x6227f4ce8f4f8cc3ULL, 0xee4cadf2f376e72dULL,
+      0xa7acf2a6a905cd5fULL, 0xa5f94a9531444317ULL, 0x373d21820d8d4822ULL,
+      0xd715ce63b5da0150ULL, 0xb9ddd4dac643987cULL, 0x625a7dc8202a9a41ULL,
+      0xdd5ecc09ad477952ULL, 0x7d62e35e02de2b7fULL, 0xa461b41485796ee6ULL,
+      0x66e80f28e12acff7ULL, 0x24aee42fbcc385eaULL, 0x669ca3217573dc59ULL,
+  };
+  long long churn_killed = 0, battery_dead = 0, delivered = 0;
+  for (int id = 0; id < 24; ++id) {
+    const sim::TrafficReport rep = golden_run(id);
+    expect_invariant(rep);
+    churn_killed += rep.churn_killed;
+    battery_dead += rep.battery_dead;
+    delivered += rep.delivered;
+    EXPECT_EQ(report_digest(rep), kGolden[id]) << "scenario " << id;
+  }
+  // The scenarios exercise what they claim to.
+  EXPECT_GT(churn_killed, 0);
+  EXPECT_GT(battery_dead, 0);
+  EXPECT_GT(delivered, 0);
 }
 
 }  // namespace
