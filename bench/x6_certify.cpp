@@ -144,7 +144,7 @@ std::vector<std::vector<int>> legacy_induced_digraph(
                   candidates);
       for (int v : candidates) {
         if (seen[v]) continue;
-        if (s.contains(pts[v])) {
+        if (s.contains(pts[u], pts[v])) {
           seen[v] = 1;
           touched.push_back(v);
         }

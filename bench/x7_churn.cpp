@@ -22,8 +22,11 @@
 // p50/p99 and mean per-batch latency (a big-cut batch costs several times
 // a clean one, so the mean and the tail carry what p50 hides), the mean
 // affected-region size of the localized repairs, the certificate reuse
-// rate, the row-patch rate, and the escalation rate with its most
-// frequent reason.  Every row carries hw_threads so numbers from a
+// rate, the row-patch rate, the escalation rate with its most frequent
+// reason, and the heap the incremental engine holds after its batches
+// (engine_heap_mb: glibc mallinfo2 in-use bytes the engine frees on
+// destruction; 0 without glibc or under a sanitizer).  Every row carries
+// hw_threads so numbers from a
 // throttled 1-core box are never mistaken for the real trajectory.
 //
 // Smoke mode (DIRANT_BENCH_SMOKE=1): small n / few batches so the
@@ -40,8 +43,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#define DIRANT_HEAP_COUNTERS 1
+#endif
 
 #include "bench_common.hpp"
 #include "common/constants.hpp"
@@ -87,7 +97,20 @@ struct ChurnRow {
   double incremental_digraph_rate = 0.0;
   double escalation_rate = 0.0;  ///< batches that re-planned in full
   const char* escalation = "none";  ///< the most frequent escalation reason
+  /// Heap the incremental engine holds after the last batch, MB.
+  double engine_heap_mb = 0.0;
 };
+
+/// Heap in use (glibc mallinfo2: small-block arena plus mmapped blocks),
+/// in MB; 0 where the counters are unavailable.
+double heap_in_use_mb() {
+#ifdef DIRANT_HEAP_COUNTERS
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd) / (1024.0 * 1024.0);
+#else
+  return 0.0;
+#endif
+}
 
 /// One batch's event mix, drawn by ChurnEngine::poisson_schedule.
 struct Mix {
@@ -155,7 +178,7 @@ DIRANT_REPORT(x7) {
   std::printf(
       "workload    n        ev/batch   inc-upd/s   full-upd/s  speedup  "
       "inc    local  p50-ms   p99-ms  mean-ms   region  reuse  patch  esc   "
-      "reason  (threads=%d, hw=%u)\n",
+      "reason            heap-MB  (threads=%d, hw=%u)\n",
       threads, hw_threads);
   std::printf(
       "--------------------------------------------------------------------"
@@ -174,13 +197,13 @@ DIRANT_REPORT(x7) {
   const auto run_row = [&](const char* workload, int n,
                            const std::vector<geom::Point>& pts,
                            const Mix& mix) {
-    sim::ChurnEngine inc;
+    auto inc = std::make_unique<sim::ChurnEngine>();
     sim::ChurnEngine full;
     sim::ChurnOptions full_opts;
     full_opts.force_full = true;
-    inc.set_threads(threads);
+    inc->set_threads(threads);
     full.set_threads(threads);
-    inc.init(pts, spec);
+    inc->init(pts, spec);
     full.init(pts, spec, full_opts);
 
     double inc_ms = 0.0, full_ms = 0.0;
@@ -195,10 +218,10 @@ DIRANT_REPORT(x7) {
     std::vector<sim::ChurnEvent> events;
     for (int b = 1; b <= batches; ++b) {
       events.clear();
-      inc.poisson_schedule(4242, b, mix.fail_rate, mix.recover_rate,
+      inc->poisson_schedule(4242, b, mix.fail_rate, mix.recover_rate,
                            mix.move_rate, mix.move_radius, events);
       const double step_ms = time_ms([&] {
-        const auto& rep = inc.step(events);
+        const auto& rep = inc->step(events);
         benchmark::DoNotOptimize(rep.certificate.scc_count);
       });
       inc_ms += step_ms;
@@ -207,11 +230,11 @@ DIRANT_REPORT(x7) {
         const auto& rep = full.step(events);
         benchmark::DoNotOptimize(rep.certificate.scc_count);
       });
-      check_parity(inc, full, n, b);
-      for (const auto& ev : inc.last_report().events) {
+      check_parity(*inc, full, n, b);
+      for (const auto& ev : inc->last_report().events) {
         if (ev.applied) ++applied;
       }
-      const auto& rep = inc.last_report();
+      const auto& rep = inc->last_report();
       if (rep.incremental_plan && rep.incremental_digraph) {
         ++incremental_batches;
       }
@@ -269,14 +292,19 @@ DIRANT_REPORT(x7) {
       }
     }
     row.escalation_rate = static_cast<double>(escalated) / batches;
+    // What the engine frees on destruction is what it held.
+    const double held_mb = heap_in_use_mb();
+    inc.reset();
+    row.engine_heap_mb = held_mb - heap_in_use_mb();
     std::printf(
         "%-11s %-8d %7.1f  %10.1f  %10.1f  %6.2fx  %5.2f  %5.2f  %7.2f  "
-        "%7.2f  %7.2f  %7.1f  %5.2f  %5.2f  %5.2f %s\n",
+        "%7.2f  %7.2f  %7.1f  %5.2f  %5.2f  %5.2f %-17s %6.1f\n",
         workload, n, row.events_per_batch, row.updates_per_sec,
         row.full_updates_per_sec, row.speedup, row.incremental_hit_rate,
         row.localized_hit_rate, row.p50_batch_ms, row.p99_batch_ms,
         row.mean_batch_ms, row.mean_mst_region, row.cert_reuse_rate,
-        row.incremental_digraph_rate, row.escalation_rate, row.escalation);
+        row.incremental_digraph_rate, row.escalation_rate, row.escalation,
+        row.engine_heap_mb);
     rows.push_back(row);
   };
 
@@ -334,13 +362,14 @@ DIRANT_REPORT(x7) {
         "\"p99_batch_ms\": %g, \"mean_batch_ms\": %g, "
         "\"mean_mst_region\": %g, \"cert_reuse_rate\": %g, "
         "\"incremental_digraph_rate\": %g, \"escalation_rate\": %g, "
-        "\"escalation\": \"%s\", \"hw_threads\": %u}",
+        "\"escalation\": \"%s\", \"engine_heap_mb\": %.2f, "
+        "\"hw_threads\": %u}",
         r.workload, r.n, r.events_per_batch, r.updates_per_sec,
         r.full_updates_per_sec, r.speedup, r.incremental_hit_rate,
         r.localized_hit_rate, r.p50_batch_ms, r.p99_batch_ms,
         r.mean_batch_ms, r.mean_mst_region, r.cert_reuse_rate,
         r.incremental_digraph_rate, r.escalation_rate, r.escalation,
-        hw_threads));
+        r.engine_heap_mb, hw_threads));
   }
   dirant::bench::record_sections({{"churn", dirant::bench::json_array(json)}});
   if (smoke) {

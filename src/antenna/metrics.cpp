@@ -30,7 +30,7 @@ InterferenceStats interference_stats(std::span<const Point> pts,
       node_rmax = std::max(node_rmax, s.radius);
       long long hits = 0;
       for (int v : grid.within(pts[u], s.radius + 1e-12, u)) {
-        if (s.contains(pts[v])) ++hits;
+        if (s.contains(pts[u], pts[v])) ++hits;
       }
       beam_hits += hits;
       ++beams;

@@ -109,9 +109,11 @@ class Orientation {
   int total_antennas() const { return total_antennas_; }
 
   /// True iff node `ua`'s antenna list is bit-identical to `b`'s node `ub`:
-  /// same count, and every sector equal in apex, start, width, and radius
-  /// (exact double compares — this is a change-detection primitive, not a
-  /// geometric one).  Boundary-ray caches are derived deterministically from
+  /// same count, and every sector equal in start, width, and radius (exact
+  /// double compares — this is a change-detection primitive, not a
+  /// geometric one; the apex is the row owner's position, which the table
+  /// does not hold, so a moved sensor whose angles and radii are unchanged
+  /// compares equal).  Boundary-ray caches are derived deterministically from
   /// (start, width) at `add` time, so sector equality implies dir equality.
   bool node_equals(int ua, const Orientation& b, int ub) const {
     return same_sectors(antennas(ua), b.antennas(ub));
@@ -178,8 +180,7 @@ class Orientation {
     for (size_t j = 0; j < a.size(); ++j) {
       const geom::Sector& x = a[j];
       const geom::Sector& y = b[j];
-      if (x.apex.x != y.apex.x || x.apex.y != y.apex.y ||
-          x.start != y.start || x.width != y.width || x.radius != y.radius) {
+      if (x.start != y.start || x.width != y.width || x.radius != y.radius) {
         return false;
       }
     }

@@ -239,7 +239,7 @@ graph::Digraph induced_digraph(std::span<const Point> pts,
     for (int v = 0; v < n; ++v) {
       if (u == v) continue;
       for (const auto& s : o.antennas(u)) {
-        if (s.contains(pts[v], angle_tol, radius_tol)) {
+        if (s.contains(pts[u], pts[v], angle_tol, radius_tol)) {
           targets.push_back(v);
           break;
         }
@@ -279,17 +279,34 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
                                     par::ThreadPool* pool) {
   const int n = static_cast<int>(pts.size());
   DIRANT_ASSERT(o.size() == n);
+  const double rmax = o.max_radius();
+  if (n == 0 || rmax <= 0.0) {
+    scratch.targets.clear();
+    scratch.offsets.assign(static_cast<size_t>(n) + 1, 0);
+    return graph::Digraph(std::move(scratch.offsets),
+                          std::move(scratch.targets));
+  }
+  scratch.grid.rebuild(pts, digraph_grid_cell(rmax));
+  return induced_digraph_fast(pts, o, scratch.grid, angle_tol, radius_tol,
+                              scratch, threads, pool);
+}
+
+double digraph_grid_cell(double max_radius) {
+  return std::max(max_radius / 3.0, 1e-12);
+}
+
+graph::Digraph induced_digraph_fast(std::span<const Point> pts,
+                                    const Orientation& o,
+                                    const spatial::GridIndex& grid,
+                                    double angle_tol, double radius_tol,
+                                    TransmissionScratch& scratch, int threads,
+                                    par::ThreadPool* pool) {
+  const int n = static_cast<int>(pts.size());
+  DIRANT_ASSERT(o.size() == n);
   auto& offsets = scratch.offsets;
   auto& targets = scratch.targets;
   offsets.clear();
   targets.clear();
-  const double rmax = o.max_radius();
-  if (n == 0 || rmax <= 0.0) {
-    offsets.assign(static_cast<size_t>(n) + 1, 0);
-    return graph::Digraph(std::move(offsets), std::move(targets));
-  }
-  scratch.grid.rebuild(pts, std::max(rmax / 3.0, 1e-12));
-  const spatial::GridIndex& grid = scratch.grid;
   auto& seen = scratch.seen;
 
   // The cross-product classifier assumes a small tolerance cone; callers
@@ -311,7 +328,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
                     candidates);
         for (int v : candidates) {
           if (seen[v]) continue;
-          if (s.contains(pts[v], angle_tol, radius_tol)) {
+          if (s.contains(pts[u], pts[v], angle_tol, radius_tol)) {
             seen[v] = 1;
             targets.push_back(v);
           }
@@ -417,7 +434,7 @@ bool sector_accepts(std::span<const Point> pts, const Orientation& o, int u,
   const auto& antennas = o.antennas(u);
   if (angle_tol > 0.5) {  // huge-tolerance probing path: exact test
     for (const auto& s : antennas) {
-      if (s.contains(pts[v], angle_tol, radius_tol)) return true;
+      if (s.contains(pts[u], pts[v], angle_tol, radius_tol)) return true;
     }
     return false;
   }

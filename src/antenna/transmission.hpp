@@ -82,6 +82,27 @@ graph::Digraph induced_digraph_fast(std::span<const geom::Point> pts,
                                     int threads = 1,
                                     par::ThreadPool* pool = nullptr);
 
+/// The cell size the overloads above index their points at, for an
+/// orientation whose largest antenna radius is `max_radius`.
+double digraph_grid_cell(double max_radius);
+
+/// The same build over a caller-built `grid` instead of the scratch one:
+/// `grid` indexes the candidate targets among `pts` (for instance a
+/// `GridIndex::rebuild` with an alive mask) at `digraph_grid_cell` of the
+/// largest radius in `o`.  Ids the grid leaves out appear in no row, and
+/// their own rows are empty when `o` gives them no antenna — so over a
+/// masked grid the CSR equals, row for row and in order, the scratch build
+/// over the indexed points compacted in id order, up to that monotone
+/// relabelling (sim::ChurnEngine builds its original-space digraph this
+/// way, with dead ids as empty rows).
+graph::Digraph induced_digraph_fast(std::span<const geom::Point> pts,
+                                    const Orientation& o,
+                                    const spatial::GridIndex& grid,
+                                    double angle_tol, double radius_tol,
+                                    TransmissionScratch& scratch,
+                                    int threads = 1,
+                                    par::ThreadPool* pool = nullptr);
+
 /// Single-edge membership test: does any antenna at `u` cover `v`?  This is
 /// the digraph builders' accept predicate factored out per edge — same
 /// arithmetic, same tolerance semantics, compiled in the same translation

@@ -114,8 +114,7 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
       const int pred = (i + m - 1) % m;
       const bool receives_chord = chord_source[pred] == 1 && m >= 2;
       if (!receives_chord) {
-        res.orientation.add(
-            u, {pts[u], angle[i], 0.0, geom::dist(pts[u], pts[kids[i]])});
+        res.orientation.add(u, {angle[i], 0.0, geom::dist(pts[u], pts[kids[i]])});
         ++beams;
       }
     }

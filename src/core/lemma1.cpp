@@ -38,7 +38,7 @@ void lemma1_cover(const Point& apex, std::span<const Point> targets, int k,
         radius = std::max(radius, geom::dist(apex, targets[i]));
       }
     }
-    out.push_back(geom::make_arc(apex, start, width, radius));
+    out.push_back(geom::make_arc(start, width, radius));
   }
 }
 

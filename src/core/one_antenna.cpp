@@ -66,7 +66,7 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
     const int m = static_cast<int>(children.size());
 
     if (m == 0) {
-      res.orientation.add(u, {pts[u], ref, 0.0, geom::dist(pts[u], target)});
+      res.orientation.add(u, {ref, 0.0, geom::dist(pts[u], target)});
       res.cases.bump("leaf");
       continue;
     }
@@ -98,7 +98,7 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
         for (int i = 0; i < m; ++i) {
           radius = std::max(radius, geom::dist(pts[u], pts[kids[i]]));
         }
-        res.orientation.add(u, geom::make_arc(pts[u], start, width, radius));
+        res.orientation.add(u, geom::make_arc(start, width, radius));
         for (int i = 0; i < m; ++i) work.emplace_back(kids[i], pts[u]);
         res.cases.bump("full");
         continue;
@@ -173,7 +173,7 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
     for (int i : covered_children) {
       radius = std::max(radius, geom::dist(pts[u], pts[kids[i]]));
     }
-    res.orientation.add(u, geom::make_arc(pts[u], start_abs, width, radius));
+    res.orientation.add(u, geom::make_arc(start_abs, width, radius));
 
     // Delegation chain over the excluded children, ordered ccw from the
     // anchor; the anchor covers the first, each covers the next, the last

@@ -50,16 +50,24 @@ const Result& PlanSession::orient_on_tree(std::span<const geom::Point> pts,
   return run(planned_algorithm(spec), pts, tree, spec);
 }
 
-const Result& PlanSession::orient_on_emst(std::span<const geom::Point> pts,
-                                          const mst::Tree& emst,
-                                          const ProblemSpec& spec) {
+void PlanSession::orient(std::span<const geom::Point> pts,
+                         const ProblemSpec& spec, const PlanRows& rows) {
+  DIRANT_ASSERT_MSG(!pts.empty(), "empty sensor set");
+  engine_.degree5(pts, tree_, emst_scratch_);
+  run(planned_algorithm(spec), pts, tree_, spec, rows);
+}
+
+void PlanSession::orient_on_emst(std::span<const geom::Point> pts,
+                                 const mst::Tree& emst,
+                                 const ProblemSpec& spec,
+                                 const PlanRows& rows) {
   check_tree_spans(pts, emst);
   // Copy into the session tree so degree repair can rewire in place without
   // mutating the caller's tree; assign reuses the warm edge capacity.
   tree_.n = emst.n;
   tree_.edges.assign(emst.edges.begin(), emst.edges.end());
   enforce_max_degree(pts, tree_, 5, emst_scratch_.repair);
-  return run(planned_algorithm(spec), pts, tree_, spec);
+  run(planned_algorithm(spec), pts, tree_, spec, rows);
 }
 
 bool PlanSession::orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
@@ -85,6 +93,32 @@ const Result& PlanSession::run(Algorithm algo,
                                const ProblemSpec& spec) {
   algorithm_info(algo).orient(*this, pts, tree, spec, result_);
   return result_;
+}
+
+void PlanSession::run(Algorithm algo, std::span<const geom::Point> pts,
+                      const mst::Tree& tree, const ProblemSpec& spec,
+                      const PlanRows& rows) {
+  DIRANT_ASSERT(rows.row_of.size() == pts.size());
+  if (algo == Algorithm::kTwoPart1 || algo == Algorithm::kTwoPart2) {
+    orient_two_antennae(pts, tree, spec.phi, scratch_, *rows.plan,
+                        rows.row_of, rows.changed);
+    return;
+  }
+  const Result& res = run(algo, pts, tree, spec);
+  Result& plan = *rows.plan;
+  auto& changed = *rows.changed;
+  changed.clear();
+  for (int v = 0; v < static_cast<int>(pts.size()); ++v) {
+    const int u = rows.row_of[v];
+    if (plan.orientation.sync_node(u, res.orientation, v)) {
+      changed.push_back(u);
+    }
+  }
+  std::sort(changed.begin(), changed.end());
+  plan.algorithm = res.algorithm;
+  plan.bound_factor = res.bound_factor;
+  plan.lmax = res.lmax;
+  plan.cases = res.cases;
 }
 
 const Certificate& PlanSession::certify(std::span<const geom::Point> pts,

@@ -55,6 +55,14 @@ namespace dirant::core {
 struct TwoAntennaeMemory;
 struct OrientWarmDelta;
 
+/// Destination of a row-mapped plan (PlanSession's `PlanRows` overloads):
+/// vertex v of the planned point set owns row `row_of[v]` of `*plan`.
+struct PlanRows {
+  std::span<const int> row_of;
+  Result* plan = nullptr;
+  std::vector<int>* changed = nullptr;  ///< rewritten rows, ascending
+};
+
 /// Working memory shared by the per-k orienters.  Owned by PlanSession;
 /// every orienter's `*_into` variant takes one of these and must not
 /// allocate once the buffers are warm.
@@ -96,18 +104,33 @@ class PlanSession {
   const Result& orient_with(Algorithm algo, std::span<const geom::Point> pts,
                             const mst::Tree& tree, const ProblemSpec& spec);
 
-  /// Incremental orient entry point: skip EMST construction and start the
-  /// pipeline from a caller-provided *exact Euclidean MST* of `pts` (the
-  /// unique minimum tree under the (d2, min, max) total order — e.g. a
-  /// Kruskal run over any candidate superset of the Delaunay edges, which
-  /// is how sim::ChurnEngine repairs locally).  The tree is copied into the
-  /// session tree buffer (capacity reused), degree-5 repair runs exactly as
-  /// in `orient`, and the same regime dispatch follows — so the Result is
-  /// bit-identical to `orient(pts, spec)` whenever `emst` equals the tree
-  /// the engine would have built.  Unlike `orient_on_tree`, the input here
-  /// is the raw EMST, not a degree-bounded tree.
-  const Result& orient_on_emst(std::span<const geom::Point> pts,
-                               const mst::Tree& emst, const ProblemSpec& spec);
+  /// `orient` for a consumer that keeps its plan in another index space
+  /// (sim::ChurnEngine keeps one row per original id): the same pipeline,
+  /// but each vertex's row lands in place in `rows.plan` through
+  /// `rows.row_of`, a row whose sectors are bitwise unchanged is left
+  /// alone, and `rows.changed` receives the rewritten rows, ascending.  A
+  /// Theorem 3 regime writes straight from its sweep (orient_two_antennae
+  /// with a row map), so the session's own result table is never filled;
+  /// every other regime plans into it and syncs each row across.  The
+  /// header (algorithm, bound_factor, lmax, cases) is set;
+  /// `measured_radius` is the caller's.
+  void orient(std::span<const geom::Point> pts, const ProblemSpec& spec,
+              const PlanRows& rows);
+
+  /// Incremental orient entry point, row-mapped like the `orient` above:
+  /// skip EMST construction and start the pipeline from a caller-provided
+  /// *exact Euclidean MST* of `pts` (the unique minimum tree under the
+  /// (d2, min, max) total order — e.g. a Kruskal run over any candidate
+  /// superset of the Delaunay edges, which is how sim::ChurnEngine repairs
+  /// locally).  The tree is copied into the session tree buffer (capacity
+  /// reused), degree-5 repair runs exactly as in `orient`, and the same
+  /// regime dispatch follows — so the rows are bit-identical to `orient`'s
+  /// whenever `emst` equals the tree the engine would have built.  Unlike
+  /// `orient_on_tree`, the input here is the raw EMST, not a
+  /// degree-bounded tree.
+  void orient_on_emst(std::span<const geom::Point> pts,
+                      const mst::Tree& emst, const ProblemSpec& spec,
+                      const PlanRows& rows);
 
   /// The sub-linear warm orienter (orient_two_antennae_warm) for churn
   /// consumers that keep their plan in original index space: re-hangs the
@@ -115,8 +138,8 @@ class PlanSession {
   /// `plan` in place, with no tree and no compact copy.  Returns false,
   /// leaving `plan` untouched, when the regime is not a Theorem 3
   /// two-antennae planner or a warm gate fails; the caller then re-plans
-  /// with `orient_on_emst` and records `mem` from that sweep
-  /// (core::record_two_antennae_memory over `scratch()`).
+  /// with the row-mapped `orient_on_emst` and records `mem` from that
+  /// sweep (core::record_two_antennae_memory over `scratch()`).
   bool orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
                    const OrientWarmDelta& delta, Result& plan);
 
@@ -184,6 +207,9 @@ class PlanSession {
   /// construction; the public tree-taking entry points validate first).
   const Result& run(Algorithm algo, std::span<const geom::Point> pts,
                     const mst::Tree& tree, const ProblemSpec& spec);
+  void run(Algorithm algo, std::span<const geom::Point> pts,
+           const mst::Tree& tree, const ProblemSpec& spec,
+           const PlanRows& rows);
 
   mst::EmstEngine engine_;
   mst::EmstScratch emst_scratch_;

@@ -143,11 +143,11 @@ class NodePlanner {
           radius = std::max(radius, dist_to(r));
         }
       }
-      antennas.push_back(geom::make_arc(pts_[u_], start, width, radius));
+      antennas.push_back(geom::make_arc(start, width, radius));
     }
     for (int b : beams_) {
       DIRANT_ASSERT_MSG(!(pts_[u_] == point_of(b)), "beam at coincident point");
-      antennas.push_back({pts_[u_], abs_angle(b), 0.0, dist_to(b)});
+      antennas.push_back({abs_angle(b), 0.0, dist_to(b)});
     }
     child_targets.clear();
     for (int i = 0; i < m; ++i) child_targets.push_back(pts_[u_]);
@@ -320,7 +320,6 @@ struct Ctx {
   double phi;
   double R;
   bool part1;
-  antenna::Orientation* out;
   CaseStats* stats;
 };
 
@@ -620,19 +619,44 @@ double bound_factor_impl(double phi);
 
 /// Run the full rooted construction with an explicit radius cap
 /// (`radius_cap` < 0 selects the paper bound).  Returns false if some vertex
-/// admits no feasible plan under the cap.
+/// admits no feasible plan under the cap.  Rows land in `res`'s own table,
+/// reset first and indexed by sweep id, unless `changed` is given: then
+/// vertex v's row is synced in place into row `row_of[v]`, every rewritten
+/// row is logged, and `measured_radius` is the caller's.
 bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
                      double phi, double radius_cap, OrienterScratch& scratch,
-                     Result& res) {
+                     Result& res, std::span<const int> row_of = {},
+                     std::vector<int>* changed = nullptr) {
   tree.degrees_into(scratch.degrees);
   int max_deg = 0;
   for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
   DIRANT_ASSERT_MSG(max_deg <= 5, "theorem 3 needs a degree-5 MST");
   const int n = static_cast<int>(pts.size());
-  reset_result(res, n, /*reserve_per_node=*/2,
-               phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2,
-               bound_factor_impl(phi), tree.lmax());
-  if (n <= 1) return true;
+  const Algorithm algo =
+      phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2;
+  if (changed == nullptr) {
+    reset_result(res, n, /*reserve_per_node=*/2, algo, bound_factor_impl(phi),
+                 tree.lmax());
+  } else {
+    res.algorithm = algo;
+    res.bound_factor = bound_factor_impl(phi);
+    res.lmax = tree.lmax();
+    res.cases.reset();
+    changed->clear();
+  }
+  auto& out = res.orientation;
+  const auto row = [&](int v) { return changed == nullptr ? v : row_of[v]; };
+  const auto write = [&](int v, const auto& sectors) {
+    if (changed == nullptr) {
+      for (const geom::Sector& s : sectors) out.add(v, s);
+    } else if (out.sync_node(row(v), sectors)) {
+      changed->push_back(row(v));
+    }
+  };
+  if (n <= 1) {
+    if (n == 1) write(0, std::span<const geom::Sector>{});  // no antenna
+    return true;
+  }
 
   const double R =
       radius_cap >= 0.0
@@ -659,34 +683,38 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
       parent_pos[c] = i;
     }
   }
-  Ctx ctx{at, parent_pos, phi, R, phi >= kPi, &res.orientation, &res.cases};
+  Ctx ctx{at, parent_pos, phi, R, phi >= kPi, &res.cases};
 
   // Root (a leaf): one beam to its only child; the child covers the root.
   DIRANT_ASSERT(rt.first_child[1] == 2);
-  res.orientation.add(rt.root, geom::beam_to(at[0], at[1]));
+  const geom::Sector root_beam = geom::beam_to(at[0], at[1]);
+  write(rt.root, std::span(&root_beam, 1));
   res.cases.bump("root");
   targets[1] = at[0];
 
   // Sectors land at scattered sensor ids, so each one's output row is
   // prefetched a few positions ahead.
   constexpr int kAhead = 16;
-  auto& out = res.orientation;
   NodePlanner pl(at, phi, R);
   int kids[5];
   for (int i = 1; i < n; ++i) {
-    if (i + kAhead < n) out.prefetch(rt.order[i + kAhead]);
+    if (i + kAhead < n) out.prefetch(row(rt.order[i + kAhead]));
     const int first = rt.first_child[i];
     const int m = rt.first_child[i + 1] - first;
     for (int j = 0; j < m; ++j) kids[j] = first + j;
     pl.init(i, targets[i], {kids, static_cast<size_t>(m)});
     if (!plan_vertex(ctx, pl, i)) return false;
     res.cases.bump(pl.label);
-    for (const auto& s : pl.antennas) out.add(rt.order[i], s);
+    write(rt.order[i], pl.antennas);
     for (int slot = 0; slot < m; ++slot) {
       targets[pl.kid(slot)] = pl.child_targets[slot];
     }
   }
-  res.measured_radius = res.orientation.max_radius();
+  if (changed == nullptr) {
+    res.measured_radius = out.max_radius();
+  } else {
+    std::sort(changed->begin(), changed->end());
+  }
   return true;
 }
 
@@ -704,8 +732,12 @@ double bound_factor_impl(double phi) { return theorem3_bound_factor(phi); }
 }  // namespace
 
 void orient_two_antennae(std::span<const Point> pts, const mst::Tree& tree,
-                         double phi, OrienterScratch& scratch, Result& out) {
-  const bool ok = detailed_orient(pts, tree, phi, -1.0, scratch, out);
+                         double phi, OrienterScratch& scratch, Result& out,
+                         std::span<const int> row_of,
+                         std::vector<int>* changed) {
+  DIRANT_ASSERT(changed == nullptr || row_of.size() == pts.size());
+  const bool ok =
+      detailed_orient(pts, tree, phi, -1.0, scratch, out, row_of, changed);
   DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
 }
 
@@ -749,9 +781,7 @@ void record_two_antennae_memory(double phi, const OrienterScratch& scratch,
     }
     nd.parent = orig_of[rt.parent[v]];
     TwoAntennaeMemory::Node& pn = mem.nodes[nd.parent];
-    pn.kids[pn.nkids] = orig_of[v];
-    pn.kid_targets[pn.nkids] = targets[i];
-    ++pn.nkids;
+    pn.kids[pn.nkids++] = orig_of[v];
   }
   mem.phi = phi;
   mem.radius =
@@ -829,10 +859,7 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
   const auto kid_remove = [](Node& p, int k) {
     for (int i = 0; i < p.nkids; ++i) {
       if (p.kids[i] == k) {
-        for (int j = i + 1; j < p.nkids; ++j) {
-          p.kids[j - 1] = p.kids[j];
-          p.kid_targets[j - 1] = p.kid_targets[j];
-        }
+        for (int j = i + 1; j < p.nkids; ++j) p.kids[j - 1] = p.kids[j];
         --p.nkids;
         return true;
       }
@@ -841,7 +868,7 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
   };
   const auto kid_add = [](Node& p, int k) {
     if (p.nkids >= 5) return false;  // transient cap; final degrees are <= 5
-    p.kids[p.nkids++] = k;  // target slot is refreshed when p re-plans
+    p.kids[p.nkids++] = k;  // p is marked: its re-plan hands k a target
     return true;
   };
 
@@ -1003,7 +1030,6 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
   }
   res.cases.bump("root");
   rn.target = pos[root_o];
-  rn.kid_targets[0] = pos[root_o];
   mem.planned.push_back(root_o);
 
   auto& work = scratch.work;          // (orig id, obligation) re-plan stack
@@ -1022,8 +1048,7 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
 
   auto& ph = scratch.parent_hint;
   if (static_cast<int>(ph.size()) < n_orig) ph.resize(n_orig);
-  Ctx ctx{pos, ph,        phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
+  Ctx ctx{pos, ph, phi, R, phi >= kPi, &res.cases};
   NodePlanner pl(pos, phi, R);
   int kid_buf[5];
   while (!work.empty() || !down.empty()) {
@@ -1034,8 +1059,8 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
       for (int i = 0; i < nd.nkids; ++i) {
         const int k = nd.kids[i];
         if (marked(k)) {
-          // u keeps its plan, so the recorded hand-down is still exact.
-          work.emplace_back(k, nd.kid_targets[i]);
+          // u keeps its plan, so k's recorded obligation is still exact.
+          work.emplace_back(k, nodes[k].target);
         } else if (in_chain(k)) {
           down.push_back(k);
         }
@@ -1081,7 +1106,6 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
       const Point t = pl.child_targets[slot];
       const Point old_t = nodes[k].target;
       nm.kids[slot] = k;
-      nm.kid_targets[slot] = t;
       if (marked(k) || old_t.x != t.x || old_t.y != t.y) {
         work.emplace_back(k, t);
       } else if (in_chain(k)) {

@@ -38,15 +38,23 @@ Result orient_two_antennae(std::span<const geom::Point> pts,
                            const mst::Tree& tree, double phi);
 
 /// Session variant (allocation-free once warm, exhaustive fallback search
-/// included — though it never fires at the paper bound).
+/// included — though it never fires at the paper bound).  With `changed`
+/// given, the rows go to a plan the caller keeps in another index space
+/// (sim::ChurnEngine keeps one row per original id): vertex v's row is
+/// written in place into `out` row `row_of[v]` — a row whose sectors are
+/// bitwise unchanged is left alone, other rows are untouched — `changed`
+/// receives the rewritten rows, ascending, and `measured_radius` is the
+/// caller's.
 void orient_two_antennae(std::span<const geom::Point> pts,
                          const mst::Tree& tree, double phi,
-                         OrienterScratch& scratch, Result& out);
+                         OrienterScratch& scratch, Result& out,
+                         std::span<const int> row_of = {},
+                         std::vector<int>* changed = nullptr);
 
 /// Per-node plan memory for the warm frontier orienter, kept in *original*
 /// (churn-stable) index space by the caller: the rooted tree the last plan
-/// ran over, each vertex's incoming target point and the obligations it
-/// handed its children.  A fresh sweep leaves it behind through
+/// ran over and each vertex's incoming target point — the obligation its
+/// parent handed it.  A fresh sweep leaves it behind through
 /// `record_two_antennae_memory`; the warm orienter then follows tree and
 /// position changes from it, re-planning only vertices whose inputs —
 /// parent identity and position, incoming target (bitwise), child set and
@@ -57,10 +65,11 @@ struct TwoAntennaeMemory {
     int parent = -1;        ///< original id of the tree parent at plan time
     geom::Point target{};   ///< incoming cover obligation (bitwise compare)
     int nkids = 0;
-    /// Children in no particular order (a re-plan derives the ccw order);
-    /// kid_targets[i] is the obligation handed to kids[i].
+    /// Children in no particular order (a re-plan derives the ccw order).
+    /// The obligation handed to a child is that child's own `target`:
+    /// every write site (record, re-plan, root) sets the two together, so a
+    /// parent that keeps its plan hands each child its recorded target.
     int kids[5] = {-1, -1, -1, -1, -1};
-    geom::Point kid_targets[5]{};
   };
   bool valid = false;  ///< records describe the current plan
   double phi = 0.0;
@@ -107,9 +116,10 @@ struct OrientWarmDelta {
   double lmax = 0.0;                     ///< current tree's longest edge
 };
 
-/// Record the plan memory of the Theorem 3 sweep that just wrote `res`
-/// through `scratch` (orient_two_antennae over a compact tree): one pass
-/// over the sweep's rooted tree and hand-down targets, nothing re-planned.
+/// Record the plan memory of the Theorem 3 sweep (orient_two_antennae)
+/// that just ran through `scratch` over a compact tree and wrote `res`'s
+/// header: one pass over the sweep's rooted tree and hand-down targets,
+/// nothing re-planned.
 /// `orig_of` maps the sweep's compact ids to original ids, and `n_orig`
 /// sizes the original space.  Leaves `mem` invalid when `res` is not a
 /// Theorem 3 plan or spans fewer than two vertices.  The recorded tree is

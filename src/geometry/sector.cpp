@@ -4,7 +4,7 @@
 
 namespace dirant::geom {
 
-bool Sector::contains(const Point& p, double angle_tol,
+bool Sector::contains(const Point& apex, const Point& p, double angle_tol,
                       double radius_tol) const {
   const Vec2 d = p - apex;
   const double r2 = norm2(d);
@@ -17,19 +17,16 @@ bool Sector::contains(const Point& p, double angle_tol,
 Sector beam_to(const Point& apex, const Point& target, double radius) {
   DIRANT_ASSERT_MSG(!(apex == target), "beam at coincident point");
   Sector s;
-  s.apex = apex;
   s.start = angle_to(apex, target);
   s.width = 0.0;
   s.radius = radius >= 0.0 ? radius : dist(apex, target);
   return s;
 }
 
-Sector make_arc(const Point& apex, double start_theta, double width,
-                double radius) {
+Sector make_arc(double start_theta, double width, double radius) {
   DIRANT_ASSERT(width >= 0.0 && width <= kTwoPi);
   DIRANT_ASSERT(radius >= 0.0);
   Sector s;
-  s.apex = apex;
   s.start = norm_angle(start_theta);
   s.width = width;
   s.radius = radius;

@@ -70,19 +70,17 @@ namespace {
 /// High bit marking "on the Tarjan stack" inside the packed state word.
 constexpr int kOnStack = 1 << 30;
 
-/// Iterative Tarjan over the DFS roots `roots[0, n_roots)` (a null `roots`
-/// means the identity list 0..n_roots-1), following only edges whose head
-/// `accept` admits.  Expects `scratch.state == -1` for every participating
-/// vertex (callers either assign the full array, or share one across calls
-/// on disjoint vertex sets) and `scratch.low` sized to the graph.
-/// Component ids count up from `first_id`; with kRecord each vertex's id
-/// is written to `component[v]`.  Returns the number of components found.
-/// tarjan_impl is the only caller (identity roots, every edge admitted);
-/// the constant arguments fold away at compile time.
+/// Iterative Tarjan over the DFS roots 0..n_roots-1, following only edges
+/// whose head `accept` admits; a root that `accept` rejects follows no
+/// edge at all (an isolated vertex).  Expects `scratch.state == -1` for
+/// every participating vertex — any other value skips the vertex as a
+/// root — and `scratch.low` sized to the graph.  Component ids count up
+/// from 0; with kRecord each vertex's id is written to `component[v]`.
+/// Returns the number of components found.  With every vertex admitted the
+/// constant arguments fold away at compile time.
 template <bool kRecord, typename Accept>
 int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
-                const int* roots, int n_roots, int first_id,
-                Accept&& accept) {
+                int n_roots, Accept&& accept) {
   DIRANT_ASSERT(g.size() < kOnStack);  // index and on-stack bit share an int
   auto& state = scratch.state;
   auto& low = scratch.low;
@@ -90,7 +88,7 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
   auto& frames = scratch.frames;
   stack.clear();
   frames.clear();
-  int count = first_id;
+  int count = 0;
   int next_index = 0;
 
   const auto push_vertex = [&](int v) {
@@ -99,11 +97,11 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
     ++next_index;
     stack.push_back(v);
     const auto outs = g.out(v);
-    frames.push_back({v, outs.data(), outs.data() + outs.size()});
+    const int* end = accept(v) ? outs.data() + outs.size() : outs.data();
+    frames.push_back({v, outs.data(), end});
   };
 
-  for (int ri = 0; ri < n_roots; ++ri) {
-    const int root = roots != nullptr ? roots[ri] : ri;
+  for (int root = 0; root < n_roots; ++root) {
     if (state[root] != -1) continue;
     push_vertex(root);
     while (!frames.empty()) {
@@ -142,7 +140,7 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
       }
     }
   }
-  return count - first_id;
+  return count;
 }
 
 /// Tarjan over the whole graph; `component` is null for count-only runs
@@ -152,8 +150,23 @@ int tarjan_impl(const Digraph& g, SccScratch& scratch, int* component) {
   const int n = g.size();
   scratch.state.assign(n, -1);
   scratch.low.resize(n);
-  return tarjan_core<kRecord>(g, scratch, component, /*roots=*/nullptr, n,
-                              /*first_id=*/0, [](int) { return true; });
+  return tarjan_core<kRecord>(g, scratch, component, n,
+                              [](int) { return true; });
+}
+
+/// Id of a largest component given the labels (ties keep the smallest id),
+/// -1 when there is none.
+int largest_of(const SccResult& out, std::vector<int>& sizes) {
+  if (out.count == 0) return -1;
+  sizes.assign(static_cast<size_t>(out.count), 0);
+  for (int c : out.component) {
+    if (c >= 0) ++sizes[c];
+  }
+  int best = 0;
+  for (int c = 1; c < out.count; ++c) {
+    if (sizes[c] > sizes[best]) best = c;  // strict: ties keep smallest id
+  }
+  return best;
 }
 
 }  // namespace
@@ -171,14 +184,27 @@ int scc_count(const Digraph& g, SccScratch& scratch) {
 int largest_scc(const Digraph& g, SccScratch& scratch, SccResult& out,
                 std::vector<int>& sizes) {
   strongly_connected_components(g, scratch, out);
-  if (out.count == 0) return -1;
-  sizes.assign(static_cast<size_t>(out.count), 0);
-  for (int c : out.component) ++sizes[c];
-  int best = 0;
-  for (int c = 1; c < out.count; ++c) {
-    if (sizes[c] > sizes[best]) best = c;  // strict: ties keep smallest id
+  return largest_of(out, sizes);
+}
+
+int largest_scc(const Digraph& g, std::span<const char> present,
+                std::span<const char> isolated, SccScratch& scratch,
+                SccResult& out, std::vector<int>& sizes) {
+  const int n = g.size();
+  DIRANT_ASSERT(static_cast<int>(present.size()) == n &&
+                static_cast<int>(isolated.size()) == n);
+  // Absent vertices start "visited", so no root loop enters them, and the
+  // accept test keeps every edge off them and off the isolated ones.
+  scratch.state.assign(n, -1);
+  for (int v = 0; v < n; ++v) {
+    if (!present[v]) scratch.state[v] = 0;
   }
-  return best;
+  scratch.low.resize(n);
+  out.component.assign(n, -1);
+  out.count = tarjan_core<true>(
+      g, scratch, out.component.data(), n,
+      [&](int w) { return present[w] && !isolated[w]; });
+  return largest_of(out, sizes);
 }
 
 SccResult strongly_connected_components(const Digraph& g) {

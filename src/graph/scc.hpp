@@ -4,6 +4,7 @@
 /// algorithm in this library (the paper's goal is a strongly connected
 /// transmission graph).
 
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -57,6 +58,18 @@ int scc_count(const Digraph& g, SccScratch& scratch);
 /// the stranded vertices as those labelled otherwise.
 int largest_scc(const Digraph& g, SccScratch& scratch, SccResult& out,
                 std::vector<int>& sizes);
+
+/// `largest_scc` of a vertex-masked view of `g`: vertices with
+/// `!present[v]` are left out (label -1, in no component), and those with
+/// `isolated[v]` stay in but keep no edge, in or out — each is a singleton
+/// component.  Labels, the count and the answer are those of `largest_scc`
+/// over the present vertices compacted in id order with the isolated ones'
+/// edges dropped, up to that monotone relabelling — so a frozen subgraph
+/// (sim::ChurnEngine's pre-repair audit) is decomposed in place, without a
+/// copy.
+int largest_scc(const Digraph& g, std::span<const char> present,
+                std::span<const char> isolated, SccScratch& scratch,
+                SccResult& out, std::vector<int>& sizes);
 
 /// True iff `g` is strongly connected (n <= 1 counts as strongly connected).
 /// Fast path: forward BFS from vertex 0, then backward BFS on the O(m)

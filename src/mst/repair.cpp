@@ -26,18 +26,38 @@ inline bool edge_key_less(double d2a, int a1, int a2, double d2b, int b1,
 
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
                             std::span<const int> orig_of) {
+  std::vector<std::uint64_t> keys;
+  RadixScratch radix;
+  seed(edges, orig_of, keys, radix);
+}
+
+void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
+                            std::span<const int> orig_of,
+                            std::vector<std::uint64_t>& keys,
+                            RadixScratch& radix) {
   drop_pending();
-  pool_.clear();
-  pool_.reserve(edges.size());
-  for (const auto& [a, b] : edges) {
-    const int u = orig_of[a], v = orig_of[b];
-    pool_.emplace_back(std::min(u, v), std::max(u, v));
-  }
-  std::sort(pool_.begin(), pool_.end());
-  pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
-  explicit_size_ = pool_.size();
   int max_id = -1;
   for (int u : orig_of) max_id = std::max(max_id, u);
+  // (min << w | max) orders exactly as the (min, max) pair, and the
+  // radix sort skips the digits every key shares.
+  int w = 1;
+  while ((std::uint64_t{1} << w) <= static_cast<std::uint64_t>(max_id)) ++w;
+  const std::uint64_t low = (std::uint64_t{1} << w) - 1;
+  keys.clear();
+  for (const auto& [a, b] : edges) {
+    const int u = orig_of[a], v = orig_of[b];
+    keys.push_back(static_cast<std::uint64_t>(std::min(u, v)) << w |
+                   static_cast<std::uint64_t>(std::max(u, v)));
+  }
+  radix_sort(keys, 0, radix);
+  pool_.clear();
+  pool_.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) continue;
+    pool_.emplace_back(static_cast<int>(keys[i] >> w),
+                       static_cast<int>(keys[i] & low));
+  }
+  explicit_size_ = pool_.size();
   grow(max_id + 1);
   std::fill(state_.begin(), state_.end(), kAbsent);
   for (int u : orig_of) state_[u] = kMember;

@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "common/max_tree.hpp"
+#include "common/radix_sort.hpp"
 #include "geometry/point.hpp"
 #include "mst/euler_tour.hpp"
 #include "mst/tree.hpp"
@@ -92,7 +93,13 @@ class DelaunayEdgePool {
   /// Seed from a triangulation's edge list given in a compact index space;
   /// `orig_of` maps compact ids to original ids and its entries are the
   /// member (alive) set.  Clears every star and all staged work.  The pool
-  /// becomes valid.
+  /// becomes valid.  The edges are radix-sorted as packed (min, max) keys
+  /// in `keys` and `radix`, borrowed sort buffers (sim::ChurnEngine lends
+  /// its idle Kruskal scratch), so the pool holds no sort memory between
+  /// seeds; the two-argument form sorts in call-local buffers.
+  void seed(std::span<const std::pair<int, int>> edges,
+            std::span<const int> orig_of, std::vector<std::uint64_t>& keys,
+            RadixScratch& radix);
   void seed(std::span<const std::pair<int, int>> edges,
             std::span<const int> orig_of);
 

@@ -78,26 +78,17 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   batch_ = 0;
   compact_valid_ = false;
 
-  session_.orient(pts, spec_);
-  session_current_ = true;
   tree_in_repair_ = false;
   build_compact();  // identity: every node is alive
-  reseed_pool();
-  record_plan();
-  const auto& res = session_.last_result();
   plan_.orientation.reset(n_orig_, std::max(1, spec.k));
   radius_max_.assign(n_orig_, 0.0);
   spread_max_.assign(n_orig_, 0.0);
   count_max_.assign(n_orig_, 0.0);
-  for (int u = 0; u < n_orig_; ++u) {
-    plan_.orientation.copy_node(u, res.orientation, u);
-    refresh_row(u);
-  }
-  plan_.algorithm = res.algorithm;
-  plan_.bound_factor = res.bound_factor;
-  plan_.lmax = res.lmax;
+  session_.orient(compact_pts_, spec_, plan_rows());
+  for (int u : plan_changed_) refresh_row(u);
   plan_.measured_radius = radius_max_.max();
-  plan_.cases = res.cases;
+  reseed_pool();
+  record_plan();
   full_build();
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
@@ -281,7 +272,8 @@ void ChurnEngine::audit_frozen() {
   // nodes are isolated — their old sectors aimed at old neighbourhoods, so
   // their coverage is unknown until the re-plan re-aims them
   // (conservatively stranded).  The certificate's witness trees answer it
-  // when they can; the fallback is a Tarjan pass over a frozen copy.
+  // when they can; the fallback is a Tarjan pass over the certified digraph
+  // itself, dead ids left out and moved/recovered ones isolated.
   const int m = alive_count_;
   auto& deg = report_.degraded;
   deg.stranded.clear();
@@ -306,16 +298,13 @@ void ChurnEngine::audit_frozen() {
                  std::back_inserter(deg.stranded));
     }
   }
-  bool frozen_built = false;
   if (!answered) {
-    build_frozen_compact();
-    frozen_built = true;
-    const int best =
-        graph::largest_scc(frozen_, cx_.scc, scc_result_, scc_sizes_);
+    const int best = graph::largest_scc(dg_, alive_, changed_pos_, cx_.scc,
+                                        scc_result_, scc_sizes_);
     deg.largest_scc = best < 0 ? 0 : scc_sizes_[best];
-    for (int c = 0; c < m; ++c) {
-      if (scc_result_.component[c] != best) {
-        deg.stranded.push_back(orig_of_[c]);
+    for (int u = 0; u < n_orig_; ++u) {
+      if (alive_[u] && scc_result_.component[u] != best) {
+        deg.stranded.push_back(u);
       }
     }
   }
@@ -327,42 +316,24 @@ void ChurnEngine::audit_frozen() {
     if (deg.largest_scc < m) {
       deg.k_level = 0;
     } else {
+      // One component holds every alive node, so none moved or recovered
+      // (each would be an isolated singleton; a lone survivor is robust
+      // either way): the frozen graph is the certified digraph over the
+      // alive ids, and every probe masks the dead ids plus one alive one.
       deg.k_level = 1;
-      if (!frozen_built) build_frozen_compact();
-      frozen_.reversed_into(frozen_t_);
-      probe_removed_.assign(static_cast<size_t>(m), 0);
+      probe_removed_.resize(static_cast<size_t>(n_orig_));
+      for (int u = 0; u < n_orig_; ++u) probe_removed_[u] = !alive_[u];
       bool robust = true;
-      for (int c = 0; c < m && robust; ++c) {
-        probe_removed_[c] = 1;
-        robust = graph::is_strongly_connected(frozen_, frozen_t_, reach_,
+      for (int u = 0; u < n_orig_ && robust; ++u) {
+        if (!alive_[u]) continue;
+        probe_removed_[u] = 1;
+        robust = graph::is_strongly_connected(dg_, dgt_, reach_,
                                               probe_removed_.data());
-        probe_removed_[c] = 0;
+        probe_removed_[u] = 0;
       }
       if (robust) deg.k_level = 2;
     }
   }
-}
-
-void ChurnEngine::build_frozen_compact() {
-  build_compact();
-  const int m = alive_count_;
-  std::move(frozen_).release(frozen_offsets_, frozen_targets_);
-  auto& offs = frozen_offsets_;
-  auto& tgts = frozen_targets_;
-  offs.clear();
-  offs.push_back(0);
-  tgts.clear();
-  for (int c = 0; c < m; ++c) {
-    const int u = orig_of_[c];
-    // Alive and not moved or recovered means alive last batch too.
-    if (!changed_pos_[u]) {
-      for (int v : dg_.out(u)) {
-        if (alive_[v] && !changed_pos_[v]) tgts.push_back(comp_of_[v]);
-      }
-    }
-    offs.push_back(static_cast<int>(tgts.size()));
-  }
-  frozen_ = graph::Digraph(std::move(offs), std::move(tgts));
 }
 
 void ChurnEngine::replan() {
@@ -372,7 +343,6 @@ void ChurnEngine::replan() {
   report_.incremental_orient = false;
   report_.orient_planned = 0;
   report_.warm_orient = false;
-  session_current_ = false;
   const char* esc = nullptr;
   if (opts_.force_full) {
     esc = "forced";
@@ -455,25 +425,25 @@ void ChurnEngine::replan() {
       // rewires a degree-6 EMST, and the swept tree then differs from the
       // one the repair layer carries and reports deltas against, so that
       // plan is not recorded.
-      session_.orient_on_emst(compact_pts_, inc_tree_, spec_);
+      session_.orient_on_emst(compact_pts_, inc_tree_, spec_, plan_rows());
       const auto deg = repair_.degrees();
       if (*std::max_element(deg.begin(), deg.end()) <= 5) {
         record_plan();
       } else {
         orient_mem_.valid = false;
       }
-      adopt_compact_plan();
+      adopt_fresh_plan();
     }
   }
   if (esc != nullptr) {
     build_compact();
-    session_.orient(compact_pts_, spec_);
+    session_.orient(compact_pts_, spec_, plan_rows());
     reseed_pool();
     // The raw EMST is not recoverable from the full pipeline, so the next
     // batch takes rung 2, which diffs against whatever tree is recorded.
     repair_.invalidate();
     record_plan();
-    adopt_compact_plan();
+    adopt_fresh_plan();
   }
   report_.escalation = esc;
   report_.incremental_plan = esc == nullptr;
@@ -491,10 +461,13 @@ bool ChurnEngine::orient_warm(std::span<const std::pair<int, int>> removed,
   return true;
 }
 
+core::PlanRows ChurnEngine::plan_rows() {
+  return {orig_of_, &plan_, &plan_changed_};
+}
+
 void ChurnEngine::record_plan() {
-  core::record_two_antennae_memory(spec_.phi, session_.scratch(),
-                                   session_.last_result(), orig_of_, n_orig_,
-                                   orient_mem_);
+  core::record_two_antennae_memory(spec_.phi, session_.scratch(), plan_,
+                                   orig_of_, n_orig_, orient_mem_);
 }
 
 // Net edge diff between the tree the plan memory records and the Kruskal
@@ -534,20 +507,28 @@ void ChurnEngine::refresh_row(int u) {
   count_max_.set(u, static_cast<double>(ants.size()));
 }
 
-// Shared tail of every re-plan: rows of nodes that died this batch empty
-// out, the certificate maxima follow, and the dirty set is the changed
-// rows plus the event nodes, ascending.
 void ChurnEngine::adopt_warm_plan() {
   report_.incremental_orient = true;
   report_.warm_orient = true;
   report_.orient_planned = static_cast<int>(orient_mem_.planned.size());
   tree_in_repair_ = true;
+  adopt_rows(orient_mem_.changed);
+}
+
+void ChurnEngine::adopt_fresh_plan() {
+  tree_in_repair_ = false;
+  adopt_rows(plan_changed_);
+}
+
+// Shared tail of every re-plan, given the rows it rewrote (ascending): rows
+// of nodes that died this batch empty out, the certificate maxima follow,
+// and the dirty set is the changed rows plus the event nodes, ascending.
+void ChurnEngine::adopt_rows(std::span<const int> changed) {
   auto& sr = report_.suggested_repair;
   sr.clear();
-  std::set_union(orient_mem_.changed.begin(), orient_mem_.changed.end(),
-                 event_nodes_.begin(), event_nodes_.end(),
-                 std::back_inserter(sr));
-  for (int u : orient_mem_.changed) refresh_row(u);
+  std::set_union(changed.begin(), changed.end(), event_nodes_.begin(),
+                 event_nodes_.end(), std::back_inserter(sr));
+  for (int u : changed) refresh_row(u);
   for (int u : batch_dead_) {
     if (!alive_[u]) {
       plan_.orientation.clear_node(u);
@@ -555,36 +536,6 @@ void ChurnEngine::adopt_warm_plan() {
     }
   }
   for (int u : sr) dirty_stamp_[u] = batch_;
-  plan_.measured_radius = radius_max_.max();
-  report_.dirty_fraction =
-      alive_count_ > 0 ? static_cast<double>(sr.size()) / alive_count_ : 0.0;
-}
-
-void ChurnEngine::adopt_compact_plan() {
-  const auto& res = session_.last_result();
-  session_current_ = true;
-  tree_in_repair_ = false;
-  auto& sr = report_.suggested_repair;
-  sr.clear();
-  for (int c = 0; c < alive_count_; ++c) {
-    const int u = orig_of_[c];
-    const bool changed = plan_.orientation.sync_node(u, res.orientation, c);
-    if (changed) refresh_row(u);
-    if (changed || changed_pos_[u]) {
-      sr.push_back(u);
-      dirty_stamp_[u] = batch_;
-    }
-  }
-  for (int u : batch_dead_) {
-    if (!alive_[u]) {
-      plan_.orientation.clear_node(u);
-      refresh_row(u);
-    }
-  }
-  plan_.algorithm = res.algorithm;
-  plan_.bound_factor = res.bound_factor;
-  plan_.lmax = res.lmax;
-  plan_.cases = res.cases;
   plan_.measured_radius = radius_max_.max();
   report_.dirty_fraction =
       alive_count_ > 0 ? static_cast<double>(sr.size()) / alive_count_ : 0.0;
@@ -645,7 +596,8 @@ int ChurnEngine::certify_sccs() {
 void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
   if (es.last_kind == mst::EngineKind::kDelaunayKruskal) {
-    pool_edges_.seed(es.candidates, orig_of_);
+    pool_edges_.seed(es.candidates, orig_of_, es.kruskal.order,
+                     es.kruskal.radix);
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent
     // or stale, so the pool stays invalid and the next step escalates too.
@@ -663,38 +615,28 @@ void ChurnEngine::install(graph::Digraph& g, std::vector<int>& offsets,
 }
 
 void ChurnEngine::full_build() {
-  build_compact();
-  const antenna::Orientation* co = &session_.last_result().orientation;
-  if (!session_current_) {
-    // A warm plan exists only in original space: gather a compact copy.
-    gather_o_.reset(alive_count_, std::max(1, spec_.k));
-    for (int c = 0; c < alive_count_; ++c) {
-      gather_o_.copy_node(c, plan_.orientation, orig_of_[c]);
-    }
-    co = &gather_o_;
+  // The sharded builder runs in original space over the plan and the live
+  // grid, re-indexed over the survivors at the builder's own cell: a grid
+  // masked to the alive ids enumerates exactly the points, in exactly the
+  // order, of a fresh build over the survivors compacted in id order, so
+  // every row — and its order — is the compact build's, relabelled, and
+  // dead ids are empty rows no row points at.  (No radius means no plan
+  // with two sensors: every row is empty, as the compact build has it.)
+  // The row patch re-indexes the grid at its own cell on its next run.
+  const double rmax = radius_max_.max();
+  auto& tx = cx_.transmission;
+  grid_.rebuild(positions_, antenna::digraph_grid_cell(rmax), alive_);
+  if (rmax > 0.0) {
+    graph::Digraph fresh = antenna::induced_digraph_fast(
+        positions_, plan_.orientation, grid_, kAngleTol, kRadiusAbsTol, tx,
+        threads_, pool_.get());
+    std::move(fresh).release(tx.offsets, tx.targets);
+  } else {
+    tx.offsets.assign(static_cast<size_t>(n_orig_) + 1, 0);
+    tx.targets.clear();
   }
-  graph::Digraph fresh = antenna::induced_digraph_fast(
-      compact_pts_, *co, kAngleTol, kRadiusAbsTol, cx_.transmission, threads_,
-      pool_.get());
-  // Scatter into original space: row order and content carry over, dead
-  // ids get empty rows.
-  auto& offs = patch_offsets_;
-  auto& tgts = patch_targets_;
-  offs.resize(static_cast<size_t>(n_orig_) + 1);
-  tgts.clear();
-  offs[0] = 0;
-  for (int u = 0; u < n_orig_; ++u) {
-    if (alive_[u]) {
-      for (int t : fresh.out(comp_of_[u])) tgts.push_back(orig_of_[t]);
-    }
-    offs[u + 1] = static_cast<int>(tgts.size());
-  }
-  std::move(fresh).release(cx_.transmission.offsets, cx_.transmission.targets);
-  install(dg_, patch_offsets_, patch_targets_);
+  install(dg_, tx.offsets, tx.targets);
   dg_.reversed_into(dgt_);
-  const double qr =
-      radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
-  grid_.rebuild(positions_, std::max(qr / 2.0, 1e-12), alive_);
 }
 
 void ChurnEngine::build_digraph() {

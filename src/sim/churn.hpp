@@ -35,10 +35,13 @@
 /// Index space: the engine's plan, certified CSR and its transpose, spatial
 /// grid and witness trees all live in *original* id space (dead ids are
 /// empty rows) and are patched in place, so a warm step touches only its
-/// region.  Compact
-/// (surviving-only) ids exist only where a from-scratch stage runs — the
-/// escalated plan, the pool Kruskal, the sharded full digraph build — and
-/// those scatter their output back once.
+/// region.  Each is held once.  Compact (surviving-only) ids exist only
+/// where a from-scratch plan runs — the escalated pipeline, the pool
+/// Kruskal, the fresh sweep — and the sweep writes its rows straight into
+/// the original-space plan through the compact-to-original row map.  The
+/// full digraph build runs in original space over a grid masked to the
+/// survivors, and the audit fallback's Tarjan pass runs on the certified
+/// digraph itself.
 ///
 /// Graceful degradation: before re-planning, each step audits the **frozen
 /// survivor graph** — the previous certified digraph restricted to stable
@@ -48,8 +51,9 @@
 /// re-aims them.  The audit is answered from the cached hub out-tree and
 /// in-tree of the last certificate (graph::IncrementalSccCert::
 /// audit_removal): only the subtrees hanging below this batch's removed
-/// nodes are examined, and a Tarjan pass over a frozen copy runs only when
-/// that witness cannot answer (no valid trees, hub removed, subtrees too
+/// nodes are examined, and a masked Tarjan pass over the certified digraph
+/// (dead ids left out, moved/recovered ids isolated) runs only when that
+/// witness cannot answer (no valid trees, hub removed, subtrees too
 /// large, or a hub component not holding a strict majority).
 /// Certification failure mid-churn never throws: the DegradedReport
 /// carries the largest-SCC coverage fraction, the stranded list, the
@@ -66,8 +70,8 @@
 /// the second step on, a steady-state batch (stable alive count) performs
 /// zero heap allocations on both the incremental and the escalated path
 /// (tests/test_session_alloc.cpp, WarmChurnLoopIsAllocationFree).  Batches
-/// that shrink and regrow the alive set may touch the per-node output
-/// arena (vector-of-vectors resize), like every session in this library.
+/// that shrink and regrow the alive set may grow compact-space buffers,
+/// like every session in this library.
 /// Not thread-safe; the engine parallelizes internally via `set_threads`.
 
 #include <cstdint>
@@ -269,13 +273,14 @@ class ChurnEngine {
   void touch(int u);
   void build_compact() const;
   void audit_frozen();
-  void build_frozen_compact();
   void replan();
   void derive_mst_events();
-  void adopt_compact_plan();
+  core::PlanRows plan_rows();
   bool orient_warm(std::span<const std::pair<int, int>> removed,
                    std::span<const std::pair<int, int>> added);
   void adopt_warm_plan();
+  void adopt_fresh_plan();
+  void adopt_rows(std::span<const int> changed);
   void record_plan();
   void diff_recorded_tree();
   void refresh_row(int u);
@@ -312,8 +317,8 @@ class ChurnEngine {
   std::vector<int> dirty_stamp_;    ///< == batch_: row in suggested_repair
   std::vector<int> rewrite_stamp_;  ///< == batch_: row patch rewrites row
 
-  // Compact maps, built on demand (escalation, pool Kruskal, full build,
-  // the Tarjan audit) for the current alive set and positions.
+  // Compact maps, built on demand (fresh plans, pool Kruskal) for the
+  // current alive set and positions.
   mutable std::vector<int> comp_of_, orig_of_;
   mutable std::vector<geom::Point> compact_pts_;
   mutable bool compact_valid_ = false;
@@ -325,8 +330,6 @@ class ChurnEngine {
   /// The last plan's spanning tree is the repair layer's (warm orient), not
   /// `session_.last_tree()` over the compact ids of that step.
   bool tree_in_repair_ = false;
-  /// `session_.last_result()` is this step's plan in compact ids.
-  bool session_current_ = false;
 
   // Sub-linear warm path: the maintained EMST (layer 1), the warm
   // orienter's plan memory (layer 2), and the frontier recertifier's
@@ -341,10 +344,11 @@ class ChurnEngine {
   std::vector<int> suspects_;  ///< dirty ∪ this-batch dead, ascending
 
   // The plan in original space, with exact per-row maxima for the
-  // certificate (rows shrink as well as grow).
+  // certificate (rows shrink as well as grow).  Fresh sweeps write it in
+  // place through orig_of_ (PlanSession's row-mapped overloads).
   core::Result plan_;
+  std::vector<int> plan_changed_;  ///< rows the last fresh plan rewrote
   MaxTree radius_max_, spread_max_, count_max_;
-  antenna::Orientation gather_o_{0};  ///< compact copy for a full build
 
   // Certified digraph (original space) + certification scratch.  The CSR
   // buffer pairs (dg_'s own, the patch pair, the transmission scratch's)
@@ -366,13 +370,10 @@ class ChurnEngine {
 
   // Frozen-survivor audit scratch.
   std::vector<int> audit_removed_, audit_outside_;
-  std::vector<int> frozen_offsets_, frozen_targets_;
-  graph::Digraph frozen_;
   graph::SccResult scc_result_;
   std::vector<int> scc_sizes_;
-  graph::Digraph frozen_t_;  ///< k-level probe transpose of frozen_
   graph::ReachScratch reach_;
-  std::vector<char> probe_removed_;
+  std::vector<char> probe_removed_;  ///< k-level probe mask, original ids
 
   StepReport report_;
   int batch_ = 0;

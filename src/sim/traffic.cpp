@@ -123,7 +123,6 @@ void TrafficEngine::attach_churn(ChurnEngine& eng) {
   tree_ = nullptr;
   n_ = eng.size();
   graph_ = &eng.certified_digraph();
-  audit_.bind(*graph_);
 }
 
 double TrafficEngine::battery_charge(int u) const {
@@ -353,8 +352,12 @@ void TrafficEngine::rebuild_routes() {
       // transpose; next hop = first out-neighbour one step closer.  Every
       // discovered node's distance is final, and every node one step
       // closer than a discovered one is discovered, so the scan over the
-      // discovered nodes picks the hops a full BFS would.
-      const graph::Digraph& gt = audit_.transpose();
+      // discovered nodes picks the hops a full BFS would.  In churn mode
+      // the engine keeps that transpose already (in-lists ascending,
+      // exactly `reversed_into`), patched with its digraph.
+      const graph::Digraph& gt = churn_ != nullptr
+                                     ? churn_->certified_transpose()
+                                     : audit_.transpose();
       bfs([&](int x) { return gt.out(x); }, false);
       for (const int u : bfs_.queue) {
         const int du = dist_[u];
@@ -386,7 +389,6 @@ void TrafficEngine::rebuild_routes() {
 void TrafficEngine::refresh_topology() {
   if (churn_ != nullptr) {
     graph_ = &churn_->certified_digraph();
-    audit_.bind(*graph_);
     const auto& ca = churn_->alive();
     // Only the liveness fields refresh: qlen/busy_until carry the
     // in-flight forwarding state across a mid-run rebuild.

@@ -112,8 +112,7 @@ class ReferenceOrientation {
     for (size_t j = 0; j < a.size(); ++j) {
       const geom::Sector& x = a[j];
       const geom::Sector& y = b[j];
-      if (x.apex.x != y.apex.x || x.apex.y != y.apex.y ||
-          x.start != y.start || x.width != y.width || x.radius != y.radius) {
+      if (x.start != y.start || x.width != y.width || x.radius != y.radius) {
         return false;
       }
     }

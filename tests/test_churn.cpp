@@ -17,12 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <vector>
 
+#include "antenna/transmission.hpp"
 #include "common/constants.hpp"
 #include "core/session.hpp"
 #include "core/validate.hpp"
 #include "geometry/generators.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/churn.hpp"
 #include "thread_counts.hpp"
 
@@ -448,6 +452,116 @@ TEST(Churn, PoissonScheduleIsDeterministic) {
     differs = ea[i].node != ec[i].node || ea[i].kind != ec[i].kind;
   }
   EXPECT_TRUE(differs);
+}
+
+// The engine's one original-space plan and certified CSR against a fresh
+// compact plan and a compact full digraph build over the survivors, mapped
+// to original ids: every plan row bit for bit (dead rows empty), and every
+// CSR row — in exact order when this step took the full build (the order
+// is observable through collection-tree next hops), as a set when it took
+// the row patch — plus the transpose.
+void expect_matches_compact_build(const sim::ChurnEngine& eng,
+                                  const core::ProblemSpec& spec, int threads,
+                                  dirant::par::ThreadPool* pool, int batch) {
+  const auto& orig_of = eng.compact_to_orig();
+  std::vector<geom::Point> survivors;
+  for (int u : orig_of) survivors.push_back(eng.positions()[u]);
+  core::PlanSession fresh;
+  const auto& ref = fresh.orient(survivors, spec);
+  const auto& got = eng.last_result();
+  EXPECT_EQ(got.algorithm, ref.algorithm) << "batch " << batch;
+  EXPECT_EQ(got.lmax, ref.lmax) << "batch " << batch;
+  EXPECT_EQ(got.bound_factor, ref.bound_factor) << "batch " << batch;
+  EXPECT_EQ(got.measured_radius, ref.measured_radius) << "batch " << batch;
+  std::vector<int> comp_of(static_cast<size_t>(eng.size()), -1);
+  for (size_t c = 0; c < orig_of.size(); ++c) {
+    comp_of[orig_of[c]] = static_cast<int>(c);
+  }
+  for (int u = 0; u < eng.size(); ++u) {
+    if (comp_of[u] < 0) {
+      ASSERT_TRUE(got.orientation.antennas(u).empty())
+          << "batch " << batch << " dead row " << u;
+    } else {
+      ASSERT_TRUE(ref.orientation.node_equals(comp_of[u], got.orientation, u))
+          << "batch " << batch << " row " << u << " threads " << threads;
+    }
+  }
+
+  dirant::antenna::TransmissionScratch tx;
+  const auto built = dirant::antenna::induced_digraph_fast(
+      survivors, ref.orientation, dirant::kAngleTol, dirant::kRadiusAbsTol,
+      tx, threads, pool);
+  const auto& dg = eng.certified_digraph();
+  const bool exact = !eng.last_report().incremental_digraph;
+  ASSERT_EQ(dg.size(), eng.size());
+  for (int u = 0; u < eng.size(); ++u) {
+    std::vector<int> want;
+    if (comp_of[u] >= 0) {
+      for (int t : built.out(comp_of[u])) want.push_back(orig_of[t]);
+    }
+    std::vector<int> have(dg.out(u).begin(), dg.out(u).end());
+    if (!exact) {
+      std::sort(want.begin(), want.end());
+      std::sort(have.begin(), have.end());
+    }
+    ASSERT_EQ(have, want) << "batch " << batch << " csr row " << u
+                          << (exact ? " (full build)" : " (row patch)")
+                          << " threads " << threads;
+  }
+  const auto rt = dg.reversed();
+  const auto& dgt = eng.certified_transpose();
+  for (int u = 0; u < eng.size(); ++u) {
+    ASSERT_TRUE(std::equal(rt.out(u).begin(), rt.out(u).end(),
+                           dgt.out(u).begin(), dgt.out(u).end()))
+        << "batch " << batch << " transpose row " << u;
+  }
+}
+
+TEST(Churn, EscalatingSchedulesMatchCompactPlanAndFullBuild) {
+  // Schedules that leave the warm ladder: force_full (every step plans
+  // fresh and builds the full digraph), and move + recover batches that
+  // blow the candidate pool up (pool-invalid escalations, fresh sweeps,
+  // full builds past the dirty threshold), between light fail batches
+  // that take the warm paths.
+  const core::ProblemSpec spec{2, kPi};
+  const auto pts = make_points(700, 5150);
+  for (const bool force_full : {true, false}) {
+    for (const int t : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "force_full=" << force_full << " threads=" << t);
+      std::unique_ptr<dirant::par::ThreadPool> pool;
+      if (t > 1) pool = std::make_unique<dirant::par::ThreadPool>(t);
+      sim::ChurnEngine eng;
+      eng.set_threads(t);
+      sim::ChurnOptions opts;
+      opts.force_full = force_full;
+      eng.init(pts, spec, opts);
+      expect_matches_compact_build(eng, spec, t, pool.get(), 0);
+      int escalations = 0, pool_invalid = 0, full_builds = 0;
+      for (int b = 1; b <= 9; ++b) {
+        std::vector<sim::ChurnEvent> events;
+        if (b % 3 == 0) {
+          eng.poisson_schedule(31, b, 0.02, 0.6, 0.04, 0.05, events);
+        } else {
+          eng.poisson_schedule(31, b, 0.02, 0.1, 0.0, 0.0, events);
+        }
+        const auto& rep = eng.step(events);
+        escalations += rep.escalation != nullptr;
+        pool_invalid += rep.escalation != nullptr &&
+                        std::strcmp(rep.escalation, "pool-invalid") == 0;
+        full_builds += !rep.incremental_digraph;
+        expect_matches_compact_build(eng, spec, t, pool.get(), b);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      if (force_full) {
+        EXPECT_EQ(full_builds, 9);
+      } else {
+        EXPECT_GE(pool_invalid, 1);
+        EXPECT_GE(full_builds, 1);
+        EXPECT_LT(escalations, 9);  // the light batches stay warm
+      }
+    }
+  }
 }
 
 TEST(Churn, KLevelProbeTracksFrozenConnectivity) {

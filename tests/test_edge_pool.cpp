@@ -276,3 +276,44 @@ TEST(EdgePoolDifferential, TrafficLikeBatchesMatchMaterialisingOracle) {
 }
 
 }  // namespace
+
+namespace {
+
+TEST(EdgePoolDifferential, RadixSeedMatchesSortedOracle) {
+  // The seed packs each edge as (min << w | max) and radix-sorts the keys;
+  // the pool must come out exactly as std::sort + unique of the (min, max)
+  // pairs leaves it.  Edges repeat in both orientations, and the original
+  // ids are sparse up to ~2^22, so the keys span several radix digits; one
+  // pair of borrowed buffers serves every seed, of growing and shrinking
+  // size.
+  std::mt19937_64 rng(77);
+  std::vector<std::uint64_t> keys;
+  dirant::RadixScratch radix;
+  for (const int n : {2, 3, 50, 700, 4000, 90}) {
+    std::vector<int> orig_of;
+    int id = static_cast<int>(rng() % 5);
+    for (int c = 0; c < n; ++c) {
+      orig_of.push_back(id);
+      id += 1 + static_cast<int>(rng() % (c % 3 == 0 ? 2000 : 3));
+    }
+    std::vector<std::pair<int, int>> edges;
+    for (int i = 0; i < 3 * n; ++i) {
+      const int a = static_cast<int>(rng() % n);
+      int b = static_cast<int>(rng() % n);
+      if (a == b) b = (b + 1) % n;
+      edges.emplace_back(a, b);
+      if (i % 4 == 0) edges.emplace_back(b, a);  // the same edge again
+    }
+    mst::DelaunayEdgePool pool;
+    ReferenceEdgePool ref;
+    pool.seed(edges, orig_of, keys, radix);
+    ref.seed(edges, orig_of);
+    const auto got = pool.edges();
+    const auto want = ref.edges();
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << "n=" << n;
+    EXPECT_EQ(pool.size(), want.size()) << "n=" << n;
+  }
+}
+
+}  // namespace

@@ -68,34 +68,34 @@ TEST(Exact, PointInTriangle) {
 }
 
 TEST(Sector, ContainsBasics) {
-  const auto s = geom::make_arc({0, 0}, 0.0, kPi / 2, 2.0);
-  EXPECT_TRUE(s.contains({1, 0}));
-  EXPECT_TRUE(s.contains({0, 1}));
-  EXPECT_TRUE(s.contains({1, 1}));
-  EXPECT_FALSE(s.contains({-1, 0}));   // wrong direction
-  EXPECT_FALSE(s.contains({3, 0}));    // too far
-  EXPECT_FALSE(s.contains({0, 0}));    // apex excluded
-  EXPECT_TRUE(s.contains({2, 0}));     // boundary radius inclusive
+  const auto s = geom::make_arc(0.0, kPi / 2, 2.0);
+  EXPECT_TRUE(s.contains({0, 0}, {1, 0}));
+  EXPECT_TRUE(s.contains({0, 0}, {0, 1}));
+  EXPECT_TRUE(s.contains({0, 0}, {1, 1}));
+  EXPECT_FALSE(s.contains({0, 0}, {-1, 0}));   // wrong direction
+  EXPECT_FALSE(s.contains({0, 0}, {3, 0}));    // too far
+  EXPECT_FALSE(s.contains({0, 0}, {0, 0}));    // apex excluded
+  EXPECT_TRUE(s.contains({0, 0}, {2, 0}));     // boundary radius inclusive
 }
 
 TEST(Sector, ZeroWidthBeamHitsExactTarget) {
   const geom::Point apex{1, 1};
   const geom::Point target{4, 5};
   const auto beam = geom::beam_to(apex, target);
-  EXPECT_TRUE(beam.contains(target));
+  EXPECT_TRUE(beam.contains(apex, target));
   EXPECT_DOUBLE_EQ(beam.width, 0.0);
   EXPECT_NEAR(beam.radius, 5.0, 1e-12);
-  EXPECT_FALSE(beam.contains({4, 6}));
+  EXPECT_FALSE(beam.contains(apex, {4, 6}));
   // A nearer point on the same ray is covered.
-  EXPECT_TRUE(beam.contains(geom::lerp(apex, target, 0.5)));
+  EXPECT_TRUE(beam.contains(apex, geom::lerp(apex, target, 0.5)));
 }
 
 TEST(Sector, WrappingInterval) {
-  const auto s = geom::make_arc({0, 0}, kTwoPi - 0.5, 1.0, 10.0);
-  EXPECT_TRUE(s.contains({1, 0.0}));  // angle 0 inside the wrap
-  EXPECT_TRUE(s.contains(geom::from_polar(1.0, kTwoPi - 0.3)));
-  EXPECT_TRUE(s.contains(geom::from_polar(1.0, 0.4)));
-  EXPECT_FALSE(s.contains(geom::from_polar(1.0, 1.0)));
+  const auto s = geom::make_arc(kTwoPi - 0.5, 1.0, 10.0);
+  EXPECT_TRUE(s.contains({0, 0}, {1, 0.0}));  // angle 0 inside the wrap
+  EXPECT_TRUE(s.contains({0, 0}, geom::from_polar(1.0, kTwoPi - 0.3)));
+  EXPECT_TRUE(s.contains({0, 0}, geom::from_polar(1.0, 0.4)));
+  EXPECT_FALSE(s.contains({0, 0}, geom::from_polar(1.0, 1.0)));
 }
 
 TEST(Generators, SizesAndDeterminism) {

@@ -57,7 +57,7 @@ TEST(Lemma1, CoverReachesEveryTarget) {
       const auto sectors = core::lemma1_cover({0.0, 0.0}, targets, k);
       for (const auto& t : targets) {
         bool covered = false;
-        for (const auto& s : sectors) covered |= s.contains(t);
+        for (const auto& s : sectors) covered |= s.contains({0.0, 0.0}, t);
         EXPECT_TRUE(covered) << "trial " << trial << " k=" << k;
       }
       // Radius never exceeds the farthest target.

@@ -31,7 +31,7 @@ TEST(Properties, SectorContainsMatchesBruteForce) {
     const double start = u(rng) * kTwoPi;
     const double width = u(rng) * kTwoPi;
     const double radius = 0.2 + u(rng) * 3.0;
-    const auto s = geom::make_arc(apex, start, width, radius);
+    const auto s = geom::make_arc(start, width, radius);
     const geom::Point p{apex.x + (u(rng) * 8 - 4), apex.y + (u(rng) * 8 - 4)};
     if (p == apex) continue;
     const double d = geom::dist(apex, p);
@@ -45,7 +45,7 @@ TEST(Properties, SectorContainsMatchesBruteForce) {
         delta > kTwoPi - 1e-6) {
       continue;
     }
-    EXPECT_EQ(s.contains(p), brute) << "trial " << trial;
+    EXPECT_EQ(s.contains(apex, p), brute) << "trial " << trial;
   }
 }
 

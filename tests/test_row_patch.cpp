@@ -326,11 +326,11 @@ TEST(RowPatch, AcceptingRowsEqualsEveryRowTimesEveryEvent) {
                              : kind == 1 ? 0.0
                              : kind == 2 ? unit(rng) * kPi
                                          : kPi + unit(rng) * kPi;
-        o.add(u, geom::make_arc(pts[u], start, width, radius));
+        o.add(u, geom::make_arc(start, width, radius));
       }
     }
     const double r0 = 3.5, theta0 = unit(rng) * kTwoPi;
-    o.add(0, geom::make_arc(pts[0], theta0 - 0.5, 1.0, r0));
+    o.add(0, geom::make_arc(theta0 - 0.5, 1.0, r0));
     const double rs[2] = {r0, r0 * (1.0 + kRadiusRelTol) + kRadiusAbsTol};
     for (int i = 0; i < 2; ++i) {
       pts[events[3 + i]] = {pts[0].x + rs[i] * std::cos(theta0),

@@ -49,7 +49,10 @@ using dirant::test::count_allocations;
 
 /// Measured warm PlanSession heap at n = 20000 with the flat per-node
 /// tables (WarmPlanSessionFootprint).
-constexpr double kFlatFootprintMb = 9.9;
+constexpr double kFlatFootprintMb = 9.3;
+/// Measured warm ChurnEngine heap at n = 20000 with one original-space plan
+/// (WarmChurnEngineFootprint).
+constexpr double kChurnFootprintMb = 24.8;
 
 // Every selectable tree regime of Table 1 (the btsp-cycle rows are the
 // documented exemption; phi values steer planned_algorithm to each regime).
@@ -236,8 +239,9 @@ TEST(SessionAllocation, WarmPlanSessionFootprint) {
   // construction and two orient+certify rounds.  The flat per-node tables
   // (one fixed-stride antenna table, no per-sensor buckets in the degree
   // repair, no sector copy in the digraph build, no triangle list on the
-  // EMST path) read 9.9 MB here; the bucketed layout they replaced read
-  // 16.4 MB.  The bound leaves 15% headroom over the flat layout.
+  // EMST path) read 9.9 MB here, and 9.3 MB once sectors stopped carrying
+  // their apex (56-byte antenna slots); the bucketed layout they replaced
+  // read 16.4 MB.  The bound leaves 15% headroom over the flat layout.
 #ifndef DIRANT_HEAP_COUNTERS
   GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
 #else
@@ -258,6 +262,42 @@ TEST(SessionAllocation, WarmPlanSessionFootprint) {
   const double mb = (heap_bytes() - before) / (1024.0 * 1024.0);
   std::printf("warm PlanSession footprint at n = 20000: %.2f MB\n", mb);
   EXPECT_LE(mb, 1.15 * kFlatFootprintMb);
+#endif
+}
+
+TEST(SessionAllocation, WarmChurnEngineFootprint) {
+  // Heap held by a warm sim::ChurnEngine at n = 20000 (k = 2, phi = pi)
+  // after init and 50 fail-only steps of ~6 fails each (the churn_small
+  // perfbench schedule), measured like WarmPlanSessionFootprint.  One plan
+  // in original ids, written in place by every fresh sweep, 48-byte warm
+  // orienter records, 56-byte antenna slots, and no compact copies for the
+  // full build or the audit fallback read 24.8 MB here; the layout that
+  // held the plan twice (compact session result plus original-space copy)
+  // read 30.9 MB.  The bound leaves 15% headroom.
+#ifndef DIRANT_HEAP_COUNTERS
+  GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
+#else
+  geom::Rng rng(20000);
+  const auto pts =
+      geom::make_instance(geom::Distribution::kUniformSquare, 20000, rng);
+  const core::ProblemSpec spec{2, kPi};
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap_bytes();
+  auto eng = std::make_unique<dirant::sim::ChurnEngine>();
+  eng->init(pts, spec);
+  std::vector<dirant::sim::ChurnEvent> events;
+  for (int b = 1; b <= 50; ++b) {
+    events.clear();
+    eng->poisson_schedule(1, b, 6.0 / 20000, 0.0, 0.0, 0.0, events);
+    ASSERT_TRUE(eng->step(events).certificate.ok());
+  }
+  events = {};
+  const double mb = (heap_bytes() - before) / (1024.0 * 1024.0);
+  std::printf("warm ChurnEngine footprint at n = 20000: %.2f MB\n", mb);
+  EXPECT_LE(mb, 1.15 * kChurnFootprintMb);
 #endif
 }
 
@@ -355,7 +395,8 @@ TEST(EdgePool, WarmInsertAllocatesNothing) {
   // The churn candidate pool keeps an inserted node as an implicit star:
   // once its buffers have grown, a reseed, star inserts (moves and a
   // recover) and the one materialisation edges() triggers stay off the
-  // heap — seed builds no temporary vectors.
+  // heap — seed sorts in borrowed buffers (the engine lends its Kruskal
+  // scratch) and builds no temporary vectors.
   const int n = 64;
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
@@ -363,8 +404,9 @@ TEST(EdgePool, WarmInsertAllocatesNothing) {
   for (int u = 0; u < n; ++u) orig_of.push_back(u);
   std::vector<char> alive(n, 1);
   dirant::mst::DelaunayEdgePool pool;
+  dirant::mst::KruskalScratch sort_scratch;
   const auto cycle = [&] {
-    pool.seed(edges, orig_of);
+    pool.seed(edges, orig_of, sort_scratch.order, sort_scratch.radix);
     for (int v : {5, 17, 42}) {
       pool.erase_node(v);
       pool.insert_node(v, alive);
@@ -403,8 +445,9 @@ TEST(EdgePool, WarmIndexedErasesAllocateNothing) {
   dirant::mst::DelaunayEdgePool pool;
   const int fails[] = {20, 21, 37};
   const int more_fails[] = {150, 170};
+  dirant::mst::KruskalScratch sort_scratch;
   const auto cycle = [&] {
-    pool.seed(edges, orig_of);
+    pool.seed(edges, orig_of, sort_scratch.order, sort_scratch.radix);
     pool.erase_nodes(fails);  // first erase: one scan
     pool.erase_node(100);     // builds the index
     pool.erase_nodes(more_fails);
