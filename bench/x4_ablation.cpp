@@ -14,7 +14,7 @@
 #include "core/two_antennae.hpp"
 #include "core/validate.hpp"
 #include "mst/degree5.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/audit.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
@@ -80,6 +80,11 @@ DIRANT_REPORT(x4b) {
   section("X4b — price of strong 2-connectivity (k = 2, spread 0)");
   std::printf("n    tree-range  cycle-range  tree-c  cycle-c\n");
   std::printf("---------------------------------------------\n");
+  dirant::sim::AuditSession audit;
+  const auto level = [&](const dirant::graph::Digraph& g) {
+    audit.bind(g);
+    return audit.strong_connectivity_level(2);
+  };
   for (int n : {20, 40, 60}) {
     geom::Rng rng(n * 3 + 1);
     const auto pts = geom::uniform_square(n, std::sqrt(n) * 1.2, rng);
@@ -90,8 +95,7 @@ DIRANT_REPORT(x4b) {
     const auto cg = dirant::antenna::induced_digraph(pts, c.orientation);
     std::printf("%-4d  %8.4f    %8.4f      %d       %d\n", n,
                 t.measured_radius / t.lmax, c.measured_radius / c.lmax,
-                dirant::sim::strong_connectivity_level(tg, 2),
-                dirant::sim::strong_connectivity_level(cg, 2));
+                level(tg), level(cg));
   }
   std::printf(
       "\nShape: the bidirected cycle certifies c = 2 (the paper's open\n"

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Single verification entry point: build Release and a sanitized Debug
 # (-fsanitize=address,undefined) tree, run ctest in both.  This is the
-# command CI and pre-merge checks invoke; keep it green.
+# command CI and pre-merge checks invoke; keep it green.  It ends by
+# printing the tracked C++ line counts of src/ and of tests + bench +
+# examples + perfbench (a report, not a gate).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 
@@ -65,3 +67,13 @@ run_variant build-tsan \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 
 echo "==== all checks passed ===="
+
+# Line counts of the tracked C++ sources, for the per-change growth report.
+count_lines() { git ls-files -z -- "$@" | xargs -0 cat | wc -l; }
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  echo "==== line counts ===="
+  echo "src: $(count_lines 'src/*.cpp' 'src/*.hpp')"
+  echo "tests + bench + examples + perfbench: $(count_lines \
+      'tests/*.cpp' 'tests/*.hpp' 'bench/*.cpp' 'bench/*.hpp' \
+      'examples/*.cpp' 'examples/*.hpp' 'perfbench/*.cpp' 'perfbench/*.hpp')"
+fi

@@ -28,6 +28,13 @@ void bfs_impl(int n, int source, Adjacency&& adj, std::vector<int>& dist,
   }
 }
 
+/// True iff the undirected graph is connected (n <= 1 is connected).
+bool is_connected(const Graph& g) {
+  if (g.size() <= 1) return true;
+  const auto d = bfs_distances(g, 0);
+  return std::none_of(d.begin(), d.end(), [](int x) { return x == -1; });
+}
+
 }  // namespace
 
 void bfs_distances(const Digraph& g, int source, std::vector<int>& dist,
@@ -53,12 +60,6 @@ std::vector<int> bfs_distances(const Graph& g, int source) {
   BfsScratch scratch;
   bfs_distances(g, source, dist, scratch);
   return dist;
-}
-
-bool is_connected(const Graph& g) {
-  if (g.size() <= 1) return true;
-  const auto d = bfs_distances(g, 0);
-  return std::none_of(d.begin(), d.end(), [](int x) { return x == -1; });
 }
 
 bool is_biconnected(const Graph& g) {
@@ -96,24 +97,6 @@ bool is_biconnected(const Graph& g) {
     }
   }
   return root_children <= 1;
-}
-
-HopSummary hop_summary(const Digraph& g, int source) {
-  HopSummary s;
-  const auto d = bfs_distances(g, source);
-  long long total = 0;
-  int reached = 0;
-  for (int x : d) {
-    if (x == -1) {
-      ++s.unreachable;
-    } else {
-      s.max_hops = std::max(s.max_hops, x);
-      total += x;
-      ++reached;
-    }
-  }
-  s.mean_hops = reached > 1 ? static_cast<double>(total) / (reached - 1) : 0.0;
-  return s;
 }
 
 }  // namespace dirant::graph

@@ -1,8 +1,8 @@
 #pragma once
 /// \file traversal.hpp
 /// BFS utilities over directed and undirected graphs: hop distances (used by
-/// the network simulator for stretch measurements), connectivity checks, and
-/// articulation points (used by the bottleneck-TSP lower bound).
+/// the network simulator for stretch measurements) and the biconnectivity
+/// check (used by the bottleneck-TSP lower bound).
 
 #include <vector>
 
@@ -30,20 +30,8 @@ void bfs_distances(const Graph& g, int source, std::vector<int>& dist,
                    BfsScratch& scratch);
 std::vector<int> bfs_distances(const Graph& g, int source);
 
-/// True iff the undirected graph is connected (n <= 1 is connected).
-bool is_connected(const Graph& g);
-
 /// True iff the undirected graph is 2-vertex-connected (biconnected).
 /// n <= 2 requires a direct edge for n == 2; n <= 1 is biconnected.
 bool is_biconnected(const Graph& g);
-
-/// Eccentricity-style summary of directed hop distances from `source`:
-/// maximum finite distance and count of unreachable vertices.
-struct HopSummary {
-  int max_hops = 0;
-  double mean_hops = 0.0;
-  int unreachable = 0;
-};
-HopSummary hop_summary(const Digraph& g, int source);
 
 }  // namespace dirant::graph

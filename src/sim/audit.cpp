@@ -28,16 +28,11 @@ std::uint64_t trial_seed(std::uint64_t seed, int t) {
 
 }  // namespace
 
-AuditSession::AuditSession() = default;
+AuditSession::AuditSession() : audit_workers_(1) {}
 AuditSession::~AuditSession() = default;
 
 void AuditSession::bind(const graph::Digraph& g) {
   bound_ = &g;
-  transpose_valid_ = false;
-}
-
-void AuditSession::unbind() {
-  bound_ = nullptr;
   transpose_valid_ = false;
 }
 
@@ -81,13 +76,35 @@ const graph::Digraph& AuditSession::transpose() {
 bool AuditSession::strongly_connected() {
   const auto& g = digraph();
   if (g.size() <= 1) return true;
-  return graph::is_strongly_connected(g, transpose(), reach_);
+  return graph::is_strongly_connected(g, transpose(),
+                                     audit_workers_[0].reach);
 }
 
-int AuditSession::scc_count() { return graph::scc_count(digraph(), scc_); }
+int AuditSession::scc_count() {
+  return graph::scc_count(digraph(), audit_workers_[0].scc);
+}
 
 BroadcastResult AuditSession::flood(int source) {
-  return sim::flood(digraph(), source, dist_, bfs_);
+  const auto& g = digraph();
+  BroadcastResult r;
+  const int n = g.size();
+  if (n == 0) return r;
+  DIRANT_ASSERT(source >= 0 && source < n);
+  graph::bfs_distances(g, source, dist_, bfs_);
+  long long total_hops = 0;
+  for (int v = 0; v < n; ++v) {
+    if (dist_[v] < 0) continue;
+    ++r.reached;
+    r.rounds = std::max(r.rounds, dist_[v]);
+    total_hops += dist_[v];
+    // A node forwards iff it has somebody to forward to; sinks only listen.
+    if (g.out_degree(v) > 0) ++r.transmissions;
+  }
+  r.delivery_ratio = static_cast<double>(r.reached) / n;
+  r.mean_hops = r.reached > 1
+                    ? static_cast<double>(total_hops) / (r.reached - 1)
+                    : 0.0;
+  return r;
 }
 
 StretchResult AuditSession::hop_stretch(const graph::Digraph& omni,
@@ -117,80 +134,61 @@ StretchResult AuditSession::hop_stretch(const graph::Digraph& omni,
 int AuditSession::strong_connectivity_level(int max_level) {
   const auto& g = digraph();
   const int n = g.size();
-  if (n <= 1) return max_level;
-  // Every deletion probe shares the session-cached transpose and the reach
-  // scratch: one O(n + m) transpose per bind, zero allocations per probe.
+  const int cap = std::max(max_level, 0);
+  if (n <= 1) return cap;
+  if (cap == 0) return 0;
+  // Every deletion probe shares the session-cached transpose: one
+  // O(n + m) transpose per bind, zero allocations per probe.
   const auto& gt = transpose();
-  removed_.assign(n, 0);
-  if (!graph::is_strongly_connected(g, gt, reach_, removed_.data())) {
-    return 0;
-  }
-  int level = 1;
-  if (max_level >= 2) {
-    bool survives_all = true;
-    if (threads_ > 1 && pool_ != nullptr) {
-      // Probe-parallel sweep: contiguous probe chunks claimed off the pool
-      // via the allocation-free run_job fan-out.  Each chunk owns its
-      // ReachScratch and deletion mask; the cached transpose is shared
-      // read-only.  The level is the AND of all probe outcomes — a set
-      // property — so chunking and scheduling cannot change it; the
-      // `failed` flag only lets chunks stop early once the answer is
-      // known.
-      const int chunks = threads_;
-      if (static_cast<int>(audit_workers_.size()) < chunks) {
-        audit_workers_.resize(chunks);
-      }
-      std::atomic<int> failed{0};
-      par::run_indexed(pool_.get(), chunks, [&](int ci) {
-        auto& w = audit_workers_[ci];
-        w.removed.assign(n, 0);
-        // Size the BFS scratch up front: the `failed` check below is
-        // timing-dependent, so a chunk may run zero probes on one sweep
-        // and some on the next — a probe must never be what first grows
-        // these buffers or warm sweeps stop being allocation-free.
-        w.reach.seen.reserve(n);
-        w.reach.stack.reserve(n);
-        const int lo = static_cast<int>(
-            static_cast<long long>(n) * ci / chunks);
-        const int hi = static_cast<int>(
-            static_cast<long long>(n) * (ci + 1) / chunks);
-        for (int v = lo; v < hi; ++v) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          w.removed[v] = 1;
-          const bool ok =
-              graph::is_strongly_connected(g, gt, w.reach, w.removed.data());
-          w.removed[v] = 0;
-          if (!ok) {
-            failed.store(1, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-      survives_all = failed.load(std::memory_order_relaxed) == 0;
-    } else {
-      for (int v = 0; v < n && survives_all; ++v) {
-        removed_[v] = 1;
-        survives_all =
-            graph::is_strongly_connected(g, gt, reach_, removed_.data());
-        removed_[v] = 0;
+  auto& w0 = audit_workers_[0];
+  if (!graph::is_strongly_connected(g, gt, w0.reach)) return 0;
+  if (cap == 1) return 1;
+  // Single-deletion probes in contiguous chunks, one per session thread,
+  // claimed off the pool through the allocation-free run_job fan-out (run
+  // inline when there is no pool).  Each chunk owns its ReachScratch and
+  // deletion mask; the cached transpose is shared read-only.  The level
+  // is the AND of all probe outcomes — a set property — so chunking and
+  // scheduling cannot change it; the `failed` flag only lets chunks stop
+  // early once the answer is known.
+  const int chunks = threads_;
+  std::atomic<int> failed{0};
+  par::run_indexed(pool_.get(), chunks, [&](int ci) {
+    auto& w = audit_workers_[ci];
+    w.removed.assign(n, 0);
+    // Size the BFS scratch up front: the `failed` check below is
+    // timing-dependent, so a chunk may run zero probes on one sweep and
+    // some on the next — a probe must never be what first grows these
+    // buffers or warm sweeps stop being allocation-free.
+    w.reach.seen.reserve(n);
+    w.reach.stack.reserve(n);
+    const int lo = static_cast<int>(static_cast<long long>(n) * ci / chunks);
+    const int hi =
+        static_cast<int>(static_cast<long long>(n) * (ci + 1) / chunks);
+    for (int v = lo; v < hi; ++v) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      w.removed[v] = 1;
+      const bool ok =
+          graph::is_strongly_connected(g, gt, w.reach, w.removed.data());
+      w.removed[v] = 0;
+      if (!ok) {
+        failed.store(1, std::memory_order_relaxed);
+        return;
       }
     }
-    if (!survives_all) return level;
-    level = 2;
-  }
-  if (max_level >= 3 && n <= 80) {  // exhaustive pairs only when affordable
-    bool survives_all = true;
-    for (int a = 0; a < n && survives_all; ++a) {
-      for (int b = a + 1; b < n && survives_all; ++b) {
-        removed_[a] = removed_[b] = 1;
-        survives_all =
-            graph::is_strongly_connected(g, gt, reach_, removed_.data());
-        removed_[a] = removed_[b] = 0;
-      }
+  });
+  if (failed.load(std::memory_order_relaxed)) return 1;
+  if (cap == 2 || n > 80) return 2;  // exhaustive pairs only when affordable
+  // Chunk 0's mask is all zero again: every probe restores its vertex.
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      w0.removed[a] = w0.removed[b] = 1;
+      const bool ok =
+          graph::is_strongly_connected(g, gt, w0.reach, w0.removed.data());
+      w0.removed[a] = w0.removed[b] = 0;
+      if (!ok) return 2;
     }
-    if (survives_all) level = 3;
   }
-  return level;
+  return 3;
 }
 
 namespace {
@@ -201,7 +199,7 @@ namespace {
 /// Digraph::release each trial), and return the largest surviving SCC as a
 /// fraction of the survivors.  Depends only on (g, fraction, seed, t) and
 /// the caller-owned buffers — never on which worker runs it — which is
-/// what makes the trial-parallel sweep bit-identical to the serial one.
+/// what makes the trial sweep bit-identical at every thread count.
 /// Each trial runs serial Tarjan: trials are the parallel axis, and the
 /// SCC partition is a graph property either way.
 double failure_trial(const graph::Digraph& g, double fraction,
@@ -260,36 +258,24 @@ FailureStats AuditSession::failure_resilience(double fraction, int trials,
   const int n = g.size();
   if (n == 0 || trials <= 0) return st;
   trial_frac_.resize(static_cast<size_t>(trials));
-  if (threads_ > 1 && pool_ != nullptr) {
-    // Trial-parallel sweep: contiguous trial chunks over the pool, each
-    // chunk on its own AuditWorker buffers.  Per-trial fractions land in
-    // trial_frac_[t]; the reduction below runs in trial order, so the
-    // float accumulation (and hence the report) matches the serial loop
-    // bit for bit.
-    const int chunks = threads_;
-    if (static_cast<int>(audit_workers_.size()) < chunks) {
-      audit_workers_.resize(chunks);
+  // Contiguous trial chunks, one per session thread (inline when there is
+  // no pool), each chunk on its own AuditWorker buffers.  Per-trial
+  // fractions land in trial_frac_[t] and the reduction below runs in trial
+  // order, so the float accumulation (and hence the report) is the same
+  // bit for bit at every thread count.
+  const int chunks = threads_;
+  par::run_indexed(pool_.get(), chunks, [&](int ci) {
+    auto& w = audit_workers_[ci];
+    const int t_lo =
+        static_cast<int>(static_cast<long long>(trials) * ci / chunks);
+    const int t_hi =
+        static_cast<int>(static_cast<long long>(trials) * (ci + 1) / chunks);
+    for (int t = t_lo; t < t_hi; ++t) {
+      trial_frac_[t] = failure_trial(g, fraction, seed, t, w.removed, w.remap,
+                                     w.sub_offsets, w.sub_targets, w.sizes,
+                                     w.scc, w.scc_result);
     }
-    par::run_indexed(pool_.get(), chunks, [&](int ci) {
-      auto& w = audit_workers_[ci];
-      const int t_lo = static_cast<int>(
-          static_cast<long long>(trials) * ci / chunks);
-      const int t_hi = static_cast<int>(
-          static_cast<long long>(trials) * (ci + 1) / chunks);
-      for (int t = t_lo; t < t_hi; ++t) {
-        trial_frac_[t] =
-            failure_trial(g, fraction, seed, t, w.removed, w.remap,
-                          w.sub_offsets, w.sub_targets, w.sizes, w.scc,
-                          w.scc_result);
-      }
-    });
-  } else {
-    for (int t = 0; t < trials; ++t) {
-      trial_frac_[t] =
-          failure_trial(g, fraction, seed, t, removed_, remap_, sub_offsets_,
-                        sub_targets_, sizes_, scc_, scc_result_);
-    }
-  }
+  });
   for (int t = 0; t < trials; ++t) {
     st.mean_largest_scc += trial_frac_[t];
     st.worst_largest_scc = std::min(st.worst_largest_scc, trial_frac_[t]);
@@ -371,15 +357,9 @@ FullReport AuditSession::full_report(std::span<const geom::Point> pts,
 
 void AuditSession::set_threads(int threads) {
   threads_ = par::ensure_pool(pool_, threads);
+  if (static_cast<int>(audit_workers_.size()) < threads_) {
+    audit_workers_.resize(threads_);
+  }
 }
-
-namespace detail {
-
-AuditSession& tls_audit_session() {
-  thread_local AuditSession session;
-  return session;
-}
-
-}  // namespace detail
 
 }  // namespace dirant::sim

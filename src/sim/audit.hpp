@@ -1,14 +1,14 @@
 #pragma once
 /// \file audit.hpp
-/// AuditSession — the reusable network-analysis core.  One session owns the
+/// AuditSession — the network-analysis API.  One session owns the
 /// transmission digraph, its cached transpose, and every piece of metric
-/// working memory (BFS distance buffers, Tarjan scratch, deletion-probe
-/// masks, the per-trial survivor-subgraph CSR arrays), so a warm session
-/// streams the whole metric set — flooding, hop stretch, k-level strong
-/// connectivity, failure resilience, routing stats, energy — off ONE
-/// digraph build and ONE transpose with zero steady-state heap allocations
-/// (enforced by tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).
-/// This extends to the analysis stack the discipline core::PlanSession
+/// working memory (BFS distance buffers, the per-chunk reachability, Tarjan
+/// and survivor-subgraph scratch), so a warm session streams the whole
+/// metric set — flooding, hop stretch, k-level strong connectivity,
+/// failure resilience, routing stats, energy — off ONE digraph build and
+/// ONE transpose with zero steady-state heap allocations (enforced by
+/// tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).  This
+/// extends to the analysis stack the discipline core::PlanSession
 /// established for planning: the Monte-Carlo connectivity audits the
 /// related work treats as the primary experiment (Damian–Flatland 2010,
 /// Georgiou–Nguyen 2015) rebuild nothing per trial.
@@ -25,10 +25,6 @@
 ///     binds it; `load_omni(...)` builds the omnidirectional reference.
 ///     Either invalidates the cached transpose, which rebuilds lazily.
 ///   * Sessions are NOT thread-safe; share nothing, or one per thread.
-///     The free functions sim::flood / hop_stretch /
-///     strong_connectivity_level / failure_resilience / routing_stats run
-///     over a thread-local session (the core::orient pattern) — one-shot
-///     ergonomics, warm-session cost.
 
 #include <cstdint>
 #include <memory>
@@ -40,7 +36,6 @@
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
 #include "graph/traversal.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/energy.hpp"
 #include "sim/routing.hpp"
 
@@ -60,6 +55,35 @@ struct AuditOptions {
   int routing_samples = 200;
   std::uint64_t seed = 1;
   EnergyModel energy{};
+};
+
+/// Result of flooding one message from a source (one hop per round).
+struct BroadcastResult {
+  int rounds = 0;             ///< rounds until no new node is reached
+  int reached = 0;            ///< nodes that ever got the message
+  double delivery_ratio = 0;  ///< reached / n
+  double mean_hops = 0.0;     ///< mean hop distance over reached nodes
+  /// Forwarding transmissions: every reached node with at least one
+  /// out-edge rebroadcasts exactly once.  Sinks (out-degree 0) receive but
+  /// never transmit, so transmissions <= reached always holds.
+  long long transmissions = 0;
+};
+
+/// Directional-vs-omni hop stretch: mean and max over sampled source pairs
+/// of (directional hop distance) / (omni hop distance).
+struct StretchResult {
+  double mean_stretch = 0.0;
+  double max_stretch = 0.0;
+  int sampled_pairs = 0;
+};
+
+/// Monte-Carlo failure study: delete a uniformly random fraction of the
+/// sensors and measure how much of the survivor set stays mutually
+/// reachable (largest SCC / survivors).
+struct FailureStats {
+  double mean_largest_scc = 0.0;  ///< fraction of survivors, averaged
+  double worst_largest_scc = 1.0;
+  int trials = 0;
 };
 
 /// Flood metrics aggregated over the sampled sources.
@@ -94,14 +118,8 @@ class AuditSession {
 
   /// Bind to a caller-owned digraph (non-owning view).  Invalidates the
   /// cached transpose; metric calls then audit `g`.  The caller keeps `g`
-  /// alive while bound — `unbind()` drops the view when that lifetime
-  /// ends (the free-function wrappers do this so a temporary digraph never
-  /// leaves a dangling binding behind).
+  /// alive while bound.
   void bind(const graph::Digraph& g);
-
-  /// Drop the bound view; metric calls contract-fail until the next
-  /// bind/load.
-  void unbind();
 
   /// Build the induced transmission digraph (antenna layer) into session
   /// storage — CSR buffers and grid index recycled across loads, sharded
@@ -130,16 +148,26 @@ class AuditSession {
   /// SCC count: serial Tarjan at every thread count.
   int scc_count();
 
+  /// Flood from `source` over the bound digraph: one BFS into the
+  /// session's distance buffer, so sweeps over many sources allocate
+  /// nothing.
   BroadcastResult flood(int source);
   StretchResult hop_stretch(const graph::Digraph& omni,
                             int sample_sources = 8);
 
-  /// Deletion-probe connectivity depth.  The level-2 pass (n single-vertex
-  /// deletion probes, 2 BFS each) fans out over the session pool when
-  /// `threads() > 1`: contiguous probe chunks with per-chunk
-  /// ReachScratch + deletion mask, all sharing the one cached transpose.
-  /// The level is an AND over probe outcomes — order-independent — so the
-  /// result is identical at every thread count.
+  /// Strong c-connectivity audit (the paper's open problem, §5): the
+  /// largest c <= max_level such that the digraph stays strongly connected
+  /// after deleting any set of fewer than c vertices (1 = strongly
+  /// connected, 2 = survives every single-vertex deletion, 3 = every pair,
+  /// tested only when n <= 80; 0 = not strongly connected).  The result
+  /// always lies in [0, max(max_level, 0)]: a graph of <= 1 vertex
+  /// survives everything and reads the cap itself.  The level-2 pass (n
+  /// single-vertex deletion probes, 2 BFS each) runs as contiguous probe
+  /// chunks, one per session thread, with per-chunk ReachScratch +
+  /// deletion mask, all sharing the one cached transpose; at one thread
+  /// it is a single chunk that stops at the first failed probe.  The level
+  /// is an AND over probe outcomes — order-independent — so the result is
+  /// identical at every thread count.
   int strong_connectivity_level(int max_level = 3);
 
   /// Monte-Carlo random-failure resilience.  Each trial draws its
@@ -184,19 +212,14 @@ class AuditSession {
   antenna::TransmissionScratch omni_tx_;  ///< omni build buffers
   graph::BfsScratch bfs_;
   std::vector<int> dist_, dist_omni_;  ///< BFS distance buffers
-  graph::ReachScratch reach_;          ///< deletion-probe reachability
-  std::vector<char> removed_;          ///< deletion mask
-  graph::SccScratch scc_;              ///< serial Tarjan scratch
-  graph::SccResult scc_result_;
-  // Failure-resilience per-trial buffers (survivor subgraph CSR recycled
-  // through Digraph::release) — the serial (threads <= 1) path.
-  std::vector<int> remap_, sub_offsets_, sub_targets_, sizes_;
 
-  /// Per-chunk working memory for the pooled audit fan-outs (deletion
-  /// probes, failure trials): one entry per reduction chunk (= the session
-  /// thread count), each with its own reachability scratch, deletion mask,
-  /// Tarjan scratch and survivor-subgraph CSR arrays.  Warm after the
-  /// first pooled audit, so repeated pooled sweeps allocate nothing.
+  /// Per-chunk working memory for the audit loops (deletion probes,
+  /// failure trials): one entry per chunk (= the session thread count),
+  /// each with its own reachability scratch, deletion mask, Tarjan scratch
+  /// and survivor-subgraph CSR arrays (recycled through Digraph::release).
+  /// Worker 0 also serves the single-threaded metrics (strongly_connected,
+  /// scc_count, the level-3 pair sweep).  Warm after the first audit, so
+  /// repeated sweeps allocate nothing.
   struct AuditWorker {
     graph::ReachScratch reach;
     std::vector<char> removed;
@@ -204,37 +227,11 @@ class AuditSession {
     graph::SccResult scc_result;
     std::vector<int> remap, sub_offsets, sub_targets, sizes;
   };
-  std::vector<AuditWorker> audit_workers_;
+  std::vector<AuditWorker> audit_workers_;  ///< >= threads_ entries
   std::vector<double> trial_frac_;  ///< per-trial largest-SCC fraction
 
   int threads_ = 1;
   std::unique_ptr<par::ThreadPool> pool_;
 };
-
-namespace detail {
-/// The thread-local session behind the free-function forms.  Note the
-/// usual thread_local caveat: buffers persist for the thread's lifetime,
-/// sized to the largest instance audited on that thread.
-AuditSession& tls_audit_session();
-
-/// RAII binder for the thread-local session: binds on construction and
-/// always unbinds on scope exit — even when a metric throws a contract
-/// violation — so the session can never retain a dangling view of a
-/// caller's temporary digraph.
-class TlsBinding {
- public:
-  explicit TlsBinding(const graph::Digraph& g)
-      : session_(tls_audit_session()) {
-    session_.bind(g);
-  }
-  ~TlsBinding() { session_.unbind(); }
-  TlsBinding(const TlsBinding&) = delete;
-  TlsBinding& operator=(const TlsBinding&) = delete;
-  AuditSession* operator->() { return &session_; }
-
- private:
-  AuditSession& session_;
-};
-}  // namespace detail
 
 }  // namespace dirant::sim

@@ -1,7 +1,6 @@
 #include "sim/routing.hpp"
 
 #include "common/assert.hpp"
-#include "sim/audit.hpp"
 
 namespace dirant::sim {
 
@@ -35,15 +34,6 @@ RouteResult greedy_route(const graph::Digraph& g, std::span<const Point> pts,
     ++r.hops;
   }
   return r;  // TTL expired
-}
-
-RoutingStats routing_stats(const graph::Digraph& g, std::span<const Point> pts,
-                           int samples, std::uint64_t seed) {
-  // Thin wrapper over the thread-local AuditSession, which owns the
-  // per-sample BFS buffers (the core::orient pattern).  The RAII binding
-  // unbinds on exit: `g` may be a temporary.
-  detail::TlsBinding session(g);
-  return session->routing_stats(pts, samples, seed);
 }
 
 }  // namespace dirant::sim

@@ -22,17 +22,13 @@ RouteResult greedy_route(const graph::Digraph& g,
                          std::span<const geom::Point> pts, int src, int dst,
                          int ttl = -1);
 
+/// Greedy routing over sampled (src, dst) pairs
+/// (`AuditSession::routing_stats`).
 struct RoutingStats {
   double delivery_rate = 0.0;
   double mean_hops = 0.0;        ///< over delivered packets
   double mean_stretch = 0.0;     ///< greedy hops / BFS hops, delivered only
   int attempted = 0;
 };
-
-/// Sample `samples` random (src, dst) pairs.  Runs over the thread-local
-/// AuditSession (sim/audit.hpp), which owns the per-sample BFS buffers.
-RoutingStats routing_stats(const graph::Digraph& g,
-                           std::span<const geom::Point> pts, int samples,
-                           std::uint64_t seed);
 
 }  // namespace dirant::sim

@@ -81,16 +81,6 @@ void validate_options(const TrafficOptions& o) {
 
 }  // namespace
 
-const char* to_string(RoutingPolicy p) {
-  switch (p) {
-    case RoutingPolicy::kFlood:
-      return "flood";
-    case RoutingPolicy::kCollectionTree:
-      return "tree";
-  }
-  return "?";
-}
-
 TrafficEngine::TrafficEngine() = default;
 TrafficEngine::~TrafficEngine() = default;
 
@@ -178,19 +168,6 @@ int TrafficEngine::acquire_slot() {
   return static_cast<int>(pool_.size()) - 1;
 }
 
-int TrafficEngine::acquire_flood_row() {
-  int row;
-  if (!flood_rows_free_.empty()) {
-    row = flood_rows_free_.back();
-    flood_rows_free_.pop_back();
-  } else {
-    row = static_cast<int>(flood_seen_.size()) / n_;
-    flood_seen_.resize(flood_seen_.size() + static_cast<size_t>(n_));
-  }
-  std::fill_n(flood_seen_.begin() + static_cast<size_t>(row) * n_, n_, 0);
-  return row;
-}
-
 int TrafficEngine::try_enqueue(std::uint64_t now, int logical, int node,
                                int dst, int hops) {
   NodeState& ns = node_[node];
@@ -215,10 +192,6 @@ void TrafficEngine::finish_copy(int slot) {
   Packet& p = pool_[slot];
   --node_[p.node].qlen;
   --log_copies_[p.logical];
-  if (log_copies_[p.logical] == 0 && flood_row_of_[p.logical] >= 0) {
-    flood_rows_free_.push_back(flood_row_of_[p.logical]);
-    flood_row_of_[p.logical] = -1;
-  }
   slot_live_[slot] = 0;
   ++p.gen;  // invalidates any event still pointing at this slot
   free_slots_.push_back(slot);
@@ -273,22 +246,25 @@ void TrafficEngine::rebuild_routes() {
   const int nd = static_cast<int>(dsts_.size());
   const size_t cells = static_cast<size_t>(nd) * n_;
   tree_memo_.assign(cells, Hop{-1, kUnknownEdge});
-  // Route targets per destination slot, bucketed by slot: every flow
-  // source bound for it (future injections start there) and the holder of
-  // every live copy bound for it.  Until the next rebuild a packet only
-  // moves to a hop one step closer to its destination (an ARQ retry stays
-  // put), so it never reaches a node farther than the farthest target.
+  // Route targets per destination slot, bucketed by slot: every source
+  // of a flow that offers packets to it (future injections start there)
+  // and the holder of every live copy bound for it.  Until the next
+  // rebuild a packet only moves to a hop one step closer to its
+  // destination (an ARQ retry stays put), so it never reaches a node
+  // farther than the farthest target.
   auto& off = route_off_;
   auto& targets = route_targets_;
   off.assign(static_cast<size_t>(nd) + 1, 0);
-  for (const Flow& fl : schedule_->flows) ++off[dst_slot_of_[fl.dst] + 1];
+  for (const Flow& fl : schedule_->flows) {
+    if (fl.packets > 0) ++off[dst_slot_of_[fl.dst] + 1];
+  }
   for (int c = 0; c < static_cast<int>(pool_.size()); ++c) {
     if (slot_live_[c]) ++off[dst_slot_of_[pool_[c].dst] + 1];
   }
   for (int s = 0; s < nd; ++s) off[s + 1] += off[s];
   targets.resize(off[nd]);
   for (const Flow& fl : schedule_->flows) {
-    targets[off[dst_slot_of_[fl.dst]]++] = fl.src;
+    if (fl.packets > 0) targets[off[dst_slot_of_[fl.dst]]++] = fl.src;
   }
   for (int c = 0; c < static_cast<int>(pool_.size()); ++c) {
     if (slot_live_[c]) {
@@ -449,12 +425,6 @@ void TrafficEngine::handle_inject(std::uint64_t now, int flow) {
 
   if (try_enqueue(now, logical, fl.src, fl.dst, 0) < 0) {
     resolve_logical(logical, &report_.drop_queue);
-    return;
-  }
-  if (opts_.policy == RoutingPolicy::kFlood) {
-    const int row = acquire_flood_row();
-    flood_row_of_[logical] = row;
-    flood_seen_[static_cast<size_t>(row) * n_ + fl.src] = 1;
   }
 }
 
@@ -565,43 +535,6 @@ void TrafficEngine::handle_unicast(std::uint64_t now, int slot, Packet& p) {
   }
 }
 
-void TrafficEngine::handle_flood(std::uint64_t now, int slot, Packet& p) {
-  const int logical = p.logical;
-  const int u = p.node;
-  const int dst = p.dst;
-  const int hops = p.hops + 1;
-  const auto row = graph_->out(u);
-  if (!row.empty()) {
-    // One broadcast per reached node with out-degree > 0 — the exact
-    // transmission count AuditSession::flood reports (parity test).
-    ++report_.transmissions;
-    drain_transmit_energy(u);
-    const int base = graph_->out_offset(u);
-    char* seen = flood_seen_.data() +
-                 static_cast<size_t>(flood_row_of_[logical]) * n_;
-    for (size_t i = 0; i < row.size(); ++i) {
-      const int v = row[i];
-      if (!node_alive(v)) continue;
-      if (frame_lost(base + static_cast<int>(i))) {
-        ++report_.frames_lost;
-        continue;
-      }
-      if (seen[v]) continue;
-      seen[v] = 1;
-      if (v == dst) deliver(now, logical);
-      if (hops <= opts_.ttl) {
-        // No ARQ on a flood; a full queue evaporates the copy — the
-        // flood's redundancy is its retry mechanism.
-        (void)try_enqueue(now, logical, v, dst, hops);
-      }
-    }
-  }
-  finish_copy(slot);
-  // If that was the last copy and the destination never saw the packet,
-  // the flood petered out: nowhere left to forward.
-  resolve_logical(logical, &report_.drop_no_route);
-}
-
 // --- run ----------------------------------------------------------------
 
 const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
@@ -647,25 +580,15 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
   log_delivered_.assign(total, 0);
   log_copies_.assign(total, 0);
   log_born_.assign(total, 0);
-  flood_row_of_.assign(total, -1);
   latencies_.clear();
   latencies_.reserve(total);
 
-  // Flood visited rows: recycle every row from the previous run.
-  if (flood_row_width_ != n_) {
-    flood_seen_.clear();
-    flood_row_width_ = n_;
-  }
-  flood_rows_free_.clear();
-  const int rows =
-      n_ > 0 ? static_cast<int>(flood_seen_.size()) / n_ : 0;
-  for (int r = 0; r < rows; ++r) flood_rows_free_.push_back(r);
-
-  // Distinct destinations -> collection-tree slots.
+  // Distinct destinations of flows that offer packets -> collection-tree
+  // slots.
   dst_slot_of_.assign(n_, -1);
   dsts_.clear();
   for (const Flow& fl : schedule.flows) {
-    if (dst_slot_of_[fl.dst] < 0) {
+    if (fl.packets > 0 && dst_slot_of_[fl.dst] < 0) {
       dst_slot_of_[fl.dst] = static_cast<int>(dsts_.size());
       dsts_.push_back(fl.dst);
     }
@@ -710,11 +633,7 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
           resolve_logical(logical, cause);
           break;
         }
-        if (opts_.policy == RoutingPolicy::kFlood) {
-          handle_flood(e.tick, a, p);
-        } else {
-          handle_unicast(e.tick, a, p);
-        }
+        handle_unicast(e.tick, a, p);
         break;
       }
       case EventKind::kChurn:

@@ -33,15 +33,14 @@
 ///     receiver forwards its copy while the sender retries — duplicates
 ///     are suppressed at the destination by per-flow sequence numbers and
 ///     reported, never double-delivered.  A per-packet TTL bounds hops.
-///   * **Routing policies.**  kCollectionTree (CTP-style unicast: every
-///     hop follows a per-destination collection tree — the recorded
-///     orientation tree when one is bound, else the BFS in-tree of the
-///     certified digraph) and kFlood (broadcast, no ARQ — the parity
-///     anchor against AuditSession::flood).  Greedy geographic forwarding
-///     is not a traffic policy: on Theorem 3 digraphs each sensor's two
-///     narrow sectors aim along MST edges, and the strictly-decreasing
-///     rule (sim/routing.hpp, still used by AuditSession) hits a routing
-///     void almost at once.
+///   * **Collection-tree routing.**  CTP-style unicast: every hop follows a
+///     per-destination collection tree — the recorded orientation tree
+///     when one is bound, else the BFS in-tree of the certified digraph.
+///     Broadcast reach is a structural question (AuditSession::flood), not
+///     a traffic policy.  Greedy geographic forwarding is not one either:
+///     on Theorem 3 digraphs each sensor's two narrow sectors aim along
+///     MST edges, and the strictly-decreasing rule (sim/routing.hpp, still
+///     used by AuditSession) hits a routing void almost at once.
 ///   * **Energy.**  Every transmission drains the sender's battery by its
 ///     per-packet sector energy (sim/energy.hpp, clamped at zero — a
 ///     charge never goes negative).  A node whose battery empties leaves
@@ -64,7 +63,7 @@
 /// thread count (tests/test_traffic.cpp).  Reuse contract: bind once, then
 /// `run()` forever; the second and subsequent identical runs on a warm
 /// static-topology engine perform zero heap allocations
-/// (WarmTrafficRunIsAllocationFree).  Not thread-safe; one engine per
+/// (Traffic.WarmRunIsAllocationFree).  Not thread-safe; one engine per
 /// thread.
 
 #include <cstdint>
@@ -105,12 +104,12 @@ class TrafficOptionsError : public std::runtime_error {
   std::string field_;
 };
 
+/// Always kCollectionTree: collection-tree routing is the only policy.
+/// Kept so existing callers that set `TrafficOptions::policy` (perfbench's
+/// traffic workload) stay unchanged.
 enum class RoutingPolicy {
-  kFlood,           ///< broadcast to every out-neighbour (no ARQ)
   kCollectionTree,  ///< every hop follows the per-destination tree
 };
-
-const char* to_string(RoutingPolicy p);
 
 enum class LossKind {
   kNone,           ///< ideal links
@@ -163,8 +162,9 @@ struct TrafficOptions {
 };
 
 /// One unicast flow: `packets` packets from `src` to `dst` (original ids),
-/// injected at `start`, `start + interval`, ...  Flows with kFlood policy
-/// broadcast from `src`; `dst` is the delivery probe.
+/// injected at `start`, `start + interval`, ...  A flow with `packets <= 0`
+/// offers nothing and takes no part in routing: its destination gets no
+/// collection tree and is never reported stranded on its account.
 struct Flow {
   int src = 0;
   int dst = 0;
@@ -212,7 +212,7 @@ struct TrafficReport {
   long long drop_queue = 0;     ///< tail drop at a full forwarding queue
   long long drop_ttl = 0;       ///< hop budget exhausted
   long long drop_retry = 0;     ///< ARQ retries exhausted
-  long long drop_no_route = 0;  ///< no tree route / flood petered out
+  long long drop_no_route = 0;  ///< no tree route
   long long drop_churn = 0;     ///< in-flight at a churn-failed node
   long long drop_battery = 0;   ///< in-flight at a battery-dead node
   long long drop_stranded = 0;  ///< endpoint dead/stranded at injection
@@ -314,17 +314,15 @@ class TrafficEngine {
   void handle_inject(std::uint64_t now, int flow);
   void handle_churn(std::uint64_t now, int batch);
   void handle_unicast(std::uint64_t now, int slot, Packet& p);
-  void handle_flood(std::uint64_t now, int slot, Packet& p);
 
   // --- packet plumbing ---
   int acquire_slot();
-  int acquire_flood_row();
   /// Queue a copy of `logical` at `node`; returns the slot, or -1 on a
   /// tail drop (no copy created, no accounting — the caller decides).
   int try_enqueue(std::uint64_t now, int logical, int node, int dst,
                   int hops);
-  /// Free a copy's slot (queue length, pool, flood row); no logical
-  /// accounting — pair with resolve_logical.
+  /// Free a copy's slot (queue length, pool); no logical accounting —
+  /// pair with resolve_logical.
   void finish_copy(int slot);
   /// Logical drop accounting: counts `*cause` iff `logical` has no
   /// surviving copies and was never delivered.
@@ -384,11 +382,6 @@ class TrafficEngine {
   std::vector<int> log_copies_;
   std::vector<std::uint64_t> log_born_;
 
-  // Flood dedup rows: one n-wide visited row per active flood packet.
-  std::vector<char> flood_seen_;
-  std::vector<int> flood_rows_free_, flood_row_of_;
-  int flood_row_width_ = 0;
-
   /// One memoized route step — next hop + CSR edge position fused into
   /// 8 bytes, so a lookup is one cache-line touch.  rebuild_routes fills
   /// `v`; `epos == kUnknownEdge` marks a cell whose edge is not resolved
@@ -401,7 +394,8 @@ class TrafficEngine {
   // Collection trees: one dsts_.size() x n_ route memo, `v` filled per
   // distinct destination whenever routes rebuild, `epos` lazily on first
   // visit.
-  std::vector<int> dsts_;          ///< distinct destinations, stable order
+  std::vector<int> dsts_;  ///< distinct destinations of flows that offer
+                           ///< packets, stable order
   std::vector<int> dst_slot_of_;   ///< orig id -> slot in dsts_ (-1)
   std::vector<Hop> tree_memo_;
   std::vector<int> dist_;          ///< BFS scratch (all -1 between BFSs)

@@ -15,12 +15,14 @@
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "geometry/generators.hpp"
+#include "graph/digraph.hpp"
 #include "sim/audit.hpp"
 #include "thread_counts.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
 namespace sim = dirant::sim;
+namespace graph = dirant::graph;
 using dirant::kPi;
 using dirant::test::thread_counts;
 
@@ -56,6 +58,79 @@ TEST(AuditParallel, ConnectivityLevelParityAcrossThreadCounts) {
       session.load(inst.pts, inst.oriented.orientation);
       EXPECT_EQ(session.strong_connectivity_level(3), ref)
           << "threads=" << t;
+    }
+  }
+}
+
+// Strongly connected, with `cut` as its only cut vertex: the other
+// vertices form two bidirected cliques, joined only through `cut`, which is
+// bidirected to all of them.
+graph::Digraph one_cut_vertex(int n, int cut) {
+  std::vector<int> others;
+  for (int v = 0; v < n; ++v) {
+    if (v != cut) others.push_back(v);
+  }
+  const int half = static_cast<int>(others.size()) / 2;
+  graph::DigraphBuilder b(n);
+  for (int i = 0; i < static_cast<int>(others.size()); ++i) {
+    b.add_edge(cut, others[i]);
+    b.add_edge(others[i], cut);
+    for (int j = 0; j < static_cast<int>(others.size()); ++j) {
+      if (i != j && (i < half) == (j < half)) b.add_edge(others[i], others[j]);
+    }
+  }
+  return b.build();
+}
+
+TEST(AuditParallel, ProbeChunksCoverBothEnds) {
+  // The only failing deletion probe sits at the last vertex, then at the
+  // first: every chunking must still run it.  n = 23 divides evenly by
+  // neither 3 nor 4, so the chunk bounds are uneven.
+  const int n = 23;
+  for (const int cut : {n - 1, 0}) {
+    const graph::Digraph g = one_cut_vertex(n, cut);
+    for (const int t : {1, 2, 3, 4}) {
+      sim::AuditSession session;
+      session.set_threads(t);
+      session.bind(g);
+      EXPECT_EQ(session.strong_connectivity_level(3), 1)
+          << "cut=" << cut << " threads=" << t;
+    }
+  }
+}
+
+TEST(AuditParallel, ConnectivityLevelStaysWithinCap) {
+  // The level lies in [0, max(max_level, 0)] for every graph and thread
+  // count: the empty and one-vertex graphs read the cap itself, a
+  // bidirected triangle survives any deletions (level 3), a path is not
+  // strongly connected (level 0).
+  graph::DigraphBuilder k3(3);
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      if (i != j) k3.add_edge(i, j);
+    }
+  }
+  graph::DigraphBuilder path(3);
+  path.add_edge(0, 1);
+  path.add_edge(1, 2);
+  const graph::Digraph empty = graph::DigraphBuilder(0).build();
+  const graph::Digraph single = graph::DigraphBuilder(1).build();
+  const graph::Digraph triangle = k3.build();
+  const graph::Digraph line = path.build();
+  for (const int t : {1, 4}) {
+    sim::AuditSession session;
+    session.set_threads(t);
+    for (int max_level = -1; max_level <= 4; ++max_level) {
+      const int cap = std::max(max_level, 0);
+      const auto level = [&](const graph::Digraph& g) {
+        session.bind(g);
+        return session.strong_connectivity_level(max_level);
+      };
+      EXPECT_EQ(level(empty), cap) << "max_level=" << max_level;
+      EXPECT_EQ(level(single), cap) << "max_level=" << max_level;
+      EXPECT_EQ(level(triangle), std::min(cap, 3))
+          << "max_level=" << max_level << " threads=" << t;
+      EXPECT_EQ(level(line), 0) << "max_level=" << max_level;
     }
   }
 }

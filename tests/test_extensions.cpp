@@ -20,8 +20,7 @@
 #include "geometry/generators.hpp"
 #include "mst/degree5.hpp"
 #include "graph/scc.hpp"
-#include "sim/broadcast.hpp"
-#include "sim/routing.hpp"
+#include "sim/audit.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
@@ -29,6 +28,13 @@ namespace sim = dirant::sim;
 using dirant::kPi;
 
 namespace {
+
+// Deletion-probe level of a caller-owned digraph through a fresh session.
+int level_of(const dirant::graph::Digraph& g, int max_level) {
+  sim::AuditSession audit;
+  audit.bind(g);
+  return audit.strong_connectivity_level(max_level);
+}
 
 // --- adaptive radius optimizer ---------------------------------------------
 
@@ -98,7 +104,7 @@ TEST(Resilient, BidirectionalCycleIsStronglyTwoConnected) {
     EXPECT_LE(res.orientation.max_antennas_per_node(), 2);
     EXPECT_DOUBLE_EQ(res.orientation.max_spread_sum(), 0.0);
     const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
-    EXPECT_GE(sim::strong_connectivity_level(g, 2), 2) << "n=" << n;
+    EXPECT_GE(level_of(g, 2), 2) << "n=" << n;
   }
 }
 
@@ -112,8 +118,8 @@ TEST(Resilient, SurvivesEverySingleDeletionExplicitly) {
   // articulation sensors.
   const auto tree_res = core::orient_two_antennae(pts, tree, kPi);
   const auto tg = dirant::antenna::induced_digraph(pts, tree_res.orientation);
-  EXPECT_GE(sim::strong_connectivity_level(g, 2), 2);
-  EXPECT_EQ(sim::strong_connectivity_level(tg, 2), 1);
+  EXPECT_GE(level_of(g, 2), 2);
+  EXPECT_EQ(level_of(tg, 2), 1);
 }
 
 TEST(Resilient, EveryDeletionRecertifiesAcrossSizes) {
@@ -253,8 +259,9 @@ TEST(Routing, OmniDiskDeliversEverything) {
   geom::Rng rng(31);
   const auto pts = geom::uniform_square(100, 8.0, rng);
   // A generous unit-disk graph has no voids at this density.
-  const auto g = dirant::antenna::unit_disk_digraph(pts, 3.0);
-  const auto st = sim::routing_stats(g, pts, 200, 9);
+  sim::AuditSession audit;
+  audit.bind(audit.load_omni(pts, 3.0));
+  const auto st = audit.routing_stats(pts, 200, 9);
   EXPECT_GT(st.delivery_rate, 0.95);
   EXPECT_GE(st.mean_stretch, 1.0 - 1e-9);
 }
@@ -263,8 +270,9 @@ TEST(Routing, DirectionalOrientationsHaveVoids) {
   geom::Rng rng(32);
   const auto pts = geom::uniform_square(120, 9.0, rng);
   const auto res = core::orient(pts, {2, kPi});
-  const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
-  const auto st = sim::routing_stats(g, pts, 150, 10);
+  sim::AuditSession audit;
+  audit.load(pts, res.orientation);
+  const auto st = audit.routing_stats(pts, 150, 10);
   // Tree-backbone orientations are hostile to greedy routing: the message
   // still sometimes arrives, but delivery is clearly below the omni case.
   EXPECT_GT(st.attempted, 0);
@@ -276,8 +284,9 @@ TEST(Failures, BidirectedCycleDegradesGracefully) {
   const auto pts = geom::uniform_square(60, 7.0, rng);
   const auto tree = dirant::mst::degree5_emst(pts);
   const auto cyc = core::orient_bidirectional_cycle(pts, tree);
-  const auto g = dirant::antenna::induced_digraph(pts, cyc.orientation);
-  const auto st = sim::failure_resilience(g, 0.05, 20, 77);
+  sim::AuditSession audit;
+  audit.load(pts, cyc.orientation);
+  const auto st = audit.failure_resilience(0.05, 20, 77);
   EXPECT_EQ(st.trials, 20);
   EXPECT_GT(st.mean_largest_scc, 0.5);
 }
@@ -286,8 +295,9 @@ TEST(Failures, ZeroFailureKeepsEverything) {
   geom::Rng rng(34);
   const auto pts = geom::uniform_square(40, 6.0, rng);
   const auto res = core::orient(pts, {3, 0.0});
-  const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
-  const auto st = sim::failure_resilience(g, 0.0, 5, 1);
+  sim::AuditSession audit;
+  audit.load(pts, res.orientation);
+  const auto st = audit.failure_resilience(0.0, 5, 1);
   EXPECT_DOUBLE_EQ(st.mean_largest_scc, 1.0);
 }
 

@@ -252,9 +252,6 @@ TEST(Traversal, BfsDistances) {
   EXPECT_EQ(d[2], 2);
   EXPECT_EQ(d[3], 1);
   EXPECT_EQ(d[4], -1);
-  const auto hs = graph::hop_summary(g, 0);
-  EXPECT_EQ(hs.max_hops, 2);
-  EXPECT_EQ(hs.unreachable, 1);
   // Scratch overload agrees with the allocating wrapper.
   std::vector<int> dist;
   graph::BfsScratch scratch;

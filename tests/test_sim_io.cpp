@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "antenna/transmission.hpp"
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "geometry/generators.hpp"
@@ -12,7 +11,6 @@
 #include "io/svg.hpp"
 #include "mst/degree5.hpp"
 #include "sim/audit.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/energy.hpp"
 
 namespace geom = dirant::geom;
@@ -24,14 +22,28 @@ using dirant::kPi;
 
 namespace {
 
+// Flood / c-level of a caller-owned digraph through a fresh session.
+sim::BroadcastResult flood_of(const graph::Digraph& g, int source) {
+  sim::AuditSession audit;
+  audit.bind(g);
+  return audit.flood(source);
+}
+
+int level_of(const graph::Digraph& g) {
+  sim::AuditSession audit;
+  audit.bind(g);
+  return audit.strong_connectivity_level();
+}
+
 TEST(Broadcast, FullDeliveryOnStrongOrientation) {
   geom::Rng rng(1);
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 100, rng);
   const auto res = core::orient(pts, {2, kPi});
-  const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
+  sim::AuditSession audit;
+  audit.load(pts, res.orientation);
   for (int s : {0, 17, 55, 99}) {
-    const auto b = sim::flood(g, s);
+    const auto b = audit.flood(s);
     EXPECT_EQ(b.reached, 100);
     EXPECT_DOUBLE_EQ(b.delivery_ratio, 1.0);
     EXPECT_GT(b.rounds, 0);
@@ -43,9 +55,24 @@ TEST(Broadcast, PartialDeliveryOnBrokenOrientation) {
   gb.add_edge(0, 1);
   gb.add_edge(1, 0);
   gb.add_edge(2, 3);  // island
-  const auto b = sim::flood(gb.build(), 0);
+  const auto b = flood_of(gb.build(), 0);
   EXPECT_EQ(b.reached, 2);
   EXPECT_LT(b.delivery_ratio, 1.0);
+}
+
+TEST(Broadcast, RoundsHopsAndUnreachedOnATree) {
+  // 0 -> 1 -> 2 and 0 -> 3, vertex 4 unreachable: the flood from 0 takes
+  // 2 rounds, its reached nodes sit (1 + 2 + 1) / 3 hops out on average,
+  // and exactly one node never hears it.
+  graph::DigraphBuilder b(5);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(0, 3);
+  const auto f = flood_of(b.build(), 0);
+  EXPECT_EQ(f.rounds, 2);
+  EXPECT_DOUBLE_EQ(f.mean_hops, 4.0 / 3.0);
+  EXPECT_EQ(5 - f.reached, 1);
+  EXPECT_DOUBLE_EQ(f.delivery_ratio, 0.8);
 }
 
 TEST(Broadcast, TransmissionsCountForwardingNodesOnly) {
@@ -54,13 +81,13 @@ TEST(Broadcast, TransmissionsCountForwardingNodesOnly) {
   graph::DigraphBuilder pb(3);
   pb.add_edge(0, 1);
   pb.add_edge(1, 2);
-  const auto path = sim::flood(pb.build(), 0);
+  const auto path = flood_of(pb.build(), 0);
   EXPECT_EQ(path.reached, 3);
   EXPECT_EQ(path.transmissions, 2);
   // Directed cycle: every reached node forwards exactly once.
   graph::DigraphBuilder cb(5);
   for (int i = 0; i < 5; ++i) cb.add_edge(i, (i + 1) % 5);
-  const auto cyc = sim::flood(cb.build(), 2);
+  const auto cyc = flood_of(cb.build(), 2);
   EXPECT_EQ(cyc.reached, 5);
   EXPECT_EQ(cyc.transmissions, 5);
 }
@@ -72,11 +99,11 @@ TEST(Broadcast, TransmissionInvariantOnOrientedInstance) {
   const auto pts =
       geom::make_instance(geom::Distribution::kClusters, 90, rng);
   const auto res = core::orient(pts, {2, kPi});
-  const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
-  std::vector<int> dist;
-  graph::BfsScratch scratch;
+  sim::AuditSession audit;
+  const auto& g = audit.load(pts, res.orientation);
   for (int s : {0, 13, 89}) {
-    const auto b = sim::flood(g, s, dist, scratch);
+    const auto b = audit.flood(s);
+    const auto dist = graph::bfs_distances(g, s);
     long long forwarding = 0;
     for (int v = 0; v < g.size(); ++v) {
       if (dist[v] >= 0 && g.out_degree(v) > 0) ++forwarding;
@@ -91,11 +118,10 @@ TEST(Broadcast, HopStretchAgainstOmni) {
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 120, rng);
   const auto res = core::orient(pts, {2, kPi});
-  const auto directional =
-      dirant::antenna::induced_digraph(pts, res.orientation);
-  const auto omni =
-      dirant::antenna::unit_disk_digraph(pts, res.measured_radius);
-  const auto st = sim::hop_stretch(directional, omni);
+  sim::AuditSession audit;
+  audit.load(pts, res.orientation);
+  const auto& omni = audit.load_omni(pts, res.measured_radius);
+  const auto st = audit.hop_stretch(omni);
   EXPECT_GT(st.sampled_pairs, 0);
   EXPECT_GE(st.mean_stretch, 1.0 - 1e-9);  // directional cannot beat omni
   EXPECT_LT(st.mean_stretch, 50.0);
@@ -107,7 +133,7 @@ TEST(Connectivity, LevelsOnKnownGraphs) {
   // cycle leaves a path — not strong.  Level 1.
   graph::DigraphBuilder cyc(5);
   for (int i = 0; i < 5; ++i) cyc.add_edge(i, (i + 1) % 5);
-  EXPECT_EQ(sim::strong_connectivity_level(cyc.build()), 1);
+  EXPECT_EQ(level_of(cyc.build()), 1);
   // Bidirected complete graph on 4 vertices: survives any two deletions.
   graph::DigraphBuilder k4(4);
   for (int i = 0; i < 4; ++i) {
@@ -115,12 +141,12 @@ TEST(Connectivity, LevelsOnKnownGraphs) {
       if (i != j) k4.add_edge(i, j);
     }
   }
-  EXPECT_EQ(sim::strong_connectivity_level(k4.build()), 3);
+  EXPECT_EQ(level_of(k4.build()), 3);
   // Non-strong graph: level 0.
   graph::DigraphBuilder path(3);
   path.add_edge(0, 1);
   path.add_edge(1, 2);
-  EXPECT_EQ(sim::strong_connectivity_level(path.build()), 0);
+  EXPECT_EQ(level_of(path.build()), 0);
 }
 
 TEST(Connectivity, MstOrientationsAreLevelOne) {
@@ -130,8 +156,9 @@ TEST(Connectivity, MstOrientationsAreLevelOne) {
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 40, rng);
   const auto res = core::orient(pts, {2, kPi});
-  const auto g = dirant::antenna::induced_digraph(pts, res.orientation);
-  EXPECT_GE(sim::strong_connectivity_level(g), 1);
+  sim::AuditSession audit;
+  audit.load(pts, res.orientation);
+  EXPECT_GE(audit.strong_connectivity_level(), 1);
 }
 
 TEST(Audit, LoadOmniRebuildInvalidatesCachedTranspose) {

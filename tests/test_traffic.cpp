@@ -1,8 +1,5 @@
 // sim::TrafficEngine — the packet-transport acceptance suite.  Pillars:
 //
-//   * Parity: a zero-loss static flood reproduces AuditSession::flood's
-//     transmission count exactly — the discrete-event machinery over the
-//     same digraph is the same physics, just with timestamps.
 //   * Determinism: the same (topology, schedule, seed) replays to a
 //     bit-identical TrafficReport across repeated runs and at 1/2/4/8
 //     threads, including mid-run churn recertification and ARQ timeouts
@@ -30,7 +27,6 @@
 #include "core/session.hpp"
 #include "geometry/generators.hpp"
 #include "graph/digraph.hpp"
-#include "sim/audit.hpp"
 #include "sim/churn.hpp"
 #include "sim/traffic.hpp"
 #include "thread_counts.hpp"
@@ -131,52 +127,6 @@ sim::TrafficSchedule make_churn_schedule(sim::ChurnEngine& eng,
     sched.churn.push_back(std::move(batch));
   }
   return sched;
-}
-
-TEST(Traffic, FloodParityWithAuditFlood) {
-  const auto pts = make_points(80, 1234);
-  core::PlanSession plan;
-  const core::ProblemSpec spec{1, 8.0 * kPi / 5.0};
-  const auto& result = plan.orient(pts, spec);
-
-  sim::AuditSession audit;
-  audit.load(pts, result.orientation);
-  const auto ref = audit.flood(0);
-  ASSERT_EQ(ref.reached, 80);  // strongly connected instance
-
-  sim::TrafficEngine eng;
-  eng.bind(pts, result.orientation);
-  sim::TrafficSchedule sched;
-  sched.flows.push_back({/*src=*/0, /*dst=*/79, /*packets=*/1, 0, 1});
-  sim::TrafficOptions opts;
-  opts.policy = sim::RoutingPolicy::kFlood;
-  opts.ttl = 80;
-  opts.queue_capacity = 4;
-  const auto& rep = eng.run(sched, opts);
-
-  EXPECT_EQ(rep.delivered, 1);
-  EXPECT_EQ(rep.transmissions, ref.transmissions);
-  EXPECT_EQ(rep.frames_lost, 0);
-  expect_invariant(rep);
-}
-
-TEST(Traffic, FloodUnderLossNeverThrowsAndBalances) {
-  const auto pts = make_points(60, 99);
-  core::PlanSession plan;
-  const auto& result = plan.orient(pts, core::ProblemSpec{2, 6.0 * kPi / 5.0});
-  sim::TrafficEngine eng;
-  eng.bind(pts, result.orientation);
-  sim::TrafficSchedule sched;
-  for (int i = 0; i < 4; ++i) {
-    sched.flows.push_back({i, 59 - i, 3, 0, 40});
-  }
-  sim::TrafficOptions opts;
-  opts.policy = sim::RoutingPolicy::kFlood;
-  opts.loss = {sim::LossKind::kBernoulli, 0.3, 0, 0, 0};
-  opts.ttl = 60;
-  const auto& rep = eng.run(sched, opts);
-  EXPECT_GT(rep.frames_lost, 0);
-  expect_invariant(rep);
 }
 
 TEST(Traffic, RepeatedRunsAreBitIdentical) {
@@ -325,6 +275,25 @@ TEST(Traffic, TtlBoundsHops) {
   const auto& rep = eng.run(sched, opts);
   EXPECT_EQ(rep.delivered, 0);
   EXPECT_EQ(rep.drop_ttl, 1);
+  expect_invariant(rep);
+}
+
+TEST(Traffic, ZeroPacketFlowStrandsNothing) {
+  // 0 <-> 1 plus the island 2.  The flow to 2 offers no packets, so it
+  // wants nothing: 2 gets no collection tree and is not stranded.
+  graph::DigraphBuilder b(3);
+  b.add_edge(0, 1);
+  b.add_edge(1, 0);
+  const graph::Digraph g = b.build();
+  sim::TrafficEngine eng;
+  eng.bind_graph(g);
+  sim::TrafficSchedule sched;
+  sched.flows.push_back({0, 1, 3, 0, 50});
+  sched.flows.push_back({0, 2, 0, 0, 50});
+  const auto& rep = eng.run(sched, sim::TrafficOptions{});
+  EXPECT_EQ(rep.offered, 3);
+  EXPECT_EQ(rep.delivered, 3);
+  EXPECT_TRUE(rep.stranded.empty());
   expect_invariant(rep);
 }
 
