@@ -3,7 +3,8 @@
 # (-fsanitize=address,undefined) tree, run ctest in both.  This is the
 # command CI and pre-merge checks invoke; keep it green.  It ends by
 # printing the tracked C++ line counts of src/ and of tests + bench +
-# examples + perfbench (a report, not a gate).
+# examples + perfbench, and the net src/ lines of the change (a report,
+# not a gate).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 
@@ -47,7 +48,9 @@ CTEST_EXTRA=("$@")
 # three churn suites: parity, the sub-linear warm-path acceptance tests
 # and the witness audit against its Tarjan reference; the row patch and
 # its patched transpose at every thread count; the Euler-tour forest the
-# MST repair runs on) and the traffic engine on top of it — with the same
+# MST repair runs on), the stale-scratch differential suite (one session's
+# shared workspace under a churn engine at 1/2/4 threads) and the traffic
+# engine on top of it — with the same
 # 4-worker pools, so data races (not just memory errors) surface too.
 # All variants promote the library's -Wall -Wextra diagnostics to errors
 # (DIRANT_WERROR).
@@ -62,7 +65,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_row_patch|test_euler_tour|test_traffic|test_event_queue" \
+    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_row_patch|test_euler_tour|test_traffic|test_event_queue|test_stale_scratch" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 
@@ -76,4 +79,10 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   echo "tests + bench + examples + perfbench: $(count_lines \
       'tests/*.cpp' 'tests/*.hpp' 'bench/*.cpp' 'bench/*.hpp' \
       'examples/*.cpp' 'examples/*.hpp' 'perfbench/*.cpp' 'perfbench/*.hpp')"
+  # Net src/ growth of the change under check: the uncommitted diff when
+  # there is one, else the last commit.
+  base=HEAD
+  if git diff --quiet HEAD -- src; then base=HEAD~1; fi
+  echo "src net vs ${base}: $(git diff --numstat "${base}" -- src \
+      | awk '{net += $1 - $2} END {printf "%+d", net}')"
 fi

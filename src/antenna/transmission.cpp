@@ -127,11 +127,11 @@ FlatSector flatten(const BuildCtx& ctx, const Point& a, const geom::Sector& s,
 /// Dedup strategy: geometry tests run first (they reject almost every
 /// candidate); only ACCEPTED candidates pay dedup.  Rows are short, so a
 /// linear scan of the row under construction beats the seen[] array's
-/// random memory access — seen[] marks take over only if a row grows past
-/// the threshold (dense overlapping sectors), and are wiped again
-/// afterwards so the array stays all-zero between rows and calls.
+/// random memory access — seen[] marks (all zero on entry) take over only
+/// if a row grows past the threshold (dense overlapping sectors), and are
+/// wiped again afterwards so the array stays all-zero between rows.
 int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
-                   std::vector<char>& seen, std::vector<int>& targets,
+                   std::span<char> seen, std::vector<int>& targets,
                    int* row_end) {
   constexpr int kLinearDedup = 48;
   if (targets.capacity() < 1024) targets.reserve(1024);
@@ -159,9 +159,6 @@ int classify_range(const BuildCtx& ctx, int u_lo, int u_hi,
               if (targets[k] == v) return;
             }
           } else {
-            if (static_cast<int>(seen.size()) < ctx.n) {
-              seen.assign(ctx.n, 0);
-            }
             for (int k = row_begin; k < tgt_count; ++k) {
               seen[targets[k]] = 1;
             }
@@ -286,7 +283,9 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     return graph::Digraph(std::move(scratch.offsets),
                           std::move(scratch.targets));
   }
-  scratch.grid.rebuild(pts, digraph_grid_cell(rmax));
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  scratch.grid.rebuild(pts, digraph_grid_cell(rmax), ws);
   return induced_digraph_fast(pts, o, scratch.grid, angle_tol, radius_tol,
                               scratch, threads, pool);
 }
@@ -307,7 +306,13 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   auto& targets = scratch.targets;
   offsets.clear();
   targets.clear();
-  auto& seen = scratch.seen;
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  const auto take_seen = [&] {
+    const auto seen = ws.take<char>(static_cast<size_t>(n));
+    std::fill(seen.begin(), seen.end(), 0);
+    return seen;
+  };
 
   // The cross-product classifier assumes a small tolerance cone; callers
   // probing with huge angular tolerances take the exact test per candidate.
@@ -315,7 +320,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   if (angle_tol > 0.5) {
     offsets.reserve(static_cast<size_t>(n) + 1);
     offsets.push_back(0);
-    seen.assign(n, 0);
+    const auto seen = take_seen();
     auto& candidates = scratch.candidates;
     for (int u = 0; u < n; ++u) {
       const int row_begin = static_cast<int>(targets.size());
@@ -352,7 +357,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     // ---- Serial build: rows stream straight into the final CSR ---------
     offsets.resize(static_cast<size_t>(n) + 1);
     offsets[0] = 0;
-    classify_range(ctx, 0, n, seen, targets, offsets.data() + 1);
+    classify_range(ctx, 0, n, take_seen(), targets, offsets.data() + 1);
     return graph::Digraph(std::move(offsets), std::move(targets));
   }
 
@@ -383,6 +388,8 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
     }
     shards[s].node_lo = prev;
     shards[s].node_hi = hi;
+    shards[s].seen = take_seen();
+    shards[s].row_end = ws.take<int>(static_cast<size_t>(hi - prev));
     prev = hi;
   }
 
@@ -392,11 +399,9 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   // output.  The fixed-slot fan-out allocates nothing.
   par::run_indexed(pool, shard_count, [&](int s) {
     auto& shard = shards[s];
-    const int lo = shard.node_lo, hi = shard.node_hi;
-    shard.row_end.resize(static_cast<size_t>(hi - lo));
     shard.edge_count =
-        classify_range(ctx, lo, hi, shard.seen, shard.targets,
-                       shard.row_end.data());
+        classify_range(ctx, shard.node_lo, shard.node_hi, shard.seen,
+                       shard.targets, shard.row_end.data());
   });
 
   // ---- Deterministic prefix-sum stitch -------------------------------
@@ -480,7 +485,9 @@ graph::Digraph unit_disk_digraph(std::span<const Point> pts, double radius,
     offsets.assign(static_cast<size_t>(n) + 1, 0);
     return graph::Digraph(std::move(offsets), std::move(targets));
   }
-  scratch.grid.rebuild(pts, std::max(radius / 2.0, 1e-12));
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  scratch.grid.rebuild(pts, std::max(radius / 2.0, 1e-12), ws);
   offsets.clear();
   offsets.push_back(0);
   for (int u = 0; u < n; ++u) {

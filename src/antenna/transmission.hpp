@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "antenna/orientation.hpp"
+#include "common/workspace.hpp"
 #include "graph/digraph.hpp"
 #include "spatial/grid_index.hpp"
 
@@ -23,9 +24,8 @@ namespace dirant::antenna {
 /// Reusable working memory for `induced_digraph_fast`.  The offsets/targets
 /// buffers become the CSR arrays of the returned graph (moved, not copied);
 /// callers that certify in a loop hand them back via `Digraph::release` so
-/// the steady state allocates nothing.  The grid index itself is a member
-/// recycled via `GridIndex::rebuild` — a warm same-size build touches no
-/// heap at all.
+/// the steady state allocates nothing.  The grid, dedup marks and shard
+/// row ends are per-call views of `ws` (a session shares its Workspace).
 struct TransmissionScratch {
   /// Per-worker buffers of the sharded build: each shard classifies a
   /// contiguous node range into its own row chunk, then the stitch pass
@@ -33,19 +33,19 @@ struct TransmissionScratch {
   /// between shards during classification, so the build is race-free by
   /// construction.
   struct Shard {
-    std::vector<char> seen;     ///< per-shard dedup marks (n entries)
-    std::vector<int> row_end;   ///< per-node edge count, cumulative in-shard
+    std::span<char> seen;       ///< per-shard dedup marks (n entries)
+    std::span<int> row_end;     ///< per-node edge count, cumulative in-shard
     std::vector<int> targets;   ///< this shard's edge heads
     int node_lo = 0, node_hi = 0;  ///< node range [lo, hi)
     int edge_count = 0;            ///< targets emitted by the last build
     int base = 0;  ///< this chunk's offset in the stitched targets array
   };
 
-  std::vector<char> seen;      ///< per-vertex dedup marks across sectors
+  WorkspaceSource ws;          ///< per-call grid, dedup marks, row ends
   std::vector<int> candidates; ///< grid range-query hit buffer
   std::vector<int> offsets;    ///< CSR prefix table under construction
   std::vector<int> targets;    ///< CSR edge heads under construction
-  spatial::GridIndex grid;     ///< recycled spatial index (rebuild per call)
+  spatial::GridIndex grid;     ///< spatial index over `ws` (one per call)
   std::vector<Shard> shards;   ///< per-worker chunks of the sharded build
 };
 

@@ -56,8 +56,10 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
     root = static_cast<int>(std::max_element(deg.begin(), deg.end()) -
                             deg.begin());
   }
-  scratch.rooted.rebuild(tree, root);
-  const auto& rt = scratch.rooted;
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  mst::RootedTree rt;
+  rt.rebuild(tree, root, ws);
 
   for (int u : rt.order) {  // top-down: a parent before its children
     // Children in ccw order by absolute angle (cyclic; reference irrelevant);

@@ -45,8 +45,10 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
 
   const double R =
       res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
-  const auto& rt = scratch.rooted;
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  mst::RootedTree rt;
+  rt.rebuild(tree, -1, ws);
 
   const int root = rt.root;
   const int first = rt.children(root)[0];

@@ -31,9 +31,14 @@ void check_tree_spans(std::span<const geom::Point> pts,
 
 }  // namespace
 
-PlanSession::PlanSession() = default;
-PlanSession::PlanSession(mst::EngineConfig engine_cfg)
-    : engine_(engine_cfg) {}
+PlanSession::PlanSession() : PlanSession(mst::EngineConfig{}) {}
+PlanSession::PlanSession(mst::EngineConfig engine_cfg) : engine_(engine_cfg) {
+  emst_scratch_.triangulator.share(workspace_);
+  emst_scratch_.kruskal.ws.share(workspace_);
+  scratch_.ws.share(workspace_);
+  certify_scratch_.transmission.ws.share(workspace_);
+  certify_scratch_.scc.ws.share(workspace_);
+}
 PlanSession::~PlanSession() = default;
 
 const Result& PlanSession::orient(std::span<const geom::Point> pts,
@@ -101,9 +106,10 @@ void PlanSession::run(Algorithm algo, std::span<const geom::Point> pts,
   DIRANT_ASSERT(rows.row_of.size() == pts.size());
   if (algo == Algorithm::kTwoPart1 || algo == Algorithm::kTwoPart2) {
     orient_two_antennae(pts, tree, spec.phi, scratch_, *rows.plan,
-                        rows.row_of, rows.changed);
+                        rows.row_of, rows.changed, rows.memory);
     return;
   }
+  if (rows.memory != nullptr) rows.memory->invalidate();
   const Result& res = run(algo, pts, tree, spec);
   Result& plan = *rows.plan;
   auto& changed = *rows.changed;

@@ -37,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "common/workspace.hpp"
 #include "core/heterogeneous.hpp"
 #include "core/lemma1.hpp"
 #include "core/types.hpp"
@@ -61,19 +62,22 @@ struct PlanRows {
   std::span<const int> row_of;
   Result* plan = nullptr;
   std::vector<int>* changed = nullptr;  ///< rewritten rows, ascending
+  /// When set, a Theorem 3 sweep records its plan memory here in row space
+  /// (see orient_two_antennae); any other regime leaves it invalid.
+  TwoAntennaeMemory* memory = nullptr;
 };
 
 /// Working memory shared by the per-k orienters.  Owned by PlanSession;
 /// every orienter's `*_into` variant takes one of these and must not
-/// allocate once the buffers are warm.
+/// allocate once the buffers are warm.  Per-call arrays (the rooted view,
+/// the sweep's BFS-ordered points and targets) are taken from `ws` for the
+/// length of one call: PlanSession shares its Workspace here.
 struct OrienterScratch {
-  mst::RootedTree rooted;                         ///< flat BFS rooted view
+  WorkspaceSource ws;
   std::vector<std::pair<int, geom::Point>> work;  ///< (vertex, target) stack
   std::vector<std::vector<int>> adjacency;        ///< tree neighbour lists
   std::vector<int> degrees;                       ///< per-vertex degrees
   std::vector<geom::Point> targets;               ///< per-node cover targets
-  std::vector<geom::Point> order_pts;  ///< points gathered into BFS order
-  std::vector<int> order_parent;       ///< parent position per BFS position
   std::vector<geom::Sector> cover;                ///< lemma1_cover output
   std::vector<int> parent_hint;  ///< warm orienter's per-vertex parent view
   Lemma1Scratch lemma1;
@@ -138,8 +142,8 @@ class PlanSession {
   /// `plan` in place, with no tree and no compact copy.  Returns false,
   /// leaving `plan` untouched, when the regime is not a Theorem 3
   /// two-antennae planner or a warm gate fails; the caller then re-plans
-  /// with the row-mapped `orient_on_emst` and records `mem` from that
-  /// sweep (core::record_two_antennae_memory over `scratch()`).
+  /// with the row-mapped `orient_on_emst`, recording `mem` from that sweep
+  /// (`PlanRows::memory`).
   bool orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
                    const OrientWarmDelta& delta, Result& plan);
 
@@ -195,12 +199,16 @@ class PlanSession {
 
   const mst::EmstEngine& engine() const { return engine_; }
   OrienterScratch& scratch() { return scratch_; }
-  CertifyScratch& certify_scratch() { return certify_scratch_; }
   /// The EMST stage's working memory.  Incremental consumers
   /// (sim::ChurnEngine) read `candidates`/`last_kind` after a full plan to
-  /// seed their candidate pool, and borrow the Kruskal scratch for local
-  /// repairs between plans.
+  /// seed their candidate pool, and run their pool Kruskal through its
+  /// Kruskal scratch between plans.
   mst::EmstScratch& emst_scratch() { return emst_scratch_; }
+  /// The Workspace every stage borrows its per-call temporaries from
+  /// (triangulator, Kruskal, sweep, digraph build, Tarjan), and that
+  /// sim::ChurnEngine's cold path borrows from too; whatever a later call
+  /// or stage reads (result, tree, candidates, CSR) stays owned.
+  Workspace& workspace() { return workspace_; }
 
  private:
   /// Dispatch without the spanning-tree scan (internal trees are valid by
@@ -212,6 +220,7 @@ class PlanSession {
            const PlanRows& rows);
 
   mst::EmstEngine engine_;
+  Workspace workspace_;  ///< declared before the scratches that link to it
   mst::EmstScratch emst_scratch_;
   mst::Tree tree_;
   OrienterScratch scratch_;

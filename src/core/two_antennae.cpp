@@ -617,16 +617,52 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
 
 double bound_factor_impl(double phi);
 
+/// Record the plan memory of the sweep that just ran over `rt`, handing
+/// `targets` down (BFS positions), into `mem`, in row space (vertex v is
+/// row row(v) of n_rows): one pass, nothing re-planned.
+template <typename Row>
+void record_memory(double phi, const mst::RootedTree& rt,
+                   std::span<const Point> targets, const Result& res,
+                   Row&& row, int n_rows, TwoAntennaeMemory& mem) {
+  const int n = static_cast<int>(rt.order.size());
+  mem.nodes.resize(static_cast<size_t>(n_rows));
+  mem.member.assign(static_cast<size_t>(n_rows), 0);
+  // BFS order visits a parent before its children, so each child appends
+  // itself, with the obligation it was handed, to a record already reset.
+  // The root covers its own position and hands it to its only child.
+  for (int i = 0; i < n; ++i) {
+    const int v = rt.order[i];
+    TwoAntennaeMemory::Node& nd = mem.nodes[row(v)];
+    mem.member[row(v)] = 1;
+    nd.nkids = 0;
+    nd.target = targets[i == 0 ? 1 : i];
+    if (i == 0) {
+      nd.parent = -1;
+      continue;
+    }
+    nd.parent = row(rt.parent[v]);
+    TwoAntennaeMemory::Node& pn = mem.nodes[nd.parent];
+    pn.kids[pn.nkids++] = row(v);
+  }
+  mem.phi = phi;
+  mem.radius =
+      res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
+  mem.root_orig = row(rt.root);
+  mem.valid = true;
+}
+
 /// Run the full rooted construction with an explicit radius cap
 /// (`radius_cap` < 0 selects the paper bound).  Returns false if some vertex
 /// admits no feasible plan under the cap.  Rows land in `res`'s own table,
 /// reset first and indexed by sweep id, unless `changed` is given: then
 /// vertex v's row is synced in place into row `row_of[v]`, every rewritten
-/// row is logged, and `measured_radius` is the caller's.
+/// row is logged, and `measured_radius` is the caller's.  With `memory`
+/// given, a completed sweep records its plan memory there.
 bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
                      double phi, double radius_cap, OrienterScratch& scratch,
                      Result& res, std::span<const int> row_of = {},
-                     std::vector<int>* changed = nullptr) {
+                     std::vector<int>* changed = nullptr,
+                     TwoAntennaeMemory* memory = nullptr) {
   tree.degrees_into(scratch.degrees);
   int max_deg = 0;
   for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
@@ -644,6 +680,7 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
     res.cases.reset();
     changed->clear();
   }
+  if (memory != nullptr) memory->invalidate();
   auto& out = res.orientation;
   const auto row = [&](int v) { return changed == nullptr ? v : row_of[v]; };
   const auto write = [&](int v, const auto& sectors) {
@@ -663,19 +700,18 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
           ? radius_cap * (1.0 + kRadiusRelTol) + kRadiusAbsTol
           : res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) +
                 kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
-  const auto& rt = scratch.rooted;
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  mst::RootedTree rt;
+  rt.rebuild(tree, -1, ws);
 
   // The sweep runs in BFS positions: position i is vertex rt.order[i], its
   // children are one contiguous block of positions, and its parent's plan
   // has already written its target.  Points and parent positions are
   // gathered into that order once, so the sweep streams.
-  auto& at = scratch.order_pts;
-  auto& parent_pos = scratch.order_parent;
-  auto& targets = scratch.targets;
-  at.resize(n);
-  parent_pos.resize(n);
-  targets.resize(n);
+  const auto at = ws.take<Point>(static_cast<size_t>(n));
+  const auto parent_pos = ws.take<int>(static_cast<size_t>(n));
+  const auto targets = ws.take<Point>(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) at[i] = pts[rt.order[i]];
   parent_pos[0] = -1;
   for (int i = 0; i < n; ++i) {
@@ -684,7 +720,6 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
     }
   }
   Ctx ctx{at, parent_pos, phi, R, phi >= kPi, &res.cases};
-
   // Root (a leaf): one beam to its only child; the child covers the root.
   DIRANT_ASSERT(rt.first_child[1] == 2);
   const geom::Sector root_beam = geom::beam_to(at[0], at[1]);
@@ -715,6 +750,10 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
   } else {
     std::sort(changed->begin(), changed->end());
   }
+  if (memory != nullptr) {
+    record_memory(phi, rt, targets, res, row,
+                  changed == nullptr ? n : out.size(), *memory);
+  }
   return true;
 }
 
@@ -734,10 +773,11 @@ double bound_factor_impl(double phi) { return theorem3_bound_factor(phi); }
 void orient_two_antennae(std::span<const Point> pts, const mst::Tree& tree,
                          double phi, OrienterScratch& scratch, Result& out,
                          std::span<const int> row_of,
-                         std::vector<int>* changed) {
+                         std::vector<int>* changed,
+                         TwoAntennaeMemory* memory) {
   DIRANT_ASSERT(changed == nullptr || row_of.size() == pts.size());
-  const bool ok =
-      detailed_orient(pts, tree, phi, -1.0, scratch, out, row_of, changed);
+  const bool ok = detailed_orient(pts, tree, phi, -1.0, scratch, out, row_of,
+                                  changed, memory);
   DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
 }
 
@@ -747,47 +787,6 @@ Result orient_two_antennae(std::span<const Point> pts, const mst::Tree& tree,
   OrienterScratch scratch;
   orient_two_antennae(pts, tree, phi, scratch, res);
   return res;
-}
-
-void record_two_antennae_memory(double phi, const OrienterScratch& scratch,
-                                const Result& res,
-                                std::span<const int> orig_of, int n_orig,
-                                TwoAntennaeMemory& mem) {
-  const int n = static_cast<int>(orig_of.size());
-  mem.valid = false;
-  mem.planned.clear();
-  mem.changed.clear();
-  if (n <= 1 || (res.algorithm != Algorithm::kTwoPart1 &&
-                 res.algorithm != Algorithm::kTwoPart2)) {
-    return;
-  }
-  const auto& rt = scratch.rooted;
-  const auto& targets = scratch.targets;
-  DIRANT_ASSERT(static_cast<int>(rt.order.size()) == n);
-  mem.nodes.resize(static_cast<size_t>(n_orig));
-  mem.member.assign(static_cast<size_t>(n_orig), 0);
-  // BFS order visits a parent before its children, so each child appends
-  // itself, with the obligation it was handed, to a record already reset.
-  // The root covers its own position and hands it to its only child.
-  for (int i = 0; i < n; ++i) {
-    const int v = rt.order[i];
-    TwoAntennaeMemory::Node& nd = mem.nodes[orig_of[v]];
-    mem.member[orig_of[v]] = 1;
-    nd.nkids = 0;
-    nd.target = targets[i == 0 ? 1 : i];
-    if (i == 0) {
-      nd.parent = -1;
-      continue;
-    }
-    nd.parent = orig_of[rt.parent[v]];
-    TwoAntennaeMemory::Node& pn = mem.nodes[nd.parent];
-    pn.kids[pn.nkids++] = orig_of[v];
-  }
-  mem.phi = phi;
-  mem.radius =
-      res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
-  mem.root_orig = orig_of[rt.root];
-  mem.valid = true;
 }
 
 bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,

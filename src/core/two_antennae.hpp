@@ -29,6 +29,7 @@ class Orientation;
 namespace dirant::core {
 
 struct OrienterScratch;
+struct TwoAntennaeMemory;
 
 /// Radius factor guaranteed by Theorem 3 for a given phi (>= 2*pi/3).
 double theorem3_bound_factor(double phi);
@@ -44,19 +45,22 @@ Result orient_two_antennae(std::span<const geom::Point> pts,
 /// written in place into `out` row `row_of[v]` — a row whose sectors are
 /// bitwise unchanged is left alone, other rows are untouched — `changed`
 /// receives the rewritten rows, ascending, and `measured_radius` is the
-/// caller's.
+/// caller's.  With `memory` given, the sweep also records its plan memory
+/// there, in row space (`row_of`, or sweep ids without `changed`), for the
+/// tree it ran over — not for a raw EMST that degree repair rewired.
 void orient_two_antennae(std::span<const geom::Point> pts,
                          const mst::Tree& tree, double phi,
                          OrienterScratch& scratch, Result& out,
                          std::span<const int> row_of = {},
-                         std::vector<int>* changed = nullptr);
+                         std::vector<int>* changed = nullptr,
+                         TwoAntennaeMemory* memory = nullptr);
 
 /// Per-node plan memory for the warm frontier orienter, kept in *original*
 /// (churn-stable) index space by the caller: the rooted tree the last plan
 /// ran over and each vertex's incoming target point — the obligation its
-/// parent handed it.  A fresh sweep leaves it behind through
-/// `record_two_antennae_memory`; the warm orienter then follows tree and
-/// position changes from it, re-planning only vertices whose inputs —
+/// parent handed it.  A fresh sweep records it (`orient_two_antennae`'s
+/// `memory`); the warm orienter then follows tree and position changes
+/// from it, re-planning only vertices whose inputs —
 /// parent identity and position, incoming target (bitwise), child set and
 /// positions, own position — changed, under unchanged global gates (phi,
 /// resolved radius cap, root identity).
@@ -72,6 +76,11 @@ struct TwoAntennaeMemory {
     int kids[5] = {-1, -1, -1, -1, -1};
   };
   bool valid = false;  ///< records describe the current plan
+  void invalidate() {
+    valid = false;
+    planned.clear();
+    changed.clear();
+  }
   double phi = 0.0;
   double radius = 0.0;  ///< resolved cap R (folds in lmax and tolerances)
   int root_orig = -1;   ///< traversal root; a change dirties the whole tree
@@ -115,20 +124,6 @@ struct OrientWarmDelta {
   std::span<const std::uint8_t> degree;  ///< current tree degree per id
   double lmax = 0.0;                     ///< current tree's longest edge
 };
-
-/// Record the plan memory of the Theorem 3 sweep (orient_two_antennae)
-/// that just ran through `scratch` over a compact tree and wrote `res`'s
-/// header: one pass over the sweep's rooted tree and hand-down targets,
-/// nothing re-planned.
-/// `orig_of` maps the sweep's compact ids to original ids, and `n_orig`
-/// sizes the original space.  Leaves `mem` invalid when `res` is not a
-/// Theorem 3 plan or spans fewer than two vertices.  The recorded tree is
-/// the one the sweep ran over; a caller whose next delta is relative to a
-/// different tree (a raw EMST that degree repair rewired) must not keep it.
-void record_two_antennae_memory(double phi, const OrienterScratch& scratch,
-                                const Result& res,
-                                std::span<const int> orig_of, int n_orig,
-                                TwoAntennaeMemory& mem);
 
 /// Frontier-driven warm re-orientation: apply the batch's net MST edge
 /// delta to the persistent rooted tree the records encode — detach removed

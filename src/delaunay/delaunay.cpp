@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/assert.hpp"
+#include "common/radix_sort.hpp"
 #include "geometry/exact.hpp"
 
 namespace dirant::delaunay {
@@ -82,7 +83,7 @@ std::uint64_t brio_round(std::uint32_t id) {
 
 }  // namespace
 
-bool Triangulator::run(std::span<const Point> pts) {
+bool Triangulator::run(std::span<const Point> pts, Workspace& ws) {
   const int m = num_real();
   DIRANT_ASSERT_MSG(m < (1 << kIndexBits),
                     "too many points for the insertion-order key");
@@ -100,46 +101,51 @@ bool Triangulator::run(std::span<const Point> pts) {
   // from the previous fan is O(1) expected steps.
   const double sx = max_x > min_x ? (max_x - min_x) : 1.0;
   const double sy = max_y > min_y ? (max_y - min_y) : 1.0;
-  order_.resize(m);
-  for (int k = 0; k < m; ++k) {
-    const Point& p = pts[orig_[k]];
-    const auto hx = static_cast<std::uint32_t>(65535.0 * (p.x - min_x) / sx);
-    const auto hy = static_cast<std::uint32_t>(65535.0 * (p.y - min_y) / sy);
-    order_[k] =
-        brio_round(static_cast<std::uint32_t>(orig_[k])) << kRoundShift |
-        hilbert_d(hx, hy) << kIndexBits | static_cast<std::uint64_t>(k);
-  }
-  radix_sort(order_, kIndexBits, radix_);
-  // Renumber: pts_[i] is the i-th point inserted, orig_[i] its input id.
-  constexpr std::uint64_t kIndexMask = (1ull << kIndexBits) - 1;
-  for (std::uint64_t& key : order_) key = orig_[key & kIndexMask];
-  pts_.resize(m);
-  for (int i = 0; i < m; ++i) {
-    orig_[i] = static_cast<int>(order_[i]);
-    pts_[i] = pts[orig_[i]];
+  pts_ = ws.take<Point>(static_cast<size_t>(m) + 3);
+  {
+    // The sort keys are dead before the soup is taken: its frame ends here.
+    Workspace::Frame sort_frame(ws);
+    auto order = ws.take<std::uint64_t>(m);
+    for (int k = 0; k < m; ++k) {
+      const Point& p = pts[orig_[k]];
+      const auto hx = static_cast<std::uint32_t>(65535.0 * (p.x - min_x) / sx);
+      const auto hy = static_cast<std::uint32_t>(65535.0 * (p.y - min_y) / sy);
+      order[k] =
+          brio_round(static_cast<std::uint32_t>(orig_[k])) << kRoundShift |
+          hilbert_d(hx, hy) << kIndexBits | static_cast<std::uint64_t>(k);
+    }
+    order = radix_sort(order, kIndexBits, ws);
+    // Renumber: pts_[i] is the i-th point inserted, orig_[i] its input id.
+    constexpr std::uint64_t kIndexMask = (1ull << kIndexBits) - 1;
+    for (std::uint64_t& key : order) key = orig_[key & kIndexMask];
+    for (int i = 0; i < m; ++i) {
+      orig_[i] = static_cast<int>(order[i]);
+      pts_[i] = pts[orig_[i]];
+    }
   }
 
   // Super-triangle hosting every point, corners m, m + 1, m + 2.
   const double cx = (min_x + max_x) / 2.0, cy = (min_y + max_y) / 2.0;
   const double r = std::max({max_x - min_x, max_y - min_y, 1.0});
   const double M = 1e6 * r;
-  pts_.push_back({cx + M, cy - M});
-  pts_.push_back({cx, cy + M});
-  pts_.push_back({cx - M, cy - M});
+  pts_[m] = {cx + M, cy - M};
+  pts_[m + 1] = {cx, cy + M};
+  pts_[m + 2] = {cx - M, cy - M};
   Tri super{{m, m + 1, m + 2}, {-1, -1, -1}};
   if (geom::orient2d_sign(pts_[m], pts_[m + 1], pts_[m + 2]) < 0) {
     std::swap(super.v[1], super.v[2]);
   }
-  // Each insertion adds exactly two slots, so the soup ends at 2m + 1 and
-  // never reallocates mid-build.
-  tris_.clear();
-  tris_.reserve(2 * static_cast<size_t>(m) + 1);
-  tris_.push_back(super);
-  cavity_mark_.assign(2 * static_cast<size_t>(m) + 1, 0);
+  // Each insertion adds exactly two slots, so the soup ends at 2m + 1.
+  const size_t slots = 2 * static_cast<size_t>(m) + 1;
+  tris_ = ws.take<Tri>(slots);
+  tris_[0] = super;
+  tri_count_ = 1;
+  cavity_mark_ = ws.take<std::uint32_t>(slots);
+  std::fill(cavity_mark_.begin(), cavity_mark_.end(), 0);
   epoch_ = 0;
   last_ = 0;
-  start_at_.resize(m + 3);
-  end_at_.resize(m + 3);
+  start_at_ = ws.take<int>(static_cast<size_t>(m) + 3);
+  end_at_ = ws.take<int>(static_cast<size_t>(m) + 3);
   for (int i = 0; i < m; ++i) {
     if (!insert(i)) return false;
   }
@@ -149,7 +155,7 @@ bool Triangulator::run(std::span<const Point> pts) {
 void Triangulator::emit(std::vector<std::array<int, 3>>* triangles,
                         std::vector<std::pair<int, int>>& edges) const {
   const int m = num_real();
-  for (int id = 0; id < static_cast<int>(tris_.size()); ++id) {
+  for (int id = 0; id < tri_count_; ++id) {
     const Tri& t = tris_[id];
     if (triangles && t.v[0] < m && t.v[1] < m && t.v[2] < m) {
       triangles->push_back({orig_[t.v[0]], orig_[t.v[1]], orig_[t.v[2]]});
@@ -176,7 +182,7 @@ bool Triangulator::in_circumcircle(int ti, const Point& q) const {
 // p (boundary inclusive), or -1 on failure.
 int Triangulator::locate(const Point& p) const {
   int t = last_;
-  const int cap = 4 * static_cast<int>(tris_.size()) + 64;
+  const int cap = 4 * tri_count_ + 64;
   for (int step = 0; step < cap; ++step) {
     const Tri& tri = tris_[t];
     bool moved = false;
@@ -193,7 +199,7 @@ int Triangulator::locate(const Point& p) const {
     if (!moved) return t;
   }
   // Walk cycled (can happen on wildly degenerate data): linear fallback.
-  for (int i = 0; i < static_cast<int>(tris_.size()); ++i) {
+  for (int i = 0; i < tri_count_; ++i) {
     const Tri& tri = tris_[i];
     bool inside = true;
     for (int e = 0; e < 3 && inside; ++e) {
@@ -259,8 +265,8 @@ bool Triangulator::insert(int pi) {
   }
 
   // The fan overwrites the cavity's slots, then appends two.
-  const int base = static_cast<int>(tris_.size());
-  tris_.resize(base + 2);
+  const int base = tri_count_;
+  tri_count_ += 2;
   for (int k = 0; k < c + 2; ++k) {
     const BEdge& e = boundary_[k];
     const int id = k < c ? cavity_[k] : base + (k - c);
@@ -313,11 +319,25 @@ void Triangulator::build(std::span<const Point> pts,
   // corner's two edges have the copy on their circumcircles, so they stay
   // out of the cavity; and the boundary edges through the copy fail the
   // reflex check.  So correctness never depends on this guess.
-  orig_.resize(n);
+  Workspace& ws = ws_.get();
+  Workspace::Frame frame(ws);
+  // Everything run() takes, for at most n points: the sort buffers and
+  // then the soup share the bytes past the renumbered points.
+  const size_t m = static_cast<size_t>(n);
+  ws.reserve(Workspace::bytes<int>(m) + Workspace::bytes<Point>(m + 3) +
+             std::max(2 * Workspace::bytes<std::uint64_t>(m) +
+                          Workspace::bytes<std::size_t>(kRadixCounts),
+                      Workspace::bytes<Tri>(2 * m + 1) +
+                          Workspace::bytes<std::uint32_t>(2 * m + 1) +
+                          2 * Workspace::bytes<int>(m + 3)));
+  orig_ = ws.take<int>(n);
   std::iota(orig_.begin(), orig_.end(), 0);
-  if (run(pts)) {
-    emit(triangles, edges);
-    return;
+  {
+    Workspace::Frame attempt(ws);
+    if (run(pts, ws)) {
+      emit(triangles, edges);
+      return;
+    }
   }
 
   // Merge exact duplicates: sort indices by coordinates (duplicates become
@@ -340,17 +360,18 @@ void Triangulator::build(std::span<const Point> pts,
     for (int j = s; j < e; ++j) rep[by_coord[j]] = by_coord[s];
     s = e;
   }
-  orig_.clear();
+  int reps = 0;
   for (int i = 0; i < n; ++i) {
     if (rep[i] == i) {
-      orig_.push_back(i);
+      orig_[reps++] = i;
     } else {
       edges.emplace_back(rep[i], i);  // rep[i] < i by construction
     }
   }
+  orig_ = orig_.first(static_cast<size_t>(reps));
 
-  if (orig_.size() >= 2) {
-    if (!run(pts)) {
+  if (reps >= 2) {
+    if (!run(pts, ws)) {
       edges.clear();  // signal failure: caller falls back
       return;
     }
@@ -366,10 +387,6 @@ Triangulation triangulate(std::span<const Point> pts) {
   Triangulator builder;
   builder.triangulate(pts, out);
   return out;
-}
-
-std::vector<std::pair<int, int>> delaunay_edges(std::span<const Point> pts) {
-  return triangulate(pts).edges;
 }
 
 }  // namespace dirant::delaunay

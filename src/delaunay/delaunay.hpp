@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/radix_sort.hpp"
+#include "common/workspace.hpp"
 #include "geometry/point.hpp"
 
 namespace dirant::delaunay {
@@ -47,13 +47,15 @@ struct Triangulation {
 /// and appends two, so n points make 2n + 1 slots, super-triangle ones
 /// included.
 ///
-/// All working memory (the renumbered points, the soup, cavity marks and
-/// stacks, the per-vertex fan-linkage slots, the sort buffers) lives on the
-/// object and keeps its capacity across calls, so a warm Triangulator
-/// triangulating inputs of stable size allocates nothing — the property
-/// core::PlanSession builds on.  The duplicate-merge fallback (exact
-/// duplicate points in the input) is the one path that still allocates; it
-/// only runs on degenerate inputs.
+/// All working memory (the renumbered points, the soup, cavity marks, the
+/// per-vertex fan-linkage slots, the sort buffers) is borrowed from a
+/// Workspace for the length of one call: the Triangulator's own, or the
+/// one a core::PlanSession shares with its other stages (`share`).  Either
+/// way it keeps its high-water size, so a warm Triangulator triangulating
+/// inputs of stable size allocates nothing — the property core::PlanSession
+/// builds on.  The duplicate-merge fallback (exact duplicate points in the
+/// input) is the one path that still allocates; it only runs on degenerate
+/// inputs.
 class Triangulator {
  public:
   /// Triangulate `pts` into `out`, recycling `out`'s vectors.  Semantics are
@@ -65,6 +67,9 @@ class Triangulator {
   void triangulate(std::span<const geom::Point> pts,
                    std::vector<std::pair<int, int>>& edges);
 
+  /// Borrow working memory from `ws` instead of a private Workspace.
+  void share(Workspace& ws) { ws_.share(ws); }
+
  private:
   struct Tri {
     std::array<int, 3> v;   // ccw vertices
@@ -75,8 +80,9 @@ class Triangulator {
   };
 
   // Build over the input points named by orig_ and reorder orig_ (and
-  // pts_) into insertion order; false on unhandled degeneracy.
-  bool run(std::span<const geom::Point> pts);
+  // pts_) into insertion order; false on unhandled degeneracy.  Takes its
+  // buffers from `ws` in the caller's frame.
+  bool run(std::span<const geom::Point> pts, Workspace& ws);
   // Both public overloads: triangles are written only when non-null.
   void build(std::span<const geom::Point> pts,
              std::vector<std::array<int, 3>>* triangles,
@@ -89,18 +95,19 @@ class Triangulator {
   int locate(const geom::Point& p) const;
   bool insert(int pi);
 
-  std::vector<geom::Point> pts_;  // insertion order, then the 3 super corners
-  std::vector<int> orig_;         // pts_[i] is input point orig_[i]
-  std::vector<Tri> tris_;
-  std::vector<std::uint64_t> order_;
-  RadixScratch radix_;
-  std::vector<std::uint32_t> cavity_mark_;
+  WorkspaceSource ws_;
+  // Views into the workspace, valid during one build only.
+  std::span<geom::Point> pts_;  // insertion order, then the 3 super corners
+  std::span<int> orig_;         // pts_[i] is input point orig_[i]
+  std::span<Tri> tris_;         // 2m + 1 slots, the first tri_count_ live
+  int tri_count_ = 0;
+  std::span<std::uint32_t> cavity_mark_;
   std::uint32_t epoch_ = 0;
   std::vector<int> cavity_, stack_;
   // Fan linkage: the new triangle whose boundary edge starts / ends at a
   // vertex.  Every slot a fan reads was written by that same fan, so they
   // are never cleared.
-  std::vector<int> start_at_, end_at_;
+  std::span<int> start_at_, end_at_;
   std::vector<BEdge> boundary_;
   int last_ = 0;
 };
@@ -111,9 +118,5 @@ class Triangulator {
 /// Degenerate inputs (all points collinear) yield an edge path and no
 /// triangles.
 Triangulation triangulate(std::span<const geom::Point> pts);
-
-/// Convenience: just the unique edges (candidate set for Kruskal).
-std::vector<std::pair<int, int>> delaunay_edges(
-    std::span<const geom::Point> pts);
 
 }  // namespace dirant::delaunay

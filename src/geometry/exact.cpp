@@ -95,10 +95,6 @@ int incircle_exact(const Point& pa, const Point& pb, const Point& pc,
 
 }  // namespace detail
 
-double orient2d_value(const Point& a, const Point& b, const Point& c) {
-  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-}
-
 bool point_in_triangle(const Point& p, const Point& a, const Point& b,
                        const Point& c) {
   int o = orient2d_sign(a, b, c);

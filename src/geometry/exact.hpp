@@ -59,10 +59,6 @@ inline int orient2d_sign(const Point& a, const Point& b, const Point& c) {
   return detail::orient2d_exact(a, b, c);
 }
 
-/// Twice the signed area of triangle (a, b, c) in double precision (not
-/// exact; use for magnitudes, not decisions).
-double orient2d_value(const Point& a, const Point& b, const Point& c);
-
 /// Sign of the incircle determinant: +1 if `d` lies strictly inside the
 /// circumcircle of the counterclockwise triangle (a, b, c), -1 if strictly
 /// outside, 0 if (numerically) cocircular.

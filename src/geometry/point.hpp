@@ -81,27 +81,15 @@ constexpr double dist2(const Point& a, const Point& b) {
 /// Euclidean distance between two points.
 inline double dist(const Point& a, const Point& b) { return norm(b - a); }
 
-/// Polar angle of `v` in [-pi, pi] as returned by atan2.  Use
-/// geom::norm_angle (angle.hpp) to map into [0, 2*pi).
-inline double raw_angle_of(const Vec2& v) { return std::atan2(v.y, v.x); }
-
 /// Unit vector at polar angle `theta`.
 inline Vec2 unit(double theta) { return {std::cos(theta), std::sin(theta)}; }
 
 /// Vector of length `r` at polar angle `theta`.
 inline Vec2 from_polar(double r, double theta) { return r * unit(theta); }
 
-/// `v` rotated by +90 degrees (counterclockwise).
-constexpr Vec2 perp(const Vec2& v) { return {-v.y, v.x}; }
-
 /// Linear interpolation `a + t*(b-a)`.
 constexpr Point lerp(const Point& a, const Point& b, double t) {
   return a + t * (b - a);
-}
-
-/// Midpoint of the segment `ab`.
-constexpr Point midpoint(const Point& a, const Point& b) {
-  return {(a.x + b.x) / 2.0, (a.y + b.y) / 2.0};
 }
 
 std::ostream& operator<<(std::ostream& os, const Vec2& v);

@@ -1,6 +1,7 @@
 #include "graph/recert.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -472,14 +473,30 @@ bool IncrementalSccCert::audit_removal(const Digraph& dg, const Digraph& dgt,
     }
   }
 
+  // Each list holds a node at most once (one parent per tree); a node of
+  // both lists already outside on the out-side is not listed again.
   for (int u : under_out) {
     if (anchor_out_[u] != epoch_) outside.push_back(u);
   }
   for (int u : under_in) {
-    if (anchor_in_[u] != epoch_) outside.push_back(u);
+    if (anchor_in_[u] != epoch_ &&
+        (mark_out_[u] != epoch_ || anchor_out_[u] == epoch_)) {
+      outside.push_back(u);
+    }
   }
-  std::sort(outside.begin(), outside.end());
-  outside.erase(std::unique(outside.begin(), outside.end()), outside.end());
+  // Ascending by radix: the ids ride in the top bits of the keys, so the
+  // sort makes one pass per 11 bits of the id range.
+  const int shift =
+      64 - std::max(1, static_cast<int>(std::bit_width(gvis_.size())));
+  Workspace::Frame frame(sort_ws_);
+  auto keys = sort_ws_.take<std::uint64_t>(outside.size());
+  for (size_t i = 0; i < outside.size(); ++i) {
+    keys[i] = static_cast<std::uint64_t>(outside[i]) << shift;
+  }
+  keys = radix_sort(keys, shift, sort_ws_);
+  for (size_t i = 0; i < outside.size(); ++i) {
+    outside[i] = static_cast<int>(keys[i] >> shift);
+  }
   return true;
 }
 

@@ -48,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "common/radix_sort.hpp"
 #include "graph/digraph.hpp"
 
 namespace dirant::graph {
@@ -161,6 +162,7 @@ class IncrementalSccCert {
   std::vector<int> tmp_;   ///< kid-list iteration copy
   std::vector<int> path_;  ///< ancestor walk recording
   std::vector<int> bfs_;   ///< rebuild / graft BFS queue
+  Workspace sort_ws_;      ///< audit output sort keys and buffers
   int gepoch_ = 0;                ///< graft-BFS visit era
   std::vector<int> gvis_, gpred_;  ///< graft-BFS visit stamp + predecessor
 };

@@ -72,22 +72,21 @@ constexpr int kOnStack = 1 << 30;
 
 /// Iterative Tarjan over the DFS roots 0..n_roots-1, following only edges
 /// whose head `accept` admits; a root that `accept` rejects follows no
-/// edge at all (an isolated vertex).  Expects `scratch.state == -1` for
-/// every participating vertex — any other value skips the vertex as a
-/// root — and `scratch.low` sized to the graph.  Component ids count up
-/// from 0; with kRecord each vertex's id is written to `component[v]`.
-/// Returns the number of components found.  With every vertex admitted the
-/// constant arguments fold away at compile time.
+/// edge at all (an isolated vertex).  Expects `state[v] == -1` for every
+/// participating vertex — any other value skips the vertex as a root — and
+/// takes the rest of its state from `ws` inside the caller's frame.
+/// Component ids count up from 0; with kRecord each vertex's id is written
+/// to `component[v]`.  Returns the number of components found.  With every
+/// vertex admitted the constant arguments fold away at compile time.
 template <bool kRecord, typename Accept>
-int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
-                int n_roots, Accept&& accept) {
+int tarjan_core(const Digraph& g, Workspace& ws, std::span<int> state,
+                int* component, int n_roots, Accept&& accept) {
   DIRANT_ASSERT(g.size() < kOnStack);  // index and on-stack bit share an int
-  auto& state = scratch.state;
-  auto& low = scratch.low;
-  auto& stack = scratch.stack;
-  auto& frames = scratch.frames;
-  stack.clear();
-  frames.clear();
+  const size_t n = static_cast<size_t>(g.size());
+  const auto low = ws.take<int>(n);
+  const auto stack = ws.take<int>(n);
+  const auto frames = ws.take<SccScratch::Frame>(n);
+  size_t stack_top = 0, frame_top = 0;  // every vertex is pushed at most once
   int count = 0;
   int next_index = 0;
 
@@ -95,17 +94,17 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
     state[v] = next_index | kOnStack;
     low[v] = next_index;
     ++next_index;
-    stack.push_back(v);
+    stack[stack_top++] = v;
     const auto outs = g.out(v);
     const int* end = accept(v) ? outs.data() + outs.size() : outs.data();
-    frames.push_back({v, outs.data(), end});
+    frames[frame_top++] = {v, outs.data(), end};
   };
 
   for (int root = 0; root < n_roots; ++root) {
     if (state[root] != -1) continue;
     push_vertex(root);
-    while (!frames.empty()) {
-      SccScratch::Frame& f = frames.back();
+    while (frame_top > 0) {
+      SccScratch::Frame& f = frames[frame_top - 1];
       const int v = f.v;
       bool descended = false;
       const int* p = f.next;
@@ -115,7 +114,7 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
         if (!accept(w)) continue;
         const int st = state[w];
         if (st == -1) {
-          f.next = p;  // before push_vertex: it may reallocate frames
+          f.next = p;
           push_vertex(w);
           descended = true;
           break;
@@ -125,17 +124,16 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
       if (descended) continue;
       if (low[v] == (state[v] & ~kOnStack)) {
         while (true) {
-          const int w = stack.back();
-          stack.pop_back();
+          const int w = stack[--stack_top];
           state[w] &= ~kOnStack;
           if constexpr (kRecord) component[w] = count;
           if (w == v) break;
         }
         ++count;
       }
-      frames.pop_back();
-      if (!frames.empty()) {
-        const int parent = frames.back().v;
+      --frame_top;
+      if (frame_top > 0) {
+        const int parent = frames[frame_top - 1].v;
         low[parent] = std::min(low[parent], low[v]);
       }
     }
@@ -147,10 +145,11 @@ int tarjan_core(const Digraph& g, SccScratch& scratch, int* component,
 /// (the certification hot path skips the per-vertex label writes).
 template <bool kRecord>
 int tarjan_impl(const Digraph& g, SccScratch& scratch, int* component) {
-  const int n = g.size();
-  scratch.state.assign(n, -1);
-  scratch.low.resize(n);
-  return tarjan_core<kRecord>(g, scratch, component, n,
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  const auto state = ws.take<int>(static_cast<size_t>(g.size()));
+  std::fill(state.begin(), state.end(), -1);
+  return tarjan_core<kRecord>(g, ws, state, component, g.size(),
                               [](int) { return true; });
 }
 
@@ -195,14 +194,13 @@ int largest_scc(const Digraph& g, std::span<const char> present,
                 static_cast<int>(isolated.size()) == n);
   // Absent vertices start "visited", so no root loop enters them, and the
   // accept test keeps every edge off them and off the isolated ones.
-  scratch.state.assign(n, -1);
-  for (int v = 0; v < n; ++v) {
-    if (!present[v]) scratch.state[v] = 0;
-  }
-  scratch.low.resize(n);
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  const auto state = ws.take<int>(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) state[v] = present[v] ? -1 : 0;
   out.component.assign(n, -1);
   out.count = tarjan_core<true>(
-      g, scratch, out.component.data(), n,
+      g, ws, state, out.component.data(), n,
       [&](int w) { return present[w] && !isolated[w]; });
   return largest_of(out, sizes);
 }

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/workspace.hpp"
 #include "graph/digraph.hpp"
 
 namespace dirant::graph {
@@ -17,10 +18,10 @@ struct SccResult {
   std::vector<int> component;  ///< component id per vertex, 0-based
 };
 
-/// Caller-owned working memory for Tarjan's algorithm.  Steady-state
-/// consumers (certification loops, Monte-Carlo trials) keep one instance
-/// alive so repeated decompositions allocate nothing once the vectors have
-/// grown to the largest instance seen.
+/// Working memory for Tarjan's algorithm (per vertex: a packed state word,
+/// the low link, the stack and the DFS frames), borrowed per call from a
+/// private Workspace or one a session shares (`ws.share`); a warm instance
+/// decomposes graphs up to the largest seen without allocating.
 struct SccScratch {
   /// Explicit DFS frame holding the unvisited remainder of v's edge row.
   struct Frame {
@@ -28,12 +29,7 @@ struct SccScratch {
     const int* next;
     const int* end;
   };
-  /// Per-vertex packed state: -1 unvisited, otherwise the DFS index with a
-  /// high bit set while the vertex sits on the Tarjan stack — one random
-  /// load per edge instead of separate index[] and on_stack[] arrays.
-  std::vector<int> state;
-  std::vector<int> low, stack;
-  std::vector<Frame> frames;
+  WorkspaceSource ws;
 };
 
 /// Tarjan's algorithm (iterative) into caller-owned result + scratch;

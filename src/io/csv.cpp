@@ -99,12 +99,6 @@ Instance read_instance(std::istream& in, const std::string& file) {
   return parse(in, file);
 }
 
-Instance read_instance_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw CsvError(path, 0, "cannot open");
-  return parse(in, path);
-}
-
 std::vector<geom::Point> read_points(std::istream& in) {
   Instance inst = parse(in, "<stream>");
   if (!inst.antenna_counts.empty()) {
@@ -126,13 +120,6 @@ std::vector<geom::Point> read_points_file(const std::string& path) {
 void write_points(std::ostream& out, std::span<const geom::Point> pts) {
   out.precision(17);
   for (const auto& p : pts) out << p.x << ' ' << p.y << '\n';
-}
-
-void write_points_file(const std::string& path,
-                       std::span<const geom::Point> pts) {
-  std::ofstream out(path);
-  if (!out) throw CsvError(path, 0, "cannot open");
-  write_points(out, pts);
 }
 
 }  // namespace dirant::io

@@ -57,9 +57,6 @@ struct Instance {
 /// outside [1, kMaxAntennaCount].
 Instance read_instance(std::istream& in, const std::string& file = "<stream>");
 
-/// Parse an instance from a file path.
-Instance read_instance_file(const std::string& path);
-
 /// Parse points from a stream (strict 2-column form).  Throws CsvError
 /// (a std::runtime_error) on malformed rows.
 std::vector<geom::Point> read_points(std::istream& in);
@@ -68,7 +65,5 @@ std::vector<geom::Point> read_points(std::istream& in);
 std::vector<geom::Point> read_points_file(const std::string& path);
 
 void write_points(std::ostream& out, std::span<const geom::Point> pts);
-void write_points_file(const std::string& path,
-                       std::span<const geom::Point> pts);
 
 }  // namespace dirant::io

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -89,8 +90,11 @@ void kruskal_emst(std::span<const Point> pts,
   const int index_bits =
       std::max(20, m < 2 ? 0 : static_cast<int>(std::bit_width(m - 1)));
   const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
-  scratch.uf.reset(n);
-  auto& uf = scratch.uf;
+  Workspace& ws = scratch.ws.get();
+  Workspace::Frame frame(ws);
+  ws.reserve(2 * Workspace::bytes<std::uint64_t>(m) +
+             Workspace::bytes<std::size_t>(kRadixCounts) +
+             Workspace::bytes<int>(n) + Workspace::bytes<std::uint8_t>(n));
   // Exact (d2, min, max) comparison of two candidate indices.
   const auto exact_less = [&](std::uint64_t a, std::uint64_t b) {
     const auto& [a1, a2] = candidates[a];
@@ -102,8 +106,7 @@ void kruskal_emst(std::span<const Point> pts,
     if (ua != ub) return ua < ub;
     return std::max(a1, a2) < std::max(b1, b2);
   };
-  auto& order = scratch.order;
-  order.resize(m);
+  auto order = ws.take<std::uint64_t>(m);
   for (size_t i = 0; i < m; ++i) {
     const double d2 =
         geom::dist2(pts[candidates[i].first], pts[candidates[i].second]);
@@ -111,7 +114,7 @@ void kruskal_emst(std::span<const Point> pts,
     std::memcpy(&bits, &d2, sizeof bits);
     order[i] = (bits & ~index_mask) | i;
   }
-  radix_sort(order, index_bits, scratch.radix);
+  order = radix_sort(order, index_bits, ws);
   for (size_t lo = 0; lo < m;) {
     size_t hi = lo + 1;
     while (hi < m && (order[hi] & ~index_mask) == (order[lo] & ~index_mask)) {
@@ -126,12 +129,24 @@ void kruskal_emst(std::span<const Point> pts,
     }
     lo = hi;
   }
+  // Union-find forest: union by rank, path halving.
+  const auto parent = ws.take<int>(n);
+  const auto rank = ws.take<std::uint8_t>(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  std::fill(rank.begin(), rank.end(), 0);
+  const auto find = [&](int x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
   for (const std::uint64_t packed : order) {
     const auto& [u, v] = candidates[packed & index_mask];
-    if (uf.unite(u, v)) {
-      out.edges.push_back({u, v, geom::dist(pts[u], pts[v])});
-      if (static_cast<int>(out.edges.size()) == n - 1) break;
-    }
+    int a = find(u), b = find(v);
+    if (a == b) continue;
+    if (rank[a] < rank[b]) std::swap(a, b);
+    parent[b] = a;
+    if (rank[a] == rank[b]) ++rank[a];
+    out.edges.push_back({u, v, geom::dist(pts[u], pts[v])});
+    if (static_cast<int>(out.edges.size()) == n - 1) break;
   }
   DIRANT_ASSERT_MSG(static_cast<int>(out.edges.size()) == n - 1,
                     "candidate edge set is not connected");

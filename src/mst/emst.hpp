@@ -17,9 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/radix_sort.hpp"
+#include "common/workspace.hpp"
 #include "geometry/point.hpp"
-#include "graph/union_find.hpp"
 #include "mst/tree.hpp"
 
 namespace dirant::mst {
@@ -31,12 +30,12 @@ struct PrimScratch {
   std::vector<char> in_tree;
 };
 
-/// Working memory for `kruskal_emst` (sort keys, the radix sort's buffers
-/// and the union-find forest).
+/// Working memory for `kruskal_emst`: the sort keys, the radix sort's
+/// buffers and the union-find forest, borrowed for the length of one call
+/// from a Workspace — a private one, or the one a core::PlanSession shares
+/// with its other stages (`ws.share`).
 struct KruskalScratch {
-  std::vector<std::uint64_t> order;
-  RadixScratch radix;
-  graph::UnionFind uf;
+  WorkspaceSource ws;
 };
 
 /// Prim's algorithm over the complete Euclidean graph.  O(n^2) time,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "common/radix_sort.hpp"
 #include "geometry/point.hpp"
 
 namespace dirant::mst {
@@ -26,15 +27,12 @@ inline bool edge_key_less(double d2a, int a1, int a2, double d2b, int b1,
 
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
                             std::span<const int> orig_of) {
-  std::vector<std::uint64_t> keys;
-  RadixScratch radix;
-  seed(edges, orig_of, keys, radix);
+  Workspace ws;
+  seed(edges, orig_of, ws);
 }
 
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
-                            std::span<const int> orig_of,
-                            std::vector<std::uint64_t>& keys,
-                            RadixScratch& radix) {
+                            std::span<const int> orig_of, Workspace& ws) {
   drop_pending();
   int max_id = -1;
   for (int u : orig_of) max_id = std::max(max_id, u);
@@ -43,13 +41,14 @@ void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
   int w = 1;
   while ((std::uint64_t{1} << w) <= static_cast<std::uint64_t>(max_id)) ++w;
   const std::uint64_t low = (std::uint64_t{1} << w) - 1;
-  keys.clear();
-  for (const auto& [a, b] : edges) {
-    const int u = orig_of[a], v = orig_of[b];
-    keys.push_back(static_cast<std::uint64_t>(std::min(u, v)) << w |
-                   static_cast<std::uint64_t>(std::max(u, v)));
+  Workspace::Frame frame(ws);
+  auto keys = ws.take<std::uint64_t>(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const int u = orig_of[edges[i].first], v = orig_of[edges[i].second];
+    keys[i] = static_cast<std::uint64_t>(std::min(u, v)) << w |
+              static_cast<std::uint64_t>(std::max(u, v));
   }
-  radix_sort(keys, 0, radix);
+  keys = radix_sort(keys, 0, ws);
   pool_.clear();
   pool_.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {

@@ -65,7 +65,7 @@
 #include <vector>
 
 #include "common/max_tree.hpp"
-#include "common/radix_sort.hpp"
+#include "common/workspace.hpp"
 #include "geometry/point.hpp"
 #include "mst/euler_tour.hpp"
 #include "mst/tree.hpp"
@@ -94,12 +94,11 @@ class DelaunayEdgePool {
   /// `orig_of` maps compact ids to original ids and its entries are the
   /// member (alive) set.  Clears every star and all staged work.  The pool
   /// becomes valid.  The edges are radix-sorted as packed (min, max) keys
-  /// in `keys` and `radix`, borrowed sort buffers (sim::ChurnEngine lends
-  /// its idle Kruskal scratch), so the pool holds no sort memory between
-  /// seeds; the two-argument form sorts in call-local buffers.
+  /// in buffers borrowed from `ws` (sim::ChurnEngine passes its session's
+  /// shared Workspace), so the pool holds no sort memory between seeds;
+  /// the two-argument form sorts in a call-local Workspace.
   void seed(std::span<const std::pair<int, int>> edges,
-            std::span<const int> orig_of, std::vector<std::uint64_t>& keys,
-            RadixScratch& radix);
+            std::span<const int> orig_of, Workspace& ws);
   void seed(std::span<const std::pair<int, int>> edges,
             std::span<const int> orig_of);
 

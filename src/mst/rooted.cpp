@@ -1,43 +1,56 @@
 #include "mst/rooted.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/constants.hpp"
 #include "geometry/angle.hpp"
 
 namespace dirant::mst {
 
-void RootedTree::build_adjacency(const Tree& t) {
-  // Counting sort by endpoint: each vertex's neighbours in edge order.
+void RootedTree::rebuild(const Tree& t, int root, Workspace& ws) {
   const int n = t.n;
-  adj_off_.assign(n + 1, 0);
-  for (const auto& e : t.edges) {
-    ++adj_off_[e.u + 1];
-    ++adj_off_[e.v + 1];
-  }
-  for (int v = 0; v < n; ++v) adj_off_[v + 1] += adj_off_[v];
-  adj_.resize(adj_off_[n]);
-  auto& cursor = pos_of;  // refilled by bfs()
-  cursor.assign(adj_off_.begin(), adj_off_.end() - 1);
-  for (const auto& e : t.edges) {
-    adj_[cursor[e.u]++] = e.v;
-    adj_[cursor[e.v]++] = e.u;
-  }
-}
+  DIRANT_ASSERT(n >= 1);
+  parent = ws.take<int>(n);
+  order = ws.take<int>(n);
+  pos_of = ws.take<int>(n);
+  first_child = ws.take<int>(static_cast<size_t>(n) + 1);
 
-void RootedTree::bfs(int n, int root) {
+  // Counting sort by endpoint: each vertex's neighbours in edge order.
+  Workspace::Frame frame(ws);
+  const auto adj_off = ws.take<int>(static_cast<size_t>(n) + 1);
+  const auto adj = ws.take<int>(2 * t.edges.size());
+  std::fill(adj_off.begin(), adj_off.end(), 0);
+  for (const auto& e : t.edges) {
+    ++adj_off[e.u + 1];
+    ++adj_off[e.v + 1];
+  }
+  for (int v = 0; v < n; ++v) adj_off[v + 1] += adj_off[v];
+  auto& cursor = pos_of;  // refilled below
+  std::copy(adj_off.begin(), adj_off.end() - 1, cursor.begin());
+  for (const auto& e : t.edges) {
+    adj[cursor[e.u]++] = e.v;
+    adj[cursor[e.v]++] = e.u;
+  }
+  if (root < 0) {
+    root = n == 1 ? 0 : -1;
+    for (int v = 0; v < n && root < 0; ++v) {
+      if (adj_off[v + 1] - adj_off[v] == 1) root = v;
+    }
+    DIRANT_ASSERT_MSG(root >= 0, "tree without a leaf");
+  }
+
   DIRANT_ASSERT(root >= 0 && root < n);
   this->root = root;
-  parent.assign(n, -2);
-  order.resize(n);
-  first_child.resize(n + 1);
+  std::fill(parent.begin(), parent.end(), -2);
   order[0] = root;
   parent[root] = -1;
   int tail = 1;
   for (int i = 0; i < tail; ++i) {
     const int u = order[i];
     first_child[i] = tail;
-    for (int k = adj_off_[u]; k < adj_off_[u + 1]; ++k) {
-      const int v = adj_[k];
+    for (int k = adj_off[u]; k < adj_off[u + 1]; ++k) {
+      const int v = adj[k];
       if (parent[v] == -2) {
         parent[v] = u;
         order[tail++] = v;
@@ -46,24 +59,7 @@ void RootedTree::bfs(int n, int root) {
   }
   DIRANT_ASSERT_MSG(tail == n, "tree is not connected");
   first_child[n] = n;
-  pos_of.resize(n);
   for (int i = 0; i < n; ++i) pos_of[order[i]] = i;
-}
-
-void RootedTree::rebuild(const Tree& t, int root) {
-  build_adjacency(t);
-  bfs(t.n, root);
-}
-
-void RootedTree::rebuild_at_leaf(const Tree& t) {
-  DIRANT_ASSERT(t.n >= 1);
-  build_adjacency(t);
-  int leaf = t.n == 1 ? 0 : -1;
-  for (int v = 0; v < t.n && leaf < 0; ++v) {
-    if (adj_off_[v + 1] - adj_off_[v] == 1) leaf = v;
-  }
-  DIRANT_ASSERT_MSG(leaf >= 0, "tree without a leaf");
-  bfs(t.n, leaf);
 }
 
 void sort_ccw(std::span<const geom::Point> pts, int u, double ref_theta,

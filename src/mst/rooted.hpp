@@ -12,26 +12,27 @@
 #include <span>
 #include <vector>
 
+#include "common/workspace.hpp"
 #include "geometry/point.hpp"
 #include "mst/tree.hpp"
 
 namespace dirant::mst {
 
+/// The arrays are views taken from a Workspace inside the caller's open
+/// frame: the rooted view lives as long as that frame.
 struct RootedTree {
   int root = 0;
-  std::vector<int> parent;       ///< by vertex id; -1 at the root
-  std::vector<int> order;        ///< BFS order, root first (positions)
-  std::vector<int> pos_of;       ///< inverse of `order`
+  std::span<int> parent;       ///< by vertex id; -1 at the root
+  std::span<int> order;        ///< BFS order, root first (positions)
+  std::span<int> pos_of;       ///< inverse of `order`
   /// Children of the vertex at position i occupy positions
   /// [first_child[i], first_child[i + 1]) of `order` (size n + 1).
-  std::vector<int> first_child;
+  std::span<int> first_child;
 
-  /// Root `t` at `root`.  Each child block keeps the tree's edge order with
-  /// the parent skipped.  Buffers keep their capacity across calls, so warm
-  /// same-size rebuilds never allocate.
-  void rebuild(const Tree& t, int root);
-  /// Root `t` at its first leaf (the paper's choice, §1.2).
-  void rebuild_at_leaf(const Tree& t);
+  /// Root `t` at `root`, or at its first leaf (the paper's choice, §1.2)
+  /// when `root` < 0.  Each child block keeps the tree's edge order with
+  /// the parent skipped.
+  void rebuild(const Tree& t, int root, Workspace& ws);
 
   /// Children of vertex `u`, in edge order.
   std::span<const int> children(int u) const {
@@ -39,12 +40,6 @@ struct RootedTree {
     return {order.data() + first_child[p],
             static_cast<size_t>(first_child[p + 1] - first_child[p])};
   }
-
- private:
-  void build_adjacency(const Tree& t);
-  void bfs(int n, int root);
-
-  std::vector<int> adj_off_, adj_;  // counting-sort CSR adjacency scratch
 };
 
 /// Sort `kids` (neighbours of vertex `u`) by ccw angle measured from the

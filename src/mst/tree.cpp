@@ -39,12 +39,6 @@ void Tree::degrees_into(std::vector<int>& deg) const {
   }
 }
 
-graph::Graph Tree::as_graph() const {
-  graph::GraphBuilder b(n);
-  for (const auto& e : edges) b.add_edge(e.u, e.v);
-  return b.build();
-}
-
 double Tree::total_weight() const {
   double w = 0.0;
   for (const auto& e : edges) w += e.length;

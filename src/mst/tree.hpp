@@ -33,9 +33,6 @@ struct Tree {
   /// Scratch-reusing degree count.
   void degrees_into(std::vector<int>& deg) const;
 
-  /// Undirected graph view.
-  graph::Graph as_graph() const;
-
   double total_weight() const;
 
   /// Longest edge — the paper's `lmax`, the universal range lower bound.

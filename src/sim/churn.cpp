@@ -44,7 +44,12 @@ const char* to_string(ChurnEventKind k) {
   return "?";
 }
 
-ChurnEngine::ChurnEngine() = default;
+ChurnEngine::ChurnEngine() {
+  // The certification temporaries (Tarjan, the digraph build's marks) share
+  // the session's workspace like every other cold-path stage here.
+  cx_.transmission.ws.share(session_.workspace());
+  cx_.scc.ws.share(session_.workspace());
+}
 ChurnEngine::~ChurnEngine() = default;
 
 void ChurnEngine::set_threads(int threads) {
@@ -84,11 +89,10 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   radius_max_.assign(n_orig_, 0.0);
   spread_max_.assign(n_orig_, 0.0);
   count_max_.assign(n_orig_, 0.0);
-  session_.orient(compact_pts_, spec_, plan_rows());
+  session_.orient(compact_pts_, spec_, plan_rows(true));
   for (int u : plan_changed_) refresh_row(u);
   plan_.measured_radius = radius_max_.max();
   reseed_pool();
-  record_plan();
   full_build();
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
@@ -394,16 +398,19 @@ void ChurnEngine::replan() {
     } else {
       // ---- Rung 2: Kruskal over the maintained candidate pool.
       build_compact();
-      cand_compact_.clear();
-      for (const auto& [a, b] : pool_edges_.edges()) {
-        // Pool endpoints are always alive; compaction preserves order.
-        cand_compact_.emplace_back(comp_of_[a], comp_of_[b]);
-      }
       try {
         // Kruskal over any candidate superset of the Delaunay edges yields
         // the unique EMST under the (d2, min, max) total order — the exact
         // tree a from-scratch plan builds (mst/repair.hpp).
-        mst::kruskal_emst(compact_pts_, cand_compact_, inc_tree_,
+        Workspace& ws = session_.workspace();
+        Workspace::Frame frame(ws);
+        const auto pool = pool_edges_.edges();
+        const auto cand = ws.take<std::pair<int, int>>(pool.size());
+        for (size_t i = 0; i < pool.size(); ++i) {
+          // Pool endpoints are always alive; compaction preserves order.
+          cand[i] = {comp_of_[pool[i].first], comp_of_[pool[i].second]};
+        }
+        mst::kruskal_emst(compact_pts_, cand, inc_tree_,
                           session_.emst_scratch().kruskal);
       } catch (const contract_violation&) {
         esc = "pool-disconnected";
@@ -425,24 +432,20 @@ void ChurnEngine::replan() {
       // rewires a degree-6 EMST, and the swept tree then differs from the
       // one the repair layer carries and reports deltas against, so that
       // plan is not recorded.
-      session_.orient_on_emst(compact_pts_, inc_tree_, spec_, plan_rows());
       const auto deg = repair_.degrees();
-      if (*std::max_element(deg.begin(), deg.end()) <= 5) {
-        record_plan();
-      } else {
-        orient_mem_.valid = false;
-      }
+      session_.orient_on_emst(
+          compact_pts_, inc_tree_, spec_,
+          plan_rows(*std::max_element(deg.begin(), deg.end()) <= 5));
       adopt_fresh_plan();
     }
   }
   if (esc != nullptr) {
     build_compact();
-    session_.orient(compact_pts_, spec_, plan_rows());
+    session_.orient(compact_pts_, spec_, plan_rows(true));
     reseed_pool();
     // The raw EMST is not recoverable from the full pipeline, so the next
     // batch takes rung 2, which diffs against whatever tree is recorded.
     repair_.invalidate();
-    record_plan();
     adopt_fresh_plan();
   }
   report_.escalation = esc;
@@ -461,13 +464,9 @@ bool ChurnEngine::orient_warm(std::span<const std::pair<int, int>> removed,
   return true;
 }
 
-core::PlanRows ChurnEngine::plan_rows() {
-  return {orig_of_, &plan_, &plan_changed_};
-}
-
-void ChurnEngine::record_plan() {
-  core::record_two_antennae_memory(spec_.phi, session_.scratch(), plan_,
-                                   orig_of_, n_orig_, orient_mem_);
+core::PlanRows ChurnEngine::plan_rows(bool record) {
+  orient_mem_.invalidate();
+  return {orig_of_, &plan_, &plan_changed_, record ? &orient_mem_ : nullptr};
 }
 
 // Net edge diff between the tree the plan memory records and the Kruskal
@@ -596,8 +595,7 @@ int ChurnEngine::certify_sccs() {
 void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
   if (es.last_kind == mst::EngineKind::kDelaunayKruskal) {
-    pool_edges_.seed(es.candidates, orig_of_, es.kruskal.order,
-                     es.kruskal.radix);
+    pool_edges_.seed(es.candidates, orig_of_, session_.workspace());
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent
     // or stale, so the pool stays invalid and the next step escalates too.

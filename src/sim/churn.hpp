@@ -250,7 +250,6 @@ class ChurnEngine {
   /// kept equal to `certified_digraph().reversed()` by patching.
   const graph::Digraph& certified_transpose() const { return dgt_; }
   const StepReport& last_report() const { return report_; }
-  core::PlanSession& plan_session() { return session_; }
 
   /// Deterministic Poisson-thinned schedule: every alive node fails with
   /// probability `fail_rate` (else moves with `move_rate`, displaced
@@ -275,13 +274,15 @@ class ChurnEngine {
   void audit_frozen();
   void replan();
   void derive_mst_events();
-  core::PlanRows plan_rows();
+  /// Row map of the original-space plan; the sweep records the warm
+  /// orienter's memory only when `record` (a degree-repaired tree differs
+  /// from the one the repair layer reports deltas against).
+  core::PlanRows plan_rows(bool record);
   bool orient_warm(std::span<const std::pair<int, int>> removed,
                    std::span<const std::pair<int, int>> added);
   void adopt_warm_plan();
   void adopt_fresh_plan();
   void adopt_rows(std::span<const int> changed);
-  void record_plan();
   void diff_recorded_tree();
   void refresh_row(int u);
   int certify_sccs();
@@ -325,7 +326,6 @@ class ChurnEngine {
 
   // Incremental plan.
   mst::DelaunayEdgePool pool_edges_;
-  std::vector<std::pair<int, int>> cand_compact_;
   mst::Tree inc_tree_;
   /// The last plan's spanning tree is the repair layer's (warm orient), not
   /// `session_.last_tree()` over the compact ids of that step.

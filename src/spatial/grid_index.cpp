@@ -17,17 +17,34 @@ GridIndex::GridIndex(std::span<const Point> pts, double cell) {
 }
 
 void GridIndex::rebuild(std::span<const Point> pts, double cell) {
-  build(pts, cell, nullptr);
+  build(pts, cell, nullptr, nullptr);
 }
 
 void GridIndex::rebuild(std::span<const Point> pts, double cell,
                         std::span<const char> alive) {
   DIRANT_ASSERT(alive.size() == pts.size());
-  build(pts, cell, alive.data());
+  build(pts, cell, alive.data(), nullptr);
 }
 
+void GridIndex::rebuild(std::span<const Point> pts, double cell,
+                        Workspace& ws) {
+  build(pts, cell, nullptr, &ws);
+}
+
+namespace {
+
+/// `n` slots of the owned vector `own`, or of `ws` when given.
+template <class T>
+std::span<T> storage(std::vector<T>& own, size_t n, Workspace* ws) {
+  if (ws != nullptr) return ws->take<T>(n);
+  own.resize(n);
+  return own;
+}
+
+}  // namespace
+
 void GridIndex::build(std::span<const Point> pts, double cell,
-                      const char* alive) {
+                      const char* alive, Workspace* ws) {
   DIRANT_ASSERT(cell > 0.0);
   cell_ = cell;
   inv_cell_ = 1.0 / cell;
@@ -50,26 +67,24 @@ void GridIndex::build(std::span<const Point> pts, double cell,
     max_y_ = std::max(max_y_, p.y);
   }
   live_ = static_cast<int>(count);
-  if (count == 0) {
-    cell_start_.assign(2, 0);
-    item_id_.clear();
-    item_x_.clear();
-    item_y_.clear();
-    return;
-  }
+  borrowed_ = ws != nullptr;
   nx_ = std::max(1, static_cast<int>((max_x_ - min_x_) / cell_) + 1);
   ny_ = std::max(1, static_cast<int>((max_y_ - min_y_) / cell_) + 1);
   // Counting sort into CSR: count per cell (caching each point's cell id
   // so the fill pass reloads it instead of recomputing the coordinate
   // mapping), prefix-sum, fill (ascending i, so ids stay sorted within
   // each cell), then shift the advanced cursors back into prefix
-  // positions.  Every buffer (including the cell-id cache) is a member
-  // recycled across rebuilds: assign/resize keep capacity, so a warm
-  // same-size rebuild performs zero heap allocations.
+  // positions.  Every buffer (including the cell-id cache) is recycled
+  // across rebuilds — member vectors keep their capacity, workspace views
+  // their high-water block — so a warm same-size rebuild performs zero
+  // heap allocations.
   const size_t cells = static_cast<size_t>(nx_) * ny_;
-  cell_start_.assign(cells + 1, 0);
-  auto& cell_id = build_cell_id_;
-  cell_id.resize(pts.size());
+  cell_start_ = storage(own_cell_start_, cells + 1, ws);
+  std::fill(cell_start_.begin(), cell_start_.end(), 0);
+  item_id_ = storage(own_item_id_, count, ws);
+  item_x_ = storage(own_item_x_, count, ws);
+  item_y_ = storage(own_item_y_, count, ws);
+  const std::span<int> cell_id = storage(build_cell_id_, pts.size(), ws);
   for (size_t i = 0; i < pts.size(); ++i) {
     if (!in(i)) continue;
     const auto [cx, cy] = cell_of(pts[i]);
@@ -78,9 +93,6 @@ void GridIndex::build(std::span<const Point> pts, double cell,
     ++cell_start_[static_cast<size_t>(c) + 1];
   }
   for (size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  item_id_.resize(count);
-  item_x_.resize(count);
-  item_y_.resize(count);
   for (size_t i = 0; i < pts.size(); ++i) {
     if (!in(i)) continue;
     const int slot = cell_start_[static_cast<size_t>(cell_id[i])]++;
@@ -111,6 +123,7 @@ void GridIndex::erase(int id, const Point& p) {
 }
 
 void GridIndex::insert(int id, const Point& p) {
+  DIRANT_ASSERT_MSG(!borrowed_, "GridIndex::insert on a borrowed index");
   if (live_ == 0 || item_id_.empty() || p.x < min_x_ || p.x > max_x_ ||
       p.y < min_y_ || p.y > max_y_) {
     fresh_ = false;  // the bounding box would grow
@@ -120,7 +133,8 @@ void GridIndex::insert(int id, const Point& p) {
     min_x_ = max_x_ = p.x;
     min_y_ = max_y_ = p.y;
     nx_ = ny_ = 1;
-    cell_start_.assign(2, 0);
+    own_cell_start_.assign(2, 0);
+    cell_start_ = own_cell_start_;
   }
   const auto [cx, cy] = cell_of(p);
   const size_t c = static_cast<size_t>(cy) * nx_ + cx;
@@ -131,9 +145,9 @@ void GridIndex::insert(int id, const Point& p) {
   if (k == hi) {
     // No tombstone in the cell: open a slot at its end.
     const size_t total = item_id_.size();
-    item_id_.resize(total + 1);
-    item_x_.resize(total + 1);
-    item_y_.resize(total + 1);
+    item_id_ = storage(own_item_id_, total + 1, nullptr);
+    item_x_ = storage(own_item_x_, total + 1, nullptr);
+    item_y_ = storage(own_item_y_, total + 1, nullptr);
     std::copy_backward(item_id_.begin() + hi, item_id_.begin() + total,
                        item_id_.end());
     std::copy_backward(item_x_.begin() + hi, item_x_.begin() + total,

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/workspace.hpp"
 #include "geometry/point.hpp"
 
 namespace dirant::spatial {
@@ -19,6 +20,10 @@ class GridIndex {
   /// Empty grid; fill it with `rebuild`.  Lets long-lived scratch objects
   /// (TransmissionScratch, batch workers) own an index and recycle it.
   GridIndex() = default;
+  // The views point into the owned vectors: moves carry them along, copies
+  // would not.
+  GridIndex(GridIndex&&) = default;
+  GridIndex& operator=(GridIndex&&) = default;
 
   /// Builds a grid with cell size `cell` (> 0) over `pts`.
   GridIndex(std::span<const geom::Point> pts, double cell);
@@ -37,6 +42,12 @@ class GridIndex {
   /// same points in the same order, up to that monotone relabelling.
   void rebuild(std::span<const geom::Point> pts, double cell,
                std::span<const char> alive);
+
+  /// `rebuild(pts, cell)` into arrays taken from `ws` inside the caller's
+  /// open frame instead of the index's own: the index is valid while that
+  /// frame lives, and cannot `insert`.  A build that no later call reads
+  /// (the certify digraph build) borrows its grid this way.
+  void rebuild(std::span<const geom::Point> pts, double cell, Workspace& ws);
 
   /// In-place maintenance for a long-lived index over stable ids
   /// (sim::ChurnEngine keeps one current across churn batches).  `erase`
@@ -81,21 +92,6 @@ class GridIndex {
     scan_window(q, radius, std::max(0, cx - span),
                 std::min(nx_ - 1, cx + span), std::max(0, cy - span),
                 std::min(ny_ - 1, cy + span), exclude, f);
-  }
-
-  /// Scan variant restricted to an axis-aligned box (still filtered by
-  /// `radius` around `q`).  Sector-shaped queries (the transmission
-  /// builder) pass the tight bounding box of the wedge: a narrow beam then
-  /// touches only the cells along its ray instead of the whole disk square.
-  template <typename F>
-  void for_each_within_box(const geom::Point& q, double radius,
-                           const geom::Point& box_lo,
-                           const geom::Point& box_hi, int exclude,
-                           F&& f) const {
-    if (size() == 0) return;
-    const auto [cx_lo, cy_lo] = cell_of(box_lo);
-    const auto [cx_hi, cy_hi] = cell_of(box_hi);
-    scan_window(q, radius, cx_lo, cx_hi, cy_lo, cy_hi, exclude, f);
   }
 
   /// Clamped cell coordinate of a world coordinate — the same mapping the
@@ -147,8 +143,9 @@ class GridIndex {
 
  private:
   std::pair<int, int> cell_of(const geom::Point& p) const;
+  /// Build into the owned vectors, or into views taken from `ws` if given.
   void build(std::span<const geom::Point> pts, double cell,
-             const char* alive);
+             const char* alive, Workspace* ws);
   /// Farthest any point of the data bounding box intersected with the ccw
   /// cone [a0, a0+width] at apex q can lie from q (0 if the cone misses
   /// the box).  Used to prove empty cones empty without scanning.
@@ -219,11 +216,15 @@ class GridIndex {
   // gathering through ids.  A handful of allocations regardless of n, vs
   // one small vector per cell.  After `erase`, a slot may hold a
   // tombstone (id -1, infinite coordinates) anywhere in its cell; the live
-  // ids stay ascending.
-  std::vector<int> cell_start_;
-  std::vector<int> item_id_;
-  std::vector<double> item_x_, item_y_;
+  // ids stay ascending.  The four arrays are views of the owned vectors
+  // below, or of a caller's workspace (`rebuild` with a Workspace).
+  std::span<int> cell_start_;
+  std::span<int> item_id_;
+  std::span<double> item_x_, item_y_;
+  std::vector<int> own_cell_start_, own_item_id_;
+  std::vector<double> own_item_x_, own_item_y_;
   std::vector<int> build_cell_id_;  ///< counting-sort scratch, recycled
+  bool borrowed_ = false;  ///< the views lie in a caller's workspace
   int live_ = 0;         ///< indexed ids that are not tombstones
   bool fresh_ = true;    ///< geometry equals a rebuild over the members
 };

@@ -33,13 +33,13 @@ inline void expect_same_plans(std::span<const geom::Point> pts,
   const int n = static_cast<int>(pts.size());
   core::Result sweep;
   core::OrienterScratch sweep_scratch;
-  core::orient_two_antennae(pts, tree, phi, sweep_scratch, sweep);
+  core::TwoAntennaeMemory mem;
+  core::orient_two_antennae(pts, tree, phi, sweep_scratch, sweep, {}, nullptr,
+                            &mem);
+  ASSERT_TRUE(mem.valid) << what;
 
   std::vector<int> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
-  core::TwoAntennaeMemory mem;
-  core::record_two_antennae_memory(phi, sweep_scratch, sweep, ids, n, mem);
-  ASSERT_TRUE(mem.valid) << what;
 
   std::vector<int> deg;
   tree.degrees_into(deg);

@@ -284,11 +284,9 @@ TEST(EdgePoolDifferential, RadixSeedMatchesSortedOracle) {
   // the pool must come out exactly as std::sort + unique of the (min, max)
   // pairs leaves it.  Edges repeat in both orientations, and the original
   // ids are sparse up to ~2^22, so the keys span several radix digits; one
-  // pair of borrowed buffers serves every seed, of growing and shrinking
-  // size.
+  // borrowed Workspace serves every seed, of growing and shrinking size.
   std::mt19937_64 rng(77);
-  std::vector<std::uint64_t> keys;
-  dirant::RadixScratch radix;
+  dirant::Workspace ws;
   for (const int n : {2, 3, 50, 700, 4000, 90}) {
     std::vector<int> orig_of;
     int id = static_cast<int>(rng() % 5);
@@ -306,7 +304,7 @@ TEST(EdgePoolDifferential, RadixSeedMatchesSortedOracle) {
     }
     mst::DelaunayEdgePool pool;
     ReferenceEdgePool ref;
-    pool.seed(edges, orig_of, keys, radix);
+    pool.seed(edges, orig_of, ws);
     ref.seed(edges, orig_of);
     const auto got = pool.edges();
     const auto want = ref.edges();

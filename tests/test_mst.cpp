@@ -16,6 +16,7 @@
 #include "geometry/point.hpp"
 #include "graph/union_find.hpp"
 #include "geometry/generators.hpp"
+#include "common/workspace.hpp"
 #include "mst/degree5.hpp"
 #include "mst/emst.hpp"
 #include "mst/engine.hpp"
@@ -26,6 +27,7 @@
 namespace geom = dirant::geom;
 namespace mst = dirant::mst;
 using dirant::kPi;
+using dirant::Workspace;
 
 namespace {
 
@@ -451,8 +453,10 @@ TEST(RootedTree, ParentChildConsistency) {
   geom::Rng rng(1);
   const auto pts = geom::uniform_square(50, 7.0, rng);
   const auto t = mst::prim_emst(pts);
+  Workspace ws;
+  Workspace::Frame frame(ws);
   mst::RootedTree rt;
-  rt.rebuild_at_leaf(t);
+  rt.rebuild(t, -1, ws);
   EXPECT_EQ(rt.parent[rt.root], -1);
   ASSERT_EQ(static_cast<int>(rt.order.size()), t.n);
   EXPECT_EQ(rt.order.front(), rt.root);
@@ -478,8 +482,10 @@ TEST(RootedTree, BfsBlocksFollowEdgeOrder) {
     geom::Rng rng(7);
     const auto pts = geom::make_instance(dist, 300, rng);
     const auto t = mst::degree5_emst(pts);
+    Workspace ws;
+    Workspace::Frame frame(ws);
     mst::RootedTree rt;
-    rt.rebuild(t, t.n / 2);
+    rt.rebuild(t, t.n / 2, ws);
     const auto adj = t.adjacency();
     ASSERT_EQ(static_cast<int>(rt.first_child.size()), t.n + 1);
     EXPECT_EQ(rt.order[0], rt.root);
@@ -514,8 +520,10 @@ TEST(RootedTree, ChildrenCcwOrderFromReference) {
     t.edges.push_back({0, v, geom::dist(pts[0], pts[v])});
   }
   t.edges.push_back({0, 5, 10.0});
+  Workspace ws;
+  Workspace::Frame frame(ws);
   mst::RootedTree rt;
-  rt.rebuild(t, 5);
+  rt.rebuild(t, 5, ws);
   // Children of 0 ordered ccw starting from the ray towards vertex 5 (+x).
   const auto children = rt.children(0);
   ASSERT_EQ(children.size(), 4u);

@@ -48,11 +48,11 @@ using dirant::kPi;
 using dirant::test::count_allocations;
 
 /// Measured warm PlanSession heap at n = 20000 with the flat per-node
-/// tables (WarmPlanSessionFootprint).
-constexpr double kFlatFootprintMb = 9.3;
+/// tables and one shared stage workspace (WarmPlanSessionFootprint).
+constexpr double kFlatFootprintMb = 5.3;
 /// Measured warm ChurnEngine heap at n = 20000 with one original-space plan
-/// (WarmChurnEngineFootprint).
-constexpr double kChurnFootprintMb = 24.8;
+/// and the cold path on the session's workspace (WarmChurnEngineFootprint).
+constexpr double kChurnFootprintMb = 20.2;
 
 // Every selectable tree regime of Table 1 (the btsp-cycle rows are the
 // documented exemption; phi values steer planned_algorithm to each regime).
@@ -241,7 +241,9 @@ TEST(SessionAllocation, WarmPlanSessionFootprint) {
   // repair, no sector copy in the digraph build, no triangle list on the
   // EMST path) read 9.9 MB here, and 9.3 MB once sectors stopped carrying
   // their apex (56-byte antenna slots); the bucketed layout they replaced
-  // read 16.4 MB.  The bound leaves 15% headroom over the flat layout.
+  // read 16.4 MB.  With every stage's temporaries in one shared workspace
+  // (the largest stage's, not their sum) it reads 5.3 MB.  The bound
+  // leaves 15% headroom.
 #ifndef DIRANT_HEAP_COUNTERS
   GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
 #else
@@ -271,9 +273,10 @@ TEST(SessionAllocation, WarmChurnEngineFootprint) {
   // perfbench schedule), measured like WarmPlanSessionFootprint.  One plan
   // in original ids, written in place by every fresh sweep, 48-byte warm
   // orienter records, 56-byte antenna slots, and no compact copies for the
-  // full build or the audit fallback read 24.8 MB here; the layout that
-  // held the plan twice (compact session result plus original-space copy)
-  // read 30.9 MB.  The bound leaves 15% headroom.
+  // full build or the audit fallback read 24.8 MB here, and 20.2 MB once
+  // the cold-path temporaries moved into the session's shared workspace;
+  // the layout that held the plan twice (compact session result plus
+  // original-space copy) read 30.9 MB.  The bound leaves 15% headroom.
 #ifndef DIRANT_HEAP_COUNTERS
   GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
 #else
@@ -395,8 +398,8 @@ TEST(EdgePool, WarmInsertAllocatesNothing) {
   // The churn candidate pool keeps an inserted node as an implicit star:
   // once its buffers have grown, a reseed, star inserts (moves and a
   // recover) and the one materialisation edges() triggers stay off the
-  // heap — seed sorts in borrowed buffers (the engine lends its Kruskal
-  // scratch) and builds no temporary vectors.
+  // heap — seed sorts in a borrowed Workspace (the engine passes its
+  // session's) and builds no temporary vectors.
   const int n = 64;
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
@@ -404,9 +407,9 @@ TEST(EdgePool, WarmInsertAllocatesNothing) {
   for (int u = 0; u < n; ++u) orig_of.push_back(u);
   std::vector<char> alive(n, 1);
   dirant::mst::DelaunayEdgePool pool;
-  dirant::mst::KruskalScratch sort_scratch;
+  dirant::Workspace sort_ws;
   const auto cycle = [&] {
-    pool.seed(edges, orig_of, sort_scratch.order, sort_scratch.radix);
+    pool.seed(edges, orig_of, sort_ws);
     for (int v : {5, 17, 42}) {
       pool.erase_node(v);
       pool.insert_node(v, alive);
@@ -445,9 +448,9 @@ TEST(EdgePool, WarmIndexedErasesAllocateNothing) {
   dirant::mst::DelaunayEdgePool pool;
   const int fails[] = {20, 21, 37};
   const int more_fails[] = {150, 170};
-  dirant::mst::KruskalScratch sort_scratch;
+  dirant::Workspace sort_ws;
   const auto cycle = [&] {
-    pool.seed(edges, orig_of, sort_scratch.order, sort_scratch.radix);
+    pool.seed(edges, orig_of, sort_ws);
     pool.erase_nodes(fails);  // first erase: one scan
     pool.erase_node(100);     // builds the index
     pool.erase_nodes(more_fails);
