@@ -43,7 +43,8 @@ CTEST_EXTRA=("$@")
 # 4-worker pools, so memory errors in the concurrent paths surface under
 # asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN) re-runs exactly
 # the suites that drive a pool — the thread pool's own slot stress test,
-# the sharded digraph build, the orient_batch fan-out, the probe- and
+# the grid index (one live instance serves the churn engine's MST repair
+# and row patch), the sharded digraph build, the orient_batch fan-out, the probe- and
 # trial-parallel audits, the churn engine's sharded recertification (the
 # three churn suites: parity, the sub-linear warm-path acceptance tests
 # and the witness audit against its Tarjan reference; the row patch and
@@ -65,7 +66,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_thread_pool|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_row_patch|test_euler_tour|test_traffic|test_event_queue|test_stale_scratch" \
+    "test_thread_pool|test_spatial|test_csr_equivalence|test_batch|test_audit_parallel|test_churn|test_churn_sublinear|test_churn_audit|test_row_patch|test_euler_tour|test_traffic|test_event_queue|test_stale_scratch" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 

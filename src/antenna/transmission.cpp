@@ -285,7 +285,7 @@ graph::Digraph induced_digraph_fast(std::span<const Point> pts,
   }
   Workspace& ws = scratch.ws.get();
   Workspace::Frame frame(ws);
-  scratch.grid.rebuild(pts, digraph_grid_cell(rmax), ws);
+  scratch.grid.rebuild(pts, digraph_grid_cell(rmax), {}, &ws);
   return induced_digraph_fast(pts, o, scratch.grid, angle_tol, radius_tol,
                               scratch, threads, pool);
 }
@@ -487,7 +487,7 @@ graph::Digraph unit_disk_digraph(std::span<const Point> pts, double radius,
   }
   Workspace& ws = scratch.ws.get();
   Workspace::Frame frame(ws);
-  scratch.grid.rebuild(pts, std::max(radius / 2.0, 1e-12), ws);
+  scratch.grid.rebuild(pts, std::max(radius / 2.0, 1e-12), {}, &ws);
   offsets.clear();
   offsets.push_back(0);
   for (int u = 0; u < n; ++u) {

@@ -325,8 +325,7 @@ void DelaunayEdgePool::compact() {
 // ---------------------------------------------------------------------------
 
 void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
-                          std::span<const geom::Point> positions,
-                          std::span<const char> alive) {
+                          std::span<const geom::Point> positions) {
   n_orig_ = static_cast<int>(positions.size());
   const int n = n_orig_;
   tadj_.assign(static_cast<size_t>(n) * kAdjCap, 0);
@@ -383,7 +382,6 @@ void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
   d2_max_.rebuild();
   len_max_.rebuild();
   lmax2_ub_ = d2_max_.max();
-  grid_build(positions, alive);
   epoch_ = 0;
   path_epoch_ = 0;
   rm_stamp_.assign(n, 0);
@@ -397,71 +395,6 @@ void LocalMstRepair::seed(const Tree& emst, std::span<const int> orig_of,
   ped2_.assign(n, 0.0);
   last_region_ = 0;
   valid_ = true;
-}
-
-int LocalMstRepair::cell_index(const geom::Point& p) const {
-  int cx = static_cast<int>((p.x - min_x_) / cell_);
-  int cy = static_cast<int>((p.y - min_y_) / cell_);
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return cy * nx_ + cx;
-}
-
-void LocalMstRepair::grid_build(std::span<const geom::Point> positions,
-                                std::span<const char> alive) {
-  min_x_ = min_y_ = std::numeric_limits<double>::infinity();
-  double max_x = -min_x_, max_y = -min_y_;
-  int alive_count = 0;
-  for (int u = 0; u < n_orig_; ++u) {
-    if (!alive[u]) continue;
-    ++alive_count;
-    min_x_ = std::min(min_x_, positions[u].x);
-    min_y_ = std::min(min_y_, positions[u].y);
-    max_x = std::max(max_x, positions[u].x);
-    max_y = std::max(max_y, positions[u].y);
-  }
-  if (alive_count == 0) {
-    min_x_ = min_y_ = 0.0;
-    max_x = max_y = 0.0;
-  }
-  cell_ = std::max(std::sqrt(lmax2_ub_), 1e-12);
-  const double span_x = max_x - min_x_, span_y = max_y - min_y_;
-  const long cell_cap = 4L * alive_count + 1024;
-  for (;;) {
-    nx_ = static_cast<int>(span_x / cell_) + 1;
-    ny_ = static_cast<int>(span_y / cell_) + 1;
-    if (static_cast<long>(nx_) * ny_ <= cell_cap) break;
-    cell_ *= 2.0;
-  }
-  const size_t ncells = static_cast<size_t>(nx_) * ny_;
-  if (cells_.size() < ncells) cells_.resize(ncells);
-  for (size_t c = 0; c < ncells; ++c) cells_[c].clear();
-  cell_of_.assign(n_orig_, -1);
-  for (int u = 0; u < n_orig_; ++u) {
-    if (alive[u]) grid_insert(u, positions[u]);
-  }
-}
-
-void LocalMstRepair::grid_insert(int u, const geom::Point& p) {
-  const int c = cell_index(p);
-  cells_[c].push_back(u);
-  cell_of_[u] = c;
-}
-
-void LocalMstRepair::grid_erase(int u) {
-  // The engine's event loop overwrites positions before the repair runs, so
-  // erase by the stored cell, never by the current position.
-  const int c = cell_of_[u];
-  if (c < 0) return;
-  auto& cell = cells_[c];
-  for (size_t i = 0; i < cell.size(); ++i) {
-    if (cell[i] == u) {
-      cell[i] = cell.back();
-      cell.pop_back();
-      break;
-    }
-  }
-  cell_of_[u] = -1;
 }
 
 void LocalMstRepair::adj_add(int u, int v) {
@@ -497,9 +430,9 @@ void LocalMstRepair::adj_remove(int u, int v) {
 }
 
 const char* LocalMstRepair::apply_batch(
-    std::span<const geom::Point> positions, std::span<const char> alive,
-    int alive_count, std::span<const int> removed,
-    std::span<const int> inserted, DelaunayEdgePool& pool) {
+    std::span<const geom::Point> positions, int alive_count,
+    std::span<const int> removed, std::span<const int> inserted,
+    DelaunayEdgePool& pool, const spatial::GridIndex& grid) {
   DIRANT_ASSERT(valid_);
   const char* fail = nullptr;
   // A batch touching a quarter of the alive set is not "local" — the pool
@@ -519,12 +452,11 @@ const char* LocalMstRepair::apply_batch(
     fail = delete_phase(positions, removed, pool);
   }
   if (fail == nullptr && !inserted.empty()) {
-    fail = insert_phase(positions, alive, alive_count, inserted);
+    fail = insert_phase(positions, alive_count, inserted, grid);
   }
   if (fail == nullptr) finish_batch(positions, alive_count, &fail);
   if (fail != nullptr) {
-    // Adjacency / tour / grid state is mid-surgery — unusable until
-    // reseeded.
+    // Adjacency / tour state is mid-surgery — unusable until reseeded.
     valid_ = false;
     return fail;
   }
@@ -534,7 +466,7 @@ const char* LocalMstRepair::apply_batch(
 const char* LocalMstRepair::delete_phase(
     std::span<const geom::Point> positions, std::span<const int> removed,
     DelaunayEdgePool& pool) {
-  // Strip the removed nodes out of the tree, its Euler tours and the grid,
+  // Strip the removed nodes out of the tree and its Euler tours,
   // collecting the surviving endpoints of cut edges — the fragment seeds.
   seeds_.clear();
   for (int w : removed) {
@@ -552,7 +484,6 @@ const char* LocalMstRepair::delete_phase(
     tdeg_[w] = 0;
     in_tree_[w] = 0;
     --tree_nodes_;
-    grid_erase(w);
   }
   std::sort(seeds_.begin(), seeds_.end());
   seeds_.erase(std::unique(seeds_.begin(), seeds_.end()), seeds_.end());
@@ -675,9 +606,8 @@ const char* LocalMstRepair::delete_phase(
 }
 
 const char* LocalMstRepair::insert_phase(
-    std::span<const geom::Point> positions, std::span<const char> alive,
-    int alive_count, std::span<const int> inserted) {
-  (void)alive;
+    std::span<const geom::Point> positions, int alive_count,
+    std::span<const int> inserted, const spatial::GridIndex& grid) {
   // Rebuild the rooted view (parent_ / ped2_) of the post-deletion tree once
   // per batch; the per-vertex cycle-max walks and swaps keep it current.
   int root = -1;
@@ -708,77 +638,50 @@ const char* LocalMstRepair::insert_phase(
   }
   int walk_budget = cfg_.walk_slack + cfg_.walk_factor * alive_count;
   for (int v : inserted) {
-    const char* fail = insert_vertex(positions, v, &walk_budget);
+    const char* fail = insert_vertex(positions, v, grid, &walk_budget);
     if (fail != nullptr) return fail;
   }
   return nullptr;
 }
 
 const char* LocalMstRepair::insert_vertex(
-    std::span<const geom::Point> positions, int v, int* walk_budget) {
+    std::span<const geom::Point> positions, int v,
+    const spatial::GridIndex& grid, int* walk_budget) {
   const geom::Point p = positions[v];
-  // Nearest in-tree neighbour by expanding grid rings (grid holds exactly
-  // the current tree's nodes, so pending inserts are invisible until their
-  // own turn).  Ties break toward the smaller id, matching (d2, min, max).
+  // Nearest tree node by doubling radius queries (only tree nodes count,
+  // so pending inserts are invisible until their own turn).  Ties break
+  // toward the smaller id, matching (d2, min, max).  The tree is not empty
+  // (insert_phase checked), so the search ends once the radius reaches it.
   double nn_d2 = std::numeric_limits<double>::infinity();
   int nn_id = -1;
-  double r = cell_;
-  for (;;) {
-    const int cx0 = std::clamp(
-        static_cast<int>((p.x - r - min_x_) / cell_), 0, nx_ - 1);
-    const int cx1 = std::clamp(
-        static_cast<int>((p.x + r - min_x_) / cell_), 0, nx_ - 1);
-    const int cy0 = std::clamp(
-        static_cast<int>((p.y - r - min_y_) / cell_), 0, ny_ - 1);
-    const int cy1 = std::clamp(
-        static_cast<int>((p.y + r - min_y_) / cell_), 0, ny_ - 1);
-    for (int cy = cy0; cy <= cy1; ++cy) {
-      for (int cx = cx0; cx <= cx1; ++cx) {
-        for (const int id : cells_[static_cast<size_t>(cy) * nx_ + cx]) {
-          const double d2 = geom::dist2(p, positions[id]);
-          if (d2 < nn_d2 || (d2 == nn_d2 && id < nn_id)) {
-            nn_d2 = d2;
-            nn_id = id;
-          }
-        }
+  for (double r = std::max(std::sqrt(lmax2_ub_), 1e-12); nn_id < 0;
+       r *= 2.0) {
+    grid.for_each_within(p, r, v, [&](int id, double, double, double) {
+      if (!in_tree_[id]) return;
+      const double d2 = geom::dist2(p, positions[id]);
+      if (d2 < nn_d2 || (d2 == nn_d2 && id < nn_id)) {
+        nn_d2 = d2;
+        nn_id = id;
       }
-    }
-    if (nn_id >= 0 && nn_d2 <= r * r) break;
-    if (cx0 == 0 && cy0 == 0 && cx1 == nx_ - 1 && cy1 == ny_ - 1) {
-      if (nn_id < 0) return "mst-disconnected";
-      break;
-    }
-    r *= 2.0;
+    });
+    if (nn_id < 0 && std::isinf(r)) return "mst-disconnected";
   }
   // Exact candidate disk: every MST edge incident to v lies within squared
   // radius max(d2(v, NN), lmax²) — cycle property against the current tree
-  // plus the always-in edge (v, NN).  Closed disk: inflate the box query,
-  // filter exactly.
+  // plus the always-in edge (v, NN).  Closed disk: inflate the query,
+  // filter exactly.  Past the cap only the count goes on.
   const double R2 = std::max(nn_d2, lmax2_ub_);
-  const double rq = std::sqrt(R2) * (1.0 + 1e-9);
   disk_.clear();
-  {
-    const int cx0 = std::clamp(
-        static_cast<int>((p.x - rq - min_x_) / cell_), 0, nx_ - 1);
-    const int cx1 = std::clamp(
-        static_cast<int>((p.x + rq - min_x_) / cell_), 0, nx_ - 1);
-    const int cy0 = std::clamp(
-        static_cast<int>((p.y - rq - min_y_) / cell_), 0, ny_ - 1);
-    const int cy1 = std::clamp(
-        static_cast<int>((p.y + rq - min_y_) / cell_), 0, ny_ - 1);
-    for (int cy = cy0; cy <= cy1; ++cy) {
-      for (int cx = cx0; cx <= cx1; ++cx) {
-        for (const int id : cells_[static_cast<size_t>(cy) * nx_ + cx]) {
-          const double d2 = geom::dist2(p, positions[id]);
-          if (d2 > R2) continue;
+  int in_disk = 0;
+  grid.for_each_within(
+      p, std::sqrt(R2) * (1.0 + 1e-9), v, [&](int id, double, double, double) {
+        if (!in_tree_[id]) return;
+        const double d2 = geom::dist2(p, positions[id]);
+        if (d2 <= R2 && ++in_disk <= cfg_.candidate_cap) {
           disk_.emplace_back(d2, id);
-          if (static_cast<int>(disk_.size()) > cfg_.candidate_cap) {
-            return "mst-candidates";
-          }
         }
-      }
-    }
-  }
+      });
+  if (in_disk > cfg_.candidate_cap) return "mst-candidates";
   std::sort(disk_.begin(), disk_.end(),
             [v](const std::pair<double, int>& a,
                 const std::pair<double, int>& b) {
@@ -796,7 +699,6 @@ const char* LocalMstRepair::insert_vertex(
   lmax2_ub_ = std::max(lmax2_ub_, disk_[0].first);
   in_tree_[v] = 1;
   ++tree_nodes_;
-  grid_insert(v, p);
   last_region_ += static_cast<int>(disk_.size());
 
   for (size_t ci = 1; ci < disk_.size(); ++ci) {

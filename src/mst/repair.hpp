@@ -69,6 +69,7 @@
 #include "geometry/point.hpp"
 #include "mst/euler_tour.hpp"
 #include "mst/tree.hpp"
+#include "spatial/grid_index.hpp"
 
 namespace dirant::mst {
 
@@ -269,6 +270,13 @@ struct LocalRepairConfig {
 ///     maximum edge on the tree path it closes; the first candidate is the
 ///     NN edge, which always enters.  Sequential one-edge insertions keep
 ///     the intermediate trees exact, so the final tree is MST(alive).
+///     The layer owns no spatial index: NN and the disk are radius queries
+///     of the caller's grid over the alive positions (sim::ChurnEngine's
+///     live grid), keeping only the nodes already in the tree — so the ids
+///     still waiting to be inserted stay invisible until their own turn.
+///     Both reduce by exact keys (NN by (d2, id), the disk sorted by the
+///     strict order, its cap a count), so the grid's cell and enumeration
+///     order never reach the tree.
 ///
 /// Every guard (batch size, candidate cap, walk budget, fragment
 /// disconnection) is a pure function of the event sequence — deterministic
@@ -282,11 +290,10 @@ class LocalMstRepair {
 
   /// Seed from a compact-space exact EMST whose edge list is already in
   /// canonical (d2, min, max) order (a `kruskal_emst` output).  `orig_of`
-  /// maps compact ids to original ids; `positions` / `alive` are
-  /// original-space and must match the tree.
+  /// maps compact ids to original ids, and its entries are the tree's
+  /// nodes; `positions` is original-space and must match the tree.
   void seed(const Tree& emst, std::span<const int> orig_of,
-            std::span<const geom::Point> positions,
-            std::span<const char> alive);
+            std::span<const geom::Point> positions);
 
   void invalidate() { valid_ = false; }
   bool valid() const { return valid_; }
@@ -295,15 +302,17 @@ class LocalMstRepair {
   /// moved nodes, any order), `inserted` = original ids (re)entering at
   /// their current position (moves and recoveries, ascending), `pool` the
   /// maintained Delaunay-superset candidate edges (read per node through
-  /// `for_each_neighbour`, never compacted wholesale).  Returns nullptr on
+  /// `for_each_neighbour`, never compacted wholesale), `grid` an index of
+  /// (at least) every alive id at its current position — the insertion
+  /// queries read only the ids in the tree.  Returns nullptr on
   /// success or a static reason string ("mst-region", "mst-walk-budget",
   /// "mst-candidates", "mst-disconnected", "mst-count") — the state is
   /// invalidated on failure and the caller must escalate and reseed.
   const char* apply_batch(std::span<const geom::Point> positions,
-                          std::span<const char> alive, int alive_count,
-                          std::span<const int> removed,
+                          int alive_count, std::span<const int> removed,
                           std::span<const int> inserted,
-                          DelaunayEdgePool& pool);
+                          DelaunayEdgePool& pool,
+                          const spatial::GridIndex& grid);
 
   /// Emit the maintained tree in compact space, byte-identical to
   /// `kruskal_emst` over any candidate superset (edge pairs and order).
@@ -349,15 +358,6 @@ class LocalMstRepair {
     }
   };
 
-  // Dynamic uniform grid over alive original-space positions (cells keep
-  // membership under O(1) insert/erase; within-cell order is historical and
-  // never observable: queries reduce by exact (d2, id) keys only).
-  void grid_build(std::span<const geom::Point> positions,
-                  std::span<const char> alive);
-  void grid_insert(int u, const geom::Point& p);
-  void grid_erase(int u);
-  int cell_index(const geom::Point& p) const;
-
   /// Tree-edge changes keep the adjacency and the Euler-tour forest in
   /// step (a cut always precedes the link that replaces it).
   void adj_remove(int u, int v);
@@ -368,10 +368,10 @@ class LocalMstRepair {
                            std::span<const int> removed,
                            DelaunayEdgePool& pool);
   const char* insert_phase(std::span<const geom::Point> positions,
-                           std::span<const char> alive, int alive_count,
-                           std::span<const int> inserted);
+                           int alive_count, std::span<const int> inserted,
+                           const spatial::GridIndex& grid);
   const char* insert_vertex(std::span<const geom::Point> positions, int v,
-                            int* walk_budget);
+                            const spatial::GridIndex& grid, int* walk_budget);
   /// Record an adjacency change of this batch (chronological).
   void log_op(int u, int v, bool add) {
     ops_.push_back({std::min(u, v), std::max(u, v),
@@ -411,12 +411,6 @@ class LocalMstRepair {
   std::vector<std::uint8_t> tdeg_;
   std::vector<char> in_tree_;
   EulerTourForest ett_;       ///< the maintained tree, as Euler tours
-
-  // Grid.
-  double cell_ = 1.0, min_x_ = 0.0, min_y_ = 0.0;
-  int nx_ = 1, ny_ = 1;
-  std::vector<std::vector<int>> cells_;
-  std::vector<int> cell_of_;  ///< -1 = not in grid
 
   // Batch scratch (epoch-stamped to avoid O(n) clears).
   int epoch_ = 0;       ///< delete-phase stamps (rm / pend / label)

@@ -193,53 +193,32 @@ int AuditSession::strong_connectivity_level(int max_level) {
 
 namespace {
 
-/// One failure trial: draw deletions from the trial's own RNG stream,
-/// build the survivor subgraph in CSR (sources ascend, so rows stream
-/// straight into offsets/targets; the arrays recycle through
-/// Digraph::release each trial), and return the largest surviving SCC as a
-/// fraction of the survivors.  Depends only on (g, fraction, seed, t) and
-/// the caller-owned buffers — never on which worker runs it — which is
-/// what makes the trial sweep bit-identical at every thread count.
-/// Each trial runs serial Tarjan: trials are the parallel axis, and the
-/// SCC partition is a graph property either way.
+/// One failure trial: draw deletions from the trial's own RNG stream and
+/// return the largest surviving SCC as a fraction of the survivors — one
+/// masked Tarjan pass over `g` itself (the deleted vertices left out), no
+/// survivor copy.  Depends only on (g, fraction, seed, t) and the
+/// caller-owned buffers — never on which worker runs it — which is what
+/// makes the trial sweep bit-identical at every thread count.  Each trial
+/// runs serial Tarjan: trials are the parallel axis, and the SCC partition
+/// is a graph property either way.
 double failure_trial(const graph::Digraph& g, double fraction,
-                     std::uint64_t seed, int t, std::vector<char>& removed,
-                     std::vector<int>& remap, std::vector<int>& sub_offsets,
-                     std::vector<int>& sub_targets, std::vector<int>& sizes,
+                     std::uint64_t seed, int t, std::vector<char>& present,
+                     std::vector<char>& isolated, std::vector<int>& sizes,
                      graph::SccScratch& scc, graph::SccResult& scc_result) {
   const int n = g.size();
   std::mt19937_64 rng(trial_seed(seed, t));
-  removed.assign(n, 0);
-  remap.resize(n);
+  present.assign(n, 1);
+  isolated.assign(n, 0);
   int alive = n;
   for (int v = 0; v < n; ++v) {
     if ((rng() % 1000000) / 1e6 < fraction && alive > 1) {
-      removed[v] = 1;
+      present[v] = 0;
       --alive;
     }
   }
-  int m = 0;
-  for (int v = 0; v < n; ++v) {
-    remap[v] = removed[v] ? -1 : m++;
-  }
-  sub_offsets.clear();
-  sub_offsets.push_back(0);
-  sub_targets.clear();
-  for (int u = 0; u < n; ++u) {
-    if (removed[u]) continue;
-    for (int v : g.out(u)) {
-      if (!removed[v]) sub_targets.push_back(remap[v]);
-    }
-    sub_offsets.push_back(static_cast<int>(sub_targets.size()));
-  }
-  graph::Digraph sub(std::move(sub_offsets), std::move(sub_targets));
-  graph::strongly_connected_components(sub, scc, scc_result);
-  sizes.assign(scc_result.count, 0);
-  for (int c : scc_result.component) ++sizes[c];
-  const int largest = m == 0 ? 0 : *std::max_element(sizes.begin(),
-                                                     sizes.end());
-  std::move(sub).release(sub_offsets, sub_targets);
-  return m > 0 ? static_cast<double>(largest) / m : 0.0;
+  const int best =
+      graph::largest_scc(g, present, isolated, scc, scc_result, sizes);
+  return best < 0 ? 0.0 : static_cast<double>(sizes[best]) / alive;
 }
 
 }  // namespace
@@ -271,9 +250,8 @@ FailureStats AuditSession::failure_resilience(double fraction, int trials,
     const int t_hi =
         static_cast<int>(static_cast<long long>(trials) * (ci + 1) / chunks);
     for (int t = t_lo; t < t_hi; ++t) {
-      trial_frac_[t] = failure_trial(g, fraction, seed, t, w.removed, w.remap,
-                                     w.sub_offsets, w.sub_targets, w.sizes,
-                                     w.scc, w.scc_result);
+      trial_frac_[t] = failure_trial(g, fraction, seed, t, w.present,
+                                     w.isolated, w.sizes, w.scc, w.scc_result);
     }
   });
   for (int t = 0; t < trials; ++t) {

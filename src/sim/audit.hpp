@@ -216,7 +216,7 @@ class AuditSession {
   /// Per-chunk working memory for the audit loops (deletion probes,
   /// failure trials): one entry per chunk (= the session thread count),
   /// each with its own reachability scratch, deletion mask, Tarjan scratch
-  /// and survivor-subgraph CSR arrays (recycled through Digraph::release).
+  /// and the masks of a trial's masked SCC pass.
   /// Worker 0 also serves the single-threaded metrics (strongly_connected,
   /// scc_count, the level-3 pair sweep).  Warm after the first audit, so
   /// repeated sweeps allocate nothing.
@@ -225,7 +225,8 @@ class AuditSession {
     std::vector<char> removed;
     graph::SccScratch scc;
     graph::SccResult scc_result;
-    std::vector<int> remap, sub_offsets, sub_targets, sizes;
+    std::vector<char> present, isolated;  ///< failure-trial SCC masks
+    std::vector<int> sizes;
   };
   std::vector<AuditWorker> audit_workers_;  ///< >= threads_ entries
   std::vector<double> trial_frac_;  ///< per-trial largest-SCC fraction

@@ -93,6 +93,8 @@ const StepReport& ChurnEngine::init(std::span<const geom::Point> pts,
   for (int u : plan_changed_) refresh_row(u);
   plan_.measured_radius = radius_max_.max();
   reseed_pool();
+  grid_cell_ = std::max(patch_radius() / 2.0, 1e-12);
+  grid_.rebuild(positions_, grid_cell_);
   full_build();
 
   // One Tarjan pass covers both the certificate's SCC count and the batch-0
@@ -372,8 +374,8 @@ void ChurnEngine::replan() {
       derive_mst_events();
       try {
         report_.mst_fallback =
-            repair_.apply_batch(positions_, alive_, alive_count_, mst_removed_,
-                                mst_inserted_, pool_edges_);
+            repair_.apply_batch(positions_, alive_count_, mst_removed_,
+                                mst_inserted_, pool_edges_, grid_);
       } catch (const contract_violation&) {
         // A reconnect pushed a maintained-tree node past the adjacency cap
         // mid-repair; the state is torn, so invalidate and reseed below.
@@ -419,7 +421,7 @@ void ChurnEngine::replan() {
         // Seed the localized layer from the exact tree just built so the
         // next batch can take rung 1, and carry the recorded tree to it
         // through their net edge diff.
-        repair_.seed(inc_tree_, orig_of_, positions_, alive_);
+        repair_.seed(inc_tree_, orig_of_, positions_);
         if (orient_mem_.valid) {
           diff_recorded_tree();
           warm = orient_warm(tree_removed_, tree_added_);
@@ -613,20 +615,23 @@ void ChurnEngine::install(graph::Digraph& g, std::vector<int>& offsets,
 }
 
 void ChurnEngine::full_build() {
-  // The sharded builder runs in original space over the plan and the live
-  // grid, re-indexed over the survivors at the builder's own cell: a grid
-  // masked to the alive ids enumerates exactly the points, in exactly the
-  // order, of a fresh build over the survivors compacted in id order, so
-  // every row — and its order — is the compact build's, relabelled, and
-  // dead ids are empty rows no row points at.  (No radius means no plan
-  // with two sensors: every row is empty, as the compact build has it.)
-  // The row patch re-indexes the grid at its own cell on its next run.
+  // The sharded builder runs in original space over the plan and a grid
+  // borrowed from the session workspace for this call, over the survivors
+  // at the builder's own cell: a grid masked to the alive ids enumerates
+  // exactly the points, in exactly the order, of a fresh build over the
+  // survivors compacted in id order, so every row — and its order — is the
+  // compact build's, relabelled, and dead ids are empty rows no row points
+  // at.  (No radius means no plan with two sensors: every row is empty, as
+  // the compact build has it.)  The live grid stays at the patch's cell.
   const double rmax = radius_max_.max();
   auto& tx = cx_.transmission;
-  grid_.rebuild(positions_, antenna::digraph_grid_cell(rmax), alive_);
   if (rmax > 0.0) {
+    Workspace& ws = tx.ws.get();
+    Workspace::Frame frame(ws);
+    tx.grid.rebuild(positions_, antenna::digraph_grid_cell(rmax), alive_,
+                    &ws);
     graph::Digraph fresh = antenna::induced_digraph_fast(
-        positions_, plan_.orientation, grid_, kAngleTol, kRadiusAbsTol, tx,
+        positions_, plan_.orientation, tx.grid, kAngleTol, kRadiusAbsTol, tx,
         threads_, pool_.get());
     std::move(fresh).release(tx.offsets, tx.targets);
   } else {
@@ -658,12 +663,12 @@ void ChurnEngine::build_digraph() {
   // rows that accept an event node; the rest is one copy of each CSR span
   // between them.
   const auto& o = plan_.orientation;
-  const double qr =
-      radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
+  const double qr = patch_radius();
   const double cell = std::max(qr / 2.0, 1e-12);
   // Dirty rows enumerate grid hits in cell order, so the grid must be the
   // one a fresh build over the survivors would make.
-  if (!grid_.fresh_geometry() || grid_.cell() != cell) {
+  if (!grid_.fresh_geometry() || grid_cell_ != cell) {
+    grid_cell_ = cell;
     grid_.rebuild(positions_, cell, alive_);
   }
   const auto dirty = [this](int u) { return dirty_stamp_[u] == batch_; };
@@ -744,6 +749,12 @@ void ChurnEngine::build_digraph() {
   patch_transpose();
   install(dg_, patch_offsets_, patch_targets_);
   install(dgt_, tpatch_offsets_, tpatch_targets_);
+}
+
+// The row patch's query radius: above every sector's accept limit,
+// radius · (1 + kRadiusRelTol) + kRadiusAbsTol (antenna::accepting_rows).
+double ChurnEngine::patch_radius() const {
+  return radius_max_.max() * (1.0 + kRadiusRelTol) + kRadiusAbsTol + 1e-12;
 }
 
 void ChurnEngine::patch_transpose() {

@@ -39,8 +39,10 @@
 /// where a from-scratch plan runs — the escalated pipeline, the pool
 /// Kruskal, the fresh sweep — and the sweep writes its rows straight into
 /// the original-space plan through the compact-to-original row map.  The
-/// full digraph build runs in original space over a grid masked to the
-/// survivors, and the audit fallback's Tarjan pass runs on the certified
+/// one live grid, at the row patch's cell, serves the event loop's
+/// occupancy test, the MST repair's insertion queries and the row patch;
+/// the full digraph build borrows its own grid, masked to the survivors,
+/// for the call.  The audit fallback's Tarjan pass runs on the certified
 /// digraph itself.
 ///
 /// Graceful degradation: before re-planning, each step audits the **frozen
@@ -288,6 +290,7 @@ class ChurnEngine {
   int certify_sccs();
   void build_digraph();
   void full_build();
+  double patch_radius() const;
   void patch_transpose();
   void install(graph::Digraph& g, std::vector<int>& offsets,
                std::vector<int>& targets);
@@ -360,7 +363,12 @@ class ChurnEngine {
   /// the in-lists its rewritten rows touch.
   graph::Digraph dgt_;
   core::CertifyScratch cx_;
-  spatial::GridIndex grid_;  ///< alive positions, kept current per event
+  /// Alive positions, kept current per event, at the row patch's cell
+  /// `grid_cell_` (as requested: the grid's own cell() may be capped
+  /// coarser).  Rebuilt only by init and by a patch whose cell moved or
+  /// whose grid lost its fresh geometry.
+  spatial::GridIndex grid_;
+  double grid_cell_ = 0.0;
   std::vector<int> patch_offsets_, patch_targets_;
   std::vector<int> tpatch_offsets_, tpatch_targets_;
   std::vector<int> rewrite_;  ///< rows the patch rewrites, ascending

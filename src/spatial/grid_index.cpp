@@ -16,21 +16,6 @@ GridIndex::GridIndex(std::span<const Point> pts, double cell) {
   rebuild(pts, cell);
 }
 
-void GridIndex::rebuild(std::span<const Point> pts, double cell) {
-  build(pts, cell, nullptr, nullptr);
-}
-
-void GridIndex::rebuild(std::span<const Point> pts, double cell,
-                        std::span<const char> alive) {
-  DIRANT_ASSERT(alive.size() == pts.size());
-  build(pts, cell, alive.data(), nullptr);
-}
-
-void GridIndex::rebuild(std::span<const Point> pts, double cell,
-                        Workspace& ws) {
-  build(pts, cell, nullptr, &ws);
-}
-
 namespace {
 
 /// `n` slots of the owned vector `own`, or of `ws` when given.
@@ -43,11 +28,11 @@ std::span<T> storage(std::vector<T>& own, size_t n, Workspace* ws) {
 
 }  // namespace
 
-void GridIndex::build(std::span<const Point> pts, double cell,
-                      const char* alive, Workspace* ws) {
+void GridIndex::rebuild(std::span<const Point> pts, double cell,
+                        std::span<const char> mask, Workspace* ws) {
   DIRANT_ASSERT(cell > 0.0);
-  cell_ = cell;
-  inv_cell_ = 1.0 / cell;
+  DIRANT_ASSERT(mask.empty() || mask.size() == pts.size());
+  const char* alive = mask.empty() ? nullptr : mask.data();
   min_x_ = min_y_ = max_x_ = max_y_ = 0.0;
   nx_ = ny_ = 1;
   fresh_ = true;
@@ -68,8 +53,27 @@ void GridIndex::build(std::span<const Point> pts, double cell,
   }
   live_ = static_cast<int>(count);
   borrowed_ = ws != nullptr;
-  nx_ = std::max(1, static_cast<int>((max_x_ - min_x_) / cell_) + 1);
-  ny_ = std::max(1, static_cast<int>((max_y_ - min_y_) / cell_) + 1);
+  // The cell cap: double the cell until nx·ny <= 4·live + 1024.  Counted
+  // in doubles, so a huge box over a tiny cell cannot overflow the count.
+  const auto cells_at = [&](double c) {
+    return (std::floor((max_x_ - min_x_) / c) + 1.0) *
+           (std::floor((max_y_ - min_y_) / c) + 1.0);
+  };
+  const auto live_needed = [](double cells) {
+    const double live = std::ceil((cells - 1024) / 4);
+    return static_cast<int>(std::clamp(live, 0.0, 2e9));
+  };
+  const double cap = 4.0 * static_cast<double>(count) + 1024.0;
+  live_hi_ = std::numeric_limits<int>::max();
+  while (cells_at(cell) > cap) {
+    live_hi_ = live_needed(cells_at(cell));
+    cell *= 2.0;
+  }
+  live_lo_ = live_needed(cells_at(cell));
+  cell_ = cell;
+  inv_cell_ = 1.0 / cell;
+  nx_ = static_cast<int>((max_x_ - min_x_) / cell_) + 1;
+  ny_ = static_cast<int>((max_y_ - min_y_) / cell_) + 1;
   // Counting sort into CSR: count per cell (caching each point's cell id
   // so the fill pass reloads it instead of recomputing the coordinate
   // mapping), prefix-sum, fill (ascending i, so ids stay sorted within
@@ -116,7 +120,8 @@ void GridIndex::erase(int id, const Point& p) {
     // against it fails and no query ever reports it.
     item_id_[k] = -1;
     item_x_[k] = item_y_[k] = std::numeric_limits<double>::infinity();
-    --live_;
+    // Below live_lo_ the cell cap would pick a coarser cell.
+    if (--live_ < live_lo_) fresh_ = false;
     return;
   }
   DIRANT_ASSERT_MSG(false, "GridIndex::erase: id not indexed at p");
@@ -160,7 +165,8 @@ void GridIndex::insert(int id, const Point& p) {
   item_id_[k] = id;
   item_x_[k] = p.x;
   item_y_[k] = p.y;
-  ++live_;
+  // From live_hi_ on the cell cap would pick a finer cell.
+  if (++live_ >= live_hi_) fresh_ = false;
   // Keep the cell's live ids ascending (tombstones may sit anywhere): move
   // the new entry left past tombstones and larger ids, then right past
   // tombstones and smaller ids.

@@ -28,26 +28,32 @@ class GridIndex {
   /// Builds a grid with cell size `cell` (> 0) over `pts`.
   GridIndex(std::span<const geom::Point> pts, double cell);
 
-  /// Re-indexes `pts` in place, reusing the CSR bucket arrays and the
-  /// counting-sort scratch.  Same result as constructing a fresh
-  /// GridIndex(pts, cell); allocates nothing once the buffers are at least
-  /// as large as the instance (same-size recycling — the PlanSession /
-  /// certify steady state — touches only warm memory).
-  void rebuild(std::span<const geom::Point> pts, double cell);
-
-  /// Same, over the ids `i` with `alive[i] != 0` only: ids stay positions
-  /// in `pts`, and the bounding box is the alive points'.  The cells, and
-  /// the ascending-id order inside each, are those of `rebuild` over the
-  /// alive points compacted in id order — so every query enumerates the
-  /// same points in the same order, up to that monotone relabelling.
+  /// Re-indexes `pts` in place at cell size `cell` (> 0).  Same result as
+  /// constructing a fresh GridIndex(pts, cell), reusing the CSR bucket
+  /// arrays and the counting-sort scratch: a rebuild allocates nothing
+  /// once the buffers are at least as large as the instance (same-size
+  /// recycling — the PlanSession / certify steady state — touches only
+  /// warm memory).
+  ///
+  /// The cell is doubled until the grid has at most 4·live + 1024 cells
+  /// (live = the indexed points), so a degenerate layout — points along a
+  /// line, whose bounding box is mostly empty — costs memory linear in
+  /// the points, not in the box area; `cell()` reports the cell used.
+  /// Queries are exact at any cell.
+  ///
+  /// `alive`, when not empty, restricts the index to the ids `i` with
+  /// `alive[i] != 0`: ids stay positions in `pts`, and the bounding box is
+  /// the alive points'.  The cells, and the ascending-id order inside
+  /// each, are those of a rebuild over the alive points compacted in id
+  /// order — so every query enumerates the same points in the same order,
+  /// up to that monotone relabelling.
+  ///
+  /// `ws`, when given, supplies the arrays from the caller's open frame
+  /// instead of the index's own: the index is valid while that frame
+  /// lives, and cannot `insert`.  A grid that no later call reads (the
+  /// certify and churn full digraph builds) is borrowed this way.
   void rebuild(std::span<const geom::Point> pts, double cell,
-               std::span<const char> alive);
-
-  /// `rebuild(pts, cell)` into arrays taken from `ws` inside the caller's
-  /// open frame instead of the index's own: the index is valid while that
-  /// frame lives, and cannot `insert`.  A build that no later call reads
-  /// (the certify digraph build) borrows its grid this way.
-  void rebuild(std::span<const geom::Point> pts, double cell, Workspace& ws);
+               std::span<const char> alive = {}, Workspace* ws = nullptr);
 
   /// In-place maintenance for a long-lived index over stable ids
   /// (sim::ChurnEngine keeps one current across churn batches).  `erase`
@@ -58,13 +64,16 @@ class GridIndex {
   /// query.  Neither moves the cell geometry, so after either the index
   /// may no longer be what a rebuild over its members would build:
   /// `fresh_geometry()` turns false once an erased point lay on the
-  /// bounding box or an inserted one outside it, and stays false until the
-  /// next rebuild.  Queries stay exact either way; only the enumeration
-  /// order can differ from a fresh build's.
+  /// bounding box, an inserted one outside it, or the member count left
+  /// the range in which the cell cap picks the current cell, and stays
+  /// false until the next rebuild.  Queries stay exact either way; only
+  /// the enumeration order can differ from a fresh build's.
   void erase(int id, const geom::Point& p);
   void insert(int id, const geom::Point& p);
   bool fresh_geometry() const { return fresh_; }
   double cell() const { return cell_; }
+  /// Cells of the grid (nx·ny): at most 4·live + 1024 after a rebuild.
+  std::size_t cell_count() const { return static_cast<std::size_t>(nx_) * ny_; }
 
   /// Indices of all points within `radius` of `q` (inclusive), excluding
   /// `exclude`.  Intended for radius <= a few cells.
@@ -87,7 +96,11 @@ class GridIndex {
                        F&& f) const {
     if (size() == 0) return;
     // floor(x) + 1 >= ceil(x) always: divide-free and still conservative.
-    const int span = static_cast<int>(radius * inv_cell_) + 1;
+    // A window wider than the grid is the whole grid (and never overflows
+    // the cast, whatever the radius).
+    const double reach = radius * inv_cell_;
+    const int span =
+        reach < nx_ + ny_ ? static_cast<int>(reach) + 1 : nx_ + ny_;
     const auto [cx, cy] = cell_of(q);
     scan_window(q, radius, std::max(0, cx - span),
                 std::min(nx_ - 1, cx + span), std::max(0, cy - span),
@@ -143,9 +156,6 @@ class GridIndex {
 
  private:
   std::pair<int, int> cell_of(const geom::Point& p) const;
-  /// Build into the owned vectors, or into views taken from `ws` if given.
-  void build(std::span<const geom::Point> pts, double cell,
-             const char* alive, Workspace* ws);
   /// Farthest any point of the data bounding box intersected with the ccw
   /// cone [a0, a0+width] at apex q can lie from q (0 if the cone misses
   /// the box).  Used to prove empty cones empty without scanning.
@@ -226,6 +236,9 @@ class GridIndex {
   std::vector<int> build_cell_id_;  ///< counting-sort scratch, recycled
   bool borrowed_ = false;  ///< the views lie in a caller's workspace
   int live_ = 0;         ///< indexed ids that are not tombstones
+  /// The member counts [live_lo_, live_hi_) for which the cell cap picks
+  /// the current cell: leaving the range clears `fresh_`.
+  int live_lo_ = 0, live_hi_ = 0;
   bool fresh_ = true;    ///< geometry equals a rebuild over the members
 };
 

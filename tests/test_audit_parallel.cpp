@@ -3,19 +3,24 @@
 // trials with per-trial RNG streams) must be BIT-IDENTICAL at every thread
 // count — same level, same mean/worst fractions to the last bit — because
 // probes reduce by AND and trial fractions are recorded by index and reduced
-// in trial order.  The sanitizer variants of scripts/check.sh run this suite
+// in trial order.  Both agree with a survivor-copy oracle: each failure
+// trial copied into its own CSR and decomposed by plain Tarjan.  The
+// sanitizer variants of scripts/check.sh run this suite
 // with DIRANT_TEST_THREADS=4 so the pooled fan-outs execute on real workers
 // under asan and tsan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "geometry/generators.hpp"
 #include "graph/digraph.hpp"
+#include "graph/scc.hpp"
 #include "sim/audit.hpp"
 #include "thread_counts.hpp"
 
@@ -45,6 +50,62 @@ std::vector<Instance> audit_instances() {
     out.push_back(std::move(inst));
   }
   return out;
+}
+
+// failure_resilience's contract re-derived by copying: trial t draws its
+// deletions from splitmix64(seed, t), the survivors are copied into a
+// fresh CSR, and plain Tarjan finds its largest SCC.
+std::uint64_t oracle_trial_seed(std::uint64_t seed, int t) {
+  std::uint64_t z =
+      seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(t) + 1);
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ull;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebull;
+  z ^= z >> 31;
+  return z;
+}
+
+sim::FailureStats copy_oracle(const graph::Digraph& g, double fraction,
+                              int trials, std::uint64_t seed) {
+  fraction = std::clamp(fraction, 0.0, 1.0);
+  const int n = g.size();
+  sim::FailureStats st;
+  for (int t = 0; t < trials; ++t) {
+    std::mt19937_64 rng(oracle_trial_seed(seed, t));
+    std::vector<char> removed(n, 0);
+    int alive = n;
+    for (int v = 0; v < n; ++v) {
+      if ((rng() % 1000000) / 1e6 < fraction && alive > 1) {
+        removed[v] = 1;
+        --alive;
+      }
+    }
+    std::vector<int> remap(n, -1), offsets{0}, targets;
+    int m = 0;
+    for (int v = 0; v < n; ++v) {
+      if (!removed[v]) remap[v] = m++;
+    }
+    for (int u = 0; u < n; ++u) {
+      if (removed[u]) continue;
+      for (int v : g.out(u)) {
+        if (!removed[v]) targets.push_back(remap[v]);
+      }
+      offsets.push_back(static_cast<int>(targets.size()));
+    }
+    const auto scc = graph::strongly_connected_components(
+        graph::Digraph(std::move(offsets), std::move(targets)));
+    std::vector<int> sizes(scc.count, 0);
+    for (int c : scc.component) ++sizes[c];
+    const double frac =
+        static_cast<double>(*std::max_element(sizes.begin(), sizes.end())) /
+        m;
+    st.mean_largest_scc += frac;
+    st.worst_largest_scc = std::min(st.worst_largest_scc, frac);
+  }
+  st.trials = trials;
+  st.mean_largest_scc /= trials;
+  return st;
 }
 
 TEST(AuditParallel, ConnectivityLevelParityAcrossThreadCounts) {
@@ -142,7 +203,7 @@ TEST(AuditParallel, FailureResilienceBitIdenticalAcrossThreadCounts) {
   for (const auto& inst : audit_instances()) {
     sim::AuditSession serial;
     serial.load(inst.pts, inst.oriented.orientation);
-    const auto ref = serial.failure_resilience(0.15, 33, 99);
+    const auto ref = copy_oracle(serial.digraph(), 0.15, 33, 99);
     ASSERT_EQ(ref.trials, 33);
     for (int t : thread_counts()) {
       sim::AuditSession session;
@@ -169,6 +230,13 @@ TEST(AuditParallel, DegenerateFractionsClampAndStayDeterministic) {
   session.load(inst.pts, inst.oriented.orientation);
 
   const auto zero = session.failure_resilience(0.0, 15, 42);
+  for (const double f : {-0.5, 0.0, 0.3, 1.0, 1.5}) {
+    const auto want = copy_oracle(session.digraph(), f, 15, 42);
+    const auto got = session.failure_resilience(f, 15, 42);
+    EXPECT_EQ(got.mean_largest_scc, want.mean_largest_scc) << "fraction " << f;
+    EXPECT_EQ(got.worst_largest_scc, want.worst_largest_scc)
+        << "fraction " << f;
+  }
   const auto below = session.failure_resilience(-0.5, 15, 42);
   EXPECT_EQ(below.mean_largest_scc, zero.mean_largest_scc);
   EXPECT_EQ(below.worst_largest_scc, zero.worst_largest_scc);
@@ -227,7 +295,7 @@ TEST(AuditParallel, ThreadKnobRoundTripKeepsResults) {
 
 TEST(AuditParallel, RepeatedPooledSweepsAreStable) {
   // Same pooled session, same inputs, repeated calls: recycled AuditWorker
-  // scratch (masks, reach buffers, survivor CSR arrays) must reproduce the
+  // scratch (masks, reach buffers, Tarjan scratch) must reproduce the
   // exact same report every time.
   geom::Rng rng(1800);
   const auto pts =

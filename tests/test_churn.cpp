@@ -21,19 +21,20 @@
 #include <memory>
 #include <vector>
 
-#include "antenna/transmission.hpp"
 #include "common/constants.hpp"
 #include "core/session.hpp"
 #include "core/validate.hpp"
 #include "geometry/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/churn.hpp"
+#include "churn_parity.hpp"
 #include "thread_counts.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
 namespace sim = dirant::sim;
 using dirant::kPi;
+using dirant::test::expect_matches_compact_build;
 using dirant::test::for_each_thread_count;
 
 namespace {
@@ -452,69 +453,6 @@ TEST(Churn, PoissonScheduleIsDeterministic) {
     differs = ea[i].node != ec[i].node || ea[i].kind != ec[i].kind;
   }
   EXPECT_TRUE(differs);
-}
-
-// The engine's one original-space plan and certified CSR against a fresh
-// compact plan and a compact full digraph build over the survivors, mapped
-// to original ids: every plan row bit for bit (dead rows empty), and every
-// CSR row — in exact order when this step took the full build (the order
-// is observable through collection-tree next hops), as a set when it took
-// the row patch — plus the transpose.
-void expect_matches_compact_build(const sim::ChurnEngine& eng,
-                                  const core::ProblemSpec& spec, int threads,
-                                  dirant::par::ThreadPool* pool, int batch) {
-  const auto& orig_of = eng.compact_to_orig();
-  std::vector<geom::Point> survivors;
-  for (int u : orig_of) survivors.push_back(eng.positions()[u]);
-  core::PlanSession fresh;
-  const auto& ref = fresh.orient(survivors, spec);
-  const auto& got = eng.last_result();
-  EXPECT_EQ(got.algorithm, ref.algorithm) << "batch " << batch;
-  EXPECT_EQ(got.lmax, ref.lmax) << "batch " << batch;
-  EXPECT_EQ(got.bound_factor, ref.bound_factor) << "batch " << batch;
-  EXPECT_EQ(got.measured_radius, ref.measured_radius) << "batch " << batch;
-  std::vector<int> comp_of(static_cast<size_t>(eng.size()), -1);
-  for (size_t c = 0; c < orig_of.size(); ++c) {
-    comp_of[orig_of[c]] = static_cast<int>(c);
-  }
-  for (int u = 0; u < eng.size(); ++u) {
-    if (comp_of[u] < 0) {
-      ASSERT_TRUE(got.orientation.antennas(u).empty())
-          << "batch " << batch << " dead row " << u;
-    } else {
-      ASSERT_TRUE(ref.orientation.node_equals(comp_of[u], got.orientation, u))
-          << "batch " << batch << " row " << u << " threads " << threads;
-    }
-  }
-
-  dirant::antenna::TransmissionScratch tx;
-  const auto built = dirant::antenna::induced_digraph_fast(
-      survivors, ref.orientation, dirant::kAngleTol, dirant::kRadiusAbsTol,
-      tx, threads, pool);
-  const auto& dg = eng.certified_digraph();
-  const bool exact = !eng.last_report().incremental_digraph;
-  ASSERT_EQ(dg.size(), eng.size());
-  for (int u = 0; u < eng.size(); ++u) {
-    std::vector<int> want;
-    if (comp_of[u] >= 0) {
-      for (int t : built.out(comp_of[u])) want.push_back(orig_of[t]);
-    }
-    std::vector<int> have(dg.out(u).begin(), dg.out(u).end());
-    if (!exact) {
-      std::sort(want.begin(), want.end());
-      std::sort(have.begin(), have.end());
-    }
-    ASSERT_EQ(have, want) << "batch " << batch << " csr row " << u
-                          << (exact ? " (full build)" : " (row patch)")
-                          << " threads " << threads;
-  }
-  const auto rt = dg.reversed();
-  const auto& dgt = eng.certified_transpose();
-  for (int u = 0; u < eng.size(); ++u) {
-    ASSERT_TRUE(std::equal(rt.out(u).begin(), rt.out(u).end(),
-                           dgt.out(u).begin(), dgt.out(u).end()))
-        << "batch " << batch << " transpose row " << u;
-  }
 }
 
 TEST(Churn, EscalatingSchedulesMatchCompactPlanAndFullBuild) {

@@ -38,6 +38,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <memory>
+#include <random>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -49,6 +51,7 @@
 #include "mst/emst.hpp"
 #include "mst/repair.hpp"
 #include "sim/churn.hpp"
+#include "churn_parity.hpp"
 #include "reference_frozen_audit.hpp"
 #include "thread_counts.hpp"
 
@@ -650,6 +653,95 @@ TEST(ChurnSublinear, PoolKruskalBatchesStayWarm) {
             << "no batch after an escalation stayed warm, threads " << t;
       }
     });
+  }
+}
+
+// ---------------------------------------------------------------------
+// Insertions through the engine's live grid: the repair layer's nearest-
+// neighbour and candidate-disk queries read the grid the event loop keeps
+// current, so they must stay exact where that grid is at its least fresh.
+// ---------------------------------------------------------------------
+
+TEST(ChurnSublinear, InsertsThroughTheLiveGridMatchFromScratch) {
+  // A uniform field plus a dense cluster.  Recovers and moves land outside
+  // the live grid's bounding box (the grid loses its fresh geometry and
+  // they clamp into edge and corner cells), and a recover inside the
+  // cluster holds more than 256 tree nodes in its candidate disk
+  // ("mst-candidates", rung 2).  Every step equals from scratch: plan
+  // rows, CSR rows, transpose and certificate, at 1 and 4 threads.
+  const core::ProblemSpec spec{2, kPi};
+  const int n = 2000, cluster = 300;
+  auto pts = make_points(n, 4711);
+  geom::Rng rng(77);
+  std::uniform_real_distribution<double> jitter(-0.05, 0.05);
+  const double mid = 0.5 * std::sqrt(static_cast<double>(n));
+  for (int i = 0; i < cluster; ++i) {
+    pts.push_back({mid + 3.0 + jitter(rng), mid + jitter(rng)});
+  }
+  const auto by = [&](auto key) {
+    return static_cast<int>(
+        std::max_element(pts.begin(), pts.end(),
+                         [&](const geom::Point& a, const geom::Point& b) {
+                           return key(a) < key(b);
+                         }) -
+        pts.begin());
+  };
+  const int east = by([](const geom::Point& p) { return p.x; });
+  const int north = by([](const geom::Point& p) { return p.y; });
+  const int west = by([](const geom::Point& p) { return -p.x; });
+  const geom::Point ne{pts[east].x, pts[north].y};
+  const int inner = n + cluster / 2;
+  using K = sim::ChurnEventKind;
+  std::vector<sim::ChurnEvent> seed_batch;
+  for (int i = 0; i < 40; ++i) {
+    const int u = 50 * i + 7;
+    if (u != east && u != north && u != west) {
+      seed_batch.push_back({K::kFail, u, {}});
+    }
+  }
+  seed_batch.push_back({K::kFail, east, {}});
+  seed_batch.push_back({K::kFail, north, {}});
+  seed_batch.push_back({K::kFail, inner, {}});
+  // Each insert leaves ~alive edges in the candidate pool, and the third
+  // one since init seeded it trips its size guard: batch 4 escalates (the
+  // pool reseeds from a fresh triangulation) and the fail after it seeds
+  // the repair layer again (rung 2), so the remaining inserts run warm.
+  // Batch 1 fails the east and north extremes, and its row patch re-indexes
+  // the live grid without them, so their recovers land outside its box.
+  const std::vector<std::vector<sim::ChurnEvent>> batches = {
+      seed_batch,
+      {{K::kRecover, inner, {}}},
+      {{K::kRecover, east, {}}},
+      {{K::kRecover, 107, {}}},
+      {{K::kFail, 333, {}}},
+      {{K::kMove, 1001, {ne.x + 0.3, ne.y + 0.3}}},
+      {{K::kRecover, north, {}}},
+      {{K::kMove, west, {pts[west].x - 0.4, pts[west].y}}},
+  };
+  for (const int t : {1, 4}) {
+    std::unique_ptr<dirant::par::ThreadPool> pool;
+    if (t > 1) pool = std::make_unique<dirant::par::ThreadPool>(t);
+    sim::ChurnEngine eng;
+    eng.set_threads(t);
+    eng.init(pts, spec);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const auto& rep = eng.step(batches[b]);
+      const int batch = static_cast<int>(b) + 1;
+      for (const auto& ev : rep.events) {
+        ASSERT_TRUE(ev.applied) << "batch " << batch;
+      }
+      if (batch == 2) {
+        EXPECT_STREQ(rep.mst_fallback, "mst-candidates") << "threads " << t;
+      } else if (batch == 4) {
+        EXPECT_STREQ(rep.escalation, "pool-oversized") << "batch " << batch;
+      } else if (batches[b][0].kind != K::kFail) {
+        EXPECT_TRUE(rep.localized_mst) << "batch " << batch << " threads "
+                                       << t;
+      }
+      dirant::test::expect_matches_compact_build(eng, spec, t, pool.get(),
+                                                 batch);
+      if (testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -1,13 +1,14 @@
 // CSR equivalence: the grid-accelerated CSR digraph builder, the naive
 // reference builder, and the pre-refactor adjacency-list semantics must
 // agree on edge sets, SCC counts, and BFS distances across random,
-// clustered, and degenerate (empty / single-vertex / duplicate-point)
-// instances.
+// clustered, and degenerate (empty / single-vertex / duplicate-point /
+// collinear) instances.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -19,12 +20,15 @@
 #include "graph/scc.hpp"
 #include "graph/traversal.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/churn.hpp"
+#include "churn_parity.hpp"
 #include "thread_counts.hpp"
 
 namespace geom = dirant::geom;
 namespace core = dirant::core;
 namespace antenna = dirant::antenna;
 namespace graph = dirant::graph;
+namespace sim = dirant::sim;
 using dirant::kPi;
 
 namespace {
@@ -85,6 +89,66 @@ void expect_equivalent(const std::vector<geom::Point>& pts,
   for (int s = 0; s < n; s += std::max(1, n / 5)) {
     EXPECT_EQ(graph::bfs_distances(naive, s), graph::bfs_distances(fast, s))
         << "source " << s;
+  }
+}
+
+// n points along y = x with a tiny jitter off the line, x ascending — a
+// bounding box the points barely fill, where a grid sized to their spacing
+// alone would be quadratic in n (GridIndex caps its cell count).
+std::vector<geom::Point> diagonal_line(int n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<geom::Point> pts(n);
+  for (int i = 0; i < n; ++i) {
+    const double x = (i + 0.5 * u(rng)) / n;
+    pts[i] = {x, x + 1e-9 * u(rng)};
+  }
+  return pts;
+}
+
+TEST(CsrEquivalence, DiagonalLineUnderTheCellCap) {
+  const auto pts = diagonal_line(4000, 29);
+  const auto res = core::orient(pts, {2, kPi});
+  expect_equivalent(pts, res.orientation);
+}
+
+TEST(CsrEquivalence, DiagonalLineChurnMatchesFromScratch) {
+  // The churn engine's live grid and its borrowed full-build grid on the
+  // same collinear layout: init plus three batches (fails, recovers and
+  // moves along the line) equal a from-scratch plan, CSR and certificate.
+  const int n = 4000;
+  const auto pts = diagonal_line(n, 29);
+  const core::ProblemSpec spec{2, kPi};
+  const auto along = [&](int i) {
+    const double x = 0.5 * (pts[i].x + pts[i + 1].x);
+    return geom::Point{x, x + 5e-10};
+  };
+  const std::vector<std::vector<sim::ChurnEvent>> batches = {
+      {{sim::ChurnEventKind::kFail, 500, {}},
+       {sim::ChurnEventKind::kFail, 1700, {}},
+       {sim::ChurnEventKind::kFail, 2900, {}}},
+      {{sim::ChurnEventKind::kRecover, 1700, {}},
+       {sim::ChurnEventKind::kMove, 1200, along(1200)}},
+      {{sim::ChurnEventKind::kFail, 3300, {}},
+       {sim::ChurnEventKind::kRecover, 500, {}},
+       {sim::ChurnEventKind::kMove, 2200, along(2200)}},
+  };
+  for (const int t : {1, 4}) {
+    std::unique_ptr<dirant::par::ThreadPool> pool;
+    if (t > 1) pool = std::make_unique<dirant::par::ThreadPool>(t);
+    sim::ChurnEngine eng;
+    eng.set_threads(t);
+    eng.init(pts, spec);
+    dirant::test::expect_matches_compact_build(eng, spec, t, pool.get(), 0);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const auto& rep = eng.step(batches[b]);
+      for (const auto& ev : rep.events) {
+        EXPECT_TRUE(ev.applied) << "batch " << b + 1;
+      }
+      EXPECT_TRUE(rep.certificate.ok()) << "batch " << b + 1;
+      dirant::test::expect_matches_compact_build(eng, spec, t, pool.get(),
+                                                 static_cast<int>(b) + 1);
+    }
   }
 }
 

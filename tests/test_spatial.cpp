@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "geometry/angle.hpp"
@@ -188,6 +190,84 @@ TEST(GridIndex, SameSizeRebuildIsStable) {
     grid.rebuild(pts, 0.75);
     expect_rebuild_matches_fresh(grid, pts, 0.75, 500 + round);
   }
+}
+
+// n points along y = x with a tiny jitter off the line, x ascending: the
+// bounding box is a unit square that the points barely fill, so a cell
+// sized to their spacing would make a grid quadratic in n.
+std::vector<geom::Point> diagonal_line(int n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<geom::Point> pts(n);
+  for (int i = 0; i < n; ++i) {
+    const double x = (i + 0.5 * u(rng)) / n;
+    pts[i] = {x, x + 1e-9 * u(rng)};
+  }
+  return pts;
+}
+
+TEST(GridIndex, CellCapKeepsADiagonalLineLinear) {
+  // A third of the spacing per cell would be ~ (3n)^2 cells; the cap
+  // doubles the cell until nx*ny <= 4n + 1024, and queries stay exact.
+  const int n = 4000;
+  const auto pts = diagonal_line(n, 29);
+  const double cell = 0.3 / n;
+  const spatial::GridIndex grid(pts, cell);
+  EXPECT_LE(grid.cell_count(), 4u * n + 1024);
+  EXPECT_GT(grid.cell(), cell);
+  std::mt19937_64 rng(30);
+  std::uniform_int_distribution<int> pick(0, n - 1);
+  for (int q = 0; q < 50; ++q) {
+    const int c = pick(rng);
+    for (const double r : {0.5 / n, 3.0 / n, 40.0 / n}) {
+      std::vector<int> want;
+      for (int i = 0; i < n; ++i) {
+        if (i != c && geom::dist2(pts[c], pts[i]) <= r * r) want.push_back(i);
+      }
+      auto got = grid.within(pts[c], r, c);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "query " << c << " radius " << r;
+    }
+  }
+  // A masked rebuild caps by its alive count.
+  std::vector<char> alive(n, 0);
+  for (int i = 0; i < n; i += 8) alive[i] = 1;
+  spatial::GridIndex masked;
+  masked.rebuild(pts, cell, alive);
+  EXPECT_LE(masked.cell_count(), 4u * (n / 8) + 1024);
+  EXPECT_GT(masked.cell(), grid.cell());
+}
+
+TEST(GridIndex, FreshGeometryTracksTheCellCap) {
+  // Erasing members lowers the cap 4*live + 1024 and inserting raises it:
+  // fresh_geometry() turns false exactly when a rebuild over the members
+  // would pick another cell.  Only interior points move, so the bounding
+  // box (points 0 and n-1) never does.
+  const int n = 600;
+  const auto pts = diagonal_line(n, 31);
+  const double cell = 1e-4;
+  std::vector<char> alive(n, 1);
+  spatial::GridIndex grid, fresh;
+  grid.rebuild(pts, cell, alive);
+  int i = 1;
+  for (; i + 1 < n && grid.fresh_geometry(); ++i) {
+    grid.erase(i, pts[i]);
+    alive[i] = 0;
+    fresh.rebuild(pts, cell, alive);
+    EXPECT_EQ(grid.fresh_geometry(), fresh.cell() == grid.cell())
+        << "erase " << i;
+  }
+  ASSERT_FALSE(grid.fresh_geometry()) << "erasing never crossed the cap";
+  // From the shrunken member set, re-inserting crosses it the other way.
+  grid.rebuild(pts, cell, alive);
+  for (int j = i - 1; j >= 1 && grid.fresh_geometry(); --j) {
+    grid.insert(j, pts[j]);
+    alive[j] = 1;
+    fresh.rebuild(pts, cell, alive);
+    EXPECT_EQ(grid.fresh_geometry(), fresh.cell() == grid.cell())
+        << "insert " << j;
+  }
+  EXPECT_FALSE(grid.fresh_geometry()) << "inserting never crossed the cap";
 }
 
 TEST(GridIndex, ConeNearestEmptyOutwardCones) {
