@@ -19,12 +19,7 @@ void run_one(const std::vector<geom::Point>& pts, const ProblemSpec& spec,
   out.result = session.orient(pts, spec);  // copy out of the session arena
   out.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  if (options.certify) {
-    // Idempotent when unchanged: the worker session keeps (or drops) its
-    // certify pool across the instances it streams.
-    session.set_threads(options.certify_threads);
-    out.certificate = session.certify(pts, spec);
-  }
+  if (options.certify) out.certificate = session.certify(pts, spec);
 }
 
 }  // namespace

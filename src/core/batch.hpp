@@ -20,14 +20,6 @@ namespace dirant::core {
 struct BatchOptions {
   bool parallel = true;  ///< fan out over the global thread pool
   bool certify = false;  ///< also run the independent certifier per instance
-  /// Per-instance certification parallelism (PlanSession::set_threads on
-  /// each worker session).  1 = serial, allocation-free certify (default);
-  /// > 1 shards the certification digraph build — identical results,
-  /// intended for certify-dominated batches of LARGE instances.  Combined
-  /// with `parallel` this oversubscribes (workers × certify_threads
-  /// threads); prefer instance-level fan-out unless individual instances
-  /// are big enough to need intra-instance parallelism.
-  int certify_threads = 1;
 };
 
 /// One per-instance record of a batch run.

@@ -15,8 +15,6 @@
 
 namespace dirant::core {
 
-struct OrienterScratch;
-
 struct NodeBudget {
   int k = 1;
   double phi = 0.0;
@@ -30,26 +28,9 @@ struct HeterogeneousResult {
   std::vector<double> missing_spread;
 };
 
-/// Repair report of a heterogeneous run, separated from the Result so the
-/// session pipeline can recycle both independently.
-struct HeterogeneousReport {
-  bool feasible = false;          ///< every node satisfied its budget
-  std::vector<int> deficient;     ///< nodes where phi_i < Lemma 1 demand
-  /// Minimum extra spread needed at each deficient node (same order).
-  std::vector<double> missing_spread;
-};
-
 /// Per-sensor budgets; `budgets.size() == pts.size()`.
 HeterogeneousResult orient_heterogeneous(std::span<const geom::Point> pts,
                                          const mst::Tree& tree,
                                          std::span<const NodeBudget> budgets);
-
-/// Session variant: orientation into the recycled `res`, repair data into
-/// `report` (allocation-free once warm on feasible instances).
-void orient_heterogeneous(std::span<const geom::Point> pts,
-                          const mst::Tree& tree,
-                          std::span<const NodeBudget> budgets,
-                          OrienterScratch& scratch, Result& res,
-                          HeterogeneousReport& report);
 
 }  // namespace dirant::core

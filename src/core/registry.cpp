@@ -6,14 +6,11 @@
 #include "common/assert.hpp"
 #include "common/constants.hpp"
 #include "core/four_antennae.hpp"
-#include "core/heterogeneous.hpp"
 #include "core/one_antenna.hpp"
-#include "core/resilient.hpp"
 #include "core/session.hpp"
 #include "core/theorem2.hpp"
 #include "core/three_antennae.hpp"
 #include "core/two_antennae.hpp"
-#include "core/yao_baseline.hpp"
 
 namespace dirant::core {
 
@@ -66,47 +63,27 @@ void run_btsp(PlanSession& s, std::span<const geom::Point> pts,
               const mst::Tree& tree, const ProblemSpec&, Result& out) {
   orient_btsp_cycle(pts, tree, s.scratch(), out);
 }
-void run_yao(PlanSession&, std::span<const geom::Point> pts,
-             const mst::Tree& tree, const ProblemSpec& spec, Result& out) {
-  orient_yao(pts, spec.k, /*phase=*/0.0, tree.lmax(), out);
-}
-void run_bidir(PlanSession& s, std::span<const geom::Point> pts,
-               const mst::Tree& tree, const ProblemSpec&, Result& out) {
-  orient_bidirectional_cycle(pts, tree, s.scratch(), out);
-}
-void run_heterogeneous(PlanSession& s, std::span<const geom::Point> pts,
-                       const mst::Tree& tree, const ProblemSpec& spec,
-                       Result& out) {
-  if (s.budgets().size() == pts.size()) {
-    orient_heterogeneous(pts, tree, s.budgets(), s.scratch(), out,
-                         s.heterogeneous_report());
-    return;
-  }
-  // No per-node budgets registered: uniform (spec.k, spec.phi) fleet.
-  const auto uniform = s.uniform_budgets(static_cast<int>(pts.size()),
-                                         {spec.k, spec.phi});
-  orient_heterogeneous(pts, tree, uniform, s.scratch(), out,
-                       s.heterogeneous_report());
-}
 
 // ---- the registry --------------------------------------------------------
 
 // Descriptor table, indexed by the Algorithm enum value (static_asserts
 // below pin the order).  One row per Algorithm: name, guarantee, dispatch.
+// The extension planners (Yao baseline, bidirected cycle, heterogeneous
+// fleets) are named here for reporting only; they never win a selection
+// and run through their own free functions, so they have no dispatch.
 constexpr AlgorithmInfo kAlgorithms[] = {
-    {Algorithm::kBtspCycle, "btsp-cycle[14]", true, bound_inf, run_btsp},
-    {Algorithm::kOneAntennaMid, "one-antenna-mid[4]", true, bound_one_mid,
+    {Algorithm::kBtspCycle, "btsp-cycle[14]", bound_inf, run_btsp},
+    {Algorithm::kOneAntennaMid, "one-antenna-mid[4]", bound_one_mid,
      run_one_mid},
-    {Algorithm::kTwoPart1, "theorem3.1", true, bound_theorem3, run_two},
-    {Algorithm::kTwoPart2, "theorem3.2", true, bound_theorem3, run_two},
-    {Algorithm::kThreeZero, "theorem5", true, bound_sqrt3, run_three},
-    {Algorithm::kFourZero, "theorem6", true, bound_sqrt2, run_four},
-    {Algorithm::kFiveZero, "five-folklore", true, bound_one, run_theorem2},
-    {Algorithm::kTheorem2, "theorem2", true, bound_one, run_theorem2},
-    {Algorithm::kYaoBaseline, "yao-baseline", false, bound_inf, run_yao},
-    {Algorithm::kBidirCycle, "btsp-bidir[c2]", false, bound_inf, run_bidir},
-    {Algorithm::kHeterogeneous, "heterogeneous", false, bound_one,
-     run_heterogeneous},
+    {Algorithm::kTwoPart1, "theorem3.1", bound_theorem3, run_two},
+    {Algorithm::kTwoPart2, "theorem3.2", bound_theorem3, run_two},
+    {Algorithm::kThreeZero, "theorem5", bound_sqrt3, run_three},
+    {Algorithm::kFourZero, "theorem6", bound_sqrt2, run_four},
+    {Algorithm::kFiveZero, "five-folklore", bound_one, run_theorem2},
+    {Algorithm::kTheorem2, "theorem2", bound_one, run_theorem2},
+    {Algorithm::kYaoBaseline, "yao-baseline", bound_inf, nullptr},
+    {Algorithm::kBidirCycle, "btsp-bidir[c2]", bound_inf, nullptr},
+    {Algorithm::kHeterogeneous, "heterogeneous", bound_one, nullptr},
 };
 
 static_assert(std::size(kAlgorithms) == kAlgorithmCount,

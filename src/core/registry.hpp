@@ -39,14 +39,16 @@ struct RegimeRow {
 struct AlgorithmInfo {
   Algorithm algo;
   const char* name;       ///< `to_string` source
-  bool selectable;        ///< participates in planned_algorithm
   /// Guaranteed radius factor in lmax units (+inf where only measured /
   /// approximation guarantees exist).  Pure function of the spec.
   double (*bound_factor)(const ProblemSpec&);
+  /// PlanSession dispatch; null for the extension planners, which no
+  /// selection row names and which run through their own free functions.
   OrientFn orient;
 };
 
-/// The selection table (Table 1 rows, selectable regimes only).
+/// The selection table (Table 1 rows; every row's algorithm has a
+/// dispatch function).
 std::span<const RegimeRow> selection_table();
 
 /// All registered algorithms, indexed by the Algorithm enum value.

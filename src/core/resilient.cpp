@@ -4,22 +4,19 @@
 
 #include "btsp/btsp.hpp"
 #include "common/assert.hpp"
-#include "core/session.hpp"
 
 namespace dirant::core {
 
 using geom::Point;
 
-void orient_bidirectional_cycle(std::span<const Point> pts,
-                                const mst::Tree& tree,
-                                OrienterScratch& /*scratch*/, Result& res) {
+Result orient_bidirectional_cycle(std::span<const Point> pts,
+                                  const mst::Tree& tree) {
   const int n = static_cast<int>(pts.size());
   DIRANT_ASSERT_MSG(n >= 4, "2-connectivity needs at least 4 sensors");
+  Result res;
   reset_result(res, n, /*reserve_per_node=*/2, Algorithm::kBidirCycle,
                std::numeric_limits<double>::infinity(), tree.lmax());
 
-  // The bottleneck-cycle solver owns its DP tables; this planner is exempt
-  // from the session zero-allocation contract (NP-hard regime).
   const auto cyc = btsp::bottleneck_cycle(pts);
   for (int i = 0; i < n; ++i) {
     const int prev = cyc.order[(i + n - 1) % n];
@@ -31,13 +28,6 @@ void orient_bidirectional_cycle(std::span<const Point> pts,
   res.measured_radius = res.orientation.max_radius();
   res.bound_factor = res.lmax > 0.0 ? res.measured_radius / res.lmax : 0.0;
   res.cases.bump(cyc.proven_optimal ? "btsp-optimal" : "btsp-heuristic");
-}
-
-Result orient_bidirectional_cycle(std::span<const Point> pts,
-                                  const mst::Tree& tree) {
-  Result res;
-  OrienterScratch scratch;
-  orient_bidirectional_cycle(pts, tree, scratch, res);
   return res;
 }
 

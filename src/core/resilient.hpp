@@ -16,16 +16,9 @@
 
 namespace dirant::core {
 
-struct OrienterScratch;
-
 /// k = 2, spread 0, strongly 2-connected (n >= 4).  `bound_factor` reports
 /// measured bottleneck / lmax, as in the BTSP row.
 Result orient_bidirectional_cycle(std::span<const geom::Point> pts,
                                   const mst::Tree& tree);
-
-/// Session variant (the BTSP solver allocates; exempt from zero-alloc).
-void orient_bidirectional_cycle(std::span<const geom::Point> pts,
-                                const mst::Tree& tree,
-                                OrienterScratch& scratch, Result& out);
 
 }  // namespace dirant::core

@@ -31,8 +31,7 @@ void check_tree_spans(std::span<const geom::Point> pts,
 
 }  // namespace
 
-PlanSession::PlanSession() : PlanSession(mst::EngineConfig{}) {}
-PlanSession::PlanSession(mst::EngineConfig engine_cfg) : engine_(engine_cfg) {
+PlanSession::PlanSession() {
   emst_scratch_.triangulator.share(workspace_);
   emst_scratch_.kruskal.ws.share(workspace_);
   scratch_.ws.share(workspace_);
@@ -45,21 +44,21 @@ const Result& PlanSession::orient(std::span<const geom::Point> pts,
                                   const ProblemSpec& spec) {
   DIRANT_ASSERT_MSG(!pts.empty(), "empty sensor set");
   engine_.degree5(pts, tree_, emst_scratch_);
-  return run(planned_algorithm(spec), pts, tree_, spec);
+  return run(pts, tree_, spec);
 }
 
 const Result& PlanSession::orient_on_tree(std::span<const geom::Point> pts,
                                           const mst::Tree& tree,
                                           const ProblemSpec& spec) {
   check_tree_spans(pts, tree);
-  return run(planned_algorithm(spec), pts, tree, spec);
+  return run(pts, tree, spec);
 }
 
 void PlanSession::orient(std::span<const geom::Point> pts,
                          const ProblemSpec& spec, const PlanRows& rows) {
   DIRANT_ASSERT_MSG(!pts.empty(), "empty sensor set");
   engine_.degree5(pts, tree_, emst_scratch_);
-  run(planned_algorithm(spec), pts, tree_, spec, rows);
+  run(pts, tree_, spec, rows);
 }
 
 void PlanSession::orient_on_emst(std::span<const geom::Point> pts,
@@ -72,7 +71,7 @@ void PlanSession::orient_on_emst(std::span<const geom::Point> pts,
   tree_.n = emst.n;
   tree_.edges.assign(emst.edges.begin(), emst.edges.end());
   enforce_max_degree(pts, tree_, 5, emst_scratch_.repair);
-  run(planned_algorithm(spec), pts, tree_, spec, rows);
+  run(pts, tree_, spec, rows);
 }
 
 bool PlanSession::orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
@@ -84,33 +83,25 @@ bool PlanSession::orient_warm(const ProblemSpec& spec, TwoAntennaeMemory& mem,
   return orient_two_antennae_warm(spec.phi, scratch_, mem, delta, plan);
 }
 
-const Result& PlanSession::orient_with(Algorithm algo,
-                                       std::span<const geom::Point> pts,
-                                       const mst::Tree& tree,
-                                       const ProblemSpec& spec) {
-  check_tree_spans(pts, tree);
-  return run(algo, pts, tree, spec);
-}
-
-const Result& PlanSession::run(Algorithm algo,
-                               std::span<const geom::Point> pts,
+const Result& PlanSession::run(std::span<const geom::Point> pts,
                                const mst::Tree& tree,
                                const ProblemSpec& spec) {
-  algorithm_info(algo).orient(*this, pts, tree, spec, result_);
+  algorithm_info(planned_algorithm(spec)).orient(*this, pts, tree, spec,
+                                                 result_);
   return result_;
 }
 
-void PlanSession::run(Algorithm algo, std::span<const geom::Point> pts,
-                      const mst::Tree& tree, const ProblemSpec& spec,
-                      const PlanRows& rows) {
+void PlanSession::run(std::span<const geom::Point> pts, const mst::Tree& tree,
+                      const ProblemSpec& spec, const PlanRows& rows) {
   DIRANT_ASSERT(rows.row_of.size() == pts.size());
+  const Algorithm algo = planned_algorithm(spec);
   if (algo == Algorithm::kTwoPart1 || algo == Algorithm::kTwoPart2) {
     orient_two_antennae(pts, tree, spec.phi, scratch_, *rows.plan,
                         rows.row_of, rows.changed, rows.memory);
     return;
   }
   if (rows.memory != nullptr) rows.memory->invalidate();
-  const Result& res = run(algo, pts, tree, spec);
+  const Result& res = run(pts, tree, spec);
   Result& plan = *rows.plan;
   auto& changed = *rows.changed;
   changed.clear();
@@ -135,26 +126,8 @@ const Certificate& PlanSession::certify(std::span<const geom::Point> pts,
   return certificate_;
 }
 
-const Result& PlanSession::orient_adaptive(std::span<const geom::Point> pts,
-                                           const mst::Tree& tree,
-                                           double phi) {
-  check_tree_spans(pts, tree);
-  orient_two_antennae_adaptive(pts, tree, phi, scratch_, adaptive_cands_,
-                               result_, result_alt_);
-  return result_;
-}
-
 void PlanSession::set_threads(int threads) {
   threads_ = par::ensure_pool(pool_, threads);
-}
-
-void PlanSession::set_budgets(std::span<const NodeBudget> budgets) {
-  budgets_.assign(budgets.begin(), budgets.end());
-}
-
-std::span<const NodeBudget> PlanSession::uniform_budgets(int n, NodeBudget b) {
-  uniform_budgets_.assign(n, b);
-  return uniform_budgets_;
 }
 
 }  // namespace dirant::core

@@ -14,16 +14,20 @@
 /// Lifecycle / reuse contract:
 ///   * A session is cheap to construct but expensive to warm up (first call
 ///     sizes every buffer); keep one per worker thread, not one per call.
-///   * `orient` / `orient_on_tree` / `orient_with` return a reference into
-///     session-owned storage.  The referenced Result (and the tree from
-///     `last_tree()`) stays valid until the next orienting call on the same
-///     session — copy it out if it must outlive that.
+///   * `orient` / `orient_on_tree` return a reference into session-owned
+///     storage.  The referenced Result (and the tree from `last_tree()`)
+///     stays valid until the next orienting call on the same session —
+///     copy it out if it must outlive that.
 ///   * Sessions are NOT thread-safe; share nothing, or one per thread
 ///     (core::orient_batch keeps one per pool worker).
+///   * A session runs the Table 1 regimes only (`planned_algorithm`).  The
+///     extension planners beyond the paper — the Yao baseline, the
+///     bidirected cycle, heterogeneous fleets, the adaptive radius cap —
+///     are free functions with their own scratch.
 ///   * Steady-state zero allocation holds for the Table 1 tree regimes on
-///     same-size instances; the bottleneck-cycle heuristic (kBtspCycle,
-///     kBidirCycle — NP-hard machinery with its own DP tables), the Yao
-///     grid baseline and degenerate-input fallbacks may still allocate.
+///     same-size instances; the bottleneck-cycle heuristic (kBtspCycle —
+///     NP-hard machinery with its own DP tables) and degenerate-input
+///     fallbacks may still allocate.
 ///
 /// Degenerate input: the Theorem 3 regimes (k = 2) need distinct positions.
 /// Exact duplicates make `orient` throw dirant::contract_violation (a beam
@@ -38,7 +42,6 @@
 #include <vector>
 
 #include "common/workspace.hpp"
-#include "core/heterogeneous.hpp"
 #include "core/lemma1.hpp"
 #include "core/types.hpp"
 #include "core/validate.hpp"
@@ -88,7 +91,6 @@ class PlanSession {
   // Constructors/destructor out of line: the owned ThreadPool is an
   // incomplete type here.
   PlanSession();
-  explicit PlanSession(mst::EngineConfig engine_cfg);
   ~PlanSession();
 
   /// Full pipeline: degree-5 EMST of `pts`, then the Table 1 regime
@@ -101,12 +103,6 @@ class PlanSession {
   /// violation otherwise).
   const Result& orient_on_tree(std::span<const geom::Point> pts,
                                const mst::Tree& tree, const ProblemSpec& spec);
-
-  /// Dispatch a specific registry entry (including the non-selectable
-  /// extension planners: kYaoBaseline, kBidirCycle, kHeterogeneous) over a
-  /// caller-provided tree.
-  const Result& orient_with(Algorithm algo, std::span<const geom::Point> pts,
-                            const mst::Tree& tree, const ProblemSpec& spec);
 
   /// `orient` for a consumer that keeps its plan in another index space
   /// (sim::ChurnEngine keeps one row per original id): the same pipeline,
@@ -157,16 +153,6 @@ class PlanSession {
   const Certificate& certify(std::span<const geom::Point> pts,
                              const ProblemSpec& spec);
 
-  /// Instance-adaptive Theorem 3 planner over a caller-provided tree
-  /// (binary-searched radius cap; see two_antennae.hpp).  The probe loop
-  /// runs over a session-owned double-buffered Result — best and probe swap
-  /// instead of reallocating — plus a recycled candidate-cap buffer, so a
-  /// warm session's fleet-tuning probes allocate nothing.  The EMST is
-  /// caller-provided and radius-cap-invariant: reuse one tree across every
-  /// probe and call.
-  const Result& orient_adaptive(std::span<const geom::Point> pts,
-                                const mst::Tree& tree, double phi);
-
   /// Session parallelism knob.  `threads <= 1` (the default) keeps the
   /// serial, zero-allocation paths; `threads > 1` spawns (or resizes) a
   /// session-owned thread pool of that many workers and shards the
@@ -176,22 +162,6 @@ class PlanSession {
   /// is bit-identical to the serial one.
   void set_threads(int threads);
   int threads() const { return threads_; }
-
-  /// Per-node budgets for the kHeterogeneous registry entry.  When unset
-  /// (or of mismatched size) the planner falls back to the uniform
-  /// (spec.k, spec.phi) budget.
-  void set_budgets(std::span<const NodeBudget> budgets);
-  std::span<const NodeBudget> budgets() const { return budgets_; }
-
-  /// Session-owned uniform budget fill (the kHeterogeneous fallback when no
-  /// per-node budgets are registered); recycled like every other buffer.
-  std::span<const NodeBudget> uniform_budgets(int n, NodeBudget b);
-
-  /// Report of the last kHeterogeneous run through this session.
-  const HeterogeneousReport& heterogeneous_report() const {
-    return hetero_report_;
-  }
-  HeterogeneousReport& heterogeneous_report() { return hetero_report_; }
 
   /// The degree-5 EMST built by the last `orient` (not `orient_on_tree`).
   const mst::Tree& last_tree() const { return tree_; }
@@ -211,13 +181,13 @@ class PlanSession {
   Workspace& workspace() { return workspace_; }
 
  private:
-  /// Dispatch without the spanning-tree scan (internal trees are valid by
-  /// construction; the public tree-taking entry points validate first).
-  const Result& run(Algorithm algo, std::span<const geom::Point> pts,
-                    const mst::Tree& tree, const ProblemSpec& spec);
-  void run(Algorithm algo, std::span<const geom::Point> pts,
-           const mst::Tree& tree, const ProblemSpec& spec,
-           const PlanRows& rows);
+  /// Dispatch `planned_algorithm(spec)` without the spanning-tree scan
+  /// (internal trees are valid by construction; the public tree-taking
+  /// entry points validate first).
+  const Result& run(std::span<const geom::Point> pts, const mst::Tree& tree,
+                    const ProblemSpec& spec);
+  void run(std::span<const geom::Point> pts, const mst::Tree& tree,
+           const ProblemSpec& spec, const PlanRows& rows);
 
   mst::EmstEngine engine_;
   Workspace workspace_;  ///< declared before the scratches that link to it
@@ -225,13 +195,8 @@ class PlanSession {
   mst::Tree tree_;
   OrienterScratch scratch_;
   Result result_;
-  Result result_alt_;  ///< adaptive probe buffer (double-buffered Result)
-  std::vector<double> adaptive_cands_;  ///< candidate radius caps, recycled
   Certificate certificate_;
   CertifyScratch certify_scratch_;
-  std::vector<NodeBudget> budgets_;
-  std::vector<NodeBudget> uniform_budgets_;
-  HeterogeneousReport hetero_report_;
   int threads_ = 1;  ///< digraph-build shards (1 = serial, allocation-free)
   std::unique_ptr<par::ThreadPool> pool_;  ///< owned workers when threads_>1
 };

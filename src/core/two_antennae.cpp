@@ -1122,23 +1122,20 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
   return true;
 }
 
-void orient_two_antennae_adaptive(std::span<const Point> pts,
-                                  const mst::Tree& tree, double phi,
-                                  OrienterScratch& scratch,
-                                  std::vector<double>& cands, Result& out,
-                                  Result& probe) {
+Result orient_two_antennae_adaptive(std::span<const Point> pts,
+                                    const mst::Tree& tree, double phi) {
   // Paper-bound run first: it is both the fallback answer and the upper
   // limit of the cap search.
-  const bool ok = detailed_orient(pts, tree, phi, -1.0, scratch, out);
+  OrienterScratch scratch;
+  Result best, probe;
+  const bool ok = detailed_orient(pts, tree, phi, -1.0, scratch, best);
   DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
   const double lmax = tree.lmax();
-  if (pts.size() <= 2 || lmax <= 0.0) return;
-  const double upper = out.bound_factor * lmax;
+  if (pts.size() <= 2 || lmax <= 0.0) return best;
+  const double upper = best.bound_factor * lmax;
 
   // Candidate caps: every pairwise distance in [lmax, paper bound).
-  // `cands` is caller-owned so repeated tuning calls recycle its capacity;
-  // sort/unique are in-place and allocation-free.
-  cands.clear();
+  std::vector<double> cands;
   for (size_t i = 0; i < pts.size(); ++i) {
     for (size_t j = i + 1; j < pts.size(); ++j) {
       const double d = geom::dist(pts[i], pts[j]);
@@ -1148,29 +1145,21 @@ void orient_two_antennae_adaptive(std::span<const Point> pts,
   std::sort(cands.begin(), cands.end());
   cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
 
-  // Binary search over the double-buffered Result: each probe writes into
+  // Binary search over a double-buffered Result: each probe writes into
   // `probe` (its arena recycled by reset_result inside detailed_orient),
   // and a successful probe swaps the buffers — the previous best becomes
-  // the next probe arena.  No per-probe Result construction, no copies.
+  // the next probe arena.
   int lo = 0, hi = static_cast<int>(cands.size()) - 1;
   while (lo <= hi) {
     const int mid = (lo + hi) / 2;
     if (detailed_orient(pts, tree, phi, cands[mid], scratch, probe)) {
-      std::swap(out, probe);
-      out.bound_factor = cands[mid] / lmax;  // achieved cap, certified
+      std::swap(best, probe);
+      best.bound_factor = cands[mid] / lmax;  // achieved cap, certified
       hi = mid - 1;
     } else {
       lo = mid + 1;
     }
   }
-}
-
-Result orient_two_antennae_adaptive(std::span<const Point> pts,
-                                    const mst::Tree& tree, double phi) {
-  Result best, probe;
-  OrienterScratch scratch;
-  std::vector<double> cands;
-  orient_two_antennae_adaptive(pts, tree, phi, scratch, cands, best, probe);
   return best;
 }
 

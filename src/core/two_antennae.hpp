@@ -155,18 +155,4 @@ bool orient_two_antennae_warm(double phi, OrienterScratch& scratch,
 Result orient_two_antennae_adaptive(std::span<const geom::Point> pts,
                                     const mst::Tree& tree, double phi);
 
-/// Session variant of the adaptive search, built for fleet-tuning probe
-/// loops: the binary search runs over a double-buffered Result — each probe
-/// writes into `probe`, and a successful probe SWAPS with `out` instead of
-/// copying or reallocating — and `cands` recycles the candidate-cap list.
-/// With warm buffers (second call of the same size onwards) the whole
-/// search, failed probes included, performs zero heap allocations.  The
-/// EMST is radius-cap-invariant, so callers reuse one `tree` across every
-/// probe and every call.  `out` receives the best certified plan.
-void orient_two_antennae_adaptive(std::span<const geom::Point> pts,
-                                  const mst::Tree& tree, double phi,
-                                  OrienterScratch& scratch,
-                                  std::vector<double>& cands, Result& out,
-                                  Result& probe);
-
 }  // namespace dirant::core

@@ -32,8 +32,8 @@ enum class Algorithm {
   kFourZero,       ///< k=4, any phi: range sqrt(2)              (Theorem 6)
   kFiveZero,       ///< k=5: range 1                             (folklore)
   kTheorem2,       ///< phi_k >= 2pi(5-k)/5: range 1             (Theorem 2)
-  // Extension planners (never returned by planned_algorithm; invoked
-  // explicitly through the registry / PlanSession).
+  // Extension planners (never returned by planned_algorithm; each runs
+  // through its own free function and is named here for reporting).
   kYaoBaseline,    ///< k equal cones, beam at nearest per cone (no guarantee)
   kBidirCycle,     ///< k=2 spread-0 bidirected bottleneck tour (2-connected)
   kHeterogeneous,  ///< per-node (k_i, phi_i) Lemma 1 covers over the MST

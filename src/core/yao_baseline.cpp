@@ -8,7 +8,6 @@
 
 #include "common/assert.hpp"
 #include "common/constants.hpp"
-#include "core/session.hpp"
 #include "geometry/angle.hpp"
 #include "mst/engine.hpp"
 #include "spatial/grid_index.hpp"
@@ -17,13 +16,13 @@ namespace dirant::core {
 
 using geom::Point;
 
-void orient_yao(std::span<const Point> pts, int k, double phase,
-                double precomputed_lmax, Result& res) {
+Result orient_yao(std::span<const Point> pts, int k, double phase,
+                  double precomputed_lmax) {
   DIRANT_ASSERT(k >= 1 && k <= 64);
   const int n = static_cast<int>(pts.size());
-  // The grid index and cone scratch below are rebuilt per call: the Yao
-  // baseline is a comparison planner, not a steady-state pipeline stage, so
-  // it is exempt from the session zero-allocation contract.
+  // A comparison planner, not a steady-state pipeline stage: the grid
+  // index and cone scratch below are built per call.
+  Result res;
   reset_result(res, n, k, Algorithm::kYaoBaseline,
                std::numeric_limits<double>::infinity(),
                precomputed_lmax >= 0.0
@@ -31,7 +30,7 @@ void orient_yao(std::span<const Point> pts, int k, double phase,
                    : mst::EmstEngine::shared().lmax(pts));
   if (n < 2) {
     res.cases.bump("yao-k" + std::to_string(k));
-    return;
+    return res;
   }
 
   // Cone-nearest via grid sector queries instead of the all-pairs scan:
@@ -62,12 +61,6 @@ void orient_yao(std::span<const Point> pts, int k, double phase,
   }
   res.measured_radius = res.orientation.max_radius();
   res.cases.bump("yao-k" + std::to_string(k));
-}
-
-Result orient_yao(std::span<const Point> pts, int k, double phase,
-                  double precomputed_lmax) {
-  Result res;
-  orient_yao(pts, k, phase, precomputed_lmax, res);
   return res;
 }
 

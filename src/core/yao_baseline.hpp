@@ -26,8 +26,4 @@ namespace dirant::core {
 Result orient_yao(std::span<const geom::Point> pts, int k, double phase = 0.0,
                   double precomputed_lmax = -1.0);
 
-/// Recycling variant writing into `res` (registry/PlanSession entry point).
-void orient_yao(std::span<const geom::Point> pts, int k, double phase,
-                double precomputed_lmax, Result& res);
-
 }  // namespace dirant::core

@@ -10,7 +10,6 @@
 
 #include "common/assert.hpp"
 #include "common/radix_sort.hpp"
-#include "mst/engine.hpp"
 
 namespace dirant::mst {
 
@@ -158,10 +157,6 @@ Tree kruskal_emst(std::span<const Point> pts,
   KruskalScratch scratch;
   kruskal_emst(pts, candidates, t, scratch);
   return t;
-}
-
-Tree emst(std::span<const Point> pts, int delaunay_threshold) {
-  return EmstEngine({EngineKind::kAuto, delaunay_threshold}).emst(pts);
 }
 
 }  // namespace dirant::mst

@@ -4,7 +4,7 @@
 ///   * Prim O(n^2): no preconditions, exact on ties, the reference engine.
 ///   * Kruskal restricted to Delaunay edges: O(n log n)-ish for large n
 ///     (the EMST is a subgraph of the Delaunay triangulation).
-/// `emst()` picks automatically.  All engines return trees whose `lmax`
+/// mst::EmstEngine (mst/engine.hpp) picks automatically.  All engines return trees whose `lmax`
 /// equals the minimum-bottleneck value (a property of every MST).
 ///
 /// Each builder has a scratch-taking overload that recycles every working
@@ -52,11 +52,5 @@ Tree kruskal_emst(std::span<const geom::Point> pts,
 void kruskal_emst(std::span<const geom::Point> pts,
                   std::span<const std::pair<int, int>> candidates, Tree& out,
                   KruskalScratch& scratch);
-
-/// Automatic engine selection: Prim below `delaunay_threshold` points,
-/// Delaunay+Kruskal otherwise (degenerate/duplicate-heavy inputs fall back
-/// to Prim).  Thin wrapper over mst::EmstEngine — new callers should use
-/// the engine directly (mst/engine.hpp).
-Tree emst(std::span<const geom::Point> pts, int delaunay_threshold = 64);
 
 }  // namespace dirant::mst

@@ -85,22 +85,17 @@ TrafficEngine::TrafficEngine() = default;
 TrafficEngine::~TrafficEngine() = default;
 
 void TrafficEngine::bind(std::span<const geom::Point> pts,
-                         const antenna::Orientation& o,
-                         const mst::Tree* tree) {
+                         const antenna::Orientation& o) {
   DIRANT_ASSERT(static_cast<int>(pts.size()) == o.size());
-  DIRANT_ASSERT(tree == nullptr || tree->n == static_cast<int>(pts.size()));
   churn_ = nullptr;
   orient_ = &o;
-  tree_ = tree;
   n_ = static_cast<int>(pts.size());
   graph_ = &audit_.load(pts, o);
-  if (tree_) tree_->adjacency_into(tree_adj_);
 }
 
 void TrafficEngine::bind_graph(const graph::Digraph& g) {
   churn_ = nullptr;
   orient_ = nullptr;
-  tree_ = nullptr;
   n_ = g.size();
   audit_.bind(g);
   graph_ = &g;
@@ -110,7 +105,6 @@ void TrafficEngine::attach_churn(ChurnEngine& eng) {
   DIRANT_ASSERT(eng.size() > 0);  // init() first
   churn_ = &eng;
   orient_ = nullptr;
-  tree_ = nullptr;
   n_ = eng.size();
   graph_ = &eng.certified_digraph();
 }
@@ -274,6 +268,12 @@ void TrafficEngine::rebuild_routes() {
   for (int s = nd; s > 0; --s) off[s] = off[s - 1];
   off[0] = 0;
 
+  // Collection trees are BFS in-trees of the certified digraph:
+  // distances-to-dst via the transpose; next hop = first out-neighbour one
+  // step closer.  In churn mode the engine keeps that transpose already
+  // (in-lists ascending, exactly `reversed_into`), patched with its digraph.
+  const graph::Digraph& gt = churn_ != nullptr ? churn_->certified_transpose()
+                                               : audit_.transpose();
   dist_.assign(n_, -1);
   route_mark_.assign(n_, 0);
   for (int s = 0; s < nd; ++s) {
@@ -292,62 +292,42 @@ void TrafficEngine::rebuild_routes() {
         ++pending;
       }
     }
-    // BFS toward dst, stopping once every target is discovered and the
-    // last one's level L >= 1 is complete: only nodes with dist < L are
-    // expanded.  L >= 1 keeps `reachable` exact (level 1 is always
-    // discovered); an unreachable target runs the BFS to exhaustion.
+    // BFS toward dst over the transpose, stopping once every target is
+    // discovered and the last one's level L >= 1 is complete: only nodes
+    // with dist < L are expanded.  L >= 1 keeps `reachable` exact (level 1
+    // is always discovered); an unreachable target runs the BFS to
+    // exhaustion.
     int stop = pending == 0 ? 1 : -1;
-    const auto bfs = [&](auto&& in_neighbours, bool record_parent) {
-      auto& q = bfs_.queue;
-      q.clear();
-      q.push_back(dst);
-      dist_[dst] = 0;
-      for (size_t h = 0; h < q.size(); ++h) {
-        const int x = q[h];
-        if (stop >= 0 && dist_[x] >= stop) break;
-        for (int y : in_neighbours(x)) {
-          if (dist_[y] >= 0) continue;
-          dist_[y] = dist_[x] + 1;
-          if (record_parent) next[y].v = x;
-          q.push_back(y);
-          if (route_mark_[y] && --pending == 0) {
-            stop = std::max(dist_[y], 1);
-          }
-        }
+    auto& q = bfs_.queue;
+    q.clear();
+    q.push_back(dst);
+    dist_[dst] = 0;
+    for (size_t h = 0; h < q.size(); ++h) {
+      const int x = q[h];
+      if (stop >= 0 && dist_[x] >= stop) break;
+      for (int y : gt.out(x)) {
+        if (dist_[y] >= 0) continue;
+        dist_[y] = dist_[x] + 1;
+        q.push_back(y);
+        if (route_mark_[y] && --pending == 0) stop = std::max(dist_[y], 1);
       }
-    };
+    }
+    // Every discovered node's distance is final, and every node one step
+    // closer than a discovered one is discovered, so the scan over the
+    // discovered nodes picks the hops a full BFS would.
     bool reachable = false;
-    if (tree_ != nullptr) {
-      // Static mode with a recorded orientation tree: hop toward the BFS
-      // parent on the tree path to dst.
-      bfs([&](int x) -> const std::vector<int>& { return tree_adj_[x]; },
-          true);
-      reachable = bfs_.queue.size() > 1;
-    } else {
-      // BFS in-tree of the certified digraph: distances-to-dst via the
-      // transpose; next hop = first out-neighbour one step closer.  Every
-      // discovered node's distance is final, and every node one step
-      // closer than a discovered one is discovered, so the scan over the
-      // discovered nodes picks the hops a full BFS would.  In churn mode
-      // the engine keeps that transpose already (in-lists ascending,
-      // exactly `reversed_into`), patched with its digraph.
-      const graph::Digraph& gt = churn_ != nullptr
-                                     ? churn_->certified_transpose()
-                                     : audit_.transpose();
-      bfs([&](int x) { return gt.out(x); }, false);
-      for (const int u : bfs_.queue) {
-        const int du = dist_[u];
-        if (du <= 0) continue;  // dst itself
-        for (int v : graph_->out(u)) {
-          if (dist_[v] == du - 1) {
-            next[u].v = v;
-            reachable = true;
-            break;
-          }
+    for (const int u : q) {
+      const int du = dist_[u];
+      if (du <= 0) continue;  // dst itself
+      for (int v : graph_->out(u)) {
+        if (dist_[v] == du - 1) {
+          next[u].v = v;
+          reachable = true;
+          break;
         }
       }
     }
-    for (const int u : bfs_.queue) dist_[u] = -1;
+    for (const int u : q) dist_[u] = -1;
     for (int k = off[s]; k < off[s + 1]; ++k) route_mark_[targets[k]] = 0;
     if (!reachable) {
       // Alive but unreachable from everyone: stranded, if anyone else is

@@ -34,8 +34,8 @@
 ///     are suppressed at the destination by per-flow sequence numbers and
 ///     reported, never double-delivered.  A per-packet TTL bounds hops.
 ///   * **Collection-tree routing.**  CTP-style unicast: every hop follows a
-///     per-destination collection tree — the recorded orientation tree
-///     when one is bound, else the BFS in-tree of the certified digraph.
+///     per-destination collection tree, the BFS in-tree of the certified
+///     digraph.
 ///     Broadcast reach is a structural question (AuditSession::flood), not
 ///     a traffic policy.  Greedy geographic forwarding is not one either:
 ///     on Theorem 3 digraphs each sensor's two narrow sectors aim along
@@ -77,7 +77,6 @@
 #include "geometry/point.hpp"
 #include "graph/digraph.hpp"
 #include "graph/traversal.hpp"
-#include "mst/tree.hpp"
 #include "sim/audit.hpp"
 #include "sim/churn.hpp"
 #include "sim/energy.hpp"
@@ -240,13 +239,9 @@ class TrafficEngine {
   TrafficEngine& operator=(const TrafficEngine&) = delete;
 
   /// Static topology: build the induced transmission digraph of (pts, o)
-  /// into the engine's AuditSession and simulate over it.  `tree`
-  /// (optional, must span pts) is the recorded orientation tree; when
-  /// given, collection-tree routing follows its paths instead of the BFS
-  /// in-tree of the digraph.  The caller keeps `pts` (and `tree`) alive
-  /// while bound.
-  void bind(std::span<const geom::Point> pts, const antenna::Orientation& o,
-            const mst::Tree* tree = nullptr);
+  /// into the engine's AuditSession and simulate over it.  The caller
+  /// keeps `pts` alive while bound.
+  void bind(std::span<const geom::Point> pts, const antenna::Orientation& o);
 
   /// Static topology over a caller-owned digraph (tests, synthetic
   /// workloads).  No orientation: per-packet energy cost is 1.0 per node.
@@ -353,7 +348,6 @@ class TrafficEngine {
   AuditSession audit_;                     ///< digraph build + transpose
   const graph::Digraph* graph_ = nullptr;  ///< current graph (node ids)
   const antenna::Orientation* orient_ = nullptr;
-  const mst::Tree* tree_ = nullptr;
   ChurnEngine* churn_ = nullptr;
   int n_ = 0;  ///< original-space node count
 
@@ -403,7 +397,6 @@ class TrafficEngine {
   // Route targets of the last rebuild, bucketed by destination slot.
   std::vector<int> route_off_, route_targets_;
   std::vector<char> route_mark_;  ///< targets of the slot being routed
-  std::vector<std::vector<int>> tree_adj_;  ///< bound recorded tree
 
   // Link loss state (Gilbert-Elliott, per CSR edge).
   std::vector<char> link_state_;

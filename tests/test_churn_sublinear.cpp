@@ -49,6 +49,7 @@
 #include "core/session.hpp"
 #include "geometry/generators.hpp"
 #include "mst/emst.hpp"
+#include "mst/engine.hpp"
 #include "mst/repair.hpp"
 #include "sim/churn.hpp"
 #include "churn_parity.hpp"
@@ -367,7 +368,7 @@ int fragment_region_oracle(const std::vector<geom::Point>& positions,
     orig_of.push_back(u);
     compact.push_back(positions[u]);
   }
-  const mst::Tree tree = mst::emst(compact);
+  const mst::Tree tree = mst::EmstEngine::shared().emst(compact);
   std::vector<std::vector<int>> adj(n);
   for (const auto& e : tree.edges) {
     adj[orig_of[e.u]].push_back(orig_of[e.v]);

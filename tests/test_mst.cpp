@@ -60,7 +60,8 @@ TEST_P(EmstSweep, AutoEngineAgreesWithPrim) {
   geom::Rng rng(7 + n);
   const auto pts = geom::make_instance(dist, n, rng);
   const auto prim = mst::prim_emst(pts);
-  const auto autot = mst::emst(pts, /*delaunay_threshold=*/1);  // force DT
+  const auto autot =  // prim_cutoff 1 forces Delaunay+Kruskal
+      mst::EmstEngine({mst::EngineKind::kAuto, /*prim_cutoff=*/1}).emst(pts);
   autot.validate(pts);
   EXPECT_NEAR(prim.total_weight(), autot.total_weight(),
               1e-9 * (1.0 + prim.total_weight()));

@@ -2,9 +2,10 @@
 // planner's former hand-written switches: selection and guaranteed bound
 // factors are asserted bit-identical to a verbatim copy of the pre-refactor
 // logic across a dense (k, phi) grid.  Also covers the registry's
-// structural invariants, the PlanSession dispatch of the extension
-// planners, and the orient_on_tree spanning-tree contract (bugfix: it was
-// documented but never checked).
+// structural invariants, the extension planners' free functions (the
+// names their results carry come from the registry), and the
+// orient_on_tree spanning-tree contract (bugfix: it was documented but
+// never checked).
 
 #include <gtest/gtest.h>
 
@@ -16,11 +17,15 @@
 
 #include "common/assert.hpp"
 #include "common/constants.hpp"
+#include "core/heterogeneous.hpp"
 #include "core/one_antenna.hpp"
 #include "core/planner.hpp"
 #include "core/registry.hpp"
+#include "core/resilient.hpp"
 #include "core/session.hpp"
 #include "core/two_antennae.hpp"
+#include "core/validate.hpp"
+#include "core/yao_baseline.hpp"
 #include "geometry/generators.hpp"
 #include "mst/degree5.hpp"
 
@@ -134,7 +139,6 @@ TEST(Registry, DescriptorsCoverEveryAlgorithmInOrder) {
   for (int i = 0; i < static_cast<int>(reg.size()); ++i) {
     EXPECT_EQ(static_cast<int>(reg[i].algo), i) << "registry out of order";
     EXPECT_NE(reg[i].name, nullptr);
-    EXPECT_NE(reg[i].orient, nullptr);
     EXPECT_NE(reg[i].bound_factor, nullptr);
     EXPECT_TRUE(names.insert(reg[i].name).second)
         << "duplicate registry name " << reg[i].name;
@@ -142,13 +146,21 @@ TEST(Registry, DescriptorsCoverEveryAlgorithmInOrder) {
   }
 }
 
-TEST(Registry, SelectionRowsReferenceSelectableDescriptorsOnly) {
+TEST(Registry, SelectionRowsReferenceDispatchableDescriptorsOnly) {
+  std::set<Algorithm> selected;
   for (const auto& row : core::selection_table()) {
     EXPECT_GE(row.k, 1);
     EXPECT_LE(row.k, 5);
     EXPECT_GE(row.phi_lo, 0.0);
-    EXPECT_TRUE(core::algorithm_info(row.algo).selectable)
+    EXPECT_NE(core::algorithm_info(row.algo).orient, nullptr)
         << core::to_string(row.algo);
+    selected.insert(row.algo);
+  }
+  // Every selection row has a dispatch function; the extension rows have
+  // none (they run through their own free functions).
+  for (const auto& info : core::algorithm_registry()) {
+    EXPECT_EQ(info.orient != nullptr, selected.count(info.algo) == 1)
+        << info.name;
   }
   // Rows of one k are ordered by descending phi_lo and end in a phi_lo-0
   // catch-all, so every (k, phi) matches some row.
@@ -165,33 +177,29 @@ TEST(Registry, SelectionRowsReferenceSelectableDescriptorsOnly) {
   }
 }
 
-// ---- extension planners through the registry -----------------------------
+// ---- extension planners -------------------------------------------------
 
-TEST(Registry, ExtensionPlannersDispatchThroughSession) {
+TEST(Registry, ExtensionPlannersRunThroughTheirFreeFunctions) {
   geom::Rng rng(2024);
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 40, rng);
   const auto tree = mst::degree5_emst(pts);
-  core::PlanSession session;
 
-  const auto& yao =
-      session.orient_with(Algorithm::kYaoBaseline, pts, tree, {6, 0.0});
+  const auto yao = core::orient_yao(pts, 6, /*phase=*/0.0, tree.lmax());
   EXPECT_EQ(yao.algorithm, Algorithm::kYaoBaseline);
   EXPECT_GT(yao.orientation.total_antennas(), 0);
 
-  const auto& bidir =
-      session.orient_with(Algorithm::kBidirCycle, pts, tree, {2, 0.0});
+  const auto bidir = core::orient_bidirectional_cycle(pts, tree);
   EXPECT_EQ(bidir.algorithm, Algorithm::kBidirCycle);
   EXPECT_EQ(bidir.orientation.total_antennas(), 2 * 40);
-  const auto& cert2 = session.certify(pts, {2, 0.0});
-  EXPECT_TRUE(cert2.strongly_connected);
+  EXPECT_TRUE(core::certify(pts, bidir, {2, 0.0}).strongly_connected);
 
-  // Heterogeneous with no explicit budgets: uniform (k, phi) fleet.
-  const auto& het = session.orient_with(Algorithm::kHeterogeneous, pts, tree,
-                                        {5, 0.0});
-  EXPECT_EQ(het.algorithm, Algorithm::kHeterogeneous);
-  EXPECT_TRUE(session.heterogeneous_report().feasible);
-  EXPECT_TRUE(session.heterogeneous_report().deficient.empty());
+  // A uniform (5, 0) fleet: five antennae cover any degree-5 node.
+  const std::vector<core::NodeBudget> budgets(pts.size(), {5, 0.0});
+  const auto het = core::orient_heterogeneous(pts, tree, budgets);
+  EXPECT_EQ(het.result.algorithm, Algorithm::kHeterogeneous);
+  EXPECT_TRUE(het.feasible);
+  EXPECT_TRUE(het.deficient.empty());
 }
 
 // ---- orient_on_tree spanning contract (bugfix) ---------------------------

@@ -32,7 +32,6 @@
 #include "core/planner.hpp"
 #include "core/registry.hpp"
 #include "core/session.hpp"
-#include "core/two_antennae.hpp"
 #include "delaunay/delaunay.hpp"
 #include "geometry/generators.hpp"
 #include "mst/emst.hpp"
@@ -54,7 +53,7 @@ constexpr double kFlatFootprintMb = 5.3;
 /// and the cold path on the session's workspace (WarmChurnEngineFootprint).
 constexpr double kChurnFootprintMb = 20.2;
 
-// Every selectable tree regime of Table 1 (the btsp-cycle rows are the
+// Every tree regime Table 1 selects (the btsp-cycle rows are the
 // documented exemption; phi values steer planned_algorithm to each regime).
 const std::vector<core::ProblemSpec> kTreeRegimes = {
     {1, 8.0 * kPi / 5.0},  // theorem2, k=1
@@ -132,40 +131,6 @@ TEST(SessionAllocation, SecondCertifyIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0) << "warm-session certify allocated";
   EXPECT_TRUE(session.certify(pts, spec).ok());
-}
-
-TEST(SessionAllocation, AdaptiveProbeLoopIsAllocationFree) {
-  // The fleet-tuning shape: repeated adaptive radius searches through one
-  // warm session.  The binary search runs dozens of probes (failed probes
-  // exercise the exhaustive fallback planner too); with the double-buffered
-  // Result and the recycled candidate list, the second call does zero heap
-  // work.  The EMST is radius-cap-invariant, so one tree serves every call.
-  for (const double phi : {kPi, 0.8 * kPi}) {
-    geom::Rng rng(555 + static_cast<int>(phi * 10));
-    const auto pts =
-        geom::make_instance(geom::Distribution::kUniformSquare, 60, rng);
-    core::PlanSession session;
-    session.orient(pts, {2, phi});          // builds the session tree
-    const auto tree = session.last_tree();  // copy: orient_adaptive rewrites
-                                            // session state
-    const auto& first = session.orient_adaptive(pts, tree, phi);
-    const double warm_radius = first.measured_radius;
-    const double warm_bound = first.bound_factor;
-
-    const long long allocs = count_allocations(
-        [&] { session.orient_adaptive(pts, tree, phi); });
-    EXPECT_EQ(allocs, 0) << "adaptive probe loop allocated (phi=" << phi
-                         << ")";
-    // Determinism: the recycled buffers reproduce the same optimum.
-    EXPECT_EQ(session.last_result().measured_radius, warm_radius);
-    EXPECT_EQ(session.last_result().bound_factor, warm_bound);
-
-    // And the double-buffered path is observably identical to the one-shot
-    // free function.
-    const auto ref = core::orient_two_antennae_adaptive(pts, tree, phi);
-    EXPECT_EQ(session.last_result().measured_radius, ref.measured_radius);
-    EXPECT_EQ(session.last_result().bound_factor, ref.bound_factor);
-  }
 }
 
 TEST(SessionAllocation, SecondAuditIsAllocationFree) {

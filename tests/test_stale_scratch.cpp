@@ -27,7 +27,7 @@ using dirant::kPi;
 
 namespace {
 
-// Every selectable tree regime, k = 1..5.
+// Every tree regime Table 1 selects, k = 1..5.
 const std::vector<core::ProblemSpec> kSpecs = {
     {1, 8.0 * kPi / 5.0}, {1, 1.2 * kPi}, {2, 6.0 * kPi / 5.0}, {2, kPi},
     {2, 0.8 * kPi},       {3, 0.1},       {4, 0.1},             {5, 0.0},

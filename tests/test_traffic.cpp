@@ -351,27 +351,6 @@ TEST(Traffic, ChurnStrandsDeadDestination) {
   expect_invariant(rep);
 }
 
-TEST(Traffic, CollectionTreeOverRecordedTree) {
-  const auto pts = make_points(40, 21);
-  core::PlanSession plan;
-  const core::ProblemSpec spec{1, 8.0 * kPi / 5.0};
-  const auto& result = plan.orient(pts, spec);
-  const auto& tree = plan.last_tree();
-
-  sim::TrafficEngine eng;
-  eng.bind(pts, result.orientation, &tree);
-  sim::TrafficSchedule sched;
-  for (int i = 0; i < 5; ++i) sched.flows.push_back({i, 39 - i, 4, 0, 30});
-  sim::TrafficOptions opts;
-  opts.policy = sim::RoutingPolicy::kCollectionTree;
-  opts.ttl = 80;
-  const auto& rep = eng.run(sched, opts);
-  expect_invariant(rep);
-  // The recorded orientation tree's paths are covered by the oriented
-  // sectors, so zero-loss tree collection delivers everything.
-  EXPECT_EQ(rep.delivered, rep.offered);
-}
-
 TEST(Traffic, WarmRunIsAllocationFree) {
   const auto pts = make_points(60, 17);
   core::PlanSession plan;
@@ -607,9 +586,8 @@ std::vector<sim::Flow> golden_flows(int n, int count, geom::Rng& rng) {
 
 /// Scenario `id` of the golden set: ids 0–13 run under churn (fails,
 /// moves, recovers of earlier fails, escalated re-plans), 14–19 statically
-/// with small batteries (relays die mid-run), 20–23 statically over the
-/// recorded orientation tree.  Every run is lossy with ARQ retries, so
-/// copies are in flight whenever the routes rebuild.
+/// with small batteries (relays die mid-run).  Every run is lossy with ARQ
+/// retries, so copies are in flight whenever the routes rebuild.
 sim::TrafficReport golden_run(int id) {
   geom::Rng rng(4000 + id);
   const int n = 60 + 20 * (id % 4);
@@ -659,12 +637,8 @@ sim::TrafficReport golden_run(int id) {
   core::PlanSession plan;
   const auto& res = plan.orient(pts, spec);
   sim::TrafficEngine eng;
-  if (id < 20) {
-    opts.battery.capacity = 6.0 + 4.0 * (id - 14);
-    eng.bind(pts, res.orientation);
-  } else {
-    eng.bind(pts, res.orientation, &plan.last_tree());
-  }
+  opts.battery.capacity = 6.0 + 4.0 * (id - 14);
+  eng.bind(pts, res.orientation);
   return eng.run(sched, opts);
 }
 
@@ -672,18 +646,17 @@ TEST(Traffic, RouteRebuildsMatchGoldenReports) {
   // Reports recorded with routes rebuilt by full BFS passes over every
   // node.  A rebuild that stops at each destination's farthest packet
   // must reproduce them bit for bit.
-  static constexpr std::uint64_t kGolden[24] = {
+  static constexpr std::uint64_t kGolden[20] = {
       0xd0b2ad7dc41c7c16ULL, 0x25d43c751b2590fbULL, 0x4b2ccec3933cd3d8ULL,
       0xce0146f08e4cbcddULL, 0x3c624fd75cb91c6cULL, 0x08c70e1643cc1b91ULL,
       0x3a998aa41825d30dULL, 0x570a2a7ecfb2fbe7ULL, 0x5992d0b47622f5e7ULL,
       0xdefa40bb3b841a77ULL, 0x6227f4ce8f4f8cc3ULL, 0xee4cadf2f376e72dULL,
       0xa7acf2a6a905cd5fULL, 0xa5f94a9531444317ULL, 0x373d21820d8d4822ULL,
       0xd715ce63b5da0150ULL, 0xb9ddd4dac643987cULL, 0x625a7dc8202a9a41ULL,
-      0xdd5ecc09ad477952ULL, 0x7d62e35e02de2b7fULL, 0xa461b41485796ee6ULL,
-      0x66e80f28e12acff7ULL, 0x24aee42fbcc385eaULL, 0x669ca3217573dc59ULL,
+      0xdd5ecc09ad477952ULL, 0x7d62e35e02de2b7fULL,
   };
   long long churn_killed = 0, battery_dead = 0, delivered = 0;
-  for (int id = 0; id < 24; ++id) {
+  for (int id = 0; id < 20; ++id) {
     const sim::TrafficReport rep = golden_run(id);
     expect_invariant(rep);
     churn_killed += rep.churn_killed;
